@@ -5,7 +5,7 @@
 //
 // Benchmarked: a single NUISE step, one full multi-mode engine iteration
 // (M = p estimators + selector), the full detector step (engine + decision
-// maker), and the LiDAR scan-processing pipeline.
+// maker), the LiDAR scan-processing pipeline, and the RRT* mission plan.
 #include <benchmark/benchmark.h>
 
 #include "core/roboads.h"
@@ -158,6 +158,33 @@ void BM_RrtStarPlan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RrtStarPlan)->Arg(1000)->Arg(4000);
+
+// One mission plan exactly as the platform's controller makes it: its
+// world, start, goal and RRT* settings, a fresh seed per plan.
+template <typename PlatformT>
+void plan_missions(benchmark::State& state, const PlatformT& platform,
+                   const geom::Vec2& start) {
+  const planning::RrtStar planner(platform.world(), platform.planner_config());
+  std::uint64_t seed = 1;
+  for (auto _ : state) {
+    Rng rng(seed++);
+    benchmark::DoNotOptimize(planner.plan(start, platform.goal(), rng));
+  }
+}
+
+void BM_RrtStarPlanKhepera(benchmark::State& state) {
+  const eval::KheperaPlatform platform;
+  const Vector& s = platform.config().start_pose;
+  plan_missions(state, platform, {s[0], s[1]});
+}
+BENCHMARK(BM_RrtStarPlanKhepera);
+
+void BM_RrtStarPlanTamiya(benchmark::State& state) {
+  const eval::TamiyaPlatform platform;
+  const Vector& s = platform.config().start_state;
+  plan_missions(state, platform, {s[0], s[1]});
+}
+BENCHMARK(BM_RrtStarPlanTamiya);
 
 }  // namespace
 }  // namespace roboads

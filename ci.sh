@@ -2,11 +2,14 @@
 # CI entry point: build + ctest once normally, then once under
 # ThreadSanitizer (RoboADS_SANITIZE=thread) so data races in the parallel
 # engine fan-out, the batched scenario runner, and the striped metrics
-# registry fail the pipeline, and once under UndefinedBehaviorSanitizer
-# (RoboADS_SANITIZE=undefined) to catch UB in the numerics. The normal pass
-# also runs the instrumented mission smoke (examples/obs_smoke): one
-# full-tracing scenario-8 run whose JSONL must parse, whose trace must show
-# a health transition, and whose roboads_report must render
+# registry fail the pipeline, once under AddressSanitizer
+# (RoboADS_SANITIZE=address) for out-of-bounds and use-after-free bugs — the
+# planner's grid cell arithmetic among them — and once under
+# UndefinedBehaviorSanitizer (RoboADS_SANITIZE=undefined) to catch UB in the
+# numerics. The normal pass also runs the instrumented mission smoke
+# (examples/obs_smoke): one full-tracing scenario-8 run whose JSONL must
+# parse, whose trace must show a health transition, and whose roboads_report
+# must render
 # (docs/OBSERVABILITY.md), plus the forensics smoke: a recorder-on attack
 # run that must freeze postmortem bundles, replay bit-identically through
 # `roboads_explain --verify`, and reproduce the live alarm timeline, and the
@@ -16,6 +19,7 @@
 #   ./ci.sh            # all passes
 #   ./ci.sh normal     # plain build + ctest + obs smoke + quick perf only
 #   ./ci.sh tsan       # TSan build + ctest only
+#   ./ci.sh asan       # ASan build + ctest only
 #   ./ci.sh ubsan      # UBSan build + ctest only
 #   ./ci.sh bench      # quick perf snapshot only (writes BENCH_PERF.json,
 #                      # gated >15% vs the previous snapshot)
@@ -89,8 +93,10 @@ run_obs_overhead() {
 
 # Quick perf snapshot of the detector hot path: one NUISE step, one engine
 # iteration (default mode set, plus the complete mode set at 1 and 4
-# threads), and the full detector step on both platforms. Reduced to
-# BENCH_PERF.json at the repo root (docs/PERFORMANCE.md tracks the history).
+# threads), and the full detector step on both platforms — plus one RRT*
+# mission plan per platform, the cost every campaign mission pays first
+# (docs/PERFORMANCE.md "Planner"). Reduced to BENCH_PERF.json at the repo
+# root (docs/PERFORMANCE.md tracks the history).
 # ~0.2 s per benchmark keeps this fast enough to run on every normal pass.
 #
 # Perf numbers are only comparable across runs when the compiler settings
@@ -106,7 +112,7 @@ run_bench() {
   build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:[^=]*=//p' "$dir/CMakeCache.txt")"
   cxx_flags="$(sed -n 's/^CMAKE_CXX_FLAGS_RELEASE:[^=]*=//p' "$dir/CMakeCache.txt")"
   "$dir/bench/perf_nuise" \
-    --benchmark_filter='BM_NuiseStepKhepera|BM_EngineStepKhepera|BM_EngineStepCompleteModeSet/(1|4)/real_time|BM_FullDetectorStepKhepera|BM_FullDetectorStepTamiya' \
+    --benchmark_filter='BM_NuiseStepKhepera|BM_EngineStepKhepera|BM_EngineStepCompleteModeSet/(1|4)/real_time|BM_FullDetectorStepKhepera|BM_FullDetectorStepTamiya|BM_RrtStarPlanKhepera|BM_RrtStarPlanTamiya' \
     --benchmark_min_time=0.2 \
     --benchmark_format=json > "$dir/bench_perf_raw.json"
   # Fleet capacity + latency (docs/FLEET.md): ≥1000 sessions at 10 Hz on
@@ -252,9 +258,20 @@ run_shard_smoke() {
   "$dir/tools/roboads_shard" run --manifest="$manifest" \
     --dir="$out/resume" --heartbeat-timeout=5 &
   local pid=$!
-  sleep 1
+  # Kill the supervisor once the first outcome is checkpointed (not after a
+  # fixed sleep), so work is left for --resume however fast jobs run.
+  local polls=0
+  until grep -qs '"event":"outcome"' "$out"/resume/checkpoint-*.jsonl ||
+      [ "$polls" -ge 1500 ]; do
+    sleep 0.02
+    polls=$((polls + 1))
+  done
   kill -9 "$pid" 2>/dev/null || true
   wait "$pid" 2>/dev/null || true
+  if [ -e "$out/resume/report.jsonl" ]; then
+    echo "shard smoke: the run finished before the supervisor kill" >&2
+    exit 1
+  fi
   "$dir/tools/roboads_shard" run --manifest="$manifest" \
     --dir="$out/resume" --resume --heartbeat-timeout=5
   cmp "$out/resume/report.jsonl" "$out/serial/report.jsonl"
@@ -349,6 +366,7 @@ case "$MODE" in
     run_bench
     ;;
   tsan)   run_pass build-tsan -DRoboADS_SANITIZE=thread ;;
+  asan)   run_pass build-asan -DRoboADS_SANITIZE=address ;;
   ubsan)  run_pass build-ubsan -DRoboADS_SANITIZE=undefined ;;
   bench)  run_bench ;;
   fuzz-smoke) run_fuzz_smoke build ;;
@@ -368,9 +386,10 @@ case "$MODE" in
     run_fleet_smoke build
     run_fleet_watch_smoke build
     run_pass build-tsan -DRoboADS_SANITIZE=thread
+    run_pass build-asan -DRoboADS_SANITIZE=address
     run_pass build-ubsan -DRoboADS_SANITIZE=undefined
     ;;
-  *) echo "usage: $0 [normal|tsan|ubsan|bench|fuzz-smoke|shard-smoke|watch-smoke|fleet-smoke|fleet-watch-smoke|all]" >&2; exit 2 ;;
+  *) echo "usage: $0 [normal|tsan|asan|ubsan|bench|fuzz-smoke|shard-smoke|watch-smoke|fleet-smoke|fleet-watch-smoke|all]" >&2; exit 2 ;;
 esac
 
 echo "ci.sh: all requested passes green"

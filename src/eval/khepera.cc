@@ -30,11 +30,7 @@ class KheperaController final : public Controller {
  public:
   KheperaController(const KheperaPlatform& platform, Rng& rng) {
     const KheperaConfig& cfg = platform.config();
-    planning::RrtStarConfig rrt_cfg;
-    // Plan with clearance beyond the body radius: PID tracking deviates a
-    // few centimeters from the planned line.
-    rrt_cfg.robot_radius = platform.robot_radius() + 0.14;
-    planning::RrtStar planner(platform.world(), rrt_cfg);
+    planning::RrtStar planner(platform.world(), platform.planner_config());
     const geom::Vec2 start{cfg.start_pose[0], cfg.start_pose[1]};
     auto path = planner.plan(start, cfg.goal, rng);
     ROBOADS_CHECK(path.has_value(), "Khepera mission planning failed");
@@ -77,6 +73,14 @@ KheperaPlatform::KheperaPlatform(KheperaConfig config)
           config_.process_pos_stddev * config_.process_pos_stddev,
           config_.process_pos_stddev * config_.process_pos_stddev,
           config_.process_heading_stddev * config_.process_heading_stddev})) {
+}
+
+planning::RrtStarConfig KheperaPlatform::planner_config() const {
+  planning::RrtStarConfig rrt_cfg;
+  // Plan with clearance beyond the body radius: PID tracking deviates a few
+  // centimeters from the planned line.
+  rrt_cfg.robot_radius = robot_radius() + 0.14;
+  return rrt_cfg;
 }
 
 sim::SensingStack KheperaPlatform::make_sensing(

@@ -80,6 +80,9 @@ class KheperaPlatform : public Platform {
 
   const KheperaConfig& config() const { return config_; }
 
+  // The RRT* settings every mission plans with.
+  planning::RrtStarConfig planner_config() const;
+
   // Suite indices (fixed order: wheel encoder, IPS, LiDAR).
   static constexpr std::size_t kWheelEncoder = 0;
   static constexpr std::size_t kIps = 1;

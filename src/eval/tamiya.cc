@@ -23,12 +23,7 @@ class TamiyaController final : public Controller {
  public:
   TamiyaController(const TamiyaPlatform& platform, Rng& rng) {
     const TamiyaConfig& cfg = platform.config();
-    planning::RrtStarConfig rrt_cfg;
-    rrt_cfg.step_size = 0.5;
-    rrt_cfg.rewire_radius = 1.2;
-    rrt_cfg.goal_radius = 0.3;
-    rrt_cfg.robot_radius = platform.robot_radius() + 0.30;
-    planning::RrtStar planner(platform.world(), rrt_cfg);
+    planning::RrtStar planner(platform.world(), platform.planner_config());
     const geom::Vec2 start{cfg.start_state[0], cfg.start_state[1]};
     auto path = planner.plan(start, cfg.goal, rng);
     ROBOADS_CHECK(path.has_value(), "Tamiya mission planning failed");
@@ -72,6 +67,15 @@ TamiyaPlatform::TamiyaPlatform(TamiyaConfig config)
           config_.process_pos_stddev * config_.process_pos_stddev,
           config_.process_heading_stddev *
               config_.process_heading_stddev})) {}
+
+planning::RrtStarConfig TamiyaPlatform::planner_config() const {
+  planning::RrtStarConfig rrt_cfg;
+  rrt_cfg.step_size = 0.5;
+  rrt_cfg.rewire_radius = 1.2;
+  rrt_cfg.goal_radius = 0.3;
+  rrt_cfg.robot_radius = robot_radius() + 0.30;
+  return rrt_cfg;
+}
 
 sim::SensingStack TamiyaPlatform::make_sensing(
     const attacks::Scenario& scenario) const {

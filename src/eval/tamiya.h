@@ -79,6 +79,9 @@ class TamiyaPlatform final : public Platform {
 
   const TamiyaConfig& config() const { return config_; }
 
+  // The RRT* settings every mission plans with.
+  planning::RrtStarConfig planner_config() const;
+
   // Suite indices (fixed order: IPS, LiDAR, IMU).
   static constexpr std::size_t kIps = 0;
   static constexpr std::size_t kLidar = 1;

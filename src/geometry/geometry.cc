@@ -88,12 +88,12 @@ Aabb Aabb::inflated(double margin) const {
               {max.x + margin, max.y + margin});
 }
 
-std::vector<Segment> Aabb::edges() const {
+std::array<Segment, 4> Aabb::edges() const {
   const Vec2 bl = min;
   const Vec2 br{max.x, min.y};
   const Vec2 tr = max;
   const Vec2 tl{min.x, max.y};
-  return {{bl, br}, {br, tr}, {tr, tl}, {tl, bl}};
+  return {{{bl, br}, {br, tr}, {tr, tl}, {tl, bl}}};
 }
 
 bool Aabb::intersects_segment(const Vec2& a, const Vec2& b) const {

@@ -2,6 +2,7 @@
 // RRT* planner's collision checks.
 #pragma once
 
+#include <array>
 #include <optional>
 #include <vector>
 
@@ -79,7 +80,7 @@ struct Aabb {
   // Grows the box by `margin` on every side (negative shrinks).
   Aabb inflated(double margin) const;
   // The four boundary edges in CCW order.
-  std::vector<Segment> edges() const;
+  std::array<Segment, 4> edges() const;
   // True when segment [a,b] touches the box (either endpoint inside or an
   // edge crossing).
   bool intersects_segment(const Vec2& a, const Vec2& b) const;

@@ -3,9 +3,36 @@
 #include <algorithm>
 #include <cmath>
 
+#include "planning/node_grid.h"
+
 namespace roboads::planning {
 
 using geom::Vec2;
+
+namespace {
+
+// Never above the neighbor's geom::distance: the exact value once known,
+// else from its squared distance (the same differences, squared and
+// summed). sqrt(d2) and std::hypot each land within 2 ulps of the true
+// norm, so a 1e-12 relative shrink (~4500 ulps) leaves a strict lower
+// bound. Rounding is monotone, so `cost + bound` never exceeds
+// `cost + distance` either: a candidate whose bounded cost already loses
+// is skipped without the exact distance.
+double distance_lower_bound(const detail::NodeGrid::Near& n) {
+  return n.d >= 0.0 ? n.d : std::sqrt(n.d2) * (1.0 - 1e-12);
+}
+
+// The neighbor's exact geom::distance(p, q), computed at most once and
+// shared by the parent and rewire passes. geom::distance is symmetric bit
+// for bit (std::hypot of negated differences), so it also stands for the
+// rewire pass's distance(q, p).
+double exact_distance(detail::NodeGrid::Near& n, const Vec2& p,
+                      const Vec2& q) {
+  if (n.d < 0.0) n.d = geom::distance(p, q);
+  return n.d;
+}
+
+}  // namespace
 
 double PlannedPath::length() const {
   double acc = 0.0;
@@ -35,6 +62,14 @@ std::optional<PlannedPath> RrtStar::plan(const Vec2& start, const Vec2& goal,
   std::optional<std::size_t> best_goal_node;
   double best_goal_cost = std::numeric_limits<double>::infinity();
 
+  // Nearest and near-set queries go through a uniform grid whose answers
+  // equal a scan over every node (planning/node_grid.h); a cell of half the
+  // rewire radius keeps the near query to a block of about 5x5 cells.
+  detail::NodeGrid grid(world_.width(), world_.height(),
+                        config_.rewire_radius / 2.0);
+  grid.insert(0, start);
+  std::vector<detail::NodeGrid::Near> near;
+
   for (std::size_t it = 0; it < config_.max_iterations; ++it) {
     // Sample (goal-biased).
     const Vec2 sample = rng.uniform() < config_.goal_bias
@@ -42,52 +77,58 @@ std::optional<PlannedPath> RrtStar::plan(const Vec2& start, const Vec2& goal,
                             : Vec2{rng.uniform(0.0, world_.width()),
                                    rng.uniform(0.0, world_.height())};
 
-    // Nearest node.
-    std::size_t nearest = 0;
-    double nearest_d2 = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      const double d2 = (nodes[i].position - sample).norm_squared();
-      if (d2 < nearest_d2) {
-        nearest_d2 = d2;
-        nearest = i;
-      }
-    }
+    // Nearest node: argmin of (squared distance, index).
+    const detail::NodeGrid::Nearest nn = grid.nearest(sample);
+    const std::size_t nearest = nn.index;
 
     // Steer toward the sample by at most step_size.
     const Vec2 from = nodes[nearest].position;
-    const double dist = std::sqrt(nearest_d2);
+    const double dist = std::sqrt(nn.d2);
     if (dist < 1e-9) continue;
     const Vec2 to = dist <= config_.step_size
                         ? sample
                         : from + (sample - from) * (config_.step_size / dist);
     if (!world_.segment_free(from, to, r)) continue;
 
+    // The neighborhood: exactly the nodes with geom::distance <= radius.
+    grid.near(to, config_.rewire_radius, near);
+
     // Choose the cheapest collision-free parent within the neighborhood.
+    // This is the order-free form of scanning the neighbors by index with a
+    // strict `<`: the minimum cost over segment-free neighbors, where the
+    // nearest node wins any tie it is in and otherwise the lowest index
+    // wins. Exact distances are computed only for candidates whose lower
+    // bound can still win or tie.
     std::size_t parent = nearest;
     double cost = nodes[nearest].cost + geom::distance(from, to);
-    std::vector<std::size_t> neighbors;
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      const double d = geom::distance(nodes[i].position, to);
-      if (d > config_.rewire_radius) continue;
-      neighbors.push_back(i);
-      const double c = nodes[i].cost + d;
-      if (c < cost && world_.segment_free(nodes[i].position, to, r)) {
+    for (detail::NodeGrid::Near& n : near) {
+      if (n.index == nearest) continue;  // ties itself, never beats itself
+      const Node& node = nodes[n.index];
+      if (node.cost + distance_lower_bound(n) > cost) continue;
+      const double c = node.cost + exact_distance(n, node.position, to);
+      const bool wins =
+          c < cost || (c == cost && parent != nearest && n.index < parent);
+      if (wins && world_.segment_free(node.position, to, r)) {
         cost = c;
-        parent = i;
+        parent = n.index;
       }
     }
 
     const std::size_t new_index = nodes.size();
     nodes.push_back({to, parent, cost});
+    grid.insert(new_index, to);
 
-    // Rewire the neighborhood through the new node when cheaper.
-    for (std::size_t i : neighbors) {
-      const double through =
-          cost + geom::distance(to, nodes[i].position);
-      if (through + 1e-12 < nodes[i].cost &&
-          world_.segment_free(to, nodes[i].position, r)) {
-        nodes[i].parent = new_index;
-        nodes[i].cost = through;
+    // Rewire the neighborhood through the new node when cheaper. Each
+    // neighbor's test reads only its own cost and the new node's, so the
+    // visiting order does not matter.
+    for (detail::NodeGrid::Near& n : near) {
+      Node& node = nodes[n.index];
+      if (cost + distance_lower_bound(n) + 1e-12 >= node.cost) continue;
+      const double through = cost + exact_distance(n, node.position, to);
+      if (through + 1e-12 < node.cost &&
+          world_.segment_free(to, node.position, r)) {
+        node.parent = new_index;
+        node.cost = through;
       }
     }
 

@@ -13,6 +13,7 @@
 #include <set>
 
 #include "common/check.h"
+#include "common/parse.h"
 #include "shard/checkpoint.h"
 #include "shard/heartbeat.h"
 #include "shard/status.h"
@@ -34,10 +35,14 @@ void sleep_seconds(double seconds) {
   nanosleep(&ts, nullptr);
 }
 
+// Each worker leads its own process group, so a signal sent to `-pid`
+// reaches everything the worker started (a shell's children included), not
+// just the worker: a SIGKILLed worker leaves no orphans behind.
 pid_t spawn(const WorkerCommand& command) {
   ROBOADS_CHECK(!command.args.empty(), "worker command needs argv[0]");
   const pid_t pid = fork();
   if (pid == 0) {
+    setpgid(0, 0);
     // Orphaned workers must not outlive a killed supervisor — a crashed
     // coordinating process should leave a resumable directory, not a stray
     // pool of compute.
@@ -52,12 +57,17 @@ pid_t spawn(const WorkerCommand& command) {
     _exit(127);
   }
   ROBOADS_CHECK(pid > 0, "fork failed");
+  // Also set from this side, so the group exists before the supervisor can
+  // signal it whichever process runs first. Fails harmlessly (EACCES) once
+  // the child has exec'd, by which time the child has set it itself.
+  setpgid(pid, pid);
   return pid;
 }
 
 struct Slot {
   std::string label;
   std::vector<std::string> job_ids;  // assigned manifest job ids
+  std::vector<int> chaos;  // signals its next launches inject, in order
   pid_t pid = -1;
   std::size_t launches = 0;
   double restart_at = 0.0;    // monotonic time gate for the next launch
@@ -144,20 +154,13 @@ std::vector<std::string> pending_of(const Slot& slot,
 }
 
 // Drives one wave of slots to completion or loss.
-void run_wave(std::vector<Slot>& slots, const Manifest& manifest,
-              const std::string& dir, const SupervisorConfig& config,
+void run_wave(std::vector<Slot>& slots, const std::string& dir,
+              const SupervisorConfig& config,
               const WorkerLauncher& launcher, SuperviseResult& result,
-              std::size_t& chaos_kills_left, std::size_t& chaos_stops_left,
-              std::mt19937_64& chaos_rng, StatusWriter& status) {
+              StatusWriter& status) {
   const double grace_seconds = config.slow_job_grace_seconds < 0.0
                                    ? config.heartbeat_timeout_seconds
                                    : config.slow_job_grace_seconds;
-  const std::size_t total_jobs = manifest.jobs.size();
-  const std::size_t chaos_total = chaos_kills_left + chaos_stops_left;
-  // Chaos events fire as completion crosses evenly spaced progress marks, so
-  // every injection lands mid-campaign: work exists both behind (exercising
-  // resume) and ahead (exercising retry) of the kill.
-  std::size_t chaos_fired = 0;
 
   while (std::any_of(slots.begin(), slots.end(),
                      [](const Slot& s) { return s.active(); })) {
@@ -168,7 +171,8 @@ void run_wave(std::vector<Slot>& slots, const Manifest& manifest,
       if (!slot.active()) continue;
 
       if (slot.pid < 0) {
-        if (pending_of(slot, completed).empty()) {
+        const std::vector<std::string> pending = pending_of(slot, completed);
+        if (pending.empty()) {
           slot.done = true;
           continue;
         }
@@ -178,8 +182,15 @@ void run_wave(std::vector<Slot>& slots, const Manifest& manifest,
           ++result.lost_shards;
           continue;
         }
-        const WorkerCommand command =
-            launcher(slot.label, pending_of(slot, completed));
+        WorkerCommand command = launcher(slot.label, pending);
+        if (!slot.chaos.empty()) {
+          // Half-way through its pending jobs, so work exists both behind
+          // the injection (exercising resume) and ahead of it (exercising
+          // retry).
+          command.args.push_back(
+              chaos_argument(slot.chaos.front(), pending.size() / 2));
+          slot.chaos.erase(slot.chaos.begin());
+        }
         slot.pid = spawn(command);
         slot.launched_at = now;
         slot.grace_granted = false;
@@ -216,7 +227,7 @@ void run_wave(std::vector<Slot>& slots, const Manifest& manifest,
           }
         }
         if (reclaim) {
-          kill(slot.pid, SIGKILL);
+          kill(-slot.pid, SIGKILL);
           slot.killing = true;
           ++result.hangs;
         }
@@ -237,36 +248,29 @@ void run_wave(std::vector<Slot>& slots, const Manifest& manifest,
       }
     }
 
-    // Chaos injection against whoever is running right now.
-    if (chaos_fired < chaos_total) {
-      const std::size_t mark =
-          (chaos_fired + 1) * total_jobs / (chaos_total + 1);
-      if (completed.size() >= std::max<std::size_t>(mark, 1)) {
-        std::vector<Slot*> running;
-        for (Slot& slot : slots) {
-          if (slot.active() && slot.pid > 0) running.push_back(&slot);
-        }
-        if (!running.empty()) {
-          Slot& victim = *running[std::uniform_int_distribution<std::size_t>(
-              0, running.size() - 1)(chaos_rng)];
-          if (chaos_kills_left > 0) {
-            --chaos_kills_left;
-            kill(victim.pid, SIGKILL);
-          } else {
-            --chaos_stops_left;
-            kill(victim.pid, SIGSTOP);
-          }
-          ++chaos_fired;
-        }
-      }
-    }
-
     status.maybe_write(result);
     sleep_seconds(config.poll_interval_seconds);
   }
 }
 
 }  // namespace
+
+std::string chaos_argument(int signal, std::size_t after_jobs) {
+  ROBOADS_CHECK(signal == SIGKILL || signal == SIGSTOP,
+                "chaos injects SIGKILL or SIGSTOP");
+  return std::string("--chaos=") + (signal == SIGKILL ? "kill" : "stop") +
+         "@" + std::to_string(after_jobs);
+}
+
+std::optional<ChaosInjection> parse_chaos_argument(const std::string& value) {
+  const std::size_t at = value.find('@');
+  if (at == std::string::npos) return std::nullopt;
+  const std::string name = value.substr(0, at);
+  const auto after_jobs = common::parse_u64(value.substr(at + 1));
+  if (!after_jobs || (name != "kill" && name != "stop")) return std::nullopt;
+  return ChaosInjection{name == "kill" ? SIGKILL : SIGSTOP,
+                        static_cast<std::size_t>(*after_jobs)};
+}
 
 double RetryPolicy::delay_seconds(std::size_t attempt) const {
   ROBOADS_CHECK(attempt >= 1, "retry attempts are 1-based");
@@ -284,9 +288,6 @@ SuperviseResult supervise(const Manifest& manifest, const std::string& dir,
   SuperviseResult result;
   StatusWriter status(manifest, dir, config.status_interval_seconds,
                       config.telemetry_interval_seconds);
-  std::mt19937_64 chaos_rng(config.chaos_seed);
-  std::size_t chaos_kills_left = config.chaos_kills;
-  std::size_t chaos_stops_left = config.chaos_stops;
 
   // Wave 0: one slot per manifest shard, owning its assigned jobs. Jobs
   // already checkpointed (a --resume, or an earlier wave of a crashed
@@ -301,8 +302,18 @@ SuperviseResult supervise(const Manifest& manifest, const std::string& dir,
   slots.erase(std::remove_if(slots.begin(), slots.end(),
                              [](const Slot& s) { return s.job_ids.empty(); }),
               slots.end());
-  run_wave(slots, manifest, dir, config, launcher, result, chaos_kills_left,
-           chaos_stops_left, chaos_rng, status);
+  // Chaos victims are drawn up front; each injects on its next launch.
+  if (!slots.empty()) {
+    std::mt19937_64 chaos_rng(config.chaos_seed);
+    std::uniform_int_distribution<std::size_t> pick(0, slots.size() - 1);
+    for (std::size_t i = 0; i < config.chaos_kills; ++i) {
+      slots[pick(chaos_rng)].chaos.push_back(SIGKILL);
+    }
+    for (std::size_t i = 0; i < config.chaos_stops; ++i) {
+      slots[pick(chaos_rng)].chaos.push_back(SIGSTOP);
+    }
+  }
+  run_wave(slots, dir, config, launcher, result, status);
 
   // Salvage waves: requeue whatever lost shards stranded onto fresh
   // workers — the pool shrinks to however many are still viable instead of
@@ -324,8 +335,7 @@ SuperviseResult supervise(const Manifest& manifest, const std::string& dir,
       salvage[i % workers].job_ids.push_back(missing[i]);
     }
     result.salvage_workers += workers;
-    run_wave(salvage, manifest, dir, config, launcher, result,
-             chaos_kills_left, chaos_stops_left, chaos_rng, status);
+    run_wave(salvage, dir, config, launcher, result, status);
   }
 
   const std::set<std::string> completed = completed_ids(dir);

@@ -10,10 +10,14 @@
 // chaos test and ci.sh shard-smoke exercise the identical supervision code
 // paths they are meant to prove out (tests/shard_chaos_test.cc asserts the
 // merged results are bit-identical to an unkilled serial run).
+//
+// Every worker runs in its own process group, and the watchdog signals the
+// group, so a reclaimed worker takes whatever it spawned down with it.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,10 +64,12 @@ struct SupervisorConfig {
   // rate/ETA. <= 0 falls back to the threshold floor.
   double telemetry_interval_seconds = 5.0;
 
-  // Chaos injection: SIGKILL / SIGSTOP this many randomly chosen running
-  // workers, one each at staggered points of the campaign. A stopped worker
-  // keeps its process slot but stops heartbeating, so it exercises the
-  // hang-detection path end to end.
+  // Chaos injection: this many randomly chosen shard workers SIGKILL /
+  // SIGSTOP themselves once they have checkpointed half of their pending
+  // jobs (see chaos_argument). The victim fires the signal itself, so the
+  // injection lands at the same point however fast jobs run. A stopped
+  // worker keeps its process slot but stops heartbeating, so it exercises
+  // the hang-detection path end to end.
   std::size_t chaos_kills = 0;
   std::size_t chaos_stops = 0;
   std::uint64_t chaos_seed = 1;
@@ -90,6 +96,18 @@ struct SuperviseResult {
   std::size_t slow_job_grants = 0;   // watchdog grace periods granted
   std::vector<std::string> missing_ids;  // jobs with no outcome (partial)
 };
+
+// The argv entry (`--chaos=kill@K` / `--chaos=stop@K`) the supervisor
+// appends to a chaos victim's command line: after its K-th checkpointed job
+// the worker raises `signal` (SIGKILL or SIGSTOP). worker_main
+// (shard/worker.h) honours it; parse_chaos_argument reads the part after
+// `--chaos=` back, nullopt when it is malformed.
+struct ChaosInjection {
+  int signal = 0;
+  std::size_t after_jobs = 0;
+};
+std::string chaos_argument(int signal, std::size_t after_jobs);
+std::optional<ChaosInjection> parse_chaos_argument(const std::string& value);
 
 // Runs the manifest's jobs to completion (or partial coverage) under `dir`.
 // Jobs already recorded in the directory's checkpoints are skipped — that

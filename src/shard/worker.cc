@@ -1,5 +1,7 @@
 #include "shard/worker.h"
 
+#include <signal.h>
+
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -100,6 +102,9 @@ int run_worker(const WorkerOptions& options) {
     if (telemetry.enabled()) telemetry.flush();  // start-of-run mark
     for (const ManifestJob* job : assigned) {
       if (done.count(job->id) != 0) continue;
+      if (options.chaos && beat.jobs_done == options.chaos->after_jobs) {
+        raise(options.chaos->signal);
+      }
       beat.current_job = job->id;
       write_heartbeat(beat_path, beat);
       const JobOutcome outcome = execute_job(*job, exec);
@@ -162,6 +167,13 @@ int worker_main(const std::vector<std::string>& args) {
         return 2;
       }
       options.telemetry_interval_seconds = *interval;
+    } else if (flag_value(arg, "--chaos", &value)) {
+      options.chaos = parse_chaos_argument(value);
+      if (!options.chaos) {
+        std::cerr << "shard worker: --chaos expects kill@K or stop@K, got \""
+                  << value << "\"\n";
+        return 2;
+      }
     } else if (arg == "--bundles") {
       options.record_bundles = true;
     } else {

@@ -13,6 +13,7 @@
 // no separate worker executable to keep in sync.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,8 @@ struct WorkerOptions {
   // Seconds between telemetry records (shard/telemetry.h); <= 0 disables
   // the telemetry stream and the per-job latency instrumentation entirely.
   double telemetry_interval_seconds = 5.0;
+  // Chaos injection requested by the supervisor (`--chaos=`), if any.
+  std::optional<ChaosInjection> chaos;
 };
 
 // Runs the worker loop to completion. Returns a process exit code: 0 when
@@ -44,8 +47,9 @@ struct WorkerOptions {
 int run_worker(const WorkerOptions& options);
 
 // Parses `--manifest= --dir= --label= [--shard=N] [--job=ID ...]
-// [--bundles] [--shrink-budget=N] [--telemetry-interval=S]` and calls
-// run_worker. `args` excludes the `--shard-worker` dispatch token.
+// [--bundles] [--shrink-budget=N] [--telemetry-interval=S]
+// [--chaos=kill|stop@K]` and calls run_worker. `args` excludes the
+// `--shard-worker` dispatch token.
 int worker_main(const std::vector<std::string>& args);
 
 // A WorkerLauncher that re-execs the current binary (/proc/self/exe) with

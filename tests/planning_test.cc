@@ -1,9 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "dynamics/bicycle.h"
 #include "dynamics/diff_drive.h"
+#include "eval/khepera.h"
+#include "eval/tamiya.h"
+#include "planning/node_grid.h"
 #include "planning/tracker.h"
 
 namespace roboads::planning {
@@ -11,6 +22,307 @@ namespace {
 
 sim::World arena() {
   return sim::World(2.0, 1.5, {geom::Aabb{{0.85, 0.55}, {1.15, 0.85}}});
+}
+
+// The planner as it was before the grid index, kept as the oracle the
+// indexed planner must match bit for bit: the nearest node and the
+// neighborhood are both found by scanning every node in index order.
+std::optional<PlannedPath> linear_scan_plan(const sim::World& world,
+                                            const RrtStarConfig& config,
+                                            const geom::Vec2& start,
+                                            const geom::Vec2& goal,
+                                            Rng& rng) {
+  using geom::Vec2;
+  struct Node {
+    Vec2 position;
+    std::size_t parent = 0;
+    double cost = 0.0;
+  };
+  const double r = config.robot_radius;
+  std::vector<Node> nodes;
+  nodes.push_back({start, 0, 0.0});
+  std::optional<std::size_t> best_goal_node;
+  double best_goal_cost = std::numeric_limits<double>::infinity();
+
+  for (std::size_t it = 0; it < config.max_iterations; ++it) {
+    const Vec2 sample = rng.uniform() < config.goal_bias
+                            ? goal
+                            : Vec2{rng.uniform(0.0, world.width()),
+                                   rng.uniform(0.0, world.height())};
+
+    std::size_t nearest = 0;
+    double nearest_d2 = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      const double d2 = (nodes[i].position - sample).norm_squared();
+      if (d2 < nearest_d2) {
+        nearest_d2 = d2;
+        nearest = i;
+      }
+    }
+
+    const Vec2 from = nodes[nearest].position;
+    const double dist = std::sqrt(nearest_d2);
+    if (dist < 1e-9) continue;
+    const Vec2 to = dist <= config.step_size
+                        ? sample
+                        : from + (sample - from) * (config.step_size / dist);
+    if (!world.segment_free(from, to, r)) continue;
+
+    std::size_t parent = nearest;
+    double cost = nodes[nearest].cost + geom::distance(from, to);
+    std::vector<std::size_t> neighbors;
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      const double d = geom::distance(nodes[i].position, to);
+      if (d > config.rewire_radius) continue;
+      neighbors.push_back(i);
+      const double c = nodes[i].cost + d;
+      if (c < cost && world.segment_free(nodes[i].position, to, r)) {
+        cost = c;
+        parent = i;
+      }
+    }
+
+    const std::size_t new_index = nodes.size();
+    nodes.push_back({to, parent, cost});
+
+    for (std::size_t i : neighbors) {
+      const double through = cost + geom::distance(to, nodes[i].position);
+      if (through + 1e-12 < nodes[i].cost &&
+          world.segment_free(to, nodes[i].position, r)) {
+        nodes[i].parent = new_index;
+        nodes[i].cost = through;
+      }
+    }
+
+    const double to_goal = geom::distance(to, goal);
+    if (to_goal <= config.goal_radius && world.segment_free(to, goal, r)) {
+      const double total = cost + to_goal;
+      if (total < best_goal_cost) {
+        best_goal_cost = total;
+        best_goal_node = new_index;
+      }
+    }
+  }
+
+  if (!best_goal_node) return std::nullopt;
+  std::vector<Vec2> reversed;
+  reversed.push_back(goal);
+  for (std::size_t i = *best_goal_node; i != 0; i = nodes[i].parent) {
+    reversed.push_back(nodes[i].position);
+  }
+  reversed.push_back(start);
+  std::reverse(reversed.begin(), reversed.end());
+  PlannedPath path;
+  path.waypoints = std::move(reversed);
+  path.cost = best_goal_cost;
+  return path;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+struct PlanCase {
+  sim::World world;
+  RrtStarConfig config;
+  geom::Vec2 start;
+  geom::Vec2 goal;
+};
+
+PlanCase plan_case(const std::string& name) {
+  if (name == "khepera") {
+    const eval::KheperaPlatform platform;
+    const eval::KheperaConfig& c = platform.config();
+    return {platform.world(), platform.planner_config(),
+            {c.start_pose[0], c.start_pose[1]}, c.goal};
+  }
+  if (name == "tamiya") {
+    const eval::TamiyaPlatform platform;
+    const eval::TamiyaConfig& c = platform.config();
+    return {platform.world(), platform.planner_config(),
+            {c.start_state[0], c.start_state[1]}, c.goal};
+  }
+  if (name == "default") return {arena(), {}, {0.35, 0.30}, {1.60, 1.20}};
+  // The synthetic cases run fewer iterations than the default 4000 to keep
+  // the quadratic oracle quick.
+  if (name == "open") {
+    RrtStarConfig open;
+    open.max_iterations = 2000;
+    return {sim::World(2.0, 1.5), open, {0.35, 0.30}, {1.60, 1.20}};
+  }
+  if (name == "ties") {
+    // Nearly every sample is the goal, so the tree grows along the line
+    // y = 0.5 in exact binary steps of 1/8: every neighbor on the line
+    // offers the new node exactly the same cost, and the parent choice
+    // rests on the tie rule alone (the nearest node keeps its ties).
+    RrtStarConfig ties;
+    ties.step_size = 0.125;
+    ties.goal_bias = 0.99;
+    ties.max_iterations = 200;
+    return {sim::World(2.0, 1.5), ties, {0.5, 0.5}, {1.5, 0.5}};
+  }
+  // Every node is every other node's neighbor: the radius exceeds the
+  // 2.5 m arena diagonal.
+  RrtStarConfig wide;
+  wide.rewire_radius = 2.6;
+  wide.max_iterations = 1500;
+  return {arena(), wide, {0.35, 0.30}, {1.60, 1.20}};
+}
+
+// (config, first seed): each config's 64 seeds run as two blocks of 32, so
+// ctest can spread the quadratic oracle over its workers.
+constexpr std::uint64_t kSeedBlock = 32;
+class RrtStarOracle : public ::testing::TestWithParam<
+                          std::tuple<std::string, std::uint64_t>> {};
+
+// Paths, costs and the post-plan generator state are bitwise equal to the
+// linear scan's, so every mission flown from the plan is too.
+TEST_P(RrtStarOracle, PlansAreBitIdenticalToTheLinearScan) {
+  const auto& [name, first_seed] = GetParam();
+  const PlanCase c = plan_case(name);
+  const RrtStar planner(c.world, c.config);
+  std::size_t found = 0;
+  for (std::uint64_t seed = first_seed; seed < first_seed + kSeedBlock;
+       ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng expected_rng(seed), actual_rng(seed);
+    const auto expected =
+        linear_scan_plan(c.world, c.config, c.start, c.goal, expected_rng);
+    const auto actual = planner.plan(c.start, c.goal, actual_rng);
+    EXPECT_TRUE(expected_rng.engine() == actual_rng.engine());
+    ASSERT_EQ(expected.has_value(), actual.has_value());
+    if (!expected) continue;
+    ++found;
+    EXPECT_EQ(bits(expected->cost), bits(actual->cost));
+    ASSERT_EQ(expected->waypoints.size(), actual->waypoints.size());
+    for (std::size_t i = 0; i < expected->waypoints.size(); ++i) {
+      EXPECT_EQ(bits(expected->waypoints[i].x), bits(actual->waypoints[i].x));
+      EXPECT_EQ(bits(expected->waypoints[i].y), bits(actual->waypoints[i].y));
+    }
+  }
+  EXPECT_GE(found, kSeedBlock - 2) << "the configs are meant to be solvable";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Configs, RrtStarOracle,
+    ::testing::Combine(::testing::Values("khepera", "tamiya", "default",
+                                         "open", "wide", "ties"),
+                       ::testing::Values(1, 1 + kSeedBlock)),
+    [](const auto& info) {
+      const std::uint64_t first = std::get<1>(info.param);
+      return std::get<0>(info.param) + "_seeds" + std::to_string(first) +
+             "to" + std::to_string(first + kSeedBlock - 1);
+    });
+
+using Grid = detail::NodeGrid;
+
+std::vector<std::size_t> near_indices(const Grid& grid, const geom::Vec2& q,
+                                      double radius) {
+  std::vector<Grid::Near> near;
+  grid.near(q, radius, near);
+  std::vector<std::size_t> out;
+  for (const Grid::Near& n : near) out.push_back(n.index);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(NodeGrid, EquidistantNodesGoToTheLowestIndex) {
+  Grid grid(2.0, 1.5, 0.25);
+  // Four nodes 0.25 from q, in four different cells, lowest index third.
+  grid.insert(7, {1.25, 0.75});
+  grid.insert(5, {1.0, 1.0});
+  grid.insert(3, {0.75, 0.75});
+  grid.insert(4, {1.0, 0.5});
+  const Grid::Nearest nn = grid.nearest({1.0, 0.75});
+  EXPECT_EQ(nn.index, 3u);
+  EXPECT_EQ(nn.d2, 0.0625);
+}
+
+TEST(NodeGrid, TieAcrossACellBoundaryIsNotCutOffByTheRingBound) {
+  // q sits mid-cell; one node in its own cell and one exactly on the next
+  // cell's boundary are both 0.125 away — exactly the ring-0 bound. The
+  // search must look past ring 0 and let the lower index win.
+  for (const bool boundary_node_lower : {true, false}) {
+    Grid grid(2.0, 1.5, 0.25);
+    const std::size_t inner = boundary_node_lower ? 9 : 2;
+    const std::size_t boundary = boundary_node_lower ? 2 : 9;
+    grid.insert(inner, {1.0, 0.625});
+    grid.insert(boundary, {1.25, 0.625});
+    EXPECT_EQ(grid.nearest({1.125, 0.625}).index, 2u);
+  }
+}
+
+TEST(NodeGrid, NodeExactlyAtTheRadiusIsANeighbor) {
+  const double radius = 0.625;
+  Grid grid(2.0, 1.5, radius / 2.0);
+  const geom::Vec2 q{1.0, 0.5};
+  grid.insert(0, {1.375, 1.0});  // (0.375, 0.5): a 3-4-5 triangle
+  grid.insert(1, {std::nextafter(1.375, 2.0), 1.0});
+  grid.insert(2, {0.375, 0.5});  // on the axis, exactly the radius
+  grid.insert(3, {1.0, 1.125});
+  grid.insert(4, {1.0, std::nextafter(1.125, 2.0)});
+  EXPECT_EQ(near_indices(grid, q, radius),
+            (std::vector<std::size_t>{0, 2, 3}));
+  std::vector<Grid::Near> near;
+  grid.near(q, radius, near);
+  for (const Grid::Near& n : near) {
+    // On the boundary the squared distance cannot settle membership, so
+    // the exact distance was computed — and it is the radius itself.
+    EXPECT_EQ(n.d, radius) << n.index;
+  }
+}
+
+TEST(NodeGrid, BoundariesEdgesAndCornersMatchALinearScan) {
+  const double width = 2.0, height = 1.5, cell = 0.2;
+  Grid grid(width, height, cell);
+  std::vector<geom::Vec2> nodes;
+  // Every cell corner (which includes the arena's corners and edges, and
+  // the partial last row at y = 1.5), then random points.
+  for (int i = 0; i <= 10; ++i) {
+    for (int j = 0; j <= 8; ++j) {
+      nodes.push_back({std::min(i * cell, width), std::min(j * cell, height)});
+    }
+  }
+  Rng rng(5);
+  for (int k = 0; k < 300; ++k) {
+    nodes.push_back({rng.uniform(0.0, width), rng.uniform(0.0, height)});
+  }
+  for (std::size_t i = 0; i < nodes.size(); ++i) grid.insert(i, nodes[i]);
+
+  std::vector<geom::Vec2> queries = nodes;
+  for (int k = 0; k < 300; ++k) {
+    queries.push_back({rng.uniform(-0.1, width + 0.1),
+                       rng.uniform(-0.1, height + 0.1)});
+  }
+  for (const geom::Vec2& q : queries) {
+    Grid::Nearest expected;
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      const double d2 = (nodes[i] - q).norm_squared();
+      if (d2 < expected.d2) expected = {i, d2};
+    }
+    const Grid::Nearest actual = grid.nearest(q);
+    EXPECT_EQ(actual.index, expected.index) << q.x << "," << q.y;
+    EXPECT_EQ(bits(actual.d2), bits(expected.d2));
+
+    for (const double radius : {0.2, 0.4, 0.45}) {
+      std::vector<std::size_t> in_radius;
+      for (std::size_t i = 0; i < nodes.size(); ++i) {
+        if (geom::distance(nodes[i], q) <= radius) in_radius.push_back(i);
+      }
+      EXPECT_EQ(near_indices(grid, q, radius), in_radius)
+          << q.x << "," << q.y << " r=" << radius;
+    }
+  }
+}
+
+TEST(NodeGrid, FineCellsAreCoarsenedWithoutChangingAnswers) {
+  // 1e8 cells would be requested; the grid caps its size and stays exact.
+  Grid grid(100.0, 100.0, 0.01);
+  const std::vector<geom::Vec2> nodes = {{0.0, 0.0}, {50.0, 50.0},
+                                         {100.0, 100.0}, {49.99, 50.01}};
+  for (std::size_t i = 0; i < nodes.size(); ++i) grid.insert(i, nodes[i]);
+  EXPECT_EQ(grid.nearest({50.0, 50.0}).index, 1u);
+  EXPECT_EQ(grid.nearest({99.0, 98.0}).index, 2u);
+  EXPECT_EQ(near_indices(grid, {50.0, 50.0}, 0.1),
+            (std::vector<std::size_t>{1, 3}));
 }
 
 bool path_collision_free(const sim::World& world, const PlannedPath& path,

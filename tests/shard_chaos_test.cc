@@ -65,8 +65,9 @@ TEST(ShardChaos, KilledAndHungWorkersDoNotChangeMergedResults) {
       merge_outcomes(manifest, std::move(serial_outcomes));
   ASSERT_TRUE(serial.stats.complete);
 
-  // Chaos run: real worker processes, one SIGKILLed and one SIGSTOPped at
-  // staggered points mid-campaign.
+  // Chaos run: real worker processes; one victim SIGKILLs itself and one
+  // SIGSTOPs itself half-way through its jobs. The victims fire the signals,
+  // so both land mid-shard however fast the jobs run.
   const std::string chaos_dir = temp_dir("roboads_chaos_run");
   const std::string manifest_path = chaos_dir + "/manifest.jsonl";
   write_manifest_file(manifest_path, manifest);
@@ -89,8 +90,11 @@ TEST(ShardChaos, KilledAndHungWorkersDoNotChangeMergedResults) {
 
   EXPECT_TRUE(supervised.complete) << supervised.missing_ids.size()
                                    << " jobs missing";
-  // Both injections must actually have fired and been absorbed.
-  EXPECT_GE(supervised.crashes + supervised.hangs, 2u);
+  // Both injections must actually have fired and been absorbed: the killed
+  // worker reaps as a crash, and the stopped one as a hang that the
+  // watchdog's SIGKILL then reaps as a crash.
+  EXPECT_GE(supervised.hangs, 1u);
+  EXPECT_GE(supervised.crashes, 2u);
   EXPECT_EQ(supervised.lost_shards, 0u);
 
   const MergedReport chaos = merge_run(manifest, chaos_dir);

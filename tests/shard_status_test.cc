@@ -42,7 +42,8 @@ TEST(WorkerArgs, MalformedNumericFlagsAllExitTwo) {
   for (const std::string bad :
        {"--shard=", "--shard=1x", "--shard=-2", "--shrink-budget=many",
         "--shrink-budget=-1", "--telemetry-interval=fast",
-        "--telemetry-interval=-3"}) {
+        "--telemetry-interval=-3", "--chaos=", "--chaos=kill", "--chaos=boom@1",
+        "--chaos=stop@x", "--chaos=kill@-1"}) {
     testing::internal::CaptureStderr();
     const int rc =
         worker_main({"--manifest=m.json", "--dir=d", "--label=s0", bad});
@@ -59,7 +60,7 @@ TEST(WorkerArgs, WellFormedFlagsStillParse) {
   testing::internal::CaptureStderr();
   const int rc = worker_main({"--manifest=/nonexistent/m.json", "--dir=/tmp",
                               "--label=s0", "--shard=-1", "--shrink-budget=7",
-                              "--telemetry-interval=0.5"});
+                              "--telemetry-interval=0.5", "--chaos=kill@3"});
   testing::internal::GetCapturedStderr();
   EXPECT_EQ(rc, 2);  // unreadable manifest — a run_worker error, post-parse
 }

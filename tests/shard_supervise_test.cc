@@ -5,6 +5,8 @@
 #include "shard/supervise.h"
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -69,6 +71,24 @@ WorkerCommand shell(const std::string& script) {
   return WorkerCommand{{"/bin/sh", "-c", script}};
 }
 
+// True once `pid` has exited, polling for up to two seconds. A zombie
+// waiting for its new parent to reap it counts as exited.
+bool process_gone(pid_t pid) {
+  for (int i = 0; i < 200; ++i) {
+    if (kill(pid, 0) != 0) return true;
+    std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+    std::string line;
+    std::getline(stat, line);
+    const std::size_t name_end = line.rfind(')');
+    if (name_end != std::string::npos && name_end + 2 < line.size() &&
+        line[name_end + 2] == 'Z') {
+      return true;
+    }
+    usleep(10000);
+  }
+  return false;
+}
+
 TEST(ShardRetryPolicy, BackoffGrowsExponentiallyAndCaps) {
   RetryPolicy policy;  // base 0.25, x2, cap 5
   EXPECT_DOUBLE_EQ(policy.delay_seconds(1), 0.25);
@@ -85,6 +105,20 @@ TEST(ShardRetryPolicy, BackoffGrowsExponentiallyAndCaps) {
   steep.max_delay_seconds = 5.0;
   EXPECT_DOUBLE_EQ(steep.delay_seconds(1), 1.0);
   EXPECT_DOUBLE_EQ(steep.delay_seconds(2), 5.0);
+}
+
+TEST(ShardChaosArgument, RoundTripsAndRejectsMalformedValues) {
+  EXPECT_EQ(chaos_argument(SIGKILL, 3), "--chaos=kill@3");
+  EXPECT_EQ(chaos_argument(SIGSTOP, 0), "--chaos=stop@0");
+  const std::optional<ChaosInjection> stop = parse_chaos_argument("stop@0");
+  ASSERT_TRUE(stop.has_value());
+  EXPECT_EQ(stop->signal, SIGSTOP);
+  EXPECT_EQ(stop->after_jobs, 0u);
+  EXPECT_EQ(parse_chaos_argument("kill@12")->signal, SIGKILL);
+  for (const char* bad : {"", "kill", "kill@", "term@1", "stop@1x", "@2"}) {
+    EXPECT_FALSE(parse_chaos_argument(bad).has_value()) << bad;
+  }
+  EXPECT_THROW(chaos_argument(SIGTERM, 1), CheckError);
 }
 
 TEST(ShardSupervise, HealthyWorkersCompleteInOneLaunchEach) {
@@ -133,8 +167,9 @@ TEST(ShardSupervise, HungWorkerIsKilledByWatchdogAndRetried) {
   const std::string dir = temp_dir("roboads_sup_hang");
   SupervisorConfig config = fast_config();
   config.heartbeat_timeout_seconds = 0.3;
-  // Shard 1's first worker wedges without ever beating; the watchdog must
-  // reclaim it like a crash.
+  // Shard 1's first worker wedges in a child process without ever beating;
+  // the watchdog must reclaim it like a crash, child included.
+  const std::string sleep_pid_path = dir + "/sleep.pid";
   const SuperviseResult result = supervise(
       manifest, dir, config,
       [&](const std::string& label, const std::vector<std::string>& ids) {
@@ -143,7 +178,8 @@ TEST(ShardSupervise, HungWorkerIsKilledByWatchdogAndRetried) {
         if (label == "s1") {
           return shell("if [ -f " + dir + "/marker ]; then cat " + payload +
                        " > " + ckpt + "; else touch " + dir +
-                       "/marker; sleep 60; fi");
+                       "/marker; sleep 60 & echo $! > " + sleep_pid_path +
+                       "; wait; fi");
         }
         return shell("cat " + payload + " > " + ckpt);
       });
@@ -151,6 +187,12 @@ TEST(ShardSupervise, HungWorkerIsKilledByWatchdogAndRetried) {
   EXPECT_EQ(result.hangs, 1u);
   EXPECT_GE(result.crashes, 1u);  // the SIGKILLed hang reaps as a crash
   EXPECT_TRUE(result.missing_ids.empty());
+
+  // The worker's `sleep 60` died with it rather than outliving the run.
+  std::ifstream pid_file(sleep_pid_path);
+  pid_t sleep_pid = 0;
+  ASSERT_TRUE(pid_file >> sleep_pid) << "the hung worker never started";
+  EXPECT_TRUE(process_gone(sleep_pid)) << "orphaned pid " << sleep_pid;
 }
 
 TEST(ShardSupervise, LostShardIsSalvagedByFreshWorkers) {
