@@ -17,6 +17,8 @@
 #include "eval/scoring.h"
 #include "obs/obs.h"
 #include "obs/report.h"
+#include "scenario/compile.h"
+#include "scenario/library.h"
 
 namespace roboads::bench {
 

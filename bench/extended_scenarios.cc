@@ -13,7 +13,8 @@ int run(const obs::Instruments& instruments) {
                "RoboADS (DSN'18) Table I taxonomy / §II-B threat model");
 
   eval::KheperaPlatform platform;
-  const std::size_t count = platform.extended_scenarios().size();
+  const std::vector<scenario::ScenarioSpec> battery =
+      scenario::khepera_extended_specs();
 
   std::printf("%-38s %-26s %-12s %-22s %-22s\n", "scenario",
               "detection result", "delay", "A: FPR/FNR", "S: FPR/FNR");
@@ -22,8 +23,9 @@ int run(const obs::Instruments& instruments) {
   stats::ConfusionCounts sensor_total, actuator_total;
   bool all_detected = true;
   std::vector<double> delays;
-  for (std::size_t i = 0; i < count; ++i) {
-    const attacks::Scenario scenario = platform.extended_scenarios()[i];
+  for (std::size_t i = 0; i < battery.size(); ++i) {
+    const attacks::Scenario scenario =
+        scenario::compile_spec(battery[i], platform);
     const ScenarioRun run = run_and_score(platform, scenario, 7100 + i, 250, instruments);
     const eval::ScenarioScore& s = run.score;
 

@@ -39,8 +39,11 @@ SweepRow run_sweep_point(const eval::KheperaPlatform& platform,
   std::vector<eval::MissionJob> jobs;
   for (std::size_t n : kAttackScenarios) {
     eval::MissionJob job = eval::make_mission_job(
-        [&platform, n] { return platform.table2_scenario(n); }, 3000 + n,
-        kIterations);
+        [&platform, n] {
+          return scenario::compile_spec(scenario::khepera_table2_spec(n),
+                                        platform);
+        },
+        3000 + n, kIterations);
     job.config.transport_faults = sim::TransportFaultConfig::single(spec);
     jobs.push_back(std::move(job));
   }
@@ -126,7 +129,11 @@ void print_containment(const eval::KheperaPlatform& platform,
   jobs.push_back(std::move(bad));
   for (std::size_t n : {std::size_t{1}, std::size_t{3}}) {
     jobs.push_back(eval::make_mission_job(
-        [&platform, n] { return platform.table2_scenario(n); }, 70 + n, 100));
+        [&platform, n] {
+          return scenario::compile_spec(scenario::khepera_table2_spec(n),
+                                        platform);
+        },
+        70 + n, 100));
   }
 
   const std::vector<eval::MissionJobResult> runs =

@@ -29,8 +29,9 @@ int run(const obs::Instruments& instruments) {
   cfg.seed = 88;
   cfg.instruments = instruments;
   cfg.obs_label = "fig6/scenario8";
-  const eval::MissionResult mission =
-      eval::run_mission(platform, platform.table2_scenario(8), cfg);
+  const eval::MissionResult mission = eval::run_mission(
+      platform,
+      scenario::compile_spec(scenario::khepera_table2_spec(8), platform), cfg);
 
   std::printf(
       "t,ds_ips_x,ds_ips_y,ds_ips_th,ds_we_x,ds_we_y,ds_we_th,"

@@ -48,8 +48,10 @@ int run(const obs::Instruments& instruments) {
     cfg.seed = 7000 + n;
     cfg.instruments = instruments;
     cfg.obs_label = "fig7/scenario" + std::to_string(n);
-    missions.push_back(
-        {eval::run_mission(platform, platform.table2_scenario(n), cfg)});
+    missions.push_back({eval::run_mission(
+        platform,
+        scenario::compile_spec(scenario::khepera_table2_spec(n), platform),
+        cfg)});
   }
   for (std::uint64_t seed : {31u, 32u, 33u}) {
     eval::MissionConfig cfg;

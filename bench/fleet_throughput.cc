@@ -36,6 +36,8 @@
 #include "fleet/replay.h"
 #include "fleet/service.h"
 #include "obs/trace.h"
+#include "scenario/compile.h"
+#include "scenario/library.h"
 
 namespace {
 
@@ -304,8 +306,10 @@ int main(int argc, char** argv) {
       eval::MissionConfig cfg;
       cfg.iterations = o.iterations;
       cfg.seed = o.seed + m;
-      missions.push_back(
-          eval::run_mission(platform, platform.table2_scenario(8), cfg));
+      missions.push_back(eval::run_mission(
+          platform,
+          scenario::compile_spec(scenario::khepera_table2_spec(8), platform),
+          cfg));
     }
 
     std::vector<PhaseResult> phases;

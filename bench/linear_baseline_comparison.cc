@@ -27,7 +27,9 @@ int run(const obs::Instruments& instruments) {
   std::size_t baseline_fn = 0;
   for (std::size_t n = 0; n <= 11; ++n) {  // 0 = clean mission
     const auto make_scenario = [&] {
-      return n == 0 ? platform.clean_scenario() : platform.table2_scenario(n);
+      return n == 0 ? platform.clean_scenario()
+                    : scenario::compile_spec(
+                          scenario::khepera_table2_spec(n), platform);
     };
 
     eval::MissionConfig ours_cfg;

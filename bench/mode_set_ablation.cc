@@ -47,8 +47,10 @@ ModeSetResult evaluate(const eval::KheperaPlatform& platform,
     cfg.seed = 8200 + n;
     cfg.instruments = instruments;
     cfg.obs_label = set_label + "/scenario" + std::to_string(n);
-    const eval::MissionResult mission =
-        eval::run_mission(platform, platform.table2_scenario(n), cfg);
+    const eval::MissionResult mission = eval::run_mission(
+        platform,
+        scenario::compile_spec(scenario::khepera_table2_spec(n), platform),
+        cfg);
     const eval::ScenarioScore score = eval::score_mission(mission, platform);
     out.sensor += score.sensor;
     out.actuator += score.actuator;

@@ -29,8 +29,9 @@ int run(const obs::Instruments& instruments) {
   cfg.instruments = instruments;
   cfg.obs_label = "nuise_vs_ekf/scenario1";
   // Scenario #1: wheel controller logic bomb (∓0.04 m/s) from 6 s.
-  const eval::MissionResult mission =
-      eval::run_mission(platform, platform.table2_scenario(1), cfg);
+  const eval::MissionResult mission = eval::run_mission(
+      platform,
+      scenario::compile_spec(scenario::khepera_table2_spec(1), platform), cfg);
 
   const sensors::SensorSuite& suite = platform.suite();
   // Both estimators fuse the same reference (IPS) and start identically.

@@ -14,6 +14,8 @@
 #include "eval/batch.h"
 #include "eval/khepera.h"
 #include "eval/tamiya.h"
+#include "scenario/compile.h"
+#include "scenario/library.h"
 #include "sim/lidar.h"
 
 namespace roboads {
@@ -90,7 +92,10 @@ void BM_MissionBatchKhepera(benchmark::State& state) {
   std::vector<eval::MissionJob> jobs;
   for (std::size_t i = 0; i < 8; ++i) {
     jobs.push_back(eval::make_mission_job(
-        [&platform, i] { return platform.table2_scenario(i % 11 + 1); },
+        [&platform, i] {
+          return scenario::compile_spec(
+              scenario::khepera_table2_spec(i % 11 + 1), platform);
+        },
         100 + i, 60));
   }
   for (auto _ : state) {

@@ -106,8 +106,9 @@ int run_serial(const std::vector<std::uint64_t>& seeds,
     r.seed = seed;
     for (std::size_t n = 1; n <= 11; ++n) {
       const ScenarioRun run = run_and_score(
-          platform, platform.table2_scenario(n), seed * 1000 + n, 250,
-          instruments);
+          platform,
+          scenario::compile_spec(scenario::khepera_table2_spec(n), platform),
+          seed * 1000 + n, 250, instruments);
       r.total += run.score.sensor;
       r.total += run.score.actuator;
       for (const eval::DelayRecord& d : run.score.delays) {

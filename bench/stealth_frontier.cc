@@ -23,7 +23,7 @@ int run(const sim::WorkflowConfig& workflow, const std::string& out_path) {
                "RoboADS (DSN'18) §V-H, generalized");
 
   std::vector<scenario::FrontierAxis> axes;
-  for (const std::string& platform : scenario::platform_names()) {
+  for (const std::string& platform : eval::platform_names()) {
     for (scenario::FrontierAxis& axis : scenario::standard_axes(platform)) {
       axes.push_back(std::move(axis));
     }

@@ -32,15 +32,19 @@ int run(const sim::WorkflowConfig& workflow_config) {
   // §V-C anomaly-quantification runs — are independent (scenario, seed)
   // tasks; one batch executes them concurrently and hands the results back
   // in job order for the serial printing below.
+  // Stateful injectors: every job compiles its own copy of scenario #n.
+  const auto table2 = [&platform](std::size_t n) {
+    return [&platform, n] {
+      return scenario::compile_spec(scenario::khepera_table2_spec(n),
+                                    platform);
+    };
+  };
   std::vector<eval::MissionJob> jobs;
   for (std::size_t n = 1; n <= 11; ++n) {
-    jobs.push_back(eval::make_mission_job(
-        [&platform, n] { return platform.table2_scenario(n); }, 1000 + n));
+    jobs.push_back(eval::make_mission_job(table2(n), 1000 + n));
   }
-  jobs.push_back(eval::make_mission_job(
-      [&platform] { return platform.table2_scenario(3); }, 42));
-  jobs.push_back(eval::make_mission_job(
-      [&platform] { return platform.table2_scenario(1); }, 43));
+  jobs.push_back(eval::make_mission_job(table2(3), 42));
+  jobs.push_back(eval::make_mission_job(table2(1), 43));
   const std::vector<eval::MissionJobResult> runs =
       eval::run_mission_batch(platform, jobs, workflow_config);
 

@@ -15,7 +15,8 @@ int run(const obs::Instruments& instruments) {
                "RoboADS (DSN'18) §V-D");
 
   eval::TamiyaPlatform platform;
-  const std::vector<attacks::Scenario> battery = platform.scenario_battery();
+  const std::vector<scenario::ScenarioSpec> battery =
+      scenario::tamiya_battery_specs();
 
   std::printf("%-36s %-22s %-12s %-22s %-22s\n", "scenario",
               "detection result", "delay", "A: FPR/FNR", "S: FPR/FNR");
@@ -27,7 +28,8 @@ int run(const obs::Instruments& instruments) {
 
   for (std::size_t i = 0; i < battery.size(); ++i) {
     // Scenarios hold stateful injectors: rebuild per run.
-    const attacks::Scenario scenario = platform.scenario_battery()[i];
+    const attacks::Scenario scenario =
+        scenario::compile_spec(battery[i], platform);
     const ScenarioRun run = run_and_score(platform, scenario, 9000 + i, 250, instruments);
     const eval::ScenarioScore& s = run.score;
 

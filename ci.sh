@@ -23,6 +23,10 @@
 #   ./ci.sh ubsan      # UBSan build + ctest only
 #   ./ci.sh bench      # quick perf snapshot only (writes BENCH_PERF.json,
 #                      # gated >15% vs the previous snapshot)
+#   ./ci.sh perfbench  # end-to-end benchmark selftest: builds src/
+#                      # standalone (.bench_build/) and checks every
+#                      # campaign outcome against
+#                      # perfbench/reference_outcomes.txt
 #   ./ci.sh fuzz-smoke # ~30 s scenario-DSL coverage fuzz + corpus replay
 #   ./ci.sh shard-smoke # ~30 s sharded fuzz campaign with an injected
 #                      # worker kill and a supervisor kill + --resume; the
@@ -125,6 +129,15 @@ run_bench() {
     --build-type="$build_type" --cxx-flags="$cxx_flags" \
     --require-build-type=Release \
     --baseline=BENCH_PERF.json --max-regress=0.15
+}
+
+# End-to-end benchmark selftest (perfbench/README.md): builds src/
+# standalone the way the benchmark does and checks every campaign outcome
+# against perfbench/reference_outcomes.txt, so a change to the scenario API
+# or the Table II specs that breaks the benchmark fails here rather than in
+# a later benchmark run.
+run_perfbench() {
+  python3 perfbench/run.py --selftest
 }
 
 # Fleet-service smoke (docs/FLEET.md): a ~10 s mini-fleet — 32 robots
@@ -369,6 +382,7 @@ case "$MODE" in
   asan)   run_pass build-asan -DRoboADS_SANITIZE=address ;;
   ubsan)  run_pass build-ubsan -DRoboADS_SANITIZE=undefined ;;
   bench)  run_bench ;;
+  perfbench) run_perfbench ;;
   fuzz-smoke) run_fuzz_smoke build ;;
   shard-smoke) run_shard_smoke build ;;
   watch-smoke) run_watch_smoke build ;;
@@ -380,6 +394,7 @@ case "$MODE" in
     run_forensics_smoke build
     run_obs_overhead build
     run_bench
+    run_perfbench
     run_fuzz_smoke build
     run_shard_smoke build
     run_watch_smoke build
@@ -389,7 +404,7 @@ case "$MODE" in
     run_pass build-asan -DRoboADS_SANITIZE=address
     run_pass build-ubsan -DRoboADS_SANITIZE=undefined
     ;;
-  *) echo "usage: $0 [normal|tsan|asan|ubsan|bench|fuzz-smoke|shard-smoke|watch-smoke|fleet-smoke|fleet-watch-smoke|all]" >&2; exit 2 ;;
+  *) echo "usage: $0 [normal|tsan|asan|ubsan|bench|perfbench|fuzz-smoke|shard-smoke|watch-smoke|fleet-smoke|fleet-watch-smoke|all]" >&2; exit 2 ;;
 esac
 
 echo "ci.sh: all requested passes green"

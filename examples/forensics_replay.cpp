@@ -18,6 +18,8 @@
 #include "eval/khepera.h"
 #include "eval/mission.h"
 #include "eval/replay.h"
+#include "scenario/compile.h"
+#include "scenario/library.h"
 
 using namespace roboads;
 using namespace roboads::eval;
@@ -28,7 +30,8 @@ int main(int argc, char** argv) {
   KheperaPlatform platform;
   // Scenario #8: IPS logic bomb (+0.07 m on X from 4 s) plus a wheel
   // controller bomb (∓6000 units from 10 s).
-  const attacks::Scenario scenario = platform.table2_scenario(8);
+  const attacks::Scenario scenario =
+      scenario::compile_spec(scenario::khepera_table2_spec(8), platform);
 
   obs::FlightRecorder recorder(obs::FlightRecorderConfig{true, 96, 8});
   MissionConfig cfg;

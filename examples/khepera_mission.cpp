@@ -8,13 +8,15 @@
 //               NUISE fan-out — 1 (default) serial, 0 all cores, n = n-way.
 //               Detection output is bit-identical for every setting.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "common/parse.h"
 #include "eval/khepera.h"
 #include "eval/mission.h"
 #include "eval/scoring.h"
+#include "scenario/compile.h"
+#include "scenario/library.h"
 
 using namespace roboads;
 using namespace roboads::eval;
@@ -59,21 +61,38 @@ void render_arena(const KheperaPlatform& platform,
               "! alarm raised\n");
 }
 
+int usage_error(const char* argv0, const std::string& message) {
+  std::fprintf(stderr, "%s: %s\nusage: %s [scenario 1..11] [threads]\n",
+               argv0, message.c_str(), argv0);
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::size_t scenario_number =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 4;
-  if (scenario_number < 1 || scenario_number > 11) {
-    std::fprintf(stderr, "usage: %s [scenario 1..11] [threads]\n", argv[0]);
-    return 1;
+  if (argc > 3) return usage_error(argv[0], "too many arguments");
+  std::size_t scenario_number = 4;
+  if (argc > 1) {
+    const auto parsed = common::parse_u64(argv[1]);
+    if (!parsed || *parsed < 1 || *parsed > 11) {
+      return usage_error(argv[0], "scenario must be 1..11, got \"" +
+                                      std::string(argv[1]) + "\"");
+    }
+    scenario_number = static_cast<std::size_t>(*parsed);
   }
-  const std::size_t engine_threads =
-      argc > 2 ? static_cast<std::size_t>(std::atoi(argv[2])) : 1;
+  std::size_t engine_threads = 1;
+  if (argc > 2) {
+    const auto parsed = common::parse_u64(argv[2]);
+    if (!parsed) {
+      return usage_error(argv[0], "threads must be a non-negative integer, "
+                                  "got \"" + std::string(argv[2]) + "\"");
+    }
+    engine_threads = static_cast<std::size_t>(*parsed);
+  }
 
   KheperaPlatform platform;
-  const attacks::Scenario scenario =
-      platform.table2_scenario(scenario_number);
+  const attacks::Scenario scenario = scenario::compile_spec(
+      scenario::khepera_table2_spec(scenario_number), platform);
   std::printf("scenario %s\n  %s\n\n", scenario.name().c_str(),
               scenario.description().c_str());
 

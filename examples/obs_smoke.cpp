@@ -34,6 +34,8 @@
 #include "eval/mission.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
+#include "scenario/compile.h"
+#include "scenario/library.h"
 #include "sim/faults.h"
 
 using namespace roboads;
@@ -44,7 +46,8 @@ namespace {
 // Scenario 8 plus the huge-bias injector: corrupts both wheel distance
 // channels mid-mission, after the detector has settled.
 attacks::Scenario scenario_with_numeric_fault(const KheperaPlatform& platform) {
-  const attacks::Scenario base = platform.table2_scenario(8);
+  const attacks::Scenario base =
+      scenario::compile_spec(scenario::khepera_table2_spec(8), platform);
   std::vector<attacks::Attachment> attachments = base.attachments();
   attachments.push_back(
       {attacks::InjectionPoint::kSensorOutput, "wheel_encoder",

@@ -5,26 +5,49 @@
 //   ./build/examples/tamiya_mission [scenario 1..7]   (default: 2,
 //                                                      steering takeover)
 #include <cstdio>
-#include <cstdlib>
+#include <string>
 
+#include "common/parse.h"
 #include "eval/mission.h"
 #include "eval/scoring.h"
 #include "eval/tamiya.h"
+#include "scenario/compile.h"
+#include "scenario/library.h"
 
 using namespace roboads;
 using namespace roboads::eval;
 
+namespace {
+
+int usage_error(const char* argv0, const std::string& message,
+                std::size_t count) {
+  std::fprintf(stderr, "%s: %s\nusage: %s [scenario 1..%zu]\n", argv0,
+               message.c_str(), argv0, count);
+  return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  const std::size_t index =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 2;
-  TamiyaPlatform platform;
-  const auto battery = platform.scenario_battery();
-  if (index < 1 || index > battery.size()) {
-    std::fprintf(stderr, "usage: %s [scenario 1..%zu]\n", argv[0],
-                 battery.size());
-    return 1;
+  const auto battery = scenario::tamiya_battery_specs();
+  if (argc > 2) {
+    return usage_error(argv[0], "too many arguments", battery.size());
   }
-  const attacks::Scenario& scenario = battery[index - 1];
+  std::size_t index = 2;
+  if (argc > 1) {
+    const auto parsed = common::parse_u64(argv[1]);
+    if (!parsed || *parsed < 1 || *parsed > battery.size()) {
+      return usage_error(argv[0],
+                         "scenario must be 1.." +
+                             std::to_string(battery.size()) + ", got \"" +
+                             argv[1] + "\"",
+                         battery.size());
+    }
+    index = static_cast<std::size_t>(*parsed);
+  }
+  TamiyaPlatform platform;
+  const attacks::Scenario scenario =
+      scenario::compile_spec(battery[index - 1], platform);
   std::printf("scenario %s\n  %s\n\n", scenario.name().c_str(),
               scenario.description().c_str());
 

@@ -120,32 +120,6 @@ void NoiseInjector::corrupt(std::size_t, Vector& data) {
   }
 }
 
-BlockSectorInjector::BlockSectorInjector(Window window,
-                                         std::size_t first_beam,
-                                         std::size_t last_beam,
-                                         double blocked_range)
-    : Injector(window),
-      first_beam_(first_beam),
-      last_beam_(last_beam),
-      blocked_range_(blocked_range) {
-  ROBOADS_CHECK(first_beam_ < last_beam_, "empty blocked sector");
-  ROBOADS_CHECK(blocked_range_ >= 0.0, "blocked range must be >= 0");
-}
-
-std::string BlockSectorInjector::describe() const {
-  std::ostringstream os;
-  os << "block beams [" << first_beam_ << ", " << last_beam_ << ") at "
-     << blocked_range_ << " m";
-  return os.str();
-}
-
-void BlockSectorInjector::corrupt(std::size_t, Vector& ranges) {
-  ROBOADS_CHECK(last_beam_ <= ranges.size(),
-                "blocked sector exceeds beam count");
-  for (std::size_t i = first_beam_; i < last_beam_; ++i)
-    ranges[i] = blocked_range_;
-}
-
 FlatObstructionInjector::FlatObstructionInjector(
     Window window, std::size_t first_beam, std::size_t last_beam,
     double distance, double fov, std::size_t beam_count,

@@ -154,24 +154,6 @@ class NoiseInjector final : public Injector {
   std::mt19937_64 engine_;
 };
 
-// Blocks a sector of raw LiDAR beams (#7: physically blocking laser
-// ejection/reception): beams whose index falls inside [first, last) read a
-// fixed short range, as if an obstruction sat on the emitter window.
-class BlockSectorInjector final : public Injector {
- public:
-  BlockSectorInjector(Window window, std::size_t first_beam,
-                      std::size_t last_beam, double blocked_range);
-  std::string describe() const override;
-
- protected:
-  void corrupt(std::size_t, Vector& ranges) override;
-
- private:
-  std::size_t first_beam_;
-  std::size_t last_beam_;
-  double blocked_range_;
-};
-
 // A flat board held in front of the scanner window (#7's physical-channel
 // blocking, modeled with correct plane geometry): beams in [first, last)
 // return r(φ) = distance / cos(φ − φ_center), i.e. a straight line in the

@@ -25,9 +25,9 @@ struct MissionJob {
   // Display label; when empty the scenario's own name is used.
   std::string name;
   // Builds the job's private Scenario. Called once, inside the worker —
-  // must be safe to invoke concurrently with other jobs' factories (the
-  // bundled platforms' scenario builders are const and allocate fresh
-  // injectors per call).
+  // must be safe to invoke concurrently with other jobs' factories
+  // (scenario::compile_spec only reads its spec and platform and allocates
+  // fresh injectors per call).
   std::function<attacks::Scenario()> make_scenario;
   MissionConfig config;
 };

@@ -1,15 +1,15 @@
 // The Khepera III evaluation platform (paper §V-A, Fig. 5): differential
-// drive, wheel-encoder odometry + Vicon IPS + LiDAR, RRT* + PID mission in
-// a walled indoor arena, and the eleven attack/failure scenarios of
-// Table II.
+// drive, wheel-encoder odometry + Vicon IPS + LiDAR, and an RRT* + PID
+// mission in a walled indoor arena. The eleven attack/failure scenarios of
+// Table II are ScenarioSpecs in scenario/library.h.
 //
 // Substitution note (DESIGN.md §2): the simulated LiDAR sweeps 360° instead
 // of the Hokuyo's 240° so that all arena walls stay observable from any
 // heading; the paper's wall-distance reduction is otherwise reproduced
 // beam-for-beam. Scenario #5's "+100 steps on the left wheel encoder" is
 // folded through the differential-odometry geometry into the equivalent
-// pose-space corruption, matching how the paper's Fig. 6 plots wheel-encoder
-// anomalies in pose coordinates.
+// pose-space corruption (scenario/library.cc), matching how the paper's
+// Fig. 6 plots wheel-encoder anomalies in pose coordinates.
 #pragma once
 
 #include "dynamics/diff_drive.h"
@@ -87,20 +87,6 @@ class KheperaPlatform : public Platform {
   static constexpr std::size_t kWheelEncoder = 0;
   static constexpr std::size_t kIps = 1;
   static constexpr std::size_t kLidar = 2;
-
-  // The eleven Table II scenarios with this platform's trigger timeline
-  // (fresh stateful injectors per call — build one per mission run).
-  std::vector<attacks::Scenario> table2_scenarios() const;
-  // Scenario #n (1-based) alone.
-  attacks::Scenario table2_scenario(std::size_t number) const;
-  // No attacks (for false-positive profiling and Table IV).
-  attacks::Scenario clean_scenario() const;
-
-  // Beyond Table II: misbehavior shapes the paper's taxonomy covers but its
-  // evaluation battery does not exercise — replay (stuck-at), gain
-  // miscalibration, slow gyro-style drift, and the §II-B "carefully crafted"
-  // simultaneous coordinated attack on two workflows.
-  std::vector<attacks::Scenario> extended_scenarios() const;
 
  private:
   KheperaConfig config_;

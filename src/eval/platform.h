@@ -79,6 +79,17 @@ class Platform {
   // for a set of corrupted sensors.
   virtual std::string condition_name(
       const std::vector<std::size_t>& corrupted_sensors) const;
+
+  // No attacks (for false-positive profiling and Table IV). The attack
+  // scenarios themselves are ScenarioSpecs in scenario/library.h.
+  static attacks::Scenario clean_scenario();
 };
+
+// The platform registry: known platform names, in registry order.
+std::vector<std::string> platform_names();
+
+// Builds a fresh default-configured platform by name (a bundle's provenance,
+// a spec's platform field); throws CheckError for unknown names.
+std::unique_ptr<Platform> make_platform(const std::string& name);
 
 }  // namespace roboads::eval

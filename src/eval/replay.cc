@@ -6,8 +6,6 @@
 #include <sstream>
 
 #include "core/linear_baseline.h"
-#include "eval/khepera.h"
-#include "eval/tamiya.h"
 
 namespace roboads::eval {
 namespace {
@@ -162,13 +160,6 @@ std::string join_mode_labels(const std::vector<core::Mode>& modes) {
 }
 
 }  // namespace
-
-std::unique_ptr<Platform> make_platform(const std::string& name) {
-  if (name == "khepera") return std::make_unique<KheperaPlatform>();
-  if (name == "tamiya") return std::make_unique<TamiyaPlatform>();
-  throw CheckError("replay: unknown platform \"" + name +
-                   "\" (expected \"khepera\" or \"tamiya\")");
-}
 
 ReplayResult replay_bundle(const obs::PostmortemBundle& bundle) {
   ROBOADS_CHECK(!bundle.records.empty(), "replay: bundle has no records");

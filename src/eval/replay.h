@@ -41,10 +41,6 @@ struct ReplayResult {
   bool identical() const { return mismatches.empty(); }
 };
 
-// Builds the evaluation platform a bundle's provenance names ("khepera",
-// "tamiya"); throws CheckError for unknown platforms.
-std::unique_ptr<Platform> make_platform(const std::string& name);
-
 // Re-runs the bundle's window through a freshly built detector and compares
 // it against the recorded outputs. Throws CheckError when the bundle is
 // structurally unusable (no records, missing snapshot, provenance that does

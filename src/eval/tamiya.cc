@@ -6,16 +6,7 @@
 namespace roboads::eval {
 namespace {
 
-using attacks::Attachment;
-using attacks::BiasInjector;
 using attacks::InjectionPoint;
-using attacks::ReplaceInjector;
-using attacks::Scenario;
-using attacks::Window;
-
-constexpr std::size_t kPhase1 = 60;
-constexpr std::size_t kPhase2 = 120;
-constexpr std::size_t kForever = static_cast<std::size_t>(-1);
 
 // Tamiya mission controller: bicycle PID tracker fed by the IPS pose and
 // the IMU speed channel.
@@ -134,66 +125,6 @@ std::vector<core::Mode> TamiyaPlatform::detector_modes() const {
       core::Mode{"ref:ips+imu", {kIps, kImu}, {kLidar}},
       core::Mode{"ref:lidar+imu", {kLidar, kImu}, {kIps}},
   };
-}
-
-attacks::Scenario TamiyaPlatform::clean_scenario() const {
-  return Scenario("clean", "no attacks or failures", {});
-}
-
-std::vector<attacks::Scenario> TamiyaPlatform::scenario_battery() const {
-  std::vector<Scenario> out;
-
-  out.push_back(Scenario(
-      "T1 unintended acceleration",
-      "drive-by-wire software defect adds +0.4 m/s to the commanded speed "
-      "(actuator/cyber, the paper's Toyota example)",
-      {{InjectionPoint::kActuatorCommand, "drivetrain",
-        std::make_shared<BiasInjector>(Window{kPhase1, kForever},
-                                       Vector{0.4, 0.0})}}));
-  out.push_back(Scenario(
-      "T2 steering takeover",
-      "injected steering command packets (actuator/cyber)",
-      {{InjectionPoint::kActuatorCommand, "drivetrain",
-        std::make_shared<BiasInjector>(Window{kPhase1, kForever},
-                                       Vector{0.0, 0.35}) }}));
-  out.push_back(Scenario(
-      "T3 IPS spoofing",
-      "fake positioning base shifts Y by -0.15 m (sensor/physical)",
-      {{InjectionPoint::kSensorOutput, "ips",
-        std::make_shared<BiasInjector>(Window{kPhase1, kForever},
-                                       Vector{0.0, -0.15, 0.0})}}));
-  out.push_back(Scenario(
-      "T4 IMU drift fault",
-      "inertial navigation filter fault biases the pose (sensor/cyber)",
-      {{InjectionPoint::kSensorOutput, "imu",
-        std::make_shared<BiasInjector>(Window{kPhase1, kForever},
-                                       Vector{0.3, 0.2, 0.0})}}));
-  out.push_back(Scenario(
-      "T5 LiDAR DoS",
-      "LiDAR connection cut: 0 m in every direction (sensor/physical)",
-      {{InjectionPoint::kLidarRawScan, "lidar",
-        std::make_shared<ReplaceInjector>(Window{kPhase1, kForever},
-                                          config_.lidar_beams, 0.0)}}));
-  out.push_back(Scenario(
-      "T6 IPS spoof & steering takeover",
-      "combined sensor and actuator attack (cyber)",
-      {{InjectionPoint::kSensorOutput, "ips",
-        std::make_shared<BiasInjector>(Window{kPhase1, kForever},
-                                       Vector{0.12, 0.0, 0.0})},
-       {InjectionPoint::kActuatorCommand, "drivetrain",
-        std::make_shared<BiasInjector>(Window{kPhase2, kForever},
-                                       Vector{0.0, 0.32})}}));
-  out.push_back(Scenario(
-      "T7 IMU fault & unintended acceleration",
-      "inertial navigation fault followed by a speed-command defect "
-      "(sensor & actuator)",
-      {{InjectionPoint::kSensorOutput, "imu",
-        std::make_shared<BiasInjector>(Window{kPhase1, kForever},
-                                       Vector{0.3, -0.25, 0.0})},
-       {InjectionPoint::kActuatorCommand, "drivetrain",
-        std::make_shared<BiasInjector>(Window{kPhase2, kForever},
-                                       Vector{0.4, 0.0})}}));
-  return out;
 }
 
 }  // namespace roboads::eval

@@ -87,11 +87,6 @@ class TamiyaPlatform final : public Platform {
   static constexpr std::size_t kLidar = 1;
   static constexpr std::size_t kImu = 2;
 
-  // Attack/failure battery analogous to the Khepera's (§V-D: "similar
-  // attacks and failures on the sensors and actuators of Tamiya").
-  std::vector<attacks::Scenario> scenario_battery() const;
-  attacks::Scenario clean_scenario() const;
-
  private:
   TamiyaConfig config_;
   sim::World world_;

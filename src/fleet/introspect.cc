@@ -350,16 +350,7 @@ FleetStatusSnapshot parse_fleet_status(const std::string& line) {
 
 void write_fleet_status_file(const std::string& path,
                              const FleetStatusSnapshot& status) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::trunc | std::ios::binary);
-    ROBOADS_CHECK(static_cast<bool>(os), "cannot write fleet status " + tmp);
-    os << serialize_fleet_status(status) << '\n';
-    os.flush();
-    ROBOADS_CHECK(static_cast<bool>(os), "write failed for " + tmp);
-  }
-  ROBOADS_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
-                "cannot publish fleet status " + path);
+  json::publish_line(path, serialize_fleet_status(status), "fleet status");
 }
 
 FleetStatusSnapshot read_fleet_status_file(const std::string& path) {

@@ -1,5 +1,6 @@
 #include "obs/jsonl.h"
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -283,6 +284,20 @@ void write_strings(std::ostream& os, const std::vector<std::string>& v) {
     write_escaped(os, v[i]);
   }
   os << ']';
+}
+
+void publish_line(const std::string& path, const std::string& line,
+                  const std::string& what) {
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream os(tmp, std::ios::trunc | std::ios::binary);
+    ROBOADS_CHECK(static_cast<bool>(os), "cannot write " + what + " " + tmp);
+    os << line << '\n';
+    os.flush();
+    ROBOADS_CHECK(static_cast<bool>(os), "write failed for " + tmp);
+  }
+  ROBOADS_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
+                "cannot publish " + what + " " + path);
 }
 
 TailTolerantRead read_jsonl_tail_tolerant(

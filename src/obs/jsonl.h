@@ -77,6 +77,14 @@ void write_doubles(std::ostream& os, const std::vector<double>& v);
 void write_ints(std::ostream& os, const std::vector<std::int64_t>& v);
 void write_strings(std::ostream& os, const std::vector<std::string>& v);
 
+// Atomically replaces `path` with `line` plus a newline: writes `path`.tmp,
+// checks the stream after the flush, then renames it over `path`, so a
+// reader sees the previous line or the new one, never a torn or failed
+// write. `what` names the file in errors ("status", "heartbeat"). Throws
+// CheckError.
+void publish_line(const std::string& path, const std::string& line,
+                  const std::string& what);
+
 // --- Torn-tail-tolerant reading of append-only JSONL stream files (shard
 // checkpoints, worker telemetry). A process killed mid-append leaves at most
 // one damaged line, and by construction it is the last one.

@@ -1,5 +1,6 @@
 #include "scenario/compile.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "eval/khepera.h"
@@ -257,12 +258,12 @@ attacks::InjectionPoint point_of(Target target) {
 
 }  // namespace
 
-std::vector<std::string> platform_names() { return {"khepera", "tamiya"}; }
-
 std::unique_ptr<eval::Platform> make_platform(const std::string& name) {
-  if (name == "khepera") return std::make_unique<eval::KheperaPlatform>();
-  if (name == "tamiya") return std::make_unique<eval::TamiyaPlatform>();
-  throw SpecError("unknown platform \"" + name + "\"");
+  const std::vector<std::string> names = eval::platform_names();
+  if (std::find(names.begin(), names.end(), name) == names.end()) {
+    throw SpecError("unknown platform \"" + name + "\"");
+  }
+  return eval::make_platform(name);
 }
 
 PlatformTraits platform_traits(const std::string& name) {
@@ -306,10 +307,13 @@ attacks::Scenario compile_spec(const ScenarioSpec& spec,
                            std::move(attachments));
 }
 
+attacks::Scenario compile_spec(const ScenarioSpec& spec,
+                               const eval::Platform& platform) {
+  return compile_spec(spec, platform, platform_traits(spec.platform));
+}
+
 attacks::Scenario compile_spec(const ScenarioSpec& spec) {
-  const std::unique_ptr<eval::Platform> platform =
-      make_platform(spec.platform);
-  return compile_spec(spec, *platform, platform_traits(spec.platform));
+  return compile_spec(spec, *make_platform(spec.platform));
 }
 
 void validate_spec(const ScenarioSpec& spec) {
@@ -351,8 +355,7 @@ sim::TransportFaultConfig transport_faults_of(const ScenarioSpec& spec) {
 SpecRun run_spec(const ScenarioSpec& spec) {
   const std::unique_ptr<eval::Platform> platform =
       make_platform(spec.platform);
-  const attacks::Scenario scenario =
-      compile_spec(spec, *platform, platform_traits(spec.platform));
+  const attacks::Scenario scenario = compile_spec(spec, *platform);
   eval::MissionConfig config;
   config.iterations = spec.iterations;
   config.seed = spec.seed;

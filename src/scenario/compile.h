@@ -1,9 +1,9 @@
-// Lowers ScenarioSpecs onto the existing attacks:: injectors and the
-// evaluation platforms, with full semantic validation (SpecError on any
-// invalid spec — unknown platform or workflow, onset beyond the mission
-// horizon, zero duration, magnitude dimension mismatch). The compiled
-// attacks::Scenario is proven bit-identical to the hand-written enum
-// batteries by tests/scenario_equivalence_test.cc.
+// Lowers ScenarioSpecs onto the attacks:: injectors and the evaluation
+// platforms, with full semantic validation (SpecError on any invalid spec —
+// unknown platform or workflow, onset beyond the mission horizon, zero
+// duration, magnitude dimension mismatch). This is the only way an attack
+// scenario is built: the built-in batteries are specs too
+// (scenario/library.h).
 #pragma once
 
 #include <memory>
@@ -25,26 +25,26 @@ struct PlatformTraits {
   double lidar_fov = 0.0;
 };
 
-// Known platform names, in registry order.
-std::vector<std::string> platform_names();
-
-// Builds a fresh default-configured platform; throws SpecError for unknown
-// names.
+// eval::make_platform, but throws SpecError for a name outside
+// eval::platform_names(): here the name is spec input.
 std::unique_ptr<eval::Platform> make_platform(const std::string& name);
 
 PlatformTraits platform_traits(const std::string& name);
 
 // Validates `spec` against the platform and compiles it into a Scenario
-// with fresh stateful injectors (build one per mission run, like the enum
-// battery factories). Attachment order follows spec.attacks order so the
-// compiled scenario is injector-for-injector identical to a hand-built one.
+// with fresh stateful injectors (build one per mission run). Attachments
+// follow spec.attacks order.
 attacks::Scenario compile_spec(const ScenarioSpec& spec,
                                const eval::Platform& platform,
                                const PlatformTraits& traits);
 
-// Convenience: builds the platform from spec.platform, compiles, and
-// discards the platform. Use the three-argument overload when running
+// The same with platform_traits(spec.platform): the form for running
 // missions (the mission needs the same platform instance).
+attacks::Scenario compile_spec(const ScenarioSpec& spec,
+                               const eval::Platform& platform);
+
+// Convenience: builds the platform from spec.platform, compiles, and
+// discards the platform.
 attacks::Scenario compile_spec(const ScenarioSpec& spec);
 
 // Validation without constructing injectors; throws SpecError on the first

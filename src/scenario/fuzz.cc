@@ -204,8 +204,7 @@ std::optional<InvariantViolation> check_campaign(
   eval::MissionResult result;
   try {
     platform = make_platform(spec.platform);
-    const attacks::Scenario scenario =
-        compile_spec(spec, *platform, platform_traits(spec.platform));
+    const attacks::Scenario scenario = compile_spec(spec, *platform);
     eval::MissionConfig config;
     config.iterations = spec.iterations;
     config.seed = spec.seed;

@@ -1,6 +1,7 @@
-// Keep these definitions in lockstep with eval/khepera.cc and
-// eval/tamiya.cc: the equivalence suite pins each spec against its enum
-// twin, so a drift on either side fails tests/scenario_equivalence_test.cc.
+// The only definition of the built-in attack scenarios. Every mission each
+// one flies at its legacy bench seed is pinned by
+// tests/data/library_outcomes.txt (tests/scenario_library_test.cc), so an
+// edit here that changes a mission fails that golden.
 #include "scenario/library.h"
 
 #include <cmath>
@@ -10,8 +11,9 @@
 namespace roboads::scenario {
 namespace {
 
-// The Table II trigger timeline (eval/khepera.cc): phase boundaries at 6 s,
-// 12 s and 18 s of a 25 s mission.
+// The Table II trigger timeline: single-phase attacks trigger at 6 s into a
+// 25 s mission; multi-phase scenarios add phases at 12 s and stop one at
+// 18 s (mirroring #10's S0→3→5→1 timeline).
 constexpr std::size_t kPhase1 = 60;
 constexpr std::size_t kPhase2 = 120;
 constexpr std::size_t kPhase3 = 180;
@@ -60,8 +62,14 @@ ScenarioSpec khepera_spec(std::string name, std::string description,
 ScenarioSpec khepera_table2_spec(std::size_t number) {
   // ±6000 Khepera speed units = ±0.04 m/s (§V-B).
   const double bomb = dyn::khepera_units_to_mps(6000.0);
-  // "+100 steps on the left wheel encoder" folded through the differential
-  // odometry geometry (see eval/khepera.cc's kEncoderBombSlope).
+  // "+100 steps on the left wheel encoder": the encoder workflow integrates
+  // tick counts into its odometry pose, so a per-reading tick increment is a
+  // *growing* pose-space corruption — per iteration, a left-wheel advance of
+  // δ ≈ 0.002 m shifts the dead-reckoned pose by δ/2 along the heading and
+  // the heading itself by −δ/b ≈ −0.022 rad. (Modeling it as a ramp rather
+  // than a constant bias matters: an integrating corruption can never be
+  // statically absorbed into the state by the corrupted-reference mode, which
+  // is why the paper's S2 identifications stay stable.)
   const Vector encoder_bomb_slope{0.001, 0.0, -0.022};
 
   switch (number) {
@@ -113,6 +121,13 @@ ScenarioSpec khepera_table2_spec(std::size_t number) {
           "#7 LiDAR sensor blocking",
           "laser ejection/reception blocked (sensor/physical): a scan "
           "sector reads an obstruction instead of the wall",
+          // A flat board ~0.15 m over the scanner's rear window (the
+          // west-facing view for this mission's headings; two segments
+          // compose one physical plane across the scan's ±π wrap): it
+          // occludes the true left wall and presents a clean, well-supported
+          // line the wall matching accepts instead — "the received distance
+          // reading to the left wall is incorrect", the paper's observed
+          // symptom.
           {obstruction(kPhase1, 62, 81, 0.15, M_PI),
            obstruction(kPhase1, 0, 19, 0.15, -M_PI)});
     case 8:

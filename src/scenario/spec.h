@@ -2,9 +2,9 @@
 //
 // A ScenarioSpec is data, not code: attack shape × magnitude × onset/duration
 // × target workflow × platform, composable into multi-attack campaigns. The
-// hand-written Table II / Tamiya / extended enum batteries are all
-// re-expressible as specs (scenario/library.h) and compile onto the existing
-// attacks:: injectors bit-identically (tests/scenario_equivalence_test.cc).
+// built-in Table II / Tamiya / extended batteries are specs
+// (scenario/library.h) that compile onto the attacks:: injectors
+// (scenario/compile.h); tests/data/library_outcomes.txt pins their missions.
 // Being data, specs can also be searched (scenario/frontier.h), randomized
 // (scenario/fuzz.h), serialized as replayable regression cases
 // (tests/data/fuzz_corpus/), and shrunk to minimal reproducers.

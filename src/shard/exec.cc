@@ -30,13 +30,11 @@ JobOutcome execute_mission_job(const ManifestJob& job,
 
   const std::unique_ptr<eval::Platform> platform =
       scenario::make_platform(spec.platform);
-  const scenario::PlatformTraits traits =
-      scenario::platform_traits(spec.platform);
 
   eval::MissionJob mission;
   mission.name = spec.name;
-  mission.make_scenario = [&spec, &platform, &traits] {
-    return scenario::compile_spec(spec, *platform, traits);
+  mission.make_scenario = [&spec, &platform] {
+    return scenario::compile_spec(spec, *platform);
   };
   mission.config.iterations = spec.iterations;
   mission.config.seed = job.seed;

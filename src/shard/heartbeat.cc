@@ -3,7 +3,6 @@
 #include <sys/stat.h>
 #include <time.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -29,16 +28,7 @@ void write_heartbeat(const std::string& path, const Heartbeat& beat) {
   json::write_field_key(line, "current_job");
   json::write_escaped(line, beat.current_job);
   line << '}';
-
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::trunc);
-    ROBOADS_CHECK(static_cast<bool>(os), "cannot write heartbeat " + tmp);
-    os << line.str() << '\n';
-    os.flush();
-  }
-  ROBOADS_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
-                "cannot publish heartbeat " + path);
+  json::publish_line(path, line.str(), "heartbeat");
 }
 
 std::optional<Heartbeat> read_heartbeat(const std::string& path) {

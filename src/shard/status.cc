@@ -297,16 +297,7 @@ std::string status_path(const std::string& dir) {
 }
 
 void write_status_file(const std::string& path, const RunStatus& status) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::trunc | std::ios::binary);
-    ROBOADS_CHECK(static_cast<bool>(os), "cannot write status " + tmp);
-    os << serialize_status(status) << '\n';
-    os.flush();
-    ROBOADS_CHECK(static_cast<bool>(os), "write failed for " + tmp);
-  }
-  ROBOADS_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
-                "cannot publish status " + path);
+  json::publish_line(path, serialize_status(status), "status");
 }
 
 RunStatus read_status_file(const std::string& path) {

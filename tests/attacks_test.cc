@@ -91,16 +91,6 @@ TEST(RampInjector, GrowsLinearlyFromTrigger) {
   EXPECT_NEAR(data[0], 0.05, 1e-12);
 }
 
-TEST(BlockSectorInjector, BlocksOnlyTheSector) {
-  BlockSectorInjector inj(Window{0, 10}, 2, 5, 0.04);
-  Vector ranges{1.0, 1.0, 1.0, 1.0, 1.0, 1.0};
-  inj.apply(0, ranges);
-  EXPECT_EQ(ranges, (Vector{1.0, 1.0, 0.04, 0.04, 0.04, 1.0}));
-  EXPECT_THROW(BlockSectorInjector(Window{0, 1}, 3, 3, 0.0), CheckError);
-  Vector short_scan(4);
-  EXPECT_THROW(inj.apply(1, short_scan), CheckError);
-}
-
 sensors::SensorSuite suite() {
   return sensors::SensorSuite({
       sensors::make_wheel_odometry(3, 0.01, 0.02),

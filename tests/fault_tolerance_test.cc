@@ -16,6 +16,8 @@
 #include "matrix/decomp.h"
 #include "random/rng.h"
 #include "sensors/standard_sensors.h"
+#include "scenario/compile.h"
+#include "scenario/library.h"
 
 namespace roboads::core {
 namespace {
@@ -414,7 +416,8 @@ TEST(FaultTolerantMission, TenPercentDropStillDetectsTableIIAttack) {
   cfg.seed = 202;
   cfg.transport_faults =
       sim::TransportFaultConfig::single({"lidar", 0.10}, 4242);
-  const attacks::Scenario scenario = platform.table2_scenario(3);
+  const attacks::Scenario scenario =
+      scenario::compile_spec(scenario::khepera_table2_spec(3), platform);
   const MissionResult result = run_mission(platform, scenario, cfg);
 
   ASSERT_GE(result.records.size(), 100u);

@@ -25,6 +25,8 @@
 #include "fleet/service.h"
 #include "obs/span.h"
 #include "obs/trace.h"
+#include "scenario/compile.h"
+#include "scenario/library.h"
 
 namespace roboads::fleet {
 namespace {
@@ -250,9 +252,10 @@ struct Fixture {
       // Seeds and length match tests/fleet_service_test.cc's fixture, whose
       // parity test asserts the scenario-8 robots really alarm by then.
       cfg.seed = 100 + r;
-      const attacks::Scenario sc = r % 2 == 0
-                                       ? platform.clean_scenario()
-                                       : platform.table2_scenario(8);
+      const attacks::Scenario sc =
+          r % 2 == 0 ? platform.clean_scenario()
+                     : scenario::compile_spec(scenario::khepera_table2_spec(8),
+                                              platform);
       missions.push_back(eval::run_mission(platform, sc, cfg));
     }
   }

@@ -14,6 +14,8 @@
 #include "eval/mission.h"
 #include "fleet/replay.h"
 #include "fleet/service.h"
+#include "scenario/compile.h"
+#include "scenario/library.h"
 
 namespace roboads::fleet {
 namespace {
@@ -29,9 +31,10 @@ struct Fixture {
       eval::MissionConfig cfg;
       cfg.iterations = iterations;
       cfg.seed = 100 + r;  // distinct missions per robot
-      const attacks::Scenario sc = r % 2 == 0
-                                       ? platform.clean_scenario()
-                                       : platform.table2_scenario(8);
+      const attacks::Scenario sc =
+          r % 2 == 0 ? platform.clean_scenario()
+                     : scenario::compile_spec(scenario::khepera_table2_spec(8),
+                                              platform);
       missions.push_back(eval::run_mission(platform, sc, cfg));
     }
   }

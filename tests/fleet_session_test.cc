@@ -14,6 +14,8 @@
 #include "eval/mission.h"
 #include "fleet/replay.h"
 #include "fleet/session.h"
+#include "scenario/compile.h"
+#include "scenario/library.h"
 
 namespace roboads::fleet {
 namespace {
@@ -30,9 +32,11 @@ struct MissionRun {
     cfg.iterations = iterations;
     cfg.seed = seed;
     cfg.transport_faults = std::move(faults);
-    const attacks::Scenario sc = scenario == 0
-                                     ? platform.clean_scenario()
-                                     : platform.table2_scenario(scenario);
+    const attacks::Scenario sc =
+        scenario == 0
+            ? platform.clean_scenario()
+            : roboads::scenario::compile_spec(
+                  roboads::scenario::khepera_table2_spec(scenario), platform);
     mission = eval::run_mission(platform, sc, cfg);
     spec = make_session_spec(platform);
   }

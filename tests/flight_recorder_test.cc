@@ -21,6 +21,8 @@
 #include "eval/khepera.h"
 #include "eval/mission.h"
 #include "obs/flight_recorder.h"
+#include "scenario/compile.h"
+#include "scenario/library.h"
 
 namespace roboads::obs {
 namespace {
@@ -313,7 +315,9 @@ TEST(FlightRecorderLive, DecisionAlarmsFreezeBundles) {
   eval::KheperaPlatform platform;
   FlightRecorder rec(FlightRecorderConfig{true, 48, 8});
   const eval::MissionResult result = eval::run_mission(
-      platform, platform.table2_scenario(8), recorded_config(rec, 130, 5150));
+      platform,
+      scenario::compile_spec(scenario::khepera_table2_spec(8), platform),
+      recorded_config(rec, 130, 5150));
   ASSERT_FALSE(result.records.empty());
   bool saw_sensor = false;
   bool saw_actuator = false;
@@ -413,7 +417,9 @@ TEST(BatchLabels, RepeatedScenarioSeedPairsGetDistinctJobLabels) {
   // bundle files collide.
   eval::KheperaPlatform platform;
   eval::MissionJob job;
-  job.make_scenario = [&platform] { return platform.table2_scenario(8); };
+  job.make_scenario = [&platform] {
+    return scenario::compile_spec(scenario::khepera_table2_spec(8), platform);
+  };
   job.config.iterations = 60;
   job.config.seed = 11;
   sim::WorkflowConfig workflow;

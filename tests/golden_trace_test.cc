@@ -23,6 +23,8 @@
 #include "eval/mission.h"
 #include "eval/tamiya.h"
 #include "eval/trace_io.h"
+#include "scenario/compile.h"
+#include "scenario/library.h"
 
 namespace roboads::eval {
 namespace {
@@ -39,8 +41,9 @@ std::string khepera_trace() {
   MissionConfig cfg;
   cfg.iterations = 200;
   cfg.seed = 88;
-  const MissionResult mission =
-      run_mission(platform, platform.table2_scenario(8), cfg);
+  const MissionResult mission = run_mission(
+      platform,
+      scenario::compile_spec(scenario::khepera_table2_spec(8), platform), cfg);
   std::ostringstream os;
   write_trace_csv(os, mission, platform);
   return os.str();
@@ -53,8 +56,10 @@ std::string tamiya_trace() {
   MissionConfig cfg;
   cfg.iterations = 180;
   cfg.seed = 19;
-  const MissionResult mission =
-      run_mission(platform, platform.scenario_battery()[2], cfg);
+  const MissionResult mission = run_mission(
+      platform,
+      scenario::compile_spec(scenario::tamiya_battery_specs()[2], platform),
+      cfg);
   std::ostringstream os;
   write_trace_csv(os, mission, platform);
   return os.str();

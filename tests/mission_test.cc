@@ -7,6 +7,8 @@
 #include "eval/mission.h"
 #include "eval/scoring.h"
 #include "eval/tamiya.h"
+#include "scenario/compile.h"
+#include "scenario/library.h"
 
 namespace roboads::eval {
 namespace {
@@ -56,7 +58,8 @@ TEST(KheperaMission, StateEstimateTracksTruthOnCleanRun) {
 
 TEST(KheperaMission, IpsLogicBombDetectedAsS1) {
   KheperaPlatform platform;
-  const attacks::Scenario scenario = platform.table2_scenario(3);
+  const attacks::Scenario scenario =
+      scenario::compile_spec(scenario::khepera_table2_spec(3), platform);
   const MissionResult result =
       run_mission(platform, scenario, quick_config(202));
   const ScenarioScore score = score_mission(result, platform);
@@ -74,7 +77,8 @@ TEST(KheperaMission, IpsLogicBombDetectedAsS1) {
 
 TEST(KheperaMission, WheelLogicBombDetectedAsActuatorMisbehavior) {
   KheperaPlatform platform;
-  const attacks::Scenario scenario = platform.table2_scenario(1);
+  const attacks::Scenario scenario =
+      scenario::compile_spec(scenario::khepera_table2_spec(1), platform);
   const MissionResult result =
       run_mission(platform, scenario, quick_config(303));
   const ScenarioScore score = score_mission(result, platform);
@@ -90,7 +94,8 @@ TEST(KheperaMission, WheelLogicBombDetectedAsActuatorMisbehavior) {
 
 TEST(KheperaMission, LidarDosDetectedAsS3) {
   KheperaPlatform platform;
-  const attacks::Scenario scenario = platform.table2_scenario(6);
+  const attacks::Scenario scenario =
+      scenario::compile_spec(scenario::khepera_table2_spec(6), platform);
   const MissionResult result =
       run_mission(platform, scenario, quick_config(404));
   const ScenarioScore score = score_mission(result, platform);
@@ -104,7 +109,8 @@ TEST(KheperaMission, TwoCorruptedSensorsStillIdentified) {
   // Scenario #11: wheel encoder then IPS — two of three sensors corrupted,
   // only LiDAR clean. Detection without majority voting (§V-C).
   KheperaPlatform platform;
-  const attacks::Scenario scenario = platform.table2_scenario(11);
+  const attacks::Scenario scenario =
+      scenario::compile_spec(scenario::khepera_table2_spec(11), platform);
   const MissionResult result =
       run_mission(platform, scenario, quick_config(505));
   const ScenarioScore score = score_mission(result, platform);
@@ -121,7 +127,8 @@ TEST(KheperaMission, AnomalyQuantificationMatchesInjectedMagnitude) {
   // §V-C: "IPS sensor anomaly vector estimates on the X axis is +0.069 m"
   // for a +0.07 m logic bomb — ~2% normalized error.
   KheperaPlatform platform;
-  const attacks::Scenario scenario = platform.table2_scenario(3);
+  const attacks::Scenario scenario =
+      scenario::compile_spec(scenario::khepera_table2_spec(3), platform);
   const MissionResult result =
       run_mission(platform, scenario, quick_config(606));
   const double err = sensor_quantification_error(
@@ -131,10 +138,11 @@ TEST(KheperaMission, AnomalyQuantificationMatchesInjectedMagnitude) {
 
 TEST(KheperaMission, DeterministicPerSeed) {
   KheperaPlatform platform;
-  const MissionResult a =
-      run_mission(platform, platform.table2_scenario(4), quick_config(99));
-  const MissionResult b =
-      run_mission(platform, platform.table2_scenario(4), quick_config(99));
+  const scenario::ScenarioSpec spec = scenario::khepera_table2_spec(4);
+  const MissionResult a = run_mission(
+      platform, scenario::compile_spec(spec, platform), quick_config(99));
+  const MissionResult b = run_mission(
+      platform, scenario::compile_spec(spec, platform), quick_config(99));
   ASSERT_EQ(a.records.size(), b.records.size());
   for (std::size_t i = 0; i < a.records.size(); ++i) {
     EXPECT_EQ(a.records[i].x_true, b.records[i].x_true);
@@ -152,8 +160,11 @@ TEST(KheperaMission, BatchRunnerMatchesSerialRuns) {
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
     const std::size_t n = scenarios[i];
     jobs.push_back(make_mission_job(
-        [&platform, n] { return platform.table2_scenario(n); }, 300 + i,
-        120));
+        [&platform, n] {
+          return scenario::compile_spec(scenario::khepera_table2_spec(n),
+                                        platform);
+        },
+        300 + i, 120));
   }
   sim::WorkflowConfig workflow_config;
   workflow_config.num_threads = 4;
@@ -163,9 +174,11 @@ TEST(KheperaMission, BatchRunnerMatchesSerialRuns) {
   ASSERT_EQ(batch.size(), jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     SCOPED_TRACE("job " + std::to_string(i));
+    const scenario::ScenarioSpec spec =
+        scenario::khepera_table2_spec(scenarios[i]);
     const MissionResult serial = run_mission(
-        platform, platform.table2_scenario(scenarios[i]), jobs[i].config);
-    EXPECT_EQ(batch[i].name, platform.table2_scenario(scenarios[i]).name());
+        platform, scenario::compile_spec(spec, platform), jobs[i].config);
+    EXPECT_EQ(batch[i].name, spec.name);
     ASSERT_EQ(batch[i].result.records.size(), serial.records.size());
     for (std::size_t k = 0; k < serial.records.size(); ++k) {
       EXPECT_EQ(batch[i].result.records[k].x_true, serial.records[k].x_true);
@@ -208,7 +221,8 @@ TEST(TamiyaMission, CleanRunIsQuiet) {
 
 TEST(TamiyaMission, SteeringTakeoverDetected) {
   TamiyaPlatform platform;
-  const attacks::Scenario scenario = platform.scenario_battery()[1];  // T2
+  const attacks::Scenario scenario = scenario::compile_spec(
+      scenario::tamiya_battery_specs()[1], platform);  // T2
   const MissionResult result =
       run_mission(platform, scenario, quick_config(909));
   const ScenarioScore score = score_mission(result, platform);
@@ -220,7 +234,8 @@ TEST(TamiyaMission, SteeringTakeoverDetected) {
 
 TEST(TamiyaMission, IpsSpoofDetected) {
   TamiyaPlatform platform;
-  const attacks::Scenario scenario = platform.scenario_battery()[2];  // T3
+  const attacks::Scenario scenario = scenario::compile_spec(
+      scenario::tamiya_battery_specs()[2], platform);  // T3
   const MissionResult result =
       run_mission(platform, scenario, quick_config(1010));
   const ScenarioScore score = score_mission(result, platform);

@@ -24,6 +24,8 @@
 #include "eval/mission.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
+#include "scenario/compile.h"
+#include "scenario/library.h"
 
 namespace roboads::obs {
 namespace {
@@ -51,7 +53,9 @@ std::string run_golden_mission_jsonl(std::size_t num_threads) {
   core::RoboAdsConfig detector = platform.detector_config();
   detector.engine.num_threads = num_threads;
   cfg.detector_override = detector;
-  eval::run_mission(platform, platform.table2_scenario(8), cfg);
+  eval::run_mission(
+      platform,
+      scenario::compile_spec(scenario::khepera_table2_spec(8), platform), cfg);
   std::ostringstream os;
   obs.trace().write_jsonl(os);
   return os.str();
@@ -178,7 +182,9 @@ TEST(ObsTrace, IterationEventsCarryTheDocumentedFields) {
   Observability obs(ObsConfig{/*metrics=*/false, /*trace=*/true, "", "", ""});
   eval::MissionConfig cfg = golden_mission_config(obs.instruments());
   cfg.iterations = 5;
-  eval::run_mission(platform, platform.table2_scenario(8), cfg);
+  eval::run_mission(
+      platform,
+      scenario::compile_spec(scenario::khepera_table2_spec(8), platform), cfg);
 
   const std::vector<TraceEvent> events = obs.trace().events();
   ASSERT_FALSE(events.empty());

@@ -1,7 +1,7 @@
 // Platform configuration validation: the shipped Khepera and Tamiya
 // configurations must satisfy the structural requirements the detector
 // relies on (observability, identifiability), and the scenario batteries
-// must be well-formed.
+// (scenario/library.h) must be well-formed on them.
 #include <gtest/gtest.h>
 
 #include "core/observability.h"
@@ -9,6 +9,8 @@
 #include "eval/mission.h"
 #include "eval/scoring.h"
 #include "eval/tamiya.h"
+#include "scenario/compile.h"
+#include "scenario/library.h"
 
 namespace roboads::eval {
 namespace {
@@ -39,9 +41,10 @@ TEST(TamiyaPlatform, ShippedModesPassObservabilityChecks) {
 
 TEST(KheperaPlatform, TableTwoScenariosAreWellFormed) {
   KheperaPlatform platform;
-  const auto scenarios = platform.table2_scenarios();
-  ASSERT_EQ(scenarios.size(), 11u);
-  for (const attacks::Scenario& s : scenarios) {
+  const auto specs = scenario::khepera_table2_specs();
+  ASSERT_EQ(specs.size(), 11u);
+  for (const scenario::ScenarioSpec& spec : specs) {
+    const attacks::Scenario s = scenario::compile_spec(spec, platform);
     EXPECT_FALSE(s.name().empty());
     EXPECT_FALSE(s.description().empty());
     EXPECT_FALSE(s.attachments().empty()) << s.name();
@@ -55,16 +58,19 @@ TEST(KheperaPlatform, TableTwoScenariosAreWellFormed) {
     }
     EXPECT_TRUE(misbehaves) << s.name();
   }
-  EXPECT_THROW(platform.table2_scenario(0), CheckError);
-  EXPECT_THROW(platform.table2_scenario(12), CheckError);
+  EXPECT_THROW(scenario::khepera_table2_spec(0), scenario::SpecError);
+  EXPECT_THROW(scenario::khepera_table2_spec(12), scenario::SpecError);
 }
 
 TEST(KheperaPlatform, ScenarioTruthMatchesTableTwoConditions) {
   KheperaPlatform platform;
   const sensors::SensorSuite& suite = platform.suite();
+  const auto table2 = [&platform](std::size_t n) {
+    return scenario::compile_spec(scenario::khepera_table2_spec(n), platform);
+  };
   // #3 IPS logic bomb: sensor-only, IPS.
   {
-    const auto s = platform.table2_scenario(3);
+    const auto s = table2(3);
     const auto t = s.truth_at(100, suite);
     EXPECT_EQ(t.corrupted_sensors,
               (std::vector<std::size_t>{KheperaPlatform::kIps}));
@@ -72,7 +78,7 @@ TEST(KheperaPlatform, ScenarioTruthMatchesTableTwoConditions) {
   }
   // #9: encoder from 60, LiDAR DoS from 120 (S2 → S4).
   {
-    const auto s = platform.table2_scenario(9);
+    const auto s = table2(9);
     EXPECT_EQ(s.truth_at(80, suite).corrupted_sensors,
               (std::vector<std::size_t>{KheperaPlatform::kWheelEncoder}));
     EXPECT_EQ(s.truth_at(150, suite).corrupted_sensors,
@@ -81,7 +87,7 @@ TEST(KheperaPlatform, ScenarioTruthMatchesTableTwoConditions) {
   }
   // #10: LiDAR window closes at 180 (S5 → S1).
   {
-    const auto s = platform.table2_scenario(10);
+    const auto s = table2(10);
     EXPECT_EQ(s.truth_at(150, suite).corrupted_sensors,
               (std::vector<std::size_t>{KheperaPlatform::kIps,
                                         KheperaPlatform::kLidar}));
@@ -90,7 +96,7 @@ TEST(KheperaPlatform, ScenarioTruthMatchesTableTwoConditions) {
   }
   // #1 actuator-only.
   {
-    const auto s = platform.table2_scenario(1);
+    const auto s = table2(1);
     const auto t = s.truth_at(100, suite);
     EXPECT_TRUE(t.actuator_corrupted);
     EXPECT_TRUE(t.corrupted_sensors.empty());
@@ -99,18 +105,20 @@ TEST(KheperaPlatform, ScenarioTruthMatchesTableTwoConditions) {
 
 TEST(KheperaPlatform, ExtendedScenariosAreWellFormed) {
   KheperaPlatform platform;
-  const auto scenarios = platform.extended_scenarios();
-  ASSERT_EQ(scenarios.size(), 5u);
-  for (const attacks::Scenario& s : scenarios) {
+  const auto specs = scenario::khepera_extended_specs();
+  ASSERT_EQ(specs.size(), 5u);
+  for (const scenario::ScenarioSpec& spec : specs) {
+    const attacks::Scenario s = scenario::compile_spec(spec, platform);
     EXPECT_FALSE(s.attachments().empty()) << s.name();
   }
 }
 
 TEST(TamiyaPlatform, BatteryIsWellFormed) {
   TamiyaPlatform platform;
-  const auto battery = platform.scenario_battery();
-  ASSERT_EQ(battery.size(), 7u);
-  for (const attacks::Scenario& s : battery) {
+  const auto specs = scenario::tamiya_battery_specs();
+  ASSERT_EQ(specs.size(), 7u);
+  for (const scenario::ScenarioSpec& spec : specs) {
+    const attacks::Scenario s = scenario::compile_spec(spec, platform);
     EXPECT_FALSE(s.name().empty());
     EXPECT_FALSE(s.attachments().empty()) << s.name();
   }
@@ -153,8 +161,10 @@ TEST(ExtendedMissions, StuckAtReplayDetectedAndRecovered) {
   MissionConfig cfg;
   cfg.iterations = 250;
   cfg.seed = 7100;
-  const MissionResult result =
-      run_mission(platform, platform.extended_scenarios()[0], cfg);
+  const MissionResult result = run_mission(
+      platform,
+      scenario::compile_spec(scenario::khepera_extended_specs()[0], platform),
+      cfg);
   const ScenarioScore score = score_mission(result, platform);
   // Detected while frozen, condition returns to S0 after release.
   EXPECT_NE(score.sensor_condition_sequence.find("S1"), std::string::npos);
@@ -169,8 +179,10 @@ TEST(ExtendedMissions, CoordinatedAttackEndsAtS6) {
   MissionConfig cfg;
   cfg.iterations = 250;
   cfg.seed = 7103;
-  const MissionResult result =
-      run_mission(platform, platform.extended_scenarios()[3], cfg);
+  const MissionResult result = run_mission(
+      platform,
+      scenario::compile_spec(scenario::khepera_extended_specs()[3], platform),
+      cfg);
   const ScenarioScore score = score_mission(result, platform);
   const auto& seq = score.sensor_condition_sequence;
   EXPECT_EQ(seq.substr(seq.size() - 2), "S6") << seq;

@@ -14,6 +14,8 @@
 #include "eval/khepera.h"
 #include "eval/mission.h"
 #include "eval/replay.h"
+#include "scenario/compile.h"
+#include "scenario/library.h"
 
 namespace roboads::eval {
 namespace {
@@ -31,7 +33,10 @@ struct GoldenMission {
     cfg.seed = 88;
     cfg.instruments.recorder = &recorder;
     cfg.obs_label = "golden/s88";
-    result = run_mission(platform, platform.table2_scenario(8), cfg);
+    result = run_mission(
+        platform,
+        scenario::compile_spec(scenario::khepera_table2_spec(8), platform),
+        cfg);
   }
 };
 

@@ -7,6 +7,8 @@
 #include <sstream>
 
 #include "eval/khepera.h"
+#include "scenario/compile.h"
+#include "scenario/library.h"
 
 namespace roboads::eval {
 namespace {
@@ -16,8 +18,9 @@ TEST(TraceIo, ExportsConsistentCsv) {
   MissionConfig cfg;
   cfg.iterations = 40;
   cfg.seed = 12;
-  const MissionResult result =
-      run_mission(platform, platform.table2_scenario(3), cfg);
+  const MissionResult result = run_mission(
+      platform,
+      scenario::compile_spec(scenario::khepera_table2_spec(3), platform), cfg);
 
   std::ostringstream os;
   write_trace_csv(os, result, platform);

@@ -32,6 +32,8 @@
 #include "fleet/service.h"
 #include "obs/report.h"
 #include "obs/trace.h"
+#include "scenario/compile.h"
+#include "scenario/library.h"
 
 namespace {
 
@@ -72,9 +74,11 @@ int usage(std::ostream& os, int rc) {
 int run(const fleet::FleetRunOptions& o) {
   eval::KheperaPlatform platform;
   const auto spec = fleet::make_session_spec(platform);
-  const attacks::Scenario scenario = o.scenario == 0
-                                         ? platform.clean_scenario()
-                                         : platform.table2_scenario(o.scenario);
+  const attacks::Scenario scenario =
+      o.scenario == 0 ? platform.clean_scenario()
+                      : scenario::compile_spec(
+                            scenario::khepera_table2_spec(o.scenario),
+                            platform);
 
   // Record the mission streams once; robots cycle over them.
   std::vector<eval::MissionResult> missions;

@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
     }
   }
   if (config.platforms.empty()) {
-    config.platforms = roboads::scenario::platform_names();
+    config.platforms = roboads::eval::platform_names();
   }
   for (const std::string& platform : config.platforms) {
     roboads::scenario::platform_traits(platform);  // throws on a bad name

@@ -176,7 +176,7 @@ int cmd_gen_fuzz(const std::vector<std::string>& args) {
   }
   if (out.empty()) usage_error("gen-fuzz: --out is required");
   if (config.platforms.empty()) {
-    config.platforms = roboads::scenario::platform_names();
+    config.platforms = roboads::eval::platform_names();
   }
   const Manifest manifest = fuzz_manifest(config, shards);
   write_manifest_file(out, manifest);
