@@ -5,7 +5,8 @@
 //
 // Benchmarked: a single NUISE step, one full multi-mode engine iteration
 // (M = p estimators + selector), the full detector step (engine + decision
-// maker), the LiDAR scan-processing pipeline, and the RRT* mission plan.
+// maker), the detector's matrix kernels, the LiDAR scan-processing
+// pipeline, and the RRT* mission plan.
 #include <benchmark/benchmark.h>
 
 #include "core/roboads.h"
@@ -14,6 +15,7 @@
 #include "eval/batch.h"
 #include "eval/khepera.h"
 #include "eval/tamiya.h"
+#include "matrix/decomp.h"
 #include "scenario/compile.h"
 #include "scenario/library.h"
 #include "sim/lidar.h"
@@ -60,28 +62,20 @@ void BM_EngineStepKhepera(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineStepKhepera);
 
-// The parallel fan-out on the §VI complete mode set (2³ − 1 = 7 NUISE
-// instances per step): Arg is EngineConfig::num_threads. Outputs are
-// bit-identical across Args (tests/engine_parallel_test.cc); only the
-// wall-clock should move — the PR target is ≥ 2× at 4 threads vs 1 on a
-// multi-core host.
+// The §VI complete mode set: 2³ − 1 = 7 NUISE instances per step.
 void BM_EngineStepCompleteModeSet(benchmark::State& state) {
   KheperaFixture f;
-  core::EngineConfig engine_cfg;
-  engine_cfg.num_threads = static_cast<std::size_t>(state.range(0));
   core::MultiModeEngine engine(
       f.platform.model(), f.platform.suite(),
       core::complete_mode_set(f.platform.suite()), f.platform.process_cov(),
-      f.x, Matrix::identity(3) * 1e-4, engine_cfg);
+      f.x, Matrix::identity(3) * 1e-4);
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.step(f.u, f.z));
   }
   state.counters["modes"] =
       static_cast<double>(engine.modes().size());
-  state.counters["threads"] = static_cast<double>(engine.thread_count());
 }
-BENCHMARK(BM_EngineStepCompleteModeSet)
-    ->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+BENCHMARK(BM_EngineStepCompleteModeSet);
 
 // Batched (scenario, seed) mission throughput: eight independent 60-
 // iteration Khepera missions per batch, Arg = WorkflowConfig::num_threads.
@@ -134,6 +128,47 @@ void BM_FullDetectorStepTamiya(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullDetectorStepTamiya);
+
+// Detector kernels (matrix/kernels.h) on the shapes that dominate a Khepera
+// step, with operands built from the platform at run time: the 3×3 state
+// Jacobian A and covariance P, and the 4×4 LiDAR innovation covariance
+// C P Cᵀ + R.
+struct KernelFixture {
+  KheperaFixture f;
+  Matrix a = f.platform.model().jacobian_state(f.x, f.u);
+  Matrix p = Matrix::identity(3) * 1e-4 + f.platform.process_cov();
+  Matrix innov4;
+
+  KernelFixture() {
+    const std::vector<std::size_t> lidar{2};
+    innov4 = sandwich(f.platform.suite().jacobian(lidar, f.x), p);
+    innov4 += f.platform.suite().noise_covariance(lidar);
+  }
+};
+
+void BM_MatMul3x3(benchmark::State& state) {
+  const KernelFixture k;
+  for (auto _ : state) benchmark::DoNotOptimize(k.a * k.p);
+}
+BENCHMARK(BM_MatMul3x3);
+
+void BM_Sandwich3x3(benchmark::State& state) {
+  const KernelFixture k;
+  for (auto _ : state) benchmark::DoNotOptimize(sandwich(k.a, k.p));
+}
+BENCHMARK(BM_Sandwich3x3);
+
+void BM_JacobiEigen4(benchmark::State& state) {
+  const KernelFixture k;
+  for (auto _ : state) benchmark::DoNotOptimize(eigen_symmetric(k.innov4));
+}
+BENCHMARK(BM_JacobiEigen4);
+
+void BM_Cholesky4(benchmark::State& state) {
+  const KernelFixture k;
+  for (auto _ : state) benchmark::DoNotOptimize(Cholesky(k.innov4));
+}
+BENCHMARK(BM_Cholesky4);
 
 void BM_LidarScanAndProcess(benchmark::State& state) {
   const sim::World world(2.0, 1.5);

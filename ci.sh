@@ -116,7 +116,7 @@ run_bench() {
   build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:[^=]*=//p' "$dir/CMakeCache.txt")"
   cxx_flags="$(sed -n 's/^CMAKE_CXX_FLAGS_RELEASE:[^=]*=//p' "$dir/CMakeCache.txt")"
   "$dir/bench/perf_nuise" \
-    --benchmark_filter='BM_NuiseStepKhepera|BM_EngineStepKhepera|BM_EngineStepCompleteModeSet/(1|4)/real_time|BM_FullDetectorStepKhepera|BM_FullDetectorStepTamiya|BM_RrtStarPlanKhepera|BM_RrtStarPlanTamiya' \
+    --benchmark_filter='BM_NuiseStepKhepera|BM_EngineStepKhepera|BM_EngineStepCompleteModeSet|BM_FullDetectorStepKhepera|BM_FullDetectorStepTamiya|BM_MatMul3x3|BM_Sandwich3x3|BM_JacobiEigen4|BM_Cholesky4|BM_RrtStarPlanKhepera|BM_RrtStarPlanTamiya' \
     --benchmark_min_time=0.2 \
     --benchmark_format=json > "$dir/bench_perf_raw.json"
   # Fleet capacity + latency (docs/FLEET.md): ≥1000 sessions at 10 Hz on

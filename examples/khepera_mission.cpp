@@ -2,11 +2,8 @@
 // Table II attack scenario, live RoboADS detection, and an ASCII rendering
 // of the arena with the driven trajectory.
 //
-//   ./build/examples/khepera_mission [scenario 1..11] [threads]
+//   ./build/examples/khepera_mission [scenario 1..11]
 //     scenario: default 4, IPS spoofing
-//     threads:  EngineConfig::num_threads for the detector's per-mode
-//               NUISE fan-out — 1 (default) serial, 0 all cores, n = n-way.
-//               Detection output is bit-identical for every setting.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -62,7 +59,7 @@ void render_arena(const KheperaPlatform& platform,
 }
 
 int usage_error(const char* argv0, const std::string& message) {
-  std::fprintf(stderr, "%s: %s\nusage: %s [scenario 1..11] [threads]\n",
+  std::fprintf(stderr, "%s: %s\nusage: %s [scenario 1..11]\n",
                argv0, message.c_str(), argv0);
   return 2;
 }
@@ -70,7 +67,7 @@ int usage_error(const char* argv0, const std::string& message) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 3) return usage_error(argv[0], "too many arguments");
+  if (argc > 2) return usage_error(argv[0], "too many arguments");
   std::size_t scenario_number = 4;
   if (argc > 1) {
     const auto parsed = common::parse_u64(argv[1]);
@@ -79,15 +76,6 @@ int main(int argc, char** argv) {
                                       std::string(argv[1]) + "\"");
     }
     scenario_number = static_cast<std::size_t>(*parsed);
-  }
-  std::size_t engine_threads = 1;
-  if (argc > 2) {
-    const auto parsed = common::parse_u64(argv[2]);
-    if (!parsed) {
-      return usage_error(argv[0], "threads must be a non-negative integer, "
-                                  "got \"" + std::string(argv[2]) + "\"");
-    }
-    engine_threads = static_cast<std::size_t>(*parsed);
   }
 
   KheperaPlatform platform;
@@ -99,13 +87,6 @@ int main(int argc, char** argv) {
   MissionConfig cfg;
   cfg.iterations = 250;
   cfg.seed = 2024;
-  if (engine_threads != 1) {
-    core::RoboAdsConfig detector = platform.detector_config();
-    detector.engine.num_threads = engine_threads;
-    cfg.detector_override = detector;
-    std::printf("detector engine fan-out: num_threads=%zu "
-                "(outputs identical to serial)\n\n", engine_threads);
-  }
   const MissionResult result = run_mission(platform, scenario, cfg);
   const ScenarioScore score = score_mission(result, platform);
 

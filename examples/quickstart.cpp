@@ -28,15 +28,10 @@ int main() {
 
   // 3. The detector: multi-mode NUISE over the default one-reference-per-
   //    sensor hypothesis set, χ² decisions at the paper's α / window
-  //    settings. config.engine.num_threads fans the per-mode estimators
-  //    over a pool (0 = all cores) with bit-identical outputs; with only
-  //    three modes we keep the serial default of 1.
+  //    settings.
   const Matrix q = Matrix::diagonal(Vector{2.5e-7, 2.5e-7, 1e-6});
   const Vector x0{0.5, 0.5, 0.0};
-  core::RoboAdsConfig config;
-  config.engine.num_threads = 1;
-  core::RoboAds detector(robot, suite, q, x0, Matrix::identity(3) * 1e-4,
-                         config);
+  core::RoboAds detector(robot, suite, q, x0, Matrix::identity(3) * 1e-4);
 
   // 4. Simulate the control loop: truth propagation + noisy readings.
   Rng rng(7);

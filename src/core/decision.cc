@@ -27,15 +27,16 @@ DecisionMaker::DecisionMaker(const sensors::SensorSuite& suite,
   // The stacked sensor statistic has at most total_dim() degrees of freedom
   // and the actuator statistic no more than that either (the anomaly is
   // identified through the sensor stack), so precompute both quantile tables
-  // over that range; dof 0 is never tested and stays 0.
+  // over that range; dof 0 is never tested and stays 0. The process-wide
+  // memo solves each (α, dof) quantile once for every detector built.
   const std::size_t max_dof = suite.total_dim();
   sensor_thresholds_.assign(max_dof + 1, 0.0);
   actuator_thresholds_.assign(max_dof + 1, 0.0);
   for (std::size_t dof = 1; dof <= max_dof; ++dof) {
     sensor_thresholds_[dof] =
-        stats::chi_square_threshold(config_.sensor_alpha, dof);
+        stats::chi_square_threshold_memo(config_.sensor_alpha, dof);
     actuator_thresholds_[dof] =
-        stats::chi_square_threshold(config_.actuator_alpha, dof);
+        stats::chi_square_threshold_memo(config_.actuator_alpha, dof);
   }
 }
 

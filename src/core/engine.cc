@@ -23,10 +23,6 @@ MultiModeEngine::MultiModeEngine(const dyn::DynamicModel& model,
   for (const Mode& m : modes_) {
     estimators_.emplace_back(model, suite, m, process_cov);
   }
-  // A pool wider than the mode count only burns idle workers.
-  pool_ = std::make_unique<common::ThreadPool>(
-      std::min(common::ThreadPool::resolve_thread_count(config_.num_threads),
-               modes_.size()));
 
   // Resolve metric handles once; the step hot path never touches the
   // registry mutex. With no registry attached every handle stays null and
@@ -151,22 +147,19 @@ EngineResult MultiModeEngine::step_impl(const Vector& u_prev,
 
   obs::TraceSink* trace = config_.instruments.trace;
 
-  // Run every mode's NUISE from the shared previous estimate. Each task
-  // reads only shared immutable state (x̂_{k−1|k−1}, Pˣ, u, z) and writes
-  // only its own pre-allocated slot, so the fan-out needs no atomics and
-  // the per-mode results are bit-identical to the serial loop. Quarantined
+  // Run every mode's NUISE from the shared previous estimate. Quarantined
   // modes are stepped too: estimators are stateless (the shared estimate is
   // threaded in each iteration), so a clean result here is exactly the
   // evidence the supervisor needs to reinstate the mode.
-  pool_->parallel_for(m_count, [&](std::size_t m) {
+  for (std::size_t m = 0; m < m_count; ++m) {
     out.per_mode[m] =
         available != nullptr
             ? estimators_[m].step(state_, state_cov_, u_prev, z_full,
                                   *available)
             : estimators_[m].step(state_, state_cov_, u_prev, z_full);
-  });
+  }
 
-  // --- Health supervision (serial, after the join). ---
+  // --- Health supervision. ---
   const bool supervise = config_.health.enabled;
   std::vector<bool>& quarantined = quarantined_scratch_;
   quarantined.assign(m_count, false);
@@ -248,9 +241,7 @@ EngineResult MultiModeEngine::step_impl(const Vector& u_prev,
           ? informative_sum / static_cast<double>(informative_count)
           : 0.0;
 
-  // Serial reduction after the join: log-weights log(μ_m,k−1 · N_m,k) in
-  // fixed mode order, so the floating-point accumulation below never
-  // depends on scheduling.
+  // Log-weights log(μ_m,k−1 · N_m,k) in fixed mode order.
   std::vector<double>& log_w = log_w_scratch_;
   log_w.assign(m_count, -std::numeric_limits<double>::infinity());
   for (std::size_t m = 0; m < m_count; ++m) {

@@ -8,10 +8,8 @@
 // every NUISE call.
 #pragma once
 
-#include <memory>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "core/health.h"
 #include "core/nuise.h"
 #include "obs/obs.h"
@@ -32,15 +30,6 @@ struct EngineConfig {
   // mission length for sensors of comparable quality while still allowing
   // recovery when conditions genuinely change.
   double likelihood_floor = 1e-9;
-
-  // Concurrency of the per-mode NUISE fan-out (Algorithm 1, lines 4-9):
-  // every mode starts from the same shared x̂_{k−1|k−1}, so the M estimator
-  // steps are independent and run on a fixed-size pool. 1 = the exact
-  // legacy serial path (no threads spawned), 0 = hardware concurrency,
-  // n = n-way. Outputs are bit-identical for every setting: each mode's
-  // arithmetic is untouched and the weight/selection reduction stays serial
-  // after the join (see docs/CONCURRENCY.md).
-  std::size_t num_threads = 1;
 
   // Numerical health supervision (core/health.h): finite/PSD checks after
   // each mode update, covariance repair for mild drift, and quarantine of
@@ -118,9 +107,6 @@ class MultiModeEngine {
   void save_state(obs::DetectorStateSnapshot& snap) const;
   void restore_state(const obs::DetectorStateSnapshot& snap);
 
-  // Pool size actually in use (after resolving num_threads = 0).
-  std::size_t thread_count() const { return pool_->size(); }
-
   // Health of each mode after the most recent step.
   const std::vector<ModeHealth>& mode_health() const { return health_; }
 
@@ -132,7 +118,6 @@ class MultiModeEngine {
   std::vector<Mode> modes_;
   std::vector<Nuise> estimators_;
   EngineConfig config_;
-  std::unique_ptr<common::ThreadPool> pool_;
   Vector state_;
   Matrix state_cov_;
   std::vector<double> weights_;  // normalized

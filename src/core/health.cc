@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 
 #include "matrix/decomp.h"
 
@@ -50,9 +51,73 @@ void ModeHealth::on_fatal(const HealthConfig& /*cfg*/) {
   clean_streak = 0;
 }
 
+namespace {
+
+// The repair decision below runs on eigen_symmetric(S, kJacobiTol), S the
+// symmetrized covariance. A Cholesky factorization of S that runs to
+// completion proves that decision is "no repair" whenever psd_tol is at
+// least certificate_margin(n), so healthy steps skip the eigendecomposition
+// and the outcome stays bit-identical. With u = 2⁻⁵³ and γₖ = ku/(1−ku):
+//
+//  1. Cholesky (Higham, ASNA 2nd ed., Thm 10.3): the computed factor R of a
+//     symmetric S satisfies RᵀR = S + ΔS with |ΔS| ≤ γₙ₊₁|Rᵀ||R|, so
+//     ‖ΔS‖₂ ≤ δ·max sᵢᵢ with δ = n·γₙ₊₁/(1−γₙ₊₁). RᵀR is PSD and
+//     max sᵢᵢ ≤ λmax(S), hence λmin(S) ≥ −δ·λmax(S), λmax(S) ≥ s₀₀ > 0 and
+//     ‖S‖₂ = λmax(S).
+//  2. Jacobi: r rotations applied in floating point are an exact orthogonal
+//     similarity of S + E with ‖E‖_F ≤ r·γ₁₂·‖S‖_F ≤ r·γ₁₂·√n·‖S‖₂, and the
+//     sweeps stop once the off-diagonal part has Frobenius norm at most
+//     √2·tol·max(1, max|sᵢⱼ|) ≤ √2·tol·max(1, ‖S‖₂). By Weyl every computed
+//     eigenvalue is within ε·max(1, λmax(S)) of the exact one, where
+//     ε = r·γ₁₂·√n + √2·tol and r ≤ 100·n(n−1)/2 (the sweep cap). This
+//     needs the sweeps to end through their convergence test: cyclic
+//     Jacobi converges quadratically, in under ten sweeps at these sizes.
+//  3. So λ̂min ≥ −(δ + ε)·max(1, λmax(S)) and max(1, λ̂max) ≥
+//     (1 − ε)·max(1, λmax(S)): the eigen path keeps λ̂min ≥
+//     −psd_tol·max(1, λ̂max) — no repair — whenever
+//     psd_tol ≥ (δ + ε)/(1 − ε) = certificate_margin(n).
+//
+// The margin is 8.3e-13 at n = 3 and 1.9e-11 at n = 10, three and two
+// orders of magnitude below the default psd_tol of 1e-9; it exceeds 1e-9
+// only beyond n ≈ 46, where the certificate is simply not used. Entries
+// are capped at kMaxCertifiedEntry so no product in either path overflows
+// (Jacobi only rotates at |sₚq| > 1e-3·tol, bounding θ² by 1e32·max|sᵢⱼ|²);
+// gradual underflow adds absolute errors below 1e-300, far under
+// psd_tol·max(1, λmax). A factorization that fails — NaN, ±Inf, a
+// non-positive pivot — proves nothing and the eigen path decides.
+constexpr double kJacobiTol = 1e-13;
+constexpr double kMaxCertifiedEntry = 1e100;
+
+double rounding_gamma(double k) {
+  constexpr double u = std::numeric_limits<double>::epsilon() / 2.0;
+  return k * u / (1.0 - k * u);
+}
+
+double certificate_margin(std::size_t n) {
+  const double nd = static_cast<double>(n);
+  const double g = rounding_gamma(nd + 1.0);
+  const double delta = nd * g / (1.0 - g);
+  const double rotations = 100.0 * nd * (nd - 1.0) / 2.0;
+  const double eps = rotations * rounding_gamma(12.0) * std::sqrt(nd) +
+                     std::sqrt(2.0) * kJacobiTol;
+  return (delta + eps) / (1.0 - eps);
+}
+
+// True when a Cholesky factorization proves repair_covariance would leave
+// the symmetric `s` untouched.
+bool psd_certified(const Matrix& s, double psd_tol) {
+  if (!(psd_tol >= certificate_margin(s.rows()))) return false;
+  if (s.norm_inf() > kMaxCertifiedEntry) return false;
+  return Cholesky(s).ok();
+}
+
+}  // namespace
+
 bool repair_covariance(Matrix& cov, const HealthConfig& cfg) {
   if (cov.empty()) return false;
-  const SymmetricEigen eig = eigen_symmetric(cov.symmetrized());
+  const Matrix sym = cov.symmetrized();
+  if (psd_certified(sym, cfg.psd_tol)) return false;
+  const SymmetricEigen eig = eigen_symmetric(sym, kJacobiTol);
   const std::size_t n = eig.eigenvalues.size();
   const double lambda_max = std::max(eig.eigenvalues[0], 0.0);
   const double scale = std::max(1.0, lambda_max);

@@ -85,7 +85,10 @@ struct SupervisionOutcome {
 // Symmetrizes `cov` and clamps eigenvalues below the configured floor.
 // Returns true when a repair was applied, false when the matrix was already
 // acceptably PSD (in which case it is left bit-for-bit untouched). A
-// non-finite matrix is not repairable; callers must check all_finite first.
+// Cholesky factorization certifies the healthy case before any
+// eigendecomposition runs; the certificate provably never changes the
+// decision (the rounding argument is in health.cc). A non-finite matrix is
+// not repairable; callers must check all_finite first.
 bool repair_covariance(Matrix& cov, const HealthConfig& cfg);
 
 // Checks (and, where possible, repairs in place) one mode's NUISE result.

@@ -7,6 +7,22 @@
 #include "stats/gaussian.h"
 
 namespace roboads::core {
+namespace {
+
+// I − m for square m, each element computed as Matrix::identity(n) − m
+// computes it (1.0 − mᵢᵢ, 0.0 − mᵢⱼ: signed zeros included), without
+// keeping an identity matrix per estimator.
+Matrix identity_minus(Matrix m) {
+  ROBOADS_CHECK(m.square(), "identity_minus requires a square matrix");
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    for (std::size_t j = 0; j < m.cols(); ++j) {
+      m(i, j) = (i == j ? 1.0 : 0.0) - m(i, j);
+    }
+  }
+  return m;
+}
+
+}  // namespace
 
 NuiseStageTimers NuiseStageTimers::resolve(obs::MetricsRegistry* metrics) {
   NuiseStageTimers t;
@@ -55,7 +71,6 @@ Nuise::Nuise(const dyn::DynamicModel& model,
     trust_var[i] = std::min(ws_.trust[i] * ws_.trust[i], 1e12);
   }
   ws_.t_prior = Matrix::diagonal(trust_var);
-  ws_.i_n = Matrix::identity(model_.state_dim());
 }
 
 NuiseResult Nuise::step(const Vector& x_prev, const Matrix& p_prev,
@@ -237,9 +252,8 @@ NuiseResult Nuise::step_subsets(const std::vector<std::size_t>& ref,
     u_comp[i] = std::clamp(u_prev[i] + step_i, -sat[i], sat[i]);
   }
   const Vector x_pred = model_.step(x_prev, u_comp);
-  const Matrix& i_n = ws_.i_n;
   const Matrix gm2 = g * m2;
-  const Matrix proj = i_n - gm2 * c2;  // (I − G M₂ C₂)
+  const Matrix proj = identity_minus(gm2 * c2);  // (I − G M₂ C₂)
   const Matrix a_bar = proj * a;
   Matrix q_bar = sandwich(proj, qc);
   q_bar += sandwich(gm2, r2);
@@ -269,7 +283,7 @@ NuiseResult Nuise::step_subsets(const std::vector<std::size_t>& ref,
   out.state = x_pred + gain * innovation;
 
   // Generalized Joseph form: exact for any gain, keeps Pˣ symmetric PSD.
-  const Matrix ilc = i_n - gain * c2p;
+  const Matrix ilc = identity_minus(gain * c2p);
   Matrix state_cov = sandwich(ilc, p_pred);
   state_cov += sandwich(gain, r2);
   add_self_adjoint(state_cov, ilc * u_cross * gain.transpose(), -1.0);

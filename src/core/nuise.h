@@ -33,8 +33,8 @@ namespace roboads::core {
 // Hot-path stage timers for one NUISE iteration (obs/timer.h). The engine
 // resolves one shared set from its metrics registry and hands every
 // estimator a pointer; all members null (or a null struct pointer) disables
-// timing entirely. Histograms are lock-free, so the per-mode fan-out can
-// record concurrently.
+// timing entirely. Histograms are lock-free, so detectors stepping on
+// different threads (batched missions, fleet shards) record concurrently.
 struct NuiseStageTimers {
   obs::Histogram* input_estimation = nullptr;  // Step 1: d̂ᵃ estimation
   obs::Histogram* predict = nullptr;           // Step 2: compensated predict
@@ -144,7 +144,6 @@ class Nuise {
     Vector sat;                         // input saturation envelope
     Vector trust;                       // input trust radius
     Matrix t_prior;                     // diag(min(trust², 1e12))
-    Matrix i_n;                         // identity(state_dim)
   };
 
   // The full estimation pass over explicit reference/testing subsets; the

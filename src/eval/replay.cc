@@ -189,7 +189,6 @@ ReplayResult replay_bundle(const obs::PostmortemBundle& bundle) {
       prov.linear_baseline ? *frozen_suite : suite;
 
   core::RoboAdsConfig cfg = platform->detector_config();
-  cfg.engine.num_threads = 1;
   cfg.engine.likelihood_floor = prov.likelihood_floor;
   cfg.engine.health.enabled = prov.health_enabled;
   cfg.decision.sensor_alpha = prov.sensor_alpha;

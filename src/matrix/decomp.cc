@@ -5,6 +5,8 @@
 #include <limits>
 #include <numeric>
 
+#include "matrix/kernels.h"
+
 namespace roboads {
 namespace {
 
@@ -104,51 +106,26 @@ Matrix Lu::inverse() const { return solve(Matrix::identity(lu_.rows())); }
 
 // -------------------------------------------------------------- Cholesky --
 
-Cholesky::Cholesky(const Matrix& a) : l_(a.rows(), a.cols()) {
+Cholesky::Cholesky(const Matrix& a)
+    : l_(Matrix::for_overwrite(a.rows(), a.cols())) {
   ROBOADS_CHECK(a.square(), "Cholesky requires a square matrix");
-  const std::size_t n = a.rows();
-  ok_ = true;
-  for (std::size_t j = 0; j < n; ++j) {
-    double diag = a(j, j);
-    for (std::size_t k = 0; k < j; ++k) diag -= l_(j, k) * l_(j, k);
-    if (diag <= 0.0 || !std::isfinite(diag)) {
-      ok_ = false;
-      return;
-    }
-    l_(j, j) = std::sqrt(diag);
-    for (std::size_t i = j + 1; i < n; ++i) {
-      double acc = a(i, j);
-      for (std::size_t k = 0; k < j; ++k) acc -= l_(i, k) * l_(j, k);
-      l_(i, j) = acc / l_(j, j);
-    }
-  }
+  ok_ = kernels::cholesky(a.data(), l_.data(), a.rows());
 }
 
 Vector Cholesky::solve(const Vector& b) const {
-  ROBOADS_CHECK(ok_, "Cholesky solve on non-SPD matrix");
-  ROBOADS_CHECK_EQ(b.size(), l_.rows(), "Cholesky solve rhs size mismatch");
-  const std::size_t n = l_.rows();
-  Vector y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = b[i];
-    for (std::size_t j = 0; j < i; ++j) acc -= l_(i, j) * y[j];
-    y[i] = acc / l_(i, i);
-  }
-  Vector x(n);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double acc = y[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) acc -= l_(j, ii) * x[j];
-    x[ii] = acc / l_(ii, ii);
-  }
+  Vector x(b);
+  solve_in_place(x);
   return x;
 }
 
 Matrix Cholesky::solve(const Matrix& b) const {
   ROBOADS_CHECK_EQ(b.rows(), l_.rows(), "Cholesky solve rhs shape mismatch");
-  Matrix x(b.rows(), b.cols());
+  Matrix x = Matrix::for_overwrite(b.rows(), b.cols());
+  Vector col = Vector::for_overwrite(b.rows());  // one column, in place
   for (std::size_t j = 0; j < b.cols(); ++j) {
-    const Vector xj = solve(b.col(j));
-    for (std::size_t i = 0; i < b.rows(); ++i) x(i, j) = xj[i];
+    for (std::size_t i = 0; i < b.rows(); ++i) col[i] = b(i, j);
+    solve_in_place(col);
+    for (std::size_t i = 0; i < b.rows(); ++i) x(i, j) = col[i];
   }
   return x;
 }
@@ -156,19 +133,7 @@ Matrix Cholesky::solve(const Matrix& b) const {
 void Cholesky::solve_in_place(Vector& b) const {
   ROBOADS_CHECK(ok_, "Cholesky solve on non-SPD matrix");
   ROBOADS_CHECK_EQ(b.size(), l_.rows(), "Cholesky solve rhs size mismatch");
-  const std::size_t n = l_.rows();
-  // Forward substitution L y = b, overwriting b with y.
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = b[i];
-    for (std::size_t j = 0; j < i; ++j) acc -= l_(i, j) * b[j];
-    b[i] = acc / l_(i, i);
-  }
-  // Backward substitution L^T x = y, overwriting y with x.
-  for (std::size_t ii = n; ii-- > 0;) {
-    double acc = b[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) acc -= l_(j, ii) * b[j];
-    b[ii] = acc / l_(ii, ii);
-  }
+  kernels::cholesky_solve(l_.data(), b.data(), b.size());
 }
 
 Matrix Cholesky::inverse() const { return solve(Matrix::identity(l_.rows())); }
@@ -177,17 +142,9 @@ double quadratic_form_spd(const Cholesky& chol, const Vector& b) {
   ROBOADS_CHECK(chol.ok(), "quadratic_form_spd on non-SPD matrix");
   const Matrix& l = chol.l();
   ROBOADS_CHECK_EQ(b.size(), l.rows(), "quadratic_form_spd size mismatch");
-  const std::size_t n = l.rows();
   // y = L^{-1} b by forward substitution; the form is then ||y||².
   Vector y(b);
-  double acc2 = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = y[i];
-    for (std::size_t j = 0; j < i; ++j) acc -= l(i, j) * y[j];
-    y[i] = acc / l(i, i);
-    acc2 += y[i] * y[i];
-  }
-  return acc2;
+  return kernels::forward_norm2(l.data(), y.data(), y.size());
 }
 
 double Cholesky::log_determinant() const {
@@ -203,61 +160,27 @@ SymmetricEigen eigen_symmetric(const Matrix& a_in, double tol) {
   ROBOADS_CHECK(a_in.square(), "eigen_symmetric requires a square matrix");
   const std::size_t n = a_in.rows();
   Matrix a = a_in.symmetrized();
-  Matrix v = Matrix::identity(n);
-
-  const double scale = std::max(1.0, a.norm_inf());
-  for (int sweep = 0; sweep < 100; ++sweep) {
-    double off = 0.0;
-    for (std::size_t p = 0; p < n; ++p)
-      for (std::size_t q = p + 1; q < n; ++q) off += a(p, q) * a(p, q);
-    if (std::sqrt(off) <= tol * scale) break;
-
-    for (std::size_t p = 0; p < n; ++p) {
-      for (std::size_t q = p + 1; q < n; ++q) {
-        const double apq = a(p, q);
-        if (std::abs(apq) <= tol * scale * 1e-3) continue;
-        const double theta = (a(q, q) - a(p, p)) / (2.0 * apq);
-        const double t = (theta >= 0 ? 1.0 : -1.0) /
-                         (std::abs(theta) + std::sqrt(theta * theta + 1.0));
-        const double c = 1.0 / std::sqrt(t * t + 1.0);
-        const double s = t * c;
-        // Apply the rotation A <- J^T A J on rows/cols p and q.
-        for (std::size_t k = 0; k < n; ++k) {
-          const double akp = a(k, p);
-          const double akq = a(k, q);
-          a(k, p) = c * akp - s * akq;
-          a(k, q) = s * akp + c * akq;
-        }
-        for (std::size_t k = 0; k < n; ++k) {
-          const double apk = a(p, k);
-          const double aqk = a(q, k);
-          a(p, k) = c * apk - s * aqk;
-          a(q, k) = s * apk + c * aqk;
-        }
-        for (std::size_t k = 0; k < n; ++k) {
-          const double vkp = v(k, p);
-          const double vkq = v(k, q);
-          v(k, p) = c * vkp - s * vkq;
-          v(k, q) = s * vkp + c * vkq;
-        }
-      }
-    }
-  }
+  Matrix v = Matrix::for_overwrite(n, n);
+  kernels::jacobi_eigen(a.data(), v.data(), n, tol);
+  const double* ad = a.data();
+  const double* vd = v.data();
 
   // Sort eigenpairs descending.
   OrderBuffer order_buf;
   std::size_t* order = order_buf.get(n);
   std::iota(order, order + n, std::size_t{0});
-  std::sort(order, order + n,
-            [&](std::size_t i, std::size_t j) { return a(i, i) > a(j, j); });
+  std::sort(order, order + n, [&](std::size_t i, std::size_t j) {
+    return ad[i * n + i] > ad[j * n + j];
+  });
 
   SymmetricEigen out;
-  out.eigenvalues = Vector(n);
-  out.eigenvectors = Matrix(n, n);
+  out.eigenvalues = Vector::for_overwrite(n);
+  out.eigenvectors = Matrix::for_overwrite(n, n);
+  double* w = out.eigenvalues.data();
+  double* ev = out.eigenvectors.data();
   for (std::size_t j = 0; j < n; ++j) {
-    out.eigenvalues[j] = a(order[j], order[j]);
-    for (std::size_t i = 0; i < n; ++i)
-      out.eigenvectors(i, j) = v(i, order[j]);
+    w[j] = ad[order[j] * n + order[j]];
+    for (std::size_t i = 0; i < n; ++i) ev[i * n + j] = vd[i * n + order[j]];
   }
   return out;
 }

@@ -6,6 +6,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "matrix/kernels.h"
+
 namespace roboads {
 
 // ---------------------------------------------------------------- Vector --
@@ -179,9 +181,8 @@ Matrix& Matrix::operator/=(double s) {
 }
 
 Matrix Matrix::transpose() const {
-  Matrix t(cols_, rows_);
-  for (std::size_t i = 0; i < rows_; ++i)
-    for (std::size_t j = 0; j < cols_; ++j) t(j, i) = (*this)(i, j);
+  Matrix t = Matrix::for_overwrite(cols_, rows_);
+  kernels::transpose(data(), t.data(), rows_, cols_);
   return t;
 }
 
@@ -304,25 +305,16 @@ Matrix operator-(Matrix lhs, const Matrix& rhs) { return lhs -= rhs; }
 
 Matrix operator*(const Matrix& a, const Matrix& b) {
   ROBOADS_CHECK_EQ(a.cols(), b.rows(), "matrix product shape mismatch");
-  Matrix out(a.rows(), b.cols());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t k = 0; k < a.cols(); ++k) {
-      const double aik = a(i, k);
-      if (aik == 0.0) continue;
-      for (std::size_t j = 0; j < b.cols(); ++j) out(i, j) += aik * b(k, j);
-    }
-  }
+  Matrix out = Matrix::for_overwrite(a.rows(), b.cols());
+  kernels::product(a.data(), b.data(), out.data(), a.rows(), a.cols(),
+                   b.cols());
   return out;
 }
 
 Vector operator*(const Matrix& a, const Vector& x) {
   ROBOADS_CHECK_EQ(a.cols(), x.size(), "matrix-vector shape mismatch");
-  Vector out(a.rows());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    double acc = 0.0;
-    for (std::size_t j = 0; j < a.cols(); ++j) acc += a(i, j) * x[j];
-    out[i] = acc;
-  }
+  Vector out = Vector::for_overwrite(a.rows());
+  kernels::matvec(a.data(), x.data(), out.data(), a.rows(), a.cols());
   return out;
 }
 
@@ -363,16 +355,10 @@ Matrix sandwich(const Matrix& a, const Matrix& s) {
                 "sandwich shape mismatch");
   // as = A * S, then C = as * A^T accumulated on the lower triangle only and
   // mirrored, so C is exactly symmetric by construction.
-  const Matrix as = a * s;
-  Matrix c(a.rows(), a.rows());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
-      double acc = 0.0;
-      for (std::size_t k = 0; k < a.cols(); ++k) acc += as(i, k) * a(j, k);
-      c(i, j) = acc;
-      c(j, i) = acc;
-    }
-  }
+  Matrix as = Matrix::for_overwrite(a.rows(), a.cols());
+  Matrix c = Matrix::for_overwrite(a.rows(), a.rows());
+  kernels::sandwich(a.data(), s.data(), as.data(), c.data(), a.rows(),
+                    a.cols());
   return c;
 }
 

@@ -54,6 +54,16 @@ class ElementStore {
     size_ = n;
   }
 
+  // Sets the size to `n` leaving inline elements unwritten.
+  void resize_for_overwrite(std::size_t n) {
+    if (n > Inline) {
+      heap_.resize(n);
+    } else {
+      heap_.clear();
+    }
+    size_ = n;
+  }
+
   // Takes ownership of `v` (no copy when it spills to the heap).
   void adopt(std::vector<double>&& v) {
     if (v.size() > Inline) {
@@ -135,6 +145,13 @@ class Vector {
   explicit Vector(std::vector<double> values) {
     data_.adopt(std::move(values));
   }
+  // Dimension `n` with elements left unwritten, for code that stores every
+  // element before reading any (the kernels of matrix/kernels.h).
+  static Vector for_overwrite(std::size_t n) {
+    Vector v;
+    v.data_.resize_for_overwrite(n);
+    return v;
+  }
 
   std::size_t size() const { return data_.size(); }
   bool empty() const { return data_.empty(); }
@@ -206,6 +223,15 @@ class Matrix {
   // Row-major initializer: Matrix{{1,2},{3,4}}. All rows must be equal length.
   Matrix(std::initializer_list<std::initializer_list<double>> rows);
 
+  // Shape rows x cols with elements left unwritten, for code that stores
+  // every element before reading any (the kernels of matrix/kernels.h).
+  static Matrix for_overwrite(std::size_t rows, std::size_t cols) {
+    Matrix m;
+    m.rows_ = rows;
+    m.cols_ = cols;
+    m.data_.resize_for_overwrite(rows * cols);
+    return m;
+  }
   static Matrix identity(std::size_t n);
   static Matrix diagonal(const Vector& d);
   // Outer product a * b^T.
@@ -215,6 +241,10 @@ class Matrix {
   std::size_t cols() const { return cols_; }
   bool empty() const { return data_.empty(); }
   bool square() const { return rows_ == cols_; }
+
+  // Raw contiguous row-major element access (rows() * cols() doubles).
+  const double* data() const { return data_.data(); }
+  double* data() { return data_.data(); }
 
   double& operator()(std::size_t i, std::size_t j) {
     ROBOADS_CHECK(i < rows_ && j < cols_, "matrix index out of range");

@@ -7,13 +7,13 @@
 //      handles and every instrumentation site guards on them, so an
 //      uninstrumented run never touches this file's code.
 //   2. The *enabled* hot path must be lock-free and contention-free enough
-//      to run inside the per-mode NUISE fan-out (common::ThreadPool
-//      workers): counters and histograms stripe their cells across
-//      cache-line-padded atomic slots indexed by a per-thread id, so
-//      concurrent recorders land on distinct cache lines and the relaxed
-//      atomic add is the entire cost. Reads (report rendering, snapshots)
-//      sum across stripes; increments are never lost, so concurrent
-//      increments sum exactly (tests/obs_test.cc).
+//      to run on every concurrent worker (the batch runner's and the fleet
+//      shards' common::ThreadPool workers): counters and histograms stripe
+//      their cells across cache-line-padded atomic slots indexed by a
+//      per-thread id, so concurrent recorders land on distinct cache lines
+//      and the relaxed atomic add is the entire cost. Reads (report
+//      rendering, snapshots) sum across stripes; increments are never
+//      lost, so concurrent increments sum exactly (tests/obs_test.cc).
 //   3. Handle lookup (by name) takes a registry mutex and is meant for
 //      construction time only — components resolve their handles once and
 //      keep the pointers; metric objects are never invalidated while the
@@ -38,8 +38,8 @@ class Fields;
 }  // namespace json
 
 // Stripe count for counters/histograms (power of two). Sized well past the
-// mode-level fan-out of the bundled platforms; threads beyond it share
-// stripes correctly, just with more cache-line traffic.
+// worker counts of the bundled pools on common hosts; threads beyond it
+// share stripes correctly, just with more cache-line traffic.
 inline constexpr std::size_t kMetricStripes = 16;
 
 namespace internal {

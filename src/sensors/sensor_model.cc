@@ -59,27 +59,49 @@ void SensorSuite::check_subset(const std::vector<std::size_t>& subset) const {
   }
 }
 
+std::size_t SensorSuite::subset_dim(
+    const std::vector<std::size_t>& subset) const {
+  check_subset(subset);
+  std::size_t dim = 0;
+  for (std::size_t i : subset) dim += sensors_[i]->dim();
+  return dim;
+}
+
 Vector SensorSuite::measure(const std::vector<std::size_t>& subset,
                             const Vector& x) const {
-  check_subset(subset);
-  Vector out;
-  for (std::size_t i : subset) out = out.concat(sensors_[i]->measure(x));
+  Vector out = Vector::for_overwrite(subset_dim(subset));
+  std::size_t at = 0;
+  for (std::size_t i : subset) {
+    const Vector h = sensors_[i]->measure(x);
+    ROBOADS_CHECK_EQ(h.size(), sensors_[i]->dim(),
+                     "sensor measurement dimension mismatch");
+    std::copy(h.data(), h.data() + h.size(), out.data() + at);
+    at += h.size();
+  }
   return out;
 }
 
 Matrix SensorSuite::jacobian(const std::vector<std::size_t>& subset,
                              const Vector& x) const {
-  check_subset(subset);
-  Matrix out;
-  for (std::size_t i : subset) out = out.vstack(sensors_[i]->jacobian(x));
+  const std::size_t rows = subset_dim(subset);
+  if (rows == 0) return Matrix();
+  const std::size_t cols = sensors_[subset.front()]->state_dim();
+  Matrix out = Matrix::for_overwrite(rows, cols);
+  std::size_t at = 0;
+  for (std::size_t i : subset) {
+    const Matrix c = sensors_[i]->jacobian(x);
+    ROBOADS_CHECK(c.rows() == sensors_[i]->dim() && c.cols() == cols,
+                  "sensor Jacobian shape mismatch");
+    // Full-width rows: the block is one contiguous run of the output.
+    std::copy(c.data(), c.data() + c.rows() * cols, out.data() + at * cols);
+    at += c.rows();
+  }
   return out;
 }
 
 Matrix SensorSuite::noise_covariance(
     const std::vector<std::size_t>& subset) const {
-  check_subset(subset);
-  std::size_t dim = 0;
-  for (std::size_t i : subset) dim += sensors_[i]->dim();
+  const std::size_t dim = subset_dim(subset);
   Matrix out(dim, dim);
   std::size_t at = 0;
   for (std::size_t i : subset) {
@@ -91,11 +113,14 @@ Matrix SensorSuite::noise_covariance(
 
 Vector SensorSuite::slice(const std::vector<std::size_t>& subset,
                           const Vector& z_full) const {
-  check_subset(subset);
+  Vector out = Vector::for_overwrite(subset_dim(subset));
   ROBOADS_CHECK_EQ(z_full.size(), total_dim_, "full reading size mismatch");
-  Vector out;
-  for (std::size_t i : subset)
-    out = out.concat(z_full.segment(offsets_[i], sensors_[i]->dim()));
+  std::size_t at = 0;
+  for (std::size_t i : subset) {
+    const double* block = z_full.data() + offsets_[i];
+    std::copy(block, block + sensors_[i]->dim(), out.data() + at);
+    at += sensors_[i]->dim();
+  }
   return out;
 }
 

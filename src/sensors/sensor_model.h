@@ -97,6 +97,8 @@ class SensorSuite {
 
  private:
   void check_subset(const std::vector<std::size_t>& subset) const;
+  // Stacked dimension of a checked subset.
+  std::size_t subset_dim(const std::vector<std::size_t>& subset) const;
 
   std::vector<SensorPtr> sensors_;
   std::vector<std::size_t> offsets_;

@@ -1,8 +1,13 @@
 #include "stats/chi_square.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <map>
+#include <mutex>
+#include <utility>
 
 #include "common/check.h"
 
@@ -178,6 +183,21 @@ double chi_square_threshold(double alpha, std::size_t dof) {
   // tripping the dof >= 1 domain check.
   if (dof == 0) return 0.0;
   return chi_square_quantile(1.0 - alpha, dof);
+}
+
+double chi_square_threshold_memo(double alpha, std::size_t dof) {
+  // Keyed on alpha's bit pattern: equal keys are the same input bits, so a
+  // hit returns exactly what the direct call would.
+  static std::mutex mu;
+  static std::map<std::pair<std::uint64_t, std::size_t>, double> memo;
+  const std::pair<std::uint64_t, std::size_t> key{
+      std::bit_cast<std::uint64_t>(alpha), dof};
+  const std::lock_guard<std::mutex> lock(mu);
+  const auto it = memo.find(key);
+  if (it != memo.end()) return it->second;
+  const double threshold = chi_square_threshold(alpha, dof);
+  memo.emplace(key, threshold);
+  return threshold;
 }
 
 }  // namespace roboads::stats

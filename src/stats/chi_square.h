@@ -35,4 +35,12 @@ double chi_square_quantile(double p, std::size_t dof);
 // degraded step) returns 0 instead of tripping the quantile's domain check.
 double chi_square_threshold(double alpha, std::size_t dof);
 
+// chi_square_threshold memoized per (alpha, dof) for the life of the
+// process: bit-identical to the direct call (including its CheckError on a
+// bad alpha) and safe to call from any thread. Every DecisionMaker needs
+// the same few (α, dof) pairs and a fleet builds thousands of detectors, so
+// the Newton-solved quantiles are computed once per process instead of once
+// per detector.
+double chi_square_threshold_memo(double alpha, std::size_t dof);
+
 }  // namespace roboads::stats

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <deque>
+#include <thread>
+#include <vector>
 
 #include "core/decision.h"
 #include "dynamics/diff_drive.h"
@@ -326,6 +328,48 @@ TEST(DecisionMaker, CachedThresholdsMatchDirectSolve) {
                                  synthetic_result(ds, Vector(2)));
   EXPECT_EQ(d.sensor_threshold, stats::chi_square_threshold(0.005, 7));
   EXPECT_EQ(d.actuator_threshold, stats::chi_square_threshold(0.05, 2));
+}
+
+// Fleet shards build detectors on several threads at once, all reading and
+// filling the process-wide χ² memo behind the threshold tables; every
+// thread must still get the exact direct solves (run under TSan by
+// ./ci.sh tsan).
+TEST(DecisionMaker, ConcurrentConstructionGetsExactThresholds) {
+  const sensors::SensorSuite suite = make_suite();
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kPerThread = 50;
+  // Fresh α values (not used elsewhere in this binary) so the threads race
+  // on first insertion, not only on lookups.
+  const double alphas[] = {0.0123, 0.0456, 0.0789, 0.0321};
+  std::vector<std::vector<Decision>> decisions(kThreads);
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        DecisionConfig cfg;
+        cfg.sensor_alpha = alphas[(t + i) % 4];
+        cfg.actuator_alpha = alphas[(t + i + 1) % 4];
+        DecisionMaker dm(suite, cfg);
+        decisions[t].push_back(dm.evaluate(
+            ips_reference_mode(), synthetic_result(Vector(7), Vector(2))));
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < kPerThread; ++i) {
+      const Decision& d = decisions[t][i];
+      EXPECT_EQ(d.sensor_threshold,
+                stats::chi_square_threshold(alphas[(t + i) % 4], 7));
+      EXPECT_EQ(d.actuator_threshold,
+                stats::chi_square_threshold(alphas[(t + i + 1) % 4], 2));
+      ASSERT_EQ(d.sensor_verdicts.size(), 2u);  // odometry (3), LiDAR (4)
+      EXPECT_EQ(d.sensor_verdicts[0].threshold,
+                stats::chi_square_threshold(alphas[(t + i) % 4], 3));
+      EXPECT_EQ(d.sensor_verdicts[1].threshold,
+                stats::chi_square_threshold(alphas[(t + i) % 4], 4));
+    }
+  }
 }
 
 // The c/w parameter space of Fig. 7 must behave monotonically: a stricter

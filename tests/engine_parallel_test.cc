@@ -1,9 +1,8 @@
-// Determinism/equivalence harness for the parallel multi-mode engine: the
-// per-mode NUISE fan-out (core/engine.cc) must produce bit-identical
-// outputs for every EngineConfig::num_threads and across repeated runs —
-// state, covariance, weights, selected mode, and per-mode anomaly
-// estimates. This is the contract that lets num_threads be a pure
-// performance knob (docs/CONCURRENCY.md).
+// Determinism/equivalence harness for the multi-mode engine: repeated runs
+// of the per-mode NUISE bank (core/engine.cc), on the default and on the
+// complete mode set, must be bit-identical — state, covariance, weights,
+// selected mode, and per-mode anomaly estimates — and so must every
+// spelling of "all sensors available" with health supervision on.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -99,18 +98,16 @@ std::vector<StepInput> attacked_mission(Rig& rig, std::size_t steps = 200) {
   return trace;
 }
 
-// Runs the full trace through a fresh engine at the given thread count and
-// returns every step's result. `mask_mode` selects how each step is issued:
+// Runs the full trace through a fresh engine and returns every step's
+// result. `mask_mode` selects how each step is issued:
 // 0 = the plain 2-argument step, 1 = masked step with an empty mask, 2 =
 // masked step with an all-true mask — all three are contractually the same
 // code path and must be bit-identical.
 std::vector<EngineResult> run_trace(Rig& rig, const std::vector<Mode>& modes,
                                     const std::vector<StepInput>& trace,
-                                    std::size_t num_threads,
                                     int mask_mode = 0,
                                     bool health_enabled = true) {
   EngineConfig cfg;
-  cfg.num_threads = num_threads;
   cfg.health.enabled = health_enabled;
   MultiModeEngine engine(rig.model, rig.suite, modes, rig.q, rig.x0, rig.p0,
                          cfg);
@@ -155,40 +152,21 @@ void expect_identical(const std::vector<EngineResult>& a,
   }
 }
 
-TEST(EngineParallel, SerialAndParallelAreBitIdentical) {
+TEST(EngineParallel, RepeatedRunsAreBitIdentical) {
   Rig rig;
   const std::vector<Mode> modes = one_reference_per_sensor(rig.suite);
   const std::vector<StepInput> trace = attacked_mission(rig);
-
-  const std::vector<EngineResult> serial = run_trace(rig, modes, trace, 1);
-  for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    SCOPED_TRACE("num_threads = " + std::to_string(threads));
-    expect_identical(serial, run_trace(rig, modes, trace, threads));
-  }
-}
-
-TEST(EngineParallel, RepeatedParallelRunsAreBitIdentical) {
-  Rig rig;
-  const std::vector<Mode> modes = one_reference_per_sensor(rig.suite);
-  const std::vector<StepInput> trace = attacked_mission(rig);
-  expect_identical(run_trace(rig, modes, trace, 8),
-                   run_trace(rig, modes, trace, 8));
+  expect_identical(run_trace(rig, modes, trace), run_trace(rig, modes, trace));
 }
 
 // The 7-mode complete set (2³ − 1) is the configuration the perf bench
-// parallelizes; prove equivalence there too, including hardware-concurrency
-// auto-sizing (num_threads = 0).
-TEST(EngineParallel, CompleteModeSetMatchesAcrossThreadCounts) {
+// steps (BM_EngineStepCompleteModeSet); prove determinism there too.
+TEST(EngineParallel, CompleteModeSetRunsAreBitIdentical) {
   Rig rig;
   const std::vector<Mode> modes = complete_mode_set(rig.suite);
   ASSERT_EQ(modes.size(), 7u);
   const std::vector<StepInput> trace = attacked_mission(rig, 120);
-
-  const std::vector<EngineResult> serial = run_trace(rig, modes, trace, 1);
-  for (std::size_t threads : {std::size_t{0}, std::size_t{2}, std::size_t{8}}) {
-    SCOPED_TRACE("num_threads = " + std::to_string(threads));
-    expect_identical(serial, run_trace(rig, modes, trace, threads));
-  }
+  expect_identical(run_trace(rig, modes, trace), run_trace(rig, modes, trace));
 }
 
 // The fault-tolerant runtime's no-fault contract: with every sensor
@@ -202,12 +180,12 @@ TEST(EngineParallel, MaskedAllAvailableAndSupervisionAreBitIdentical) {
   const std::vector<StepInput> trace = attacked_mission(rig);
 
   const std::vector<EngineResult> plain_unsupervised =
-      run_trace(rig, modes, trace, 1, /*mask_mode=*/0,
+      run_trace(rig, modes, trace, /*mask_mode=*/0,
                 /*health_enabled=*/false);
   for (int mask_mode : {0, 1, 2}) {
     SCOPED_TRACE("mask_mode = " + std::to_string(mask_mode));
     const std::vector<EngineResult> supervised =
-        run_trace(rig, modes, trace, 1, mask_mode, /*health_enabled=*/true);
+        run_trace(rig, modes, trace, mask_mode, /*health_enabled=*/true);
     expect_identical(plain_unsupervised, supervised);
     // And the supervised run reports every mode healthy throughout.
     for (const EngineResult& r : supervised) {
@@ -226,7 +204,7 @@ TEST(EngineParallel, TraceActuallyExercisesModeSwitches) {
   Rig rig;
   const std::vector<Mode> modes = one_reference_per_sensor(rig.suite);
   const std::vector<StepInput> trace = attacked_mission(rig);
-  const std::vector<EngineResult> results = run_trace(rig, modes, trace, 8);
+  const std::vector<EngineResult> results = run_trace(rig, modes, trace);
   EXPECT_EQ(results.front().selected_mode, results[40].selected_mode);
   EXPECT_EQ(results.back().selected_mode, 2u);  // ref:lidar — only clean one
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "matrix/decomp.h"
 #include "random/rng.h"
@@ -69,6 +70,30 @@ TEST(ChiSquare, ThresholdIsUpperQuantile) {
               1e-12);
   EXPECT_THROW(chi_square_threshold(0.0, 2), roboads::CheckError);
   EXPECT_THROW(chi_square_threshold(1.0, 2), roboads::CheckError);
+}
+
+// The memo must hand back the direct solve's exact bits over the (α, dof)
+// grid the detectors use: the paper's α = 0.005 / 0.05, the Fig. 7 sweep of
+// fig7_decision_params, and every stacked dimension up to the largest
+// suite's (10) with room to spare — on the solving call and on later hits.
+TEST(ChiSquare, MemoizedThresholdIsBitIdenticalToDirect) {
+  const double alphas[] = {0.0005, 0.001, 0.005, 0.01, 0.05, 0.1,  0.2,
+                           0.4,    0.6,   0.8,   0.9,  0.95, 0.995};
+  for (int pass = 0; pass < 2; ++pass) {
+    for (double alpha : alphas) {
+      for (std::size_t dof = 0; dof <= 16; ++dof) {
+        const double direct = chi_square_threshold(alpha, dof);
+        const double memo = chi_square_threshold_memo(alpha, dof);
+        EXPECT_EQ(std::memcmp(&direct, &memo, sizeof(double)), 0)
+            << "alpha=" << alpha << " dof=" << dof << " pass=" << pass;
+      }
+    }
+  }
+  // A bad α is rejected every time, never cached.
+  for (int pass = 0; pass < 2; ++pass) {
+    EXPECT_THROW(chi_square_threshold_memo(0.0, 2), roboads::CheckError);
+    EXPECT_THROW(chi_square_threshold_memo(1.0, 2), roboads::CheckError);
+  }
 }
 
 TEST(ChiSquare, ZeroDofThresholdIsZero) {
