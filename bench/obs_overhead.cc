@@ -31,6 +31,7 @@
 #include "eval/mission.h"
 #include "fleet/replay.h"
 #include "fleet/session.h"
+#include "obs/jsonl.h"
 #include "obs/metrics.h"
 #include "obs/timer.h"
 #include "obs/trace.h"
@@ -176,9 +177,8 @@ int run(const BenchArgs& args) {
     // One snapshot+serialize per timed run — far denser than the worker's
     // one per telemetry interval, so the measured cost is an upper bound.
     std::ostringstream snapshot_sink;
-    obs::write_histogram(snapshot_sink,
-                         telemetry_registry.histogram("engine.step_ns")
-                             .snapshot());
+    obs::json::write(snapshot_sink,
+                     telemetry_registry.histogram("engine.step_ns").snapshot());
     g_sink = g_sink + static_cast<double>(snapshot_sink.str().size());
     return ns;
   };

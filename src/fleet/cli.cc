@@ -109,18 +109,11 @@ std::string parse_fleet_top_args(const std::vector<std::string>& args,
   std::string error;
   for (const std::string& arg : args) {
     std::string value;
-    if (flag_value(arg, "--status", &value)) {
+    if (obs::take_monitor_flag(arg, out, &error)) {
+      if (!error.empty()) return error;
+    } else if (flag_value(arg, "--status", &value)) {
       if (value.empty()) return bad("--status", "a file path");
       out.status_path = value;
-    } else if (flag_value(arg, "--interval", &value)) {
-      if (!take_double("--interval", value, &out.interval_s, &error)) {
-        return error;
-      }
-      if (out.interval_s <= 0.0) return bad("--interval", "a positive rate");
-    } else if (arg == "--once") {
-      out.once = true;
-    } else if (arg == "--json") {
-      out.json = true;
     } else {
       return "unknown argument " + arg;
     }
@@ -128,10 +121,7 @@ std::string parse_fleet_top_args(const std::vector<std::string>& args,
   if (out.status_path.empty()) {
     return "top needs --status=<fleet_status.json>";
   }
-  if (out.json && !out.once) {
-    return "--json requires --once (a live frame is not a JSON document)";
-  }
-  return "";
+  return obs::check_monitor_options(out);
 }
 
 }  // namespace roboads::fleet

@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/monitor.h"
+
 namespace roboads::fleet {
 
 // `roboads_fleet [run flags]` — drive a fleet from recorded missions.
@@ -36,12 +38,10 @@ struct FleetRunOptions {
   std::string hist_out;           // named-histogram JSONL for roboads_report
 };
 
-// `roboads_fleet top` — render a published fleet_status.json.
-struct FleetTopOptions {
+// `roboads_fleet top` — render a published fleet_status.json through the
+// shared monitor (--once, --json re-emits the snapshot line, --interval).
+struct FleetTopOptions : obs::MonitorOptions {
   std::string status_path;  // required
-  bool once = false;
-  bool json = false;        // requires --once; re-emits the snapshot line
-  double interval_s = 1.0;  // refresh cadence of the live view
 };
 
 // Parse `args` (argv[1..], run mode / argv[2..], top mode) into `out`.

@@ -8,10 +8,10 @@
 // (write <path>.tmp, rename), the same reader-never-sees-a-partial-file
 // discipline as the shard supervisor's status.json (shard/status.cc).
 //
-// Serialization is single-line JSON with round-trip-precision numbers, so
-// serialize → parse → serialize is byte-stable: `roboads_fleet top --once
-// --json` re-emits exactly the published line, and the per-shard latency
-// histograms embed obs::write_histogram output, whose merge algebra the
+// Serialization is the record codec's single-line JSON with round-trip
+// numbers, so write → read → write is byte-stable: `roboads_fleet top
+// --once --json` re-emits exactly the published line, and the per-shard
+// latency histograms are HistogramSnapshot objects whose merge algebra the
 // fleet-level histograms are provably the exact fold of
 // (tests/fleet_introspect_test.cc).
 #pragma once
@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/jsonl.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -48,8 +49,9 @@ struct FleetIntrospectConfig {
   double hot_shard_ratio = 1.25;
 };
 
-// One shard's row in the snapshot: the ShardStatus counters plus the live
-// introspection extras (ring high-water, reorder occupancy, EWMAs).
+// One shard's row: its counters and latency histograms (FleetService::
+// status() fills these) plus the live introspection extras the snapshot
+// adds (reorder occupancy, EWMAs).
 struct ShardStat {
   std::size_t shard = 0;
   std::uint64_t sessions = 0;
@@ -142,15 +144,98 @@ std::vector<RebalanceHint> rebalance_hints(const std::vector<ShardStat>& shards,
                                            const std::vector<RobotStat>& robots,
                                            double hot_ratio);
 
-// Single-line JSON round-trip (byte-stable through write→parse→write).
-std::string serialize_fleet_status(const FleetStatusSnapshot& status);
-FleetStatusSnapshot parse_fleet_status(const std::string& line);
+// Wire form (obs/jsonl.h record codec): one line, byte-stable through
+// write→read→write, so `roboads_fleet top --once --json` re-emits the
+// published line exactly.
+template <class IO>
+void codec(IO& io, ShardStat& s) {
+  io("shard", s.shard);
+  io("sessions", s.sessions);
+  io("steps", s.steps);
+  io("sensor_alarms", s.sensor_alarms);
+  io("actuator_alarms", s.actuator_alarms);
+  io("quarantine_iterations", s.quarantine_iterations);
+  io("dropped_packets", s.dropped_packets);
+  io("forwarded_packets", s.forwarded_packets);
+  io("queue_depth", s.queue_depth);
+  io("queue_high_water", s.queue_high_water);
+  io("reorder_pending", s.reorder_pending);
+  io("ewma_queue_depth", s.ewma_queue_depth);
+  io("ewma_steps_per_s", s.ewma_steps_per_s);
+  io("ingest_to_step_ns", s.ingest_to_step_ns);
+  io("ingest_to_alarm_ns", s.ingest_to_alarm_ns);
+}
 
-// Atomic publish: write <path>.tmp, rename over <path>.
-void write_fleet_status_file(const std::string& path,
-                             const FleetStatusSnapshot& status);
-// Throws CheckError when missing/unreadable/not a v1 snapshot.
-FleetStatusSnapshot read_fleet_status_file(const std::string& path);
+template <class IO>
+void codec(IO& io, RobotStat& r) {
+  io("robot", r.robot);
+  io("shard", r.shard);
+  io("steps", r.steps);
+  io("sensor_alarms", r.sensor_alarms);
+  io("actuator_alarms", r.actuator_alarms);
+  io("late_packets", r.late_packets);
+  io("duplicate_packets", r.duplicate_packets);
+  io("forced_evictions", r.forced_evictions);
+  io("masked_steps", r.masked_steps);
+  io("command_substituted", r.command_substituted);
+  io("reorder_pending", r.reorder_pending);
+  io("ewma_steps_per_s", r.ewma_steps_per_s);
+  io("ewma_step_latency_ns", r.ewma_step_latency_ns);
+  io("traced", r.traced);
+}
+
+template <class IO>
+void codec(IO& io, FleetAlarm& a) {
+  io("unix_time", a.unix_time);
+  io("robot", a.robot);
+  io("k", a.k);
+  io("sensor", a.sensor);
+  io("actuator", a.actuator);
+  io("latency_ns", a.latency_ns);
+}
+
+template <class IO>
+void codec(IO& io, RebalanceHint& h) {
+  io("robot", h.robot);
+  io("from_shard", h.from_shard);
+  io("to_shard", h.to_shard);
+  io("from_rate", h.from_rate);
+  io("to_rate", h.to_rate);
+  io("robot_rate", h.robot_rate);
+}
+
+template <class IO>
+void codec(IO& io, FleetStatusSnapshot& s) {
+  io.tag("event", "fleet_status");
+  io.tag("name", "roboads-fleet-status");
+  io.tag("version", 1);
+  io("unix_time", s.unix_time);
+  io("seq", s.seq);
+  io("robots", s.robots);
+  io("steps", s.steps);
+  io("sensor_alarms", s.sensor_alarms);
+  io("actuator_alarms", s.actuator_alarms);
+  io("quarantine_iterations", s.quarantine_iterations);
+  io("dropped_packets", s.dropped_packets);
+  io("forwarded_packets", s.forwarded_packets);
+  io("unknown_robot_packets", s.unknown_robot_packets);
+  io("trace_sample", s.trace_sample);
+  io("spans", s.spans);
+  io("ingest_to_step_ns", s.ingest_to_step_ns);
+  io("ingest_to_alarm_ns", s.ingest_to_alarm_ns);
+  io("shards", s.shards);
+  io("hot_robots", s.hot_robots);
+  io("alarms", s.alarms);
+  io("hints", s.hints);
+}
+
+// Published atomically with obs::json::publish; obs::json::read_snapshot
+// throws CheckError when the file is missing, unreadable or not a v1
+// snapshot.
+inline constexpr obs::json::SnapshotFile<FleetStatusSnapshot>
+    kFleetStatusFile{"fleet status",
+                     "is a fleet run publishing with "
+                     "--status-out/--status-interval?"};
 
 // The `roboads_fleet top` terminal frame: fleet totals, shard table,
 // hot-robot ranking, rebalance hints, rolling alarm feed.

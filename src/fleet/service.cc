@@ -27,6 +27,21 @@ double unix_now_s() {
       .count();
 }
 
+// Folds a shard row into fleet totals; FleetStatus and FleetStatusSnapshot
+// name these fields alike. The histogram fold is merge_snapshots, so the
+// fleet distributions are the exact merge of the rows'.
+template <class Totals>
+void add_row(Totals& totals, const ShardStat& row) {
+  totals.steps += row.steps;
+  totals.sensor_alarms += row.sensor_alarms;
+  totals.actuator_alarms += row.actuator_alarms;
+  totals.quarantine_iterations += row.quarantine_iterations;
+  totals.dropped_packets += row.dropped_packets;
+  totals.forwarded_packets += row.forwarded_packets;
+  totals.ingest_to_step_ns.merge(row.ingest_to_step_ns);
+  totals.ingest_to_alarm_ns.merge(row.ingest_to_alarm_ns);
+}
+
 }  // namespace
 
 FleetService::ShardState::ShardState(const FleetConfig& config)
@@ -323,43 +338,36 @@ std::size_t FleetService::flush_sessions() {
   return total;
 }
 
+ShardStat FleetService::shard_row(std::size_t s) const {
+  const ShardState& shard = *shards_[s];
+  ShardStat row;
+  row.shard = s;
+  row.sessions = shard.session_count.load(std::memory_order_relaxed);
+  row.steps = shard.steps.load(std::memory_order_relaxed);
+  row.sensor_alarms = shard.sensor_alarms.load(std::memory_order_relaxed);
+  row.actuator_alarms = shard.actuator_alarms.load(std::memory_order_relaxed);
+  row.quarantine_iterations =
+      shard.quarantine_iterations.load(std::memory_order_relaxed);
+  row.dropped_packets = shard.dropped.load(std::memory_order_relaxed);
+  row.forwarded_packets = shard.forwarded.load(std::memory_order_relaxed);
+  row.queue_depth = shard.queue.size_approx();
+  row.queue_high_water =
+      shard.queue_high_water.load(std::memory_order_relaxed);
+  row.ingest_to_step_ns = shard.ingest_to_step.snapshot();
+  row.ingest_to_alarm_ns = shard.ingest_to_alarm.snapshot();
+  return row;
+}
+
 FleetStatus FleetService::status() const {
   FleetStatus status;
   status.unknown_robot_packets =
       unknown_robot_.load(std::memory_order_relaxed);
-  std::vector<obs::HistogramSnapshot> step_parts, alarm_parts;
-  step_parts.reserve(shards_.size());
-  alarm_parts.reserve(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const ShardState& shard = *shards_[s];
-    ShardStatus row;
-    row.shard = s;
-    row.sessions = shard.session_count.load(std::memory_order_relaxed);
-    row.steps = shard.steps.load(std::memory_order_relaxed);
-    row.sensor_alarms = shard.sensor_alarms.load(std::memory_order_relaxed);
-    row.actuator_alarms =
-        shard.actuator_alarms.load(std::memory_order_relaxed);
-    row.quarantine_iterations =
-        shard.quarantine_iterations.load(std::memory_order_relaxed);
-    row.dropped_packets = shard.dropped.load(std::memory_order_relaxed);
-    row.forwarded_packets = shard.forwarded.load(std::memory_order_relaxed);
-    row.queue_depth = shard.queue.size_approx();
-    row.ingest_to_step_ns = shard.ingest_to_step.snapshot();
-    row.ingest_to_alarm_ns = shard.ingest_to_alarm.snapshot();
-
+    ShardStat row = shard_row(s);
     status.sessions += row.sessions;
-    status.steps += row.steps;
-    status.sensor_alarms += row.sensor_alarms;
-    status.actuator_alarms += row.actuator_alarms;
-    status.quarantine_iterations += row.quarantine_iterations;
-    status.dropped_packets += row.dropped_packets;
-    status.forwarded_packets += row.forwarded_packets;
-    step_parts.push_back(row.ingest_to_step_ns);
-    alarm_parts.push_back(row.ingest_to_alarm_ns);
+    add_row(status, row);
     status.shards.push_back(std::move(row));
   }
-  status.ingest_to_step_ns = obs::merge_snapshots(step_parts);
-  status.ingest_to_alarm_ns = obs::merge_snapshots(alarm_parts);
   return status;
 }
 
@@ -392,28 +400,10 @@ FleetStatusSnapshot FleetService::build_introspection() {
   std::vector<RobotStat> robots;
   robots.reserve(routing_.size());
   std::vector<FleetAlarm> alarms;
-  std::vector<obs::HistogramSnapshot> step_parts, alarm_parts;
-  step_parts.reserve(shards_.size());
-  alarm_parts.reserve(shards_.size());
 
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    ShardState& shard = *shards_[s];
-    ShardStat row;
-    row.shard = s;
-    row.sessions = shard.session_count.load(std::memory_order_relaxed);
-    row.steps = shard.steps.load(std::memory_order_relaxed);
-    row.sensor_alarms = shard.sensor_alarms.load(std::memory_order_relaxed);
-    row.actuator_alarms =
-        shard.actuator_alarms.load(std::memory_order_relaxed);
-    row.quarantine_iterations =
-        shard.quarantine_iterations.load(std::memory_order_relaxed);
-    row.dropped_packets = shard.dropped.load(std::memory_order_relaxed);
-    row.forwarded_packets = shard.forwarded.load(std::memory_order_relaxed);
-    row.queue_depth = shard.queue.size_approx();
-    row.queue_high_water =
-        shard.queue_high_water.load(std::memory_order_relaxed);
-    row.ingest_to_step_ns = shard.ingest_to_step.snapshot();
-    row.ingest_to_alarm_ns = shard.ingest_to_alarm.snapshot();
+    const ShardState& shard = *shards_[s];
+    ShardStat row = shard_row(s);
 
     std::uint64_t pending = 0;
     for (const auto& [robot, session] : shard.sessions) {
@@ -469,19 +459,10 @@ FleetStatusSnapshot FleetService::build_introspection() {
       }
     }
 
-    out.steps += row.steps;
-    out.sensor_alarms += row.sensor_alarms;
-    out.actuator_alarms += row.actuator_alarms;
-    out.quarantine_iterations += row.quarantine_iterations;
-    out.dropped_packets += row.dropped_packets;
-    out.forwarded_packets += row.forwarded_packets;
-    step_parts.push_back(row.ingest_to_step_ns);
-    alarm_parts.push_back(row.ingest_to_alarm_ns);
+    add_row(out, row);
     out.shards.push_back(std::move(row));
   }
   st.last_build_ns = now_ns;
-  out.ingest_to_step_ns = obs::merge_snapshots(step_parts);
-  out.ingest_to_alarm_ns = obs::merge_snapshots(alarm_parts);
 
   out.hints = rebalance_hints(out.shards, robots, ic.hot_shard_ratio);
 
@@ -524,7 +505,7 @@ void FleetService::maybe_publish() {
         1e-9;
     if (elapsed < ic.status_interval_s) return;
   }
-  write_fleet_status_file(ic.status_path, build_introspection());
+  obs::json::publish(ic.status_path, build_introspection(), kFleetStatusFile);
 }
 
 FleetStatusSnapshot FleetService::introspection() {
@@ -537,8 +518,8 @@ FleetStatusSnapshot FleetService::introspection() {
 void FleetService::publish_status_now() {
   ROBOADS_CHECK(!running_, "publish_status_now requires a stopped pump");
   if (config_.introspect.status_path.empty()) return;
-  write_fleet_status_file(config_.introspect.status_path,
-                          build_introspection());
+  obs::json::publish(config_.introspect.status_path, build_introspection(),
+                     kFleetStatusFile);
 }
 
 DetectorSession& FleetService::session_ref(std::uint64_t robot) const {

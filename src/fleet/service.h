@@ -74,20 +74,6 @@ struct FleetConfig {
   FleetIntrospectConfig introspect;
 };
 
-struct ShardStatus {
-  std::size_t shard = 0;
-  std::uint64_t sessions = 0;
-  std::uint64_t steps = 0;
-  std::uint64_t sensor_alarms = 0;
-  std::uint64_t actuator_alarms = 0;
-  std::uint64_t quarantine_iterations = 0;  // steps with >= 1 quarantined mode
-  std::uint64_t dropped_packets = 0;        // shed by drop-oldest backpressure
-  std::uint64_t forwarded_packets = 0;      // re-routed after migration
-  std::size_t queue_depth = 0;              // approximate
-  obs::HistogramSnapshot ingest_to_step_ns;
-  obs::HistogramSnapshot ingest_to_alarm_ns;
-};
-
 struct FleetStatus {
   std::uint64_t sessions = 0;
   std::uint64_t steps = 0;
@@ -99,7 +85,9 @@ struct FleetStatus {
   std::uint64_t unknown_robot_packets = 0;
   obs::HistogramSnapshot ingest_to_step_ns;   // exact merge over shards
   obs::HistogramSnapshot ingest_to_alarm_ns;
-  std::vector<ShardStatus> shards;
+  // Counter and latency fields of each row; the introspection-only fields
+  // (reorder occupancy, EWMAs) stay zero here.
+  std::vector<ShardStat> shards;
 };
 
 class FleetService {
@@ -226,6 +214,9 @@ class FleetService {
   std::size_t drain_shard(std::size_t shard);
   void apply_migrations();
   void pump_loop();
+  // The row status() and the introspection snapshot share: the shard's
+  // counters, ring depth/high-water and latency snapshots.
+  ShardStat shard_row(std::size_t shard) const;
   FleetStatusSnapshot build_introspection();
   void maybe_publish();
   DetectorSession& session_ref(std::uint64_t robot) const;

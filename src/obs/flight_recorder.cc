@@ -1,67 +1,139 @@
 #include "obs/flight_recorder.h"
 
-#include <cmath>
-#include <cstdlib>
 #include <fstream>
-#include <limits>
-#include <map>
 #include <ostream>
 #include <sstream>
 
 #include "common/check.h"
-#include "obs/json.h"
 #include "obs/jsonl.h"
 
 namespace roboads::obs {
+
+// --- Bundle line codecs (obs/jsonl.h). One JSON object per line: header,
+// provenance, warm-start snapshot, then one record line per iteration.
+
+template <class IO>
+void codec(IO& io, BundleProvenance& p) {
+  io.tag("event", "provenance");
+  io("label", p.label);
+  io("platform", p.platform);
+  io("scenario", p.scenario);
+  io("description", p.description);
+  io("seed", p.seed);
+  io("iterations", p.iterations);
+  io("dt", p.dt);
+  io("linear_baseline", p.linear_baseline);
+  io("likelihood_floor", p.likelihood_floor);
+  io("health_enabled", p.health_enabled);
+  io("sensor_alpha", p.sensor_alpha);
+  io("actuator_alpha", p.actuator_alpha);
+  io("sensor_window", p.sensor_window);
+  io("sensor_criteria", p.sensor_criteria);
+  io("actuator_window", p.actuator_window);
+  io("actuator_criteria", p.actuator_criteria);
+  io("modes", p.modes);
+  io("sensors", p.sensors);
+  io("sensor_dims", p.sensor_dims);
+  io("state_dim", p.state_dim);
+  io("input_dim", p.input_dim);
+}
+
+template <class IO>
+void codec(IO& io, DetectorStateSnapshot& s) {
+  io("state", s.state);
+  io("state_cov", s.state_cov);
+  io("weights", s.weights);
+  io("health", s.health);
+  io("decision", s.decision);
+  io("iteration", s.iteration);
+}
+
+template <class IO>
+void codec(IO& io, FlightRecord& r) {
+  io.tag("event", "record");
+  io("k", r.k);
+  io("u", r.u);
+  io("z", r.z);
+  io("availability", r.availability);
+  io("selected_mode", r.selected_mode);
+  io("mode_weights", r.mode_weights);
+  io("log_likelihoods", r.log_likelihoods);
+  io("innovation_norms", r.innovation_norms);
+  io("sensor_chi2", r.sensor_chi2);
+  io("sensor_threshold", r.sensor_threshold);
+  io("sensor_alarm", r.sensor_alarm);
+  io("actuator_chi2", r.actuator_chi2);
+  io("actuator_threshold", r.actuator_threshold);
+  io("actuator_alarm", r.actuator_alarm);
+  io("per_sensor_chi2", r.per_sensor_chi2);
+  io("per_sensor_threshold", r.per_sensor_threshold);
+  io("misbehaving", r.misbehaving);
+  io("sensor_anomaly", r.sensor_anomaly);
+  io("actuator_anomaly", r.actuator_anomaly);
+  io("mode_health", r.mode_health);
+  io("quarantined", r.quarantined);
+  io("containment", r.containment);
+  io("truth_valid", r.truth_valid);
+  io("truth_sensors", r.truth_sensors);
+  io("truth_actuator", r.truth_actuator);
+}
+
 namespace {
 
 constexpr char kBundleName[] = "roboads-postmortem";
 
-void write_key(std::ostream& os, const char* key, bool first = false) {
-  json::write_field_key(os, key, first);
+// The header line: the trigger plus the number of record lines that
+// follow (derived from the bundle when writing).
+struct BundleHeader {
+  std::string trigger;
+  std::int64_t trigger_k = 0;
+  std::string detail;
+  std::size_t records = 0;
+};
+
+template <class IO>
+void codec(IO& io, BundleHeader& h) {
+  io.tag("event", "bundle");
+  io.tag("name", kBundleName);
+  io.tag("version", PostmortemBundle::kSchemaVersion);
+  io("trigger", h.trigger);
+  io("trigger_k", h.trigger_k);
+  io("detail", h.detail);
+  io("records", h.records);
 }
 
-using json::write_doubles;
-using json::write_ints;
+// The warm-start line: the first record's iteration and pre-step state.
+struct SnapshotLine {
+  std::int64_t k = 0;
+  DetectorStateSnapshot state;
+};
 
-// Bundle lines are parsed by the shared JSONL layer (obs/jsonl.h); this
-// wrapper skips blank lines, threads the line counter, and tags every
-// diagnostic with "bundle line N".
-json::Fields parse_line(std::istream& is, std::size_t& line_no,
-                        const char* what) {
+template <class IO>
+void codec(IO& io, SnapshotLine& s) {
+  io.tag("event", "snapshot");
+  io("k", s.k);
+  codec(io, s.state);
+}
+
+// Reads the next non-blank line as a `T`, threading the line counter and
+// tagging every diagnostic with "bundle line N".
+template <class T>
+T read_line(std::istream& is, std::size_t& line_no, const char* what) {
   std::string line;
   while (std::getline(is, line)) {
     ++line_no;
     if (!line.empty()) {
-      const std::string context = "bundle line " + std::to_string(line_no);
-      return json::Fields(json::parse_object_line(line, context), context);
+      return json::decode<T>(line, "bundle line " + std::to_string(line_no));
     }
   }
   throw CheckError(std::string("bundle truncated: missing ") + what +
                    " line");
 }
 
-
-void write_snapshot_line(std::ostream& os, std::int64_t k,
-                         const DetectorStateSnapshot& snap) {
-  os << '{';
-  write_key(os, "event", /*first=*/true);
-  os << "\"snapshot\"";
-  write_key(os, "k");
-  os << k;
-  write_key(os, "state");
-  write_doubles(os, snap.state);
-  write_key(os, "state_cov");
-  write_doubles(os, snap.state_cov);
-  write_key(os, "weights");
-  write_doubles(os, snap.weights);
-  write_key(os, "health");
-  write_ints(os, snap.health);
-  write_key(os, "decision");
-  write_ints(os, snap.decision);
-  write_key(os, "iteration");
-  os << snap.iteration;
-  os << "}\n";
+template <class T>
+void write_line(std::ostream& os, const T& record) {
+  json::write(os, record);
+  os << '\n';
 }
 
 }  // namespace
@@ -159,228 +231,38 @@ std::vector<PostmortemBundle> FlightRecorder::take_bundles() {
 }
 
 void write_bundle(std::ostream& os, const PostmortemBundle& bundle) {
-  // Header.
-  os << '{';
-  write_key(os, "event", /*first=*/true);
-  os << "\"bundle\"";
-  write_key(os, "name");
-  os << '"' << kBundleName << '"';
-  write_key(os, "version");
-  os << PostmortemBundle::kSchemaVersion;
-  write_key(os, "trigger");
-  json::write_escaped(os, bundle.trigger);
-  write_key(os, "trigger_k");
-  os << bundle.trigger_k;
-  write_key(os, "detail");
-  json::write_escaped(os, bundle.detail);
-  write_key(os, "records");
-  os << bundle.records.size();
-  os << "}\n";
-
-  // Provenance.
-  const BundleProvenance& p = bundle.provenance;
-  os << '{';
-  write_key(os, "event", /*first=*/true);
-  os << "\"provenance\"";
-  write_key(os, "label");
-  json::write_escaped(os, p.label);
-  write_key(os, "platform");
-  json::write_escaped(os, p.platform);
-  write_key(os, "scenario");
-  json::write_escaped(os, p.scenario);
-  write_key(os, "description");
-  json::write_escaped(os, p.description);
-  write_key(os, "seed");
-  os << p.seed;
-  write_key(os, "iterations");
-  os << p.iterations;
-  write_key(os, "dt");
-  json::write_number(os, p.dt);
-  write_key(os, "linear_baseline");
-  os << (p.linear_baseline ? "true" : "false");
-  write_key(os, "likelihood_floor");
-  json::write_number(os, p.likelihood_floor);
-  write_key(os, "health_enabled");
-  os << (p.health_enabled ? "true" : "false");
-  write_key(os, "sensor_alpha");
-  json::write_number(os, p.sensor_alpha);
-  write_key(os, "actuator_alpha");
-  json::write_number(os, p.actuator_alpha);
-  write_key(os, "sensor_window");
-  os << p.sensor_window;
-  write_key(os, "sensor_criteria");
-  os << p.sensor_criteria;
-  write_key(os, "actuator_window");
-  os << p.actuator_window;
-  write_key(os, "actuator_criteria");
-  os << p.actuator_criteria;
-  write_key(os, "modes");
-  json::write_escaped(os, p.modes);
-  write_key(os, "sensors");
-  json::write_escaped(os, p.sensors);
-  write_key(os, "sensor_dims");
-  write_ints(os, p.sensor_dims);
-  write_key(os, "state_dim");
-  os << p.state_dim;
-  write_key(os, "input_dim");
-  os << p.input_dim;
-  os << "}\n";
-
+  write_line(os, BundleHeader{bundle.trigger, bundle.trigger_k,
+                              bundle.detail, bundle.records.size()});
+  write_line(os, bundle.provenance);
   // Warm-start snapshot: the first record's pre-step state. Per-record
   // snapshots would multiply the file size for no replay benefit — stepping
   // forward from the window start reproduces every later state exactly.
-  static const DetectorStateSnapshot kEmptySnapshot;
-  write_snapshot_line(
-      os, bundle.records.empty() ? 0 : bundle.records.front().k,
-      bundle.records.empty() ? kEmptySnapshot
-                             : bundle.records.front().pre_step);
-
-  for (const FlightRecord& r : bundle.records) {
-    os << '{';
-    write_key(os, "event", /*first=*/true);
-    os << "\"record\"";
-    write_key(os, "k");
-    os << r.k;
-    write_key(os, "u");
-    write_doubles(os, r.u);
-    write_key(os, "z");
-    write_doubles(os, r.z);
-    write_key(os, "availability");
-    json::write_escaped(os, r.availability);
-    write_key(os, "selected_mode");
-    os << r.selected_mode;
-    write_key(os, "mode_weights");
-    write_doubles(os, r.mode_weights);
-    write_key(os, "log_likelihoods");
-    write_doubles(os, r.log_likelihoods);
-    write_key(os, "innovation_norms");
-    write_doubles(os, r.innovation_norms);
-    write_key(os, "sensor_chi2");
-    json::write_number(os, r.sensor_chi2);
-    write_key(os, "sensor_threshold");
-    json::write_number(os, r.sensor_threshold);
-    write_key(os, "sensor_alarm");
-    os << (r.sensor_alarm ? "true" : "false");
-    write_key(os, "actuator_chi2");
-    json::write_number(os, r.actuator_chi2);
-    write_key(os, "actuator_threshold");
-    json::write_number(os, r.actuator_threshold);
-    write_key(os, "actuator_alarm");
-    os << (r.actuator_alarm ? "true" : "false");
-    write_key(os, "per_sensor_chi2");
-    write_doubles(os, r.per_sensor_chi2);
-    write_key(os, "per_sensor_threshold");
-    write_doubles(os, r.per_sensor_threshold);
-    write_key(os, "misbehaving");
-    json::write_escaped(os, r.misbehaving);
-    write_key(os, "sensor_anomaly");
-    write_doubles(os, r.sensor_anomaly);
-    write_key(os, "actuator_anomaly");
-    write_doubles(os, r.actuator_anomaly);
-    write_key(os, "mode_health");
-    json::write_escaped(os, r.mode_health);
-    write_key(os, "quarantined");
-    os << r.quarantined;
-    write_key(os, "containment");
-    os << (r.containment ? "true" : "false");
-    write_key(os, "truth_valid");
-    os << (r.truth_valid ? "true" : "false");
-    write_key(os, "truth_sensors");
-    json::write_escaped(os, r.truth_sensors);
-    write_key(os, "truth_actuator");
-    os << (r.truth_actuator ? "true" : "false");
-    os << "}\n";
+  SnapshotLine snapshot;
+  if (!bundle.records.empty()) {
+    snapshot.k = bundle.records.front().k;
+    snapshot.state = bundle.records.front().pre_step;
   }
+  write_line(os, snapshot);
+  for (const FlightRecord& r : bundle.records) write_line(os, r);
 }
 
 PostmortemBundle read_bundle(std::istream& is) {
   std::size_t line_no = 0;
+  BundleHeader header = read_line<BundleHeader>(is, line_no, "header");
   PostmortemBundle bundle;
-
-  const json::Fields header = parse_line(is, line_no, "header");
-  ROBOADS_CHECK_EQ(header.string("event"), std::string("bundle"),
-                   "not a postmortem bundle header");
-  ROBOADS_CHECK_EQ(header.string("name"), std::string(kBundleName),
-                   "unknown bundle name");
-  ROBOADS_CHECK_EQ(header.integer("version"),
-                   static_cast<std::int64_t>(PostmortemBundle::kSchemaVersion),
-                   "unsupported bundle schema version");
-  bundle.trigger = header.string("trigger");
-  bundle.trigger_k = header.integer("trigger_k");
-  bundle.detail = header.string("detail");
-  const std::int64_t record_count = header.integer("records");
-
-  const json::Fields prov = parse_line(is, line_no, "provenance");
-  ROBOADS_CHECK_EQ(prov.string("event"), std::string("provenance"),
-                   "expected provenance line");
-  BundleProvenance& p = bundle.provenance;
-  p.label = prov.string("label");
-  p.platform = prov.string("platform");
-  p.scenario = prov.string("scenario");
-  p.description = prov.string("description");
-  p.seed = prov.integer("seed");
-  p.iterations = prov.integer("iterations");
-  p.dt = prov.number("dt");
-  p.linear_baseline = prov.boolean("linear_baseline");
-  p.likelihood_floor = prov.number("likelihood_floor");
-  p.health_enabled = prov.boolean("health_enabled");
-  p.sensor_alpha = prov.number("sensor_alpha");
-  p.actuator_alpha = prov.number("actuator_alpha");
-  p.sensor_window = prov.integer("sensor_window");
-  p.sensor_criteria = prov.integer("sensor_criteria");
-  p.actuator_window = prov.integer("actuator_window");
-  p.actuator_criteria = prov.integer("actuator_criteria");
-  p.modes = prov.string("modes");
-  p.sensors = prov.string("sensors");
-  p.sensor_dims = prov.integers("sensor_dims");
-  p.state_dim = prov.integer("state_dim");
-  p.input_dim = prov.integer("input_dim");
-
-  const json::Fields snap = parse_line(is, line_no, "snapshot");
-  ROBOADS_CHECK_EQ(snap.string("event"), std::string("snapshot"),
-                   "expected snapshot line");
-  DetectorStateSnapshot warm;
-  warm.state = snap.numbers("state");
-  warm.state_cov = snap.numbers("state_cov");
-  warm.weights = snap.numbers("weights");
-  warm.health = snap.integers("health");
-  warm.decision = snap.integers("decision");
-  warm.iteration = snap.integer("iteration");
-
-  bundle.records.reserve(static_cast<std::size_t>(record_count));
-  for (std::int64_t i = 0; i < record_count; ++i) {
-    const json::Fields f = parse_line(is, line_no, "record");
-    ROBOADS_CHECK_EQ(f.string("event"), std::string("record"),
-                     "expected record line");
-    FlightRecord r;
-    r.k = f.integer("k");
-    r.u = f.numbers("u");
-    r.z = f.numbers("z");
-    r.availability = f.string("availability");
-    r.selected_mode = f.integer("selected_mode");
-    r.mode_weights = f.numbers("mode_weights");
-    r.log_likelihoods = f.numbers("log_likelihoods");
-    r.innovation_norms = f.numbers("innovation_norms");
-    r.sensor_chi2 = f.number("sensor_chi2");
-    r.sensor_threshold = f.number("sensor_threshold");
-    r.sensor_alarm = f.boolean("sensor_alarm");
-    r.actuator_chi2 = f.number("actuator_chi2");
-    r.actuator_threshold = f.number("actuator_threshold");
-    r.actuator_alarm = f.boolean("actuator_alarm");
-    r.per_sensor_chi2 = f.numbers("per_sensor_chi2");
-    r.per_sensor_threshold = f.numbers("per_sensor_threshold");
-    r.misbehaving = f.string("misbehaving");
-    r.sensor_anomaly = f.numbers("sensor_anomaly");
-    r.actuator_anomaly = f.numbers("actuator_anomaly");
-    r.mode_health = f.string("mode_health");
-    r.quarantined = f.integer("quarantined");
-    r.containment = f.boolean("containment");
-    r.truth_valid = f.boolean("truth_valid");
-    r.truth_sensors = f.string("truth_sensors");
-    r.truth_actuator = f.boolean("truth_actuator");
-    bundle.records.push_back(std::move(r));
+  bundle.trigger = std::move(header.trigger);
+  bundle.trigger_k = header.trigger_k;
+  bundle.detail = std::move(header.detail);
+  bundle.provenance = read_line<BundleProvenance>(is, line_no, "provenance");
+  SnapshotLine warm = read_line<SnapshotLine>(is, line_no, "snapshot");
+  // No reserve from the declared count: a hostile header must not size an
+  // allocation; a short file fails as truncated instead.
+  for (std::size_t i = 0; i < header.records; ++i) {
+    bundle.records.push_back(read_line<FlightRecord>(is, line_no, "record"));
   }
-  if (!bundle.records.empty()) bundle.records.front().pre_step = warm;
+  if (!bundle.records.empty()) {
+    bundle.records.front().pre_step = std::move(warm.state);
+  }
   return bundle;
 }
 

@@ -1,6 +1,5 @@
-// Minimal JSON emission helpers shared by the trace sink and the metrics
-// snapshot writer. Emission only — the library never parses JSON beyond the
-// structural validator in trace.h.
+// Minimal JSON emission helpers: string escaping and number formatting,
+// shared by the trace sink and the record codec (obs/jsonl.h).
 #pragma once
 
 #include <cmath>
@@ -43,9 +42,11 @@ inline void write_number(std::ostream& os, double v) {
     return;
   }
   // Round-trip precision; integral values print without an exponent so the
-  // common case (iterations, indices, masks) stays human-readable.
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      std::abs(v) < 1e15) {
+  // common case (iterations, indices, masks) stays human-readable. The
+  // magnitude check comes first: casting |v| >= 2^63 to long long is
+  // undefined behavior.
+  if (std::abs(v) < 1e15 &&
+      v == static_cast<double>(static_cast<long long>(v))) {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
     os << buf;

@@ -18,9 +18,9 @@ class LineParser {
   LineParser(const std::string& line, const std::string& context)
       : s_(line), context_(context) {}
 
-  std::map<std::string, Value> parse_object_line() {
+  Object parse_object_line() {
     skip_ws();
-    Value v = parse_value();
+    Value v = parse_value(0);
     if (v.kind != Value::Kind::kObject) fail("expected an object");
     skip_ws();
     if (i_ != s_.size()) fail("trailing characters after object");
@@ -87,19 +87,39 @@ class LineParser {
     }
   }
 
-  double parse_number() {
-    const char* begin = s_.c_str() + i_;
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    if (end == begin) fail("malformed number");
-    i_ += static_cast<std::size_t>(end - begin);
-    return v;
+  // A JSON number literal: -?digits(.digits)?([eE][+-]?digits)?. The
+  // token is kept so integer fields can parse it exactly.
+  void parse_number(Value& v) {
+    const std::size_t begin = i_;
+    const auto digits = [&] {
+      const std::size_t start = i_;
+      while (i_ < s_.size() && s_[i_] >= '0' && s_[i_] <= '9') ++i_;
+      if (i_ == start) fail("malformed number");
+    };
+    if (i_ < s_.size() && s_[i_] == '-') ++i_;
+    digits();
+    if (i_ < s_.size() && s_[i_] == '.') {
+      ++i_;
+      digits();
+    }
+    if (i_ < s_.size() && (s_[i_] == 'e' || s_[i_] == 'E')) {
+      ++i_;
+      if (i_ < s_.size() && (s_[i_] == '+' || s_[i_] == '-')) ++i_;
+      digits();
+    }
+    v.kind = Value::Kind::kNumber;
+    v.str = s_.substr(begin, i_ - begin);
+    v.num = std::strtod(v.str.c_str(), nullptr);
   }
 
-  Value parse_value() {
+  // `depth` counts the containers enclosing this value.
+  Value parse_value(std::size_t depth) {
     skip_ws();
     Value v;
     const char c = peek();
+    if ((c == '[' || c == '{') && depth >= kMaxNesting) {
+      fail("nesting deeper than " + std::to_string(kMaxNesting));
+    }
     if (c == 'n') {
       if (!literal("null")) fail("bad literal");
       v.kind = Value::Kind::kNull;
@@ -125,7 +145,7 @@ class LineParser {
         return v;
       }
       while (true) {
-        v.items.push_back(parse_value());
+        v.items.push_back(parse_value(depth + 1));
         skip_ws();
         const char e = next();
         if (e == ']') break;
@@ -144,15 +164,14 @@ class LineParser {
         std::string key = parse_string();
         skip_ws();
         expect(':');
-        v.members[std::move(key)] = parse_value();
+        v.members[std::move(key)] = parse_value(depth + 1);
         skip_ws();
         const char e = next();
         if (e == '}') break;
         if (e != ',') fail("expected ',' or '}'");
       }
     } else {
-      v.kind = Value::Kind::kNumber;
-      v.num = parse_number();
+      parse_number(v);
     }
     return v;
   }
@@ -164,94 +183,8 @@ class LineParser {
 
 }  // namespace
 
-std::map<std::string, Value> parse_object_line(const std::string& line,
-                                               const std::string& context) {
+Object parse_object_line(const std::string& line, const std::string& context) {
   return LineParser(line, context).parse_object_line();
-}
-
-const Value& Fields::at(const char* key) const {
-  const auto it = fields_.find(key);
-  if (it == fields_.end()) {
-    throw CheckError(context_ + ": missing field '" + key + "'");
-  }
-  return it->second;
-}
-
-double Fields::number(const char* key) const {
-  const Value& v = at(key);
-  if (v.kind != Value::Kind::kNumber && v.kind != Value::Kind::kNull) {
-    fail(key, "number");
-  }
-  return v.num;
-}
-
-std::int64_t Fields::integer(const char* key) const {
-  return static_cast<std::int64_t>(number(key));
-}
-
-bool Fields::boolean(const char* key) const {
-  const Value& v = at(key);
-  if (v.kind != Value::Kind::kBool) fail(key, "bool");
-  return v.b;
-}
-
-const std::string& Fields::string(const char* key) const {
-  const Value& v = at(key);
-  if (v.kind != Value::Kind::kString) fail(key, "string");
-  return v.str;
-}
-
-std::vector<double> Fields::numbers(const char* key) const {
-  const Value& v = at(key);
-  if (v.kind != Value::Kind::kArray) fail(key, "array");
-  std::vector<double> out;
-  out.reserve(v.items.size());
-  for (const Value& item : v.items) {
-    if (item.kind != Value::Kind::kNumber &&
-        item.kind != Value::Kind::kNull) {
-      fail(key, "numeric array");
-    }
-    out.push_back(item.num);
-  }
-  return out;
-}
-
-std::vector<std::int64_t> Fields::integers(const char* key) const {
-  const std::vector<double> nums = numbers(key);
-  std::vector<std::int64_t> out(nums.size());
-  for (std::size_t i = 0; i < nums.size(); ++i) {
-    out[i] = static_cast<std::int64_t>(nums[i]);
-  }
-  return out;
-}
-
-std::vector<std::string> Fields::strings(const char* key) const {
-  const Value& v = at(key);
-  if (v.kind != Value::Kind::kArray) fail(key, "array");
-  std::vector<std::string> out;
-  out.reserve(v.items.size());
-  for (const Value& item : v.items) {
-    if (item.kind != Value::Kind::kString) fail(key, "string array");
-    out.push_back(item.str);
-  }
-  return out;
-}
-
-std::vector<Fields> Fields::objects(const char* key) const {
-  const Value& v = at(key);
-  if (v.kind != Value::Kind::kArray) fail(key, "array");
-  std::vector<Fields> out;
-  out.reserve(v.items.size());
-  for (const Value& item : v.items) {
-    if (item.kind != Value::Kind::kObject) fail(key, "object array");
-    out.emplace_back(item.members, context_);
-  }
-  return out;
-}
-
-void Fields::fail(const char* key, const char* want) const {
-  throw CheckError(context_ + ": field '" + std::string(key) +
-                   "' is not a " + want);
 }
 
 void write_field_key(std::ostream& os, const char* key, bool first) {
@@ -298,6 +231,18 @@ void publish_line(const std::string& path, const std::string& line,
   }
   ROBOADS_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
                 "cannot publish " + what + " " + path);
+}
+
+std::string read_snapshot_line(const std::string& path, const char* what,
+                               const char* hint) {
+  std::ifstream is(path, std::ios::binary);
+  if (!is) {
+    throw CheckError(path + ": no " + what + " snapshot (" + hint + ")");
+  }
+  std::string line;
+  ROBOADS_CHECK(static_cast<bool>(std::getline(is, line)),
+                path + ": empty " + what + " snapshot");
+  return line;
 }
 
 TailTolerantRead read_jsonl_tail_tolerant(

@@ -5,7 +5,6 @@
 #include <ostream>
 
 #include "common/check.h"
-#include "obs/json.h"
 #include "obs/jsonl.h"
 
 namespace roboads::obs {
@@ -118,46 +117,6 @@ HistogramSnapshot merge_snapshots(const std::vector<HistogramSnapshot>& parts) {
   HistogramSnapshot merged;
   for (const HistogramSnapshot& part : parts) merged.merge(part);
   return merged;
-}
-
-void write_histogram(std::ostream& os, const HistogramSnapshot& h) {
-  os << '{';
-  json::write_field_key(os, "bounds", /*first=*/true);
-  json::write_doubles(os, h.bounds);
-  json::write_field_key(os, "buckets");
-  os << '[';
-  for (std::size_t b = 0; b < h.buckets.size(); ++b) {
-    if (b > 0) os << ',';
-    os << h.buckets[b];
-  }
-  os << ']';
-  json::write_field_key(os, "count");
-  os << h.count;
-  json::write_field_key(os, "sum");
-  json::write_number(os, h.sum);
-  json::write_field_key(os, "sumsq");
-  json::write_number(os, h.sum_squares);
-  json::write_field_key(os, "max");
-  json::write_number(os, h.max);
-  os << '}';
-}
-
-HistogramSnapshot parse_histogram(const json::Fields& object) {
-  HistogramSnapshot h;
-  h.bounds = object.numbers("bounds");
-  for (std::int64_t b : object.integers("buckets")) {
-    h.buckets.push_back(static_cast<std::uint64_t>(b));
-  }
-  h.count = static_cast<std::uint64_t>(object.integer("count"));
-  h.sum = object.number("sum");
-  h.sum_squares = object.number("sumsq");
-  h.max = object.number("max");
-  if (!h.bounds.empty()) {
-    check_bounds(h.bounds);
-    ROBOADS_CHECK(h.buckets.size() == h.bounds.size() + 1,
-                  "histogram bucket count does not match bounds");
-  }
-  return h;
 }
 
 Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
@@ -308,39 +267,8 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
 
 void MetricsRegistry::write_jsonl(std::ostream& os) const {
   for (const MetricSample& s : snapshot()) {
-    os << "{\"metric\":";
-    json::write_escaped(os, s.name);
-    os << ",\"kind\":\"";
-    switch (s.kind) {
-      case MetricSample::Kind::kCounter: os << "counter"; break;
-      case MetricSample::Kind::kGauge: os << "gauge"; break;
-      case MetricSample::Kind::kHistogram: os << "histogram"; break;
-    }
-    os << "\",\"value\":";
-    json::write_number(os, s.value);
-    if (s.kind == MetricSample::Kind::kHistogram) {
-      os << ",\"sum\":";
-      json::write_number(os, s.sum);
-      os << ",\"mean\":";
-      json::write_number(os, s.mean);
-      os << ",\"p50\":";
-      json::write_number(os, s.p50);
-      os << ",\"p90\":";
-      json::write_number(os, s.p90);
-      os << ",\"p95\":";
-      json::write_number(os, s.p95);
-      os << ",\"p99\":";
-      json::write_number(os, s.p99);
-      os << ",\"max\":";
-      json::write_number(os, s.max);
-      os << ",\"buckets\":[";
-      for (std::size_t b = 0; b < s.buckets.size(); ++b) {
-        if (b > 0) os << ',';
-        os << s.buckets[b];
-      }
-      os << ']';
-    }
-    os << "}\n";
+    json::write(os, s);
+    os << '\n';
   }
 }
 

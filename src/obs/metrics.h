@@ -33,10 +33,6 @@
 
 namespace roboads::obs {
 
-namespace json {
-class Fields;
-}  // namespace json
-
 // Stripe count for counters/histograms (power of two). Sized well past the
 // worker counts of the bundled pools on common hosts; threads beyond it
 // share stripes correctly, just with more cache-line traffic.
@@ -106,7 +102,7 @@ class Gauge {
 // counts and moment sums add, so merging per-worker snapshots in any order
 // or grouping yields the same result as one histogram that recorded every
 // sample (tests/obs_histogram_test.cc) — and byte round-trippable through
-// write_histogram/parse_histogram below.
+// the record codec below.
 struct HistogramSnapshot {
   std::vector<double> bounds;          // ascending bucket upper edges
   std::vector<std::uint64_t> buckets;  // bounds.size() + 1; last = overflow
@@ -149,11 +145,31 @@ struct HistogramSnapshot {
 // per worker (shard/status.cc).
 HistogramSnapshot merge_snapshots(const std::vector<HistogramSnapshot>& parts);
 
-// Serializes a snapshot as a JSON object (one line, no trailing newline):
+// Wire form (obs/jsonl.h record codec), one JSON object:
 // {"bounds":[...],"buckets":[...],"count":N,"sum":S,"sumsq":Q,"max":M}.
-// Numbers use round-trip precision, so write→parse→write is byte-stable.
-void write_histogram(std::ostream& os, const HistogramSnapshot& h);
-HistogramSnapshot parse_histogram(const json::Fields& object);
+// Numbers use round-trip precision, so write→read→write is byte-stable. A
+// read rejects bounds that are not strictly ascending and bucket counts
+// that do not match them.
+template <class IO>
+void codec(IO& io, HistogramSnapshot& h) {
+  io("bounds", h.bounds);
+  io("buckets", h.buckets);
+  io("count", h.count);
+  io("sum", h.sum);
+  io("sumsq", h.sum_squares);
+  io("max", h.max);
+  if constexpr (IO::kReads) {
+    for (std::size_t i = 1; i < h.bounds.size(); ++i) {
+      if (!(h.bounds[i - 1] < h.bounds[i])) {
+        io.fail("bounds", "is not strictly ascending");
+      }
+    }
+    const bool shaped = h.bounds.empty()
+                            ? h.buckets.empty() && h.count == 0
+                            : h.buckets.size() == h.bounds.size() + 1;
+    if (!shaped) io.fail("buckets", "does not match the bounds");
+  }
+}
 
 // Fixed-bucket histogram. Bucket i counts samples v with v <= bounds[i]
 // (first matching bucket); an implicit overflow bucket catches the rest.
@@ -228,6 +244,27 @@ struct MetricSample {
   std::vector<std::uint64_t> buckets;
 };
 
+inline constexpr const char* kMetricKindNames[] = {"counter", "gauge",
+                                                   "histogram"};
+
+// One metrics-dump line: {"metric","kind","value"}, plus the histogram
+// aggregates and bucket counts for histograms.
+template <class IO>
+void codec(IO& io, MetricSample& s) {
+  io("metric", s.name);
+  io("kind", s.kind, kMetricKindNames);
+  io("value", s.value);
+  if (s.kind != MetricSample::Kind::kHistogram) return;
+  io("sum", s.sum);
+  io("mean", s.mean);
+  io("p50", s.p50);
+  io("p90", s.p90);
+  io("p95", s.p95);
+  io("p99", s.p99);
+  io("max", s.max);
+  io("buckets", s.buckets);
+}
+
 // Named metric store. Thread-safe; see the header comment for the intended
 // lookup-once usage pattern.
 class MetricsRegistry {
@@ -248,7 +285,7 @@ class MetricsRegistry {
   // All metrics in name order (deterministic across runs for equal names).
   std::vector<MetricSample> snapshot() const;
 
-  // Serializes the snapshot as JSONL, one metric object per line.
+  // Serializes the snapshot as JSONL, one MetricSample line per metric.
   void write_jsonl(std::ostream& os) const;
 
  private:

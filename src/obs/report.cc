@@ -165,68 +165,26 @@ std::string render_report(const std::vector<MetricSample>& samples) {
 std::vector<MetricSample> load_metrics_jsonl(const std::string& path) {
   const std::vector<std::string> lines = read_strict_lines(path, "metrics");
   std::vector<MetricSample> samples;
-  std::size_t line_no = 0;
-  for (const std::string& line : lines) {
-    ++line_no;
-    const std::string context = path + " line " + std::to_string(line_no);
-    json::Fields f(json::parse_object_line(line, context), context);
-    MetricSample s;
-    s.name = f.string("metric");
-    const std::string& kind = f.string("kind");
-    if (kind == "counter") {
-      s.kind = MetricSample::Kind::kCounter;
-    } else if (kind == "gauge") {
-      s.kind = MetricSample::Kind::kGauge;
-    } else if (kind == "histogram") {
-      s.kind = MetricSample::Kind::kHistogram;
-    } else {
-      throw CheckError(context + ": unknown metric kind '" + kind + "'");
-    }
-    s.value = f.number("value");
-    if (s.kind == MetricSample::Kind::kHistogram) {
-      s.sum = f.number("sum");
-      s.mean = f.number("mean");
-      s.p50 = f.number("p50");
-      s.p90 = f.number("p90");
-      s.p95 = f.number("p95");
-      s.p99 = f.number("p99");
-      s.max = f.number("max");
-      for (std::int64_t b : f.integers("buckets")) {
-        s.buckets.push_back(static_cast<std::uint64_t>(b));
-      }
-    }
-    samples.push_back(std::move(s));
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    samples.push_back(json::decode<MetricSample>(
+        lines[i], path + " line " + std::to_string(i + 1)));
   }
   return samples;
-}
-
-void write_named_histogram(std::ostream& os, const std::string& name,
-                           const HistogramSnapshot& histogram) {
-  os << '{';
-  json::write_field_key(os, "name", /*first=*/true);
-  json::write_escaped(os, name);
-  json::write_field_key(os, "histogram");
-  write_histogram(os, histogram);
-  os << '}';
 }
 
 std::vector<NamedHistogram> load_histograms_jsonl(const std::string& path) {
   const std::vector<std::string> lines = read_strict_lines(path, "histogram");
   std::vector<NamedHistogram> histograms;
-  std::size_t line_no = 0;
-  for (const std::string& line : lines) {
-    ++line_no;
-    const std::string context = path + " line " + std::to_string(line_no);
-    json::Fields f(json::parse_object_line(line, context), context);
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const std::string context = path + " line " + std::to_string(i + 1);
+    const json::Object object = json::parse_object_line(lines[i], context);
     NamedHistogram h;
-    if (f.has("histogram")) {
-      h.name = f.string("name");
-      h.histogram = parse_histogram(
-          json::Fields(f.at("histogram").members, context));
-    } else if (f.has("bounds")) {
-      // A bare write_histogram object; name it by position.
-      h.name = "histogram[" + std::to_string(line_no) + "]";
-      h.histogram = parse_histogram(f);
+    if (object.count("histogram") != 0) {
+      json::read(object, context, h);
+    } else if (object.count("bounds") != 0) {
+      // A bare HistogramSnapshot object; name it by position.
+      h.name = "histogram[" + std::to_string(i + 1) + "]";
+      json::read(object, context, h.histogram);
     } else {
       throw CheckError(context + ": not a histogram-snapshot line (expected "
                        "a 'histogram' or 'bounds' key)");
@@ -267,10 +225,9 @@ std::string render_histograms(const std::vector<NamedHistogram>& histograms) {
 
 std::string render_report_file(const std::string& path) {
   const std::vector<std::string> lines = read_strict_lines(path, "report");
-  const std::string context = path + " line 1";
-  json::Fields first(json::parse_object_line(lines.front(), context),
-                     context);
-  if (first.has("histogram") || first.has("bounds")) {
+  const json::Object first =
+      json::parse_object_line(lines.front(), path + " line 1");
+  if (first.count("histogram") != 0 || first.count("bounds") != 0) {
     return render_histograms(load_histograms_jsonl(path));
   }
   return render_report(load_metrics_jsonl(path));

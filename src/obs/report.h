@@ -30,20 +30,23 @@ std::string render_report(const std::vector<MetricSample>& samples);
 std::vector<MetricSample> load_metrics_jsonl(const std::string& path);
 
 // A labelled exact histogram snapshot — the fleet tools' second offline
-// format: one {"name":"...","histogram":{...}} object per line, where the
-// embedded object is write_histogram's (so merged fleet distributions
-// round-trip bit-exactly through the file).
+// format: one {"name":"...","histogram":{...}} object per line (written
+// with json::write), where the embedded object is the HistogramSnapshot
+// codec's (so merged fleet distributions round-trip bit-exactly through
+// the file).
 struct NamedHistogram {
   std::string name;
   HistogramSnapshot histogram;
 };
 
-// Writes one named-histogram JSONL line (no trailing newline).
-void write_named_histogram(std::ostream& os, const std::string& name,
-                           const HistogramSnapshot& histogram);
+template <class IO>
+void codec(IO& io, NamedHistogram& h) {
+  io("name", h.name);
+  io("histogram", h.histogram);
+}
 
-// Loads a histogram-snapshot JSONL file: named lines as written above, or
-// bare write_histogram objects (named "histogram[N]" by position). Same
+// Loads a histogram-snapshot JSONL file: named lines as above, or bare
+// HistogramSnapshot objects (named "histogram[N]" by position). Same
 // loud-failure contract as load_metrics_jsonl.
 std::vector<NamedHistogram> load_histograms_jsonl(const std::string& path);
 

@@ -1,193 +1,15 @@
 #include "shard/checkpoint.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <set>
-#include <sstream>
-
-#include "obs/json.h"
-#include "obs/jsonl.h"
 
 namespace roboads::shard {
-namespace {
 
-namespace json = obs::json;
 namespace fs = std::filesystem;
 
-constexpr char kCheckpointName[] = "roboads-shard-checkpoint";
-
-void write_delay(std::ostream& os, const OutcomeDelay& d) {
-  os << '{';
-  json::write_field_key(os, "label", /*first=*/true);
-  json::write_escaped(os, d.label);
-  json::write_field_key(os, "triggered_at");
-  os << d.triggered_at;
-  json::write_field_key(os, "seconds");
-  if (d.seconds.has_value()) {
-    json::write_number(os, *d.seconds);
-  } else {
-    os << "null";
-  }
-  os << '}';
-}
-
-void write_finding(std::ostream& os, const OutcomeFinding& f) {
-  os << '{';
-  json::write_field_key(os, "invariant", /*first=*/true);
-  json::write_escaped(os, f.invariant);
-  json::write_field_key(os, "detail");
-  json::write_escaped(os, f.detail);
-  json::write_field_key(os, "spec");
-  json::write_escaped(os, f.spec_text);
-  json::write_field_key(os, "shrunk");
-  json::write_escaped(os, f.shrunk_text);
-  os << '}';
-}
-
-}  // namespace
-
 std::string serialize_outcome(const JobOutcome& outcome) {
-  std::ostringstream os;
-  os << '{';
-  json::write_field_key(os, "event", /*first=*/true);
-  os << "\"outcome\"";
-  json::write_field_key(os, "id");
-  json::write_escaped(os, outcome.id);
-  json::write_field_key(os, "group");
-  json::write_escaped(os, outcome.group);
-  json::write_field_key(os, "job");
-  json::write_escaped(os, outcome.name);
-  json::write_field_key(os, "status");
-  json::write_escaped(os, outcome.status);
-  json::write_field_key(os, "sensor");
-  json::write_ints(os, {outcome.sensor_tp, outcome.sensor_fp,
-                        outcome.sensor_tn, outcome.sensor_fn});
-  json::write_field_key(os, "actuator");
-  json::write_ints(os, {outcome.actuator_tp, outcome.actuator_fp,
-                        outcome.actuator_tn, outcome.actuator_fn});
-  json::write_field_key(os, "delays");
-  os << '[';
-  for (std::size_t i = 0; i < outcome.delays.size(); ++i) {
-    if (i > 0) os << ',';
-    write_delay(os, outcome.delays[i]);
-  }
-  os << ']';
-  json::write_field_key(os, "sensor_sequence");
-  json::write_escaped(os, outcome.sensor_sequence);
-  json::write_field_key(os, "actuator_sequence");
-  json::write_escaped(os, outcome.actuator_sequence);
-  json::write_field_key(os, "bundles");
-  json::write_strings(os, outcome.bundle_files);
-  json::write_field_key(os, "failure");
-  json::write_escaped(os, outcome.failure);
-  json::write_field_key(os, "failure_step");
-  os << outcome.failure_step;
-  json::write_field_key(os, "findings");
-  os << '[';
-  for (std::size_t i = 0; i < outcome.findings.size(); ++i) {
-    if (i > 0) os << ',';
-    write_finding(os, outcome.findings[i]);
-  }
-  os << ']';
-  os << '}';
-  return os.str();
-}
-
-JobOutcome parse_outcome(const std::string& line, std::size_t line_no) {
-  const std::string context = "checkpoint line " + std::to_string(line_no);
-  json::Fields f(json::parse_object_line(line, context), context);
-  if (f.string("event") != "outcome") {
-    throw ManifestError(context + ": expected an outcome line");
-  }
-  JobOutcome out;
-  out.id = f.string("id");
-  out.group = f.string("group");
-  out.name = f.string("job");
-  out.status = f.string("status");
-  const std::vector<std::int64_t> sensor = f.integers("sensor");
-  const std::vector<std::int64_t> actuator = f.integers("actuator");
-  if (sensor.size() != 4 || actuator.size() != 4) {
-    throw ManifestError(context + ": confusion counts need 4 entries");
-  }
-  out.sensor_tp = sensor[0];
-  out.sensor_fp = sensor[1];
-  out.sensor_tn = sensor[2];
-  out.sensor_fn = sensor[3];
-  out.actuator_tp = actuator[0];
-  out.actuator_fp = actuator[1];
-  out.actuator_tn = actuator[2];
-  out.actuator_fn = actuator[3];
-  for (const json::Fields& d : f.objects("delays")) {
-    OutcomeDelay delay;
-    delay.label = d.string("label");
-    delay.triggered_at = static_cast<std::size_t>(d.integer("triggered_at"));
-    const double seconds = d.number("seconds");
-    if (seconds == seconds) delay.seconds = seconds;  // null parses as NaN
-    out.delays.push_back(std::move(delay));
-  }
-  out.sensor_sequence = f.string("sensor_sequence");
-  out.actuator_sequence = f.string("actuator_sequence");
-  out.bundle_files = f.strings("bundles");
-  out.failure = f.string("failure");
-  out.failure_step = static_cast<std::size_t>(f.integer("failure_step"));
-  for (const json::Fields& v : f.objects("findings")) {
-    OutcomeFinding finding;
-    finding.invariant = v.string("invariant");
-    finding.detail = v.string("detail");
-    finding.spec_text = v.string("spec");
-    finding.shrunk_text = v.string("shrunk");
-    out.findings.push_back(std::move(finding));
-  }
-  return out;
-}
-
-void write_checkpoint_header(std::ostream& os) {
-  os << '{';
-  json::write_field_key(os, "event", /*first=*/true);
-  os << "\"checkpoint\"";
-  json::write_field_key(os, "name");
-  os << '"' << kCheckpointName << '"';
-  json::write_field_key(os, "version");
-  os << 1;
-  os << "}\n";
-  os.flush();
-}
-
-void append_outcome(std::ostream& os, const JobOutcome& outcome) {
-  os << serialize_outcome(outcome) << '\n';
-  os.flush();
-}
-
-std::vector<JobOutcome> read_checkpoint_file(const std::string& path,
-                                             bool repair) {
-  std::vector<JobOutcome> outcomes;
-  bool saw_header = false;
-  json::read_jsonl_tail_tolerant(
-      path,
-      [&](const std::string& line, std::size_t line_no) {
-        if (!saw_header) {
-          const std::string context =
-              "checkpoint line " + std::to_string(line_no);
-          json::Fields f(json::parse_object_line(line, context), context);
-          if (f.string("event") != "checkpoint" ||
-              f.string("name") != kCheckpointName ||
-              f.integer("version") != 1) {
-            throw ManifestError(context + ": not a checkpoint header");
-          }
-          saw_header = true;
-        } else {
-          outcomes.push_back(parse_outcome(line, line_no));
-        }
-      },
-      repair,
-      [&](const std::exception& e) {
-        // Corruption anywhere but the final line is not a torn tail — the
-        // file was damaged after the fact, and silently dropping completed
-        // work would undercount the campaign.
-        throw ManifestError(path + ": corrupt checkpoint (" + e.what() + ")");
-      });
-  return outcomes;
+  return obs::json::encode(outcome);
 }
 
 std::vector<JobOutcome> load_run_outcomes(const std::string& dir) {
@@ -207,7 +29,8 @@ std::vector<JobOutcome> load_run_outcomes(const std::string& dir) {
   std::vector<JobOutcome> outcomes;
   std::set<std::string> seen;
   for (const std::string& path : paths) {
-    for (JobOutcome& outcome : read_checkpoint_file(path, /*repair=*/false)) {
+    for (JobOutcome& outcome :
+         obs::json::read_stream(path, kCheckpointStream, /*repair=*/false)) {
       if (seen.insert(outcome.id).second) {
         outcomes.push_back(std::move(outcome));
       }

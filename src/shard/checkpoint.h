@@ -15,8 +15,10 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "obs/jsonl.h"
 #include "shard/manifest.h"
 
 namespace roboads::shard {
@@ -65,27 +67,59 @@ struct JobOutcome {
   std::vector<OutcomeFinding> findings;
 };
 
-// Canonical single-line form, identical bytes wherever the outcome is
-// recorded (checkpoint or merged report).
+// Wire form (obs/jsonl.h record codec): one line per outcome, identical
+// bytes wherever the outcome is recorded (checkpoint or merged report). A
+// missed delay's seconds are null; the confusion counts are 4-element
+// [tp, fp, tn, fn] arrays.
+template <class IO>
+void codec(IO& io, OutcomeDelay& d) {
+  io("label", d.label);
+  io("triggered_at", d.triggered_at);
+  io("seconds", d.seconds);
+}
+
+template <class IO>
+void codec(IO& io, OutcomeFinding& f) {
+  io("invariant", f.invariant);
+  io("detail", f.detail);
+  io("spec", f.spec_text);
+  io("shrunk", f.shrunk_text);
+}
+
+template <class IO>
+void codec(IO& io, JobOutcome& o) {
+  io.tag("event", "outcome");
+  io("id", o.id);
+  io("group", o.group);
+  io("job", o.name);
+  io("status", o.status);
+  io("sensor", std::tie(o.sensor_tp, o.sensor_fp, o.sensor_tn, o.sensor_fn));
+  io("actuator",
+     std::tie(o.actuator_tp, o.actuator_fp, o.actuator_tn, o.actuator_fn));
+  io("delays", o.delays);
+  io("sensor_sequence", o.sensor_sequence);
+  io("actuator_sequence", o.actuator_sequence);
+  io("bundles", o.bundle_files);
+  io("failure", o.failure);
+  io("failure_step", o.failure_step);
+  io("findings", o.findings);
+}
+
+// The outcome's line (json::encode), kept by name: the benchmark digests
+// campaign outcomes through it.
 std::string serialize_outcome(const JobOutcome& outcome);
-JobOutcome parse_outcome(const std::string& line, std::size_t line_no);
 
 // --- Checkpoint files ------------------------------------------------------
-
-// Writes the header line of a fresh checkpoint file.
-void write_checkpoint_header(std::ostream& os);
-
-// Appends one outcome line and flushes.
-void append_outcome(std::ostream& os, const JobOutcome& outcome);
-
-// Reads a checkpoint file, tolerating a torn tail: a final line that does
-// not parse (mid-write kill) is dropped, and when `repair` is set the file
-// is truncated back to the last good line so appends resume cleanly. A torn
-// or missing header yields an empty result (the file is rewritten from
-// scratch). Unparseable lines *before* the final one are real corruption
-// and throw ManifestError.
-std::vector<JobOutcome> read_checkpoint_file(const std::string& path,
-                                             bool repair);
+//
+// Written with obs::json::write_header / append (one flushed line per
+// outcome) and read with obs::json::read_stream, which tolerates a torn
+// tail: a final line that does not parse (mid-write kill) is dropped, and
+// with `repair` the file is truncated back to the last good line so
+// appends resume cleanly. A torn or missing header yields an empty result
+// (the file is rewritten from scratch). Unparseable lines *before* the
+// final one are real corruption and throw ManifestError.
+inline constexpr obs::json::Stream<JobOutcome, ManifestError>
+    kCheckpointStream{"checkpoint", "roboads-shard-checkpoint", 1};
 
 // All outcomes across every "checkpoint-*.jsonl" in `dir`, deduplicated by
 // job id (first recording wins; later recordings of a pure job are

@@ -20,6 +20,8 @@
 #include <optional>
 #include <string>
 
+#include "obs/jsonl.h"
+
 namespace roboads::shard {
 
 struct Heartbeat {
@@ -30,9 +32,19 @@ struct Heartbeat {
   std::string current_job;     // id of the job in flight ("" = idle)
 };
 
-// Atomically (re)writes the heartbeat file. The watchdog reads the mtime
-// for liveness; the JSON payload is advisory.
-void write_heartbeat(const std::string& path, const Heartbeat& beat);
+template <class IO>
+void codec(IO& io, Heartbeat& beat) {
+  io("label", beat.label);
+  io("jobs_done", beat.jobs_done);
+  io("last_job", beat.last_job);
+  io("last_job_unix_time", beat.last_job_unix_time);
+  io("current_job", beat.current_job);
+}
+
+// Written with obs::json::publish: an atomic rewrite. The watchdog reads
+// the mtime for liveness; the JSON payload is advisory.
+inline constexpr obs::json::SnapshotFile<Heartbeat> kHeartbeatFile{
+    "heartbeat", "has the worker started?"};
 
 // Parses the heartbeat payload. nullopt when the file is missing or the
 // payload is unparseable (a legacy plain-text beat, a torn write) — the

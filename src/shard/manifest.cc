@@ -4,105 +4,64 @@
 #include <fstream>
 #include <sstream>
 
-#include "obs/json.h"
 #include "obs/jsonl.h"
 #include "scenario/library.h"
 
 namespace roboads::shard {
+
+// A job line (obs/jsonl.h record codec); the mission fields depend on the
+// job kind.
+template <class IO>
+void codec(IO& io, ManifestJob& job) {
+  io.tag("event", "job");
+  io("id", job.id);
+  io("shard", job.shard);
+  io("kind", job.kind, kJobKindNames);
+  io("group", job.group);
+  switch (job.kind) {
+    case JobKind::kSpec:
+      io("seed", job.seed);
+      io("iterations", job.iterations);
+      io("spec", job.spec_text);
+      break;
+    case JobKind::kLibrary:
+      io("seed", job.seed);
+      io("iterations", job.iterations);
+      io("scenario", job.scenario);
+      break;
+    case JobKind::kFuzz:
+      io("fuzz_seed", job.fuzz_seed);
+      io("fuzz_index", job.fuzz_index);
+      io("fuzz_iterations", job.fuzz_iterations);
+      io("max_attacks", job.max_attacks);
+      io("fault_probability", job.fault_probability);
+      io("platforms", job.platforms);
+      break;
+  }
+}
+
 namespace {
 
 namespace json = obs::json;
 
-constexpr char kManifestName[] = "roboads-shard-manifest";
+// The header line; `jobs` is derived from the manifest when writing.
+struct ManifestHeader {
+  std::size_t shards = 1;
+  std::size_t jobs = 0;
+};
+
+template <class IO>
+void codec(IO& io, ManifestHeader& h) {
+  io.tag("event", "manifest");
+  io.tag("name", "roboads-shard-manifest");
+  io.tag("version", Manifest::kVersion);
+  io("shards", h.shards);
+  io("jobs", h.jobs);
+}
 
 [[noreturn]] void manifest_error(std::size_t line, const std::string& what) {
   throw ManifestError("manifest line " + std::to_string(line) + ": " + what);
 }
-
-JobKind kind_from(const std::string& word, std::size_t line) {
-  if (word == "spec") return JobKind::kSpec;
-  if (word == "library") return JobKind::kLibrary;
-  if (word == "fuzz") return JobKind::kFuzz;
-  manifest_error(line, "unknown job kind \"" + word + "\"");
-}
-
-void write_job(std::ostream& os, const ManifestJob& job) {
-  os << '{';
-  json::write_field_key(os, "event", /*first=*/true);
-  os << "\"job\"";
-  json::write_field_key(os, "id");
-  json::write_escaped(os, job.id);
-  json::write_field_key(os, "shard");
-  os << job.shard;
-  json::write_field_key(os, "kind");
-  os << '"' << to_string(job.kind) << '"';
-  json::write_field_key(os, "group");
-  json::write_escaped(os, job.group);
-  switch (job.kind) {
-    case JobKind::kSpec:
-      json::write_field_key(os, "seed");
-      os << job.seed;
-      json::write_field_key(os, "iterations");
-      os << job.iterations;
-      json::write_field_key(os, "spec");
-      json::write_escaped(os, job.spec_text);
-      break;
-    case JobKind::kLibrary:
-      json::write_field_key(os, "seed");
-      os << job.seed;
-      json::write_field_key(os, "iterations");
-      os << job.iterations;
-      json::write_field_key(os, "scenario");
-      json::write_escaped(os, job.scenario);
-      break;
-    case JobKind::kFuzz:
-      json::write_field_key(os, "fuzz_seed");
-      os << job.fuzz_seed;
-      json::write_field_key(os, "fuzz_index");
-      os << job.fuzz_index;
-      json::write_field_key(os, "fuzz_iterations");
-      os << job.fuzz_iterations;
-      json::write_field_key(os, "max_attacks");
-      os << job.max_attacks;
-      json::write_field_key(os, "fault_probability");
-      json::write_number(os, job.fault_probability);
-      json::write_field_key(os, "platforms");
-      json::write_strings(os, job.platforms);
-      break;
-  }
-  os << "}\n";
-}
-
-}  // namespace
-
-const char* to_string(JobKind kind) {
-  switch (kind) {
-    case JobKind::kSpec: return "spec";
-    case JobKind::kLibrary: return "library";
-    case JobKind::kFuzz: return "fuzz";
-  }
-  return "?";
-}
-
-std::string serialize(const Manifest& manifest) {
-  std::ostringstream os;
-  os << '{';
-  json::write_field_key(os, "event", /*first=*/true);
-  os << "\"manifest\"";
-  json::write_field_key(os, "name");
-  os << '"' << kManifestName << '"';
-  json::write_field_key(os, "version");
-  os << Manifest::kVersion;
-  json::write_field_key(os, "shards");
-  os << manifest.shards;
-  json::write_field_key(os, "jobs");
-  os << manifest.jobs.size();
-  os << "}\n";
-  for (const ManifestJob& job : manifest.jobs) write_job(os, job);
-  return os.str();
-}
-
-namespace {
 
 Manifest parse_manifest_impl(const std::string& text) {
   std::istringstream is(text);
@@ -115,59 +74,20 @@ Manifest parse_manifest_impl(const std::string& text) {
     ++num;
     if (line.empty()) continue;
     const std::string context = "manifest line " + std::to_string(num);
-    json::Fields f(json::parse_object_line(line, context), context);
-    const std::string& event = f.string("event");
     if (!saw_header) {
-      if (event != "manifest") {
-        manifest_error(num, "expected the manifest header line first");
-      }
-      if (f.string("name") != kManifestName) {
-        manifest_error(num, "not a " + std::string(kManifestName) + " file");
-      }
-      if (f.integer("version") != Manifest::kVersion) {
-        manifest_error(num, "unsupported manifest version " +
-                                std::to_string(f.integer("version")));
-      }
-      manifest.shards = static_cast<std::size_t>(f.integer("shards"));
+      const ManifestHeader header = json::decode<ManifestHeader>(line, context);
+      manifest.shards = header.shards;
       if (manifest.shards == 0) manifest_error(num, "shards must be >= 1");
-      declared_jobs = static_cast<std::size_t>(f.integer("jobs"));
+      declared_jobs = header.jobs;
       saw_header = true;
       continue;
     }
-    if (event != "job") {
-      manifest_error(num, "unexpected event \"" + event + "\"");
-    }
-    ManifestJob job;
-    job.id = f.string("id");
+    ManifestJob job = json::decode<ManifestJob>(line, context);
     if (job.id.empty()) manifest_error(num, "job id must be non-empty");
-    job.shard = static_cast<std::size_t>(f.integer("shard"));
     if (job.shard >= manifest.shards) {
       manifest_error(num, "job \"" + job.id + "\" assigned to shard " +
                               std::to_string(job.shard) + " of " +
                               std::to_string(manifest.shards));
-    }
-    job.kind = kind_from(f.string("kind"), num);
-    job.group = f.string("group");
-    switch (job.kind) {
-      case JobKind::kSpec:
-        job.seed = static_cast<std::uint64_t>(f.integer("seed"));
-        job.iterations = static_cast<std::size_t>(f.integer("iterations"));
-        job.spec_text = f.string("spec");
-        break;
-      case JobKind::kLibrary:
-        job.seed = static_cast<std::uint64_t>(f.integer("seed"));
-        job.iterations = static_cast<std::size_t>(f.integer("iterations"));
-        job.scenario = f.string("scenario");
-        break;
-      case JobKind::kFuzz:
-        job.fuzz_seed = static_cast<std::uint64_t>(f.integer("fuzz_seed"));
-        job.fuzz_index = static_cast<std::size_t>(f.integer("fuzz_index"));
-        job.fuzz_iterations =
-            static_cast<std::size_t>(f.integer("fuzz_iterations"));
-        job.max_attacks = static_cast<std::size_t>(f.integer("max_attacks"));
-        job.fault_probability = f.number("fault_probability");
-        job.platforms = f.strings("platforms");
-        break;
     }
     for (const ManifestJob& seen : manifest.jobs) {
       if (seen.id == job.id) {
@@ -186,6 +106,21 @@ Manifest parse_manifest_impl(const std::string& text) {
 }
 
 }  // namespace
+
+const char* to_string(JobKind kind) {
+  return kJobKindNames[static_cast<std::size_t>(kind)];
+}
+
+std::string serialize(const Manifest& manifest) {
+  std::ostringstream os;
+  json::write(os, ManifestHeader{manifest.shards, manifest.jobs.size()});
+  os << '\n';
+  for (const ManifestJob& job : manifest.jobs) {
+    json::write(os, job);
+    os << '\n';
+  }
+  return os.str();
+}
 
 Manifest parse_manifest(const std::string& text) {
   // JSON-level problems (unparseable line, missing/mistyped field) surface

@@ -42,6 +42,9 @@ class ManifestError : public std::runtime_error {
 
 enum class JobKind { kSpec, kLibrary, kFuzz };
 
+// Wire names, indexed by JobKind.
+inline constexpr const char* kJobKindNames[] = {"spec", "library", "fuzz"};
+
 const char* to_string(JobKind kind);
 
 struct ManifestJob {

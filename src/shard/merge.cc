@@ -224,7 +224,7 @@ MergedReport merge_outcomes(const Manifest& manifest,
     json::write_field_key(os, "max");
     json::write_number(os, hist.max);
     json::write_field_key(os, "hist");
-    obs::write_histogram(os, hist);
+    json::write(os, hist);
     os << "}\n";
   }
 

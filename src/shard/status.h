@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/jsonl.h"
 #include "obs/metrics.h"
 #include "shard/manifest.h"
 
@@ -91,17 +92,61 @@ RunStatus build_status(const Manifest& manifest, const std::string& dir,
                        double elapsed_seconds = 0.0,
                        double heartbeat_interval_seconds = 0.0);
 
-// Single-line JSON round-trip (byte-stable through write→parse→write).
-std::string serialize_status(const RunStatus& status);
-RunStatus parse_status(const std::string& line);
+// Wire form (obs/jsonl.h record codec): one line, byte-stable through
+// write→read→write; the supervision counters sit inline after eta_s.
+template <class IO>
+void codec(IO& io, WorkerStatus& w) {
+  io("label", w.label);
+  io("heartbeat_age_s", w.heartbeat_age_seconds);
+  io("jobs_done", w.jobs_done);
+  io("instance_jobs_done", w.instance_jobs_done);
+  io("last_job", w.last_job);
+  io("last_job_unix_time", w.last_job_unix_time);
+  io("current_job", w.current_job);
+  io("rate_jobs_per_s", w.rate_jobs_per_second);
+  io("max_rss_kb", w.max_rss_kb);
+}
+
+template <class IO>
+void codec(IO& io, SupervisionCounters& c) {
+  io("launches", c.launches);
+  io("crashes", c.crashes);
+  io("hangs", c.hangs);
+  io("lost_shards", c.lost_shards);
+  io("salvage_workers", c.salvage_workers);
+  io("slow_job_grants", c.slow_job_grants);
+}
+
+template <class IO>
+void codec(IO& io, RunStatus& s) {
+  io.tag("event", "status");
+  io.tag("name", "roboads-shard-status");
+  io.tag("version", 1);
+  io("unix_time", s.unix_time);
+  io("jobs", s.total_jobs);
+  io("completed", s.completed);
+  io("ok", s.ok);
+  io("failed", s.failed);
+  io("violations", s.violations);
+  io("complete", s.complete);
+  io("progress", s.progress);
+  io("elapsed_s", s.elapsed_seconds);
+  io("rate_jobs_per_s", s.rate_jobs_per_second);
+  io("eta_s", s.eta_seconds);
+  codec(io, s.counters);
+  io("step_latency", s.step_latency);
+  io("workers", s.workers);
+}
 
 std::string status_path(const std::string& dir);  // <dir>/status.json
 
-// Atomic publish: write <path>.tmp, rename over <path> — readers never see
-// a partial snapshot.
-void write_status_file(const std::string& path, const RunStatus& status);
-// Throws CheckError when missing/unreadable.
-RunStatus read_status_file(const std::string& path);
+// Published atomically with obs::json::publish (readers never see a
+// partial snapshot) and read back with obs::json::read_snapshot, which
+// throws CheckError when the file is missing or unreadable.
+inline constexpr obs::json::SnapshotFile<RunStatus> kStatusFile{
+    "status",
+    "is a supervisor running with telemetry on? pass --manifest= to compute "
+    "one from the checkpoints instead"};
 
 // The `roboads_shard watch` terminal rendering: progress bar, fleet
 // latency quantiles, per-worker rows.

@@ -118,10 +118,11 @@ class StatusWriter {
     counters.salvage_workers = result.salvage_workers;
     counters.slow_job_grants = result.slow_job_grants;
     try {
-      write_status_file(
-          status_path(dir_),
-          build_status(manifest_, dir_, counters, now - started_,
-                       heartbeat_interval_seconds_));
+      obs::json::publish(status_path(dir_),
+                         build_status(manifest_, dir_, counters,
+                                      now - started_,
+                                      heartbeat_interval_seconds_),
+                         kStatusFile);
     } catch (const std::exception&) {
       // Keep supervising; the next interval retries.
     }

@@ -59,14 +59,39 @@ struct TelemetryRecord {
   }
 };
 
-std::string serialize_telemetry(const TelemetryRecord& record);
-TelemetryRecord parse_telemetry(const std::string& line, std::size_t line_no);
+// Wire form (obs/jsonl.h record codec): `groups` is an array of tallies,
+// each led by its group name.
+template <class IO>
+void codec(IO& io, TelemetryGroupTally& t) {
+  io("done", t.done);
+  io("ok", t.ok);
+  io("failed", t.failed);
+  io("violations", t.violations);
+  io("alarms", t.alarms);
+}
 
-// Reads every record of one stream, tolerating (and with `repair` also
-// truncating) a torn final line; corruption earlier in the file throws
-// ManifestError. A missing file reads as empty.
-std::vector<TelemetryRecord> read_telemetry_file(const std::string& path,
-                                                 bool repair);
+template <class IO>
+void codec(IO& io, TelemetryRecord& r) {
+  io.tag("event", "telemetry");
+  io("label", r.label);
+  io("instance", r.instance);
+  io("seq", r.seq);
+  io("unix_time", r.unix_time);
+  io("elapsed_s", r.elapsed_seconds);
+  io("jobs_assigned", r.jobs_assigned);
+  io("jobs_done", r.jobs_done);
+  io.keyed("groups", "group", r.groups);
+  io("step_latency", r.step_latency);
+  io("max_rss_kb", r.max_rss_kb);
+  io("user_s", r.user_seconds);
+  io("system_s", r.system_seconds);
+}
+
+// A telemetry file is a checkpoint-style stream (obs::json::read_stream):
+// a torn final line is tolerated (and with `repair` truncated); corruption
+// earlier in the file throws ManifestError. A missing file reads as empty.
+inline constexpr obs::json::Stream<TelemetryRecord, ManifestError>
+    kTelemetryStream{"telemetry-header", "roboads-shard-telemetry", 1};
 
 std::string telemetry_path(const std::string& dir, const std::string& label);
 

@@ -18,6 +18,7 @@ namespace roboads::shard {
 namespace {
 
 namespace fs = std::filesystem;
+namespace json = obs::json;
 
 bool flag_value(const std::string& arg, const char* name, std::string* out) {
   const std::string prefix = std::string(name) + "=";
@@ -54,7 +55,7 @@ int run_worker(const WorkerOptions& options) {
     const std::string path = checkpoint_path(options.dir, options.label);
     std::set<std::string> done;
     for (const JobOutcome& outcome :
-         read_checkpoint_file(path, /*repair=*/true)) {
+         json::read_stream(path, kCheckpointStream, /*repair=*/true)) {
       done.insert(outcome.id);
     }
     const bool fresh = !fs::exists(path) || fs::file_size(path) == 0;
@@ -65,7 +66,7 @@ int run_worker(const WorkerOptions& options) {
                 << "\n";
       return 2;
     }
-    if (fresh) write_checkpoint_header(os);
+    if (fresh) json::write_header(os, kCheckpointStream);
 
     ExecConfig exec;
     exec.run_dir = options.dir;
@@ -98,7 +99,7 @@ int run_worker(const WorkerOptions& options) {
     Heartbeat beat;
     beat.label = options.label;
     const std::string beat_path = heartbeat_path(options.dir, options.label);
-    write_heartbeat(beat_path, beat);
+    json::publish(beat_path, beat, kHeartbeatFile);
     if (telemetry.enabled()) telemetry.flush();  // start-of-run mark
     for (const ManifestJob* job : assigned) {
       if (done.count(job->id) != 0) continue;
@@ -106,18 +107,18 @@ int run_worker(const WorkerOptions& options) {
         raise(options.chaos->signal);
       }
       beat.current_job = job->id;
-      write_heartbeat(beat_path, beat);
+      json::publish(beat_path, beat, kHeartbeatFile);
       const JobOutcome outcome = execute_job(*job, exec);
-      append_outcome(os, outcome);
+      json::append(os, outcome);
       telemetry.job_finished(outcome);
       ++beat.jobs_done;
       beat.last_job = job->id;
       beat.last_job_unix_time = unix_now_seconds();
       beat.current_job.clear();
-      write_heartbeat(beat_path, beat);
+      json::publish(beat_path, beat, kHeartbeatFile);
     }
     if (telemetry.enabled()) telemetry.flush();  // end-of-run mark
-    write_heartbeat(beat_path, beat);
+    json::publish(beat_path, beat, kHeartbeatFile);
     return 0;
   } catch (const std::exception& e) {
     std::cerr << "worker " << options.label << ": " << e.what() << "\n";

@@ -33,7 +33,7 @@ namespace {
 
 std::string hist_line(const obs::HistogramSnapshot& h) {
   std::ostringstream os;
-  obs::write_histogram(os, h);
+  obs::json::write(os, h);
   return os.str();
 }
 
@@ -120,15 +120,17 @@ FleetStatusSnapshot synthetic_snapshot() {
 
 TEST(FleetIntrospect, SerializeParseSerializeIsByteStable) {
   const FleetStatusSnapshot s = synthetic_snapshot();
-  const std::string once = serialize_fleet_status(s);
-  const std::string twice = serialize_fleet_status(parse_fleet_status(once));
+  const std::string once = obs::json::encode(s);
+  const std::string twice = obs::json::encode(
+      obs::json::decode<FleetStatusSnapshot>(once, "fleet_status"));
   EXPECT_EQ(once, twice);
   EXPECT_EQ(once.find('\n'), std::string::npos);  // single line
 }
 
 TEST(FleetIntrospect, ParseRecoversEveryField) {
   const FleetStatusSnapshot s = synthetic_snapshot();
-  const FleetStatusSnapshot p = parse_fleet_status(serialize_fleet_status(s));
+  const FleetStatusSnapshot p = obs::json::decode<FleetStatusSnapshot>(
+      obs::json::encode(s), "fleet_status");
   EXPECT_EQ(p.seq, s.seq);
   EXPECT_EQ(p.robots, s.robots);
   EXPECT_EQ(p.trace_sample, s.trace_sample);
@@ -150,31 +152,37 @@ TEST(FleetIntrospect, ParseRecoversEveryField) {
 }
 
 TEST(FleetIntrospect, ParseRejectsNonSnapshots) {
-  EXPECT_THROW(parse_fleet_status("not json"), CheckError);
-  EXPECT_THROW(parse_fleet_status("{\"event\":\"iteration\"}"), CheckError);
+  EXPECT_THROW(
+      obs::json::decode<FleetStatusSnapshot>("not json", "fleet_status"),
+      CheckError);
+  EXPECT_THROW(obs::json::decode<FleetStatusSnapshot>(
+                   "{\"event\":\"iteration\"}", "fleet_status"),
+               CheckError);
 }
 
 TEST(FleetIntrospect, FilePublishAndReadBack) {
   const std::string path =
       ::testing::TempDir() + "fleet_introspect_status.json";
   const FleetStatusSnapshot s = synthetic_snapshot();
-  write_fleet_status_file(path, s);
-  const FleetStatusSnapshot back = read_fleet_status_file(path);
-  EXPECT_EQ(serialize_fleet_status(back), serialize_fleet_status(s));
+  obs::json::publish(path, s, kFleetStatusFile);
+  const FleetStatusSnapshot back =
+      obs::json::read_snapshot(path, kFleetStatusFile);
+  EXPECT_EQ(obs::json::encode(back), obs::json::encode(s));
 
   // `top --once --json` contract: the file is the serialized line plus a
   // trailing newline, nothing else.
   std::ifstream is(path);
   std::string line;
   ASSERT_TRUE(std::getline(is, line));
-  EXPECT_EQ(line, serialize_fleet_status(s));
+  EXPECT_EQ(line, obs::json::encode(s));
   std::string rest;
   EXPECT_FALSE(std::getline(is, rest));
 }
 
 TEST(FleetIntrospect, ReadMissingFileThrowsWithHint) {
   try {
-    read_fleet_status_file(::testing::TempDir() + "no_such_status.json");
+    obs::json::read_snapshot(::testing::TempDir() + "no_such_status.json",
+                             kFleetStatusFile);
     FAIL() << "expected CheckError";
   } catch (const CheckError& e) {
     EXPECT_NE(std::string(e.what()).find("--status-out"), std::string::npos);
@@ -318,7 +326,8 @@ TEST(FleetIntrospect, EndToEndSnapshotWithEveryKnobOn) {
     }
   }
 
-  const FleetStatusSnapshot status = read_fleet_status_file(status_path);
+  const FleetStatusSnapshot status =
+      obs::json::read_snapshot(status_path, kFleetStatusFile);
   EXPECT_GE(status.seq, 1u);
   EXPECT_EQ(status.robots, fx.missions.size());
   EXPECT_EQ(status.trace_sample, 2u);
@@ -388,7 +397,7 @@ TEST(FleetIntrospect, EndToEndSnapshotWithEveryKnobOn) {
   std::ifstream is(status_path);
   std::string line;
   ASSERT_TRUE(std::getline(is, line));
-  EXPECT_EQ(serialize_fleet_status(status), line);
+  EXPECT_EQ(obs::json::encode(status), line);
 
   // 7. The human frame renders the load-bearing sections.
   const std::string frame = render_fleet_status(status);
@@ -410,7 +419,8 @@ TEST(FleetIntrospect, PublishSequenceAdvancesAndRatesAppear) {
 
   // First build records EWMA baselines (no dt yet)…
   fleet.publish_status_now();
-  const FleetStatusSnapshot first = read_fleet_status_file(status_path);
+  const FleetStatusSnapshot first =
+      obs::json::read_snapshot(status_path, kFleetStatusFile);
   EXPECT_EQ(first.seq, 1u);
   EXPECT_EQ(first.steps, 0u);
 
@@ -423,7 +433,8 @@ TEST(FleetIntrospect, PublishSequenceAdvancesAndRatesAppear) {
   }
   fleet.drain();
   fleet.publish_status_now();
-  const FleetStatusSnapshot second = read_fleet_status_file(status_path);
+  const FleetStatusSnapshot second =
+      obs::json::read_snapshot(status_path, kFleetStatusFile);
   EXPECT_EQ(second.seq, 2u);
   EXPECT_GT(second.steps, 0u);
   ASSERT_EQ(second.shards.size(), 1u);
@@ -466,7 +477,8 @@ TEST(FleetIntrospect, LivePumpPublishesWhileProducersFirehose) {
   std::thread reader([&] {
     while (reading.load(std::memory_order_acquire)) {
       try {
-        const FleetStatusSnapshot s = read_fleet_status_file(status_path);
+        const FleetStatusSnapshot s =
+            obs::json::read_snapshot(status_path, kFleetStatusFile);
         (void)s;
       } catch (const CheckError&) {
         // Not published yet — the atomic-rename discipline means we never
@@ -483,7 +495,8 @@ TEST(FleetIntrospect, LivePumpPublishesWhileProducersFirehose) {
   fleet.flush_sessions();
   fleet.publish_status_now();
 
-  const FleetStatusSnapshot status = read_fleet_status_file(status_path);
+  const FleetStatusSnapshot status =
+      obs::json::read_snapshot(status_path, kFleetStatusFile);
   std::uint64_t want_steps = 0;
   for (const eval::MissionResult& m : fx.missions) {
     want_steps += m.records.size();

@@ -25,7 +25,7 @@ const std::vector<double> kBounds = {1.0, 2.0, 4.0, 8.0, 16.0};
 
 std::string bytes_of(const HistogramSnapshot& h) {
   std::ostringstream os;
-  write_histogram(os, h);
+  json::write(os, h);
   return os.str();
 }
 
@@ -149,15 +149,15 @@ TEST(HistogramSnapshot, SerializeParseByteRoundTrip) {
 
   const std::string first = bytes_of(h);
   const std::string context = "histogram round-trip";
-  const HistogramSnapshot reparsed = parse_histogram(
-      json::Fields(json::parse_object_line(first, context), context));
+  const HistogramSnapshot reparsed =
+      json::decode<HistogramSnapshot>(first, context);
   EXPECT_EQ(bytes_of(reparsed), first);
 
   // Empty (bound-less) snapshots round-trip too — aggregators serialize
   // them when no worker has reported yet.
   const std::string empty = bytes_of(HistogramSnapshot{});
-  const HistogramSnapshot empty_reparsed = parse_histogram(
-      json::Fields(json::parse_object_line(empty, context), context));
+  const HistogramSnapshot empty_reparsed =
+      json::decode<HistogramSnapshot>(empty, context);
   EXPECT_EQ(bytes_of(empty_reparsed), empty);
   EXPECT_TRUE(empty_reparsed.empty());
 }

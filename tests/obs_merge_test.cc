@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "obs/jsonl.h"
 #include "obs/metrics.h"
 
 namespace roboads::obs {
@@ -21,7 +22,7 @@ namespace {
 
 std::string line(const HistogramSnapshot& h) {
   std::ostringstream os;
-  write_histogram(os, h);
+  json::write(os, h);
   return os.str();
 }
 

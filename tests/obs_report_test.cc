@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.h"
+#include "obs/jsonl.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 
@@ -124,9 +125,9 @@ TEST_F(HistogramFileTest, NamedLinesRoundTripBitExactly) {
   const HistogramSnapshot h = small_hist();
   {
     std::ofstream os(path_, std::ios::binary);
-    write_named_histogram(os, "fleet.ingest_to_step_ns", h);
+    json::write(os, NamedHistogram{"fleet.ingest_to_step_ns", h});
     os << '\n';
-    write_named_histogram(os, "fleet.shard0.ingest_to_step_ns", h);
+    json::write(os, NamedHistogram{"fleet.shard0.ingest_to_step_ns", h});
     os << '\n';
   }
   const std::vector<NamedHistogram> loaded = load_histograms_jsonl(path_);
@@ -134,17 +135,17 @@ TEST_F(HistogramFileTest, NamedLinesRoundTripBitExactly) {
   EXPECT_EQ(loaded[0].name, "fleet.ingest_to_step_ns");
   EXPECT_EQ(loaded[1].name, "fleet.shard0.ingest_to_step_ns");
   std::ostringstream want, got;
-  write_histogram(want, h);
-  write_histogram(got, loaded[0].histogram);
+  json::write(want, h);
+  json::write(got, loaded[0].histogram);
   EXPECT_EQ(got.str(), want.str());
 }
 
 TEST_F(HistogramFileTest, BareHistogramLinesGetPositionalNames) {
   {
     std::ofstream os(path_, std::ios::binary);
-    write_histogram(os, small_hist());
+    json::write(os, small_hist());
     os << '\n';
-    write_histogram(os, small_hist());
+    json::write(os, small_hist());
     os << '\n';
   }
   const std::vector<NamedHistogram> loaded = load_histograms_jsonl(path_);
@@ -158,7 +159,7 @@ TEST_F(HistogramFileTest, LoudOnMissingEmptyAndTruncated) {
   write_file("");
   EXPECT_THROW(load_histograms_jsonl(path_), CheckError);
   std::ostringstream one;
-  write_named_histogram(one, "a_ns", small_hist());
+  json::write(one, NamedHistogram{"a_ns", small_hist()});
   write_file(one.str());  // no final newline = torn write
   try {
     load_histograms_jsonl(path_);
@@ -172,7 +173,7 @@ TEST_F(HistogramFileTest, RenderReportFileSniffsBothFormats) {
   // Histogram-snapshot file → the n/mean/p50/p99 table with durations.
   {
     std::ofstream os(path_, std::ios::binary);
-    write_named_histogram(os, "fleet.ingest_to_step_ns", small_hist());
+    json::write(os, NamedHistogram{"fleet.ingest_to_step_ns", small_hist()});
     os << '\n';
   }
   const std::string hist_render = render_report_file(path_);

@@ -126,12 +126,12 @@ TEST(ShardChaos, ResumeAfterSupervisorLossCompletesTheCampaign) {
     ExecConfig exec;
     exec.run_dir = dir;
     std::ofstream os(checkpoint_path(dir, "s0"), std::ios::binary);
-    write_checkpoint_header(os);
+    obs::json::write_header(os, kCheckpointStream);
     for (const ManifestJob& job : manifest.jobs) {
-      if (job.shard == 0) append_outcome(os, execute_job(job, exec));
+      if (job.shard == 0) obs::json::append(os, execute_job(job, exec));
     }
     std::ofstream torn(checkpoint_path(dir, "s1"), std::ios::binary);
-    write_checkpoint_header(torn);
+    obs::json::write_header(torn, kCheckpointStream);
     const std::string line = serialize_outcome(execute_job(
         manifest.jobs[1], exec));
     torn << line.substr(0, line.size() / 2);

@@ -53,7 +53,8 @@ std::string temp_dir(const char* name) {
 TEST(ShardCheckpoint, OutcomeRoundTripsByteIdentical) {
   const JobOutcome out = sample_outcome("j00042");
   const std::string line = serialize_outcome(out);
-  const JobOutcome reparsed = parse_outcome(line, 2);
+  const JobOutcome reparsed =
+      obs::json::decode<JobOutcome>(line, "checkpoint line 2");
   EXPECT_EQ(serialize_outcome(reparsed), line);
   EXPECT_EQ(reparsed.id, "j00042");
   ASSERT_EQ(reparsed.delays.size(), 2u);
@@ -74,7 +75,8 @@ TEST(ShardCheckpoint, FindingRoundTrips) {
   finding.shrunk_text = "scenario \"y\"\nend\n";
   out.findings.push_back(finding);
   const std::string line = serialize_outcome(out);
-  const JobOutcome reparsed = parse_outcome(line, 1);
+  const JobOutcome reparsed =
+      obs::json::decode<JobOutcome>(line, "checkpoint line 1");
   ASSERT_EQ(reparsed.findings.size(), 1u);
   EXPECT_EQ(reparsed.findings[0].detail, finding.detail);
   EXPECT_EQ(reparsed.findings[0].shrunk_text, finding.shrunk_text);
@@ -88,16 +90,16 @@ TEST(ShardCheckpoint, ResumesAfterTornTail) {
   // A worker writes two outcomes, then is killed mid-write of the third.
   {
     std::ofstream os(path, std::ios::binary);
-    write_checkpoint_header(os);
-    append_outcome(os, sample_outcome("j00000"));
-    append_outcome(os, sample_outcome("j00001"));
+    obs::json::write_header(os, kCheckpointStream);
+    obs::json::append(os, sample_outcome("j00000"));
+    obs::json::append(os, sample_outcome("j00001"));
     const std::string torn = serialize_outcome(sample_outcome("j00002"));
     os << torn.substr(0, torn.size() / 2);  // no newline: mid-write kill
   }
 
   // Repair drops exactly the torn line; completed work survives.
   const std::vector<JobOutcome> repaired =
-      read_checkpoint_file(path, /*repair=*/true);
+      obs::json::read_stream(path, kCheckpointStream, /*repair=*/true);
   ASSERT_EQ(repaired.size(), 2u);
   EXPECT_EQ(repaired[0].id, "j00000");
   EXPECT_EQ(repaired[1].id, "j00001");
@@ -106,10 +108,10 @@ TEST(ShardCheckpoint, ResumesAfterTornTail) {
   // clean afterwards, as if the kill never happened.
   {
     std::ofstream os(path, std::ios::binary | std::ios::app);
-    append_outcome(os, sample_outcome("j00002"));
+    obs::json::append(os, sample_outcome("j00002"));
   }
   const std::vector<JobOutcome> resumed =
-      read_checkpoint_file(path, /*repair=*/false);
+      obs::json::read_stream(path, kCheckpointStream, /*repair=*/false);
   ASSERT_EQ(resumed.size(), 3u);
   EXPECT_EQ(resumed[2].id, "j00002");
 }
@@ -119,12 +121,14 @@ TEST(ShardCheckpoint, MidFileCorruptionThrows) {
   const std::string path = checkpoint_path(dir, "s0");
   {
     std::ofstream os(path, std::ios::binary);
-    write_checkpoint_header(os);
+    obs::json::write_header(os, kCheckpointStream);
     os << "garbage line\n";
-    append_outcome(os, sample_outcome("j00000"));
+    obs::json::append(os, sample_outcome("j00000"));
   }
   // Dropping completed work silently would undercount the campaign.
-  EXPECT_THROW(read_checkpoint_file(path, /*repair=*/true), ManifestError);
+  EXPECT_THROW(
+      obs::json::read_stream(path, kCheckpointStream, /*repair=*/true),
+      ManifestError);
 }
 
 TEST(ShardCheckpoint, TornHeaderRepairsToEmpty) {
@@ -134,7 +138,9 @@ TEST(ShardCheckpoint, TornHeaderRepairsToEmpty) {
     std::ofstream os(path, std::ios::binary);
     os << "{\"event\":\"check";  // killed mid-header
   }
-  EXPECT_TRUE(read_checkpoint_file(path, /*repair=*/true).empty());
+  EXPECT_TRUE(
+      obs::json::read_stream(path, kCheckpointStream, /*repair=*/true)
+          .empty());
   EXPECT_EQ(fs::file_size(path), 0u);
 }
 
@@ -142,17 +148,17 @@ TEST(ShardCheckpoint, LoadRunOutcomesDedupsAcrossShards) {
   const std::string dir = temp_dir("roboads_ckpt_dedup");
   {
     std::ofstream os(checkpoint_path(dir, "s0"), std::ios::binary);
-    write_checkpoint_header(os);
-    append_outcome(os, sample_outcome("j00000"));
-    append_outcome(os, sample_outcome("j00001"));
+    obs::json::write_header(os, kCheckpointStream);
+    obs::json::append(os, sample_outcome("j00000"));
+    obs::json::append(os, sample_outcome("j00001"));
   }
   {
     // A salvage worker re-recorded j00001 (identical bytes — outcomes are
     // pure) and added j00002.
     std::ofstream os(checkpoint_path(dir, "v1-0"), std::ios::binary);
-    write_checkpoint_header(os);
-    append_outcome(os, sample_outcome("j00001"));
-    append_outcome(os, sample_outcome("j00002"));
+    obs::json::write_header(os, kCheckpointStream);
+    obs::json::append(os, sample_outcome("j00001"));
+    obs::json::append(os, sample_outcome("j00002"));
   }
   const std::vector<JobOutcome> outcomes = load_run_outcomes(dir);
   ASSERT_EQ(outcomes.size(), 3u);

@@ -96,7 +96,7 @@ TEST(Liveness, SlowCadenceWorkerStaysInFleetRate) {
   // the 10 s floor, alive under a configured 15 s cadence (threshold 45 s).
   {
     std::ofstream os(checkpoint_path(dir, "s0"), std::ios::binary);
-    write_checkpoint_header(os);
+    obs::json::write_header(os, kCheckpointStream);
   }
   {
     TelemetryStream stream(dir, "s0", /*interval_seconds=*/60.0, nullptr);
@@ -110,7 +110,7 @@ TEST(Liveness, SlowCadenceWorkerStaysInFleetRate) {
   Heartbeat beat;
   beat.label = "s0";
   beat.jobs_done = 1;
-  write_heartbeat(heartbeat_path(dir, "s0"), beat);
+  obs::json::publish(heartbeat_path(dir, "s0"), beat, kHeartbeatFile);
   fs::last_write_time(heartbeat_path(dir, "s0"),
                       fs::file_time_type::clock::now() -
                           std::chrono::seconds(12));

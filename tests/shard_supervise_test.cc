@@ -45,12 +45,12 @@ std::string temp_dir(const char* name) {
 std::string stage_payload(const std::string& dir, const std::string& label,
                           const std::vector<std::string>& job_ids) {
   std::ostringstream content;
-  write_checkpoint_header(content);
+  obs::json::write_header(content, kCheckpointStream);
   for (const std::string& id : job_ids) {
     JobOutcome out;
     out.id = id;
     out.status = "ok";
-    append_outcome(content, out);
+    obs::json::append(content, out);
   }
   const std::string path = dir + "/payload-" + label;
   std::ofstream os(path, std::ios::binary);
@@ -247,12 +247,12 @@ TEST(ShardSupervise, ResumeSkipsCheckpointedJobs) {
   // A previous (killed) run already completed shard 0's jobs.
   {
     std::ofstream os(checkpoint_path(dir, "s0"), std::ios::binary);
-    write_checkpoint_header(os);
+    obs::json::write_header(os, kCheckpointStream);
     for (const char* id : {"j0", "j2"}) {
       JobOutcome out;
       out.id = id;
       out.status = "ok";
-      append_outcome(os, out);
+      obs::json::append(os, out);
     }
   }
   std::vector<std::vector<std::string>> launched_with;

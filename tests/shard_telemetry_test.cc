@@ -69,9 +69,10 @@ TEST_F(TelemetryTest, RecordSerializeParseByteRoundTrip) {
   record.user_seconds = 1.5;
   record.system_seconds = 0.25;
 
-  const std::string line = serialize_telemetry(record);
-  const TelemetryRecord reparsed = parse_telemetry(line, 2);
-  EXPECT_EQ(serialize_telemetry(reparsed), line);
+  const std::string line = obs::json::encode(record);
+  const TelemetryRecord reparsed =
+      obs::json::decode<TelemetryRecord>(line, "telemetry line 2");
+  EXPECT_EQ(obs::json::encode(reparsed), line);
   EXPECT_EQ(reparsed.groups.at("seed-11").alarms, 2u);
   EXPECT_EQ(reparsed.step_latency.count, 2u);
   EXPECT_NEAR(reparsed.jobs_per_second(), 4.0 / 12.5, 1e-12);
@@ -99,7 +100,8 @@ TEST_F(TelemetryTest, StreamAppendsRecordsReadableByTheAggregator) {
   }
 
   const std::vector<TelemetryRecord> records =
-      read_telemetry_file(telemetry_path(dir_, "s0"), /*repair=*/false);
+      obs::json::read_stream(telemetry_path(dir_, "s0"), kTelemetryStream,
+                             /*repair=*/false);
   ASSERT_GE(records.size(), 2u);
   const TelemetryRecord& last = records.back();
   EXPECT_EQ(last.label, "s0");
@@ -130,7 +132,8 @@ TEST_F(TelemetryTest, TornTailIsToleratedAndRepairedByTheNextInstance) {
     stream.job_finished(ok_outcome("j1", "g"));
     stream.flush();
   }
-  const std::size_t good = read_telemetry_file(path, false).size();
+  const std::size_t good =
+      obs::json::read_stream(path, kTelemetryStream, false).size();
   ASSERT_GE(good, 1u);
 
   // A SIGKILL mid-append leaves an unterminated final line.
@@ -138,7 +141,8 @@ TEST_F(TelemetryTest, TornTailIsToleratedAndRepairedByTheNextInstance) {
     std::ofstream os(path, std::ios::binary | std::ios::app);
     os << "{\"event\":\"telemetry\",\"lab";
   }
-  EXPECT_EQ(read_telemetry_file(path, false).size(), good);  // tolerated
+  EXPECT_EQ(obs::json::read_stream(path, kTelemetryStream, false).size(),
+            good);  // tolerated
 
   // The next instance of the same label repairs the tail and appends.
   {
@@ -148,7 +152,7 @@ TEST_F(TelemetryTest, TornTailIsToleratedAndRepairedByTheNextInstance) {
     stream.flush();
   }
   const std::vector<TelemetryRecord> records =
-      read_telemetry_file(path, false);
+      obs::json::read_stream(path, kTelemetryStream, false);
   EXPECT_GT(records.size(), good);
   EXPECT_EQ(records.back().jobs_done, 1u);  // fresh instance counters
 
@@ -157,7 +161,8 @@ TEST_F(TelemetryTest, TornTailIsToleratedAndRepairedByTheNextInstance) {
     std::ofstream os(path, std::ios::binary | std::ios::app);
     os << "garbage\n{\"event\":\"telemetry\"}\n";
   }
-  EXPECT_THROW(read_telemetry_file(path, false), ManifestError);
+  EXPECT_THROW(obs::json::read_stream(path, kTelemetryStream, false),
+               ManifestError);
 }
 
 TEST_F(TelemetryTest, HeartbeatRoundTripAndLegacyFallback) {
@@ -168,7 +173,7 @@ TEST_F(TelemetryTest, HeartbeatRoundTripAndLegacyFallback) {
   beat.last_job = "j7";
   beat.last_job_unix_time = 1754000123.5;
   beat.current_job = "j8";
-  write_heartbeat(path, beat);
+  obs::json::publish(path, beat, kHeartbeatFile);
 
   const std::optional<Heartbeat> read = read_heartbeat(path);
   ASSERT_TRUE(read.has_value());
@@ -205,23 +210,23 @@ TEST_F(TelemetryTest, BuildStatusAgreesWithCheckpointTruth) {
   // Worker s0 completed j0 and j2; worker s1 completed j1 and is mid-j3.
   {
     std::ofstream os(checkpoint_path(dir_, "s0"), std::ios::binary);
-    write_checkpoint_header(os);
-    append_outcome(os, ok_outcome("j0", "g"));
-    append_outcome(os, ok_outcome("j2", "g"));
+    obs::json::write_header(os, kCheckpointStream);
+    obs::json::append(os, ok_outcome("j0", "g"));
+    obs::json::append(os, ok_outcome("j2", "g"));
   }
   {
     std::ofstream os(checkpoint_path(dir_, "s1"), std::ios::binary);
-    write_checkpoint_header(os);
+    obs::json::write_header(os, kCheckpointStream);
     JobOutcome failed = ok_outcome("j1", "g");
     failed.status = "failed";
-    append_outcome(os, failed);
+    obs::json::append(os, failed);
   }
   Heartbeat beat;
   beat.label = "s1";
   beat.jobs_done = 1;
   beat.last_job = "j1";
   beat.current_job = "j3";
-  write_heartbeat(heartbeat_path(dir_, "s1"), beat);
+  obs::json::publish(heartbeat_path(dir_, "s1"), beat, kHeartbeatFile);
 
   obs::MetricsRegistry registry;
   registry.histogram("engine.step_ns", obs::default_latency_bounds_ns())
@@ -260,10 +265,13 @@ TEST_F(TelemetryTest, BuildStatusAgreesWithCheckpointTruth) {
 
   // Serialize → parse → serialize is byte-stable, and the file publish
   // round-trips through read_status_file.
-  const std::string line = serialize_status(status);
-  EXPECT_EQ(serialize_status(parse_status(line)), line);
-  write_status_file(status_path(dir_), status);
-  EXPECT_EQ(serialize_status(read_status_file(status_path(dir_))), line);
+  const std::string line = obs::json::encode(status);
+  EXPECT_EQ(obs::json::encode(obs::json::decode<RunStatus>(line, "status")),
+            line);
+  obs::json::publish(status_path(dir_), status, kStatusFile);
+  EXPECT_EQ(obs::json::encode(
+                obs::json::read_snapshot(status_path(dir_), kStatusFile)),
+            line);
   EXPECT_FALSE(fs::exists(status_path(dir_) + ".tmp"));
 
   // The renderer includes every worker row and the progress line.
@@ -272,7 +280,9 @@ TEST_F(TelemetryTest, BuildStatusAgreesWithCheckpointTruth) {
   EXPECT_NE(rendered.find("s0"), std::string::npos);
   EXPECT_NE(rendered.find("s1"), std::string::npos);
 
-  EXPECT_THROW(read_status_file(dir_ + "/nope/status.json"), CheckError);
+  EXPECT_THROW(
+      obs::json::read_snapshot(dir_ + "/nope/status.json", kStatusFile),
+      CheckError);
 }
 
 }  // namespace

@@ -30,6 +30,8 @@
 #include "fleet/introspect.h"
 #include "fleet/replay.h"
 #include "fleet/service.h"
+#include "obs/jsonl.h"
+#include "obs/monitor.h"
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "scenario/compile.h"
@@ -177,18 +179,18 @@ int run(const fleet::FleetRunOptions& o) {
       std::cerr << "roboads_fleet: cannot write " << o.hist_out << "\n";
       return 2;
     }
-    for (const fleet::ShardStatus& s : status.shards) {
-      obs::write_named_histogram(
-          os, "fleet.shard" + std::to_string(s.shard) + ".ingest_to_step_ns",
-          s.ingest_to_step_ns);
+    std::vector<obs::NamedHistogram> hists;
+    for (const fleet::ShardStat& s : status.shards) {
+      hists.push_back(
+          {"fleet.shard" + std::to_string(s.shard) + ".ingest_to_step_ns",
+           s.ingest_to_step_ns});
+    }
+    hists.push_back({"fleet.ingest_to_step_ns", status.ingest_to_step_ns});
+    hists.push_back({"fleet.ingest_to_alarm_ns", status.ingest_to_alarm_ns});
+    for (const obs::NamedHistogram& h : hists) {
+      obs::json::write(os, h);
       os << '\n';
     }
-    obs::write_named_histogram(os, "fleet.ingest_to_step_ns",
-                               status.ingest_to_step_ns);
-    os << '\n';
-    obs::write_named_histogram(os, "fleet.ingest_to_alarm_ns",
-                               status.ingest_to_alarm_ns);
-    os << '\n';
   }
 
   std::size_t parity_failures = 0;
@@ -256,19 +258,14 @@ int run(const fleet::FleetRunOptions& o) {
 }
 
 int top(const fleet::FleetTopOptions& o) {
-  for (;;) {
+  obs::run_monitor(o, [&](bool json) {
     const fleet::FleetStatusSnapshot status =
-        fleet::read_fleet_status_file(o.status_path);
-    if (o.json) {
-      // serialize(parse(line)) — byte-identical to the published line.
-      std::cout << fleet::serialize_fleet_status(status) << "\n";
-    } else {
-      if (!o.once) std::cout << "\033[H\033[2J";
-      std::cout << fleet::render_fleet_status(status) << std::flush;
-    }
-    if (o.once) return 0;
-    std::this_thread::sleep_for(std::chrono::duration<double>(o.interval_s));
-  }
+        obs::json::read_snapshot(o.status_path, fleet::kFleetStatusFile);
+    // JSON: write(read(line)) — byte-identical to the published line.
+    return obs::MonitorFrame{json ? obs::json::encode(status)
+                                  : fleet::render_fleet_status(status)};
+  });
+  return 0;
 }
 
 }  // namespace

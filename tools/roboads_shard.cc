@@ -20,6 +20,7 @@
 //                            [--shard=N] [--job=ID]... [--bundles]
 //   roboads_shard watch      --dir=DIR [--manifest=FILE] [--once] [--json]
 //                            [--interval=SECONDS]
+//                            [--telemetry-interval=SECONDS]
 //
 // `run` spawns one supervised worker process per manifest shard (re-execing
 // this binary), restarts crashed workers with backoff, SIGKILLs hung ones on
@@ -29,27 +30,30 @@
 // --chaos-* flags self-inject worker kills/hangs for testing; results must
 // not change (./ci.sh shard-smoke asserts this against `serial`).
 //
-// `watch` is the live monitor ("roboads_top"): it renders the supervisor's
-// status.json snapshot in a refresh loop (progress bar, per-worker rows,
-// fleet detector-step latency quantiles). With --manifest it recomputes the
-// status from the run directory's checkpoints/heartbeats/telemetry instead,
-// which also works after the supervisor died. --once prints a single frame
-// and exits; --json emits the raw status line for scripts and CI.
+// `watch` is the live monitor (the same loop as `roboads_fleet top`,
+// obs/monitor.h): it renders the supervisor's status.json snapshot every
+// --interval seconds (progress bar, per-worker rows, fleet detector-step
+// latency quantiles) until the run completes. With --manifest it
+// recomputes the status from the run directory's checkpoints/heartbeats/
+// telemetry instead, which also works after the supervisor died;
+// --telemetry-interval then names the run's heartbeat cadence, which sets
+// when a worker counts as live. --once prints a single frame and exits;
+// --json (with --once) emits the raw status line for scripts and CI.
 //
 // Exit status: 0 = complete, all ok; 1 = complete with failed jobs or fuzz
 // findings; 2 = usage/setup error; 3 = partial coverage (lost shards
 // exhausted their retries and salvage waves).
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/parse.h"
+#include "obs/jsonl.h"
+#include "obs/monitor.h"
 #include "shard/checkpoint.h"
 #include "shard/exec.h"
 #include "shard/manifest.h"
@@ -298,26 +302,25 @@ int cmd_serial(const std::vector<std::string>& args) {
 
 int cmd_watch(const std::vector<std::string>& args) {
   std::string dir, manifest_path;
-  bool once = false, as_json = false;
-  double interval = 1.0;
+  roboads::obs::MonitorOptions monitor;
   double telemetry_interval = 5.0;  // liveness cadence of the watched run
   for (const std::string& arg : args) {
-    std::string value;
-    if (flag_value(arg, "--dir", &value)) dir = value;
-    else if (flag_value(arg, "--manifest", &value)) manifest_path = value;
-    else if (arg == "--once") once = true;
-    else if (arg == "--json") as_json = true;
-    else if (flag_value(arg, "--interval", &value))
-      interval = parse_fraction("--interval", value);
-    else if (flag_value(arg, "--telemetry-interval", &value))
+    std::string value, error;
+    if (roboads::obs::take_monitor_flag(arg, monitor, &error)) {
+      if (!error.empty()) usage_error("watch: " + error);
+    } else if (flag_value(arg, "--dir", &value)) {
+      dir = value;
+    } else if (flag_value(arg, "--manifest", &value)) {
+      manifest_path = value;
+    } else if (flag_value(arg, "--telemetry-interval", &value)) {
       telemetry_interval = parse_fraction("--telemetry-interval", value);
-    else usage_error("watch: unknown argument \"" + arg + "\"");
+    } else {
+      usage_error("watch: unknown argument \"" + arg + "\"");
+    }
   }
   if (dir.empty()) usage_error("watch: --dir is required");
-  if (as_json && !once) {
-    usage_error("watch: --json implies a single frame; pass --once too");
-  }
-  if (interval <= 0.0) interval = 1.0;
+  const std::string error = roboads::obs::check_monitor_options(monitor);
+  if (!error.empty()) usage_error("watch: " + error);
 
   // With a manifest the status is recomputed from the run directory's own
   // files (works mid-run, after a dead supervisor, or in CI); without one
@@ -325,23 +328,16 @@ int cmd_watch(const std::vector<std::string>& args) {
   std::optional<Manifest> manifest;
   if (!manifest_path.empty()) manifest = read_manifest_file(manifest_path);
 
-  while (true) {
-    RunStatus status;
-    if (manifest.has_value()) {
-      status = build_status(*manifest, dir, {}, 0.0, telemetry_interval);
-    } else {
-      status = read_status_file(status_path(dir));
-    }
-    if (as_json) {
-      std::printf("%s\n", serialize_status(status).c_str());
-    } else {
-      if (!once) std::printf("\033[H\033[2J");  // clear the terminal frame
-      std::fputs(render_status(status).c_str(), stdout);
-    }
-    std::fflush(stdout);
-    if (once || status.complete) break;
-    std::this_thread::sleep_for(std::chrono::duration<double>(interval));
-  }
+  roboads::obs::run_monitor(monitor, [&](bool json) {
+    const RunStatus status =
+        manifest.has_value()
+            ? build_status(*manifest, dir, {}, 0.0, telemetry_interval)
+            : roboads::obs::json::read_snapshot(status_path(dir),
+                                                kStatusFile);
+    return roboads::obs::MonitorFrame{
+        json ? roboads::obs::json::encode(status) : render_status(status),
+        status.complete};
+  });
   return 0;
 }
 
