@@ -6,7 +6,7 @@
 // Benchmarked: a single NUISE step, one full multi-mode engine iteration
 // (M = p estimators + selector), the full detector step (engine + decision
 // maker), the detector's matrix kernels, the LiDAR scan-processing
-// pipeline, and the RRT* mission plan.
+// pipeline, the RRT* mission plan, and one whole Khepera mission.
 #include <benchmark/benchmark.h>
 
 #include "core/roboads.h"
@@ -14,11 +14,13 @@
 #include "dynamics/diff_drive.h"
 #include "eval/batch.h"
 #include "eval/khepera.h"
+#include "eval/mission.h"
 #include "eval/tamiya.h"
 #include "matrix/decomp.h"
 #include "scenario/compile.h"
 #include "scenario/library.h"
 #include "sim/lidar.h"
+#include "sim/simulator.h"
 
 namespace roboads {
 namespace {
@@ -185,6 +187,57 @@ void BM_LidarScanAndProcess(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LidarScanAndProcess)->Arg(81)->Arg(241)->Arg(681);
+
+// The LiDAR reduction a Khepera mission runs every iteration: the
+// platform's arena (its obstacle included) and scanner, over a fixed
+// seeded set of free poses, the scan buffer reused as the workflow does.
+void BM_LidarScanAndProcessKhepera(benchmark::State& state) {
+  const eval::KheperaPlatform platform;
+  const sim::World& world = platform.world();
+  sim::SensingStack sensing =
+      platform.make_sensing(attacks::Scenario("clean", "", {}));
+  const sim::LidarScanner& scanner =
+      dynamic_cast<sim::LidarSensingWorkflow&>(sensing.workflow_named("lidar"))
+          .scanner();
+  const sim::ScanProcessor processor(sim::ScanProcessorConfig{},
+                                     world.width(), world.height(),
+                                     world.obstacles());
+  Rng pose_rng(5);
+  std::vector<Vector> poses;
+  while (poses.size() < 64) {
+    const geom::Vec2 p{pose_rng.uniform(0.0, world.width()),
+                       pose_rng.uniform(0.0, world.height())};
+    if (!world.free(p, platform.robot_radius())) continue;
+    poses.push_back(Vector{p.x, p.y, pose_rng.uniform(-M_PI, M_PI)});
+  }
+  Rng rng(7);
+  Vector ranges;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const Vector& pose = poses[i++ % poses.size()];
+    scanner.scan(world, pose, rng, ranges);
+    benchmark::DoNotOptimize(processor.process(scanner, ranges, pose));
+  }
+}
+BENCHMARK(BM_LidarScanAndProcessKhepera);
+
+// One Table II mission as a campaign job flies it: compile, RRT* plan and
+// smoothing, then 250 iterations of control, sensing and detection.
+// Successive iterations cycle through #1-11, each at a fixed mission seed.
+void BM_MissionKhepera(benchmark::State& state) {
+  const eval::KheperaPlatform platform;
+  eval::MissionConfig config;
+  config.iterations = 250;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const std::size_t number = i++ % 11 + 1;
+    config.seed = 1000 + number;
+    const attacks::Scenario scenario = scenario::compile_spec(
+        scenario::khepera_table2_spec(number), platform);
+    benchmark::DoNotOptimize(eval::run_mission(platform, scenario, config));
+  }
+}
+BENCHMARK(BM_MissionKhepera);
 
 void BM_RrtStarPlan(benchmark::State& state) {
   const sim::World world(2.0, 1.5, {geom::Aabb{{0.85, 0.55}, {1.15, 0.85}}});

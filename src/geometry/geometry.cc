@@ -51,14 +51,14 @@ std::optional<double> ray_segment_intersection(const Vec2& origin,
   return t;
 }
 
-namespace {
-
 int orientation(const Vec2& a, const Vec2& b, const Vec2& c) {
   const double v = (b - a).cross(c - a);
   if (v > 1e-15) return 1;
   if (v < -1e-15) return -1;
   return 0;
 }
+
+namespace {
 
 bool on_segment(const Vec2& a, const Vec2& b, const Vec2& p) {
   return std::min(a.x, b.x) - 1e-15 <= p.x && p.x <= std::max(a.x, b.x) + 1e-15 &&
@@ -108,7 +108,7 @@ double FittedLine::distance_to(const Vec2& p) const {
   return std::abs((p - point).cross(direction));
 }
 
-FittedLine fit_line(const std::vector<Vec2>& points) {
+FittedLine fit_line(std::span<const Vec2> points) {
   ROBOADS_CHECK(points.size() >= 2, "line fit needs at least 2 points");
   Vec2 centroid;
   for (const Vec2& p : points) centroid = centroid + p;

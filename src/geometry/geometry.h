@@ -4,6 +4,7 @@
 
 #include <array>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/check.h"
@@ -56,7 +57,14 @@ std::optional<double> ray_segment_intersection(const Vec2& origin,
                                                const Vec2& dir,
                                                const Segment& seg);
 
+// Side of the line a→b that `c` lies on: +1 left, -1 right, 0 when the
+// cross product is within 1e-15 of zero.
+int orientation(const Vec2& a, const Vec2& b, const Vec2& c);
+
 // True when segments [a1,a2] and [b1,b2] intersect (inclusive of endpoints).
+// Collinearity is decided by orientation()'s absolute 1e-15, so a segment
+// nearly parallel to [b1,b2]'s line can count as touching it well beyond
+// its end.
 bool segments_intersect(const Vec2& a1, const Vec2& a2, const Vec2& b1,
                         const Vec2& b2);
 
@@ -96,6 +104,9 @@ struct FittedLine {
   // Perpendicular distance from `p` to the fitted line.
   double distance_to(const Vec2& p) const;
 };
-FittedLine fit_line(const std::vector<Vec2>& points);
+FittedLine fit_line(std::span<const Vec2> points);
+inline FittedLine fit_line(const std::vector<Vec2>& points) {
+  return fit_line(std::span<const Vec2>(points));
+}
 
 }  // namespace roboads::geom

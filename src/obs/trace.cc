@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "obs/json.h"
+#include "obs/jsonl.h"
 
 namespace roboads::obs {
 namespace {
@@ -141,133 +142,6 @@ void TraceSink::write_csv(std::ostream& os) const {
 }
 
 // --- JSONL structural validation. ---
-namespace {
-
-// Minimal recursive-descent checker for one JSON value. Accepts the full
-// JSON grammar (the sink only emits flat objects, but the validator being
-// stricter than the writer would turn writer extensions into CI breakage).
-struct JsonCursor {
-  const std::string& s;
-  std::size_t i = 0;
-
-  bool done() const { return i >= s.size(); }
-  char peek() const { return s[i]; }
-  void skip_ws() {
-    while (!done() && (s[i] == ' ' || s[i] == '\t')) ++i;
-  }
-  void expect(char c, const char* what) {
-    ROBOADS_CHECK(!done() && s[i] == c, std::string("expected ") + what);
-    ++i;
-  }
-
-  void value() {
-    skip_ws();
-    ROBOADS_CHECK(!done(), "truncated JSON value");
-    const char c = peek();
-    if (c == '{') {
-      object();
-    } else if (c == '[') {
-      array();
-    } else if (c == '"') {
-      string();
-    } else if (c == 't') {
-      literal("true");
-    } else if (c == 'f') {
-      literal("false");
-    } else if (c == 'n') {
-      literal("null");
-    } else {
-      number();
-    }
-  }
-
-  void object() {
-    expect('{', "'{'");
-    skip_ws();
-    if (!done() && peek() == '}') {
-      ++i;
-      return;
-    }
-    while (true) {
-      skip_ws();
-      string();
-      skip_ws();
-      expect(':', "':'");
-      value();
-      skip_ws();
-      if (!done() && peek() == ',') {
-        ++i;
-        continue;
-      }
-      expect('}', "'}'");
-      return;
-    }
-  }
-
-  void array() {
-    expect('[', "'['");
-    skip_ws();
-    if (!done() && peek() == ']') {
-      ++i;
-      return;
-    }
-    while (true) {
-      value();
-      skip_ws();
-      if (!done() && peek() == ',') {
-        ++i;
-        continue;
-      }
-      expect(']', "']'");
-      return;
-    }
-  }
-
-  void string() {
-    expect('"', "'\"'");
-    while (true) {
-      ROBOADS_CHECK(!done(), "unterminated JSON string");
-      const char c = s[i++];
-      if (c == '"') return;
-      if (c == '\\') {
-        ROBOADS_CHECK(!done(), "truncated escape sequence");
-        ++i;
-      }
-    }
-  }
-
-  void literal(const char* lit) {
-    for (const char* p = lit; *p != '\0'; ++p) {
-      ROBOADS_CHECK(!done() && s[i] == *p, "malformed JSON literal");
-      ++i;
-    }
-  }
-
-  void number() {
-    const std::size_t start = i;
-    if (!done() && (peek() == '-' || peek() == '+')) ++i;
-    bool digits = false;
-    auto eat_digits = [&] {
-      while (!done() && peek() >= '0' && peek() <= '9') {
-        ++i;
-        digits = true;
-      }
-    };
-    eat_digits();
-    if (!done() && peek() == '.') {
-      ++i;
-      eat_digits();
-    }
-    if (!done() && (peek() == 'e' || peek() == 'E')) {
-      ++i;
-      if (!done() && (peek() == '-' || peek() == '+')) ++i;
-      eat_digits();
-    }
-    ROBOADS_CHECK(digits && i > start, "malformed JSON number");
-  }
-};
-
-}  // namespace
 
 std::size_t validate_jsonl(std::istream& is) {
   std::string line;
@@ -275,17 +149,7 @@ std::size_t validate_jsonl(std::istream& is) {
   while (std::getline(is, line)) {
     ++n;
     if (line.empty()) continue;
-    try {
-      JsonCursor cur{line};
-      cur.skip_ws();
-      ROBOADS_CHECK(!cur.done() && cur.peek() == '{',
-                    "JSONL line must be an object");
-      cur.object();
-      cur.skip_ws();
-      ROBOADS_CHECK(cur.done(), "trailing content after JSON object");
-    } catch (const CheckError& e) {
-      throw CheckError("JSONL line " + std::to_string(n) + ": " + e.what());
-    }
+    json::parse_object_line(line, "JSONL line " + std::to_string(n));
   }
   return n;
 }

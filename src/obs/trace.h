@@ -76,9 +76,10 @@ class TraceSink {
 };
 
 // Structural JSONL validation (used by the CI smoke pass and the golden
-// test): every line must be one syntactically well-formed flat JSON object.
-// Returns the number of lines validated; throws CheckError with the line
-// number on the first malformed line.
+// test): every non-empty line must be one well-formed JSON object, as
+// obs/jsonl.h's bounded parser reads it (nesting deeper than
+// json::kMaxNesting is malformed). Returns the number of lines validated;
+// throws CheckError with the line number on the first malformed line.
 std::size_t validate_jsonl(std::istream& is);
 
 }  // namespace roboads::obs

@@ -9,6 +9,10 @@
 // Cells only decide which nodes get looked at; every accept/reject decision
 // is made on the same floating-point values the scan computes. The margins
 // below are what makes "looked at" a superset of "could be in the answer".
+//
+// Each entry also carries its node's path cost. The planner's neighbor
+// passes read and rewrite it there, through the cells near() just visited,
+// and never touch the node array.
 #pragma once
 
 #include <algorithm>
@@ -24,16 +28,25 @@ namespace roboads::planning::detail {
 
 class NodeGrid {
  public:
+  struct Entry {
+    geom::Vec2 position;
+    std::size_t index;
+    double cost;
+  };
+
   struct Nearest {
     std::size_t index = 0;
     double d2 = std::numeric_limits<double>::infinity();  // squared distance
+    double cost = 0.0;
   };
 
-  // One node within the query radius. `d` is its exact geom::distance when
-  // the membership test had to compute it, and negative otherwise.
+  // One node within the query radius, pointing at its entry: valid until
+  // the next insert(). `bound` never exceeds the node's exact
+  // geom::distance to the query; `d` is that distance once known, and
+  // negative before.
   struct Near {
-    std::size_t index;
-    double d2;
+    Entry* entry;
+    double bound;
     double d;
   };
 
@@ -60,8 +73,8 @@ class NodeGrid {
                   static_cast<std::size_t>(ny_));
   }
 
-  void insert(std::size_t index, const geom::Vec2& p) {
-    cells_[cell_index(cell_x(p.x), cell_y(p.y))].push_back({p, index});
+  void insert(std::size_t index, const geom::Vec2& p, double cost) {
+    cells_[cell_index(cell_x(p.x), cell_y(p.y))].push_back({p, index, cost});
   }
 
   // Rings of cells around q's cell, nearest ring first. The search stops
@@ -118,9 +131,11 @@ class NodeGrid {
   // order. Membership is settled by the squared distance when it is clear
   // of r^2 by a relative 1e-9 — far beyond the few-ulp disagreement between
   // a rounded sum of squares and std::hypot — and by the exact
-  // geom::distance otherwise.
-  void near(const geom::Vec2& q, double radius,
-            std::vector<Near>& out) const {
+  // geom::distance otherwise. The bound is that exact distance when it was
+  // needed, else sqrt(d2) shrunk by a relative 1e-12: sqrt(d2) and
+  // std::hypot each land within 2 ulps of the true norm, so a ~4500-ulp
+  // shrink leaves a strict lower bound.
+  void near(const geom::Vec2& q, double radius, std::vector<Near>& out) {
     out.clear();
     // A node counted in by geom::distance <= radius is truly within
     // radius * (1 + 1 ulp) of q; the reach covers that plus the slack.
@@ -132,15 +147,15 @@ class NodeGrid {
     const double r2_out = r2 * (1.0 + 1e-9);
     for (int j = y0; j <= y1; ++j) {
       for (int i = x0; i <= x1; ++i) {
-        for (const Entry& e : cells_[cell_index(i, j)]) {
+        for (Entry& e : cells_[cell_index(i, j)]) {
           const double d2 = (e.position - q).norm_squared();
           if (d2 > r2_out) continue;
-          double d = -1.0;
-          if (d2 >= r2_in) {
-            d = geom::distance(e.position, q);
-            if (d > radius) continue;
+          if (d2 < r2_in) {
+            out.push_back({&e, std::sqrt(d2) * (1.0 - 1e-12), -1.0});
+            continue;
           }
-          out.push_back({e.index, d2, d});
+          const double d = geom::distance(e.position, q);
+          if (d <= radius) out.push_back({&e, d, d});
         }
       }
     }
@@ -148,11 +163,6 @@ class NodeGrid {
 
  private:
   static constexpr double kMaxCells = 1 << 16;
-
-  struct Entry {
-    geom::Vec2 position;
-    std::size_t index;
-  };
 
   // Clamped in floating point before the cast, so coordinates outside the
   // arena (or far outside, as query reaches can be) land in an edge cell.
@@ -171,7 +181,7 @@ class NodeGrid {
     for (const Entry& e : cells_[cell_index(i, j)]) {
       const double d2 = (e.position - q).norm_squared();
       if (d2 < best.d2 || (d2 == best.d2 && e.index < best.index)) {
-        best = {e.index, d2};
+        best = {e.index, d2, e.cost};
       }
     }
   }

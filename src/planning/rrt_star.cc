@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "planning/free_space.h"
 #include "planning/node_grid.h"
 
 namespace roboads::planning {
@@ -11,24 +12,12 @@ using geom::Vec2;
 
 namespace {
 
-// Never above the neighbor's geom::distance: the exact value once known,
-// else from its squared distance (the same differences, squared and
-// summed). sqrt(d2) and std::hypot each land within 2 ulps of the true
-// norm, so a 1e-12 relative shrink (~4500 ulps) leaves a strict lower
-// bound. Rounding is monotone, so `cost + bound` never exceeds
-// `cost + distance` either: a candidate whose bounded cost already loses
-// is skipped without the exact distance.
-double distance_lower_bound(const detail::NodeGrid::Near& n) {
-  return n.d >= 0.0 ? n.d : std::sqrt(n.d2) * (1.0 - 1e-12);
-}
-
 // The neighbor's exact geom::distance(p, q), computed at most once and
 // shared by the parent and rewire passes. geom::distance is symmetric bit
 // for bit (std::hypot of negated differences), so it also stands for the
 // rewire pass's distance(q, p).
-double exact_distance(detail::NodeGrid::Near& n, const Vec2& p,
-                      const Vec2& q) {
-  if (n.d < 0.0) n.d = geom::distance(p, q);
+double exact_distance(detail::NodeGrid::Near& n, const Vec2& q) {
+  if (n.d < 0.0) n.d = geom::distance(n.entry->position, q);
   return n.d;
 }
 
@@ -56,9 +45,11 @@ std::optional<PlannedPath> RrtStar::plan(const Vec2& start, const Vec2& goal,
   const double r = config_.robot_radius;
   ROBOADS_CHECK(world_.free(start, r), "start pose is in collision");
   ROBOADS_CHECK(world_.free(goal, r), "goal pose is in collision");
+  const detail::FreeSpace space(world_, r);
 
+  // A node's cost lives in its grid entry (planning/node_grid.h).
   std::vector<Node> nodes;
-  nodes.push_back({start, 0, 0.0});
+  nodes.push_back({start, 0});
   std::optional<std::size_t> best_goal_node;
   double best_goal_cost = std::numeric_limits<double>::infinity();
 
@@ -67,7 +58,7 @@ std::optional<PlannedPath> RrtStar::plan(const Vec2& start, const Vec2& goal,
   // rewire radius keeps the near query to a block of about 5x5 cells.
   detail::NodeGrid grid(world_.width(), world_.height(),
                         config_.rewire_radius / 2.0);
-  grid.insert(0, start);
+  grid.insert(0, start, 0.0);
   std::vector<detail::NodeGrid::Near> near;
 
   for (std::size_t it = 0; it < config_.max_iterations; ++it) {
@@ -88,7 +79,7 @@ std::optional<PlannedPath> RrtStar::plan(const Vec2& start, const Vec2& goal,
     const Vec2 to = dist <= config_.step_size
                         ? sample
                         : from + (sample - from) * (config_.step_size / dist);
-    if (!world_.segment_free(from, to, r)) continue;
+    if (!space.segment_free(from, to)) continue;
 
     // The neighborhood: exactly the nodes with geom::distance <= radius.
     grid.near(to, config_.rewire_radius, near);
@@ -98,44 +89,47 @@ std::optional<PlannedPath> RrtStar::plan(const Vec2& start, const Vec2& goal,
     // strict `<`: the minimum cost over segment-free neighbors, where the
     // nearest node wins any tie it is in and otherwise the lowest index
     // wins. Exact distances are computed only for candidates whose lower
-    // bound can still win or tie.
+    // bound can still win or tie: rounding is monotone, so `cost + bound`
+    // never exceeds `cost + distance`.
     std::size_t parent = nearest;
-    double cost = nodes[nearest].cost + geom::distance(from, to);
+    double cost = nn.cost + geom::distance(from, to);
     for (detail::NodeGrid::Near& n : near) {
-      if (n.index == nearest) continue;  // ties itself, never beats itself
-      const Node& node = nodes[n.index];
-      if (node.cost + distance_lower_bound(n) > cost) continue;
-      const double c = node.cost + exact_distance(n, node.position, to);
+      const detail::NodeGrid::Entry& e = *n.entry;
+      if (e.index == nearest) continue;  // ties itself, never beats itself
+      if (e.cost + n.bound > cost) continue;
+      const double c = e.cost + exact_distance(n, to);
       const bool wins =
-          c < cost || (c == cost && parent != nearest && n.index < parent);
-      if (wins && world_.segment_free(node.position, to, r)) {
+          c < cost || (c == cost && parent != nearest && e.index < parent);
+      if (wins && space.segment_free(e.position, to)) {
         cost = c;
-        parent = n.index;
+        parent = e.index;
       }
     }
 
     const std::size_t new_index = nodes.size();
-    nodes.push_back({to, parent, cost});
-    grid.insert(new_index, to);
+    nodes.push_back({to, parent});
 
     // Rewire the neighborhood through the new node when cheaper. Each
     // neighbor's test reads only its own cost and the new node's, so the
-    // visiting order does not matter.
+    // visiting order does not matter. The bound from near() still decides
+    // the skip when the parent pass has since found the exact distance:
+    // whatever it skips, the exact test would reject too. The new node
+    // joins the grid only afterwards, which keeps every `near` entry
+    // pointer valid.
     for (detail::NodeGrid::Near& n : near) {
-      Node& node = nodes[n.index];
-      if (cost + distance_lower_bound(n) + 1e-12 >= node.cost) continue;
-      const double through = cost + exact_distance(n, node.position, to);
-      if (through + 1e-12 < node.cost &&
-          world_.segment_free(to, node.position, r)) {
-        node.parent = new_index;
-        node.cost = through;
+      detail::NodeGrid::Entry& e = *n.entry;
+      if (cost + n.bound + 1e-12 >= e.cost) continue;
+      const double through = cost + exact_distance(n, to);
+      if (through + 1e-12 < e.cost && space.segment_free(to, e.position)) {
+        nodes[e.index].parent = new_index;
+        e.cost = through;
       }
     }
+    grid.insert(new_index, to, cost);
 
     // Track the best node able to reach the goal directly.
     const double to_goal = geom::distance(to, goal);
-    if (to_goal <= config_.goal_radius &&
-        world_.segment_free(to, goal, r)) {
+    if (to_goal <= config_.goal_radius && space.segment_free(to, goal)) {
       const double total = cost + to_goal;
       if (total < best_goal_cost) {
         best_goal_cost = total;
@@ -164,12 +158,13 @@ std::optional<PlannedPath> RrtStar::plan(const Vec2& start, const Vec2& goal,
 PlannedPath RrtStar::smooth(const PlannedPath& path, Rng& rng,
                             std::size_t attempts) const {
   if (path.waypoints.size() <= 2) return path;
+  const detail::FreeSpace space(world_, config_.robot_radius);
   std::vector<Vec2> pts = path.waypoints;
   for (std::size_t it = 0; it < attempts && pts.size() > 2; ++it) {
     const std::size_t i = rng.index(pts.size() - 2);
     const std::size_t j =
         i + 2 + rng.index(pts.size() - i - 2);  // j >= i + 2
-    if (world_.segment_free(pts[i], pts[j], config_.robot_radius)) {
+    if (space.segment_free(pts[i], pts[j])) {
       pts.erase(pts.begin() + static_cast<std::ptrdiff_t>(i) + 1,
                 pts.begin() + static_cast<std::ptrdiff_t>(j));
     }

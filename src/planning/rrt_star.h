@@ -46,7 +46,6 @@ class RrtStar {
   struct Node {
     geom::Vec2 position;
     std::size_t parent = 0;
-    double cost = 0.0;
   };
 
   const sim::World& world_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 
 #include "geometry/geometry.h"
 
@@ -17,30 +18,45 @@ LidarScanner::LidarScanner(const LidarConfig& config) : config_(config) {
   ROBOADS_CHECK(config_.max_range > 0.0, "lidar max range must be positive");
   ROBOADS_CHECK(config_.range_noise_stddev >= 0.0,
                 "lidar noise must be non-negative");
+  for (std::size_t i = 0; i < config_.beam_count; ++i) {
+    const double frac = static_cast<double>(i) /
+                        static_cast<double>(config_.beam_count - 1);
+    const double angle = (frac - 0.5) * config_.fov;
+    beam_angles_.push_back(angle);
+    beam_cos_.push_back(std::cos(angle));
+    beam_sin_.push_back(std::sin(angle));
+  }
 }
 
 double LidarScanner::beam_angle(std::size_t beam) const {
   ROBOADS_CHECK(beam < config_.beam_count, "beam index out of range");
-  const double frac = static_cast<double>(beam) /
-                      static_cast<double>(config_.beam_count - 1);
-  return (frac - 0.5) * config_.fov;
+  return beam_angles_[beam];
 }
 
 Vector LidarScanner::scan(const World& world, const Vector& pose,
                           Rng& rng) const {
+  Vector ranges;
+  scan(world, pose, rng, ranges);
+  return ranges;
+}
+
+void LidarScanner::scan(const World& world, const Vector& pose, Rng& rng,
+                        Vector& ranges) const {
   ROBOADS_CHECK(pose.size() >= 3, "lidar pose needs (x, y, θ)");
   const Vec2 origin{pose[0], pose[1]};
-  Vector ranges(config_.beam_count);
+  if (ranges.size() != config_.beam_count) {
+    ranges = Vector(config_.beam_count);
+  }
+  double* out = ranges.data();
   for (std::size_t i = 0; i < config_.beam_count; ++i) {
-    const double global_angle = pose[2] + beam_angle(i);
+    const double global_angle = pose[2] + beam_angles_[i];
     double r = world.raycast(origin, global_angle, config_.max_range);
     if (r < config_.max_range) {
       r += rng.gaussian(0.0, config_.range_noise_stddev);
       r = std::clamp(r, 0.0, config_.max_range);
     }
-    ranges[i] = r;
+    out[i] = r;
   }
-  return ranges;
 }
 
 ScanProcessor::ScanProcessor(const ScanProcessorConfig& config,
@@ -53,22 +69,53 @@ ScanProcessor::ScanProcessor(const ScanProcessorConfig& config,
   ROBOADS_CHECK(arena_width_ > 0.0 && arena_height_ > 0.0,
                 "arena dimensions must be positive");
   ROBOADS_CHECK(config_.min_points >= 2, "line needs at least 2 points");
+  for (const geom::Aabb& o : obstacles_) {
+    east_faces_.push_back(o.max.x);    // seen looking west from x > o.max.x
+    west_faces_.push_back(o.min.x);    // seen looking east from x < o.min.x
+    top_faces_.push_back(o.max.y);     // seen looking south from above
+    bottom_faces_.push_back(o.min.y);  // seen looking north from below
+  }
 }
 
 namespace {
 
-// Recursive split step of split-and-merge (iterative end-point fit).
+// Squared distance from `p` to the chord, through the same foot point as
+// Segment::distance_to.
+double chord_distance_squared(const geom::Segment& chord, const Vec2& p) {
+  const Vec2 ab = chord.b - chord.a;
+  const double len2 = ab.norm_squared();
+  if (len2 == 0.0) return (p - chord.a).norm_squared();
+  const double t = std::clamp((p - chord.a).dot(ab) / len2, 0.0, 1.0);
+  return (p - (chord.a + ab * t)).norm_squared();
+}
+
+// Recursive split step of split-and-merge (iterative end-point fit). A
+// chunk splits at the first point with the largest Segment::distance_to
+// from its chord. The squared distance through the same foot point is
+// within a few ulps of the exact distance squared, so the farthest point,
+// and every point tied with it, lies within a relative 1e-12 of the
+// largest squared distance: only those points need the exact distance.
+// Outside the normal range of doubles (a degenerate or absurd chunk) every
+// point takes the exact distance.
 void split_chunk(const std::vector<Vec2>& pts, std::size_t first,
                  std::size_t last, double threshold, std::size_t min_points,
+                 std::vector<double>& d2,
                  std::vector<std::pair<std::size_t, std::size_t>>& out) {
   const std::size_t count = last - first + 1;
   if (count < min_points) return;
-  const Vec2& a = pts[first];
-  const Vec2& b = pts[last];
-  const geom::Segment chord{a, b};
+  const geom::Segment chord{pts[first], pts[last]};
+  double d2_max = 0.0;
+  for (std::size_t i = first + 1; i < last; ++i) {
+    d2[i] = chord_distance_squared(chord, pts[i]);
+    d2_max = std::max(d2_max, d2[i]);
+  }
+  const double floor = d2_max > 1e-280 && d2_max < 1e280
+                           ? d2_max * (1.0 - 1e-12)
+                           : -std::numeric_limits<double>::infinity();
   double worst = -1.0;
   std::size_t worst_idx = first;
   for (std::size_t i = first + 1; i < last; ++i) {
+    if (!(d2[i] >= floor)) continue;
     const double d = chord.distance_to(pts[i]);
     if (d > worst) {
       worst = d;
@@ -76,8 +123,8 @@ void split_chunk(const std::vector<Vec2>& pts, std::size_t first,
     }
   }
   if (worst > threshold) {
-    split_chunk(pts, first, worst_idx, threshold, min_points, out);
-    split_chunk(pts, worst_idx, last, threshold, min_points, out);
+    split_chunk(pts, first, worst_idx, threshold, min_points, d2, out);
+    split_chunk(pts, worst_idx, last, threshold, min_points, d2, out);
   } else {
     out.emplace_back(first, last);
   }
@@ -93,18 +140,38 @@ struct WallHypothesis {
 
 std::vector<ExtractedLine> ScanProcessor::extract_lines(
     const LidarScanner& scanner, const Vector& ranges) const {
+  extract_into(scanner, ranges);
+  return work_.lines;
+}
+
+void ScanProcessor::extract_into(const LidarScanner& scanner,
+                                 const Vector& ranges) const {
   const LidarConfig& lc = scanner.config();
   ROBOADS_CHECK_EQ(ranges.size(), lc.beam_count, "scan size mismatch");
+  // Capacity for the largest scan this beam count can produce, so later
+  // calls never grow a buffer.
+  Workspace& w = work_;
+  w.points.reserve(lc.beam_count);
+  w.chunk_starts.reserve(lc.beam_count + 1);
+  w.chord_d2.resize(lc.beam_count);
+  w.spans.reserve(lc.beam_count);
+  w.lines.reserve(lc.beam_count);
+  w.aligned.reserve(lc.beam_count);
+  w.candidates.reserve(lc.beam_count * (1 + obstacles_.size()));
 
   // Valid returns to robot-frame points, preserving beam order; track range
   // discontinuities to pre-chunk the scan.
-  std::vector<Vec2> pts;
-  std::vector<std::size_t> chunk_starts;  // index into pts
-  pts.reserve(lc.beam_count);
+  std::vector<Vec2>& pts = w.points;
+  std::vector<std::size_t>& chunk_starts = w.chunk_starts;  // into pts
+  pts.clear();
+  chunk_starts.clear();
+  const double* r_data = ranges.data();
+  const std::span<const double> beam_cos = scanner.beam_cos();
+  const std::span<const double> beam_sin = scanner.beam_sin();
   double prev_range = -1.0;
   bool prev_valid = false;
   for (std::size_t i = 0; i < lc.beam_count; ++i) {
-    const double r = ranges[i];
+    const double r = r_data[i];
     const bool valid = r >= config_.min_valid_range && r < lc.max_range * 0.999;
     if (!valid) {
       prev_valid = false;
@@ -113,23 +180,23 @@ std::vector<ExtractedLine> ScanProcessor::extract_lines(
     if (!prev_valid || std::abs(r - prev_range) > config_.jump_threshold) {
       chunk_starts.push_back(pts.size());
     }
-    const double a = scanner.beam_angle(i);
-    pts.push_back({r * std::cos(a), r * std::sin(a)});
+    pts.push_back({r * beam_cos[i], r * beam_sin[i]});
     prev_range = r;
     prev_valid = true;
   }
   chunk_starts.push_back(pts.size());  // sentinel
 
-  std::vector<ExtractedLine> lines;
+  std::vector<ExtractedLine>& lines = w.lines;
+  lines.clear();
   for (std::size_t c = 0; c + 1 < chunk_starts.size(); ++c) {
     const std::size_t first = chunk_starts[c];
     const std::size_t last_excl = chunk_starts[c + 1];
     if (last_excl - first < config_.min_points) continue;
-    std::vector<std::pair<std::size_t, std::size_t>> segments;
+    w.spans.clear();
     split_chunk(pts, first, last_excl - 1, config_.split_threshold,
-                config_.min_points, segments);
-    for (const auto& [s, e] : segments) {
-      std::vector<Vec2> seg_pts(pts.begin() + s, pts.begin() + e + 1);
+                config_.min_points, w.chord_d2, w.spans);
+    for (const auto& [s, e] : w.spans) {
+      const std::span<const Vec2> seg_pts(pts.data() + s, e - s + 1);
       const geom::FittedLine fit = geom::fit_line(seg_pts);
       // Perpendicular foot from the robot (origin in the robot frame).
       const double along = fit.point.dot(fit.direction);
@@ -144,7 +211,6 @@ std::vector<ExtractedLine> ScanProcessor::extract_lines(
       lines.push_back(line);
     }
   }
-  return lines;
 }
 
 std::optional<Vector> ScanProcessor::relocalize(
@@ -207,7 +273,8 @@ ProcessedScan ScanProcessor::process(const LidarScanner& scanner,
   double htheta = hint_pose[2];
 
   ProcessedScan out;
-  const std::vector<ExtractedLine> lines = extract_lines(scanner, ranges);
+  extract_into(scanner, ranges);
+  const std::vector<ExtractedLine>& lines = work_.lines;
   out.lines_extracted = lines.size();
 
   // When the track was lost (e.g. across a DoS outage) the stale hint can
@@ -298,13 +365,11 @@ ProcessedScan ScanProcessor::process(const LidarScanner& scanner,
   // board over the sensor window) is not in the map, so its well-supported
   // line simply wins as "the wall" — producing the paper's incorrect-
   // distance symptom instead of being silently repaired.
-  struct AlignedLine {
-    const ExtractedLine* line;
-    bool lower;  // aligned with the lower wall's perp direction
-  };
-  const auto axis_lines = [&](std::size_t lower_slot,
-                              std::size_t upper_slot) {
-    std::vector<AlignedLine> out_lines;
+  const auto axis_lines =
+      [&](std::size_t lower_slot,
+          std::size_t upper_slot) -> const std::vector<AlignedLine>& {
+    std::vector<AlignedLine>& out_lines = work_.aligned;
+    out_lines.clear();
     for (const ExtractedLine& line : lines) {
       const double global_perp =
           geom::wrap_angle(line.perp_angle + theta_est);
@@ -342,13 +407,14 @@ ProcessedScan ScanProcessor::process(const LidarScanner& scanner,
     // prefer the one near the track. Weighted far below the geometric
     // evidence so a poisoned track cannot override a contradicting scan.
     constexpr double kHintWeight = 2.0;  // err-points per meter
-    const std::vector<AlignedLine> aligned =
+    const std::vector<AlignedLine>& aligned =
         axis_lines(lower_slot, upper_slot);
     AxisEstimate best;
     if (aligned.empty()) return best;
 
     // Candidate coordinates from every interpretation of every line.
-    std::vector<double> candidates;
+    std::vector<double>& candidates = work_.candidates;
+    candidates.clear();
     for (const AlignedLine& al : aligned) {
       const double d = al.line->distance;
       if (al.lower) {
@@ -413,17 +479,10 @@ ProcessedScan ScanProcessor::process(const LidarScanner& scanner,
     return best;
   };
 
-  std::vector<double> east_faces, west_faces, top_faces, bottom_faces;
-  for (const geom::Aabb& o : obstacles_) {
-    east_faces.push_back(o.max.x);    // seen looking west from x > o.max.x
-    west_faces.push_back(o.min.x);    // seen looking east from x < o.min.x
-    top_faces.push_back(o.max.y);     // seen looking south from above
-    bottom_faces.push_back(o.min.y);  // seen looking north from below
-  }
   const AxisEstimate x_axis =
-      estimate_axis(0, 2, arena_width_, east_faces, west_faces, hx);
+      estimate_axis(0, 2, arena_width_, east_faces_, west_faces_, hx);
   const AxisEstimate y_axis =
-      estimate_axis(1, 3, arena_height_, top_faces, bottom_faces, hy);
+      estimate_axis(1, 3, arena_height_, top_faces_, bottom_faces_, hy);
 
   // Adopt the wall assignments for the final heading estimate.
   matched[0] = x_axis.lower_wall;

@@ -18,6 +18,11 @@
 // attack would.
 #pragma once
 
+#include <optional>
+#include <span>
+#include <utility>
+#include <vector>
+
 #include "matrix/matrix.h"
 #include "random/rng.h"
 #include "sim/world.h"
@@ -40,13 +45,23 @@ class LidarScanner {
   // Beam angle in the robot frame, evenly spaced across the FOV, front
   // centered (beam i=beam_count/2 looks along the heading).
   double beam_angle(std::size_t beam) const;
+  // std::cos and std::sin of every beam_angle, in beam order.
+  std::span<const double> beam_cos() const { return beam_cos_; }
+  std::span<const double> beam_sin() const { return beam_sin_; }
 
   // Ranges for every beam from `pose` = (x, y, θ), with Gaussian range
   // noise; values clip at max_range (no return).
   Vector scan(const World& world, const Vector& pose, Rng& rng) const;
+  // The same scan written into `ranges`, whose storage is reused when it
+  // already holds beam_count values.
+  void scan(const World& world, const Vector& pose, Rng& rng,
+            Vector& ranges) const;
 
  private:
   LidarConfig config_;
+  std::vector<double> beam_angles_;
+  std::vector<double> beam_cos_;
+  std::vector<double> beam_sin_;
 };
 
 struct ScanProcessorConfig {
@@ -104,10 +119,37 @@ class ScanProcessor {
                                    double stale_theta) const;
 
  private:
+  // Fills work_.lines with extract_lines' result.
+  void extract_into(const LidarScanner& scanner, const Vector& ranges) const;
+
+  // A line aligned with one axis of the arena.
+  struct AlignedLine {
+    const ExtractedLine* line;
+    bool lower;  // aligned with the lower wall's perp direction
+  };
+
+  // Buffers every call reuses, so a steady-state process() does not touch
+  // the heap. They make one processor serve one caller at a time.
+  struct Workspace {
+    std::vector<geom::Vec2> points;
+    std::vector<std::size_t> chunk_starts;
+    std::vector<double> chord_d2;
+    std::vector<std::pair<std::size_t, std::size_t>> spans;
+    std::vector<ExtractedLine> lines;
+    std::vector<AlignedLine> aligned;
+    std::vector<double> candidates;
+  };
+
   ScanProcessorConfig config_;
   double arena_width_;
   double arena_height_;
   std::vector<geom::Aabb> obstacles_;
+  // Obstacle-face coordinates seen looking west, east, south and north.
+  std::vector<double> east_faces_;
+  std::vector<double> west_faces_;
+  std::vector<double> top_faces_;
+  std::vector<double> bottom_faces_;
+  mutable Workspace work_;
 };
 
 }  // namespace roboads::sim

@@ -60,12 +60,12 @@ void LidarSensingWorkflow::reset() { hint_pose_ = initial_pose_; }
 
 Vector LidarSensingWorkflow::sense(std::size_t k, const Vector& x_true,
                                    Rng& rng) {
-  Vector ranges = scanner_.scan(world_, x_true, rng);
+  scanner_.scan(world_, x_true, rng, ranges_);
   for (const attacks::InjectorPtr& inj : raw_injectors_) {
-    inj->apply(k, ranges);
+    inj->apply(k, ranges_);
   }
   const ProcessedScan processed =
-      processor_.process(scanner_, ranges, hint_pose_);
+      processor_.process(scanner_, ranges_, hint_pose_);
   if (processed.any_wall_matched) {
     // Advance the private track from the workflow's own output: west and
     // south distances are x and y, θ from the wall fit.

@@ -94,6 +94,7 @@ class LidarSensingWorkflow final : public SensingWorkflow {
   LidarScanner scanner_;
   ScanProcessor processor_;
   std::vector<attacks::InjectorPtr> raw_injectors_;
+  Vector ranges_;  // the latest scan, its storage reused every iteration
   Vector initial_pose_;
   Vector hint_pose_;  // the workflow's private track
   std::optional<GaussianSampler> output_noise_;

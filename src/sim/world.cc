@@ -1,5 +1,6 @@
 #include "sim/world.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -19,6 +20,15 @@ World::World(double width, double height, std::vector<geom::Aabb> obstacles)
   const geom::Vec2 tr{width_, height_};
   const geom::Vec2 tl{0.0, height_};
   walls_ = {{bl, br}, {br, tr}, {tr, tl}, {tl, bl}};
+  ray_targets_.reserve(4 + 4 * obstacles_.size());
+  for (const geom::Segment& w : walls_) {
+    ray_targets_.push_back({w.a, w.b - w.a});
+  }
+  for (const geom::Aabb& o : obstacles_) {
+    for (const geom::Segment& e : o.edges()) {
+      ray_targets_.push_back({e.a, e.b - e.a});
+    }
+  }
 }
 
 bool World::free(const geom::Vec2& p, double radius) const {
@@ -46,17 +56,15 @@ double World::raycast(const geom::Vec2& origin, double angle,
   ROBOADS_CHECK(max_range > 0.0, "raycast needs positive max range");
   const geom::Vec2 dir{std::cos(angle), std::sin(angle)};
   double best = max_range;
-  for (const geom::Segment& w : walls_) {
-    if (const auto t = geom::ray_segment_intersection(origin, dir, w)) {
-      best = std::min(best, *t);
-    }
-  }
-  for (const geom::Aabb& o : obstacles_) {
-    for (const geom::Segment& e : o.edges()) {
-      if (const auto t = geom::ray_segment_intersection(origin, dir, e)) {
-        best = std::min(best, *t);
-      }
-    }
+  // geom::ray_segment_intersection on each target, operation for operation.
+  for (const RayTarget& target : ray_targets_) {
+    const double denom = dir.cross(target.e);
+    if (std::abs(denom) < 1e-15) continue;  // parallel
+    const geom::Vec2 diff = target.a - origin;
+    const double s = diff.cross(dir) / denom;
+    if (s < -1e-12 || s > 1.0 + 1e-12) continue;
+    const double t = diff.cross(target.e) / denom;
+    if (t >= 0.0) best = std::min(best, t);
   }
   return best;
 }

@@ -37,10 +37,21 @@ class World {
   const std::vector<geom::Segment>& walls() const { return walls_; }
 
  private:
+  // A ray target: a segment's start and its edge vector b - a, as
+  // geom::ray_segment_intersection computes them.
+  struct RayTarget {
+    geom::Vec2 a;
+    geom::Vec2 e;
+  };
+
   double width_;
   double height_;
   std::vector<geom::Aabb> obstacles_;
   std::vector<geom::Segment> walls_;
+  // The walls, then every obstacle's edges, in the order the per-segment
+  // loop visited them: the nearest hit is a minimum, and std::min keeps the
+  // first of a signed-zero tie, so the order is part of the result.
+  std::vector<RayTarget> ray_targets_;
 };
 
 }  // namespace roboads::sim

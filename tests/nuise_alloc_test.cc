@@ -1,15 +1,17 @@
-// Steady-state allocation audit of the NUISE hot path.
+// Steady-state allocation audit of the NUISE hot path and of mission
+// sensing.
 //
 // The detector's per-iteration work — one Nuise::step per mode — must not
 // touch the heap once the estimator is constructed: all vectors/matrices on
 // the Khepera-sized path fit the inline storage of matrix.h and all
 // mode-invariant structure lives in the per-instance workspace (see
-// docs/PERFORMANCE.md). This test replaces the global allocation functions
-// with counting versions and asserts the count stays zero across steady-state
-// steps, so any future change that sneaks an allocation into the hot path
-// (a temporary std::vector, an eager error-message string, a fallback that
-// spills past the inline capacity) fails loudly here instead of showing up
-// only as a benchmark regression.
+// docs/PERFORMANCE.md). Nor may a mission's sensing, once its first scan
+// has sized the LiDAR workflow's buffers. This test replaces the global
+// allocation functions with counting versions and asserts the count stays
+// zero across steady-state steps, so any future change that sneaks an
+// allocation into the hot path (a temporary std::vector, an eager
+// error-message string, a fallback that spills past the inline capacity)
+// fails loudly here instead of showing up only as a benchmark regression.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,6 +20,9 @@
 
 #include "core/nuise.h"
 #include "dynamics/diff_drive.h"
+#include "eval/khepera.h"
+#include "scenario/compile.h"
+#include "scenario/library.h"
 #include "sensors/standard_sensors.h"
 
 namespace {
@@ -121,6 +126,48 @@ TEST(NuiseAllocation, EveryModeOfTheBankIsAllocationFree) {
     }
     EXPECT_EQ(guard.count(), 0u) << "mode " << mode.label;
   }
+}
+
+// One Khepera SensingStack::sense_all per iteration along a straight
+// drive: odometry, IPS, and the LiDAR scan, raw-scan injectors, line
+// extraction, wall matching and output noise.
+std::size_t steady_sensing_allocations(const attacks::Scenario& scenario) {
+  const eval::KheperaPlatform platform;
+  sim::SensingStack sensing = platform.make_sensing(scenario);
+  Rng rng(41);
+  const Vector start = platform.initial_state();
+  Vector x = start;
+  const auto drive = [&](std::size_t k) {
+    x[0] = start[0] + 0.003 * static_cast<double>(k) * std::cos(start[2]);
+    x[1] = start[1] + 0.003 * static_cast<double>(k) * std::sin(start[2]);
+    return sensing.sense_all(k, x, rng);
+  };
+  // Warm-up outside the audit: the first scans size the buffers.
+  Vector z;
+  for (std::size_t k = 0; k < 20; ++k) z = drive(k);
+
+  AllocationGuard guard;
+  for (std::size_t k = 20; k < 150; ++k) z = drive(k);
+  const std::size_t allocs = guard.count();
+  EXPECT_EQ(z.size(), sensing.total_dim());
+  return allocs;
+}
+
+TEST(SensingAllocation, SteadyStateKheperaSensingIsAllocationFree) {
+  EXPECT_EQ(steady_sensing_allocations(attacks::Scenario("clean", "", {})),
+            0u);
+}
+
+TEST(SensingAllocation, LidarDosInjectorKeepsSensingAllocationFree) {
+  // Table II #6 zeroes every range from iteration 60 on, so the audit
+  // covers clean scans and DoS'd ones.
+  const eval::KheperaPlatform platform;
+  const attacks::Scenario dos =
+      scenario::compile_spec(scenario::khepera_table2_spec(6), platform);
+  ASSERT_FALSE(
+      dos.injectors_for(attacks::InjectionPoint::kLidarRawScan, "lidar")
+          .empty());
+  EXPECT_EQ(steady_sensing_allocations(dos), 0u);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "dynamics/diff_drive.h"
 #include "eval/khepera.h"
 #include "eval/tamiya.h"
+#include "planning/free_space.h"
 #include "planning/node_grid.h"
 #include "planning/tracker.h"
 
@@ -214,12 +215,12 @@ INSTANTIATE_TEST_SUITE_P(
 
 using Grid = detail::NodeGrid;
 
-std::vector<std::size_t> near_indices(const Grid& grid, const geom::Vec2& q,
+std::vector<std::size_t> near_indices(Grid& grid, const geom::Vec2& q,
                                       double radius) {
   std::vector<Grid::Near> near;
   grid.near(q, radius, near);
   std::vector<std::size_t> out;
-  for (const Grid::Near& n : near) out.push_back(n.index);
+  for (const Grid::Near& n : near) out.push_back(n.entry->index);
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -227,12 +228,13 @@ std::vector<std::size_t> near_indices(const Grid& grid, const geom::Vec2& q,
 TEST(NodeGrid, EquidistantNodesGoToTheLowestIndex) {
   Grid grid(2.0, 1.5, 0.25);
   // Four nodes 0.25 from q, in four different cells, lowest index third.
-  grid.insert(7, {1.25, 0.75});
-  grid.insert(5, {1.0, 1.0});
-  grid.insert(3, {0.75, 0.75});
-  grid.insert(4, {1.0, 0.5});
+  grid.insert(7, {1.25, 0.75}, 0.7);
+  grid.insert(5, {1.0, 1.0}, 0.5);
+  grid.insert(3, {0.75, 0.75}, 0.3);
+  grid.insert(4, {1.0, 0.5}, 0.4);
   const Grid::Nearest nn = grid.nearest({1.0, 0.75});
   EXPECT_EQ(nn.index, 3u);
+  EXPECT_EQ(nn.cost, 0.3);
   EXPECT_EQ(nn.d2, 0.0625);
 }
 
@@ -244,8 +246,8 @@ TEST(NodeGrid, TieAcrossACellBoundaryIsNotCutOffByTheRingBound) {
     Grid grid(2.0, 1.5, 0.25);
     const std::size_t inner = boundary_node_lower ? 9 : 2;
     const std::size_t boundary = boundary_node_lower ? 2 : 9;
-    grid.insert(inner, {1.0, 0.625});
-    grid.insert(boundary, {1.25, 0.625});
+    grid.insert(inner, {1.0, 0.625}, 0.0);
+    grid.insert(boundary, {1.25, 0.625}, 0.0);
     EXPECT_EQ(grid.nearest({1.125, 0.625}).index, 2u);
   }
 }
@@ -254,11 +256,11 @@ TEST(NodeGrid, NodeExactlyAtTheRadiusIsANeighbor) {
   const double radius = 0.625;
   Grid grid(2.0, 1.5, radius / 2.0);
   const geom::Vec2 q{1.0, 0.5};
-  grid.insert(0, {1.375, 1.0});  // (0.375, 0.5): a 3-4-5 triangle
-  grid.insert(1, {std::nextafter(1.375, 2.0), 1.0});
-  grid.insert(2, {0.375, 0.5});  // on the axis, exactly the radius
-  grid.insert(3, {1.0, 1.125});
-  grid.insert(4, {1.0, std::nextafter(1.125, 2.0)});
+  grid.insert(0, {1.375, 1.0}, 0.0);  // (0.375, 0.5): a 3-4-5 triangle
+  grid.insert(1, {std::nextafter(1.375, 2.0), 1.0}, 0.0);
+  grid.insert(2, {0.375, 0.5}, 0.0);  // on the axis, exactly the radius
+  grid.insert(3, {1.0, 1.125}, 0.0);
+  grid.insert(4, {1.0, std::nextafter(1.125, 2.0)}, 0.0);
   EXPECT_EQ(near_indices(grid, q, radius),
             (std::vector<std::size_t>{0, 2, 3}));
   std::vector<Grid::Near> near;
@@ -266,7 +268,8 @@ TEST(NodeGrid, NodeExactlyAtTheRadiusIsANeighbor) {
   for (const Grid::Near& n : near) {
     // On the boundary the squared distance cannot settle membership, so
     // the exact distance was computed — and it is the radius itself.
-    EXPECT_EQ(n.d, radius) << n.index;
+    EXPECT_EQ(n.d, radius) << n.entry->index;
+    EXPECT_EQ(n.bound, radius) << n.entry->index;
   }
 }
 
@@ -285,7 +288,10 @@ TEST(NodeGrid, BoundariesEdgesAndCornersMatchALinearScan) {
   for (int k = 0; k < 300; ++k) {
     nodes.push_back({rng.uniform(0.0, width), rng.uniform(0.0, height)});
   }
-  for (std::size_t i = 0; i < nodes.size(); ++i) grid.insert(i, nodes[i]);
+  // Each entry carries a cost of its own index.
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    grid.insert(i, nodes[i], static_cast<double>(i));
+  }
 
   std::vector<geom::Vec2> queries = nodes;
   for (int k = 0; k < 300; ++k) {
@@ -301,6 +307,7 @@ TEST(NodeGrid, BoundariesEdgesAndCornersMatchALinearScan) {
     const Grid::Nearest actual = grid.nearest(q);
     EXPECT_EQ(actual.index, expected.index) << q.x << "," << q.y;
     EXPECT_EQ(bits(actual.d2), bits(expected.d2));
+    EXPECT_EQ(actual.cost, static_cast<double>(actual.index));
 
     for (const double radius : {0.2, 0.4, 0.45}) {
       std::vector<std::size_t> in_radius;
@@ -309,6 +316,17 @@ TEST(NodeGrid, BoundariesEdgesAndCornersMatchALinearScan) {
       }
       EXPECT_EQ(near_indices(grid, q, radius), in_radius)
           << q.x << "," << q.y << " r=" << radius;
+      std::vector<Grid::Near> near;
+      grid.near(q, radius, near);
+      for (const Grid::Near& n : near) {
+        const std::size_t i = n.entry->index;
+        EXPECT_EQ(n.entry->cost, static_cast<double>(i));
+        const double d = geom::distance(nodes[i], q);
+        EXPECT_LE(n.bound, d);
+        if (n.d >= 0.0) {
+          EXPECT_EQ(n.d, d);
+        }
+      }
     }
   }
 }
@@ -318,11 +336,97 @@ TEST(NodeGrid, FineCellsAreCoarsenedWithoutChangingAnswers) {
   Grid grid(100.0, 100.0, 0.01);
   const std::vector<geom::Vec2> nodes = {{0.0, 0.0}, {50.0, 50.0},
                                          {100.0, 100.0}, {49.99, 50.01}};
-  for (std::size_t i = 0; i < nodes.size(); ++i) grid.insert(i, nodes[i]);
+  for (std::size_t i = 0; i < nodes.size(); ++i) grid.insert(i, nodes[i], 0.0);
   EXPECT_EQ(grid.nearest({50.0, 50.0}).index, 1u);
   EXPECT_EQ(grid.nearest({99.0, 98.0}).index, 2u);
   EXPECT_EQ(near_indices(grid, {50.0, 50.0}, 0.1),
             (std::vector<std::size_t>{1, 3}));
+}
+
+// FreeSpace must answer exactly as World does, including where
+// segments_intersect's absolute 1e-15 slack reaches past the box.
+void expect_free_space_matches(const sim::World& world, double radius,
+                               const std::vector<geom::Vec2>& points) {
+  const detail::FreeSpace space(world, radius);
+  std::size_t blocked = 0;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const geom::Vec2& a = points[i];
+    ASSERT_EQ(space.free(a), world.free(a, radius)) << a.x << "," << a.y;
+    for (std::size_t j = i; j < points.size(); j += 7) {
+      const geom::Vec2& b = points[j];
+      const bool expected = world.segment_free(a, b, radius);
+      blocked += expected ? 0 : 1;
+      ASSERT_EQ(space.segment_free(a, b), expected)
+          << "(" << a.x << "," << a.y << ") -> (" << b.x << "," << b.y
+          << ") radius " << radius;
+      ASSERT_EQ(space.segment_free(b, a), world.segment_free(b, a, radius));
+    }
+  }
+  EXPECT_GT(blocked, 0u);
+}
+
+// Points that stress the prefilter: the inflated boxes' corners and edge
+// lines, 1e-16 to 1e-12 either side of them, and random points.
+std::vector<geom::Vec2> collision_points(const sim::World& world,
+                                         double radius) {
+  std::vector<double> xs = {0.0, radius, world.width() - radius,
+                            world.width()};
+  std::vector<double> ys = {0.0, radius, world.height() - radius,
+                            world.height()};
+  for (const geom::Aabb& o : world.obstacles()) {
+    const geom::Aabb box = o.inflated(radius);
+    for (const double offset : {0.0, 1e-16, -1e-16, 5e-16, -5e-16, 1e-15,
+                                -1e-15, 3e-15, -3e-15, 1e-12, -1e-12}) {
+      xs.push_back(box.min.x + offset);
+      xs.push_back(box.max.x + offset);
+      ys.push_back(box.min.y + offset);
+      ys.push_back(box.max.y + offset);
+    }
+  }
+  std::vector<geom::Vec2> points;
+  for (const double x : xs) {
+    for (const double y : ys) points.push_back({x, y});
+  }
+  Rng rng(29);
+  for (int i = 0; i < 400; ++i) {
+    points.push_back({rng.uniform(-0.1, world.width() + 0.1),
+                      rng.uniform(-0.1, world.height() + 0.1)});
+  }
+  return points;
+}
+
+TEST(FreeSpace, MatchesWorldOnRandomTouchingAndDegenerateSegments) {
+  const eval::KheperaPlatform khepera;
+  const double khepera_radius = khepera.planner_config().robot_radius;
+  expect_free_space_matches(khepera.world(), khepera_radius,
+                            collision_points(khepera.world(), khepera_radius));
+  const sim::World two(2.0, 1.5, {geom::Aabb{{0.3, 0.3}, {0.6, 0.5}},
+                                  geom::Aabb{{1.2, 0.9}, {1.2, 1.4}}});
+  for (const double radius : {0.0, 0.06}) {
+    expect_free_space_matches(two, radius, collision_points(two, radius));
+  }
+}
+
+TEST(FreeSpace, NearlyParallelSegmentsBeyondTheBoxMatchWorld) {
+  // segments_intersect counts a segment that crosses an edge's line within
+  // its 1e-15 slack as touching the edge, centimeters past the box. A
+  // bounding-box reject would call these free; World does not.
+  const sim::World world(2.0, 1.5, {geom::Aabb{{0.85, 0.55}, {1.15, 0.85}}});
+  const double radius = 0.2;
+  const detail::FreeSpace space(world, radius);
+  const double edge_y = 0.55 - radius;
+  std::size_t blocked = 0;
+  for (const double gap : {0.01, 0.05, 0.1, 0.2, 0.3}) {
+    for (const double tilt : {1e-15, 3e-15, 1e-14, 1e-13}) {
+      const double x1 = 0.65 - gap;
+      const geom::Vec2 a{x1 - 0.1, edge_y - tilt};
+      const geom::Vec2 b{x1, edge_y + tilt};
+      const bool expected = world.segment_free(a, b, radius);
+      blocked += expected ? 0 : 1;
+      EXPECT_EQ(space.segment_free(a, b), expected) << gap << " " << tilt;
+    }
+  }
+  EXPECT_GT(blocked, 0u) << "the case this test pins no longer arises";
 }
 
 bool path_collision_free(const sim::World& world, const PlannedPath& path,

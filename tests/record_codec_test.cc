@@ -34,6 +34,7 @@
 #include "obs/metrics.h"
 #include "obs/monitor.h"
 #include "obs/report.h"
+#include "obs/trace.h"
 #include "shard/checkpoint.h"
 #include "shard/heartbeat.h"
 #include "shard/manifest.h"
@@ -717,6 +718,22 @@ TEST(RecordCodec, DeepNestingFailsLoudly) {
   const std::string ok = "{\"a\":" + std::string(depth, '[') +
                          std::string(depth, ']') + "}";
   EXPECT_NO_THROW(json::parse_object_line(ok, "ok"));
+}
+
+TEST(RecordCodec, ValidateJsonlBoundsNestingAndNamesTheLine) {
+  // The trace validator parses through the same bounded parser: a 200k-deep
+  // line is a diagnostic, not a stack overflow.
+  std::istringstream deep("{\"event\":\"x\"}\n{\"a\":" +
+                          std::string(200000, '[') +
+                          std::string(200000, ']') + "}\n");
+  try {
+    obs::validate_jsonl(deep);
+    FAIL() << "200k-deep JSONL line accepted";
+  } catch (const CheckError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("JSONL line 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("nesting deeper than 64"), std::string::npos) << what;
+  }
 }
 
 // --- Number text ------------------------------------------------------------

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
+
+#include "random/rng.h"
 
 namespace roboads::sim {
 namespace {
@@ -65,6 +71,93 @@ TEST(World, WallsAreClosedRectangle) {
   double perimeter = 0.0;
   for (const geom::Segment& s : w.walls()) perimeter += s.length();
   EXPECT_NEAR(perimeter, 2.0 * (2.0 + 1.5), 1e-12);
+}
+
+// The ray cast as it was before the flat segment array, kept as the oracle
+// World::raycast must match bit for bit: every wall, then every obstacle's
+// edges, each through geom::ray_segment_intersection.
+double per_segment_raycast(const World& w, const geom::Vec2& origin,
+                           double angle, double max_range) {
+  const geom::Vec2 dir{std::cos(angle), std::sin(angle)};
+  double best = max_range;
+  for (const geom::Segment& s : w.walls()) {
+    if (const auto t = geom::ray_segment_intersection(origin, dir, s)) {
+      best = std::min(best, *t);
+    }
+  }
+  for (const geom::Aabb& o : w.obstacles()) {
+    for (const geom::Segment& e : o.edges()) {
+      if (const auto t = geom::ray_segment_intersection(origin, dir, e)) {
+        best = std::min(best, *t);
+      }
+    }
+  }
+  return best;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_raycast_matches(const World& w, const geom::Vec2& origin,
+                            double angle, double max_range) {
+  EXPECT_EQ(bits(w.raycast(origin, angle, max_range)),
+            bits(per_segment_raycast(w, origin, angle, max_range)))
+      << "origin (" << origin.x << ", " << origin.y << ") angle " << angle
+      << " max " << max_range;
+}
+
+// Two obstacles, one touching the south wall, so rays can meet edges that
+// share a line with a wall.
+World cluttered() {
+  return World(2.0, 1.5, {geom::Aabb{{0.8, 0.6}, {1.2, 0.9}},
+                          geom::Aabb{{1.5, 0.0}, {1.7, 0.25}}});
+}
+
+TEST(WorldRaycastOracle, RandomRaysMatchThePerSegmentLoop) {
+  Rng rng(17);
+  for (const World& w : {arena(), cluttered(), World(2.0, 1.5)}) {
+    for (int i = 0; i < 4000; ++i) {
+      // Origins inside, on and just outside the arena.
+      const geom::Vec2 origin{rng.uniform(-0.1, 2.1), rng.uniform(-0.1, 1.6)};
+      const double max_range = i % 3 == 0 ? rng.uniform(0.05, 1.0) : 5.0;
+      expect_raycast_matches(w, origin, rng.uniform(-4.0, 4.0), max_range);
+    }
+  }
+}
+
+TEST(WorldRaycastOracle, GrazingCornerAndParallelRaysMatch) {
+  const World w = cluttered();
+  std::vector<geom::Vec2> corners;
+  for (const geom::Aabb& o : w.obstacles()) {
+    for (const geom::Segment& e : o.edges()) corners.push_back(e.a);
+  }
+  for (const geom::Segment& s : w.walls()) corners.push_back(s.a);
+  Rng rng(23);
+  std::vector<geom::Vec2> origins = corners;
+  for (int i = 0; i < 40; ++i) {
+    origins.push_back({rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.5)});
+  }
+  // Origins on the wall and edge lines themselves.
+  origins.push_back({0.5, 0.0});
+  origins.push_back({0.0, 0.75});
+  origins.push_back({0.5, 0.6});
+  origins.push_back({1.2, 0.3});
+  for (const geom::Vec2& origin : origins) {
+    // Exactly at every corner: the ray meets two edges at their shared end.
+    for (const geom::Vec2& c : corners) {
+      const geom::Vec2 d = c - origin;
+      if (d.norm_squared() == 0.0) continue;
+      const double at = std::atan2(d.y, d.x);
+      expect_raycast_matches(w, origin, at, 5.0);
+      expect_raycast_matches(w, origin, std::nextafter(at, 4.0), 5.0);
+      expect_raycast_matches(w, origin, std::nextafter(at, -4.0), 5.0);
+    }
+    // Parallel to every wall and edge, both ways, and a hair off.
+    for (const double at : {0.0, M_PI / 2.0, M_PI, -M_PI / 2.0, -M_PI}) {
+      expect_raycast_matches(w, origin, at, 5.0);
+      expect_raycast_matches(w, origin, std::nextafter(at, 4.0), 5.0);
+      expect_raycast_matches(w, origin, at + 1e-15, 5.0);
+    }
+  }
 }
 
 }  // namespace
