@@ -105,6 +105,8 @@ def main() -> int:
     }
     counters = (
         "modes", "threads", "missions",
+        # BM_FleetSessionSetupKhepera (docs/PERFORMANCE.md "Per-robot state")
+        "bytes_per_session", "allocs_per_session",
         # fleet_throughput (docs/FLEET.md)
         "robots", "shards", "hz", "steps", "steps_per_s", "dropped_packets",
         "p50_ingest_to_step_ns", "p99_ingest_to_step_ns",

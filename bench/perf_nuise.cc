@@ -5,9 +5,17 @@
 //
 // Benchmarked: a single NUISE step, one full multi-mode engine iteration
 // (M = p estimators + selector), the full detector step (engine + decision
-// maker), the detector's matrix kernels, the LiDAR scan-processing
-// pipeline, the RRT* mission plan, and one whole Khepera mission.
+// maker), one fleet robot's session set-up, the detector's matrix kernels,
+// the LiDAR scan-processing pipeline, the RRT* mission plan, and one whole
+// Khepera mission.
 #include <benchmark/benchmark.h>
+#include <malloc.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
 
 #include "core/roboads.h"
 #include "dynamics/bicycle.h"
@@ -16,11 +24,68 @@
 #include "eval/khepera.h"
 #include "eval/mission.h"
 #include "eval/tamiya.h"
+#include "fleet/replay.h"
+#include "fleet/service.h"
 #include "matrix/decomp.h"
 #include "scenario/compile.h"
 #include "scenario/library.h"
 #include "sim/lidar.h"
 #include "sim/simulator.h"
+
+// Heap accounting for the set-up row: while `counting` is set, operator
+// new/delete count allocations and the usable bytes of the blocks they
+// hand out and take back. Otherwise they cost one relaxed load.
+namespace {
+
+struct HeapCounter {
+  std::atomic<bool> counting{false};
+  std::atomic<std::int64_t> allocations{0};
+  std::atomic<std::int64_t> bytes{0};
+};
+HeapCounter g_heap;
+
+void* counted_alloc(std::size_t size, bool nothrow) {
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) {
+    if (nothrow) return nullptr;
+    throw std::bad_alloc();
+  }
+  if (g_heap.counting.load(std::memory_order_relaxed)) {
+    g_heap.allocations.fetch_add(1, std::memory_order_relaxed);
+    g_heap.bytes.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)),
+                           std::memory_order_relaxed);
+  }
+  return p;
+}
+
+void counted_free(void* p) noexcept {
+  if (p != nullptr && g_heap.counting.load(std::memory_order_relaxed)) {
+    g_heap.bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
+                           std::memory_order_relaxed);
+  }
+  std::free(p);
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size, false); }
+void* operator new[](std::size_t size) { return counted_alloc(size, false); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size, true);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size, true);
+}
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
 
 namespace roboads {
 namespace {
@@ -130,6 +195,43 @@ void BM_FullDetectorStepTamiya(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullDetectorStepTamiya);
+
+// Registering one Khepera robot with a fleet service: its DetectorSession
+// on the spec's shared estimator bank plus the service's per-robot
+// bookkeeping (docs/PERFORMANCE.md "Per-robot state"). Counters: heap bytes
+// still live and allocations made per registered robot. A fresh service
+// takes over every 1000 robots, outside the timing and the count.
+void BM_FleetSessionSetupKhepera(benchmark::State& state) {
+  const eval::KheperaPlatform platform;
+  const auto spec = fleet::make_session_spec(platform);
+  fleet::FleetConfig config;
+  config.shards = 1;
+  constexpr std::int64_t kRobotsPerService = 1000;
+  std::unique_ptr<fleet::FleetService> service;
+  std::int64_t robots = 0;
+  g_heap.allocations = 0;
+  g_heap.bytes = 0;
+  for (auto _ : state) {
+    if (robots % kRobotsPerService == 0) {
+      state.PauseTiming();
+      g_heap.counting = false;
+      service.reset();
+      service = std::make_unique<fleet::FleetService>(config);
+      g_heap.counting = true;
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(service->add_robot(spec));
+    ++robots;
+  }
+  g_heap.counting = false;
+  service.reset();
+  const double n = static_cast<double>(robots);
+  state.counters["bytes_per_session"] =
+      static_cast<double>(g_heap.bytes.load()) / n;
+  state.counters["allocs_per_session"] =
+      static_cast<double>(g_heap.allocations.load()) / n;
+}
+BENCHMARK(BM_FleetSessionSetupKhepera);
 
 // Detector kernels (matrix/kernels.h) on the shapes that dominate a Khepera
 // step, with operands built from the platform at run time: the 3×3 state

@@ -97,7 +97,8 @@ run_obs_overhead() {
 
 # Quick perf snapshot of the detector hot path: one NUISE step, one engine
 # iteration (default mode set, plus the complete mode set at 1 and 4
-# threads), and the full detector step on both platforms — plus one RRT*
+# threads), the full detector step on both platforms, and one fleet
+# robot's session set-up (bytes and allocations per session) — plus one RRT*
 # mission plan per platform, the cost every campaign mission pays first
 # (docs/PERFORMANCE.md "Planner"), the Khepera mission's LiDAR scan and
 # processing, and one whole 250-iteration Khepera mission
@@ -118,7 +119,7 @@ run_bench() {
   build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:[^=]*=//p' "$dir/CMakeCache.txt")"
   cxx_flags="$(sed -n 's/^CMAKE_CXX_FLAGS_RELEASE:[^=]*=//p' "$dir/CMakeCache.txt")"
   "$dir/bench/perf_nuise" \
-    --benchmark_filter='BM_NuiseStepKhepera|BM_EngineStepKhepera|BM_EngineStepCompleteModeSet|BM_FullDetectorStepKhepera|BM_FullDetectorStepTamiya|BM_MatMul3x3|BM_Sandwich3x3|BM_JacobiEigen4|BM_Cholesky4|BM_RrtStarPlanKhepera|BM_RrtStarPlanTamiya|BM_LidarScanAndProcessKhepera|BM_MissionKhepera' \
+    --benchmark_filter='BM_NuiseStepKhepera|BM_EngineStepKhepera|BM_EngineStepCompleteModeSet|BM_FullDetectorStepKhepera|BM_FullDetectorStepTamiya|BM_FleetSessionSetupKhepera|BM_MatMul3x3|BM_Sandwich3x3|BM_JacobiEigen4|BM_Cholesky4|BM_RrtStarPlanKhepera|BM_RrtStarPlanTamiya|BM_LidarScanAndProcessKhepera|BM_MissionKhepera' \
     --benchmark_min_time=0.2 \
     --benchmark_format=json > "$dir/bench_perf_raw.json"
   # Fleet capacity + latency (docs/FLEET.md): ≥1000 sessions at 10 Hz on

@@ -1,17 +1,25 @@
 #include "core/decision.h"
 
+#include "core/bank.h"
 #include "matrix/decomp.h"
-#include "stats/chi_square.h"
 
 namespace roboads::core {
 
 DecisionMaker::DecisionMaker(const sensors::SensorSuite& suite,
                              DecisionConfig config)
-    : suite_(suite), config_(config) {
-  ROBOADS_CHECK(config_.sensor_alpha > 0.0 && config_.sensor_alpha < 1.0,
-                "sensor alpha must lie in (0,1)");
-  ROBOADS_CHECK(config_.actuator_alpha > 0.0 && config_.actuator_alpha < 1.0,
-                "actuator alpha must lie in (0,1)");
+    : DecisionMaker(std::make_shared<const EstimatorBank>(suite, config),
+                    config) {}
+
+DecisionMaker::DecisionMaker(std::shared_ptr<const EstimatorBank> bank,
+                             DecisionConfig config)
+    : bank_(std::move(bank)),
+      config_(config),
+      sensor_history_(config_.sensor_window),
+      actuator_history_(config_.actuator_window) {
+  ROBOADS_CHECK(bank_ != nullptr, "decision maker needs an estimator bank");
+  ROBOADS_CHECK(config_.sensor_alpha == bank_->sensor_alpha() &&
+                    config_.actuator_alpha == bank_->actuator_alpha(),
+                "decision confidence levels differ from the bank's χ² tables");
   auto check_window = [](const SlidingWindowConfig& w) {
     ROBOADS_CHECK(w.window >= 1 && w.criteria >= 1 && w.criteria <= w.window,
                   "sliding window requires 1 <= c <= w");
@@ -19,25 +27,9 @@ DecisionMaker::DecisionMaker(const sensors::SensorSuite& suite,
   check_window(config_.sensor_window);
   check_window(config_.actuator_window);
 
-  sensor_history_ = SlidingWindow(config_.sensor_window);
-  actuator_history_ = SlidingWindow(config_.actuator_window);
-  per_sensor_history_.assign(suite.count(),
-                             SlidingWindow(config_.sensor_window));
-
-  // The stacked sensor statistic has at most total_dim() degrees of freedom
-  // and the actuator statistic no more than that either (the anomaly is
-  // identified through the sensor stack), so precompute both quantile tables
-  // over that range; dof 0 is never tested and stays 0. The process-wide
-  // memo solves each (α, dof) quantile once for every detector built.
-  const std::size_t max_dof = suite.total_dim();
-  sensor_thresholds_.assign(max_dof + 1, 0.0);
-  actuator_thresholds_.assign(max_dof + 1, 0.0);
-  for (std::size_t dof = 1; dof <= max_dof; ++dof) {
-    sensor_thresholds_[dof] =
-        stats::chi_square_threshold_memo(config_.sensor_alpha, dof);
-    actuator_thresholds_[dof] =
-        stats::chi_square_threshold_memo(config_.actuator_alpha, dof);
-  }
+  const std::size_t sensors = bank_->suite().count();
+  per_sensor_history_.assign(sensors, SlidingWindow(config_.sensor_window));
+  tested_.assign(sensors, false);
 }
 
 void DecisionMaker::reset() {
@@ -61,13 +53,8 @@ void DecisionMaker::restore_windows(const std::vector<std::int64_t>& in) {
                    "decision-window snapshot has trailing data");
 }
 
-double DecisionMaker::threshold_for(const std::vector<double>& cache,
-                                    double alpha, std::size_t dof) {
-  if (dof < cache.size()) return cache[dof];
-  return stats::chi_square_threshold(alpha, dof);
-}
-
 Decision DecisionMaker::evaluate(const Mode& mode, const NuiseResult& result) {
+  const sensors::SensorSuite& suite = bank_->suite();
   Decision d;
 
   // --- Aggregate sensor test (line 10). ---
@@ -75,8 +62,7 @@ Decision DecisionMaker::evaluate(const Mode& mode, const NuiseResult& result) {
     const std::size_t dof = result.sensor_anomaly.size();
     const SpdFactor cov(result.sensor_anomaly_cov);
     d.sensor_statistic = cov.quadratic_form(result.sensor_anomaly);
-    d.sensor_threshold = threshold_for(sensor_thresholds_,
-                                       config_.sensor_alpha, dof);
+    d.sensor_threshold = bank_->sensor_threshold(dof);
     d.sensor_test_positive = d.sensor_statistic > d.sensor_threshold;
   }
   d.sensor_alarm = sensor_history_.push(d.sensor_test_positive);
@@ -86,8 +72,7 @@ Decision DecisionMaker::evaluate(const Mode& mode, const NuiseResult& result) {
     const std::size_t dof = result.actuator_anomaly.size();
     const SpdFactor cov(result.actuator_anomaly_cov);
     d.actuator_statistic = cov.quadratic_form(result.actuator_anomaly);
-    d.actuator_threshold = threshold_for(actuator_thresholds_,
-                                         config_.actuator_alpha, dof);
+    d.actuator_threshold = bank_->actuator_threshold(dof);
     d.actuator_test_positive = d.actuator_statistic > d.actuator_threshold;
   }
   d.actuator_alarm = actuator_history_.push(d.actuator_test_positive);
@@ -101,31 +86,32 @@ Decision DecisionMaker::evaluate(const Mode& mode, const NuiseResult& result) {
   // outage, sim/faults.h) only the testing sensors actually stacked into
   // d̂ˢ are attributed — unavailable sensors carry no fresh evidence.
   const std::vector<std::size_t>& testing = active_testing_of(mode, result);
-  ROBOADS_CHECK_EQ(result.sensor_anomaly.size(), stacked_dim(suite_, testing),
+  ROBOADS_CHECK_EQ(result.sensor_anomaly.size(), stacked_dim(suite, testing),
                    "stacked sensor anomaly does not match the testing group");
-  std::vector<bool> tested(suite_.count(), false);
+  std::fill(tested_.begin(), tested_.end(), false);
+  d.sensor_verdicts.reserve(testing.size());
   std::size_t at = 0;
   for (std::size_t t : testing) {
-    const std::size_t dim = suite_.sensor(t).dim();
+    const std::size_t dim = suite.sensor(t).dim();
     SensorVerdict v;
     v.sensor_index = t;
     v.anomaly_estimate = result.sensor_anomaly.segment(at, dim);
     const SpdFactor block(result.sensor_anomaly_cov.block(at, at, dim, dim));
     v.statistic = block.quadratic_form(v.anomaly_estimate);
-    v.threshold = threshold_for(sensor_thresholds_, config_.sensor_alpha, dim);
+    v.threshold = bank_->sensor_threshold(dim);
     const bool positive = v.statistic > v.threshold;
     const bool windowed = per_sensor_history_[t].push(positive);
     v.misbehaving = d.sensor_alarm && windowed;
     if (v.misbehaving) d.misbehaving_sensors.push_back(t);
     d.sensor_verdicts.push_back(std::move(v));
-    tested[t] = true;
+    tested_[t] = true;
     at += dim;
   }
   // Sensors without a fresh test this iteration — the mode's reference
   // group and any unavailable testing sensor — still age their windows so
   // stale positives from before a mode switch (or an outage) decay.
-  for (std::size_t s = 0; s < suite_.count(); ++s) {
-    if (!tested[s]) {
+  for (std::size_t s = 0; s < suite.count(); ++s) {
+    if (!tested_[s]) {
       per_sensor_history_[s].push(false);
     }
   }

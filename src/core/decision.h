@@ -13,13 +13,15 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <optional>
+#include <memory>
 #include <vector>
 
 #include "common/check.h"
-#include "core/engine.h"
+#include "core/nuise.h"
 
 namespace roboads::core {
+
+class EstimatorBank;  // core/bank.h
 
 struct SlidingWindowConfig {
   std::size_t window = 1;    // w
@@ -127,7 +129,13 @@ struct Decision {
 
 class DecisionMaker {
  public:
+  // Builds a private bank holding only the χ² tables for `config`.
   DecisionMaker(const sensors::SensorSuite& suite, DecisionConfig config);
+
+  // Reads the suite and χ² tables from a shared bank, whose confidence
+  // levels must equal `config`'s; the windows are this decision maker's.
+  DecisionMaker(std::shared_ptr<const EstimatorBank> bank,
+                DecisionConfig config);
 
   const DecisionConfig& config() const { return config_; }
 
@@ -145,23 +153,17 @@ class DecisionMaker {
   void restore_windows(const std::vector<std::int64_t>& in);
 
  private:
-  // Cached χ² quantile lookup: `cache[dof]` when precomputed, direct
-  // Newton solve beyond the precomputed range (never hit for real suites).
-  static double threshold_for(const std::vector<double>& cache, double alpha,
-                              std::size_t dof);
-
-  const sensors::SensorSuite& suite_;
+  // Suite and χ² thresholds per dof for the two confidence levels:
+  // thresholds are pure functions of (α, dof), so the bank solves them once
+  // for every detector sharing it.
+  std::shared_ptr<const EstimatorBank> bank_;
   DecisionConfig config_;
   SlidingWindow sensor_history_;
   SlidingWindow actuator_history_;
   // Per-suite-sensor positive history for stable attribution.
   std::vector<SlidingWindow> per_sensor_history_;
-  // χ² thresholds per dof for the two fixed confidence levels: thresholds
-  // are pure functions of (α, dof) and α never changes after construction,
-  // so the Newton-solved quantiles are computed once instead of four times
-  // per detector iteration (formerly about half the full step cost).
-  std::vector<double> sensor_thresholds_;    // index = dof
-  std::vector<double> actuator_thresholds_;  // index = dof
+  // evaluate() scratch: which suite sensors got a fresh test this step.
+  std::vector<bool> tested_;
 };
 
 }  // namespace roboads::core

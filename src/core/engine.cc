@@ -14,15 +14,20 @@ MultiModeEngine::MultiModeEngine(const dyn::DynamicModel& model,
                                  std::vector<Mode> modes,
                                  const Matrix& process_cov, const Vector& x0,
                                  const Matrix& p0, EngineConfig config)
-    : suite_(&suite), modes_(std::move(modes)), config_(config) {
-  validate_modes(modes_, suite);
+    : MultiModeEngine(std::make_shared<const EstimatorBank>(
+                          model, suite, std::move(modes), process_cov),
+                      x0, p0, std::move(config)) {}
+
+MultiModeEngine::MultiModeEngine(std::shared_ptr<const EstimatorBank> bank,
+                                 const Vector& x0, const Matrix& p0,
+                                 EngineConfig config)
+    : bank_(std::move(bank)), config_(std::move(config)) {
+  ROBOADS_CHECK(bank_ != nullptr, "engine needs an estimator bank");
+  const std::vector<Mode>& modes = bank_->modes();
+  ROBOADS_CHECK(!modes.empty(), "engine needs a bank with estimators");
   ROBOADS_CHECK(config_.likelihood_floor > 0.0 &&
-                    config_.likelihood_floor < 1.0 / modes_.size(),
+                    config_.likelihood_floor < 1.0 / modes.size(),
                 "likelihood floor must lie in (0, 1/M)");
-  estimators_.reserve(modes_.size());
-  for (const Mode& m : modes_) {
-    estimators_.emplace_back(model, suite, m, process_cov);
-  }
 
   // Resolve metric handles once; the step hot path never touches the
   // registry mutex. With no registry attached every handle stays null and
@@ -34,12 +39,11 @@ MultiModeEngine::MultiModeEngine(const dyn::DynamicModel& model,
     // always-on telemetry budget (obs/obs.h).
     if (!config_.instruments.coarse_timers) {
       stage_timers_ = NuiseStageTimers::resolve(metrics);
-      for (Nuise& est : estimators_) est.set_stage_timers(&stage_timers_);
     }
     h_step_ = &metrics->histogram("engine.step_ns",
                                   obs::default_latency_bounds_ns());
-    c_mode_selected_.reserve(modes_.size());
-    for (const Mode& m : modes_) {
+    c_mode_selected_.reserve(modes.size());
+    for (const Mode& m : modes) {
       c_mode_selected_.push_back(
           &metrics->counter("engine.mode_selected." + m.label));
     }
@@ -60,10 +64,11 @@ void MultiModeEngine::reset(const Vector& x0, const Matrix& p0) {
   // and p0 is only validated to 1e-8. Symmetrizing an already exactly
   // symmetric p0 is the identity ((a + a) / 2 == a in IEEE arithmetic).
   state_cov_ = p0.symmetrized();
-  weights_.assign(modes_.size(), 1.0 / static_cast<double>(modes_.size()));
-  health_.assign(modes_.size(), ModeHealth{});
-  quarantined_scratch_.assign(modes_.size(), false);
-  log_w_scratch_.assign(modes_.size(), 0.0);
+  const std::size_t m_count = modes().size();
+  weights_.assign(m_count, 1.0 / static_cast<double>(m_count));
+  health_.assign(m_count, ModeHealth{});
+  quarantined_scratch_.assign(m_count, false);
+  log_w_scratch_.assign(m_count, 0.0);
   step_index_ = 0;
 }
 
@@ -97,9 +102,9 @@ void MultiModeEngine::restore_state(const obs::DetectorStateSnapshot& snap) {
   ROBOADS_CHECK_EQ(snap.state.size(), n, "snapshot state dimension mismatch");
   ROBOADS_CHECK_EQ(snap.state_cov.size(), n * n,
                    "snapshot covariance dimension mismatch");
-  ROBOADS_CHECK_EQ(snap.weights.size(), modes_.size(),
+  ROBOADS_CHECK_EQ(snap.weights.size(), modes().size(),
                    "snapshot mode-weight count mismatch");
-  ROBOADS_CHECK_EQ(snap.health.size(), modes_.size() * 4,
+  ROBOADS_CHECK_EQ(snap.health.size(), modes().size() * 4,
                    "snapshot mode-health count mismatch");
   for (std::size_t i = 0; i < n; ++i) state_[i] = snap.state[i];
   for (std::size_t i = 0; i < n; ++i) {
@@ -139,7 +144,8 @@ EngineResult MultiModeEngine::step(const Vector& u_prev, const Vector& z_full,
 EngineResult MultiModeEngine::step_impl(const Vector& u_prev,
                                         const Vector& z_full,
                                         const SensorMask* available) {
-  const std::size_t m_count = modes_.size();
+  const EstimatorBank& bank = *bank_;
+  const std::size_t m_count = bank.modes().size();
   const obs::ScopedTimer step_timer(h_step_);
   const std::size_t k = step_index_++;
   EngineResult out;
@@ -152,11 +158,13 @@ EngineResult MultiModeEngine::step_impl(const Vector& u_prev,
   // threaded in each iteration), so a clean result here is exactly the
   // evidence the supervisor needs to reinstate the mode.
   for (std::size_t m = 0; m < m_count; ++m) {
+    const Nuise& estimator = bank.estimator(m);
     out.per_mode[m] =
         available != nullptr
-            ? estimators_[m].step(state_, state_cov_, u_prev, z_full,
-                                  *available)
-            : estimators_[m].step(state_, state_cov_, u_prev, z_full);
+            ? estimator.step(state_, state_cov_, u_prev, z_full, *available,
+                             stage_timers_)
+            : estimator.step(state_, state_cov_, u_prev, z_full,
+                             stage_timers_);
   }
 
   // --- Health supervision. ---
@@ -167,7 +175,7 @@ EngineResult MultiModeEngine::step_impl(const Vector& u_prev,
     for (std::size_t m = 0; m < m_count; ++m) {
       const ModeHealthState before = health_[m].state;
       const SupervisionOutcome outcome = supervise_result(
-          out.per_mode[m], modes_[m], *suite_, config_.health);
+          out.per_mode[m], bank.modes()[m], bank.suite(), config_.health);
       if (outcome.fatal) {
         health_[m].on_fatal(config_.health);
       } else if (outcome.repaired) {
@@ -189,7 +197,7 @@ EngineResult MultiModeEngine::step_impl(const Vector& u_prev,
       if (trace != nullptr && after != before) {
         trace->emit(obs::TraceEvent("health_transition", config_.obs_label, k)
                         .add("mode", static_cast<std::int64_t>(m))
-                        .add("mode_label", modes_[m].label)
+                        .add("mode_label", bank.modes()[m].label)
                         .add("from", std::string(to_string(before)))
                         .add("to", std::string(to_string(after)))
                         .add("detail", outcome.detail));

@@ -1,17 +1,19 @@
 // Multi-mode estimation engine and mode selector (paper §IV-B, §IV-C;
 // Algorithm 1, lines 4-9).
 //
-// The engine maintains one NUISE estimator per mode plus a recursive weight
-// μ_m per mode: μ_m,k = max(N_m,k · μ_m,k−1, ε) followed by normalization.
-// All estimators start each iteration from the shared state estimate of the
-// previously selected mode, exactly as Algorithm 1 threads x̂_{k−1|k−1} into
-// every NUISE call.
+// The engine runs one NUISE estimator per mode (from its EstimatorBank,
+// core/bank.h) plus a recursive weight μ_m per mode:
+// μ_m,k = max(N_m,k · μ_m,k−1, ε) followed by normalization. All estimators
+// start each iteration from the shared state estimate of the previously
+// selected mode, exactly as Algorithm 1 threads x̂_{k−1|k−1} into every
+// NUISE call.
 #pragma once
 
+#include <memory>
 #include <vector>
 
+#include "core/bank.h"
 #include "core/health.h"
-#include "core/nuise.h"
 #include "obs/obs.h"
 
 namespace roboads::core {
@@ -70,13 +72,20 @@ struct EngineResult {
 
 class MultiModeEngine {
  public:
-  // `model` and `suite` must outlive the engine.
+  // Builds a private bank over `modes`. `model` and `suite` must outlive
+  // the engine.
   MultiModeEngine(const dyn::DynamicModel& model,
                   const sensors::SensorSuite& suite, std::vector<Mode> modes,
                   const Matrix& process_cov, const Vector& x0,
                   const Matrix& p0, EngineConfig config = {});
 
-  const std::vector<Mode>& modes() const { return modes_; }
+  // Steps the estimators of a shared bank, which must hold at least one
+  // mode. The engine keeps only its own estimate, weights and health.
+  MultiModeEngine(std::shared_ptr<const EstimatorBank> bank, const Vector& x0,
+                  const Matrix& p0, EngineConfig config = {});
+
+  const EstimatorBank& bank() const { return *bank_; }
+  const std::vector<Mode>& modes() const { return bank_->modes(); }
   const Vector& state() const { return state_; }
   const Matrix& state_cov() const { return state_cov_; }
   const std::vector<double>& weights() const { return weights_; }
@@ -114,9 +123,7 @@ class MultiModeEngine {
   EngineResult step_impl(const Vector& u_prev, const Vector& z_full,
                          const SensorMask* available);
 
-  const sensors::SensorSuite* suite_;  // for health supervision block layout
-  std::vector<Mode> modes_;
-  std::vector<Nuise> estimators_;
+  std::shared_ptr<const EstimatorBank> bank_;
   EngineConfig config_;
   Vector state_;
   Matrix state_cov_;
@@ -129,7 +136,9 @@ class MultiModeEngine {
 
   // --- Observability handles, resolved once at construction (all null when
   // config_.instruments.metrics is null; the hot path then only pays the
-  // null checks). Handles stay valid for the registry's lifetime.
+  // null checks). Handles stay valid for the registry's lifetime. The
+  // stage timers go into every NUISE step, so engines sharing a bank record
+  // only into their own registries.
   NuiseStageTimers stage_timers_;
   obs::Histogram* h_step_ = nullptr;              // engine.step_ns
   std::vector<obs::Counter*> c_mode_selected_;    // engine.mode_selected.<label>

@@ -74,15 +74,17 @@ Nuise::Nuise(const dyn::DynamicModel& model,
 }
 
 NuiseResult Nuise::step(const Vector& x_prev, const Matrix& p_prev,
-                        const Vector& u_prev, const Vector& z_full) const {
+                        const Vector& u_prev, const Vector& z_full,
+                        const NuiseStageTimers& timers) const {
   return step_subsets(mode_.reference, mode_.testing, x_prev, p_prev, u_prev,
-                      z_full, /*cached=*/true);
+                      z_full, /*cached=*/true, timers);
 }
 
 NuiseResult Nuise::step(const Vector& x_prev, const Matrix& p_prev,
                         const Vector& u_prev, const Vector& z_full,
-                        const SensorMask& available) const {
-  if (available.empty()) return step(x_prev, p_prev, u_prev, z_full);
+                        const SensorMask& available,
+                        const NuiseStageTimers& timers) const {
+  if (available.empty()) return step(x_prev, p_prev, u_prev, z_full, timers);
   ROBOADS_CHECK_EQ(available.size(), suite_.count(),
                    "availability mask size mismatch");
 
@@ -100,13 +102,13 @@ NuiseResult Nuise::step(const Vector& x_prev, const Matrix& p_prev,
   if (ref.size() == mode_.reference.size() &&
       tst.size() == mode_.testing.size()) {
     // Every sensor of this mode arrived: the exact full step.
-    return step(x_prev, p_prev, u_prev, z_full);
+    return step(x_prev, p_prev, u_prev, z_full, timers);
   }
   if (ref.empty()) {
-    return predict_only(tst, x_prev, p_prev, u_prev, z_full);
+    return predict_only(tst, x_prev, p_prev, u_prev, z_full, timers);
   }
-  NuiseResult out =
-      step_subsets(ref, tst, x_prev, p_prev, u_prev, z_full, /*cached=*/false);
+  NuiseResult out = step_subsets(ref, tst, x_prev, p_prev, u_prev, z_full,
+                                 /*cached=*/false, timers);
   out.degraded = true;
   out.active_testing = tst;
   return out;
@@ -114,8 +116,8 @@ NuiseResult Nuise::step(const Vector& x_prev, const Matrix& p_prev,
 
 NuiseResult Nuise::predict_only(const std::vector<std::size_t>& tst,
                                 const Vector& x_prev, const Matrix& p_prev,
-                                const Vector& u_prev,
-                                const Vector& z_full) const {
+                                const Vector& u_prev, const Vector& z_full,
+                                const NuiseStageTimers& timers) const {
   const std::size_t q = model_.input_dim();
   ROBOADS_CHECK_EQ(x_prev.size(), model_.state_dim(),
                    "previous state size mismatch");
@@ -127,7 +129,7 @@ NuiseResult Nuise::predict_only(const std::vector<std::size_t>& tst,
   out.degraded = true;
   out.active_testing = tst;
 
-  obs::SplitTimer split(timers_ != nullptr && timers_->any());
+  obs::SplitTimer split(timers.any());
 
   // Propagate through the kinematics with the planned (uncompensated)
   // input: with no reference readings there is no innovation to estimate
@@ -142,7 +144,7 @@ NuiseResult Nuise::predict_only(const std::vector<std::size_t>& tst,
   out.actuator_anomaly = Vector(q);
   out.actuator_anomaly_cov = Matrix::identity(q);
   out.actuator_identifiable = false;
-  split.lap(timers_ != nullptr ? timers_->predict : nullptr);
+  split.lap(timers.predict);
 
   // Testing sensors that did arrive are still screened against the
   // prediction; the wider Pˣ of the open-loop step is accounted for in the
@@ -154,7 +156,7 @@ NuiseResult Nuise::predict_only(const std::vector<std::size_t>& tst,
     out.sensor_anomaly_cov = sandwich(c1, out.state_cov);
     out.sensor_anomaly_cov += suite_.noise_covariance(tst);
   }
-  split.lap(timers_ != nullptr ? timers_->sensor_anomaly : nullptr);
+  split.lap(timers.sensor_anomaly);
   out.log_likelihood = 0.0;  // placeholder; flagged uninformative
   return out;
 }
@@ -163,7 +165,8 @@ NuiseResult Nuise::step_subsets(const std::vector<std::size_t>& ref,
                                 const std::vector<std::size_t>& tst,
                                 const Vector& x_prev, const Matrix& p_prev,
                                 const Vector& u_prev, const Vector& z_full,
-                                bool cached) const {
+                                bool cached,
+                                const NuiseStageTimers& timers) const {
   const std::size_t n = model_.state_dim();
   const std::size_t q = model_.input_dim();
   ROBOADS_CHECK_EQ(x_prev.size(), n, "previous state size mismatch");
@@ -171,7 +174,7 @@ NuiseResult Nuise::step_subsets(const std::vector<std::size_t>& ref,
                 "previous covariance shape mismatch");
   ROBOADS_CHECK_EQ(u_prev.size(), q, "control size mismatch");
 
-  obs::SplitTimer split(timers_ != nullptr && timers_->any());
+  obs::SplitTimer split(timers.any());
 
   const Matrix a = model_.jacobian_state(x_prev, u_prev);
   const Matrix g = model_.jacobian_input(x_prev, u_prev);
@@ -220,7 +223,7 @@ NuiseResult Nuise::step_subsets(const std::vector<std::size_t>& ref,
   const Vector resid_bare = suite_.residual(ref, z2, x_bare, ref_mask);
   out.actuator_anomaly = m2 * resid_bare;
   out.actuator_anomaly_cov = sandwich(m2, r_star);
-  split.lap(timers_ != nullptr ? timers_->input_estimation : nullptr);
+  split.lap(timers.input_estimation);
 
   // --- Step 2: state prediction with compensation (lines 7-10). ---
   // The compensated input is clamped to the actuator's physical range: an
@@ -259,7 +262,7 @@ NuiseResult Nuise::step_subsets(const std::vector<std::size_t>& ref,
   q_bar += sandwich(gm2, r2);
   Matrix p_pred = sandwich(a_bar, p_prev);
   p_pred += q_bar;
-  split.lap(timers_ != nullptr ? timers_->predict : nullptr);
+  split.lap(timers.predict);
 
   // --- Step 3: state estimation (lines 11-14). ---
   // Relinearize h₂ at the compensated prediction.
@@ -288,7 +291,7 @@ NuiseResult Nuise::step_subsets(const std::vector<std::size_t>& ref,
   state_cov += sandwich(gain, r2);
   add_self_adjoint(state_cov, ilc * u_cross * gain.transpose(), -1.0);
   out.state_cov = std::move(state_cov);
-  split.lap(timers_ != nullptr ? timers_->correct : nullptr);
+  split.lap(timers.correct);
 
   // --- Step 4: testing-sensor anomaly estimation (lines 15-16). ---
   if (!tst.empty()) {
@@ -309,14 +312,14 @@ NuiseResult Nuise::step_subsets(const std::vector<std::size_t>& ref,
     sa_cov += r1;
     out.sensor_anomaly_cov = std::move(sa_cov);
   }
-  split.lap(timers_ != nullptr ? timers_->sensor_anomaly : nullptr);
+  split.lap(timers.sensor_anomaly);
 
   // --- Mode likelihood (lines 17-20). ---
   out.innovation = innovation;
   out.innovation_cov = innov_cov;
   out.log_likelihood =
       stats::degenerate_gaussian_log_pdf(innovation, innov_factor);
-  split.lap(timers_ != nullptr ? timers_->likelihood : nullptr);
+  split.lap(timers.likelihood);
   return out;
 }
 

@@ -31,10 +31,12 @@
 namespace roboads::core {
 
 // Hot-path stage timers for one NUISE iteration (obs/timer.h). The engine
-// resolves one shared set from its metrics registry and hands every
-// estimator a pointer; all members null (or a null struct pointer) disables
-// timing entirely. Histograms are lock-free, so detectors stepping on
-// different threads (batched missions, fleet shards) record concurrently.
+// resolves one set from its metrics registry and passes it into every
+// step; all members null (the default) disables timing entirely. The
+// estimator keeps no timers of its own, so one estimator shared by many
+// engines (core/bank.h) records only into the stepping engine's registry.
+// Histograms are lock-free, so detectors stepping on different threads
+// (batched missions, fleet shards) record concurrently.
 struct NuiseStageTimers {
   obs::Histogram* input_estimation = nullptr;  // Step 1: d̂ᵃ estimation
   obs::Histogram* predict = nullptr;           // Step 2: compensated predict
@@ -108,9 +110,11 @@ class Nuise {
 
   // One estimation iteration. `x_prev`/`p_prev` are x̂_{k−1|k−1} and
   // Pˣ_{k−1}; `u_prev` the planned commands u_{k−1}; `z_full` the full
-  // stacked readings z_k (suite layout).
+  // stacked readings z_k (suite layout). `timers` receives per-stage
+  // latencies; it only observes, so outputs are the same without it.
   NuiseResult step(const Vector& x_prev, const Matrix& p_prev,
-                   const Vector& u_prev, const Vector& z_full) const;
+                   const Vector& u_prev, const Vector& z_full,
+                   const NuiseStageTimers& timers = {}) const;
 
   // Degraded-mode iteration under a sensor availability mask (sized
   // suite.count(); empty = all available). With every sensor of the mode
@@ -123,11 +127,8 @@ class Nuise {
   // mismatch.
   NuiseResult step(const Vector& x_prev, const Matrix& p_prev,
                    const Vector& u_prev, const Vector& z_full,
-                   const SensorMask& available) const;
-
-  // Attaches per-stage latency histograms (nullptr detaches; the pointee
-  // must outlive the estimator). Observation only — outputs are untouched.
-  void set_stage_timers(const NuiseStageTimers* timers) { timers_ = timers; }
+                   const SensorMask& available,
+                   const NuiseStageTimers& timers = {}) const;
 
  private:
   // Mode-invariant structure computed once at construction and reused every
@@ -155,19 +156,19 @@ class Nuise {
                            const std::vector<std::size_t>& tst,
                            const Vector& x_prev, const Matrix& p_prev,
                            const Vector& u_prev, const Vector& z_full,
-                           bool cached) const;
+                           bool cached, const NuiseStageTimers& timers) const;
 
   // Prediction-only fallback when the reference group is unavailable.
   NuiseResult predict_only(const std::vector<std::size_t>& tst,
                            const Vector& x_prev, const Matrix& p_prev,
-                           const Vector& u_prev, const Vector& z_full) const;
+                           const Vector& u_prev, const Vector& z_full,
+                           const NuiseStageTimers& timers) const;
 
   const dyn::DynamicModel& model_;
   const sensors::SensorSuite& suite_;
   Mode mode_;
   Matrix process_cov_;
   Workspace ws_;
-  const NuiseStageTimers* timers_ = nullptr;  // non-owning, may be null
 };
 
 }  // namespace roboads::core

@@ -8,24 +8,27 @@
 #include "obs/trace.h"
 
 namespace roboads::core {
-namespace {
 
-std::vector<Mode> default_modes(const sensors::SensorSuite& suite,
-                                std::vector<Mode> modes) {
-  if (modes.empty()) return one_reference_per_sensor(suite);
-  return modes;
+std::shared_ptr<const EstimatorBank> make_bank(
+    const dyn::DynamicModel& model, const sensors::SensorSuite& suite,
+    const Matrix& process_cov, const RoboAdsConfig& config,
+    std::vector<Mode> modes) {
+  if (modes.empty()) modes = one_reference_per_sensor(suite);
+  return std::make_shared<const EstimatorBank>(model, suite, std::move(modes),
+                                               process_cov, config.decision);
 }
-
-}  // namespace
 
 RoboAds::RoboAds(const dyn::DynamicModel& model,
                  const sensors::SensorSuite& suite, const Matrix& process_cov,
                  const Vector& x0, const Matrix& p0, RoboAdsConfig config,
                  std::vector<Mode> modes)
-    : suite_(suite),
-      engine_(model, suite, default_modes(suite, std::move(modes)),
-              process_cov, x0, p0, config.engine),
-      decision_maker_(suite, config.decision),
+    : RoboAds(make_bank(model, suite, process_cov, config, std::move(modes)),
+              x0, p0, config) {}
+
+RoboAds::RoboAds(std::shared_ptr<const EstimatorBank> bank, const Vector& x0,
+                 const Matrix& p0, RoboAdsConfig config)
+    : engine_(bank, x0, p0, config.engine),
+      decision_maker_(std::move(bank), config.decision),
       instruments_(config.engine.instruments),
       obs_label_(config.engine.obs_label) {
   if (obs::MetricsRegistry* metrics = instruments_.metrics) {
@@ -73,12 +76,13 @@ DetectionReport RoboAds::step(const Vector& u_prev, const Vector& z_full,
   // transport/driver fault, not a measurement — mask it out for this
   // iteration so it cannot poison the estimator bank. Finite readings take
   // the caller's mask untouched (bit-identical legacy path when empty).
+  const sensors::SensorSuite& suite = this->suite();
   SensorMask mask = available;
   if (!z_full.all_finite()) {
-    if (mask.empty()) mask.assign(suite_.count(), true);
-    for (std::size_t i = 0; i < suite_.count(); ++i) {
-      const Vector block = z_full.segment(suite_.offset(i),
-                                          suite_.sensor(i).dim());
+    if (mask.empty()) mask.assign(suite.count(), true);
+    for (std::size_t i = 0; i < suite.count(); ++i) {
+      const Vector block = z_full.segment(suite.offset(i),
+                                          suite.sensor(i).dim());
       if (!block.all_finite()) mask[i] = false;
     }
   }
@@ -94,13 +98,13 @@ DetectionReport RoboAds::step(const Vector& u_prev, const Vector& z_full,
     save_state(rec->pre_step);
     rec->u.assign(u_prev.data(), u_prev.data() + u_prev.size());
     rec->z.assign(z_full.data(), z_full.data() + z_full.size());
-    rec->availability.assign(suite_.count(), '1');
-    for (std::size_t i = 0; i < mask.size() && i < suite_.count(); ++i) {
+    rec->availability.assign(suite.count(), '1');
+    for (std::size_t i = 0; i < mask.size() && i < suite.count(); ++i) {
       if (!mask[i]) rec->availability[i] = '0';
     }
   }
 
-  const EngineResult engine_result = engine_.step(u_prev, z_full, mask);
+  EngineResult engine_result = engine_.step(u_prev, z_full, mask);
   const Mode& mode = engine_.modes()[engine_result.selected_mode];
 
   // Containment floor: every mode failed supervision this iteration. The
@@ -125,7 +129,7 @@ DetectionReport RoboAds::step(const Vector& u_prev, const Vector& z_full,
   report.iteration = ++iteration_;
   report.selected_mode = engine_result.selected_mode;
   report.selected_mode_label = mode.label;
-  report.mode_weights = engine_result.mode_weights;
+  report.mode_weights = std::move(engine_result.mode_weights);
   report.state_estimate = selected.state;
   report.state_covariance = selected.state_cov;
   {
@@ -134,16 +138,16 @@ DetectionReport RoboAds::step(const Vector& u_prev, const Vector& z_full,
   }
   report.selected_result = selected;
   report.actuator_anomaly = selected.actuator_anomaly;
-  report.mode_health = engine_result.mode_health;
+  report.mode_health = std::move(engine_result.mode_health);
   report.quarantined_modes = engine_result.quarantined_modes;
   report.sensor_available = mask;
 
   // Split the stacked testing-sensor anomaly back out by suite sensor
   // (degraded steps stack only the available testing sensors).
-  report.sensor_anomaly_by_sensor.resize(suite_.count());
+  report.sensor_anomaly_by_sensor.resize(suite.count());
   std::size_t at = 0;
   for (std::size_t t : active_testing_of(mode, selected)) {
-    const std::size_t dim = suite_.sensor(t).dim();
+    const std::size_t dim = suite.sensor(t).dim();
     report.sensor_anomaly_by_sensor[t] =
         selected.sensor_anomaly.segment(at, dim);
     at += dim;
@@ -221,21 +225,22 @@ void RoboAds::fill_flight_record(obs::FlightRecord& rec,
   rec.actuator_chi2 = report.decision.actuator_statistic;
   rec.actuator_threshold = report.decision.actuator_threshold;
   rec.actuator_alarm = report.decision.actuator_alarm;
-  rec.per_sensor_chi2.assign(suite_.count(), kNaN);
-  rec.per_sensor_threshold.assign(suite_.count(), kNaN);
+  const sensors::SensorSuite& suite = this->suite();
+  rec.per_sensor_chi2.assign(suite.count(), kNaN);
+  rec.per_sensor_threshold.assign(suite.count(), kNaN);
   for (const SensorVerdict& v : report.decision.sensor_verdicts) {
     rec.per_sensor_chi2[v.sensor_index] = v.statistic;
     rec.per_sensor_threshold[v.sensor_index] = v.threshold;
   }
-  rec.misbehaving.assign(suite_.count(), '0');
+  rec.misbehaving.assign(suite.count(), '0');
   for (std::size_t s : report.decision.misbehaving_sensors) {
     rec.misbehaving[s] = '1';
   }
-  rec.sensor_anomaly.assign(suite_.total_dim(), kNaN);
-  for (std::size_t s = 0; s < suite_.count(); ++s) {
+  rec.sensor_anomaly.assign(suite.total_dim(), kNaN);
+  for (std::size_t s = 0; s < suite.count(); ++s) {
     const Vector& block = report.sensor_anomaly_by_sensor[s];
     if (block.size() == 0) continue;
-    const std::size_t off = suite_.offset(s);
+    const std::size_t off = suite.offset(s);
     for (std::size_t i = 0; i < block.size(); ++i) {
       rec.sensor_anomaly[off + i] = block[i];
     }
@@ -280,7 +285,7 @@ void RoboAds::emit_iteration_event(const DetectionReport& report,
   for (std::size_t m = 0; m < report.mode_health.size(); ++m) {
     health_codes[m] = code(report.mode_health[m]);
   }
-  std::string availability(suite_.count(), '1');
+  std::string availability(suite().count(), '1');
   for (std::size_t i = 0;
        i < report.sensor_available.size() && i < availability.size(); ++i) {
     if (!report.sensor_available[i]) availability[i] = '0';

@@ -53,14 +53,28 @@ struct DetectionReport {
   Vector actuator_anomaly;
 };
 
+// The bank a detector built from these arguments owns: `modes` defaults to
+// the one-reference-per-sensor set when empty, and the χ² tables follow
+// `config.decision`. Detectors sharing it keep only per-robot state.
+std::shared_ptr<const EstimatorBank> make_bank(
+    const dyn::DynamicModel& model, const sensors::SensorSuite& suite,
+    const Matrix& process_cov, const RoboAdsConfig& config,
+    std::vector<Mode> modes = {});
+
 class RoboAds {
  public:
-  // `model` and `suite` must outlive the detector. `modes` defaults to the
-  // one-reference-per-sensor set when empty.
+  // Builds a private bank (make_bank). `model` and `suite` must outlive
+  // the detector.
   RoboAds(const dyn::DynamicModel& model, const sensors::SensorSuite& suite,
           const Matrix& process_cov, const Vector& x0, const Matrix& p0,
           RoboAdsConfig config = {}, std::vector<Mode> modes = {});
 
+  // Steps through a shared bank whose χ² tables were built for
+  // `config.decision`'s confidence levels.
+  RoboAds(std::shared_ptr<const EstimatorBank> bank, const Vector& x0,
+          const Matrix& p0, RoboAdsConfig config = {});
+
+  const EstimatorBank& bank() const { return engine_.bank(); }
   const std::vector<Mode>& modes() const { return engine_.modes(); }
   const Vector& state_estimate() const { return engine_.state(); }
   // Completed step() calls since construction/reset/restore — the streaming
@@ -100,7 +114,8 @@ class RoboAds {
                           const DetectionReport& report,
                           const EngineResult& engine_result);
 
-  const sensors::SensorSuite& suite_;
+  const sensors::SensorSuite& suite() const { return bank().suite(); }
+
   MultiModeEngine engine_;
   DecisionMaker decision_maker_;
   std::size_t iteration_ = 0;

@@ -36,6 +36,8 @@ std::shared_ptr<SessionSpec> make_session_spec(
   spec->p0 = Matrix::identity(platform.model().state_dim()) * 1e-4;
   spec->config = platform.detector_config();
   spec->modes = platform.detector_modes();
+  spec->bank = core::make_bank(*spec->model, *spec->suite, *spec->process_cov,
+                               spec->config, spec->modes);
   return spec;
 }
 

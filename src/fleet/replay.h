@@ -21,7 +21,8 @@
 
 namespace roboads::fleet {
 
-// Session spec for one robot flying `platform`'s detector stack. The
+// Session spec for one robot flying `platform`'s detector stack, with its
+// estimator bank built once for every session the spec serves. The
 // returned spec points into `platform`, which must outlive it.
 std::shared_ptr<SessionSpec> make_session_spec(const eval::Platform& platform);
 

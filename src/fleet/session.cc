@@ -6,29 +6,34 @@
 
 namespace roboads::fleet {
 
+namespace {
+
+// The spec's bank, checked before the detector is built on it.
+std::shared_ptr<const core::EstimatorBank> checked_bank(
+    const SessionSpec& spec) {
+  ROBOADS_CHECK(spec.bank != nullptr,
+                "session spec has no estimator bank (build it with "
+                "make_session_spec)");
+  ROBOADS_CHECK(&spec.bank->suite() == spec.suite,
+                "session spec's bank was built for another sensor suite");
+  return spec.bank;
+}
+
+}  // namespace
+
 DetectorSession::DetectorSession(std::shared_ptr<const SessionSpec> spec,
                                  SessionConfig config)
-    : spec_(std::move(spec)),
-      config_(config),
-      detector_(*spec_->model, *spec_->suite, *spec_->process_cov, spec_->x0,
-                spec_->p0, spec_->config, spec_->modes) {
-  ROBOADS_CHECK(config_.reorder_window >= 1,
+    : detector_(checked_bank(*spec), spec->x0, spec->p0, spec->config) {
+  ROBOADS_CHECK(config.reorder_window >= 1,
                 "session reorder window must be at least 1");
-  const sensors::SensorSuite& suite = *spec_->suite;
-  sensor_offset_.reserve(suite.count());
-  sensor_dim_.reserve(suite.count());
-  for (std::size_t i = 0; i < suite.count(); ++i) {
-    sensor_index_[suite.sensor(i).name()] = i;
-    sensor_offset_.push_back(suite.offset(i));
-    sensor_dim_.push_back(suite.sensor(i).dim());
-  }
-  frames_.resize(config_.reorder_window);
+  const std::size_t total_dim = suite().total_dim();
+  frames_.resize(config.reorder_window);
   for (PendingFrame& f : frames_) {
-    f.z = Vector(suite.total_dim());
-    f.have.assign(suite.count(), false);
+    f.z = Vector(total_dim);
+    f.have.assign(suite().count(), false);
   }
-  last_u_ = Vector(spec_->model->input_dim());
-  last_z_ = Vector(suite.total_dim());
+  last_u_ = Vector(spec->model->input_dim());
+  last_z_ = Vector(total_dim);
 }
 
 DetectorSession::PendingFrame& DetectorSession::frame_at(std::uint64_t k) {
@@ -52,9 +57,11 @@ DetectorSession::PendingFrame& DetectorSession::frame_at(std::uint64_t k) {
 void DetectorSession::ingest(const FleetPacket& packet) {
   const bus::Packet& p = packet.packet;
   const std::uint64_t k = p.iteration;
-  if (k < base_k_) {
+  if (k < base_k_ || base_k_ == 0) {
     // Iteration already stepped: the detector state has moved past it, and
     // rewriting history would break the mission-equivalence guarantee.
+    // base_k_ wraps to 0 only after stepping iteration 2^64 - 1, past
+    // which every iteration is history.
     ++counters_.late_packets;
     return;
   }
@@ -62,10 +69,28 @@ void DetectorSession::ingest(const FleetPacket& packet) {
   // A packet too far ahead force-evicts the oldest incomplete frames so
   // the reorder buffer stays bounded: those iterations step now with
   // whatever arrived (availability-masked), trading completeness for
-  // bounded memory and latency — never dropping the *new* data.
-  while (k >= base_k_ + frames_.size()) {
-    ++counters_.forced_evictions;
-    step_frame(base_k_, /*forced=*/true);
+  // bounded memory and latency — never dropping the *new* data. Distances
+  // are taken as k - base_k_ (k >= base_k_ here), never as base_k_ +
+  // window, so iterations near 2^64 cannot wrap.
+  const std::uint64_t window = frames_.size();
+  if (k - base_k_ >= window) {
+    const std::uint64_t catch_up = k - base_k_ - (window - 1);
+    if (catch_up <= kMaxCatchUpFrames) {
+      for (std::uint64_t i = 0; i < catch_up; ++i) {
+        ++counters_.forced_evictions;
+        step_frame(base_k_, /*forced=*/true);
+      }
+    } else {
+      // Resync: step what the window holds, then jump so k is the newest
+      // frame of the window. The iterations in between are never stepped;
+      // their packets count as late.
+      while (pending_count_ > 0) {
+        ++counters_.forced_evictions;
+        step_frame(base_k_, /*forced=*/true);
+      }
+      ++counters_.resyncs;
+      base_k_ = k - (window - 1);
+    }
   }
 
   PendingFrame& f = frame_at(k);
@@ -78,16 +103,15 @@ void DetectorSession::ingest(const FleetPacket& packet) {
     f.u = p.payload;
     f.has_u = true;
   } else {
-    const auto it = sensor_index_.find(p.source);
-    if (it == sensor_index_.end() ||
-        p.payload.size() != sensor_dim_[it->second]) {
+    const sensors::SensorSuite& suite = this->suite();
+    const std::optional<std::size_t> i = suite.find(p.source);
+    if (!i || p.payload.size() != suite.sensor(*i).dim()) {
       ++counters_.unknown_source;
       return;
     }
-    const std::size_t i = it->second;
-    if (f.have[i]) ++counters_.duplicate_packets;  // latest wins
-    f.z.set_segment(sensor_offset_[i], p.payload);
-    f.have[i] = true;
+    if (f.have[*i]) ++counters_.duplicate_packets;  // latest wins
+    f.z.set_segment(suite.offset(*i), p.payload);
+    f.have[*i] = true;
   }
   f.max_ingest_ns = std::max(f.max_ingest_ns, packet.ingest_ns);
   if (span_sink_ != nullptr) {
@@ -129,7 +153,7 @@ void DetectorSession::step_frame(std::uint64_t k, bool forced) {
   const bool complete =
       !dark && std::find(f.have.begin(), f.have.end(), false) == f.have.end();
   if (!complete) {
-    mask = dark ? core::SensorMask(sensor_offset_.size(), false) : f.have;
+    mask = dark ? core::SensorMask(f.have.size(), false) : f.have;
     ++counters_.masked_steps;
   }
 
@@ -144,10 +168,11 @@ void DetectorSession::step_frame(std::uint64_t k, bool forced) {
   if (complete) {
     last_z_ = f.z;
   } else if (!dark) {
+    const sensors::SensorSuite& suite = this->suite();
     for (std::size_t i = 0; i < f.have.size(); ++i) {
       if (f.have[i]) {
-        last_z_.set_segment(sensor_offset_[i],
-                            f.z.segment(sensor_offset_[i], sensor_dim_[i]));
+        const std::size_t at = suite.offset(i);
+        last_z_.set_segment(at, f.z.segment(at, suite.sensor(i).dim()));
       }
     }
   }

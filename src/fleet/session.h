@@ -25,14 +25,15 @@
 //
 // Sessions are single-threaded by design: the fleet service owns each one
 // on exactly one shard and migrates it between shards via the PR 5
-// snapshot/restore machinery (save/restore below), never by sharing.
+// snapshot/restore machinery (save/restore below), never by sharing. What
+// they do share is immutable: every session built from one SessionSpec
+// steps through the spec's estimator bank (core/bank.h), so a session
+// holds only its robot's detector state and reassembly buffers.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/roboads.h"
@@ -46,6 +47,10 @@ namespace roboads::fleet {
 // Everything needed to build (or rebuild, after migration) one robot's
 // detector. Pointers are non-owning and must outlive every session built
 // from the spec; a homogeneous fleet shares one spec across all robots.
+// `bank` is the detector's immutable part (core/bank.h) built once from
+// the other fields (make_session_spec); every session built from the spec
+// steps through it and keeps only per-robot state. A spec without a bank is
+// rejected.
 struct SessionSpec {
   const dyn::DynamicModel* model = nullptr;
   const sensors::SensorSuite* suite = nullptr;
@@ -54,6 +59,7 @@ struct SessionSpec {
   Matrix p0;
   core::RoboAdsConfig config;
   std::vector<core::Mode> modes;  // empty = platform default set
+  std::shared_ptr<const core::EstimatorBank> bank;
 };
 
 struct SessionConfig {
@@ -62,6 +68,12 @@ struct SessionConfig {
   // (stepping them with whatever arrived) to bound memory and latency.
   std::size_t reorder_window = 4;
 };
+
+// Most frames one packet may force-evict to catch up. A packet further
+// ahead resyncs the session instead: it steps the frames it holds, skips
+// the iterations in between unstepped, and counts one resync, so one
+// hostile iteration number cannot stall the shard.
+inline constexpr std::uint64_t kMaxCatchUpFrames = 256;
 
 struct SessionCounters {
   std::uint64_t steps = 0;
@@ -73,6 +85,7 @@ struct SessionCounters {
   std::uint64_t forced_evictions = 0; // frames stepped incomplete
   std::uint64_t masked_steps = 0;     // steps with >= 1 sensor unavailable
   std::uint64_t command_substituted = 0;  // steps reusing the previous u
+  std::uint64_t resyncs = 0;  // jumps past > kMaxCatchUpFrames iterations
 };
 
 // Migration payload: the PR 5 detector snapshot plus the session's stream
@@ -97,6 +110,7 @@ class DetectorSession {
 
   // The spec is shared so a migrated session can be rebuilt on the target
   // shard from the same immutable description (FleetService::migrate).
+  // Throws when the spec has no bank or its bank serves another suite.
   DetectorSession(std::shared_ptr<const SessionSpec> spec,
                   SessionConfig config = {});
 
@@ -129,8 +143,13 @@ class DetectorSession {
   // Reorder-window occupancy: frames currently awaiting reassembly.
   std::size_t pending_frames() const { return pending_count_; }
 
-  // Next iteration the session will step (1-based, like mission records).
+  // Next iteration the session will step (1-based, like mission records;
+  // 0 once iteration 2^64 - 1 has been stepped, after which every packet
+  // is late).
   std::uint64_t next_iteration() const { return base_k_; }
+
+  // The shared immutable part of this session's detector.
+  const core::EstimatorBank& bank() const { return detector_.bank(); }
 
   const SessionCounters& counters() const { return counters_; }
 
@@ -155,12 +174,9 @@ class DetectorSession {
   void step_frame(std::uint64_t k, bool forced = false);
   void cascade();
 
-  std::shared_ptr<const SessionSpec> spec_;
-  SessionConfig config_;
+  const sensors::SensorSuite& suite() const { return bank().suite(); }
+
   core::RoboAds detector_;
-  std::unordered_map<std::string, std::size_t> sensor_index_;
-  std::vector<std::size_t> sensor_offset_;
-  std::vector<std::size_t> sensor_dim_;
 
   std::vector<PendingFrame> frames_;  // ring, slot (k - base_k_) % window
   std::size_t pending_count_ = 0;

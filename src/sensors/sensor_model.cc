@@ -18,6 +18,7 @@ Vector SensorModel::residual(const Vector& z, const Vector& x) const {
 
 SensorSuite::SensorSuite(std::vector<SensorPtr> sensors)
     : sensors_(std::move(sensors)) {
+  names_.reserve(sensors_.size());
   offsets_.reserve(sensors_.size());
   for (const SensorPtr& s : sensors_) {
     ROBOADS_CHECK(s != nullptr, "null sensor in suite");
@@ -26,6 +27,7 @@ SensorSuite::SensorSuite(std::vector<SensorPtr> sensors)
       ROBOADS_CHECK_EQ(s->state_dim(), sensors_.front()->state_dim(),
                        "sensors disagree on state dimension");
     }
+    names_.push_back(s->name());
     offsets_.push_back(total_dim_);
     total_dim_ += s->dim();
   }
@@ -41,12 +43,17 @@ std::size_t SensorSuite::offset(std::size_t i) const {
   return offsets_[i];
 }
 
-std::size_t SensorSuite::index_of(const std::string& name) const {
-  for (std::size_t i = 0; i < sensors_.size(); ++i) {
-    if (sensors_[i]->name() == name) return i;
+std::optional<std::size_t> SensorSuite::find(std::string_view name) const {
+  for (std::size_t i = 0; i < names_.size(); ++i) {
+    if (names_[i] == name) return i;
   }
-  ROBOADS_CHECK(false, "no sensor named '" + name + "' in suite");
-  return 0;  // unreachable
+  return std::nullopt;
+}
+
+std::size_t SensorSuite::index_of(const std::string& name) const {
+  const std::optional<std::size_t> i = find(name);
+  ROBOADS_CHECK(i.has_value(), "no sensor named '" + name + "' in suite");
+  return *i;
 }
 
 void SensorSuite::check_subset(const std::vector<std::size_t>& subset) const {

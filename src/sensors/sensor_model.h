@@ -10,7 +10,9 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "matrix/matrix.h"
@@ -61,6 +63,8 @@ class SensorSuite {
   // Offset of sensor i's block within the stacked vector.
   std::size_t offset(std::size_t i) const;
 
+  // Index of the sensor with the given name, or nullopt when absent.
+  std::optional<std::size_t> find(std::string_view name) const;
   // Index of the sensor with the given name; throws if absent.
   std::size_t index_of(const std::string& name) const;
 
@@ -101,6 +105,7 @@ class SensorSuite {
   std::size_t subset_dim(const std::vector<std::size_t>& subset) const;
 
   std::vector<SensorPtr> sensors_;
+  std::vector<std::string> names_;  // sensor(i).name(), cached for find()
   std::vector<std::size_t> offsets_;
   std::size_t total_dim_ = 0;
 };

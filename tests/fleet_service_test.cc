@@ -2,11 +2,15 @@
 // (docs/FLEET.md). Pins: per-robot bit-identity straight through the
 // sharded service, drop-oldest backpressure accounting, idle-point
 // migration (stream preserved bit-exactly across the shard move), metrics
-// registry aggregation, and a concurrent submit/pump/status round for TSan.
+// registry aggregation, a concurrent submit/pump/status round for TSan,
+// four shards stepping one spec's shared estimator bank at once, and a
+// far-ahead robot that cannot stall its shard.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -66,21 +70,26 @@ void expect_mission_parity(const eval::MissionResult& mission,
   }
 }
 
-TEST(FleetService, MultiRobotParityThroughShards) {
-  const Fixture fx(4);
+// Interleaves every robot's stream iteration by iteration, as a real ingest
+// front would see them, through `shards` shards (on a running pump thread
+// when `threaded`), and checks each robot's reports and counters and the
+// fleet totals against the recorded missions. Every robot is built from one
+// spec, so all shards step through one estimator bank.
+void expect_parity_through_shards(std::size_t robots, std::size_t shards,
+                                  bool threaded) {
+  const Fixture fx(robots);
   FleetConfig config;
-  config.shards = 2;
+  config.shards = shards;
   ReportLog log(fx.missions.size());
   log.install(config);
   FleetService fleet(config);
-  ASSERT_EQ(fleet.shard_count(), 2u);
+  ASSERT_EQ(fleet.shard_count(), shards);
 
   for (std::size_t r = 0; r < fx.missions.size(); ++r) {
     EXPECT_EQ(fleet.add_robot(fx.spec), r);
   }
+  if (threaded) fleet.start();
 
-  // Interleave the robots' streams iteration by iteration, as a real
-  // ingest front would see them.
   std::size_t max_iters = 0;
   for (const eval::MissionResult& m : fx.missions) {
     max_iters = std::max(max_iters, m.records.size());
@@ -95,6 +104,7 @@ TEST(FleetService, MultiRobotParityThroughShards) {
     }
   }
   fleet.drain();
+  if (threaded) fleet.stop();
   EXPECT_EQ(fleet.flush_sessions(), 0u);  // complete frames flushed inline
 
   for (std::size_t r = 0; r < fx.missions.size(); ++r) {
@@ -118,6 +128,16 @@ TEST(FleetService, MultiRobotParityThroughShards) {
   EXPECT_GT(want_alarms, 0u);  // scenario-8 robots really alarmed
   EXPECT_EQ(status.dropped_packets, 0u);
   EXPECT_EQ(status.ingest_to_step_ns.count, want_steps);
+}
+
+TEST(FleetService, MultiRobotParityThroughShards) {
+  expect_parity_through_shards(/*robots=*/4, /*shards=*/2, /*threaded=*/false);
+}
+
+// The TSan target for core/bank.h: four shards step one spec's shared
+// estimator bank at once.
+TEST(FleetService, FourShardsStepOneSharedBank) {
+  expect_parity_through_shards(/*robots=*/8, /*shards=*/4, /*threaded=*/true);
 }
 
 TEST(FleetService, MetricsRegistryReceivesFleetCounters) {
@@ -300,6 +320,40 @@ TEST(FleetService, ConcurrentSubmitPumpAndStatus) {
     EXPECT_LE(status.steps, want_steps);
   }
   EXPECT_EQ(status.sessions, fx.missions.size());
+}
+
+TEST(FleetService, FarAheadRobotDoesNotStallItsShard) {
+  // Robot 0 sends iteration numbers far ahead of its stream, up to the top
+  // of the counter; robot 1 shares its shard and keeps reporting its
+  // mission bit-exactly.
+  const Fixture fx(2, 30);
+  FleetConfig config;
+  config.shards = 1;
+  ReportLog log(fx.missions.size());
+  log.install(config);
+  FleetService fleet(config);
+  fleet.add_robot(fx.spec);
+  fleet.add_robot(fx.spec);
+
+  const std::uint64_t hostile[] = {100'000, std::uint64_t{1} << 63,
+                                   std::numeric_limits<std::uint64_t>::max()};
+  const eval::MissionResult& mission = fx.missions[1];
+  ASSERT_GT(mission.records.size(), 25u);
+  for (std::size_t i = 0; i < mission.records.size(); ++i) {
+    std::vector<FleetPacket> one;
+    append_iteration_packets(one, 1, fx.platform.suite(), mission.records[i]);
+    if (i % 10 == 5 && i / 10 < std::size(hostile)) {
+      FleetPacket far = one.front();
+      far.robot = 0;
+      far.packet.iteration = hostile[i / 10];
+      fleet.submit(std::move(far));
+    }
+    for (FleetPacket& p : one) fleet.submit(std::move(p));
+    fleet.pump_once();
+  }
+  fleet.drain();
+  expect_mission_parity(mission, log.by_robot[1]);
+  EXPECT_EQ(fleet.session_counters(0).resyncs, 3u);
 }
 
 }  // namespace

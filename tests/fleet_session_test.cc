@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -249,6 +251,105 @@ TEST(FleetSession, FarAheadPacketForceEvictsIncompleteFrames) {
   EXPECT_EQ(session.counters().command_substituted, 4u);
   EXPECT_EQ(session.counters().masked_steps, 3u);
   EXPECT_EQ(session.next_iteration(), 5u);
+}
+
+// A packet whose catch-up stays within kMaxCatchUpFrames force-evicts every
+// frame it pushes out, as before; one frame further resyncs instead.
+TEST(FleetSession, CatchUpBeyondTheBoundResyncsInsteadOfStepping) {
+  const MissionRun run(10, 43);
+  std::vector<FleetPacket> one;
+  append_iteration_packets(one, 0, run.platform.suite(),
+                           run.mission.records.front());
+  FleetPacket command = one.front();
+  ASSERT_EQ(command.packet.kind, bus::PacketKind::kControlCommand);
+
+  // Window 4 at iteration 1: iteration 4 + kMaxCatchUpFrames pushes out
+  // exactly kMaxCatchUpFrames frames.
+  DetectorSession within(run.spec, SessionConfig{/*reorder_window=*/4});
+  command.packet.iteration = 4 + kMaxCatchUpFrames;
+  within.ingest(command);
+  EXPECT_EQ(within.counters().forced_evictions, kMaxCatchUpFrames);
+  EXPECT_EQ(within.counters().steps, kMaxCatchUpFrames);
+  EXPECT_EQ(within.counters().resyncs, 0u);
+  EXPECT_EQ(within.next_iteration(), kMaxCatchUpFrames + 1);
+
+  DetectorSession beyond(run.spec, SessionConfig{/*reorder_window=*/4});
+  command.packet.iteration = 5 + kMaxCatchUpFrames;
+  beyond.ingest(command);
+  EXPECT_EQ(beyond.counters().forced_evictions, 0u);  // nothing was held
+  EXPECT_EQ(beyond.counters().steps, 0u);
+  EXPECT_EQ(beyond.counters().resyncs, 1u);
+  EXPECT_EQ(beyond.next_iteration(), kMaxCatchUpFrames + 2);
+  EXPECT_EQ(beyond.pending_frames(), 1u);
+}
+
+// One hostile iteration number must not stall the session: far ahead of
+// the stream (even at the top of the counter) a packet resyncs in bounded
+// time, the frames the window held still step, the skipped iterations'
+// packets count as late, and the far frame steps on flush.
+TEST(FleetSession, FarAheadPacketResyncsInBoundedTime) {
+  const MissionRun run(20, 41);
+  const sensors::SensorSuite& suite = run.platform.suite();
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  for (const std::uint64_t far :
+       {std::uint64_t{100'003}, std::uint64_t{1} << 63, kMax}) {
+    SCOPED_TRACE(far);
+    DetectorSession session(run.spec, SessionConfig{/*reorder_window=*/4});
+    std::size_t reports = 0;
+    session.set_report_sink(
+        [&](const core::DetectionReport&, std::uint64_t) { ++reports; });
+
+    // Iterations 1 and 2 complete; iteration 3 arrives without its command.
+    std::vector<FleetPacket> packets;
+    for (std::size_t i = 0; i < 3; ++i) {
+      append_iteration_packets(packets, 0, suite, run.mission.records[i]);
+    }
+    FleetPacket hostile;
+    for (const FleetPacket& p : packets) {
+      if (p.packet.iteration == 3 &&
+          p.packet.kind == bus::PacketKind::kControlCommand) {
+        hostile = p;
+        continue;
+      }
+      session.ingest(p);
+    }
+    ASSERT_EQ(reports, 2u);
+    ASSERT_EQ(session.pending_frames(), 1u);
+
+    hostile.packet.iteration = far;
+    const auto start = std::chrono::steady_clock::now();
+    session.ingest(hostile);
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    EXPECT_LT(elapsed, std::chrono::milliseconds(5));
+
+    const SessionCounters& c = session.counters();
+    EXPECT_EQ(c.resyncs, 1u);
+    EXPECT_EQ(c.forced_evictions, 1u);  // held frame 3 stepped
+    EXPECT_EQ(reports, 3u);
+    EXPECT_EQ(session.next_iteration(), far - 3);
+    EXPECT_EQ(session.pending_frames(), 1u);
+
+    // The skipped iterations are history now.
+    FleetPacket skipped = hostile;
+    skipped.packet.iteration = 4;
+    session.ingest(skipped);
+    EXPECT_EQ(c.late_packets, 1u);
+
+    // The window (far - 3 .. far) steps on flush, the far frame last.
+    EXPECT_EQ(session.flush(), 4u);
+    EXPECT_EQ(reports, 7u);
+    EXPECT_EQ(c.steps, 7u);
+    if (far == kMax) {
+      // Every iteration has been stepped or skipped: nothing is ahead.
+      EXPECT_EQ(session.next_iteration(), 0u);
+      skipped.packet.iteration = 5;
+      session.ingest(skipped);
+      EXPECT_EQ(c.late_packets, 2u);
+      EXPECT_TRUE(session.idle());
+    } else {
+      EXPECT_EQ(session.next_iteration(), far + 1);
+    }
+  }
 }
 
 TEST(FleetSession, SaveRestoreResumesBitIdentically) {

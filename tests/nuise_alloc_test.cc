@@ -1,12 +1,14 @@
-// Steady-state allocation audit of the NUISE hot path and of mission
-// sensing.
+// Steady-state allocation audit of the NUISE hot path, of the full
+// detector step, and of mission sensing.
 //
 // The detector's per-iteration work — one Nuise::step per mode — must not
 // touch the heap once the estimator is constructed: all vectors/matrices on
 // the Khepera-sized path fit the inline storage of matrix.h and all
 // mode-invariant structure lives in the per-instance workspace (see
 // docs/PERFORMANCE.md). Nor may a mission's sensing, once its first scan
-// has sized the LiDAR workflow's buffers. This test replaces the global
+// has sized the LiDAR workflow's buffers. A full RoboAds::step allocates
+// only the result containers it hands back, and its exact count is pinned
+// so a new per-step allocation shows up here. This test replaces the global
 // allocation functions with counting versions and asserts the count stays
 // zero across steady-state steps, so any future change that sneaks an
 // allocation into the hot path (a temporary std::vector, an eager
@@ -19,6 +21,7 @@
 #include <new>
 
 #include "core/nuise.h"
+#include "core/roboads.h"
 #include "dynamics/diff_drive.h"
 #include "eval/khepera.h"
 #include "scenario/compile.h"
@@ -126,6 +129,35 @@ TEST(NuiseAllocation, EveryModeOfTheBankIsAllocationFree) {
     }
     EXPECT_EQ(guard.count(), 0u) << "mode " << mode.label;
   }
+}
+
+TEST(DetectorAllocation, SteadyCleanKheperaStepAllocatesFiveBlocks) {
+  // A Khepera standing still with exact readings: every step is a clean,
+  // healthy, all-available step with no alarm.
+  const eval::KheperaPlatform platform;
+  const sensors::SensorSuite& suite = platform.suite();
+  const Vector x = platform.initial_state();
+  RoboAds detector(platform.model(), suite, platform.process_cov(), x,
+                   Matrix::identity(x.size()) * 1e-4,
+                   platform.detector_config(), platform.detector_modes());
+  const Vector u(platform.model().input_dim());
+  const Vector z = suite.measure(suite.all(), x);
+  for (int i = 0; i < 5; ++i) detector.step(u, z);
+
+  constexpr std::size_t kSteps = 50;
+  bool alarmed = false;
+  AllocationGuard guard;
+  for (std::size_t i = 0; i < kSteps; ++i) {
+    const DetectionReport report = detector.step(u, z);
+    alarmed = alarmed || report.decision.sensor_alarm ||
+              report.decision.actuator_alarm;
+  }
+  const std::size_t allocs = guard.count();
+  ASSERT_FALSE(alarmed);
+  // Per step: the engine's per-mode results, its weights and health
+  // (moved into the report), the report's per-sensor anomaly split and
+  // its reserved verdict list.
+  EXPECT_EQ(allocs, 5 * kSteps);
 }
 
 // One Khepera SensingStack::sense_all per iteration along a straight
