@@ -6,7 +6,8 @@
 # (RoboADS_SANITIZE=address) for out-of-bounds and use-after-free bugs — the
 # planner's grid cell arithmetic among them — and once under
 # UndefinedBehaviorSanitizer (RoboADS_SANITIZE=undefined) to catch UB in the
-# numerics. The normal pass also runs the instrumented mission smoke
+# numerics. The normal pass first checks that one JSON writer remains (the
+# record codec in src/obs/jsonl.{h,cc}), then runs the instrumented mission smoke
 # (examples/obs_smoke): one full-tracing scenario-8 run whose JSONL must
 # parse, whose trace must show a health transition, and whose roboads_report
 # must render
@@ -52,6 +53,21 @@ cd "$(dirname "$0")"
 
 JOBS="${JOBS:-$(nproc)}"
 MODE="${1:-all}"
+
+# One JSON writer: every JSON line the library and its tools write goes
+# through the record codec (src/obs/jsonl.h), so its low-level emitters and
+# hand-built object literals may not appear anywhere else in src/ or tools/.
+run_writer_lint() {
+  local hits
+  hits="$(grep -rnF -e 'write_escaped' -e 'write_number' -e '"{\"' \
+    src tools | grep -v '^src/obs/jsonl\.\(h\|cc\):' || true)"
+  if [ -n "$hits" ]; then
+    echo "writer lint: JSON written outside the record codec:" >&2
+    echo "$hits" >&2
+    exit 1
+  fi
+  echo "writer lint: one JSON writer"
+}
 
 run_pass() {
   local dir="$1"; shift
@@ -375,6 +391,7 @@ PY
 
 case "$MODE" in
   normal)
+    run_writer_lint
     run_pass build
     run_obs_smoke build
     run_forensics_smoke build
@@ -392,6 +409,7 @@ case "$MODE" in
   fleet-smoke) run_fleet_smoke build ;;
   fleet-watch-smoke) run_fleet_watch_smoke build ;;
   all)
+    run_writer_lint
     run_pass build
     run_obs_smoke build
     run_forensics_smoke build

@@ -4,68 +4,6 @@
 
 namespace roboads::dyn {
 
-Bicycle::Bicycle(const BicycleParams& params) : params_(params) {
-  ROBOADS_CHECK(params_.wheelbase > 0.0, "wheelbase must be positive");
-  ROBOADS_CHECK(params_.motor_gain > 0.0, "motor gain must be positive");
-  ROBOADS_CHECK(params_.drag >= 0.0, "drag must be non-negative");
-  ROBOADS_CHECK(params_.dt > 0.0, "dt must be positive");
-}
-
-Vector Bicycle::step(const Vector& x, const Vector& u) const {
-  check_dims(x, u);
-  const double dt = params_.dt;
-  const double L = params_.wheelbase;
-  const double v = x[3];
-  const double tan_d = std::tan(u[1]);
-  const double theta_mid = x[2] + 0.5 * dt * v * tan_d / L;
-  return Vector{x[0] + dt * v * std::cos(theta_mid),
-                x[1] + dt * v * std::sin(theta_mid),
-                x[2] + dt * v * tan_d / L,
-                v + dt * (params_.motor_gain * u[0] - params_.drag * v)};
-}
-
-Matrix Bicycle::jacobian_state(const Vector& x, const Vector& u) const {
-  check_dims(x, u);
-  const double dt = params_.dt;
-  const double L = params_.wheelbase;
-  const double v = x[3];
-  const double tan_d = std::tan(u[1]);
-  const double theta_mid = x[2] + 0.5 * dt * v * tan_d / L;
-  const double c = std::cos(theta_mid);
-  const double s = std::sin(theta_mid);
-  // ∂θ_mid/∂v = Δt·tanδ/(2L).
-  const double dmid_dv = 0.5 * dt * tan_d / L;
-  Matrix a = Matrix::identity(4);
-  a(0, 2) = -dt * v * s;
-  a(0, 3) = dt * c - dt * v * s * dmid_dv;
-  a(1, 2) = dt * v * c;
-  a(1, 3) = dt * s + dt * v * c * dmid_dv;
-  a(2, 3) = dt * tan_d / L;
-  a(3, 3) = 1.0 - dt * params_.drag;
-  return a;
-}
-
-Matrix Bicycle::jacobian_input(const Vector& x, const Vector& u) const {
-  check_dims(x, u);
-  const double dt = params_.dt;
-  const double L = params_.wheelbase;
-  const double v = x[3];
-  const double sec_d = 1.0 / std::cos(u[1]);
-  const double sec2 = sec_d * sec_d;
-  const double tan_d = std::tan(u[1]);
-  const double theta_mid = x[2] + 0.5 * dt * v * tan_d / L;
-  const double s = std::sin(theta_mid);
-  const double c = std::cos(theta_mid);
-  // ∂θ_mid/∂δ = Δt·v·sec²δ/(2L);  ∂θ'/∂δ = Δt·v·sec²δ/L.
-  const double dmid_dd = 0.5 * dt * v * sec2 / L;
-  Matrix g(4, 2);
-  g(0, 1) = -dt * v * s * dmid_dd;
-  g(1, 1) = dt * v * c * dmid_dd;
-  g(2, 1) = dt * v * sec2 / L;
-  g(3, 0) = dt * params_.motor_gain;
-  return g;
-}
-
 KinematicBicycle::KinematicBicycle(const KinematicBicycleParams& params)
     : params_(params) {
   ROBOADS_CHECK(params_.wheelbase > 0.0, "wheelbase must be positive");

@@ -1,64 +1,25 @@
-// Kinematic bicycle model with first-order longitudinal dynamics — the
-// Tamiya TT02 RC car of the paper's second evaluation platform (§V-D),
-// "a distinctive dynamic model" from the Khepera.
-//
-// State  x = (X, Y, θ, v):  position [m], heading [rad], forward speed [m/s].
-// Input  u = (a, δ):        throttle command [-1, 1] and steering angle [rad].
-//
-//   v'  = v + Δt·(k_a·a − c_d·v)                  (motor gain minus drag)
-//   θ'  = θ + Δt·v·tan δ / L                      (L = wheelbase)
-//   θ_mid = θ + Δt·v·tan δ / (2L)
-//   X'  = X + Δt·v·cos θ_mid,   Y' = Y + Δt·v·sin θ_mid
-#pragma once
-
-#include "dynamics/model.h"
-
-namespace roboads::dyn {
-
-struct BicycleParams {
-  double wheelbase = 0.257;     // TT02 wheelbase [m]
-  double motor_gain = 2.0;      // k_a: full throttle accel [m/s²]
-  double drag = 0.8;            // c_d: speed damping [1/s]
-  double max_steer = 0.45;      // |δ| limit [rad], used by the controller
-  double dt = 0.1;              // control iteration period [s]
-};
-
-class Bicycle final : public DynamicModel {
- public:
-  explicit Bicycle(const BicycleParams& params = {});
-
-  std::string name() const override { return "bicycle"; }
-  std::size_t state_dim() const override { return 4; }
-  std::size_t input_dim() const override { return 2; }
-  double dt() const override { return params_.dt; }
-  std::size_t heading_index() const override { return 2; }
-
-  Vector step(const Vector& x, const Vector& u) const override;
-  Matrix jacobian_state(const Vector& x, const Vector& u) const override;
-  Matrix jacobian_input(const Vector& x, const Vector& u) const override;
-  // Throttle saturates a little past full command; the steering linkage has
-  // a hard stop slightly beyond the controller's limit.
-  Vector input_saturation() const override {
-    return Vector{1.5, params_.max_steer + 0.15};
-  }
-  Vector input_trust_radius() const override { return Vector{1.5, 0.25}; }
-
-  const BicycleParams& params() const { return params_; }
-
- private:
-  BicycleParams params_;
-};
-
-// Velocity-command kinematic bicycle — the Tamiya platform model.
+// Velocity-command kinematic bicycle — the Tamiya TT02 RC car of the
+// paper's second evaluation platform (§V-D), "a distinctive dynamic model"
+// from the Khepera.
 //
 // State  x = (X, Y, θ);  input u = (v, δ): commanded ground speed [m/s] and
 // steering angle [rad]. The low-level speed loop is abstracted into the
 // command (the drivetrain tracks v within one control iteration), which
 // keeps every input identifiable in a single step from any pose-capable
 // reference sensor — the property the paper's one-reference-per-mode NUISE
-// bank relies on (§IV-B: C₂G must have full column rank). The richer
-// 4-state `Bicycle` above models the longitudinal dynamics explicitly and
-// is kept for studies where the speed loop itself is under test.
+// bank relies on (§IV-B: C₂G must have full column rank). A model with an
+// explicit speed state would hide a throttle anomaly from every pose-only
+// sensor for one iteration.
+//
+//   θ_mid = θ + Δt·v·tan δ / (2L)                  (L = wheelbase)
+//   X'  = X + Δt·v·cos θ_mid,   Y' = Y + Δt·v·sin θ_mid
+//   θ'  = θ + Δt·v·tan δ / L
+#pragma once
+
+#include "dynamics/model.h"
+
+namespace roboads::dyn {
+
 struct KinematicBicycleParams {
   double wheelbase = 0.257;  // [m]
   double max_speed = 2.0;    // physical speed saturation [m/s]

@@ -130,12 +130,6 @@ T read_line(std::istream& is, std::size_t& line_no, const char* what) {
                    " line");
 }
 
-template <class T>
-void write_line(std::ostream& os, const T& record) {
-  json::write(os, record);
-  os << '\n';
-}
-
 }  // namespace
 
 const char* to_string(BundleTrigger trigger) {
@@ -231,9 +225,9 @@ std::vector<PostmortemBundle> FlightRecorder::take_bundles() {
 }
 
 void write_bundle(std::ostream& os, const PostmortemBundle& bundle) {
-  write_line(os, BundleHeader{bundle.trigger, bundle.trigger_k,
-                              bundle.detail, bundle.records.size()});
-  write_line(os, bundle.provenance);
+  json::write_line(os, BundleHeader{bundle.trigger, bundle.trigger_k,
+                                    bundle.detail, bundle.records.size()});
+  json::write_line(os, bundle.provenance);
   // Warm-start snapshot: the first record's pre-step state. Per-record
   // snapshots would multiply the file size for no replay benefit — stepping
   // forward from the window start reproduces every later state exactly.
@@ -242,8 +236,8 @@ void write_bundle(std::ostream& os, const PostmortemBundle& bundle) {
     snapshot.k = bundle.records.front().k;
     snapshot.state = bundle.records.front().pre_step;
   }
-  write_line(os, snapshot);
-  for (const FlightRecord& r : bundle.records) write_line(os, r);
+  json::write_line(os, snapshot);
+  for (const FlightRecord& r : bundle.records) json::write_line(os, r);
 }
 
 PostmortemBundle read_bundle(std::istream& is) {

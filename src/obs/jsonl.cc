@@ -1,5 +1,7 @@
 #include "obs/jsonl.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -72,18 +74,57 @@ class LineParser {
         case '"': out += '"'; break;
         case '\\': out += '\\'; break;
         case '/': out += '/'; break;
+        case 'b': out += '\b'; break;
+        case 'f': out += '\f'; break;
         case 'n': out += '\n'; break;
         case 'r': out += '\r'; break;
         case 't': out += '\t'; break;
-        case 'u': {
-          if (i_ + 4 > s_.size()) fail("truncated \\u escape");
-          const std::string hex = s_.substr(i_, 4);
-          i_ += 4;
-          out += static_cast<char>(std::strtoul(hex.c_str(), nullptr, 16));
-          break;
-        }
+        case 'u': append_utf8(out, parse_code_point()); break;
         default: fail("unsupported escape");
       }
+    }
+  }
+
+  // Exactly four hex digits after a `\u` (no sign, prefix or space).
+  unsigned parse_hex4() {
+    unsigned unit = 0;
+    const char* begin = s_.data() + i_;
+    if (s_.size() - i_ < 4 ||
+        std::from_chars(begin, begin + 4, unit, 16).ptr != begin + 4) {
+      fail("\\u escape needs four hex digits");
+    }
+    i_ += 4;
+    return unit;
+  }
+
+  // The code point of a `\u` escape (the `\u` already consumed): a high
+  // surrogate must be followed by an escaped low surrogate, and the pair
+  // names one code point past U+FFFF.
+  unsigned parse_code_point() {
+    const unsigned unit = parse_hex4();
+    if (unit >= 0xDC00 && unit <= 0xDFFF) fail("lone low surrogate");
+    if (unit < 0xD800 || unit > 0xDBFF) return unit;
+    if (!literal("\\u")) fail("lone high surrogate");
+    const unsigned low = parse_hex4();
+    if (low < 0xDC00 || low > 0xDFFF) fail("lone high surrogate");
+    return 0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00);
+  }
+
+  static void append_utf8(std::string& out, unsigned cp) {
+    if (cp < 0x80) {
+      out += static_cast<char>(cp);
+    } else if (cp < 0x800) {
+      out += static_cast<char>(0xC0 | (cp >> 6));
+      out += static_cast<char>(0x80 | (cp & 0x3F));
+    } else if (cp < 0x10000) {
+      out += static_cast<char>(0xE0 | (cp >> 12));
+      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+      out += static_cast<char>(0x80 | (cp & 0x3F));
+    } else {
+      out += static_cast<char>(0xF0 | (cp >> 18));
+      out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
+      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+      out += static_cast<char>(0x80 | (cp & 0x3F));
     }
   }
 
@@ -164,7 +205,9 @@ class LineParser {
         std::string key = parse_string();
         skip_ws();
         expect(':');
-        v.members[std::move(key)] = parse_value(depth + 1);
+        const auto [slot, fresh] = v.members.try_emplace(std::move(key));
+        if (!fresh) fail("duplicate key \"" + slot->first + "\"");
+        slot->second = parse_value(depth + 1);
         skip_ws();
         const char e = next();
         if (e == '}') break;
@@ -187,36 +230,48 @@ Object parse_object_line(const std::string& line, const std::string& context) {
   return LineParser(line, context).parse_object_line();
 }
 
-void write_field_key(std::ostream& os, const char* key, bool first) {
-  if (!first) os << ',';
-  os << '"' << key << "\":";
+void write_escaped(std::ostream& os, std::string_view s) {
+  os << '"';
+  for (char c : s) {
+    switch (c) {
+      case '"': os << "\\\""; break;
+      case '\\': os << "\\\\"; break;
+      case '\n': os << "\\n"; break;
+      case '\r': os << "\\r"; break;
+      case '\t': os << "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          os << buf;
+        } else {
+          os << c;
+        }
+    }
+  }
+  os << '"';
 }
 
-void write_doubles(std::ostream& os, const std::vector<double>& v) {
-  os << '[';
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) os << ',';
-    write_number(os, v[i]);
+void write_number(std::ostream& os, double v) {
+  if (!std::isfinite(v)) {
+    os << "null";
+    return;
   }
-  os << ']';
-}
-
-void write_ints(std::ostream& os, const std::vector<std::int64_t>& v) {
-  os << '[';
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) os << ',';
-    os << v[i];
+  // Round-trip precision; integral values print without an exponent so the
+  // common case (iterations, indices, masks) stays human-readable. The
+  // magnitude check comes first: casting |v| >= 2^63 to long long is
+  // undefined behavior.
+  if (std::abs(v) < 1e15 &&
+      v == static_cast<double>(static_cast<long long>(v))) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
+    os << buf;
+    return;
   }
-  os << ']';
-}
-
-void write_strings(std::ostream& os, const std::vector<std::string>& v) {
-  os << '[';
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) os << ',';
-    write_escaped(os, v[i]);
-  }
-  os << ']';
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  os << buf;
 }
 
 void publish_line(const std::string& path, const std::string& line,

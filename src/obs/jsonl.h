@@ -1,19 +1,20 @@
-// Line-oriented JSON: the one writer/parser pair behind every JSONL schema
-// in the library (shard manifests, checkpoints, telemetry, heartbeats,
+// Line-oriented JSON: the one writer/parser pair behind every JSON line the
+// library writes (shard manifests, checkpoints, telemetry, heartbeats,
 // status snapshots, fleet status, postmortem bundles, histogram snapshots,
-// metrics dumps). Each line is a single JSON object; values may be null /
-// bool / number / string / array / object, nested up to kMaxNesting deep.
+// metrics dumps, merged reports, frontier results, detector traces). Each
+// line is a single JSON object; values may be null / bool / number /
+// string / array / object, nested up to kMaxNesting deep.
 //
 // Every record type declares its wire form once — a `codec` visitor that
 // names its fields in wire order — and that one list drives both the
 // writer and the typed, loud reader (see "Record codec" below), so a
 // schema's writer and reader cannot drift apart.
 //
-// Doubles are emitted with round-trip precision (obs/json.h) and parsed via
-// strtod, so they survive a write→parse cycle exactly — which is what lets
-// two independently produced files be compared byte-for-byte. Non-finite
-// doubles serialize as null and read back as NaN. Integers are written as
-// digits and read back exactly from the literal's own text.
+// Doubles are emitted with round-trip precision (write_number) and parsed
+// via strtod, so they survive a write→parse cycle exactly — which is what
+// lets two independently produced files be compared byte-for-byte.
+// Non-finite doubles serialize as null and read back as NaN. Integers are
+// written as digits and read back exactly from the literal's own text.
 #pragma once
 
 #include <cstddef>
@@ -25,13 +26,14 @@
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "common/check.h"
 #include "common/parse.h"
-#include "obs/json.h"
 
 namespace roboads::obs::json {
 
@@ -58,8 +60,19 @@ struct Value {
 using Object = std::map<std::string, Value>;
 
 // Parses one line holding exactly one JSON object; throws CheckError with
-// `context` (e.g. "bundle line 12") prefixed to every diagnostic.
+// `context` (e.g. "bundle line 12") prefixed to every diagnostic. A
+// repeated key is an error, and `\u` escapes decode to UTF-8 (a surrogate
+// pair as one code point; a lone surrogate is an error).
 Object parse_object_line(const std::string& line, const std::string& context);
+
+// Writes `s` inside JSON double quotes, escaping quotes, backslashes and
+// control characters.
+void write_escaped(std::ostream& os, std::string_view s);
+
+// JSON has no NaN/Inf literal; non-finite values serialize as null so every
+// emitted line stays parseable (a -inf log-likelihood is a *legitimate*
+// value in a quarantine trace, not an encoding error).
+void write_number(std::ostream& os, double v);
 
 // --- Record codec ----------------------------------------------------------
 //
@@ -79,7 +92,9 @@ Object parse_object_line(const std::string& line, const std::string& context);
 // fractions, exponents, signs on unsigned fields and out-of-range values
 // are errors), doubles (write_number; null reads back as NaN),
 // std::optional<double> (nullopt ↔ null), vectors of any of these, and
-// nested records (their own codec, as a JSON object). The special shapes:
+// nested records (their own codec, as a JSON object). The writer also
+// takes a std::variant of these (the alternative it holds) and run-time
+// keys, which it escapes like any string. The special shapes:
 //
 //   io("sensor", std::tie(a, b, c, d))  fixed-length array
 //   io("kind", e, kNames)                enum written as kNames[e]
@@ -90,6 +105,9 @@ Object parse_object_line(const std::string& line, const std::string& context);
 // A codec may branch on a field it already visited (fields chosen by kind)
 // and may inline another record's fields by calling its codec directly.
 // `IO::kReads` tells a codec it is reading, e.g. to validate a histogram.
+// A write-only record (merged report lines, trace events, run summaries:
+// nothing reads them back) may also pass computed values and skip fields
+// by its own state.
 //
 // The writer visits through a non-const reference it never writes through.
 // Reader failures throw CheckError naming the context and the field path
@@ -104,13 +122,13 @@ class Writer {
   explicit Writer(std::ostream& os) : os_(os) {}
 
   template <class T>
-  void operator()(const char* key, const T& value) {
+  void operator()(std::string_view key, const T& value) {
     write_key(key);
     put(value);
   }
 
   template <class... Ts>
-  void operator()(const char* key, std::tuple<Ts&...> fixed) {
+  void operator()(std::string_view key, std::tuple<Ts&...> fixed) {
     write_key(key);
     os_ << '[';
     std::apply(
@@ -123,23 +141,23 @@ class Writer {
   }
 
   template <class E, std::size_t N>
-  void operator()(const char* key, const E& value,
+  void operator()(std::string_view key, const E& value,
                   const char* const (&names)[N]) {
     write_key(key);
     write_escaped(os_, names[static_cast<std::size_t>(value)]);
   }
 
-  void tag(const char* key, const char* value) {
+  void tag(std::string_view key, const char* value) {
     write_key(key);
     write_escaped(os_, value);
   }
-  void tag(const char* key, int value) {
+  void tag(std::string_view key, int value) {
     write_key(key);
     os_ << value;
   }
 
   template <class R>
-  void keyed(const char* key, const char* name_key,
+  void keyed(std::string_view key, const char* name_key,
              const std::map<std::string, R>& rows) {
     write_key(key);
     os_ << '[';
@@ -157,10 +175,11 @@ class Writer {
   }
 
  private:
-  void write_key(const char* key) {
+  void write_key(std::string_view key) {
     if (!first_) os_ << ',';
     first_ = false;
-    os_ << '"' << key << "\":";
+    write_escaped(os_, key);
+    os_ << ':';
   }
 
   template <class T>
@@ -287,6 +306,10 @@ template <class T>
 struct IsVector : std::false_type {};
 template <class T>
 struct IsVector<std::vector<T>> : std::true_type {};
+template <class T>
+struct IsVariant : std::false_type {};
+template <class... Ts>
+struct IsVariant<std::variant<Ts...>> : std::true_type {};
 }  // namespace detail
 
 template <class T>
@@ -312,6 +335,8 @@ void Writer::put(const T& v) {
       put(v[i]);
     }
     os_ << ']';
+  } else if constexpr (detail::IsVariant<T>::value) {
+    std::visit([this](const auto& held) { put(held); }, v);
   } else {
     os_ << '{';
     Writer nested(os_);
@@ -383,6 +408,13 @@ void write(std::ostream& os, const T& record) {
   os << '}';
 }
 
+// Writes `record` as one JSON line: the object, then a newline.
+template <class T>
+void write_line(std::ostream& os, const T& record) {
+  write(os, record);
+  os << '\n';
+}
+
 template <class T>
 std::string encode(const T& record) {
   std::ostringstream os;
@@ -404,17 +436,6 @@ T decode(const std::string& line, const std::string& context) {
   return out;
 }
 
-// --- Emission helpers for write-only reports (shard/merge.cc); records
-// with a reader go through the codec above.
-
-// Writes `,"key":` (or `"key":` when first) — callers open the object with
-// '{' and close with '}'.
-void write_field_key(std::ostream& os, const char* key, bool first = false);
-
-void write_doubles(std::ostream& os, const std::vector<double>& v);
-void write_ints(std::ostream& os, const std::vector<std::int64_t>& v);
-void write_strings(std::ostream& os, const std::vector<std::string>& v);
-
 // --- Append-only streams (shard checkpoints, worker telemetry) -----------
 
 // A headered JSONL stream's schema: a `{"event","name","version"}` header
@@ -427,23 +448,25 @@ struct Stream {
   int version;
 };
 
+// The header line: written as tags, checked as tags when read.
+template <class IO, class Record, class Error>
+void codec(IO& io, const Stream<Record, Error>& stream) {
+  io.tag("event", stream.event);
+  io.tag("name", stream.name);
+  io.tag("version", stream.version);
+}
+
 // Writes (and flushes) the header line of a fresh stream file.
 template <class Record, class Error>
 void write_header(std::ostream& os, const Stream<Record, Error>& stream) {
-  os << '{';
-  Writer writer(os);
-  writer.tag("event", stream.event);
-  writer.tag("name", stream.name);
-  writer.tag("version", stream.version);
-  os << "}\n";
+  write_line(os, stream);
   os.flush();
 }
 
 // Appends one record line and flushes, so a kill loses at most that line.
 template <class Record>
 void append(std::ostream& os, const Record& record) {
-  write(os, record);
-  os << '\n';
+  write_line(os, record);
   os.flush();
 }
 
@@ -492,9 +515,7 @@ std::vector<Record> read_stream(const std::string& path,
           return;
         }
         Reader header(object, context);
-        header.tag("event", stream.event);
-        header.tag("name", stream.name);
-        header.tag("version", stream.version);
+        codec(header, stream);
         saw_header = true;
       },
       repair,

@@ -266,10 +266,7 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
 }
 
 void MetricsRegistry::write_jsonl(std::ostream& os) const {
-  for (const MetricSample& s : snapshot()) {
-    json::write(os, s);
-    os << '\n';
-  }
+  for (const MetricSample& s : snapshot()) json::write_line(os, s);
 }
 
 }  // namespace roboads::obs

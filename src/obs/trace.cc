@@ -5,30 +5,34 @@
 #include <ostream>
 
 #include "common/check.h"
-#include "obs/json.h"
 #include "obs/jsonl.h"
 
 namespace roboads::obs {
+
+// --- JSONL lines (obs/jsonl.h record codec). Write-only: an event's field
+// names are keys chosen at run time, and its label appears only when set.
+
+template <class IO>
+void codec(IO& io, TraceEvent& ev) {
+  io("event", ev.type);
+  if (!ev.label.empty()) io("label", ev.label);
+  io("k", ev.k);
+  for (const auto& [name, value] : ev.fields) io(name, value);
+}
+
 namespace {
 
-void write_value(std::ostream& os, const TraceValue& value) {
-  if (const auto* d = std::get_if<double>(&value)) {
-    json::write_number(os, *d);
-  } else if (const auto* i = std::get_if<std::int64_t>(&value)) {
-    os << *i;
-  } else if (const auto* b = std::get_if<bool>(&value)) {
-    os << (*b ? "true" : "false");
-  } else if (const auto* s = std::get_if<std::string>(&value)) {
-    json::write_escaped(os, *s);
-  } else {
-    const auto& vec = std::get<std::vector<double>>(value);
-    os << '[';
-    for (std::size_t i = 0; i < vec.size(); ++i) {
-      if (i > 0) os << ',';
-      json::write_number(os, vec[i]);
-    }
-    os << ']';
-  }
+// The first line: the schema and the number of events that follow.
+struct TraceHeader {
+  std::size_t events = 0;
+};
+
+template <class IO>
+void codec(IO& io, TraceHeader& h) {
+  io.tag("event", "schema");
+  io.tag("name", "roboads-detector-trace");
+  io.tag("version", TraceSink::kSchemaVersion);
+  io("events", h.events);
 }
 
 // CSV rendering of one scalar; vectors are expanded by the caller.
@@ -72,25 +76,8 @@ std::vector<TraceEvent> TraceSink::events() const {
 
 void TraceSink::write_jsonl(std::ostream& os) const {
   const std::vector<TraceEvent> events = this->events();
-  os << "{\"event\":\"schema\",\"name\":\"roboads-detector-trace\","
-        "\"version\":"
-     << kSchemaVersion << ",\"events\":" << events.size() << "}\n";
-  for (const TraceEvent& ev : events) {
-    os << "{\"event\":";
-    json::write_escaped(os, ev.type);
-    if (!ev.label.empty()) {
-      os << ",\"label\":";
-      json::write_escaped(os, ev.label);
-    }
-    os << ",\"k\":" << ev.k;
-    for (const auto& [name, value] : ev.fields) {
-      os << ',';
-      json::write_escaped(os, name);
-      os << ':';
-      write_value(os, value);
-    }
-    os << "}\n";
-  }
+  json::write_line(os, TraceHeader{events.size()});
+  for (const TraceEvent& ev : events) json::write_line(os, ev);
 }
 
 void TraceSink::write_csv(std::ostream& os) const {

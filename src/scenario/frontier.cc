@@ -4,7 +4,7 @@
 #include <cmath>
 #include <ostream>
 
-#include "obs/json.h"
+#include "obs/jsonl.h"
 
 namespace roboads::scenario {
 namespace {
@@ -280,46 +280,7 @@ std::vector<FrontierAxis> standard_axes(const std::string& platform) {
 
 void write_frontier_jsonl(std::ostream& os,
                           const std::vector<FrontierResult>& results) {
-  namespace json = obs::json;
-  for (const FrontierResult& r : results) {
-    os << "{\"schema\":\"roboads-frontier\",\"version\":1,\"id\":";
-    json::write_escaped(os, r.id);
-    os << ",\"attack_class\":";
-    json::write_escaped(os, r.attack_class);
-    os << ",\"platform\":";
-    json::write_escaped(os, r.platform);
-    os << ",\"channel\":";
-    json::write_escaped(os, r.channel);
-    os << ",\"unit\":";
-    json::write_escaped(os, r.unit);
-    os << ",\"undetected_max\":";
-    json::write_number(os, r.undetected_max);
-    os << ",\"caught_min\":";
-    json::write_number(os, r.caught_min);
-    os << ",\"delay_at_caught_seconds\":";
-    if (r.delay_at_caught_seconds) {
-      json::write_number(os, *r.delay_at_caught_seconds);
-    } else {
-      os << "null";
-    }
-    os << ",\"all_detected\":" << (r.all_detected ? "true" : "false")
-       << ",\"none_detected\":" << (r.none_detected ? "true" : "false")
-       << ",\"probes\":[";
-    for (std::size_t i = 0; i < r.probes.size(); ++i) {
-      if (i) os << ',';
-      os << "{\"magnitude\":";
-      json::write_number(os, r.probes[i].magnitude);
-      os << ",\"detected\":" << (r.probes[i].detected ? "true" : "false");
-      os << ",\"delay_seconds\":";
-      if (r.probes[i].delay_seconds) {
-        json::write_number(os, *r.probes[i].delay_seconds);
-      } else {
-        os << "null";
-      }
-      os << '}';
-    }
-    os << "]}\n";
-  }
+  for (const FrontierResult& r : results) obs::json::write_line(os, r);
 }
 
 }  // namespace roboads::scenario

@@ -74,8 +74,35 @@ FrontierResult map_frontier_with(const FrontierAxis& axis,
 // representative sensors plus bias/scale on the actuator.
 std::vector<FrontierAxis> standard_axes(const std::string& platform);
 
-// One JSONL object per result (schema "roboads-frontier" v1), parseable
-// line-by-line like every other artifact in docs/OBSERVABILITY.md.
+// Wire form (obs/jsonl.h record codec): one JSONL object per result,
+// schema "roboads-frontier" v1, its probes nested in probing order. A
+// missing delay and a non-finite magnitude are null.
+template <class IO>
+void codec(IO& io, FrontierProbe& p) {
+  io("magnitude", p.magnitude);
+  io("detected", p.detected);
+  io("delay_seconds", p.delay_seconds);
+}
+
+template <class IO>
+void codec(IO& io, FrontierResult& r) {
+  io.tag("schema", "roboads-frontier");
+  io.tag("version", 1);
+  io("id", r.id);
+  io("attack_class", r.attack_class);
+  io("platform", r.platform);
+  io("channel", r.channel);
+  io("unit", r.unit);
+  io("undetected_max", r.undetected_max);
+  io("caught_min", r.caught_min);
+  io("delay_at_caught_seconds", r.delay_at_caught_seconds);
+  io("all_detected", r.all_detected);
+  io("none_detected", r.none_detected);
+  io("probes", r.probes);
+}
+
+// One line per result, parseable line-by-line like every other artifact
+// in docs/OBSERVABILITY.md (json::decode<FrontierResult> reads one back).
 void write_frontier_jsonl(std::ostream& os,
                           const std::vector<FrontierResult>& results);
 

@@ -12,11 +12,12 @@ namespace {
 // Round-trip double formatting shared by the serializer: integral values
 // print without an exponent (onsets, masks, whole-number magnitudes stay
 // human-readable), everything else at %.17g so parse(serialize(x)) == x
-// exactly and the canonical form is unique per double.
+// exactly and the canonical form is unique per double. The magnitude check
+// comes first: casting |v| >= 2^63 to long long is undefined behavior.
 std::string format_number(double v) {
   char buf[40];
-  if (v == static_cast<double>(static_cast<long long>(v)) &&
-      std::abs(v) < 1e15) {
+  if (std::abs(v) < 1e15 &&
+      v == static_cast<double>(static_cast<long long>(v))) {
     std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
   } else {
     std::snprintf(buf, sizeof(buf), "%.17g", v);
@@ -155,7 +156,9 @@ class TokenCursor {
     const std::string t = next_word(what);
     char* end = nullptr;
     const double v = std::strtod(t.c_str(), &end);
-    if (end == t.c_str() || *end != '\0') {
+    // No spec quantity is infinite or NaN (an endless attack is spelled
+    // "forever"); one would only poison the mission it drives.
+    if (end == t.c_str() || *end != '\0' || !std::isfinite(v)) {
       parse_error(line_, std::string("bad number for ") + what + ": \"" + t +
                              "\"");
     }
@@ -164,7 +167,8 @@ class TokenCursor {
 
   std::size_t next_index(const char* what) {
     const double v = next_number(what);
-    if (v < 0.0 || v != std::floor(v)) {
+    // 2^64 and up do not fit: casting them is undefined behavior.
+    if (v < 0.0 || v != std::floor(v) || v >= 18446744073709551616.0) {
       parse_error(line_, std::string(what) + " must be a non-negative integer");
     }
     return static_cast<std::size_t>(v);
@@ -444,7 +448,7 @@ ScenarioSpec parse(const std::string& text) {
     }
   }
   if (!saw_header) throw SpecError("spec parse error: empty input");
-  if (!saw_end) throw SpecError("spec parse error: missing \"end\"");
+  if (!saw_end) parse_error(num, "missing \"end\"");  // num: the last line
   return spec;
 }
 

@@ -3,22 +3,17 @@
 #include <sys/stat.h>
 #include <time.h>
 
-#include <fstream>
-
 #include "common/check.h"
 
 namespace roboads::shard {
 
 std::optional<Heartbeat> read_heartbeat(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) return std::nullopt;
-  std::string line;
-  if (!std::getline(is, line)) return std::nullopt;
   try {
-    return obs::json::decode<Heartbeat>(line, "heartbeat " + path);
+    return obs::json::read_snapshot(path, kHeartbeatFile);
   } catch (const std::exception&) {
-    // Legacy plain-text payload or a beat torn mid-rename publish — the
-    // mtime is still meaningful, the payload just is not.
+    // Missing, empty, a legacy plain-text payload or a beat torn
+    // mid-rename publish — the mtime is still meaningful, the payload just
+    // is not.
     return std::nullopt;
   }
 }

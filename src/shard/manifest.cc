@@ -113,12 +113,8 @@ const char* to_string(JobKind kind) {
 
 std::string serialize(const Manifest& manifest) {
   std::ostringstream os;
-  json::write(os, ManifestHeader{manifest.shards, manifest.jobs.size()});
-  os << '\n';
-  for (const ManifestJob& job : manifest.jobs) {
-    json::write(os, job);
-    os << '\n';
-  }
+  json::write_line(os, ManifestHeader{manifest.shards, manifest.jobs.size()});
+  for (const ManifestJob& job : manifest.jobs) json::write_line(os, job);
   return os.str();
 }
 

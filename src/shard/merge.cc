@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <tuple>
 
 #include "obs/jsonl.h"
 #include "obs/metrics.h"
@@ -14,68 +16,163 @@ namespace {
 
 namespace json = roboads::obs::json;
 
-// Per replication group: folded confusion counts and delay samples. Groups
-// are the unit of the confidence intervals — e.g. one group per seed in
-// bench/seed_robustness, so the CI measures across-seed spread.
-struct GroupStats {
+// One channel's confusion counts, written as [tp, fp, tn, fn].
+struct Counts {
+  std::int64_t tp = 0, fp = 0, tn = 0, fn = 0;
+};
+
+// Outcomes folded per replication group, and once for the whole campaign.
+// Groups are the unit of the confidence intervals — e.g. one group per seed
+// in bench/seed_robustness, so the CI measures across-seed spread.
+struct Tally {
   std::string name;
   std::size_t jobs = 0;
   std::size_t ok = 0;
   std::size_t failed = 0;
   std::size_t violations = 0;
-  stats::ConfusionCounts counts;  // sensor + actuator folded together
+  Counts sensor, actuator;
   std::vector<double> delay_seconds;
   std::size_t missed_delays = 0;  // delays never correctly detected
 
-  bool has_metrics() const { return counts.total() > 0; }
+  // Sensor and actuator folded together.
+  stats::ConfusionCounts counts() const {
+    stats::ConfusionCounts c;
+    c.true_positives = static_cast<std::size_t>(sensor.tp + actuator.tp);
+    c.false_positives = static_cast<std::size_t>(sensor.fp + actuator.fp);
+    c.true_negatives = static_cast<std::size_t>(sensor.tn + actuator.tn);
+    c.false_negatives = static_cast<std::size_t>(sensor.fn + actuator.fn);
+    return c;
+  }
+  bool has_metrics() const { return counts().total() > 0; }
 };
 
-void fold(GroupStats& g, const JobOutcome& o) {
-  ++g.jobs;
-  if (o.status == "ok") ++g.ok;
-  if (o.status == "failed") ++g.failed;
-  if (o.status == "violation") ++g.violations;
-  g.counts.true_positives +=
-      static_cast<std::size_t>(o.sensor_tp + o.actuator_tp);
-  g.counts.false_positives +=
-      static_cast<std::size_t>(o.sensor_fp + o.actuator_fp);
-  g.counts.true_negatives +=
-      static_cast<std::size_t>(o.sensor_tn + o.actuator_tn);
-  g.counts.false_negatives +=
-      static_cast<std::size_t>(o.sensor_fn + o.actuator_fn);
+void fold(Tally& t, const JobOutcome& o) {
+  ++t.jobs;
+  if (o.status == "ok") ++t.ok;
+  if (o.status == "failed") ++t.failed;
+  if (o.status == "violation") ++t.violations;
+  t.sensor.tp += o.sensor_tp; t.sensor.fp += o.sensor_fp;
+  t.sensor.tn += o.sensor_tn; t.sensor.fn += o.sensor_fn;
+  t.actuator.tp += o.actuator_tp; t.actuator.fp += o.actuator_fp;
+  t.actuator.tn += o.actuator_tn; t.actuator.fn += o.actuator_fn;
   for (const OutcomeDelay& d : o.delays) {
     if (d.seconds.has_value()) {
-      g.delay_seconds.push_back(*d.seconds);
+      t.delay_seconds.push_back(*d.seconds);
     } else {
-      ++g.missed_delays;
+      ++t.missed_delays;
     }
   }
 }
 
-void write_counts(std::ostream& os, const char* key,
-                  std::int64_t tp, std::int64_t fp, std::int64_t tn,
-                  std::int64_t fn) {
-  json::write_field_key(os, key);
-  json::write_ints(os, {tp, fp, tn, fn});
+// --- report.jsonl lines (obs/jsonl.h record codec), in line order. Nothing
+// parses a report back, so these codecs write computed values, and a group
+// line carries its metric fields only when the group has confusion counts.
+
+struct ReportHeader {
+  const MergeStats& totals;
+};
+
+template <class IO>
+void codec(IO& io, ReportHeader& h) {
+  io.tag("event", "report");
+  io.tag("name", "roboads-shard-report");
+  io.tag("version", 1);
+  io("jobs", h.totals.total_jobs);
+  io("completed", h.totals.completed);
+  io("complete", h.totals.complete);
 }
 
-void write_ci_line(std::ostream& os, const char* metric,
-                   const std::vector<double>& samples) {
-  const stats::MeanCi95 ci = stats::mean_ci95(samples);
-  os << '{';
-  json::write_field_key(os, "event", /*first=*/true);
-  json::write_escaped(os, "ci");
-  json::write_field_key(os, "metric");
-  json::write_escaped(os, metric);
-  json::write_field_key(os, "groups");
-  json::write_number(os, static_cast<double>(ci.n));
-  json::write_field_key(os, "mean");
-  json::write_number(os, ci.mean);
-  json::write_field_key(os, "stddev");
-  json::write_number(os, ci.stddev);
-  json::write_field_key(os, "ci95");
-  json::write_doubles(os, {ci.lo, ci.hi});
-  os << "}\n";
+// The whole campaign: job statuses, each channel's counts, and the rates
+// of both channels folded together.
+struct Aggregate {
+  const Tally& all;
+};
+
+template <class IO>
+void codec(IO& io, Aggregate& a) {
+  const Tally& t = a.all;
+  const stats::ConfusionCounts both = t.counts();
+  io.tag("event", "aggregate");
+  io("ok", t.ok);
+  io("failed", t.failed);
+  io("violations", t.violations);
+  io("sensor", std::tie(t.sensor.tp, t.sensor.fp, t.sensor.tn, t.sensor.fn));
+  io("actuator", std::tie(t.actuator.tp, t.actuator.fp, t.actuator.tn,
+                          t.actuator.fn));
+  io("fpr", both.false_positive_rate());
+  io("fnr", both.false_negative_rate());
+  io("f1", both.f1());
+}
+
+// A 95% confidence interval of one metric across replication groups.
+struct CiLine {
+  const char* metric;
+  stats::MeanCi95 ci;
+};
+
+template <class IO>
+void codec(IO& io, CiLine& line) {
+  io.tag("event", "ci");
+  io.tag("metric", line.metric);
+  io("groups", line.ci.n);
+  io("mean", line.ci.mean);
+  io("stddev", line.ci.stddev);
+  io("ci95", std::tie(line.ci.lo, line.ci.hi));
+}
+
+// One group's detection delays as a mergeable histogram over the shared
+// delay bounds.
+struct DelayTelemetry {
+  const Tally& group;
+};
+
+template <class IO>
+void codec(IO& io, DelayTelemetry& t) {
+  obs::HistogramSnapshot h =
+      obs::HistogramSnapshot::with_bounds(obs::default_delay_bounds_s());
+  for (const double d : t.group.delay_seconds) h.record(d);
+  double lo = h.mean() - h.ci95_half_width();
+  double hi = h.mean() + h.ci95_half_width();
+  io.tag("event", "telemetry");
+  io.tag("metric", "detection_delay_s");
+  io("group", t.group.name);
+  io("count", h.count);
+  io("mean", h.mean());
+  io("stddev", h.stddev());
+  io("ci95", std::tie(lo, hi));
+  io("p50", h.quantile(0.50));
+  io("p90", h.quantile(0.90));
+  io("p99", h.quantile(0.99));
+  io("max", h.max);
+  io("hist", h);
+}
+
+template <class IO>
+void codec(IO& io, Tally& g) {
+  io.tag("event", "group");
+  io("group", g.name);
+  io("jobs", g.jobs);
+  io("ok", g.ok);
+  io("failed", g.failed);
+  io("violations", g.violations);
+  if (!g.has_metrics()) return;
+  io("fpr", g.counts().false_positive_rate());
+  io("fnr", g.counts().false_negative_rate());
+  io("detection_delay", g.delay_seconds.empty()
+                            ? std::nullopt
+                            : std::optional(stats::mean(g.delay_seconds)));
+  io("missed_delays", g.missed_delays);
+}
+
+struct MissingJobs {
+  const std::vector<std::string>& ids;
+};
+
+template <class IO>
+void codec(IO& io, MissingJobs& m) {
+  io.tag("event", "missing");
+  io("count", m.ids.size());
+  io("ids", m.ids);
 }
 
 }  // namespace
@@ -101,11 +198,9 @@ MergedReport merge_outcomes(const Manifest& manifest,
 
   // Groups in manifest order (first appearance), folding only recorded
   // outcomes. Missing jobs surface in missing_ids, never as fake zeros.
-  std::vector<GroupStats> groups;
+  std::vector<Tally> groups;
   std::map<std::string, std::size_t> group_index;
-  stats::ConfusionCounts total_counts;
-  std::int64_t s_tp = 0, s_fp = 0, s_tn = 0, s_fn = 0;
-  std::int64_t a_tp = 0, a_fp = 0, a_tn = 0, a_fn = 0;
+  Tally all;
   for (const ManifestJob& job : manifest.jobs) {
     const auto it = by_id.find(job.id);
     if (it == by_id.end()) {
@@ -113,9 +208,6 @@ MergedReport merge_outcomes(const Manifest& manifest,
       continue;
     }
     const JobOutcome& o = *it->second;
-    if (o.status == "ok") ++report.stats.ok;
-    if (o.status == "failed") ++report.stats.failed;
-    if (o.status == "violation") ++report.stats.violations;
     const auto inserted =
         group_index.emplace(o.group, groups.size());
     if (inserted.second) {
@@ -123,163 +215,59 @@ MergedReport merge_outcomes(const Manifest& manifest,
       groups.back().name = o.group;
     }
     fold(groups[inserted.first->second], o);
-    s_tp += o.sensor_tp; s_fp += o.sensor_fp;
-    s_tn += o.sensor_tn; s_fn += o.sensor_fn;
-    a_tp += o.actuator_tp; a_fp += o.actuator_fp;
-    a_tn += o.actuator_tn; a_fn += o.actuator_fn;
+    fold(all, o);
   }
+  report.stats.ok = all.ok;
+  report.stats.failed = all.failed;
+  report.stats.violations = all.violations;
   report.stats.complete = report.stats.missing_ids.empty();
-  total_counts.true_positives = static_cast<std::size_t>(s_tp + a_tp);
-  total_counts.false_positives = static_cast<std::size_t>(s_fp + a_fp);
-  total_counts.true_negatives = static_cast<std::size_t>(s_tn + a_tn);
-  total_counts.false_negatives = static_cast<std::size_t>(s_fn + a_fn);
 
   std::ostringstream os;
-
-  // Header.
-  os << '{';
-  json::write_field_key(os, "event", /*first=*/true);
-  json::write_escaped(os, "report");
-  json::write_field_key(os, "name");
-  json::write_escaped(os, "roboads-shard-report");
-  json::write_field_key(os, "version");
-  json::write_number(os, 1);
-  json::write_field_key(os, "jobs");
-  json::write_number(os, static_cast<double>(report.stats.total_jobs));
-  json::write_field_key(os, "completed");
-  json::write_number(os, static_cast<double>(report.stats.completed));
-  json::write_field_key(os, "complete");
-  os << (report.stats.complete ? "true" : "false");
-  os << "}\n";
-
-  // Whole-campaign aggregate.
-  os << '{';
-  json::write_field_key(os, "event", /*first=*/true);
-  json::write_escaped(os, "aggregate");
-  json::write_field_key(os, "ok");
-  json::write_number(os, static_cast<double>(report.stats.ok));
-  json::write_field_key(os, "failed");
-  json::write_number(os, static_cast<double>(report.stats.failed));
-  json::write_field_key(os, "violations");
-  json::write_number(os, static_cast<double>(report.stats.violations));
-  write_counts(os, "sensor", s_tp, s_fp, s_tn, s_fn);
-  write_counts(os, "actuator", a_tp, a_fp, a_tn, a_fn);
-  json::write_field_key(os, "fpr");
-  json::write_number(os, total_counts.false_positive_rate());
-  json::write_field_key(os, "fnr");
-  json::write_number(os, total_counts.false_negative_rate());
-  json::write_field_key(os, "f1");
-  json::write_number(os, total_counts.f1());
-  os << "}\n";
+  json::write_line(os, ReportHeader{report.stats});
+  json::write_line(os, Aggregate{all});
 
   // 95% confidence intervals across replication groups (groups carrying
   // mission metrics only — a fuzz group contributes no confusion counts).
   std::vector<double> fprs, fnrs, delays;
-  for (const GroupStats& g : groups) {
+  for (const Tally& g : groups) {
     if (!g.has_metrics()) continue;
-    fprs.push_back(g.counts.false_positive_rate());
-    fnrs.push_back(g.counts.false_negative_rate());
+    fprs.push_back(g.counts().false_positive_rate());
+    fnrs.push_back(g.counts().false_negative_rate());
     if (!g.delay_seconds.empty()) {
       delays.push_back(stats::mean(g.delay_seconds));
     }
   }
   if (!fprs.empty()) {
-    write_ci_line(os, "fpr", fprs);
-    write_ci_line(os, "fnr", fnrs);
+    json::write_line(os, CiLine{"fpr", stats::mean_ci95(fprs)});
+    json::write_line(os, CiLine{"fnr", stats::mean_ci95(fnrs)});
   }
-  if (!delays.empty()) write_ci_line(os, "detection_delay", delays);
+  if (!delays.empty()) {
+    json::write_line(os,
+                     CiLine{"detection_delay", stats::mean_ci95(delays)});
+  }
 
   // Telemetry: per-group detection-delay distributions as mergeable
   // histograms (obs::HistogramSnapshot over the shared delay bounds). A
   // deterministic function of the outcomes alone — no wall-clock, no worker
   // identity — so the merged report stays byte-identical to the serial
   // reference with telemetry enabled.
-  for (const GroupStats& g : groups) {
-    if (g.delay_seconds.empty()) continue;
-    obs::HistogramSnapshot hist =
-        obs::HistogramSnapshot::with_bounds(obs::default_delay_bounds_s());
-    for (const double d : g.delay_seconds) hist.record(d);
-    os << '{';
-    json::write_field_key(os, "event", /*first=*/true);
-    json::write_escaped(os, "telemetry");
-    json::write_field_key(os, "metric");
-    json::write_escaped(os, "detection_delay_s");
-    json::write_field_key(os, "group");
-    json::write_escaped(os, g.name);
-    json::write_field_key(os, "count");
-    json::write_number(os, static_cast<double>(hist.count));
-    json::write_field_key(os, "mean");
-    json::write_number(os, hist.mean());
-    json::write_field_key(os, "stddev");
-    json::write_number(os, hist.stddev());
-    json::write_field_key(os, "ci95");
-    json::write_doubles(os, {hist.mean() - hist.ci95_half_width(),
-                             hist.mean() + hist.ci95_half_width()});
-    json::write_field_key(os, "p50");
-    json::write_number(os, hist.quantile(0.50));
-    json::write_field_key(os, "p90");
-    json::write_number(os, hist.quantile(0.90));
-    json::write_field_key(os, "p99");
-    json::write_number(os, hist.quantile(0.99));
-    json::write_field_key(os, "max");
-    json::write_number(os, hist.max);
-    json::write_field_key(os, "hist");
-    json::write(os, hist);
-    os << "}\n";
+  for (const Tally& g : groups) {
+    if (!g.delay_seconds.empty()) json::write_line(os, DelayTelemetry{g});
   }
 
   // Per-group lines, in manifest first-appearance order.
-  for (const GroupStats& g : groups) {
-    os << '{';
-    json::write_field_key(os, "event", /*first=*/true);
-    json::write_escaped(os, "group");
-    json::write_field_key(os, "group");
-    json::write_escaped(os, g.name);
-    json::write_field_key(os, "jobs");
-    json::write_number(os, static_cast<double>(g.jobs));
-    json::write_field_key(os, "ok");
-    json::write_number(os, static_cast<double>(g.ok));
-    json::write_field_key(os, "failed");
-    json::write_number(os, static_cast<double>(g.failed));
-    json::write_field_key(os, "violations");
-    json::write_number(os, static_cast<double>(g.violations));
-    if (g.has_metrics()) {
-      json::write_field_key(os, "fpr");
-      json::write_number(os, g.counts.false_positive_rate());
-      json::write_field_key(os, "fnr");
-      json::write_number(os, g.counts.false_negative_rate());
-      json::write_field_key(os, "detection_delay");
-      if (g.delay_seconds.empty()) {
-        os << "null";
-      } else {
-        json::write_number(os, stats::mean(g.delay_seconds));
-      }
-      json::write_field_key(os, "missed_delays");
-      json::write_number(os, static_cast<double>(g.missed_delays));
-    }
-    os << "}\n";
-  }
+  for (const Tally& g : groups) json::write_line(os, g);
 
   // Partial coverage is reported, not hidden.
   if (!report.stats.complete) {
-    os << '{';
-    json::write_field_key(os, "event", /*first=*/true);
-    json::write_escaped(os, "missing");
-    json::write_field_key(os, "count");
-    json::write_number(os,
-                       static_cast<double>(report.stats.missing_ids.size()));
-    json::write_field_key(os, "ids");
-    json::write_strings(os, report.stats.missing_ids);
-    os << "}\n";
+    json::write_line(os, MissingJobs{report.stats.missing_ids});
   }
 
   // Every outcome, canonically serialized in job-id order. This is the part
   // the chaos test diffs byte-for-byte against the serial reference.
   std::sort(outcomes.begin(), outcomes.end(),
             [](const JobOutcome& a, const JobOutcome& b) { return a.id < b.id; });
-  for (const JobOutcome& o : outcomes) {
-    os << serialize_outcome(o) << '\n';
-  }
+  for (const JobOutcome& o : outcomes) json::write_line(os, o);
 
   report.text = os.str();
   return report;

@@ -83,49 +83,6 @@ TEST(KheperaUnits, SpeedConversionMatchesPaper) {
   EXPECT_NEAR(khepera_units_to_mps(6000.0), 0.04, 1e-12);
 }
 
-TEST(Bicycle, Dimensions) {
-  Bicycle model;
-  EXPECT_EQ(model.state_dim(), 4u);
-  EXPECT_EQ(model.input_dim(), 2u);
-  EXPECT_EQ(model.heading_index(), 2u);
-  EXPECT_EQ(model.name(), "bicycle");
-}
-
-TEST(Bicycle, RejectsBadParams) {
-  BicycleParams p;
-  p.wheelbase = -1.0;
-  EXPECT_THROW(Bicycle{p}, CheckError);
-}
-
-TEST(Bicycle, ThrottleAcceleratesTowardTerminalSpeed) {
-  Bicycle model({.wheelbase = 0.25, .motor_gain = 2.0, .drag = 0.8,
-                 .max_steer = 0.45, .dt = 0.1});
-  Vector x{0.0, 0.0, 0.0, 0.0};
-  for (int i = 0; i < 400; ++i) x = model.step(x, Vector{1.0, 0.0});
-  // Terminal speed: k_a / c_d = 2.5 m/s.
-  EXPECT_NEAR(x[3], 2.5, 1e-6);
-  EXPECT_NEAR(x[1], 0.0, 1e-9);  // straight line
-  EXPECT_GT(x[0], 0.0);
-}
-
-TEST(Bicycle, SteeringTurnsHeading) {
-  Bicycle model;
-  Vector x{0.0, 0.0, 0.0, 1.0};
-  const Vector next = model.step(x, Vector{0.0, 0.3});
-  EXPECT_GT(next[2], 0.0);
-  // Turn rate = v tan δ / L.
-  EXPECT_NEAR(next[2], model.dt() * std::tan(0.3) / model.params().wheelbase,
-              1e-12);
-}
-
-TEST(Bicycle, ZeroSpeedMeansNoTurn) {
-  Bicycle model;
-  const Vector next = model.step(Vector{1.0, 2.0, 0.5, 0.0}, Vector{0.0, 0.4});
-  EXPECT_NEAR(next[0], 1.0, 1e-12);
-  EXPECT_NEAR(next[1], 2.0, 1e-12);
-  EXPECT_NEAR(next[2], 0.5, 1e-12);
-}
-
 // Analytic Jacobians must agree with central differences across a sweep of
 // operating points — this is the property the per-iteration linearization
 // of NUISE depends on.
@@ -168,41 +125,6 @@ TEST_P(DiffDriveJacobianProperty, InputJacobianMatchesNumeric) {
 }
 
 INSTANTIATE_TEST_SUITE_P(OperatingPoints, DiffDriveJacobianProperty,
-                         ::testing::Range<std::size_t>(0, 6));
-
-class BicycleJacobianProperty : public ::testing::TestWithParam<std::size_t> {
- protected:
-  static std::vector<JacobianCase> cases() {
-    return {
-        {{0.0, 0.0, 0.0, 0.0}, {0.0, 0.0}},
-        {{1.0, -2.0, 0.7, 0.5}, {0.5, 0.1}},
-        {{-0.5, 0.3, -2.9, 1.2}, {0.8, -0.3}},
-        {{2.0, 1.0, 1.57, 2.0}, {-0.4, 0.2}},
-        {{0.1, 0.2, 3.1, 0.8}, {0.2, 0.44}},
-        {{5.0, -5.0, -1.2, 1.5}, {1.0, -0.44}},
-    };
-  }
-};
-
-TEST_P(BicycleJacobianProperty, StateJacobianMatchesNumeric) {
-  Bicycle model;
-  const JacobianCase c = cases()[GetParam()];
-  const Matrix analytic = model.jacobian_state(c.x, c.u);
-  const Matrix numeric = numerical_jacobian(
-      [&](const Vector& x) { return model.step(x, c.u); }, c.x);
-  expect_matrix_near(analytic, numeric, 1e-6);
-}
-
-TEST_P(BicycleJacobianProperty, InputJacobianMatchesNumeric) {
-  Bicycle model;
-  const JacobianCase c = cases()[GetParam()];
-  const Matrix analytic = model.jacobian_input(c.x, c.u);
-  const Matrix numeric = numerical_jacobian(
-      [&](const Vector& u) { return model.step(c.x, u); }, c.u);
-  expect_matrix_near(analytic, numeric, 1e-6);
-}
-
-INSTANTIATE_TEST_SUITE_P(OperatingPoints, BicycleJacobianProperty,
                          ::testing::Range<std::size_t>(0, 6));
 
 TEST(KinematicBicycle, Dimensions) {

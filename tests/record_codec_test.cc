@@ -2,24 +2,29 @@
 // ways:
 //   - golden bytes: tests/data/golden_records.jsonl holds one line per
 //     record shape — every manifest job kind, a missed delay, a finding, a
-//     non-finite double, empty and populated histograms, each metric kind —
-//     and every writer must reproduce it exactly, and every reader must
-//     read it back to the same bytes;
+//     non-finite double, empty and populated histograms, each metric kind,
+//     frontier results, complete / partial / empty merged reports and a
+//     detector trace — and every writer must reproduce it exactly, and every
+//     reader must read it back to the same bytes;
 //   - hostile input: integers are exact (a seed above 2^53 survives) and
 //     null / fractional / exponent / negative / out-of-range integer fields
 //     are rejected with the schema's own exception, naming the field; a
-//     100k-deep line fails loudly instead of overflowing the stack;
+//     100k-deep line fails loudly instead of overflowing the stack; a
+//     repeated key throws naming it; `\u` escapes decode to UTF-8 and a
+//     malformed escape or lone surrogate throws;
 //   - a seeded byte-mutation loop over the golden lines: every mutant either
 //     parses or throws its entry point's documented exception, never
 //     crashes (run under ASan/UBSan by ./ci.sh asan|ubsan).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -29,15 +34,16 @@
 #include "common/check.h"
 #include "fleet/introspect.h"
 #include "obs/flight_recorder.h"
-#include "obs/json.h"
 #include "obs/jsonl.h"
 #include "obs/metrics.h"
 #include "obs/monitor.h"
 #include "obs/report.h"
 #include "obs/trace.h"
+#include "scenario/frontier.h"
 #include "shard/checkpoint.h"
 #include "shard/heartbeat.h"
 #include "shard/manifest.h"
+#include "shard/merge.h"
 #include "shard/status.h"
 #include "shard/telemetry.h"
 
@@ -358,6 +364,159 @@ void fill_golden_registry(obs::MetricsRegistry& registry) {
   h.record(2.5e6);
 }
 
+// --- Frontier and write-only records ----------------------------------------
+
+// A bisected axis, both degenerate outcomes (one probing a non-finite
+// magnitude), and an axis without probes whose strings need escapes.
+std::vector<scenario::FrontierResult> golden_frontier() {
+  scenario::FrontierResult bisected;
+  bisected.id = "ips-bias-x";
+  bisected.attack_class = "bias";
+  bisected.platform = "khepera";
+  bisected.channel = "sensor";
+  bisected.unit = "meters";
+  bisected.undetected_max = 0.0123;
+  bisected.caught_min = 0.025;
+  bisected.delay_at_caught_seconds = 1.7;
+  bisected.probes = {{0.002, false, std::nullopt},
+                     {0.2, true, 0.3},
+                     {0.101, true, 0.9},
+                     {0.0123, false, std::nullopt},
+                     {0.025, true, 1.7}};
+  scenario::FrontierResult all;
+  all.id = "wheel-gain";
+  all.attack_class = "scale";
+  all.platform = "khepera";
+  all.channel = "actuator";
+  all.unit = "gain-excess";
+  all.caught_min = 0.1 / 1024.0;
+  all.all_detected = true;
+  all.probes = {{0.1, true, 0.5}, {0.1 / 1024.0, true, std::nullopt}};
+  scenario::FrontierResult none;
+  none.id = "imu-noise-x";
+  none.attack_class = "noise";
+  none.platform = "tamiya";
+  none.channel = "sensor";
+  none.unit = "meters-stddev";
+  none.undetected_max = kInf;
+  none.none_detected = true;
+  none.probes = {{1.0, false, std::nullopt}, {kInf, false, std::nullopt}};
+  scenario::FrontierResult unprobed;
+  unprobed.id = "odd \"id\"\tx";
+  unprobed.attack_class = "freeze";
+  unprobed.platform = "tamiya";
+  unprobed.channel = "sensor";
+  unprobed.unit = "back\\slash\n\x01";
+  return {bisected, all, none, unprobed};
+}
+
+std::string golden_frontier_text() {
+  std::ostringstream os;
+  scenario::write_frontier_jsonl(os, golden_frontier());
+  return os.str();
+}
+
+shard::JobOutcome report_outcome(const std::string& id,
+                                 const std::string& group,
+                                 const std::string& status,
+                                 std::vector<std::int64_t> counts,
+                                 std::vector<std::optional<double>> delays) {
+  shard::JobOutcome o;
+  o.id = id;
+  o.group = group;
+  o.name = "job " + id;
+  o.status = status;
+  if (!counts.empty()) {
+    o.sensor_tp = counts[0];
+    o.sensor_fp = counts[1];
+    o.sensor_tn = counts[2];
+    o.sensor_fn = counts[3];
+    o.actuator_tp = counts[4];
+    o.actuator_fp = counts[5];
+    o.actuator_tn = counts[6];
+    o.actuator_fn = counts[7];
+  }
+  for (std::size_t i = 0; i < delays.size(); ++i) {
+    shard::OutcomeDelay d;
+    d.label = i == 0 ? "ips" : "actuator";
+    d.triggered_at = 60 + 10 * static_cast<std::int64_t>(i);
+    d.seconds = delays[i];
+    o.delays.push_back(d);
+  }
+  return o;
+}
+
+// Two metric groups (one whose every delay was missed, with a name that
+// needs escapes), a fuzz-only group and a failed job.
+std::vector<shard::JobOutcome> golden_report_outcomes() {
+  const std::string escaped = "seed-\"2\"\t";
+  return {
+      report_outcome("r0", "seed-1", "ok", {30, 2, 200, 3, 10, 0, 240, 1},
+                     {0.3, std::nullopt}),
+      report_outcome("r1", "seed-1", "ok", {28, 1, 205, 0, 12, 1, 236, 0},
+                     {0.5}),
+      report_outcome("r2", escaped, "ok", {25, 0, 210, 5, 0, 0, 250, 0},
+                     {std::nullopt, std::nullopt}),
+      report_outcome("r3", "fuzz", "violation", {}, {}),
+      report_outcome("r4", "fuzz", "ok", {}, {}),
+      report_outcome("r5", "seed-3", "failed", {}, {}),
+  };
+}
+
+// The merged report of a manifest holding `ids`, given the golden outcomes
+// named in `kept`.
+std::string golden_report(const std::vector<std::string>& ids,
+                          const std::vector<std::string>& kept) {
+  shard::Manifest manifest;
+  for (const std::string& id : ids) {
+    shard::ManifestJob job;
+    job.id = id;
+    manifest.jobs.push_back(job);
+  }
+  std::vector<shard::JobOutcome> outcomes;
+  for (const shard::JobOutcome& o : golden_report_outcomes()) {
+    if (std::find(kept.begin(), kept.end(), o.id) != kept.end()) {
+      outcomes.push_back(o);
+    }
+  }
+  return shard::merge_outcomes(manifest, outcomes).text;
+}
+
+// Complete, partial (a missing line whose ids need escapes) and empty.
+std::string golden_reports_text() {
+  const std::vector<std::string> all = {"r0", "r1", "r2", "r3", "r4", "r5"};
+  std::vector<std::string> partial = all;
+  partial.push_back("r\"6\n");
+  return golden_report(all, all) +
+         golden_report(partial, {"r0", "r2", "r3", "r5"}) +
+         golden_report({"r0", "r1"}, {});
+}
+
+// Labeled and unlabeled events carrying every TraceValue alternative: a
+// negative int64, non-finite doubles (written as null), an escaped string,
+// an empty vector, and a field name that needs escapes.
+std::string golden_trace_text() {
+  obs::TraceSink sink;
+  sink.emit(obs::TraceEvent("mission_start", "golden/\"s1\"", 0)
+                .add("platform", std::string("khepera"))
+                .add("seed", std::int64_t{9007199254740993}));
+  obs::TraceEvent it("iteration", 12);
+  it.add("weights", std::vector<double>{0.75, 0.25, 1e-300})
+      .add("empty", std::vector<double>{})
+      .add("chi2", kInf)
+      .add("nis", kNaN)
+      .add("mode", std::numeric_limits<std::int64_t>::min())
+      .add("alarm", true)
+      .add("quiet", false)
+      .add("note", std::string("tab\there \"quoted\"\nctrl\x01"))
+      .add("we\"ird\\key\t", 2.5);
+  sink.emit(it);
+  sink.emit(obs::TraceEvent("mission_end", 250));
+  std::ostringstream os;
+  sink.write_jsonl(os);
+  return os.str();
+}
+
 std::string slurp(const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   std::ostringstream os;
@@ -392,7 +551,8 @@ std::string line_of(const T& record) {
 // One schema's slice of the golden file: how the writer produces it, how a
 // reader reads it back and re-writes it, and the entry point a mutated
 // copy is fed to (which must either accept it or throw its documented
-// exception type).
+// exception type). Write-only records (merged reports, traces) have no
+// reader, so their `reread` and `entry` are empty.
 struct Section {
   std::string name;
   std::function<std::string()> write;
@@ -571,6 +731,27 @@ std::vector<Section> sections() {
          obs::load_histograms_jsonl(file);
        },
        Section::Throws::kCheckError},
+      {"frontier",
+       golden_frontier_text,
+       [](const std::string& text) {
+         std::vector<scenario::FrontierResult> results;
+         for (const std::string& line : lines_of(text)) {
+           results.push_back(
+               json::decode<scenario::FrontierResult>(line, "frontier"));
+         }
+         std::ostringstream os;
+         scenario::write_frontier_jsonl(os, results);
+         return os.str();
+       },
+       [](const std::string& text) {
+         for (const std::string& line : lines_of(text)) {
+           json::decode<scenario::FrontierResult>(line, "frontier");
+         }
+       },
+       Section::Throws::kCheckError},
+      {"merged reports", golden_reports_text, {}, {},
+       Section::Throws::kNothing},
+      {"trace", golden_trace_text, {}, {}, Section::Throws::kNothing},
   };
 }
 
@@ -596,7 +777,9 @@ TEST(GoldenRecords, ReadThenWriteReturnsTheSameBytes) {
     const std::size_t size = s.write().size();
     const std::string text = golden.substr(offset, size);
     offset += size;
-    EXPECT_EQ(s.reread(text), text) << s.name;
+    if (s.reread) {
+      EXPECT_EQ(s.reread(text), text) << s.name;
+    }
   }
   EXPECT_EQ(offset, golden.size());
 }
@@ -736,6 +919,71 @@ TEST(RecordCodec, ValidateJsonlBoundsNestingAndNamesTheLine) {
   }
 }
 
+// --- Keys and string escapes -------------------------------------------------
+
+TEST(RecordCodec, RepeatedKeyIsRejectedNamingTheKey) {
+  // A manifest job line that names its seed twice: neither seed may win.
+  std::string text = shard::serialize(golden_manifest());
+  const std::string seed = "\"seed\":77,";
+  ASSERT_NE(text.find(seed), std::string::npos);
+  text.replace(text.find(seed), seed.size(), "\"seed\":1,\"seed\":2,");
+  try {
+    shard::parse_manifest(text);
+    FAIL() << "a repeated key was accepted";
+  } catch (const shard::ManifestError& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate key \"seed\""),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(json::parse_object_line("{\"a\":{\"b\":1,\"b\":1}}", "nested"),
+               CheckError);
+}
+
+// The decoded value of a JSON string literal.
+std::string decoded(const std::string& literal) {
+  return json::parse_object_line("{\"s\":" + literal + "}", "escape")
+      .at("s")
+      .str;
+}
+
+TEST(RecordCodec, UnicodeEscapesDecodeToUtf8) {
+  EXPECT_EQ(decoded("\"\\u4e2d\""), "\xE4\xB8\xAD");  // 中
+  EXPECT_EQ(decoded("\"caf\\u00e9\""), "caf\xC3\xA9");
+  EXPECT_EQ(decoded("\"\\u00E9\""), "\xC3\xA9");
+  EXPECT_EQ(decoded("\"\\u0001\\u007f\""), "\x01\x7f");
+  EXPECT_EQ(decoded("\"\\b\\f\""), "\b\f");
+
+  // What Python's json.dumps writes for a group "café": the manifest reads
+  // it as UTF-8 and re-emits valid UTF-8 in every later file.
+  std::string text = shard::serialize(golden_manifest());
+  const std::string group = "\"group\":\"inline\"";
+  ASSERT_NE(text.find(group), std::string::npos);
+  text.replace(text.find(group), group.size(),
+               "\"group\":\"caf\\u00e9\"");
+  const shard::Manifest manifest = shard::parse_manifest(text);
+  EXPECT_EQ(manifest.jobs[0].group, "caf\xC3\xA9");
+  EXPECT_NE(shard::serialize(manifest).find("\"group\":\"caf\xC3\xA9\""),
+            std::string::npos);
+}
+
+TEST(RecordCodec, SurrogatePairsCombineAndLoneSurrogatesFail) {
+  EXPECT_EQ(decoded("\"\\ud83d\\ude00\""), "\xF0\x9F\x98\x80");  // 😀
+  EXPECT_EQ(decoded("\"\\uD800\\uDC00\""), "\xF0\x90\x80\x80");
+  EXPECT_EQ(decoded("\"\\udbff\\udfff\""), "\xF4\x8F\xBF\xBF");
+  for (const char* lone :
+       {"\"\\ud83d\"", "\"\\ude00\"", "\"\\ud83dx\"", "\"\\ud83d\\u0041\"",
+        "\"\\ude00\\ud83d\"", "\"\\ud83d\\ud83d\""}) {
+    EXPECT_THROW(decoded(lone), CheckError) << lone;
+  }
+}
+
+TEST(RecordCodec, UnicodeEscapeTakesExactlyFourHexDigits) {
+  for (const char* bad : {"\"\\uZZZZ\"", "\"\\u0x1f\"", "\"\\u12\"", "\"\\u12",
+                          "\"\\u-123\"", "\"\\u 123\""}) {
+    EXPECT_THROW(decoded(bad), CheckError) << bad;
+  }
+}
+
 // --- Number text ------------------------------------------------------------
 
 TEST(RecordCodec, WriteNumberHandlesMagnitudesPastTheIntegerRange) {
@@ -777,6 +1025,7 @@ TEST(RecordCodec, ByteMutantsParseOrThrowTheDocumentedError) {
   std::mt19937_64 rng(20261017);
   constexpr int kMutantsPerSection = 300;
   for (const Section& s : sections()) {
+    if (!s.entry) continue;
     const std::string original = s.write();
     std::size_t accepted = 0;
     for (int i = 0; i < kMutantsPerSection; ++i) {

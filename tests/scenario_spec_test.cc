@@ -2,6 +2,7 @@
 // serialize→parse→serialize fixed point, deterministic compilation, the
 // compiler's window edge-case rejections, and parser diagnostics.
 #include <algorithm>
+#include <random>
 #include <sstream>
 #include <string>
 
@@ -356,6 +357,50 @@ TEST(ScenarioSpecTest, ParseErrorsCarryLineNumbers) {
   }
 }
 
+TEST(ScenarioSpecTest, MissingEndNamesTheLineWhereTheInputEnded) {
+  // The "end" line commented out: the input ends at line 3.
+  try {
+    parse("roboads-scenario-spec v1\nname \"x\"\n#end\n");
+    FAIL() << "expected SpecError";
+  } catch (const SpecError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 3: missing \"end\""), std::string::npos)
+        << what;
+  }
+}
+
+TEST(ScenarioSpecTest, NonFiniteNumbersAreRejectedAndHugeOnesRoundTrip) {
+  // No spec quantity is infinite or NaN: parse refuses one, naming its
+  // line (the attack is line 7).
+  const std::string text = serialize(one_attack_spec(ips_bias(60, 10)));
+  const std::string x = "0.070000000000000007";
+  ASSERT_NE(text.find(x), std::string::npos);
+  for (const char* bad : {"inf", "-inf", "nan", "1e400", "-1e999"}) {
+    std::string mutated = text;
+    mutated.replace(mutated.find(x), x.size(), bad);
+    try {
+      parse(mutated);
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const SpecError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 7"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(parse("roboads-scenario-spec v1\niterations 1e30\nend\n"),
+               SpecError);
+
+  // Finite magnitudes past 2^63 take the %.17g form without casting to an
+  // integer first (undefined behavior, caught by ./ci.sh ubsan).
+  ScenarioSpec huge = one_attack_spec(ips_bias(60, 10));
+  huge.attacks[0].magnitude = Vector{1e20, -1e300, 9223372036854775808.0};
+  const std::string huge_text = serialize(huge);
+  EXPECT_NE(huge_text.find("[1e+20, -1.0000000000000001e+300, "
+                           "9.2233720368547758e+18]"),
+            std::string::npos)
+      << huge_text;
+  EXPECT_EQ(serialize(parse(huge_text)), huge_text);
+}
+
 TEST(ScenarioSpecTest, ParseRejectsMalformedInput) {
   EXPECT_THROW(parse(""), SpecError);
   EXPECT_THROW(parse("not-a-spec\n"), SpecError);
@@ -376,6 +421,45 @@ TEST(ScenarioSpecTest, ParseRejectsMalformedInput) {
                SpecError);
   // Trailing tokens.
   EXPECT_THROW(parse("roboads-scenario-spec v1\nseed 1 2\nend\n"), SpecError);
+}
+
+// Hostile input: seeded byte mutants of every library spec. Each mutant
+// either parses and re-serializes to a fixed point, or throws a SpecError
+// naming a line — never another exception, never a crash (run under
+// ASan/UBSan by ./ci.sh asan|ubsan).
+TEST(ScenarioSpecTest, ByteMutantsReachAFixedPointOrNameALine) {
+  static const std::string kInteresting = "[]\",#\n -.+eE09\t\\\x01\xff";
+  std::mt19937_64 rng(20261017);
+  constexpr int kMutantsPerSpec = 300;
+  for (const ScenarioSpec& spec : all_library_specs()) {
+    const std::string original = serialize(spec);
+    for (int i = 0; i < kMutantsPerSpec; ++i) {
+      std::string text = original;
+      const int edits = 1 + static_cast<int>(rng() % 3);
+      for (int e = 0; e < edits && !text.empty(); ++e) {
+        const std::size_t at = rng() % text.size();
+        const char c = rng() % 4 == 0
+                           ? static_cast<char>(rng() % 256)
+                           : kInteresting[rng() % kInteresting.size()];
+        switch (rng() % 4) {
+          case 0: text[at] = c; break;
+          case 1: text.insert(at, 1, c); break;
+          case 2: text.erase(at, 1); break;
+          default: text.insert(at, text.substr(at, rng() % 16)); break;
+        }
+      }
+      try {
+        const std::string once = serialize(parse(text));
+        EXPECT_EQ(serialize(parse(once)), once) << spec.name << "\n" << text;
+      } catch (const SpecError& e) {
+        EXPECT_NE(std::string(e.what()).find(" line "), std::string::npos)
+            << e.what() << "\nmutant:\n" << text;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << spec.name << ": " << e.what() << "\nmutant:\n"
+                      << text;
+      }
+    }
+  }
 }
 
 // ---- Spec-level ground truth ---------------------------------------------

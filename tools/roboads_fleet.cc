@@ -73,6 +73,33 @@ int usage(std::ostream& os, int rc) {
   return rc;
 }
 
+// The `run --json` summary line (obs/jsonl.h record codec; write-only).
+struct RunSummary {
+  const fleet::FleetRunOptions& options;
+  const fleet::FleetStatus& status;
+  std::size_t shards = 0;
+  std::size_t spans = 0;
+  std::size_t parity_failures = 0;
+};
+
+template <class IO>
+void codec(IO& io, RunSummary& s) {
+  io("robots", s.options.robots);
+  io("shards", s.shards);
+  io("steps", s.status.steps);
+  io("sensor_alarms", s.status.sensor_alarms);
+  io("actuator_alarms", s.status.actuator_alarms);
+  io("quarantine_iterations", s.status.quarantine_iterations);
+  io("dropped_packets", s.status.dropped_packets);
+  io("forwarded_packets", s.status.forwarded_packets);
+  io("p50_ingest_to_step_ns", s.status.ingest_to_step_ns.quantile(0.50));
+  io("p99_ingest_to_step_ns", s.status.ingest_to_step_ns.quantile(0.99));
+  io("trace_sample", s.options.trace_sample);
+  io("spans", s.spans);
+  io("parity", s.options.parity);
+  io("parity_failures", s.parity_failures);
+}
+
 int run(const fleet::FleetRunOptions& o) {
   eval::KheperaPlatform platform;
   const auto spec = fleet::make_session_spec(platform);
@@ -187,10 +214,7 @@ int run(const fleet::FleetRunOptions& o) {
     }
     hists.push_back({"fleet.ingest_to_step_ns", status.ingest_to_step_ns});
     hists.push_back({"fleet.ingest_to_alarm_ns", status.ingest_to_alarm_ns});
-    for (const obs::NamedHistogram& h : hists) {
-      obs::json::write(os, h);
-      os << '\n';
-    }
+    for (const obs::NamedHistogram& h : hists) obs::json::write_line(os, h);
   }
 
   std::size_t parity_failures = 0;
@@ -217,21 +241,9 @@ int run(const fleet::FleetRunOptions& o) {
   }
 
   if (o.json) {
-    std::cout << "{\"robots\":" << o.robots << ",\"shards\":"
-              << service.shard_count() << ",\"steps\":" << status.steps
-              << ",\"sensor_alarms\":" << status.sensor_alarms
-              << ",\"actuator_alarms\":" << status.actuator_alarms
-              << ",\"quarantine_iterations\":" << status.quarantine_iterations
-              << ",\"dropped_packets\":" << status.dropped_packets
-              << ",\"forwarded_packets\":" << status.forwarded_packets
-              << ",\"p50_ingest_to_step_ns\":"
-              << status.ingest_to_step_ns.quantile(0.50)
-              << ",\"p99_ingest_to_step_ns\":"
-              << status.ingest_to_step_ns.quantile(0.99)
-              << ",\"trace_sample\":" << o.trace_sample
-              << ",\"spans\":" << spans.size()
-              << ",\"parity\":" << (o.parity ? "true" : "false")
-              << ",\"parity_failures\":" << parity_failures << "}\n";
+    obs::json::write_line(std::cout,
+                          RunSummary{o, status, service.shard_count(),
+                                     spans.size(), parity_failures});
   } else {
     std::cout << "fleet     " << o.robots << " robots on "
               << service.shard_count() << " shards\n"

@@ -2,9 +2,10 @@
 // either a metrics JSONL dump (the --metrics-out format written by
 // obs::MetricsRegistry::write_jsonl, including the fleet service's
 // "fleet.*" registry) or a histogram-snapshot JSONL (the roboads_fleet
-// --hist-out format of named obs::write_histogram lines, rendered with
-// mean/p50/p99/ci95). The format is sniffed from the first line — so a CI
-// artifact or a colleague's run can be read without re-running anything.
+// --hist-out format: one obs::NamedHistogram record per line, rendered
+// with mean/p50/p99/ci95). The format is sniffed from the first line — so
+// a CI artifact or a colleague's run can be read without re-running
+// anything.
 //
 //   roboads_report <metrics.jsonl | histograms.jsonl>
 //
