@@ -3,36 +3,37 @@
 // reports mean ± sample-stddev and a 95% confidence interval of the headline
 // metrics, so the reproduced numbers carry error bars.
 //
+// The battery is a shard manifest (shard::table2_manifest: 11 library jobs
+// per seed, group "seed-<seed>"). Without --workers its jobs run one after
+// another in this process; one reducer folds the job outcomes into per-seed
+// replications in both modes, so both print the same summary.
+//
 // Extra flags on top of the common bench set (bench_util.h):
 //   --seeds=N      replications to fly (default 5; each is 11 missions).
-//   --workers=N    run the battery as a crash-resilient sharded campaign
-//                  with N supervised worker processes (src/shard/) instead
-//                  of in-process; requires --shard-dir. `--seeds=100
-//                  --workers=8` completes the 1100-mission battery in
-//                  minutes and survives worker kills.
-//   --shard-dir=D  run directory (manifest, checkpoints, merged report).
+//   --workers=N    fly the battery in N supervised worker processes
+//                  (src/shard/) instead of in this process; requires
+//                  --shard-dir. `--seeds=100 --workers=8` completes the
+//                  1100-mission battery in minutes and survives worker
+//                  kills. --trace-out, --metrics-out and --record-out work
+//                  in process only.
+//   --shard-dir=D  run directory (manifest, checkpoints, merged report). A
+//                  directory that already holds checkpoints is refused
+//                  without --resume.
 //   --resume       continue a killed sharded run from its checkpoints.
+//
+// In process, --record-out=D records every mission and writes its
+// postmortem bundles to D/bundles/, named after their manifest job
+// (shard::ExecConfig); --record-window is not supported.
+#include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <map>
 
 #include "bench/bench_util.h"
-#include "common/parse.h"
-#include "shard/checkpoint.h"
-#include "shard/manifest.h"
-#include "shard/merge.h"
-#include "shard/supervise.h"
+#include "shard/run.h"
 #include "shard/worker.h"
 
 namespace roboads::bench {
 namespace {
-
-struct RobustnessArgs {
-  std::size_t seeds = 5;
-  std::size_t workers = 0;
-  std::string shard_dir;
-  bool resume = false;
-};
 
 // Metric samples per replication seed, however the missions were flown.
 struct Replication {
@@ -97,87 +98,27 @@ int summarize(const std::vector<Replication>& replications) {
   return ok ? 0 : 1;
 }
 
-int run_serial(const std::vector<std::uint64_t>& seeds,
-               const obs::Instruments& instruments) {
-  eval::KheperaPlatform platform;
-  std::vector<Replication> replications;
-  for (std::uint64_t seed : seeds) {
-    Replication r;
-    r.seed = seed;
-    for (std::size_t n = 1; n <= 11; ++n) {
-      const ScenarioRun run = run_and_score(
-          platform,
-          scenario::compile_spec(scenario::khepera_table2_spec(n), platform),
-          seed * 1000 + n, 250, instruments);
-      r.total += run.score.sensor;
-      r.total += run.score.actuator;
-      for (const eval::DelayRecord& d : run.score.delays) {
-        if (!d.seconds) {
-          ++r.missed;
-        } else if (d.label == "actuator") {
-          r.actuator_delays.push_back(*d.seconds);
-        } else {
-          r.sensor_delays.push_back(*d.seconds);
-        }
+// The one reducer: one replication per "seed-<N>" job group, in the order
+// the groups first appear (manifest order: outcomes come sorted by job id).
+std::vector<Replication> replications(
+    const std::vector<shard::JobOutcome>& outcomes) {
+  std::vector<Replication> out;
+  std::map<std::string, std::size_t> index;
+  for (const shard::JobOutcome& o : outcomes) {
+    const auto slot = index.emplace(o.group, out.size());
+    if (slot.second) {
+      // A resumed run reads its groups from a manifest on disk; a stray one
+      // (hand-edited run dir) must be a diagnostic, not a misread seed.
+      const std::optional<unsigned long long> seed =
+          o.group.rfind("seed-", 0) == 0 ? common::parse_u64(o.group.substr(5))
+                                         : std::nullopt;
+      if (!seed) {
+        throw std::runtime_error("job group \"" + o.group +
+                                 "\" is not of the form seed-<N>");
       }
+      out.emplace_back().seed = *seed;
     }
-    replications.push_back(std::move(r));
-  }
-  return summarize(replications);
-}
-
-int run_sharded(const std::vector<std::uint64_t>& seeds,
-                const RobustnessArgs& args) {
-  namespace fs = std::filesystem;
-  fs::create_directories(args.shard_dir);
-  const std::string manifest_path = args.shard_dir + "/manifest.jsonl";
-  if (args.resume && fs::exists(manifest_path)) {
-    std::printf("resuming sharded battery from %s\n", args.shard_dir.c_str());
-  } else {
-    shard::write_manifest_file(
-        manifest_path, shard::table2_manifest(seeds, args.workers, 250));
-  }
-  const shard::Manifest manifest = shard::read_manifest_file(manifest_path);
-
-  const shard::SuperviseResult supervised = shard::supervise(
-      manifest, args.shard_dir, shard::SupervisorConfig{},
-      shard::self_exec_launcher(manifest_path, args.shard_dir,
-                                /*record_bundles=*/false));
-  const shard::MergedReport report =
-      shard::merge_run(manifest, args.shard_dir);
-  std::ofstream os(args.shard_dir + "/report.jsonl", std::ios::binary);
-  os << report.text;
-  std::printf("%zu/%zu missions over %zu workers (%zu launches, %zu crashes, "
-              "%zu hangs); merged report: %s/report.jsonl\n",
-              report.stats.completed, report.stats.total_jobs,
-              manifest.shards, supervised.launches, supervised.crashes,
-              supervised.hangs, args.shard_dir.c_str());
-  if (!report.stats.complete) {
-    std::fprintf(stderr, "partial coverage: %zu missions missing\n",
-                 report.stats.missing_ids.size());
-    return 3;
-  }
-
-  // Rebuild per-seed replications from the merged outcomes; the group key
-  // "seed-<seed>" is the join.
-  std::map<std::string, Replication> by_group;
-  for (const shard::JobOutcome& o :
-       shard::load_run_outcomes(args.shard_dir)) {
-    // Group names come from a merged report on disk; a stray non-"seed-"
-    // group (hand-edited run dir, mixed manifests) must be a diagnostic,
-    // not an uncaught std::invalid_argument out of std::stoull.
-    const std::string prefix = "seed-";
-    std::optional<unsigned long long> seed;
-    if (o.group.rfind(prefix, 0) == 0) {
-      seed = common::parse_u64(o.group.substr(prefix.size()));
-    }
-    if (!seed) {
-      throw std::runtime_error("merged report contains job group \"" +
-                               o.group +
-                               "\" which is not of the form seed-<N>");
-    }
-    Replication& r = by_group[o.group];
-    r.seed = *seed;
+    Replication& r = out[slot.first->second];
     if (o.status != "ok") {
       ++r.failed;
       continue;
@@ -200,77 +141,118 @@ int run_sharded(const std::vector<std::uint64_t>& seeds,
       }
     }
   }
-  std::vector<Replication> replications;
-  for (std::uint64_t seed : seeds) {
-    const auto it = by_group.find("seed-" + std::to_string(seed));
-    if (it != by_group.end()) replications.push_back(std::move(it->second));
+  return out;
+}
+
+// Flies the battery in process (workers == 0) or supervised.
+int run_battery(const shard::Manifest& manifest, std::size_t workers,
+                shard::SupervisedRunConfig run, const BenchArgs& args) {
+  if (workers == 0) {
+    BenchObservation watch(args);
+    shard::ExecConfig exec;
+    exec.instruments = watch.instruments();
+    exec.run_dir = args.obs.record_out;
+    exec.record_bundles = !exec.run_dir.empty();
+    const std::vector<shard::JobOutcome> outcomes =
+        shard::run_serial(manifest, exec);
+    const int rc = summarize(replications(outcomes));
+    watch.finish();
+    for (const shard::JobOutcome& o : outcomes) {
+      for (const std::string& bundle : o.bundle_files) {
+        std::printf("bundle:      %s\n",
+                    (std::filesystem::path(exec.run_dir) / bundle).c_str());
+      }
+    }
+    return rc;
   }
-  return summarize(replications);
+
+  if (run.resume) {
+    std::printf("resuming sharded battery from %s\n", run.dir.c_str());
+  }
+  run.manifest_path = run.dir + "/manifest.jsonl";
+  const shard::SupervisedRun result = shard::run_supervised(run, &manifest);
+  const shard::MergeStats& stats = result.report.stats;
+  std::printf("%zu/%zu missions over %zu workers (%zu launches, %zu crashes, "
+              "%zu hangs); merged report: %s\n",
+              stats.completed, stats.total_jobs, result.manifest.shards,
+              result.supervised.launches, result.supervised.crashes,
+              result.supervised.hangs, result.report_path.c_str());
+  if (!stats.complete) {
+    std::fprintf(stderr, "partial coverage: %zu missions missing\n",
+                 stats.missing_ids.size());
+    return 3;
+  }
+  return summarize(replications(result.outcomes));
 }
 
 }  // namespace
 }  // namespace roboads::bench
 
 int main(int argc, char** argv) {
-  using roboads::bench::RobustnessArgs;
+  using roboads::bench::bench_usage_error;
+  using roboads::common::flag_value;
 
   if (argc >= 2 && std::strcmp(argv[1], "--shard-worker") == 0) {
     return roboads::shard::worker_main({argv + 2, argv + argc});
   }
 
   // Strip this bench's own flags before the strict common parser sees them.
-  RobustnessArgs robustness;
+  const auto count = [&](const std::string& flag, const std::string& value,
+                         bool allow_zero) {
+    const auto n = roboads::common::parse_u64(value);
+    if (!n || (!allow_zero && *n == 0)) {
+      bench_usage_error(
+          argv[0], flag + " expects a " +
+                       (allow_zero ? "non-negative" : "positive") +
+                       " integer, got \"" + value + "\"");
+    }
+    return static_cast<std::size_t>(*n);
+  };
+  std::size_t seeds = 5, workers = 0;
+  roboads::shard::SupervisedRunConfig run;
   std::vector<char*> passthrough = {argv[0]};
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--seeds=", 0) == 0) {
-      const auto seeds = roboads::common::parse_u64(arg.substr(8));
-      if (!seeds || *seeds == 0) {
-        roboads::bench::bench_usage_error(
-            argv[0], "--seeds expects a positive integer, got \"" +
-                         arg.substr(8) + "\"");
-      }
-      robustness.seeds = static_cast<std::size_t>(*seeds);
-    } else if (arg.rfind("--workers=", 0) == 0) {
-      const auto workers = roboads::common::parse_u64(arg.substr(10));
-      if (!workers) {
-        roboads::bench::bench_usage_error(
-            argv[0], "--workers expects a non-negative integer, got \"" +
-                         arg.substr(10) + "\"");
-      }
-      robustness.workers = static_cast<std::size_t>(*workers);
-    } else if (arg.rfind("--shard-dir=", 0) == 0) {
-      robustness.shard_dir = arg.substr(12);
+    std::string value;
+    if (flag_value(arg, "--seeds", &value)) {
+      seeds = count("--seeds", value, false);
+    } else if (flag_value(arg, "--workers", &value)) {
+      workers = count("--workers", value, true);
+    } else if (flag_value(arg, "--shard-dir", &value)) {
+      run.dir = value;
     } else if (arg == "--resume") {
-      robustness.resume = true;
+      run.resume = true;
+    } else if (flag_value(arg, "--record-window", &value)) {
+      bench_usage_error(argv[0], "--record-window is not supported: job "
+                                 "bundles use the default window");
     } else {
       passthrough.push_back(argv[i]);
     }
   }
-  if (robustness.workers > 0 && robustness.shard_dir.empty()) {
-    roboads::bench::bench_usage_error(argv[0], "--workers needs --shard-dir");
+  const roboads::bench::BenchArgs common = roboads::bench::parse_bench_args(
+      static_cast<int>(passthrough.size()), passthrough.data());
+  if (workers > 0 && run.dir.empty()) {
+    bench_usage_error(argv[0], "--workers needs --shard-dir");
   }
-
-  const std::vector<std::uint64_t> seeds =
-      roboads::shard::default_seed_series(robustness.seeds);
+  if ((run.resume || !run.dir.empty()) && workers == 0) {
+    bench_usage_error(argv[0], "--shard-dir/--resume need --workers");
+  }
+  if (workers > 0 && common.obs.enabled()) {
+    bench_usage_error(argv[0], "--trace-out, --metrics-out and --record-out "
+                               "work in process only (without --workers)");
+  }
 
   roboads::bench::print_header(
       "Robustness — Table II battery across independent seeds",
       "reproducibility supplement to RoboADS (DSN'18) Table II");
-
-  if (robustness.workers > 0) {
-    try {
-      return roboads::bench::run_sharded(seeds, robustness);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-      return 2;
-    }
+  try {
+    return roboads::bench::run_battery(
+        roboads::shard::table2_manifest(
+            roboads::shard::default_seed_series(seeds),
+            std::max<std::size_t>(workers, 1), 250),
+        workers, run, common);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return 2;
   }
-
-  roboads::bench::BenchObservation watch(roboads::bench::parse_bench_args(
-      static_cast<int>(passthrough.size()), passthrough.data()));
-  const int rc =
-      roboads::bench::run_serial(seeds, watch.instruments());
-  watch.finish();
-  return rc;
 }

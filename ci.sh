@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: build + ctest once normally, then once under
-# ThreadSanitizer (RoboADS_SANITIZE=thread) so data races in the parallel
-# engine fan-out, the batched scenario runner, and the striped metrics
-# registry fail the pipeline, once under AddressSanitizer
+# ThreadSanitizer (RoboADS_SANITIZE=thread) so data races in the batched
+# scenario runner, the fleet service and the striped metrics registry fail
+# the pipeline, once under AddressSanitizer
 # (RoboADS_SANITIZE=address) for out-of-bounds and use-after-free bugs — the
 # planner's grid cell arithmetic among them — and once under
 # UndefinedBehaviorSanitizer (RoboADS_SANITIZE=undefined) to catch UB in the
@@ -28,7 +28,9 @@
 #                      # standalone (.bench_build/) and checks every
 #                      # campaign outcome against
 #                      # perfbench/reference_outcomes.txt
-#   ./ci.sh fuzz-smoke # ~30 s scenario-DSL coverage fuzz + corpus replay
+#   ./ci.sh fuzz-smoke # ~30 s scenario-DSL coverage fuzz over $JOBS workers
+#                      # + corpus replay; a stale run directory and bad
+#                      # flags must be refused (exit 2)
 #   ./ci.sh shard-smoke # ~30 s sharded fuzz campaign with an injected
 #                      # worker kill and a supervisor kill + --resume; the
 #                      # merged report must be byte-identical to a serial run
@@ -112,8 +114,8 @@ run_obs_overhead() {
 }
 
 # Quick perf snapshot of the detector hot path: one NUISE step, one engine
-# iteration (default mode set, plus the complete mode set at 1 and 4
-# threads), the full detector step on both platforms, and one fleet
+# iteration (default mode set, plus the complete mode set), the full
+# detector step on both platforms, and one fleet
 # robot's session set-up (bytes and allocations per session) — plus one RRT*
 # mission plan per platform, the cost every campaign mission pays first
 # (docs/PERFORMANCE.md "Planner"), the Khepera mission's LiDAR scan and
@@ -252,16 +254,35 @@ PY
 }
 
 # Scenario-DSL coverage fuzz (docs/SCENARIOS.md): a time-boxed (~30 s)
-# randomized-campaign sweep that must hold every fuzzer invariant, then a
-# replay of the checked-in shrunk-spec corpus. FUZZ_SEED rotates coverage.
+# randomized-campaign sweep over $JOBS supervised workers that must hold
+# every fuzzer invariant, then a replay of the checked-in shrunk-spec corpus.
+# Bad input must be refused with exit 2 before any campaign flies: a second
+# seed into the same run directory (its checkpoints belong to the first
+# sweep), a negative campaign count, and a NaN fault probability. FUZZ_SEED
+# rotates coverage.
 run_fuzz_smoke() {
   local dir="$1"
   cmake -B "$dir" -S .
   cmake --build "$dir" -j "$JOBS" --target roboads_fuzz fuzz_corpus_test
-  "$dir/tools/roboads_fuzz" --seed="${FUZZ_SEED:-1}" --campaigns=250 \
-    --iterations=120
+  local out="$dir/fuzz-smoke"
+  local seed="${FUZZ_SEED:-1}"
+  rm -rf "$out"
+  "$dir/tools/roboads_fuzz" --seed="$seed" --campaigns=250 \
+    --iterations=120 --workers="$JOBS" --shard-dir="$out"
   "$dir/tests/fuzz_corpus_test"
-  echo "fuzz smoke: invariants held and corpus replayed green"
+  local bad rc
+  for bad in "--seed=$((seed + 1)) --workers=$JOBS --shard-dir=$out" \
+      "--campaigns=-1" "--fault-probability=nan"; do
+    rc=0
+    # $bad is a list of flags: split it.
+    # shellcheck disable=SC2086
+    "$dir/tools/roboads_fuzz" $bad > /dev/null 2>&1 || rc=$?
+    if [ "$rc" -ne 2 ]; then
+      echo "fuzz smoke: roboads_fuzz $bad exited $rc, expected 2" >&2
+      exit 1
+    fi
+  done
+  echo "fuzz smoke: invariants held, corpus replayed green, bad input refused"
 }
 
 # Sharded-runner chaos smoke (docs/ROBUSTNESS.md): a small sharded fuzz

@@ -1,4 +1,5 @@
-// Strict numeric parsing for CLI flags and serialized fields.
+// Strict numeric parsing for CLI flags and serialized fields, and the one
+// `--name=value` flag splitter the command-line tools share.
 //
 // Every surface that accepts a number — bench flags, shard worker argv,
 // merged-report group names — must reject malformed input with a diagnostic
@@ -16,6 +17,15 @@
 #include <string>
 
 namespace roboads::common {
+
+// `--name=value` flags: true, with `*value` set, when `arg` is `name=...`.
+inline bool flag_value(const std::string& arg, const std::string& name,
+                       std::string* value) {
+  const std::string prefix = name + "=";
+  if (arg.rfind(prefix, 0) != 0) return false;
+  *value = arg.substr(prefix.size());
+  return true;
+}
 
 // Whole-string unsigned integer. Rejects empty input, signs, whitespace,
 // trailing junk, and out-of-range values.

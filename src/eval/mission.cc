@@ -46,27 +46,13 @@ MissionResult run_mission(const Platform& platform,
                     .add("iterations",
                          static_cast<std::int64_t>(config.iterations)));
   }
-  const Matrix p0 = Matrix::identity(model.state_dim()) * 1e-4;
-
-  // §V-G baseline: freeze the linearization at the mission start. The
-  // *simulation* stays fully nonlinear either way — only the detector's
-  // model of the robot changes.
-  std::unique_ptr<core::FrozenLinearModel> frozen_model;
-  std::unique_ptr<sensors::SensorSuite> frozen_suite;
-  if (config.linear_baseline) {
-    frozen_model = std::make_unique<core::FrozenLinearModel>(
-        model, platform.initial_state(), Vector(model.input_dim()));
-    frozen_suite = std::make_unique<sensors::SensorSuite>(
-        core::freeze_suite(suite, platform.initial_state()));
-  }
-  const dyn::DynamicModel& detector_model =
-      config.linear_baseline ? *frozen_model : model;
-  const sensors::SensorSuite& detector_suite =
-      config.linear_baseline ? *frozen_suite : suite;
-
+  const DetectorSetup setup(platform, config.linear_baseline);
+  const dyn::DynamicModel& detector_model = setup.model();
+  const sensors::SensorSuite& detector_suite = setup.suite();
   core::RoboAds detector(detector_model, detector_suite,
-                         platform.process_cov(), platform.initial_state(), p0,
-                         detector_config, platform.detector_modes());
+                         platform.process_cov(), platform.initial_state(),
+                         setup.p0(), detector_config,
+                         platform.detector_modes());
 
   // Flight recorder: open this mission's timeline with full provenance so
   // any bundle frozen later is self-describing — eval/replay.h rebuilds the

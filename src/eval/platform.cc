@@ -29,4 +29,19 @@ std::unique_ptr<Platform> make_platform(const std::string& name) {
                    "\" (expected \"khepera\" or \"tamiya\")");
 }
 
+DetectorSetup::DetectorSetup(const Platform& platform, bool linear_baseline)
+    : model_(&platform.model()),
+      suite_(&platform.suite()),
+      p0_(Matrix::identity(platform.model().state_dim()) * 1e-4) {
+  if (linear_baseline) {
+    frozen_model_ = std::make_unique<core::FrozenLinearModel>(
+        platform.model(), platform.initial_state(),
+        Vector(platform.model().input_dim()));
+    frozen_suite_ = std::make_unique<sensors::SensorSuite>(
+        core::freeze_suite(platform.suite(), platform.initial_state()));
+    model_ = frozen_model_.get();
+    suite_ = frozen_suite_.get();
+  }
+}
+
 }  // namespace roboads::eval

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "attacks/scenario.h"
+#include "core/linear_baseline.h"
 #include "core/roboads.h"
 #include "dynamics/model.h"
 #include "planning/rrt_star.h"
@@ -91,5 +92,27 @@ std::vector<std::string> platform_names();
 // Builds a fresh default-configured platform by name (a bundle's provenance,
 // a spec's platform field); throws CheckError for unknown names.
 std::unique_ptr<Platform> make_platform(const std::string& name);
+
+// The detector's side of a mission, decided once for the mission runner,
+// bundle replay and the fleet, which must agree bit for bit: the dynamics
+// and sensor suite the detector estimates with — the platform's own, or for
+// the §V-G linear baseline both linearized once at the initial state (the
+// simulation stays nonlinear either way) — and its initial covariance
+// p0 = 10⁻⁴·I. Borrows `platform`, which must outlive it.
+class DetectorSetup {
+ public:
+  DetectorSetup(const Platform& platform, bool linear_baseline);
+
+  const dyn::DynamicModel& model() const { return *model_; }
+  const sensors::SensorSuite& suite() const { return *suite_; }
+  const Matrix& p0() const { return p0_; }
+
+ private:
+  std::unique_ptr<core::FrozenLinearModel> frozen_model_;
+  std::unique_ptr<sensors::SensorSuite> frozen_suite_;
+  const dyn::DynamicModel* model_;
+  const sensors::SensorSuite* suite_;
+  Matrix p0_;
+};
 
 }  // namespace roboads::eval

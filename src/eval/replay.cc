@@ -5,8 +5,6 @@
 #include <cstring>
 #include <sstream>
 
-#include "core/linear_baseline.h"
-
 namespace roboads::eval {
 namespace {
 
@@ -168,25 +166,14 @@ ReplayResult replay_bundle(const obs::PostmortemBundle& bundle) {
                 "replay: bundle carries no warm-start snapshot");
 
   const std::unique_ptr<Platform> platform = make_platform(prov.platform);
-  const dyn::DynamicModel& model = platform->model();
-  const sensors::SensorSuite& suite = platform->suite();
 
   // Same detector construction as eval/mission.cc, with the knobs the
   // provenance says were in effect. Replay is always serial (bit-identical
   // to any thread count by the engine's determinism contract) and attaches
   // only its own recorder.
-  std::unique_ptr<core::FrozenLinearModel> frozen_model;
-  std::unique_ptr<sensors::SensorSuite> frozen_suite;
-  if (prov.linear_baseline) {
-    frozen_model = std::make_unique<core::FrozenLinearModel>(
-        model, platform->initial_state(), Vector(model.input_dim()));
-    frozen_suite = std::make_unique<sensors::SensorSuite>(
-        core::freeze_suite(suite, platform->initial_state()));
-  }
-  const dyn::DynamicModel& detector_model =
-      prov.linear_baseline ? *frozen_model : model;
-  const sensors::SensorSuite& detector_suite =
-      prov.linear_baseline ? *frozen_suite : suite;
+  const DetectorSetup setup(*platform, prov.linear_baseline);
+  const dyn::DynamicModel& detector_model = setup.model();
+  const sensors::SensorSuite& detector_suite = setup.suite();
 
   core::RoboAdsConfig cfg = platform->detector_config();
   cfg.engine.likelihood_floor = prov.likelihood_floor;
@@ -205,10 +192,9 @@ ReplayResult replay_bundle(const obs::PostmortemBundle& bundle) {
   cfg.engine.instruments.recorder = &recorder;
   cfg.engine.obs_label = prov.label;
 
-  const Matrix p0 = Matrix::identity(detector_model.state_dim()) * 1e-4;
   core::RoboAds detector(detector_model, detector_suite,
                          platform->process_cov(), platform->initial_state(),
-                         p0, cfg, platform->detector_modes());
+                         setup.p0(), cfg, platform->detector_modes());
 
   // The rebuilt detector must be shaped exactly as the recorded one was —
   // a provenance/platform drift would make the bit-compare meaningless.

@@ -5,13 +5,7 @@
 namespace roboads::fleet {
 namespace {
 
-bool flag_value(const std::string& arg, const std::string& name,
-                std::string* value) {
-  const std::string prefix = name + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *value = arg.substr(prefix.size());
-  return true;
-}
+using common::flag_value;
 
 std::string bad(const std::string& flag, const std::string& expects) {
   return flag + " expects " + expects;

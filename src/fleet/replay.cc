@@ -31,9 +31,7 @@ std::shared_ptr<SessionSpec> make_session_spec(
   spec->suite = &platform.suite();
   spec->process_cov = &platform.process_cov();
   spec->x0 = platform.initial_state();
-  // Must match eval::run_mission's initial covariance exactly for the
-  // bit-identity guarantee (eval/mission.cc).
-  spec->p0 = Matrix::identity(platform.model().state_dim()) * 1e-4;
+  spec->p0 = eval::DetectorSetup(platform, /*linear_baseline=*/false).p0();
   spec->config = platform.detector_config();
   spec->modes = platform.detector_modes();
   spec->bank = core::make_bank(*spec->model, *spec->suite, *spec->process_cov,

@@ -7,7 +7,6 @@
 #include "core/health.h"
 #include "eval/mission.h"
 #include "eval/scoring.h"
-#include "sim/workflow.h"
 
 namespace roboads::scenario {
 namespace {
@@ -153,6 +152,10 @@ std::string at_iteration(std::size_t k) {
 
 }  // namespace
 
+bool valid_fault_probability(double p) {
+  return std::isfinite(p) && p >= 0.0 && p <= 1.0;
+}
+
 ScenarioSpec random_campaign(std::mt19937_64& engine,
                              const std::string& platform, std::size_t index,
                              const FuzzConfig& config) {
@@ -192,6 +195,13 @@ ScenarioSpec random_campaign(std::mt19937_64& engine,
     spec.fault_seed = engine();
   }
   return spec;
+}
+
+ScenarioSpec fuzz_campaign(const FuzzConfig& config, std::size_t index) {
+  std::mt19937_64 engine(config.seed * 0x9e3779b97f4a7c15ULL + index);
+  return random_campaign(engine,
+                         config.platforms[index % config.platforms.size()],
+                         index, config);
 }
 
 std::optional<InvariantViolation> check_campaign(
@@ -322,15 +332,10 @@ bool reproduces(const ScenarioSpec& candidate,
 }  // namespace
 
 ScenarioSpec shrink_campaign(const ScenarioSpec& spec,
-                             const InvariantViolation& violation,
-                             std::size_t budget,
-                             std::size_t* missions_spent) {
-  return shrink_campaign_with(spec, violation,
-                              [](const ScenarioSpec& s) {
-                                return check_campaign(s);
-                              },
-                              budget,
-                              missions_spent);
+                             const InvariantViolation& violation) {
+  return shrink_campaign_with(
+      spec, violation,
+      [](const ScenarioSpec& s) { return check_campaign(s); }, kShrinkBudget);
 }
 
 ScenarioSpec shrink_campaign_with(const ScenarioSpec& spec,
@@ -440,51 +445,6 @@ ScenarioSpec shrink_campaign_with(const ScenarioSpec& spec,
 
   if (missions_spent) *missions_spent += spent;
   return best;
-}
-
-FuzzReport run_fuzzer(const FuzzConfig& config) {
-  FuzzReport report;
-  if (config.campaigns == 0 || config.platforms.empty()) return report;
-
-  // Generate serially so campaign i is a pure function of (seed, i),
-  // independent of thread count and of every other campaign.
-  std::vector<ScenarioSpec> specs;
-  specs.reserve(config.campaigns);
-  for (std::size_t i = 0; i < config.campaigns; ++i) {
-    std::mt19937_64 engine(config.seed * 0x9e3779b97f4a7c15ULL + i);
-    const std::string& platform =
-        config.platforms[i % config.platforms.size()];
-    specs.push_back(random_campaign(engine, platform, i, config));
-  }
-
-  // Fly contained: a crash inside check_campaign's mission is caught there;
-  // anything escaping (a non-std failure path) is contained by the runner
-  // and reported as a mission-crash finding too.
-  std::vector<std::optional<InvariantViolation>> outcomes(specs.size());
-  sim::WorkflowConfig workflow;
-  workflow.num_threads = config.num_threads;
-  sim::ScenarioBatchRunner runner(workflow);
-  const std::vector<sim::TaskFailure> failures = runner.run_contained(
-      specs.size(),
-      [&](std::size_t i) { outcomes[i] = check_campaign(specs[i]); });
-  for (const sim::TaskFailure& failure : failures) {
-    outcomes[failure.index] =
-        InvariantViolation{"mission-crash", failure.what};
-  }
-
-  report.campaigns_run = specs.size();
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (!outcomes[i]) continue;
-    FuzzFinding finding;
-    finding.campaign_index = i;
-    finding.violation = *outcomes[i];
-    finding.spec = specs[i];
-    finding.shrunk = shrink_campaign(specs[i], *outcomes[i],
-                                     config.shrink_budget,
-                                     &report.shrink_missions);
-    report.findings.push_back(std::move(finding));
-  }
-  return report;
 }
 
 }  // namespace roboads::scenario

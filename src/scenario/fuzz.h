@@ -37,13 +37,21 @@ struct FuzzConfig {
   std::size_t iterations = 120;     // mission length of generated campaigns
   std::size_t max_attacks = 3;      // attacks per campaign, 1..max
   std::vector<std::string> platforms = {"khepera", "tamiya"};
-  std::size_t num_threads = 0;      // WorkflowConfig semantics (0 = auto)
-  std::size_t shrink_budget = 120;  // extra missions allowed per shrink
   // P(a campaign carries a faults stanza): transport drop/stale/duplicate/
   // freeze composed under the attacks (ROADMAP "fuzzing under transport
   // faults"). 0 restores attack-only fuzzing.
   double fault_probability = 0.35;
 };
+
+// The one check on FuzzConfig::fault_probability: finite and in [0, 1].
+// The generator's `uniform < p` coin would silently read NaN as "never" and
+// 5 as "always", so every entry point (CLI flags, manifest lines) applies it.
+bool valid_fault_probability(double p);
+
+// Missions the shrinker may spend minimizing one finding. A constant, not a
+// setting: the budget shapes the shrunk spec, and a fuzz job's outcome must
+// be a pure function of its manifest line (shard/exec.h).
+inline constexpr std::size_t kShrinkBudget = 120;
 
 // One failed invariant: `invariant` is a stable identifier (e.g.
 // "nan-escape", "truth-mismatch"), `detail` the human-readable specifics.
@@ -52,25 +60,18 @@ struct InvariantViolation {
   std::string detail;
 };
 
-struct FuzzFinding {
-  std::size_t campaign_index = 0;
-  InvariantViolation violation;
-  ScenarioSpec spec;    // the campaign as generated
-  ScenarioSpec shrunk;  // greedily minimized reproducer (same invariant)
-};
-
-struct FuzzReport {
-  std::size_t campaigns_run = 0;
-  std::size_t shrink_missions = 0;  // missions spent minimizing findings
-  std::vector<FuzzFinding> findings;
-  bool clean() const { return findings.empty(); }
-};
-
 // Deterministic campaign generator: always yields a spec that passes
-// validate_spec. `index` picks the platform round-robin and names the spec.
+// validate_spec. `index` names the spec.
 ScenarioSpec random_campaign(std::mt19937_64& engine,
                              const std::string& platform, std::size_t index,
                              const FuzzConfig& config);
+
+// Campaign `index` of a sweep, and the only place one is generated: engine
+// seed `seed·0x9e3779b97f4a7c15 + index`, platform round-robin over
+// `config.platforms` (which must be non-empty). A pure function of
+// (config, index), so a sweep flies the same specs however its campaigns
+// are split across processes.
+ScenarioSpec fuzz_campaign(const FuzzConfig& config, std::size_t index);
 
 // Compiles and flies `spec`, checks every invariant above; nullopt = clean.
 // `instruments` only records timings/counters (telemetry) — it cannot
@@ -81,12 +82,10 @@ std::optional<InvariantViolation> check_campaign(
 // Greedy shrink: repeatedly tries dropping attacks, shortening the mission,
 // zeroing magnitude components and simplifying windows, keeping any
 // candidate that still reproduces the same invariant violation. Spends at
-// most `budget` missions; returns `spec` unchanged if nothing smaller
+// most kShrinkBudget missions; returns `spec` unchanged if nothing smaller
 // reproduces.
 ScenarioSpec shrink_campaign(const ScenarioSpec& spec,
-                             const InvariantViolation& violation,
-                             std::size_t budget,
-                             std::size_t* missions_spent = nullptr);
+                             const InvariantViolation& violation);
 
 // The shrink loop with the invariant check injected — unit-testable
 // against synthetic violations (tests/scenario_fuzz_test.cc). Candidates
@@ -98,9 +97,5 @@ ScenarioSpec shrink_campaign_with(const ScenarioSpec& spec,
                                   const CampaignCheck& check,
                                   std::size_t budget,
                                   std::size_t* missions_spent = nullptr);
-
-// Full run: generate, fly contained (campaign order never depends on the
-// worker count), shrink each finding. Deterministic per config.
-FuzzReport run_fuzzer(const FuzzConfig& config);
 
 }  // namespace roboads::scenario

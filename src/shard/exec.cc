@@ -1,7 +1,6 @@
 #include "shard/exec.h"
 
 #include <filesystem>
-#include <random>
 
 #include "eval/batch.h"
 #include "scenario/compile.h"
@@ -102,19 +101,11 @@ JobOutcome execute_fuzz_job(const ManifestJob& job, const ExecConfig& config,
   fuzz.max_attacks = job.max_attacks;
   fuzz.platforms = job.platforms;
   fuzz.fault_probability = job.fault_probability;
-  fuzz.shrink_budget = config.shrink_budget;
   if (fuzz.platforms.empty()) {
     throw ManifestError("job \"" + job.id + "\": fuzz job needs platforms");
   }
-
-  // Campaign regeneration must match scenario::run_fuzzer exactly: same
-  // engine seeding, same round-robin platform pick, so campaign i of a
-  // sharded sweep is the identical spec a serial sweep would fly.
-  std::mt19937_64 engine(fuzz.seed * 0x9e3779b97f4a7c15ULL + job.fuzz_index);
-  const std::string& platform =
-      fuzz.platforms[job.fuzz_index % fuzz.platforms.size()];
   const scenario::ScenarioSpec spec =
-      scenario::random_campaign(engine, platform, job.fuzz_index, fuzz);
+      scenario::fuzz_campaign(fuzz, job.fuzz_index);
   out.name = spec.name;
 
   const std::optional<scenario::InvariantViolation> violation =
@@ -127,8 +118,8 @@ JobOutcome execute_fuzz_job(const ManifestJob& job, const ExecConfig& config,
   finding.invariant = violation->invariant;
   finding.detail = violation->detail;
   finding.spec_text = scenario::serialize(spec);
-  finding.shrunk_text = scenario::serialize(
-      scenario::shrink_campaign(spec, *violation, fuzz.shrink_budget));
+  finding.shrunk_text =
+      scenario::serialize(scenario::shrink_campaign(spec, *violation));
   out.findings.push_back(std::move(finding));
   out.status = "violation";
   return out;

@@ -19,8 +19,6 @@ struct ExecConfig {
   // referenced run-dir-relative in the outcome. Empty = no bundles.
   std::string run_dir;
   bool record_bundles = false;
-  // Fuzz jobs: shrink budget per finding (scenario::FuzzConfig semantics).
-  std::size_t shrink_budget = 120;
   // Observability plumbed into every job this worker executes (telemetry
   // latency histograms). Instrumentation records timings only — it can
   // never alter the JobOutcome, which keeps merged≡serial byte-identity.

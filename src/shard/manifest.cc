@@ -89,6 +89,12 @@ Manifest parse_manifest_impl(const std::string& text) {
                               std::to_string(job.shard) + " of " +
                               std::to_string(manifest.shards));
     }
+    if (job.kind == JobKind::kFuzz &&
+        !scenario::valid_fault_probability(job.fault_probability)) {
+      manifest_error(num, "job \"" + job.id +
+                              "\": fault_probability must be finite and in "
+                              "[0, 1]");
+    }
     for (const ManifestJob& seen : manifest.jobs) {
       if (seen.id == job.id) {
         manifest_error(num, "duplicate job id \"" + job.id + "\"");

@@ -10,9 +10,9 @@
 //                Table II / extended / Tamiya batteries), flown at the job's
 //                mission seed;
 //   * fuzz     — one randomized campaign of a fuzzer sweep, regenerated
-//                worker-side from (fuzz_seed, fuzz_index) exactly as
-//                scenario::run_fuzzer would, so a sharded sweep covers the
-//                identical campaign set as a serial one.
+//                wherever the job runs by scenario::fuzz_campaign from the
+//                job's generator config and fuzz_index, so a sharded sweep
+//                covers the identical campaign set as a serial one.
 //
 // Every job carries a globally unique id and a shard assignment; the id is
 // the sole join key between manifest, checkpoints and the merged report, so
@@ -79,8 +79,9 @@ struct Manifest {
 std::string serialize(const Manifest& manifest);
 
 // Parses the JSONL form; throws ManifestError with a line number on
-// malformed input, unknown kinds, duplicate or empty ids, or a shard
-// assignment outside [0, shards).
+// malformed input, unknown kinds, duplicate or empty ids, a shard
+// assignment outside [0, shards), or a fuzz job whose fault_probability
+// fails scenario::valid_fault_probability.
 Manifest parse_manifest(const std::string& text);
 
 void write_manifest_file(const std::string& path, const Manifest& manifest);
@@ -102,7 +103,8 @@ Manifest table2_manifest(const std::vector<std::uint64_t>& seeds,
 // output, then continuing in steps of 12.
 std::vector<std::uint64_t> default_seed_series(std::size_t n);
 
-// One fuzz job per campaign of the equivalent serial run_fuzzer sweep.
+// One fuzz job per campaign of the sweep `config` describes: job i flies
+// scenario::fuzz_campaign(config, i).
 Manifest fuzz_manifest(const scenario::FuzzConfig& config, std::size_t shards);
 
 }  // namespace roboads::shard

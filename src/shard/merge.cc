@@ -1,6 +1,7 @@
 #include "shard/merge.h"
 
 #include <algorithm>
+#include <fstream>
 #include <map>
 #include <optional>
 #include <set>
@@ -275,6 +276,13 @@ MergedReport merge_outcomes(const Manifest& manifest,
 
 MergedReport merge_run(const Manifest& manifest, const std::string& dir) {
   return merge_outcomes(manifest, load_run_outcomes(dir));
+}
+
+void write_report(const std::string& path, const MergedReport& report) {
+  std::ofstream os(path, std::ios::binary);
+  if (!(os << report.text) || !os.flush()) {
+    throw ManifestError("cannot write report " + path);
+  }
 }
 
 }  // namespace roboads::shard

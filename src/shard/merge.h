@@ -41,4 +41,7 @@ MergedReport merge_outcomes(const Manifest& manifest,
 // Loads every checkpoint under `dir` and merges (the sharded path).
 MergedReport merge_run(const Manifest& manifest, const std::string& dir);
 
+// Writes report.text to `path`; throws ManifestError when it cannot.
+void write_report(const std::string& path, const MergedReport& report);
+
 }  // namespace roboads::shard

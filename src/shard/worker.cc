@@ -19,13 +19,7 @@ namespace {
 
 namespace fs = std::filesystem;
 namespace json = obs::json;
-
-bool flag_value(const std::string& arg, const char* name, std::string* out) {
-  const std::string prefix = std::string(name) + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *out = arg.substr(prefix.size());
-  return true;
-}
+using common::flag_value;
 
 }  // namespace
 
@@ -71,7 +65,6 @@ int run_worker(const WorkerOptions& options) {
     ExecConfig exec;
     exec.run_dir = options.dir;
     exec.record_bundles = options.record_bundles;
-    exec.shrink_budget = options.shrink_budget;
 
     // Telemetry plane: a worker-local metrics registry feeds the periodic
     // stream with detector-step latency histograms. Coarse timers keep the
@@ -150,15 +143,6 @@ int worker_main(const std::vector<std::string>& args) {
       options.shard = static_cast<int>(*shard);
     } else if (flag_value(arg, "--job", &value)) {
       options.job_ids.push_back(value);
-    } else if (flag_value(arg, "--shrink-budget", &value)) {
-      const auto budget = common::parse_u64(value);
-      if (!budget) {
-        std::cerr << "shard worker: --shrink-budget expects a non-negative "
-                     "integer, got \""
-                  << value << "\"\n";
-        return 2;
-      }
-      options.shrink_budget = static_cast<std::size_t>(*budget);
     } else if (flag_value(arg, "--telemetry-interval", &value)) {
       const auto interval = common::parse_double(value);
       if (!interval || *interval < 0.0) {
@@ -192,17 +176,15 @@ int worker_main(const std::vector<std::string>& args) {
 
 WorkerLauncher self_exec_launcher(const std::string& manifest_path,
                                   const std::string& dir, bool record_bundles,
-                                  std::size_t shrink_budget,
                                   double telemetry_interval_seconds) {
   const std::string exe = fs::read_symlink("/proc/self/exe").string();
-  return [exe, manifest_path, dir, record_bundles, shrink_budget,
+  return [exe, manifest_path, dir, record_bundles,
           telemetry_interval_seconds](const std::string& label,
                                       const std::vector<std::string>& job_ids) {
     WorkerCommand command;
     command.args = {exe, "--shard-worker", "--manifest=" + manifest_path,
                     "--dir=" + dir, "--label=" + label};
     if (record_bundles) command.args.push_back("--bundles");
-    command.args.push_back("--shrink-budget=" + std::to_string(shrink_budget));
     command.args.push_back("--telemetry-interval=" +
                            std::to_string(telemetry_interval_seconds));
     for (const std::string& id : job_ids) {

@@ -32,7 +32,6 @@ struct WorkerOptions {
   std::vector<std::string> job_ids;
   int shard = -1;
   bool record_bundles = false;
-  std::size_t shrink_budget = 120;
   // Seconds between telemetry records (shard/telemetry.h); <= 0 disables
   // the telemetry stream and the per-job latency instrumentation entirely.
   double telemetry_interval_seconds = 5.0;
@@ -47,7 +46,7 @@ struct WorkerOptions {
 int run_worker(const WorkerOptions& options);
 
 // Parses `--manifest= --dir= --label= [--shard=N] [--job=ID ...]
-// [--bundles] [--shrink-budget=N] [--telemetry-interval=S]
+// [--bundles] [--telemetry-interval=S]
 // [--chaos=kill|stop@K]` and calls run_worker. `args` excludes the
 // `--shard-worker` dispatch token.
 int worker_main(const std::vector<std::string>& args);
@@ -57,7 +56,6 @@ int worker_main(const std::vector<std::string>& args);
 WorkerLauncher self_exec_launcher(const std::string& manifest_path,
                                   const std::string& dir,
                                   bool record_bundles,
-                                  std::size_t shrink_budget = 120,
                                   double telemetry_interval_seconds = 5.0);
 
 }  // namespace roboads::shard

@@ -1,13 +1,15 @@
 // Tests for the coverage fuzzer (scenario/fuzz.h): the campaign generator's
 // validity and determinism, the invariant checker on known-good and
 // known-bad specs, the greedy shrinker against synthetic violations, and a
-// small fixed-seed end-to-end run that must come back clean.
+// small fixed-seed sweep (a shard manifest flown serially) that must come
+// back clean.
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "scenario/fuzz.h"
 #include "scenario/library.h"
+#include "shard/run.h"
 
 namespace roboads::scenario {
 namespace {
@@ -155,19 +157,23 @@ TEST(FuzzTest, SmallFixedSeedRunIsCleanAndDeterministic) {
   config.seed = 20260807;
   config.campaigns = 6;
   config.iterations = 60;
-  config.num_threads = 2;
 
-  const FuzzReport report = run_fuzzer(config);
-  EXPECT_EQ(report.campaigns_run, 6u);
-  EXPECT_TRUE(report.clean()) << (report.findings.empty()
-                                      ? ""
-                                      : report.findings[0].violation.detail);
+  // The sweep every front end flies: one manifest job per campaign, run
+  // through shard::execute_job.
+  const shard::Manifest manifest = shard::fuzz_manifest(config, 1);
+  const std::vector<shard::JobOutcome> outcomes =
+      shard::run_serial(manifest, {});
+  ASSERT_EQ(outcomes.size(), 6u);
+  for (const shard::JobOutcome& outcome : outcomes) {
+    EXPECT_EQ(outcome.status, "ok") << outcome.id << ": " << outcome.failure;
+    EXPECT_TRUE(outcome.findings.empty())
+        << outcome.id << ": " << outcome.findings.front().detail;
+  }
 
-  // Same config again, different worker count: identical outcome.
-  config.num_threads = 1;
-  const FuzzReport again = run_fuzzer(config);
-  EXPECT_EQ(again.campaigns_run, report.campaigns_run);
-  EXPECT_EQ(again.findings.size(), report.findings.size());
+  // Same config again: byte-identical merged report.
+  EXPECT_EQ(shard::merge_outcomes(manifest, outcomes).text,
+            shard::merge_outcomes(manifest, shard::run_serial(manifest, {}))
+                .text);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 // serial execution of the same manifest. This is the sharded runner's
 // headline guarantee (ISSUE acceptance; docs/ROBUSTNESS.md): supervision,
 // retry, watchdog reclaim and checkpoint resume must never change results.
+// The same binary also drives shard::run_supervised, the entry point every
+// front end shares, against a run directory left by another campaign.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -11,11 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "shard/checkpoint.h"
-#include "shard/exec.h"
-#include "shard/manifest.h"
-#include "shard/merge.h"
-#include "shard/supervise.h"
+#include "shard/run.h"
 #include "shard/worker.h"
 
 namespace roboads::shard {
@@ -57,12 +55,8 @@ TEST(ShardChaos, KilledAndHungWorkersDoNotChangeMergedResults) {
   ExecConfig exec;
   exec.run_dir = serial_dir;
   exec.record_bundles = true;
-  std::vector<JobOutcome> serial_outcomes;
-  for (const ManifestJob& job : manifest.jobs) {
-    serial_outcomes.push_back(execute_job(job, exec));
-  }
   const MergedReport serial =
-      merge_outcomes(manifest, std::move(serial_outcomes));
+      merge_outcomes(manifest, run_serial(manifest, exec));
   ASSERT_TRUE(serial.stats.complete);
 
   // Chaos run: real worker processes; one victim SIGKILLs itself and one
@@ -149,12 +143,55 @@ TEST(ShardChaos, ResumeAfterSupervisorLossCompletesTheCampaign) {
   // duplicates nor loses work.
   ExecConfig exec;
   exec.run_dir = temp_dir("roboads_chaos_resume_ref");
-  std::vector<JobOutcome> reference;
-  for (const ManifestJob& job : manifest.jobs) {
-    reference.push_back(execute_job(job, exec));
-  }
   EXPECT_EQ(merge_run(manifest, dir).text,
-            merge_outcomes(manifest, std::move(reference)).text);
+            merge_outcomes(manifest, run_serial(manifest, exec)).text);
+}
+
+TEST(SupervisedRun, RefusesAStaleDirectoryAndResumesItsRun) {
+  // Two sweeps whose job ids coincide (j00000..j00003), so nothing but the
+  // refusal stops B's run from merging A's checkpoints as its own.
+  scenario::FuzzConfig fuzz;
+  fuzz.campaigns = 4;
+  fuzz.iterations = 40;
+  fuzz.platforms = {"khepera"};
+  fuzz.seed = 1;
+  const Manifest a = fuzz_manifest(fuzz, 2);
+  fuzz.seed = 2;
+  const Manifest b = fuzz_manifest(fuzz, 2);
+
+  // An interrupted run of A: its stored manifest and shard 0's checkpoint.
+  const std::string dir = temp_dir("roboads_stale_run");
+  SupervisedRunConfig run;
+  run.dir = dir;
+  run.manifest_path = dir + "/manifest.jsonl";
+  run.supervisor.poll_interval_seconds = 0.02;
+  write_manifest_file(run.manifest_path, a);
+  {
+    std::ofstream os(checkpoint_path(dir, "s0"), std::ios::binary);
+    obs::json::write_header(os, kCheckpointStream);
+    for (const ManifestJob& job : a.jobs) {
+      if (job.shard == 0) obs::json::append(os, execute_job(job, {}));
+    }
+  }
+
+  // A fresh run of B into that directory is refused, naming --resume, and
+  // leaves A's stored manifest alone.
+  try {
+    run_supervised(run, &b);
+    ADD_FAILURE() << "a directory holding checkpoints was reused";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("--resume"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(serialize(read_manifest_file(run.manifest_path)), serialize(a));
+
+  // Resuming completes A, the stored sweep, whatever was passed now.
+  run.resume = true;
+  const SupervisedRun resumed = run_supervised(run, &b);
+  EXPECT_TRUE(resumed.supervised.complete);
+  EXPECT_EQ(serialize(resumed.manifest), serialize(a));
+  EXPECT_EQ(resumed.report.text,
+            merge_outcomes(a, run_serial(a, {})).text);
 }
 
 }  // namespace

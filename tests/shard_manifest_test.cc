@@ -92,6 +92,20 @@ TEST(ShardManifest, RejectsMalformedManifests) {
   bad_shard.jobs[0].shard = 3;  // shards == 3, valid range [0, 3)
   EXPECT_THROW(parse_manifest(serialize(bad_shard)), ManifestError);
 
+  // A fuzz job's fault probability outside [0, 1]: the generator's coin
+  // would read it as "never" or "always". The error names the line.
+  for (const double p : {-0.1, 1.5}) {
+    Manifest bad_probability = mixed_manifest();
+    bad_probability.jobs[2].fault_probability = p;
+    try {
+      parse_manifest(serialize(bad_probability));
+      ADD_FAILURE() << "fault_probability " << p << " accepted";
+    } catch (const ManifestError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 4"), std::string::npos)
+          << e.what();
+    }
+  }
+
   // Future version.
   std::string future = good;
   const std::string version = "\"version\":1";

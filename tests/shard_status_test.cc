@@ -40,8 +40,7 @@ TEST(WorkerArgs, MalformedShardIsDiagnosedNotThrown) {
 
 TEST(WorkerArgs, MalformedNumericFlagsAllExitTwo) {
   for (const std::string bad :
-       {"--shard=", "--shard=1x", "--shard=-2", "--shrink-budget=many",
-        "--shrink-budget=-1", "--telemetry-interval=fast",
+       {"--shard=", "--shard=1x", "--shard=-2", "--telemetry-interval=fast",
         "--telemetry-interval=-3", "--chaos=", "--chaos=kill", "--chaos=boom@1",
         "--chaos=stop@x", "--chaos=kill@-1"}) {
     testing::internal::CaptureStderr();
@@ -59,7 +58,7 @@ TEST(WorkerArgs, WellFormedFlagsStillParse) {
   // but that failure is about the missing manifest, not the flags.
   testing::internal::CaptureStderr();
   const int rc = worker_main({"--manifest=/nonexistent/m.json", "--dir=/tmp",
-                              "--label=s0", "--shard=-1", "--shrink-budget=7",
+                              "--label=s0", "--shard=-1",
                               "--telemetry-interval=0.5", "--chaos=kill@3"});
   testing::internal::GetCapturedStderr();
   EXPECT_EQ(rc, 2);  // unreadable manifest — a run_worker error, post-parse

@@ -26,7 +26,8 @@
 // this binary), restarts crashed workers with backoff, SIGKILLs hung ones on
 // heartbeat timeout, requeues permanently lost shards onto salvage workers,
 // and merges every checkpoint into DIR/report.jsonl. A killed run — workers
-// *or* supervisor — resumes from its checkpoints with `--resume`. The
+// *or* supervisor — resumes from its checkpoints with `--resume`; without
+// it, a DIR that already holds checkpoints is refused (exit 2). The
 // --chaos-* flags self-inject worker kills/hangs for testing; results must
 // not change (./ci.sh shard-smoke asserts this against `serial`).
 //
@@ -46,7 +47,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
@@ -54,18 +54,15 @@
 #include "common/parse.h"
 #include "obs/jsonl.h"
 #include "obs/monitor.h"
-#include "shard/checkpoint.h"
-#include "shard/exec.h"
-#include "shard/manifest.h"
-#include "shard/merge.h"
+#include "shard/run.h"
 #include "shard/status.h"
-#include "shard/supervise.h"
 #include "shard/worker.h"
 
 namespace {
 
 namespace fs = std::filesystem;
 using namespace roboads::shard;
+using roboads::common::flag_value;
 
 [[noreturn]] void usage_error(const std::string& message) {
   std::fprintf(stderr, "roboads_shard: %s\n", message.c_str());
@@ -74,13 +71,6 @@ using namespace roboads::shard;
                "watch|worker> [flags]\n(see tools/roboads_shard.cc for the "
                "full flag list)\n");
   std::exit(2);
-}
-
-bool flag_value(const std::string& arg, const char* name, std::string* out) {
-  const std::string prefix = std::string(name) + "=";
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *out = arg.substr(prefix.size());
-  return true;
 }
 
 std::size_t parse_count(const char* flag, const std::string& value,
@@ -105,11 +95,13 @@ double parse_fraction(const char* flag, const std::string& value) {
   return *parsed;
 }
 
-void write_report_file(const std::string& path, const MergedReport& report) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) usage_error("cannot write " + path);
-  os << report.text;
-  if (!os.flush()) usage_error("failed writing " + path);
+double parse_probability(const std::string& value) {
+  const auto parsed = roboads::common::parse_double(value);
+  if (!parsed || !roboads::scenario::valid_fault_probability(*parsed)) {
+    usage_error("--fault-probability expects a number in [0, 1], got \"" +
+                value + "\"");
+  }
+  return *parsed;
 }
 
 int report_exit_code(const MergeStats& stats) {
@@ -171,7 +163,7 @@ int cmd_gen_fuzz(const std::vector<std::string>& args) {
     else if (flag_value(arg, "--max-attacks", &value))
       config.max_attacks = parse_count("--max-attacks", value, false);
     else if (flag_value(arg, "--fault-probability", &value))
-      config.fault_probability = parse_fraction("--fault-probability", value);
+      config.fault_probability = parse_probability(value);
     else if (flag_value(arg, "--platform", &value))
       config.platforms.push_back(value);
     else if (flag_value(arg, "--shards", &value))
@@ -190,24 +182,21 @@ int cmd_gen_fuzz(const std::vector<std::string>& args) {
 }
 
 int cmd_run(const std::vector<std::string>& args) {
-  std::string manifest_path, dir, report_path;
-  bool resume = false, bundles = false;
-  double telemetry_interval = 5.0;
-  SupervisorConfig config;
+  SupervisedRunConfig run;
+  SupervisorConfig& config = run.supervisor;
   for (const std::string& arg : args) {
     std::string value;
-    if (flag_value(arg, "--manifest", &value)) manifest_path = value;
-    else if (flag_value(arg, "--dir", &value)) dir = value;
-    else if (flag_value(arg, "--report", &value)) report_path = value;
-    else if (arg == "--resume") resume = true;
-    else if (arg == "--bundles") bundles = true;
+    if (flag_value(arg, "--manifest", &value)) run.manifest_path = value;
+    else if (flag_value(arg, "--dir", &value)) run.dir = value;
+    else if (flag_value(arg, "--report", &value)) run.report_path = value;
+    else if (arg == "--resume") run.resume = true;
+    else if (arg == "--bundles") run.record_bundles = true;
     else if (flag_value(arg, "--heartbeat-timeout", &value))
       config.heartbeat_timeout_seconds =
           parse_fraction("--heartbeat-timeout", value);
-    else if (flag_value(arg, "--telemetry-interval", &value)) {
-      telemetry_interval = parse_fraction("--telemetry-interval", value);
-      config.telemetry_interval_seconds = telemetry_interval;
-    }
+    else if (flag_value(arg, "--telemetry-interval", &value))
+      config.telemetry_interval_seconds =
+          parse_fraction("--telemetry-interval", value);
     else if (flag_value(arg, "--status-interval", &value))
       config.status_interval_seconds =
           parse_fraction("--status-interval", value);
@@ -225,41 +214,20 @@ int cmd_run(const std::vector<std::string>& args) {
       config.chaos_seed = parse_count("--chaos-seed", value, true);
     else usage_error("run: unknown argument \"" + arg + "\"");
   }
-  if (manifest_path.empty() || dir.empty()) {
+  if (run.manifest_path.empty() || run.dir.empty()) {
     usage_error("run: --manifest and --dir are required");
   }
-  const Manifest manifest = read_manifest_file(manifest_path);
-
-  // Refuse to silently mix two campaigns in one directory: an existing
-  // checkpoint means either a resume (say so) or a stale directory.
-  if (!resume && fs::exists(dir)) {
-    for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
-      const std::string name = entry.path().filename().string();
-      if (name.rfind("checkpoint-", 0) == 0) {
-        usage_error("run: " + dir + " already holds checkpoints — pass "
-                    "--resume to continue that run, or a fresh --dir");
-      }
-    }
-  }
-  fs::create_directories(dir);
-
-  const SuperviseResult supervised =
-      supervise(manifest, dir, config,
-                self_exec_launcher(manifest_path, dir, bundles,
-                                   /*shrink_budget=*/120, telemetry_interval));
+  const SupervisedRun result = run_supervised(run);
+  const SuperviseResult& supervised = result.supervised;
   std::printf(
       "supervision: %zu launches, %zu crashes, %zu hangs, %zu lost shards, "
       "%zu salvage workers, %zu slow-job grants\n",
       supervised.launches, supervised.crashes, supervised.hangs,
       supervised.lost_shards, supervised.salvage_workers,
       supervised.slow_job_grants);
-
-  const MergedReport report = merge_run(manifest, dir);
-  if (report_path.empty()) report_path = dir + "/report.jsonl";
-  write_report_file(report_path, report);
-  print_summary(report.stats);
-  std::printf("report: %s\n", report_path.c_str());
-  return report_exit_code(report.stats);
+  print_summary(result.report.stats);
+  std::printf("report: %s\n", result.report_path.c_str());
+  return report_exit_code(result.report.stats);
 }
 
 int cmd_serial(const std::vector<std::string>& args) {
@@ -283,15 +251,11 @@ int cmd_serial(const std::vector<std::string>& args) {
   ExecConfig exec;
   exec.run_dir = dir;
   exec.record_bundles = bundles;
-  std::vector<JobOutcome> outcomes;
-  outcomes.reserve(manifest.jobs.size());
-  for (const ManifestJob& job : manifest.jobs) {
-    outcomes.push_back(execute_job(job, exec));
-  }
-  const MergedReport report = merge_outcomes(manifest, std::move(outcomes));
+  const MergedReport report =
+      merge_outcomes(manifest, run_serial(manifest, exec));
   if (report_path.empty() && !dir.empty()) report_path = dir + "/report.jsonl";
   if (!report_path.empty()) {
-    write_report_file(report_path, report);
+    write_report(report_path, report);
     std::printf("report: %s\n", report_path.c_str());
   } else {
     std::fputs(report.text.c_str(), stdout);
@@ -356,7 +320,7 @@ int cmd_merge(const std::vector<std::string>& args) {
   const MergedReport report =
       merge_run(read_manifest_file(manifest_path), dir);
   if (report_path.empty()) report_path = dir + "/report.jsonl";
-  write_report_file(report_path, report);
+  write_report(report_path, report);
   print_summary(report.stats);
   std::printf("report: %s\n", report_path.c_str());
   return report_exit_code(report.stats);
