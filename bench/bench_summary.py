@@ -11,10 +11,14 @@ fleet_throughput, ...); their benchmark lists merge into one summary, so one
 BENCH_PERF.json gates every runtime benchmark. Duplicate benchmark names
 across inputs are an error — each binary must own its namespace.
 
-The summary holds one entry per benchmark: real time in nanoseconds, plus the
-iteration count the number was averaged over. Counters (modes, threads, and
-the fleet throughput/latency figures) are carried through when present so
-the rows stay self-describing.
+The summary holds one entry per benchmark: the median real and CPU time in
+nanoseconds over its repetitions (./ci.sh bench runs perf_nuise with
+--benchmark_repetitions=5), the fastest and slowest repetition's real time,
+the repetition count, and the iteration count of one repetition. A benchmark
+run once is its own median. google-benchmark's aggregate rows (mean, median,
+stddev, cv) are skipped; the medians are recomputed from the repetitions.
+Counters (modes, threads, and the fleet throughput/latency figures) are
+carried through from the first repetition so the rows stay self-describing.
 
 --build-type / --cxx-flags record the *project's* compiler settings (from the
 bench tree's CMakeCache) in the summary context — google-benchmark's own
@@ -25,8 +29,8 @@ BENCH_PERF.json.
 
 --baseline compares the fresh numbers against a previous summary (normally
 the checked-in BENCH_PERF.json) *before* writing anything: any benchmark
-whose real_time_ns grew by more than --max-regress (default 0.15 = 15%)
-fails the run and leaves the baseline file untouched, so ./ci.sh bench
+whose median real_time_ns grew by more than --max-regress (default 0.15 =
+15%) over the baseline's real_time_ns fails the run and leaves the baseline file untouched, so ./ci.sh bench
 gates cross-PR hot-path regressions. Benchmarks missing from the baseline
 (newly added) pass; a missing or unreadable baseline file is skipped with a
 note (first snapshot of a fresh checkout). Comparisons only run when the
@@ -35,6 +39,7 @@ different compiler configuration are noise, not a regression.
 """
 import json
 import os
+import statistics
 import sys
 
 
@@ -113,20 +118,31 @@ def main() -> int:
         "p50_ingest_to_alarm_ns", "p99_ingest_to_alarm_ns",
     )
     for path, raw in zip(inputs, raws):
+        # Repetitions of one benchmark share its run_name, in run order.
+        runs = {}
         for b in raw.get("benchmarks", []):
-            if b["name"] in summary["benchmarks"]:
-                print(f"bench_summary: duplicate benchmark {b['name']} "
+            if b.get("run_type", "iteration") != "iteration":
+                continue
+            runs.setdefault(b.get("run_name", b["name"]), []).append(b)
+        for name, reps in runs.items():
+            if name in summary["benchmarks"]:
+                print(f"bench_summary: duplicate benchmark {name} "
                       f"in {path}", file=sys.stderr)
                 return 2
+            real = [r["real_time"] for r in reps]
             entry = {
-                "real_time_ns": round(b["real_time"], 1),
-                "cpu_time_ns": round(b["cpu_time"], 1),
-                "iterations": b["iterations"],
+                "real_time_ns": round(statistics.median(real), 1),
+                "cpu_time_ns": round(
+                    statistics.median(r["cpu_time"] for r in reps), 1),
+                "real_time_min_ns": round(min(real), 1),
+                "real_time_max_ns": round(max(real), 1),
+                "repetitions": len(reps),
+                "iterations": reps[0]["iterations"],
             }
             for counter in counters:
-                if counter in b:
-                    entry[counter] = b[counter]
-            summary["benchmarks"][b["name"]] = entry
+                if counter in reps[0]:
+                    entry[counter] = reps[0][counter]
+            summary["benchmarks"][name] = entry
 
     # Gate against the baseline before touching the output file: summary and
     # baseline are usually the same path, and a failed gate must leave the

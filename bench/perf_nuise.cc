@@ -3,9 +3,11 @@
 // "detection delay is a constant multiple of control iterations", which
 // presumes the detector itself never becomes the bottleneck).
 //
-// Benchmarked: a single NUISE step, one full multi-mode engine iteration
-// (M = p estimators + selector), the full detector step (engine + decision
-// maker), one fleet robot's session set-up, the detector's matrix kernels,
+// Benchmarked: a single NUISE step (healthy and with one testing sensor
+// masked), one full multi-mode engine iteration (M = p estimators +
+// selector), the full detector step (engine + decision maker) on one
+// synthetic reading and replaying recorded missions, one fleet robot's
+// session set-up, the detector's matrix kernels,
 // the LiDAR scan-processing pipeline, the RRT* mission plan, and one whole
 // Khepera mission.
 #include <benchmark/benchmark.h>
@@ -117,6 +119,22 @@ void BM_NuiseStepKhepera(benchmark::State& state) {
 }
 BENCHMARK(BM_NuiseStepKhepera);
 
+// The same mode with one testing sensor (odometry) unavailable: the step
+// runs on the filtered testing subset, the degraded path of a masked
+// iteration rather than a prediction-only step.
+void BM_NuiseStepKheperaMasked(benchmark::State& state) {
+  KheperaFixture f;
+  core::Mode mode{"ref:ips", {1}, {0, 2}};
+  core::Nuise nuise(f.platform.model(), f.platform.suite(), mode,
+                    f.platform.process_cov());
+  const Matrix p = Matrix::identity(3) * 1e-4;
+  const core::SensorMask mask{false, true, true};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(nuise.step(f.x, p, f.u, f.z, mask));
+  }
+}
+BENCHMARK(BM_NuiseStepKheperaMasked);
+
 void BM_EngineStepKhepera(benchmark::State& state) {
   KheperaFixture f;
   core::MultiModeEngine engine(
@@ -195,6 +213,42 @@ void BM_FullDetectorStepTamiya(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullDetectorStepTamiya);
+
+// One detector replaying the recorded (u, z, mask) of Table II #1-11 at
+// mission seeds 1001-1011, in order, reset at each mission's start: the
+// covariances and innovations of real missions instead of one synthetic
+// reading from a converged state. Time per detector step.
+void BM_DetectorReplayKhepera(benchmark::State& state) {
+  const eval::KheperaPlatform platform;
+  const eval::DetectorSetup setup(platform, /*linear_baseline=*/false);
+  std::vector<eval::MissionResult> missions;
+  for (std::size_t number = 1; number <= 11; ++number) {
+    eval::MissionConfig config;
+    config.seed = 1000 + number;
+    missions.push_back(eval::run_mission(
+        platform,
+        scenario::compile_spec(scenario::khepera_table2_spec(number),
+                               platform),
+        config));
+  }
+  core::RoboAds detector(setup.model(), setup.suite(), platform.process_cov(),
+                         platform.initial_state(), setup.p0(),
+                         platform.detector_config(),
+                         platform.detector_modes());
+  std::size_t mission = 0;
+  std::size_t k = 0;
+  for (auto _ : state) {
+    const eval::IterationRecord& rec = missions[mission].records[k];
+    benchmark::DoNotOptimize(
+        detector.step(rec.u_planned, rec.z, rec.sensor_available));
+    if (++k == missions[mission].records.size()) {
+      k = 0;
+      mission = (mission + 1) % missions.size();
+      detector.reset(platform.initial_state(), setup.p0());
+    }
+  }
+}
+BENCHMARK(BM_DetectorReplayKhepera);
 
 // Registering one Khepera robot with a fleet service: its DetectorSession
 // on the spec's shared estimator bank plus the service's per-robot

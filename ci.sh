@@ -113,16 +113,20 @@ run_obs_overhead() {
   "$dir/bench/obs_overhead"
 }
 
-# Quick perf snapshot of the detector hot path: one NUISE step, one engine
-# iteration (default mode set, plus the complete mode set), the full
-# detector step on both platforms, and one fleet
+# Quick perf snapshot of the detector hot path: one NUISE step (healthy and
+# with one testing sensor masked), one engine iteration (default mode set,
+# plus the complete mode set), the full detector step on both platforms and
+# replaying the recorded Table II missions, and one fleet
 # robot's session set-up (bytes and allocations per session) — plus one RRT*
 # mission plan per platform, the cost every campaign mission pays first
 # (docs/PERFORMANCE.md "Planner"), the Khepera mission's LiDAR scan and
 # processing, and one whole 250-iteration Khepera mission
 # (docs/PERFORMANCE.md "Mission: sensing and planner"). Reduced to BENCH_PERF.json at the repo
 # root (docs/PERFORMANCE.md tracks the history).
-# ~0.2 s per benchmark keeps this fast enough to run on every normal pass.
+# Each benchmark runs five times for ~0.2 s; bench_summary.py records and
+# gates each row's median (with the fastest and slowest run beside it), so
+# one slow run on a noisy host no longer fails the 15% gate or lands in the
+# snapshot.
 #
 # Perf numbers are only comparable across runs when the compiler settings
 # match, so the bench always builds in its own Release-pinned tree
@@ -137,8 +141,8 @@ run_bench() {
   build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:[^=]*=//p' "$dir/CMakeCache.txt")"
   cxx_flags="$(sed -n 's/^CMAKE_CXX_FLAGS_RELEASE:[^=]*=//p' "$dir/CMakeCache.txt")"
   "$dir/bench/perf_nuise" \
-    --benchmark_filter='BM_NuiseStepKhepera|BM_EngineStepKhepera|BM_EngineStepCompleteModeSet|BM_FullDetectorStepKhepera|BM_FullDetectorStepTamiya|BM_FleetSessionSetupKhepera|BM_MatMul3x3|BM_Sandwich3x3|BM_JacobiEigen4|BM_Cholesky4|BM_RrtStarPlanKhepera|BM_RrtStarPlanTamiya|BM_LidarScanAndProcessKhepera|BM_MissionKhepera' \
-    --benchmark_min_time=0.2 \
+    --benchmark_filter='BM_NuiseStepKhepera|BM_NuiseStepKheperaMasked|BM_EngineStepKhepera|BM_EngineStepCompleteModeSet|BM_FullDetectorStepKhepera|BM_FullDetectorStepTamiya|BM_DetectorReplayKhepera|BM_FleetSessionSetupKhepera|BM_MatMul3x3|BM_Sandwich3x3|BM_JacobiEigen4|BM_Cholesky4|BM_RrtStarPlanKhepera|BM_RrtStarPlanTamiya|BM_LidarScanAndProcessKhepera|BM_MissionKhepera' \
+    --benchmark_min_time=0.2 --benchmark_repetitions=5 \
     --benchmark_format=json > "$dir/bench_perf_raw.json"
   # Fleet capacity + latency (docs/FLEET.md): ≥1000 sessions at 10 Hz on
   # this box or the binary exits non-zero; the paced phase records honest

@@ -134,7 +134,7 @@ class Nuise {
   // Mode-invariant structure computed once at construction and reused every
   // iteration: noise-covariance blocks and stacked angle masks for the
   // mode's own reference/testing subsets, plus the model's input-envelope
-  // constants and the state-sized identity. With this cache (and the
+  // constants and the shrinkage prior. With this cache (and the
   // inline-first matrix storage) the healthy steady-state step performs
   // zero heap allocations — asserted by tests/nuise_alloc_test.cc.
   struct Workspace {
@@ -151,12 +151,23 @@ class Nuise {
   // public entry points select the subsets. `cached` is true only when
   // ref/tst are exactly the mode's own subsets, allowing the subset-
   // dependent workspace entries (R₁/R₂/angle masks) to be served from the
-  // cache; degraded filtered subsets rebuild them.
+  // cache; degraded filtered subsets rebuild them. N, Q and R are the
+  // extents n, q and r (rows of the reference block), each either
+  // compile-time (matrix/kernels_impl.h `Extent`) or std::size_t; the
+  // instantiations live in nuise.cc (docs/PERFORMANCE.md "Compiled NUISE
+  // step").
+  template <typename N, typename Q, typename R>
   NuiseResult step_subsets(const std::vector<std::size_t>& ref,
                            const std::vector<std::size_t>& tst,
                            const Vector& x_prev, const Matrix& p_prev,
                            const Vector& u_prev, const Vector& z_full,
                            bool cached, const NuiseStageTimers& timers) const;
+
+  using StepFn = NuiseResult (Nuise::*)(const std::vector<std::size_t>&,
+                                        const std::vector<std::size_t>&,
+                                        const Vector&, const Matrix&,
+                                        const Vector&, const Vector&, bool,
+                                        const NuiseStageTimers&) const;
 
   // Prediction-only fallback when the reference group is unavailable.
   NuiseResult predict_only(const std::vector<std::size_t>& tst,
@@ -169,6 +180,11 @@ class Nuise {
   Mode mode_;
   Matrix process_cov_;
   Workspace ws_;
+  // The step_subsets instantiation for the mode's own subsets, picked at
+  // construction from n, q and r: compile-time extents for n = 3, q = 2
+  // and r ≤ 4, run-time extents otherwise. Masked steps always take the
+  // run-time one.
+  StepFn full_step_ = nullptr;
 };
 
 }  // namespace roboads::core

@@ -1,7 +1,7 @@
 #include "fleet/replay.h"
 
 #include <algorithm>
-#include <sstream>
+#include <string>
 
 namespace roboads::fleet {
 namespace {
@@ -79,23 +79,17 @@ std::vector<FleetPacket> mission_packets(std::uint64_t robot,
 
 std::string compare_reports(const core::DetectionReport& a,
                             const core::DetectionReport& b) {
-  std::ostringstream why;
-  const auto fail = [&why](const std::string& what) {
-    why << what;
-    return why.str();
-  };
-
-  if (a.iteration != b.iteration) return fail("iteration differs");
-  if (a.selected_mode != b.selected_mode) return fail("selected mode differs");
+  if (a.iteration != b.iteration) return "iteration differs";
+  if (a.selected_mode != b.selected_mode) return "selected mode differs";
   if (a.selected_mode_label != b.selected_mode_label) {
-    return fail("selected mode label differs");
+    return "selected mode label differs";
   }
-  if (a.mode_weights != b.mode_weights) return fail("mode weights differ");
+  if (a.mode_weights != b.mode_weights) return "mode weights differ";
   if (!same_vector(a.state_estimate, b.state_estimate)) {
-    return fail("state estimate differs");
+    return "state estimate differs";
   }
   if (!(a.state_covariance == b.state_covariance)) {
-    return fail("state covariance differs");
+    return "state covariance differs";
   }
 
   const core::Decision& da = a.decision;
@@ -104,19 +98,19 @@ std::string compare_reports(const core::DetectionReport& a,
       da.sensor_threshold != db.sensor_threshold ||
       da.sensor_test_positive != db.sensor_test_positive ||
       da.sensor_alarm != db.sensor_alarm) {
-    return fail("sensor decision differs");
+    return "sensor decision differs";
   }
   if (da.actuator_statistic != db.actuator_statistic ||
       da.actuator_threshold != db.actuator_threshold ||
       da.actuator_test_positive != db.actuator_test_positive ||
       da.actuator_alarm != db.actuator_alarm) {
-    return fail("actuator decision differs");
+    return "actuator decision differs";
   }
   if (da.misbehaving_sensors != db.misbehaving_sensors) {
-    return fail("misbehaving-sensor attribution differs");
+    return "misbehaving-sensor attribution differs";
   }
   if (da.sensor_verdicts.size() != db.sensor_verdicts.size()) {
-    return fail("sensor verdict count differs");
+    return "sensor verdict count differs";
   }
   for (std::size_t i = 0; i < da.sensor_verdicts.size(); ++i) {
     const core::SensorVerdict& va = da.sensor_verdicts[i];
@@ -125,31 +119,31 @@ std::string compare_reports(const core::DetectionReport& a,
         va.misbehaving != vb.misbehaving || va.statistic != vb.statistic ||
         va.threshold != vb.threshold ||
         !same_vector(va.anomaly_estimate, vb.anomaly_estimate)) {
-      return fail("sensor verdict " + std::to_string(i) + " differs");
+      return "sensor verdict " + std::to_string(i) + " differs";
     }
   }
   if (!same_vector(da.actuator_anomaly, db.actuator_anomaly)) {
-    return fail("decision actuator anomaly differs");
+    return "decision actuator anomaly differs";
   }
 
-  if (a.mode_health != b.mode_health) return fail("mode health differs");
+  if (a.mode_health != b.mode_health) return "mode health differs";
   if (a.quarantined_modes != b.quarantined_modes) {
-    return fail("quarantine count differs");
+    return "quarantine count differs";
   }
   if (!same_availability(a.sensor_available, b.sensor_available)) {
-    return fail("availability mask differs");
+    return "availability mask differs";
   }
   if (a.sensor_anomaly_by_sensor.size() != b.sensor_anomaly_by_sensor.size()) {
-    return fail("sensor anomaly count differs");
+    return "sensor anomaly count differs";
   }
   for (std::size_t i = 0; i < a.sensor_anomaly_by_sensor.size(); ++i) {
     if (!same_vector(a.sensor_anomaly_by_sensor[i],
                      b.sensor_anomaly_by_sensor[i])) {
-      return fail("sensor anomaly " + std::to_string(i) + " differs");
+      return "sensor anomaly " + std::to_string(i) + " differs";
     }
   }
   if (!same_vector(a.actuator_anomaly, b.actuator_anomaly)) {
-    return fail("actuator anomaly differs");
+    return "actuator anomaly differs";
   }
   return {};
 }

@@ -139,11 +139,11 @@ std::uint64_t FleetService::add_robot(std::shared_ptr<const SessionSpec> spec) {
   auto session = std::make_unique<DetectorSession>(spec, config_.session);
   attach_sink(*session, robot);
   configure_tracing(*session, robot);
+  robot_scratch_.emplace_back().session = session.get();
   shards_[shard]->sessions.emplace(robot, std::move(session));
   shards_[shard]->session_count.fetch_add(1, std::memory_order_relaxed);
   routing_.emplace_back(static_cast<std::uint32_t>(shard));
   specs_.push_back(std::move(spec));
-  robot_scratch_.emplace_back();
   return robot;
 }
 
@@ -203,10 +203,7 @@ std::size_t FleetService::drain_shard(std::size_t shard_index) {
       shard.forwarded.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
-    const auto it = shard.sessions.find(packet.robot);
-    ROBOADS_CHECK(it != shard.sessions.end(),
-                  "routing names a shard without the session");
-    it->second->ingest(packet);
+    robot_scratch_[packet.robot].session->ingest(packet);
   }
   return processed;
 }
@@ -255,6 +252,7 @@ void FleetService::apply_migrations() {
     from.sessions.erase(it);
     from.session_count.fetch_sub(1, std::memory_order_relaxed);
     ShardState& to = *shards_[req.target];
+    robot_scratch_[req.robot].session = rebuilt.get();
     to.sessions.emplace(req.robot, std::move(rebuilt));
     to.session_count.fetch_add(1, std::memory_order_relaxed);
     // Publish the new route last: packets submitted from here on go to the
@@ -524,11 +522,7 @@ void FleetService::publish_status_now() {
 
 DetectorSession& FleetService::session_ref(std::uint64_t robot) const {
   ROBOADS_CHECK(robot < routing_.size(), "unknown fleet robot id");
-  const std::size_t shard = routing_[robot].load(std::memory_order_relaxed);
-  const auto it = shards_[shard]->sessions.find(robot);
-  ROBOADS_CHECK(it != shards_[shard]->sessions.end(),
-                "routing names a shard without the session");
-  return *it->second;
+  return *robot_scratch_[robot].session;
 }
 
 const SessionCounters& FleetService::session_counters(

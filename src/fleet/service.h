@@ -190,11 +190,14 @@ class FleetService {
     std::size_t target = 0;
   };
 
-  // Per-robot introspection scratch, stable-address like routing_. The
-  // EWMA latency is written only by the worker stepping the robot's shard
-  // and read only between passes.
+  // Per-robot scratch, stable-address like routing_. The EWMA latency is
+  // written only by the worker stepping the robot's shard and read only
+  // between passes. `session` points into the owning shard's table, so the
+  // drain path reaches a packet's session without a hash lookup; it is
+  // repointed when a migration rebuilds the session.
   struct RobotScratch {
     double ewma_latency_ns = 0.0;
+    DetectorSession* session = nullptr;
   };
 
   // EWMA publisher state, owned by whichever thread builds snapshots (the

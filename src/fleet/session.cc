@@ -26,18 +26,23 @@ DetectorSession::DetectorSession(std::shared_ptr<const SessionSpec> spec,
     : detector_(checked_bank(*spec), spec->x0, spec->p0, spec->config) {
   ROBOADS_CHECK(config.reorder_window >= 1,
                 "session reorder window must be at least 1");
-  const std::size_t total_dim = suite().total_dim();
   frames_.resize(config.reorder_window);
-  for (PendingFrame& f : frames_) {
-    f.z = Vector(total_dim);
-    f.have.assign(suite().count(), false);
-  }
-  last_u_ = Vector(spec->model->input_dim());
-  last_z_ = Vector(total_dim);
+  input_dim_ = spec->model->input_dim();
+  stride_ = input_dim_ + suite().total_dim();
+  values_.assign((frames_.size() + 1) * stride_, 0.0);
+  have_.assign(frames_.size() * suite().count(), false);
+}
+
+bool DetectorSession::complete(std::size_t s) const {
+  const std::size_t n = suite().count();
+  const auto first = have_.begin() + static_cast<std::ptrdiff_t>(s * n);
+  return std::find(first, first + static_cast<std::ptrdiff_t>(n), false) ==
+         first + static_cast<std::ptrdiff_t>(n);
 }
 
 DetectorSession::PendingFrame& DetectorSession::frame_at(std::uint64_t k) {
-  PendingFrame& f = frames_[k % frames_.size()];
+  const std::size_t s = slot(k);
+  PendingFrame& f = frames_[s];
   if (!f.active) {
     f.active = true;
     f.has_u = false;
@@ -45,10 +50,11 @@ DetectorSession::PendingFrame& DetectorSession::frame_at(std::uint64_t k) {
     // value on the consumer side" a sim/faults.h drop leaves behind. The
     // content of a masked block is never read by the degraded-mode
     // estimator, so this is cosmetic consistency, not a correctness need.
-    f.z = last_z_;
-    std::fill(f.have.begin(), f.have.end(), false);
+    std::copy_n(values(frames_.size()) + input_dim_, stride_ - input_dim_,
+                values(s) + input_dim_);
+    for (std::size_t i = 0; i < suite().count(); ++i) have(s, i) = false;
     f.max_ingest_ns = 0;
-    if (span_sink_ != nullptr) f.span.reset();
+    if (span_sink_ != nullptr) spans_[s].reset();
     ++pending_count_;
   }
   return f;
@@ -63,6 +69,21 @@ void DetectorSession::ingest(const FleetPacket& packet) {
     // base_k_ wraps to 0 only after stepping iteration 2^64 - 1, past
     // which every iteration is history.
     ++counters_.late_packets;
+    return;
+  }
+
+  // A packet from a source the suite does not know, or with a payload of
+  // the wrong size, is dropped and counted before it can touch the window:
+  // it neither evicts, resyncs nor opens a frame.
+  const sensors::SensorSuite& suite = this->suite();
+  const bool command = p.kind == bus::PacketKind::kControlCommand;
+  const std::optional<std::size_t> sensor =
+      command ? std::nullopt : suite.find(p.source);
+  const bool known =
+      command ? p.payload.size() == input_dim_
+              : sensor && p.payload.size() == suite.sensor(*sensor).dim();
+  if (!known) {
+    ++counters_.unknown_source;
     return;
   }
 
@@ -94,66 +115,68 @@ void DetectorSession::ingest(const FleetPacket& packet) {
   }
 
   PendingFrame& f = frame_at(k);
-  if (p.kind == bus::PacketKind::kControlCommand) {
-    if (p.payload.size() != last_u_.size()) {
-      ++counters_.unknown_source;
-      return;
-    }
+  const std::size_t s = slot(k);
+  if (command) {
     if (f.has_u) ++counters_.duplicate_packets;  // latest wins
-    f.u = p.payload;
+    std::copy_n(p.payload.data(), input_dim_, values(s));
     f.has_u = true;
   } else {
-    const sensors::SensorSuite& suite = this->suite();
-    const std::optional<std::size_t> i = suite.find(p.source);
-    if (!i || p.payload.size() != suite.sensor(*i).dim()) {
-      ++counters_.unknown_source;
-      return;
-    }
-    if (f.have[*i]) ++counters_.duplicate_packets;  // latest wins
-    f.z.set_segment(suite.offset(*i), p.payload);
-    f.have[*i] = true;
+    if (have(s, *sensor)) ++counters_.duplicate_packets;  // latest wins
+    std::copy_n(p.payload.data(), p.payload.size(),
+                values(s) + input_dim_ + suite.offset(*sensor));
+    have(s, *sensor) = true;
   }
+  if (!p.payload.all_finite()) ++counters_.nonfinite_packets;
   f.max_ingest_ns = std::max(f.max_ingest_ns, packet.ingest_ns);
   if (span_sink_ != nullptr) {
-    f.span.note_packet(packet.ingest_ns, packet.dequeue_ns);
+    spans_[s].note_packet(packet.ingest_ns, packet.dequeue_ns);
   }
   cascade();
 }
 
 void DetectorSession::cascade() {
   for (;;) {
-    const PendingFrame& f = frames_[base_k_ % frames_.size()];
-    if (!f.active || !f.has_u) return;
-    if (std::find(f.have.begin(), f.have.end(), false) != f.have.end()) {
-      return;
-    }
+    const std::size_t s = slot(base_k_);
+    const PendingFrame& f = frames_[s];
+    if (!f.active || !f.has_u || !complete(s)) return;
     step_frame(base_k_);
   }
 }
 
 void DetectorSession::step_frame(std::uint64_t k, bool forced) {
   ROBOADS_CHECK_EQ(k, base_k_, "frames step strictly in order");
-  PendingFrame& f = frames_[k % frames_.size()];
+  const std::size_t s = slot(k);
+  PendingFrame& f = frames_[s];
 
   const bool dark = !f.active;  // nothing at all arrived for k
   const bool traced = span_sink_ != nullptr;
   // Spans are copied out before the slot recycles; a dark frame never
   // activated its slot, so its span is all zero stamps by definition.
   obs::SpanStamps span;
-  if (traced && !dark) span = f.span;
+  if (traced && !dark) span = spans_[s];
   const bool has_u = f.active && f.has_u;
   if (!has_u) ++counters_.command_substituted;
-  const Vector& u = has_u ? f.u : last_u_;
-  const Vector& z = dark ? last_z_ : f.z;
+  // The step's inputs: the frame's command and readings, or the last
+  // delivered ones where the frame has none.
+  double* last = values(frames_.size());
+  const double* frame = values(s);
+  const std::size_t total_dim = stride_ - input_dim_;
+  Vector u = Vector::for_overwrite(input_dim_);
+  std::copy_n(has_u ? frame : last, input_dim_, u.data());
+  Vector z = Vector::for_overwrite(total_dim);
+  std::copy_n((dark ? last : frame) + input_dim_, total_dim, z.data());
 
   // All sensors delivered → empty mask, the exact single-mission
   // all-available path (bit-identity); anything less → the PR 2 degraded
   // path with the arrival flags as the availability mask.
+  const std::size_t sensors = suite().count();
   core::SensorMask mask;
-  const bool complete =
-      !dark && std::find(f.have.begin(), f.have.end(), false) == f.have.end();
-  if (!complete) {
-    mask = dark ? core::SensorMask(f.have.size(), false) : f.have;
+  const bool all_arrived = !dark && complete(s);
+  if (!all_arrived) {
+    mask.assign(sensors, false);
+    if (!dark) {
+      for (std::size_t i = 0; i < sensors; ++i) mask[i] = have(s, i);
+    }
     ++counters_.masked_steps;
   }
 
@@ -164,15 +187,15 @@ void DetectorSession::step_frame(std::uint64_t k, bool forced) {
   if (report.decision.sensor_alarm) ++counters_.sensor_alarms;
   if (report.decision.actuator_alarm) ++counters_.actuator_alarms;
 
-  last_u_ = u;
-  if (complete) {
-    last_z_ = f.z;
+  std::copy_n(u.data(), input_dim_, last);
+  if (all_arrived) {
+    std::copy_n(z.data(), total_dim, last + input_dim_);
   } else if (!dark) {
     const sensors::SensorSuite& suite = this->suite();
-    for (std::size_t i = 0; i < f.have.size(); ++i) {
-      if (f.have[i]) {
-        const std::size_t at = suite.offset(i);
-        last_z_.set_segment(at, f.z.segment(at, suite.sensor(i).dim()));
+    for (std::size_t i = 0; i < sensors; ++i) {
+      if (have(s, i)) {
+        const std::size_t at = input_dim_ + suite.offset(i);
+        std::copy_n(frame + at, suite.sensor(i).dim(), last + at);
       }
     }
   }
@@ -189,7 +212,7 @@ void DetectorSession::step_frame(std::uint64_t k, bool forced) {
     obs::SpanOutcome outcome;
     outcome.sensor_alarm = report.decision.sensor_alarm;
     outcome.actuator_alarm = report.decision.actuator_alarm;
-    outcome.masked = !complete;
+    outcome.masked = !all_arrived;
     outcome.forced = forced;
     span_sink_->emit(obs::make_span_event(span_robot_, k, span, outcome));
   }
@@ -211,21 +234,24 @@ SessionSnapshot DetectorSession::save() const {
   detector_.save_state(snap.detector);
   snap.counters = counters_;
   snap.next_iteration = base_k_;
-  snap.last_u.assign(last_u_.data(), last_u_.data() + last_u_.size());
-  snap.last_z.assign(last_z_.data(), last_z_.data() + last_z_.size());
+  const double* last = values(frames_.size());
+  snap.last_u.assign(last, last + input_dim_);
+  snap.last_z.assign(last + input_dim_, last + stride_);
   return snap;
 }
 
 void DetectorSession::restore(const SessionSnapshot& snapshot) {
-  ROBOADS_CHECK_EQ(snapshot.last_u.size(), last_u_.size(),
+  ROBOADS_CHECK_EQ(snapshot.last_u.size(), input_dim_,
                    "session snapshot input dimension mismatch");
-  ROBOADS_CHECK_EQ(snapshot.last_z.size(), last_z_.size(),
+  ROBOADS_CHECK_EQ(snapshot.last_z.size(), stride_ - input_dim_,
                    "session snapshot reading dimension mismatch");
   detector_.restore_state(snapshot.detector);
   counters_ = snapshot.counters;
   base_k_ = snapshot.next_iteration;
-  last_u_ = Vector(snapshot.last_u);
-  last_z_ = Vector(snapshot.last_z);
+  double* last = values(frames_.size());
+  std::copy(snapshot.last_u.begin(), snapshot.last_u.end(), last);
+  std::copy(snapshot.last_z.begin(), snapshot.last_z.end(),
+            last + input_dim_);
   for (PendingFrame& f : frames_) f.active = false;
   pending_count_ = 0;
 }

@@ -86,6 +86,10 @@ struct SessionCounters {
   std::uint64_t masked_steps = 0;     // steps with >= 1 sensor unavailable
   std::uint64_t command_substituted = 0;  // steps reusing the previous u
   std::uint64_t resyncs = 0;  // jumps past > kMaxCatchUpFrames iterations
+  // Accepted packets carrying a NaN or ±Inf. The payload is kept: the
+  // detector masks a sensor whose reading is not finite (RoboAds::step),
+  // so reports are those of the same stream without this counter.
+  std::uint64_t nonfinite_packets = 0;
 };
 
 // Migration payload: the PR 5 detector snapshot plus the session's stream
@@ -125,6 +129,7 @@ class DetectorSession {
   void enable_span_tracing(std::uint64_t robot, obs::TraceSink* sink) {
     span_robot_ = robot;
     span_sink_ = sink;
+    if (sink != nullptr) spans_.resize(frames_.size());
   }
 
   bool span_tracing() const { return span_sink_ != nullptr; }
@@ -160,15 +165,29 @@ class DetectorSession {
   void restore(const SessionSnapshot& snapshot);
 
  private:
+  // One slot of the reorder ring. Its command and readings live in
+  // values_, its arrival flags in have_ and its span stamps in spans_:
+  // flat per-session arrays, which keep a session's frames to a few
+  // hundred bytes (a fleet holds thousands of sessions).
   struct PendingFrame {
     bool active = false;
     bool has_u = false;
-    Vector u;
-    Vector z;
-    std::vector<bool> have;       // per suite sensor
     std::uint64_t max_ingest_ns = 0;
-    obs::SpanStamps span;         // only maintained when span_tracing()
   };
+
+  std::size_t slot(std::uint64_t k) const { return k % frames_.size(); }
+  // Slot s's command (input_dim_ doubles) followed by its stacked readings
+  // (suite layout). Slot frames_.size() holds the last delivered command
+  // and readings: the substitutes for a missing command, and the content
+  // of a reading block that has not arrived (sim/faults.h's frozen value).
+  double* values(std::size_t s) { return values_.data() + s * stride_; }
+  const double* values(std::size_t s) const {
+    return values_.data() + s * stride_;
+  }
+  std::vector<bool>::reference have(std::size_t s, std::size_t sensor) {
+    return have_[s * suite().count() + sensor];
+  }
+  bool complete(std::size_t s) const;
 
   PendingFrame& frame_at(std::uint64_t k);
   void step_frame(std::uint64_t k, bool forced = false);
@@ -178,11 +197,14 @@ class DetectorSession {
 
   core::RoboAds detector_;
 
-  std::vector<PendingFrame> frames_;  // ring, slot (k - base_k_) % window
+  std::vector<PendingFrame> frames_;  // ring, slot k % window
+  std::size_t input_dim_ = 0;
+  std::size_t stride_ = 0;            // input_dim_ + suite().total_dim()
+  std::vector<double> values_;        // (window + 1) × stride_, values()
+  std::vector<bool> have_;            // window × sensors: reading arrived
+  std::vector<obs::SpanStamps> spans_;  // per slot, once tracing is on
   std::size_t pending_count_ = 0;
   std::uint64_t base_k_ = 1;          // next iteration to step
-  Vector last_u_;                     // substitute for missing commands
-  Vector last_z_;                     // last delivered reading per block
   SessionCounters counters_;
   ReportSink sink_;
   std::uint64_t span_robot_ = 0;       // id carried on emitted spans

@@ -2,29 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
 
 #include "matrix/kernels.h"
+#include "matrix/kernels_impl.h"
 
 namespace roboads {
 namespace {
 
 constexpr double kSingularPivot = 1e-13;
-
-// Fills `order` (capacity kMaxInlineOrder, heap spill above) with indices
-// [0, n) sorted by `less`; the detector hot path stays allocation-free.
-constexpr std::size_t kMaxInlineOrder = 32;
-
-struct OrderBuffer {
-  std::size_t inline_buf[kMaxInlineOrder];
-  std::vector<std::size_t> heap;
-  std::size_t* get(std::size_t n) {
-    if (n <= kMaxInlineOrder) return inline_buf;
-    heap.resize(n);
-    return heap.data();
-  }
-};
 
 }  // namespace
 
@@ -161,27 +147,11 @@ SymmetricEigen eigen_symmetric(const Matrix& a_in, double tol) {
   const std::size_t n = a_in.rows();
   Matrix a = a_in.symmetrized();
   Matrix v = Matrix::for_overwrite(n, n);
-  kernels::jacobi_eigen(a.data(), v.data(), n, tol);
-  const double* ad = a.data();
-  const double* vd = v.data();
-
-  // Sort eigenpairs descending.
-  OrderBuffer order_buf;
-  std::size_t* order = order_buf.get(n);
-  std::iota(order, order + n, std::size_t{0});
-  std::sort(order, order + n, [&](std::size_t i, std::size_t j) {
-    return ad[i * n + i] > ad[j * n + j];
-  });
-
   SymmetricEigen out;
   out.eigenvalues = Vector::for_overwrite(n);
   out.eigenvectors = Matrix::for_overwrite(n, n);
-  double* w = out.eigenvalues.data();
-  double* ev = out.eigenvectors.data();
-  for (std::size_t j = 0; j < n; ++j) {
-    w[j] = ad[order[j] * n + order[j]];
-    for (std::size_t i = 0; i < n; ++i) ev[i * n + j] = vd[i * n + order[j]];
-  }
+  kernels::ext::eigen_symmetric(a.data(), v.data(), out.eigenvalues.data(),
+                                out.eigenvectors.data(), n, tol);
   return out;
 }
 
@@ -248,7 +218,7 @@ Svd svd(const Matrix& a, double tol) {
   }
 
   // Sort descending by singular value.
-  OrderBuffer order_buf;
+  kernels::ext::IndexScratch<std::size_t> order_buf;
   std::size_t* order = order_buf.get(n);
   std::iota(order, order + n, std::size_t{0});
   std::sort(order, order + n,
@@ -334,88 +304,65 @@ Matrix spd_pseudo_inverse(const Matrix& a, double rel_tol) {
 // -------------------------------------------------------- SpdEigenFactor --
 
 SpdEigenFactor::SpdEigenFactor(const Matrix& a, double rel_tol,
-                               bool dim_scaled)
-    : eig_(eigen_symmetric(a.symmetrized())) {
+                               bool dim_scaled) {
   ROBOADS_CHECK(a.square(), "SpdEigenFactor requires a square matrix");
-  const std::size_t n = dim();
-  const double lam_max = n ? std::max(eig_.eigenvalues[0], 0.0) : 0.0;
-  const double scale =
-      dim_scaled ? rel_tol * static_cast<double>(n) : rel_tol;
-  cutoff_ = scale * std::max(lam_max, 1e-300);
-  for (std::size_t i = 0; i < n; ++i)
-    if (eig_.eigenvalues[i] > cutoff_) ++rank_;
+  const std::size_t n = a.rows();
+  Matrix s(a);
+  Matrix v = Matrix::for_overwrite(n, n);
+  eig_.eigenvalues = Vector::for_overwrite(n);
+  eig_.eigenvectors = Matrix::for_overwrite(n, n);
+  cutoff_ = kernels::ext::spd_eigen_factor(
+      s.data(), v.data(), eig_.eigenvalues.data(), eig_.eigenvectors.data(),
+      n, rel_tol, dim_scaled);
+  rank_ = kernels::ext::eigen_rank(eig_.eigenvalues.data(), n, cutoff_);
 }
 
 Matrix SpdEigenFactor::pseudo_inverse() const {
-  Matrix scaled = eig_.eigenvectors;  // columns scaled by 1/λ on the support
-  for (std::size_t j = 0; j < scaled.cols(); ++j) {
-    const double lam = eig_.eigenvalues[j];
-    const double inv = lam > cutoff_ ? 1.0 / lam : 0.0;
-    for (std::size_t i = 0; i < scaled.rows(); ++i) scaled(i, j) *= inv;
-  }
-  Matrix out = scaled * eig_.eigenvectors.transpose();
-  out.symmetrize();
+  const std::size_t n = dim();
+  Matrix scaled = Matrix::for_overwrite(n, n);
+  Matrix vt = Matrix::for_overwrite(n, n);
+  Matrix out = Matrix::for_overwrite(n, n);
+  kernels::ext::eigen_pseudo_inverse(eig_.eigenvalues.data(),
+                                     eig_.eigenvectors.data(), cutoff_,
+                                     scaled.data(), vt.data(), out.data(), n);
   return out;
 }
 
 Vector SpdEigenFactor::solve(const Vector& b) const {
   const std::size_t n = dim();
   ROBOADS_CHECK_EQ(b.size(), n, "SpdEigenFactor solve size mismatch");
-  // A⁺ b = Σ_{λ_i > cutoff} v_i (v_i·b) / λ_i.
-  Vector x(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    const double lam = eig_.eigenvalues[j];
-    if (lam <= cutoff_) continue;
-    double proj = 0.0;
-    for (std::size_t i = 0; i < n; ++i) proj += eig_.eigenvectors(i, j) * b[i];
-    const double w = proj / lam;
-    for (std::size_t i = 0; i < n; ++i) x[i] += eig_.eigenvectors(i, j) * w;
-  }
+  Vector x = Vector::for_overwrite(n);
+  kernels::ext::eigen_solve(eig_.eigenvalues.data(), eig_.eigenvectors.data(),
+                            cutoff_, b.data(), x.data(), n);
   return x;
 }
 
 double SpdEigenFactor::quadratic_form(const Vector& b) const {
   const std::size_t n = dim();
   ROBOADS_CHECK_EQ(b.size(), n, "SpdEigenFactor quadratic form size mismatch");
-  double acc = 0.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    const double lam = eig_.eigenvalues[j];
-    if (lam <= cutoff_) continue;
-    double proj = 0.0;
-    for (std::size_t i = 0; i < n; ++i) proj += eig_.eigenvectors(i, j) * b[i];
-    acc += proj * proj / lam;
-  }
-  return acc;
+  return kernels::ext::eigen_quadratic_form(eig_.eigenvalues.data(),
+                                            eig_.eigenvectors.data(), cutoff_,
+                                            b.data(), n);
 }
 
 double SpdEigenFactor::log_pseudo_determinant() const {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < dim(); ++i)
-    if (eig_.eigenvalues[i] > cutoff_) acc += std::log(eig_.eigenvalues[i]);
-  return acc;
+  return kernels::ext::eigen_log_pseudo_determinant(eig_.eigenvalues.data(),
+                                                    cutoff_, dim());
 }
 
 // ------------------------------------------------------------- SpdFactor --
 
 SpdFactor::SpdFactor(const Matrix& a, double rel_tol) : chol_(a) {
-  bool deficient = !chol_.ok();
-  if (!deficient) {
-    // A numerically "successful" factorization can still hide structural
-    // rank deficiency behind a rounding-noise pivot: an exactly singular
-    // matrix whose zero pivot computes to ~1e-16 passes the diag > 0 check,
-    // and a solve through that pivot amplifies the rhs by ~1e16. Distrust
-    // the factor whenever its smallest pivot is negligible against the
-    // matrix scale and use the eigen pseudo-inverse semantics instead.
-    const Matrix& l = chol_.l();
-    double scale = 0.0;
-    double min_pivot = std::numeric_limits<double>::infinity();
-    for (std::size_t j = 0; j < l.rows(); ++j) {
-      scale = std::max(scale, std::abs(a(j, j)));
-      min_pivot = std::min(min_pivot, l(j, j) * l(j, j));
-    }
-    deficient = min_pivot <= rel_tol * scale;
-  }
-  if (deficient) eig_.emplace(a, rel_tol);
+  // A numerically "successful" factorization can still hide structural
+  // rank deficiency behind a rounding-noise pivot: an exactly singular
+  // matrix whose zero pivot computes to ~1e-16 passes the diag > 0 check,
+  // and a solve through that pivot amplifies the rhs by ~1e16. Distrust
+  // the factor whenever its smallest pivot is negligible against the
+  // matrix scale and use the eigen pseudo-inverse semantics instead.
+  const bool trusted =
+      chol_.ok() && kernels::ext::cholesky_trusted(a.data(), chol_.l().data(),
+                                                   a.rows(), rel_tol);
+  if (!trusted) eig_.emplace(a, rel_tol);
 }
 
 std::size_t SpdFactor::dim() const {

@@ -14,6 +14,10 @@
 //     argument; `transpose` fixes whichever of its extents is in range);
 //     otherwise it calls the reference loop.
 //
+// Both forms are built from one loop body per kernel, a template in the
+// private header matrix/kernels_impl.h; code whose shapes are known at
+// compile time (the compiled NUISE step) runs those templates inline.
+//
 // Exactness: an instantiation performs the same floating-point operations as
 // its reference loop, in the same order, so the two agree bit for bit on
 // every input, ±0, subnormals, ±Inf and NaN included:

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "matrix/kernels.h"
+#include "matrix/kernels_impl.h"
 
 namespace roboads {
 
@@ -14,7 +15,7 @@ namespace roboads {
 
 Vector& Vector::operator+=(const Vector& rhs) {
   ROBOADS_CHECK_EQ(size(), rhs.size(), "vector addition size mismatch");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += rhs.data_[i];
+  kernels::ext::add(data(), rhs.data(), size(), std::size_t{1});
   return *this;
 }
 
@@ -25,7 +26,7 @@ Vector& Vector::operator-=(const Vector& rhs) {
 }
 
 Vector& Vector::operator*=(double s) {
-  for (double& x : data_) x *= s;
+  kernels::ext::scale(data(), s, size(), std::size_t{1});
   return *this;
 }
 
@@ -158,7 +159,7 @@ Matrix Matrix::outer(const Vector& a, const Vector& b) {
 Matrix& Matrix::operator+=(const Matrix& rhs) {
   ROBOADS_CHECK(rows_ == rhs.rows_ && cols_ == rhs.cols_,
                 "matrix addition shape mismatch");
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += rhs.data_[i];
+  kernels::ext::add(data(), rhs.data(), rows_, cols_);
   return *this;
 }
 
@@ -170,7 +171,7 @@ Matrix& Matrix::operator-=(const Matrix& rhs) {
 }
 
 Matrix& Matrix::operator*=(double s) {
-  for (double& x : data_) x *= s;
+  kernels::ext::scale(data(), s, rows_, cols_);
   return *this;
 }
 
@@ -265,13 +266,7 @@ Matrix Matrix::symmetrized() const {
 
 void Matrix::symmetrize() {
   ROBOADS_CHECK(square(), "symmetrize() requires a square matrix");
-  for (std::size_t i = 0; i < rows_; ++i) {
-    for (std::size_t j = i + 1; j < cols_; ++j) {
-      const double m = 0.5 * ((*this)(i, j) + (*this)(j, i));
-      (*this)(i, j) = m;
-      (*this)(j, i) = m;
-    }
-  }
+  kernels::ext::symmetrize(data(), rows_);
 }
 
 Matrix Matrix::vstack(const Matrix& bottom) const {
@@ -365,13 +360,7 @@ Matrix sandwich(const Matrix& a, const Matrix& s) {
 void add_self_adjoint(Matrix& c, const Matrix& y, double alpha) {
   ROBOADS_CHECK(c.square() && y.square() && c.rows() == y.rows(),
                 "add_self_adjoint shape mismatch");
-  for (std::size_t i = 0; i < c.rows(); ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
-      const double s = alpha * (y(i, j) + y(j, i));
-      c(i, j) += s;
-      if (j != i) c(j, i) += s;
-    }
-  }
+  kernels::ext::add_self_adjoint(c.data(), y.data(), c.rows(), alpha);
 }
 
 void sym_rank_k_update(Matrix& c, const Matrix& a, double alpha) {

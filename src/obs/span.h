@@ -7,7 +7,7 @@
 //   ingest → ring → reassembly → step → decision/alarm publication
 //
 // The hot path only *stamps*: SpanStamps is a fixed-size block of steady-
-// clock nanoseconds carried inside the session's pending-frame slot, so a
+// clock nanoseconds kept per pending-frame slot of the session, so a
 // traced robot pays a handful of clock reads per packet and never
 // allocates. One TraceEvent materializes per sampled frame at step time
 // (make_span_event), emitted through the same pinned-schema JSONL sink the

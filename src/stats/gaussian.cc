@@ -29,11 +29,17 @@ double degenerate_gaussian_log_pdf(const Vector& x,
                                    const SpdEigenFactor& cov_factor) {
   ROBOADS_CHECK_EQ(cov_factor.dim(), x.size(),
                    "degenerate_gaussian_log_pdf shape mismatch");
-  const std::size_t n = cov_factor.rank();
-  if (n == 0) return 0.0;  // zero-covariance: density collapses to a point
-  const double maha = cov_factor.quadratic_form(x);
-  return -0.5 * (static_cast<double>(n) * std::log(2.0 * M_PI) +
-                 cov_factor.log_pseudo_determinant() + maha);
+  if (cov_factor.rank() == 0) return 0.0;
+  return degenerate_gaussian_log_pdf(cov_factor.rank(),
+                                     cov_factor.log_pseudo_determinant(),
+                                     cov_factor.quadratic_form(x));
+}
+
+double degenerate_gaussian_log_pdf(std::size_t rank, double log_pseudo_det,
+                                   double mahalanobis) {
+  if (rank == 0) return 0.0;  // zero-covariance: density collapses to a point
+  return -0.5 * (static_cast<double>(rank) * std::log(2.0 * M_PI) +
+                 log_pseudo_det + mahalanobis);
 }
 
 double degenerate_gaussian_pdf(const Vector& x, const Matrix& cov) {

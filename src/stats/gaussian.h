@@ -23,6 +23,12 @@ double degenerate_gaussian_log_pdf(const Vector& x, const Matrix& cov);
 double degenerate_gaussian_log_pdf(const Vector& x,
                                    const SpdEigenFactor& cov_factor);
 
+// As above, from the factor's rank, log pseudo-determinant and Mahalanobis
+// form xᵀ cov⁺ x; 0 when the rank is 0. The compiled NUISE step, which
+// factors on the stack, evaluates line 20 through this one expression.
+double degenerate_gaussian_log_pdf(std::size_t rank, double log_pseudo_det,
+                                   double mahalanobis);
+
 // Convenience: exp of the above, floored at 0.
 double degenerate_gaussian_pdf(const Vector& x, const Matrix& cov);
 

@@ -415,5 +415,181 @@ TEST(FleetSession, SaveRequiresIdle) {
   EXPECT_NO_THROW(session.save());
 }
 
+// ----------------------------------------------- metamorphic properties --
+//
+// Seeded relations over several Table II missions, each checked against
+// the in-order stream's reports (the mission's own):
+//   1. every arrival order that keeps each packet of iteration k behind all
+//      packets of iterations <= k - window gives the same reports, with no
+//      forced eviction;
+//   2. exact duplicates inserted at later positions change no report, and
+//      duplicate plus late counts equal the copies inserted;
+//   3. malformed packets (wrong payload size, unknown source, iteration 0,
+//      far ahead, non-finite payload) never throw and are each counted.
+
+std::vector<MissionRun> metamorphic_missions() {
+  std::vector<MissionRun> runs;
+  runs.reserve(3);
+  for (const std::size_t scenario : {1u, 4u, 8u}) {
+    runs.emplace_back(60, 300 + scenario, scenario);
+  }
+  return runs;
+}
+
+// A random arrival order within `window`: sorting by k + window·U[0, 1)
+// puts every packet of iteration k after all packets of iterations
+// <= k - window (a tie keeps the in-order position, which agrees).
+std::vector<FleetPacket> window_shuffle(const std::vector<FleetPacket>& in,
+                                        std::size_t window,
+                                        std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::vector<std::pair<double, std::size_t>> keys;
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    keys.emplace_back(static_cast<double>(in[i].packet.iteration) +
+                          static_cast<double>(window) * unit(rng),
+                      i);
+  }
+  std::stable_sort(keys.begin(), keys.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<FleetPacket> out;
+  for (const auto& [key, i] : keys) out.push_back(in[i]);
+  return out;
+}
+
+TEST(FleetSessionMetamorphic, WindowBoundedReorderingKeepsEveryReport) {
+  std::mt19937_64 rng(20);
+  for (const MissionRun& run : metamorphic_missions()) {
+    const std::vector<FleetPacket> in_order =
+        mission_packets(0, run.platform.suite(), run.mission);
+    for (const std::size_t window : {1u, 2u, 4u, 7u}) {
+      for (int trial = 0; trial < 3; ++trial) {
+        SCOPED_TRACE(testing::Message() << "window " << window << " trial "
+                                        << trial);
+        const SessionCounters c = expect_parity(
+            run, window_shuffle(in_order, window, rng), SessionConfig{window});
+        EXPECT_EQ(c.steps, run.mission.records.size());
+        EXPECT_EQ(c.forced_evictions, 0u);
+        EXPECT_EQ(c.masked_steps, 0u);
+        EXPECT_EQ(c.late_packets, 0u);
+        EXPECT_EQ(c.duplicate_packets, 0u);
+      }
+    }
+  }
+}
+
+TEST(FleetSessionMetamorphic, LaterExactDuplicatesChangeNoReport) {
+  std::mt19937_64 rng(21);
+  for (const MissionRun& run : metamorphic_missions()) {
+    const std::vector<FleetPacket> stream = window_shuffle(
+        mission_packets(0, run.platform.suite(), run.mission), 4, rng);
+    // Original i keeps key i; a copy of i gets a key in (i, size).
+    std::vector<std::pair<double, std::size_t>> keys;
+    for (std::size_t i = 0; i < stream.size(); ++i) keys.emplace_back(i, i);
+    std::uniform_int_distribution<std::size_t> pick(0, stream.size() - 2);
+    constexpr std::size_t kCopies = 150;
+    for (std::size_t c = 0; c < kCopies; ++c) {
+      const std::size_t i = pick(rng);
+      std::uniform_int_distribution<std::size_t> after(i, stream.size() - 1);
+      keys.emplace_back(static_cast<double>(after(rng)) + 0.5, i);
+    }
+    std::stable_sort(keys.begin(), keys.end(), [](const auto& a,
+                                                  const auto& b) {
+      return a.first < b.first;
+    });
+    std::vector<FleetPacket> with_copies;
+    for (const auto& [key, i] : keys) with_copies.push_back(stream[i]);
+
+    const SessionCounters c = expect_parity(run, with_copies);
+    EXPECT_EQ(c.duplicate_packets + c.late_packets, kCopies);
+    EXPECT_GT(c.duplicate_packets, 0u);
+    EXPECT_GT(c.late_packets, 0u);
+    EXPECT_EQ(c.forced_evictions, 0u);
+  }
+}
+
+TEST(FleetSessionMetamorphic, MalformedPacketsNeverThrowAndAreCounted) {
+  std::mt19937_64 rng(22);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const MissionRun& run : metamorphic_missions()) {
+    const sensors::SensorSuite& suite = run.platform.suite();
+    const std::vector<FleetPacket> in_order =
+        mission_packets(0, suite, run.mission);
+    std::uniform_int_distribution<std::size_t> at(0, in_order.size() - 1);
+
+    // Dropped on arrival: the reports are the mission's, and each one is
+    // counted once, as a late packet when its iteration has already
+    // stepped (always for iteration 0) and as an unknown source otherwise.
+    std::vector<FleetPacket> stream = in_order;
+    std::size_t bad_source = 0;
+    std::size_t iteration_zero = 0;
+    for (int i = 0; i < 30; ++i) {
+      FleetPacket p = in_order[at(rng)];
+      switch (i % 4) {
+        case 0:  // wrong payload size
+          p.packet.payload = Vector(p.packet.payload.size() + 1, 0.5);
+          ++bad_source;
+          break;
+        case 1:  // unknown source
+          p.packet.kind = bus::PacketKind::kSensorReading;
+          p.packet.source = "sonar";
+          ++bad_source;
+          break;
+        case 2:  // iteration 0, which precedes every stream
+          p.packet.iteration = 0;
+          ++iteration_zero;
+          break;
+        case 3:  // iteration 0 with a wrong payload size
+          p.packet.iteration = 0;
+          p.packet.payload = Vector(1, 0.5);
+          ++iteration_zero;
+          break;
+      }
+      stream.insert(stream.begin() + static_cast<std::ptrdiff_t>(at(rng)), p);
+    }
+    const SessionCounters dropped = expect_parity(run, stream);
+    EXPECT_EQ(dropped.unknown_source + dropped.late_packets,
+              bad_source + iteration_zero);
+    EXPECT_GE(dropped.late_packets, iteration_zero);
+    EXPECT_GT(dropped.unknown_source, 0u);
+    EXPECT_EQ(dropped.nonfinite_packets, 0u);
+
+    // Non-finite payloads are kept and counted; the detector masks the
+    // sensor (a non-finite command runs the containment floor).
+    stream = in_order;
+    std::size_t nonfinite = 0;
+    for (int i = 0; i < 12; ++i) {
+      FleetPacket& p = stream[at(rng)];
+      const bool was_finite = p.packet.payload.all_finite();
+      p.packet.payload[i % p.packet.payload.size()] =
+          i % 3 == 0 ? nan : (i % 3 == 1 ? inf : -inf);
+      if (was_finite) ++nonfinite;
+    }
+    DetectorSession session(run.spec);
+    for (const FleetPacket& p : stream) {
+      ASSERT_NO_THROW(session.ingest(p));
+    }
+    ASSERT_NO_THROW(session.flush());
+    EXPECT_EQ(session.counters().nonfinite_packets, nonfinite);
+    EXPECT_EQ(session.counters().steps, run.mission.records.size());
+
+    // A packet far ahead of the stream resyncs once; what follows it is
+    // history.
+    stream = in_order;
+    FleetPacket far = stream[stream.size() / 2];
+    far.packet.iteration += kMaxCatchUpFrames + 1000;
+    stream.insert(stream.begin() + static_cast<std::ptrdiff_t>(
+                                       stream.size() / 2),
+                  far);
+    DetectorSession resynced(run.spec);
+    for (const FleetPacket& p : stream) {
+      ASSERT_NO_THROW(resynced.ingest(p));
+    }
+    ASSERT_NO_THROW(resynced.flush());
+    EXPECT_EQ(resynced.counters().resyncs, 1u);
+    EXPECT_GT(resynced.counters().late_packets, 0u);
+  }
+}
+
 }  // namespace
 }  // namespace roboads::fleet
