@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/parse.h"
-#include "eval/batch.h"
 #include "eval/khepera.h"
 #include "eval/mission.h"
 #include "eval/scoring.h"
@@ -24,10 +23,6 @@ namespace roboads::bench {
 
 // The one flag parser shared by every bench binary. Flags:
 //
-//   --threads=N      batched-sweep concurrency (0 = hardware concurrency,
-//                    1 = serial). The printed numbers are identical for
-//                    every setting — the runner writes into per-job slots
-//                    and reduces serially — so the knob is pure wall-clock.
 //   --trace-out=P    enable the structured detector trace and write it to P
 //                    on exit (.csv → flattened iteration table, anything
 //                    else → JSONL; docs/OBSERVABILITY.md).
@@ -37,16 +32,15 @@ namespace roboads::bench {
 //   --record-out=P   enable the flight recorder and write any postmortem
 //                    bundles frozen during the run as JSONL files named
 //                    P + <bundle_filename> ("-" = record in memory only;
-//                    set P to "dir/" or "dir/prefix-"). Batched sweeps give
-//                    every job its own recorder; single missions share the
-//                    run's Observability recorder.
+//                    set P to "dir/" or "dir/prefix-"). Every mission of
+//                    the run records through the one Observability
+//                    recorder, and its bundles are numbered across the run.
 //   --record-window=N  flight-recorder ring capacity (default 256); implies
 //                    recording just like --record-out.
 //
 // Malformed values and unknown flags are hard errors: a bench silently
-// running serial because "--threads=abc" parsed as 0 wastes a sweep.
+// dropping a misspelled flag wastes a sweep.
 struct BenchArgs {
-  sim::WorkflowConfig workflow;
   obs::ObsConfig obs;
 };
 
@@ -54,7 +48,7 @@ struct BenchArgs {
                                            const std::string& message) {
   std::fprintf(stderr, "%s: %s\n", argv0, message.c_str());
   std::fprintf(stderr,
-               "usage: %s [--threads=N] [--trace-out=PATH] "
+               "usage: %s [--trace-out=PATH] "
                "[--metrics-out=PATH|-] [--record-out=PREFIX|-] "
                "[--record-window=N]\n",
                argv0);
@@ -65,15 +59,7 @@ inline BenchArgs parse_bench_args(int argc, char** argv) {
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strncmp(arg, "--threads=", 10) == 0) {
-      const auto parsed = common::parse_u64(arg + 10);
-      if (!parsed) {
-        bench_usage_error(argv[0], std::string("--threads expects a ") +
-                                       "non-negative integer, got \"" +
-                                       (arg + 10) + "\"");
-      }
-      args.workflow.num_threads = static_cast<std::size_t>(*parsed);
-    } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {
+    if (std::strncmp(arg, "--trace-out=", 12) == 0) {
       const std::string path = arg + 12;
       if (path.empty()) {
         bench_usage_error(argv[0], "--trace-out expects a path");
@@ -115,31 +101,18 @@ inline BenchArgs parse_bench_args(int argc, char** argv) {
   return args;
 }
 
-// Owns the run's observability (if any flags enabled it), threads the
-// handles into the workflow config, and writes artifacts + prints the
-// summary report at scope exit.
+// Owns the run's observability (if any flags enabled it), hands out its
+// instruments, and writes artifacts + prints the summary report at the end.
 class BenchObservation {
  public:
   explicit BenchObservation(BenchArgs args) : args_(std::move(args)) {
     if (args_.obs.enabled()) {
       bundle_ = std::make_unique<obs::Observability>(args_.obs);
-      args_.workflow.instruments = bundle_->instruments();
-    }
-    if (args_.obs.record) {
-      // Batched sweeps build one private recorder per job from this config
-      // (the shared handle in `instruments` is never inherited across
-      // jobs); single missions record through the Observability instance's
-      // own recorder via instruments().
-      args_.workflow.recorder.enabled = true;
-      args_.workflow.recorder.window = args_.obs.record_window;
-      args_.workflow.record_out = args_.obs.record_out;
     }
   }
 
-  // Workflow config with instruments attached; pass to run_mission_batch.
-  const sim::WorkflowConfig& workflow() const { return args_.workflow; }
   obs::Instruments instruments() const {
-    return args_.workflow.instruments;
+    return bundle_ != nullptr ? bundle_->instruments() : obs::Instruments{};
   }
 
   // Writes the configured artifacts and prints the report. Call last.
@@ -189,6 +162,22 @@ inline std::string fmt_delay(const std::optional<double>& d) {
   return buf;
 }
 
+// A bench mission's config: `iterations` at `seed`, observed through
+// `instruments` under the label "<scenario>/s<seed>".
+inline eval::MissionConfig bench_mission(const attacks::Scenario& scenario,
+                                         std::uint64_t seed,
+                                         std::size_t iterations,
+                                         obs::Instruments instruments) {
+  eval::MissionConfig cfg;
+  cfg.iterations = iterations;
+  cfg.seed = seed;
+  cfg.instruments = instruments;
+  if (instruments.enabled()) {
+    cfg.obs_label = scenario.name() + "/s" + std::to_string(seed);
+  }
+  return cfg;
+}
+
 // One scenario mission + score at the platform's default detector config.
 struct ScenarioRun {
   std::string name;
@@ -201,13 +190,8 @@ inline ScenarioRun run_and_score(const eval::Platform& platform,
                                  std::uint64_t seed,
                                  std::size_t iterations = 250,
                                  obs::Instruments instruments = {}) {
-  eval::MissionConfig cfg;
-  cfg.iterations = iterations;
-  cfg.seed = seed;
-  cfg.instruments = instruments;
-  if (instruments.enabled()) {
-    cfg.obs_label = scenario.name() + "/s" + std::to_string(seed);
-  }
+  const eval::MissionConfig cfg =
+      bench_mission(scenario, seed, iterations, instruments);
   ScenarioRun run;
   run.name = scenario.name();
   run.result = eval::run_mission(platform, scenario, cfg);

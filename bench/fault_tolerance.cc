@@ -3,9 +3,9 @@
 // sensor — are injected at increasing rates into a slice of the Table II
 // scenario battery, and the detector's precision / recall / time-to-alarm
 // are tabulated against the fault-free baseline. A second section
-// demonstrates failure containment: a batch with a deliberately broken job
-// finishes the healthy missions and reports the failure as a structured
-// (scenario, seed, step) record instead of crashing the sweep.
+// demonstrates failure containment: a sweep with a deliberately broken
+// mission finishes the healthy missions and reports the failure as a
+// structured (name, seed, step) record instead of crashing the sweep.
 #include "bench/bench_util.h"
 
 namespace roboads::bench {
@@ -28,7 +28,7 @@ struct SweepRow {
 };
 
 SweepRow run_sweep_point(const eval::KheperaPlatform& platform,
-                         const sim::WorkflowConfig& workflow_config,
+                         obs::Instruments instruments,
                          const std::string& fault, double rate) {
   // The faulted sensor is the IPS — a testing sensor in most Table III
   // modes, so outages directly exercise degraded-mode attribution.
@@ -36,29 +36,23 @@ SweepRow run_sweep_point(const eval::KheperaPlatform& platform,
   if (fault == "drop") spec.drop_rate = rate;
   if (fault == "stale") spec.stale_rate = rate;
 
-  std::vector<eval::MissionJob> jobs;
+  std::vector<std::pair<attacks::Scenario, std::uint64_t>> missions;
   for (std::size_t n : kAttackScenarios) {
-    eval::MissionJob job = eval::make_mission_job(
-        [&platform, n] {
-          return scenario::compile_spec(scenario::khepera_table2_spec(n),
-                                        platform);
-        },
-        3000 + n, kIterations);
-    job.config.transport_faults = sim::TransportFaultConfig::single(spec);
-    jobs.push_back(std::move(job));
+    missions.emplace_back(
+        scenario::compile_spec(scenario::khepera_table2_spec(n), platform),
+        3000 + n);
   }
-  eval::MissionJob clean = eval::make_mission_job(
-      [&platform] { return platform.clean_scenario(); }, 3999, kIterations);
-  clean.config.transport_faults = sim::TransportFaultConfig::single(spec);
-  jobs.push_back(std::move(clean));
-
-  const std::vector<eval::MissionJobResult> runs =
-      eval::run_mission_batch(platform, jobs, workflow_config);
+  missions.emplace_back(platform.clean_scenario(), 3999);
 
   SweepRow row;
   row.fault = fault;
   row.rate = rate;
-  for (const eval::MissionJobResult& run : runs) {
+  for (const auto& [scenario, seed] : missions) {
+    eval::MissionConfig config =
+        bench_mission(scenario, seed, kIterations, instruments);
+    config.transport_faults = sim::TransportFaultConfig::single(spec);
+    const eval::ContainedRun run =
+        eval::run_contained(platform, scenario, config);
     if (run.failed()) {
       ++row.failures;
       continue;
@@ -80,7 +74,7 @@ SweepRow run_sweep_point(const eval::KheperaPlatform& platform,
 }
 
 void print_sweep(const eval::KheperaPlatform& platform,
-                 const sim::WorkflowConfig& workflow_config) {
+                 obs::Instruments instruments) {
   print_header(
       "Detection quality under benign transport faults (Khepera, IPS)",
       "RoboADS (DSN'18) Table II scenarios under the docs/ROBUSTNESS.md "
@@ -98,8 +92,7 @@ void print_sweep(const eval::KheperaPlatform& platform,
   for (const char* fault : {"drop", "stale"}) {
     for (double rate : rates) {
       if (rate == 0.0 && std::string(fault) != "drop") continue;  // one baseline
-      const SweepRow row =
-          run_sweep_point(platform, workflow_config, fault, rate);
+      const SweepRow row = run_sweep_point(platform, instruments, fault, rate);
       std::optional<double> delay;
       if (!row.alarm_delays.empty()) delay = stats::mean(row.alarm_delays);
       std::printf("%-8s %-8s %-12zu %-11s %-11s %-14s %-10s %s\n",
@@ -115,47 +108,44 @@ void print_sweep(const eval::KheperaPlatform& platform,
 }
 
 void print_containment(const eval::KheperaPlatform& platform,
-                       const sim::WorkflowConfig& workflow_config) {
+                       obs::Instruments instruments) {
   print_header("Failure containment — broken jobs become records, not crashes",
                "docs/ROBUSTNESS.md §containment");
 
-  std::vector<eval::MissionJob> jobs;
-  eval::MissionJob bad = eval::make_mission_job(
-      [&platform] { return platform.clean_scenario(); }, 70, 50);
-  core::RoboAdsConfig bad_cfg = platform.detector_config();
-  bad_cfg.engine.likelihood_floor = 0.9;  // > 1/M: rejected at detector setup
-  bad.config.detector_override = bad_cfg;
-  bad.name = "deliberately-broken-detector";
-  jobs.push_back(std::move(bad));
-  for (std::size_t n : {std::size_t{1}, std::size_t{3}}) {
-    jobs.push_back(eval::make_mission_job(
-        [&platform, n] {
-          return scenario::compile_spec(scenario::khepera_table2_spec(n),
-                                        platform);
-        },
-        70 + n, 100));
-  }
-
-  const std::vector<eval::MissionJobResult> runs =
-      eval::run_mission_batch(platform, jobs, workflow_config);
-  for (const eval::MissionJobResult& run : runs) {
+  const auto fly = [&platform](const std::string& name,
+                               const attacks::Scenario& scenario,
+                               const eval::MissionConfig& config) {
+    const eval::ContainedRun run =
+        eval::run_contained(platform, scenario, config);
     if (run.failed()) {
-      const eval::MissionFailure& f = *run.failure;
-      std::printf("  FAILED   %-38s seed=%llu step=%zu: %s\n", f.name.c_str(),
-                  static_cast<unsigned long long>(f.seed), f.step,
-                  f.what.c_str());
+      std::printf("  FAILED   %-38s seed=%llu step=%zu: %s\n", name.c_str(),
+                  static_cast<unsigned long long>(config.seed),
+                  run.failure->step, run.failure->what.c_str());
     } else {
-      std::printf("  ok       %-38s %zu records, goal %s\n", run.name.c_str(),
+      std::printf("  ok       %-38s %zu records, goal %s\n", name.c_str(),
                   run.result.records.size(),
                   run.result.goal_reached ? "reached" : "-");
     }
+  };
+
+  const attacks::Scenario clean = platform.clean_scenario();
+  eval::MissionConfig bad = bench_mission(clean, 70, 50, instruments);
+  core::RoboAdsConfig bad_cfg = platform.detector_config();
+  bad_cfg.engine.likelihood_floor = 0.9;  // > 1/M: rejected at detector setup
+  bad.detector_override = bad_cfg;
+  fly("deliberately-broken-detector", clean, bad);
+  for (std::size_t n : {std::size_t{1}, std::size_t{3}}) {
+    const attacks::Scenario scenario =
+        scenario::compile_spec(scenario::khepera_table2_spec(n), platform);
+    fly(scenario.name(), scenario,
+        bench_mission(scenario, 70 + n, 100, instruments));
   }
 }
 
-int run(const sim::WorkflowConfig& workflow_config) {
+int run(obs::Instruments instruments) {
   eval::KheperaPlatform platform;
-  print_sweep(platform, workflow_config);
-  print_containment(platform, workflow_config);
+  print_sweep(platform, instruments);
+  print_containment(platform, instruments);
   return 0;
 }
 
@@ -165,7 +155,7 @@ int run(const sim::WorkflowConfig& workflow_config) {
 int main(int argc, char** argv) {
   roboads::bench::BenchObservation watch(
       roboads::bench::parse_bench_args(argc, argv));
-  const int rc = roboads::bench::run(watch.workflow());
+  const int rc = roboads::bench::run(watch.instruments());
   watch.finish();
   return rc;
 }

@@ -22,7 +22,6 @@
 #include "core/roboads.h"
 #include "dynamics/bicycle.h"
 #include "dynamics/diff_drive.h"
-#include "eval/batch.h"
 #include "eval/khepera.h"
 #include "eval/mission.h"
 #include "eval/tamiya.h"
@@ -161,29 +160,6 @@ void BM_EngineStepCompleteModeSet(benchmark::State& state) {
       static_cast<double>(engine.modes().size());
 }
 BENCHMARK(BM_EngineStepCompleteModeSet);
-
-// Batched (scenario, seed) mission throughput: eight independent 60-
-// iteration Khepera missions per batch, Arg = WorkflowConfig::num_threads.
-void BM_MissionBatchKhepera(benchmark::State& state) {
-  eval::KheperaPlatform platform;
-  sim::WorkflowConfig workflow_cfg;
-  workflow_cfg.num_threads = static_cast<std::size_t>(state.range(0));
-  std::vector<eval::MissionJob> jobs;
-  for (std::size_t i = 0; i < 8; ++i) {
-    jobs.push_back(eval::make_mission_job(
-        [&platform, i] {
-          return scenario::compile_spec(
-              scenario::khepera_table2_spec(i % 11 + 1), platform);
-        },
-        100 + i, 60));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        eval::run_mission_batch(platform, jobs, workflow_cfg));
-  }
-  state.counters["missions"] = static_cast<double>(jobs.size());
-}
-BENCHMARK(BM_MissionBatchKhepera)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 void BM_FullDetectorStepKhepera(benchmark::State& state) {
   KheperaFixture f;

@@ -12,12 +12,11 @@
 
 #include "bench/bench_util.h"
 #include "scenario/frontier.h"
-#include "sim/workflow.h"
 
 namespace roboads::bench {
 namespace {
 
-int run(const sim::WorkflowConfig& workflow, const std::string& out_path) {
+int run(const std::string& out_path) {
   print_header("stealth-frontier map — undetected→caught boundary per "
                "attack class",
                "RoboADS (DSN'18) §V-H, generalized");
@@ -29,13 +28,10 @@ int run(const sim::WorkflowConfig& workflow, const std::string& out_path) {
     }
   }
 
-  // Axes are independent missions-of-missions: bisect them concurrently,
-  // results land in index-owned slots (identical for any thread count).
-  std::vector<scenario::FrontierResult> results(axes.size());
-  sim::ScenarioBatchRunner runner(workflow);
-  runner.run(axes.size(), [&](std::size_t i) {
-    results[i] = scenario::map_frontier(axes[i]);
-  });
+  std::vector<scenario::FrontierResult> results;
+  for (const scenario::FrontierAxis& axis : axes) {
+    results.push_back(scenario::map_frontier(axis));
+  }
 
   std::printf("\n%-9s %-18s %-7s %-9s %14s %14s  %-22s %s\n", "platform",
               "axis", "class", "channel", "undetected<=", "caught>=",
@@ -91,7 +87,7 @@ int main(int argc, char** argv) {
   }
   roboads::bench::BenchObservation watch(roboads::bench::parse_bench_args(
       static_cast<int>(rest.size()), rest.data()));
-  const int rc = roboads::bench::run(watch.workflow(), out_path);
+  const int rc = roboads::bench::run(out_path);
   watch.finish();
   return rc;
 }

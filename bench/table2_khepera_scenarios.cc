@@ -20,7 +20,7 @@ void print_table3() {
       "  A0: no actuator misbehavior        A1: actuator misbehavior\n");
 }
 
-int run(const sim::WorkflowConfig& workflow_config) {
+int run(obs::Instruments instruments) {
   print_table3();
   print_header(
       "Table II — Khepera attack/failure scenarios and detection results",
@@ -28,25 +28,15 @@ int run(const sim::WorkflowConfig& workflow_config) {
 
   eval::KheperaPlatform platform;
 
-  // All thirteen missions — the eleven Table II scenarios plus the two
-  // §V-C anomaly-quantification runs — are independent (scenario, seed)
-  // tasks; one batch executes them concurrently and hands the results back
-  // in job order for the serial printing below.
-  // Stateful injectors: every job compiles its own copy of scenario #n.
+  // Thirteen missions, flown one after another: the eleven Table II
+  // scenarios, then the two §V-C anomaly-quantification runs.
   const auto table2 = [&platform](std::size_t n) {
-    return [&platform, n] {
-      return scenario::compile_spec(scenario::khepera_table2_spec(n),
-                                    platform);
-    };
+    return scenario::compile_spec(scenario::khepera_table2_spec(n), platform);
   };
-  std::vector<eval::MissionJob> jobs;
-  for (std::size_t n = 1; n <= 11; ++n) {
-    jobs.push_back(eval::make_mission_job(table2(n), 1000 + n));
-  }
-  jobs.push_back(eval::make_mission_job(table2(3), 42));
-  jobs.push_back(eval::make_mission_job(table2(1), 43));
-  const std::vector<eval::MissionJobResult> runs =
-      eval::run_mission_batch(platform, jobs, workflow_config);
+  const auto fly = [&](const attacks::Scenario& scenario, std::uint64_t seed) {
+    return eval::run_contained(platform, scenario,
+                               bench_mission(scenario, seed, 250, instruments));
+  };
 
   std::printf("%-42s %-22s %-12s %-10s %-22s %-22s\n", "scenario",
               "detection result", "delay", "goal", "A: FPR/FNR",
@@ -58,7 +48,8 @@ int run(const sim::WorkflowConfig& workflow_config) {
   bool all_detected = true;
 
   for (std::size_t n = 1; n <= 11; ++n) {
-    const eval::MissionJobResult& run = runs[n - 1];
+    const attacks::Scenario scenario = table2(n);
+    const eval::ContainedRun run = fly(scenario, 1000 + n);
     const eval::ScenarioScore& s = run.score;
 
     std::string delays;
@@ -85,7 +76,7 @@ int run(const sim::WorkflowConfig& workflow_config) {
                                                    s.sensor_condition_sequence);
 
     std::printf("%-42s %-22s %-12s %-10s %-22s %-22s\n",
-                run.name.substr(0, 41).c_str(), detection.c_str(),
+                scenario.name().substr(0, 41).c_str(), detection.c_str(),
                 delays.c_str(), run.result.goal_reached ? "reached" : "-",
                 (fmt_rate(s.actuator.false_positive_rate()) + "/" +
                  fmt_rate(s.actuator.false_negative_rate()))
@@ -113,13 +104,12 @@ int run(const sim::WorkflowConfig& workflow_config) {
       all_detected ? "yes" : "NO");
 
   // Anomaly quantification on scenario #3 (§V-C: IPS bomb +0.07 m estimated
-  // as +0.069 m, ~2% normalized error) and scenario #1 (wheel bomb),
-  // computed from the two extra batch jobs.
+  // as +0.069 m, ~2% normalized error) and scenario #1 (wheel bomb).
   {
-    const eval::MissionJobResult& run3 = runs[11];
+    const eval::ContainedRun run3 = fly(table2(3), 42);
     const double err_s = eval::sensor_quantification_error(
         run3.result, eval::KheperaPlatform::kIps, Vector{0.07, 0.0, 0.0}, 90);
-    const eval::MissionJobResult& run1 = runs[12];
+    const eval::ContainedRun run1 = fly(table2(1), 43);
     const double bomb = dyn::khepera_units_to_mps(6000.0);
     const double err_a = eval::actuator_quantification_error(
         run1.result, Vector{-bomb, bomb}, 90);
@@ -137,7 +127,7 @@ int run(const sim::WorkflowConfig& workflow_config) {
 int main(int argc, char** argv) {
   roboads::bench::BenchObservation watch(
       roboads::bench::parse_bench_args(argc, argv));
-  const int rc = roboads::bench::run(watch.workflow());
+  const int rc = roboads::bench::run(watch.instruments());
   watch.finish();
   return rc;
 }

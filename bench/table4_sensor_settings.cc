@@ -58,7 +58,7 @@ VarianceResult actuator_variance(const eval::KheperaPlatform& platform,
   return out;
 }
 
-int run(const sim::WorkflowConfig& workflow_config) {
+int run() {
   print_header(
       "Table IV — actuator anomaly vector variance vs sensor settings",
       "RoboADS (DSN'18) Table IV / §V-E");
@@ -89,13 +89,11 @@ int run(const sim::WorkflowConfig& workflow_config) {
   std::printf("%s\n", std::string(92, '-').c_str());
 
   // The four reference settings replay the same recorded mission through
-  // independent single-mode NUISE filters — read-only shared inputs, one
-  // result slot per row, so the sweep fans out on the batch runner.
-  std::vector<VarianceResult> results(rows.size());
-  sim::ScenarioBatchRunner runner(workflow_config);
-  runner.run(rows.size(), [&](std::size_t i) {
-    results[i] = actuator_variance(platform, mission, rows[i].reference);
-  });
+  // independent single-mode NUISE filters.
+  std::vector<VarianceResult> results;
+  for (const Row& row : rows) {
+    results.push_back(actuator_variance(platform, mission, row.reference));
+  }
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const VarianceResult& v = results[i];
     std::printf("%-16s %18.2f %18.2f %18.2f %18.2f\n", rows[i].label,
@@ -126,7 +124,7 @@ int run(const sim::WorkflowConfig& workflow_config) {
 int main(int argc, char** argv) {
   roboads::bench::BenchObservation watch(
       roboads::bench::parse_bench_args(argc, argv));
-  const int rc = roboads::bench::run(watch.workflow());
+  const int rc = roboads::bench::run();
   watch.finish();
   return rc;
 }

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: build + ctest once normally, then once under
-# ThreadSanitizer (RoboADS_SANITIZE=thread) so data races in the batched
-# scenario runner, the fleet service and the striped metrics registry fail
-# the pipeline, once under AddressSanitizer
+# ThreadSanitizer (RoboADS_SANITIZE=thread) so data races in the fleet
+# service (its shard pump and concurrent producers) and the striped metrics
+# registry fail the pipeline, once under AddressSanitizer
 # (RoboADS_SANITIZE=address) for out-of-bounds and use-after-free bugs — the
 # planner's grid cell arithmetic among them — and once under
 # UndefinedBehaviorSanitizer (RoboADS_SANITIZE=undefined) to catch UB in the
@@ -13,8 +13,10 @@
 # must render
 # (docs/OBSERVABILITY.md), plus the forensics smoke: a recorder-on attack
 # run that must freeze postmortem bundles, replay bit-identically through
-# `roboads_explain --verify`, and reproduce the live alarm timeline, and the
-# obs-overhead gate keeping disabled hooks *and* recorder-on under 2%.
+# `roboads_explain --verify`, and reproduce the live alarm timeline, and a
+# recorded sweep whose every bundle must land in its own file and replay;
+# and the obs-overhead gate keeping disabled hooks *and* recorder-on under
+# 2%.
 # Usage:
 #
 #   ./ci.sh            # all passes
@@ -90,7 +92,10 @@ run_obs_smoke() {
 # bundles"): a recorder-on scenario-8 run writes postmortem bundles plus the
 # live per-iteration alarm CSV; `roboads_explain --verify` must replay the
 # first bundle bit-identically (exit 0) and its replayed alarms must match
-# the live ones line for line.
+# the live ones line for line. Then a recorded sweep (bench/fault_tolerance,
+# 98 bundles at its seeds): one Observability numbers the bundles of all its
+# missions, so the `bundle:` lines it prints must equal the files it wrote,
+# and every file must replay.
 run_forensics_smoke() {
   local dir="$1"
   local out="$dir/forensics"
@@ -102,6 +107,20 @@ run_forensics_smoke() {
     --alarms-out="$out/replayed_alarms.csv" "$bundle"
   diff "$out/fr-.alarms.csv" "$out/replayed_alarms.csv"
   echo "forensics smoke: replay verified and alarm timelines match"
+
+  "$dir/bench/fault_tolerance" --record-out="$out/ft-" > "$out/ft.txt"
+  local printed files
+  printed="$(grep -c '^bundle:' "$out/ft.txt")"
+  files="$(find "$out" -name 'ft-*.jsonl' | wc -l)"
+  if [ "$files" -eq 0 ] || [ "$printed" -ne "$files" ]; then
+    echo "forensics smoke: fault_tolerance printed $printed bundle(s)" \
+      "but wrote $files file(s)" >&2
+    exit 1
+  fi
+  for bundle in "$out"/ft-*.jsonl; do
+    "$dir/tools/roboads_explain" --verify "$bundle" > /dev/null
+  done
+  echo "forensics smoke: $files sweep bundles, one file each, all replay"
 }
 
 # Observability overhead gate: disabled hooks, the always-on flight

@@ -1,12 +1,9 @@
 // Fixed-size worker pool for deterministic fork/join parallelism.
 //
-// The pool exposes exactly one primitive — parallel_for — because every
-// concurrent structure in this library reduces to it: the multi-mode engine
-// fans one NUISE step per mode (core/engine.cc), and the batched scenario
-// runner fans one mission per (scenario, seed) task (sim/workflow.h,
-// eval/batch.h). Both write results into pre-allocated, index-addressed
-// slots and reduce serially after the join, so outputs are bit-identical
-// for any worker count (docs/CONCURRENCY.md).
+// The pool exposes exactly one primitive — parallel_for. Its user is the
+// fleet service's pump (fleet/service.h), which fans one pass across the
+// detector shards; every shard writes only the sessions it owns, so outputs
+// are bit-identical for any worker count (docs/CONCURRENCY.md).
 //
 // A pool of size n owns n−1 worker threads; the thread calling parallel_for
 // participates as the n-th worker. Size 1 therefore spawns no threads at

@@ -49,8 +49,8 @@ struct EngineConfig {
   // "health_transition" and "containment_floor" events. Observation never
   // feeds back into estimation.
   obs::Instruments instruments;
-  // Mission/job label stamped onto emitted trace events so batched sweeps
-  // sharing one sink stay attributable.
+  // Mission label stamped onto emitted trace events so the missions of a
+  // sweep sharing one sink stay attributable.
   std::string obs_label;
 };
 

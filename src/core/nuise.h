@@ -36,7 +36,7 @@ namespace roboads::core {
 // estimator keeps no timers of its own, so one estimator shared by many
 // engines (core/bank.h) records only into the stepping engine's registry.
 // Histograms are lock-free, so detectors stepping on different threads
-// (batched missions, fleet shards) record concurrently.
+// (fleet shards) record concurrently.
 struct NuiseStageTimers {
   obs::Histogram* input_estimation = nullptr;  // Step 1: d̂ᵃ estimation
   obs::Histogram* predict = nullptr;           // Step 2: compensated predict

@@ -56,8 +56,8 @@ MissionResult run_mission(const Platform& platform,
 
   // Flight recorder: open this mission's timeline with full provenance so
   // any bundle frozen later is self-describing — eval/replay.h rebuilds the
-  // detector from these fields alone. The recorder is per-mission state;
-  // batch sweeps hand each job its own instance (eval/batch.cc).
+  // detector from these fields alone. Missions flown one after another may
+  // share a recorder; each begin_mission opens a new timeline.
   obs::FlightRecorder* const recorder = config.instruments.recorder;
   if (recorder != nullptr) {
     obs::BundleProvenance prov;

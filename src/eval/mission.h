@@ -39,18 +39,18 @@ struct MissionConfig {
   // they are threaded into the detector (engine step/stage timers, trace
   // events) and the mission loop itself ("mission_start"/"mission_end"
   // events, per-iteration latency, transport-fault tallies). Overrides
-  // whatever `detector_override` carries, so batch sweeps can attach one
-  // shared sink across platform-default configs.
+  // whatever `detector_override` carries, so a sweep can attach one shared
+  // sink across platform-default configs.
   obs::Instruments instruments;
-  // Label stamped on this mission's trace events; batch runners set it to
-  // "<scenario>/s<seed>" so interleaved missions stay attributable.
+  // Label stamped on this mission's trace events and flight-recorder
+  // bundles; sweeps set it to "<scenario>/s<seed>" (shard jobs prefix the
+  // job id) so the missions sharing a sink stay attributable.
   std::string obs_label;
 };
 
 // Thrown when a mission aborts mid-run: carries the 1-based control
-// iteration at which the underlying error fired, so batch sweeps can report
-// (scenario, seed, step) without losing the cause. Step 0 means the failure
-// happened during mission setup rather than inside the loop.
+// iteration at which the underlying error fired, so eval::run_contained can
+// report the step without losing the cause.
 class MissionError : public std::runtime_error {
  public:
   MissionError(std::size_t step_index, const std::string& cause)

@@ -126,6 +126,27 @@ ScenarioScore score_mission(const MissionResult& result,
   return score;
 }
 
+ContainedRun run_contained(const Platform& platform,
+                           const attacks::Scenario& scenario,
+                           const MissionConfig& config) {
+  ContainedRun run;
+  try {
+    run.result = run_mission(platform, scenario, config);
+    run.score = score_mission(run.result, platform);
+  } catch (const MissionError& e) {
+    run.failure = MissionFailure{e.step(), e.what()};
+  } catch (const std::exception& e) {
+    run.failure = MissionFailure{0, e.what()};
+  }
+  if (run.failed() && run.failure->step > 0 &&
+      config.instruments.recorder != nullptr) {
+    config.instruments.recorder->trigger(
+        obs::BundleTrigger::kMissionFailure,
+        static_cast<std::int64_t>(run.failure->step), run.failure->what);
+  }
+  return run;
+}
+
 double sensor_quantification_error(const MissionResult& result,
                                    std::size_t sensor_index,
                                    const Vector& true_anomaly,

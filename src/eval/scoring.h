@@ -48,6 +48,33 @@ struct ScenarioScore {
 ScenarioScore score_mission(const MissionResult& result,
                             const Platform& platform);
 
+// A mission that aborted instead of finishing: the record a sweep reports
+// in place of a crash (docs/ROBUSTNESS.md §4).
+struct MissionFailure {
+  // 1-based control iteration at which the error fired; 0 = mission setup.
+  std::size_t step = 0;
+  std::string what;  // the underlying exception's message
+};
+
+// One mission flown and scored, or the failure that stopped it.
+struct ContainedRun {
+  MissionResult result;
+  ScenarioScore score;
+  // Set when the mission aborted; read `result` and `score` only when not.
+  std::optional<MissionFailure> failure;
+  bool failed() const { return failure.has_value(); }
+};
+
+// run_mission + score_mission, contained: the one mission runner behind
+// every sweep (the table benches, shard jobs). A MissionError becomes a
+// failure at its step and any other std::exception a failure at step 0;
+// neither escapes. A failure at k >= 1 also freezes a "mission_failure"
+// bundle of the mission's last window into config.instruments.recorder,
+// when set. A setup failure opened no timeline, so it freezes nothing.
+ContainedRun run_contained(const Platform& platform,
+                           const attacks::Scenario& scenario,
+                           const MissionConfig& config);
+
 // Normalized anomaly-quantification error (§V-C: "the normalized average
 // error of estimated sensor anomaly vector is 1.91%"): the error of the
 // *time-averaged* anomaly estimate against the injected truth,

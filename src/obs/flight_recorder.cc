@@ -152,6 +152,7 @@ void FlightRecorder::begin_mission(BundleProvenance provenance) {
   provenance_ = std::move(provenance);
   next_ = 0;
   count_ = 0;
+  mission_bundles_ = 0;
 }
 
 FlightRecord& FlightRecorder::begin_record() {
@@ -173,7 +174,10 @@ void FlightRecorder::annotate_truth(std::int64_t k,
   // Bundles triggered by iteration k were frozen inside the detector step,
   // before the mission runner could stamp this truth — patch their copy of
   // the trigger record so frozen incidents carry complete ground truth.
-  for (PostmortemBundle& b : bundles_) {
+  // Only this mission's bundles can be; earlier missions' are left alone.
+  for (std::size_t i = bundles_.size() - mission_bundles_; i < bundles_.size();
+       ++i) {
+    PostmortemBundle& b = bundles_[i];
     if (b.records.empty()) continue;
     FlightRecord& last = b.records.back();
     if (last.k != k || last.truth_valid) continue;
@@ -211,16 +215,18 @@ PostmortemBundle FlightRecorder::snapshot(BundleTrigger trigger,
 
 void FlightRecorder::trigger(BundleTrigger trigger, std::int64_t k,
                              const std::string& detail) {
-  if (bundles_.size() >= config_.max_bundles) {
+  if (mission_bundles_ >= config_.max_bundles) {
     ++bundles_dropped_;
     return;
   }
+  ++mission_bundles_;
   bundles_.push_back(snapshot(trigger, k, detail));
 }
 
 std::vector<PostmortemBundle> FlightRecorder::take_bundles() {
   std::vector<PostmortemBundle> out = std::move(bundles_);
   bundles_.clear();
+  mission_bundles_ = 0;
   return out;
 }
 
@@ -272,6 +278,16 @@ PostmortemBundle read_bundle_file(const std::string& path) {
   std::ifstream file(path);
   ROBOADS_CHECK(file.good(), "cannot open bundle file '" + path + "'");
   return read_bundle(file);
+}
+
+std::vector<std::string> write_bundle_files(
+    const std::string& prefix, const std::vector<PostmortemBundle>& bundles) {
+  std::vector<std::string> paths;
+  for (std::size_t i = 0; i < bundles.size(); ++i) {
+    paths.push_back(prefix + bundle_filename(bundles[i], i));
+    write_bundle_file(paths.back(), bundles[i]);
+  }
+  return paths;
 }
 
 std::string bundle_filename(const PostmortemBundle& bundle,

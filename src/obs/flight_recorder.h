@@ -8,17 +8,18 @@
 // likelihoods, χ² statistics, d̂ˢ/d̂ᵃ estimates, health/availability masks,
 // plus a flat pre-step detector-state snapshot) that is cheap enough to run
 // always-on. When something goes wrong — the decision maker raises an alarm,
-// the health supervisor quarantines a mode, or a batch sweep records a
-// MissionFailure — the ring's last W iterations are frozen together with the
-// run's provenance into a versioned JSONL `PostmortemBundle` that the replay
-// harness (eval/replay.h, tools/roboads_explain) can re-run bit-identically.
+// the health supervisor quarantines a mode, or a mission aborts mid-run
+// (eval::run_contained) — the ring's last W iterations are frozen together
+// with the run's provenance into a versioned JSONL `PostmortemBundle` that the
+// replay harness (eval/replay.h, tools/roboads_explain) can re-run
+// bit-identically.
 //
 // Layering: this header, like the rest of src/obs, depends only on
 // roboads_common — every payload is a flat std::vector<double> /
 // std::vector<std::int64_t> / std::string, and core/ does the packing. The
-// recorder is per-mission state (the ring is a single timeline); batch
-// sweeps construct one recorder per job and must never share one across
-// concurrently running missions.
+// ring is a single timeline: missions flown one after another may share a
+// recorder (each begin_mission opens a new timeline), concurrently running
+// missions must not.
 #pragma once
 
 #include <cstddef>
@@ -33,9 +34,9 @@ struct FlightRecorderConfig {
   bool enabled = false;
   // Ring capacity W: a bundle snapshots at most the last `window` records.
   std::size_t window = 256;
-  // Upper bound on retained bundles per recorder, so a pathological alarm
-  // storm cannot grow memory without bound; further triggers are counted
-  // but dropped.
+  // Upper bound on bundles retained per mission (begin_mission restarts the
+  // count), so a pathological alarm storm cannot grow memory without bound;
+  // further triggers in that mission are counted but dropped.
   std::size_t max_bundles = 8;
 };
 
@@ -101,7 +102,7 @@ struct FlightRecord {
 // Everything the replay harness needs to reconstruct the run: which
 // platform/scenario/seed, and the detector knobs that shape estimation.
 struct BundleProvenance {
-  std::string label;        // mission/job label ("<scenario>/s<seed>/j<i>")
+  std::string label;        // mission label ("<scenario>/s<seed>")
   std::string platform;     // Platform::name() ("khepera", "tamiya")
   std::string scenario;
   std::string description;
@@ -154,8 +155,9 @@ class FlightRecorder {
 
   const FlightRecorderConfig& config() const { return config_; }
 
-  // Starts a new mission timeline: clears the ring (captured bundles are
-  // kept) and stamps the provenance onto every bundle triggered afterwards.
+  // Starts a new mission timeline: clears the ring, re-arms the per-mission
+  // max_bundles cap (captured bundles are kept) and stamps the provenance
+  // onto every bundle triggered afterwards.
   void begin_mission(BundleProvenance provenance);
 
   // Advances the ring and returns the slot for the next record. The slot's
@@ -195,6 +197,7 @@ class FlightRecorder {
   std::size_t next_ = 0;   // ring slot the next record goes into
   std::size_t count_ = 0;  // records held (saturates at window)
   std::vector<PostmortemBundle> bundles_;
+  std::size_t mission_bundles_ = 0;  // frozen since the last begin_mission
   std::size_t bundles_dropped_ = 0;
 };
 
@@ -210,6 +213,11 @@ PostmortemBundle read_bundle(std::istream& is);
 // File variants (flush + failbit checked; throw CheckError on I/O failure).
 void write_bundle_file(const std::string& path, const PostmortemBundle& b);
 PostmortemBundle read_bundle_file(const std::string& path);
+
+// Writes `bundles` one file each, named `prefix + bundle_filename(b, i)` for
+// the i-th bundle ("dir/" or "dir/prefix-"), and returns the paths in order.
+std::vector<std::string> write_bundle_files(
+    const std::string& prefix, const std::vector<PostmortemBundle>& bundles);
 
 // Deterministic bundle filename: "<sanitized-label>-b<ordinal>-<trigger>-
 // k<k>.jsonl" (path characters outside [A-Za-z0-9._-] become '_').

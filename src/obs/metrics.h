@@ -7,8 +7,8 @@
 //      handles and every instrumentation site guards on them, so an
 //      uninstrumented run never touches this file's code.
 //   2. The *enabled* hot path must be lock-free and contention-free enough
-//      to run on every concurrent worker (the batch runner's and the fleet
-//      shards' common::ThreadPool workers): counters and histograms stripe
+//      to run on every concurrent worker (the fleet shards'
+//      common::ThreadPool workers): counters and histograms stripe
 //      their cells across cache-line-padded atomic slots indexed by a
 //      per-thread id, so concurrent recorders land on distinct cache lines
 //      and the relaxed atomic add is the entire cost. Reads (report

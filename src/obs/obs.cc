@@ -68,13 +68,8 @@ void Observability::finish() {
                [&](std::ostream& os) { metrics_->write_jsonl(os); });
   }
   if (recorder_ != nullptr && !config_.record_out.empty()) {
-    const std::vector<PostmortemBundle>& bundles = recorder_->bundles();
-    for (std::size_t i = 0; i < bundles.size(); ++i) {
-      const std::string path =
-          config_.record_out + bundle_filename(bundles[i], i);
-      write_bundle_file(path, bundles[i]);
-      bundle_paths_.push_back(path);
-    }
+    bundle_paths_ =
+        write_bundle_files(config_.record_out, recorder_->bundles());
   }
 }
 

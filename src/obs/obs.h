@@ -7,8 +7,8 @@
 //     produces null Instruments and the instrumented code compiles down to
 //     pointer-null branches, leaving golden traces bit-identical.
 //   * Instruments — the non-owning handle bundle (metrics registry + trace
-//     sink pointers) threaded through EngineConfig / MissionConfig /
-//     WorkflowConfig. Copyable, cheap, null-safe.
+//     sink pointers) threaded through EngineConfig / MissionConfig.
+//     Copyable, cheap, null-safe.
 //   * Observability — the owner. Construct one per run (mission, bench,
 //     sweep), hand its instruments() to the configs, and call finish() at
 //     the end to write the configured JSONL/CSV artifacts. report() renders
@@ -54,9 +54,7 @@ struct ObsConfig {
 // as optional — no component ever requires observation to run.
 //
 // The recorder handle is *per-mission* state (a single ring timeline):
-// sequential missions may share one, concurrent missions must not — batch
-// runners construct one recorder per job (eval/batch.cc) and drop any
-// inherited shared handle.
+// sequential missions may share one, concurrent missions must not.
 struct Instruments {
   MetricsRegistry* metrics = nullptr;
   TraceSink* trace = nullptr;

@@ -1,7 +1,7 @@
 // End-of-run summary (`roboads_report`): renders a metrics registry as a
 // human-readable block — top timers by total time, the mode-selection
 // histogram, and fault/quarantine/alarm counters — printable from any
-// mission, bench, or batch sweep (docs/OBSERVABILITY.md).
+// mission, bench, or sweep (docs/OBSERVABILITY.md).
 #pragma once
 
 #include <string>

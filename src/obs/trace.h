@@ -14,9 +14,9 @@
 // Events are value types with an *ordered* field list, so the emitted key
 // order — and therefore the golden JSONL — is deterministic. Emission takes
 // a mutex: events originate in the serial sections of the engine/mission
-// loop, so the lock is uncontended in single-mission runs and merely
-// serializes interleaved missions in batched sweeps (each event carries its
-// mission label).
+// loop, so the lock is uncontended when missions fly one at a time and
+// merely serializes detectors that share a sink across threads (each event
+// carries its mission label).
 #pragma once
 
 #include <cstddef>
@@ -37,7 +37,7 @@ using TraceValue =
 
 struct TraceEvent {
   std::string type;    // "iteration", "health_transition", ...
-  std::string label;   // mission/job label; empty outside batch sweeps
+  std::string label;   // mission label (MissionConfig::obs_label)
   std::size_t k = 0;   // control iteration (0 for run-level events)
   std::vector<std::pair<std::string, TraceValue>> fields;
 

@@ -8,8 +8,8 @@
 
 #include <memory>
 
-#include "eval/batch.h"
 #include "eval/platform.h"
+#include "eval/scoring.h"
 #include "scenario/spec.h"
 #include "sim/faults.h"
 

@@ -2,7 +2,7 @@
 
 #include <filesystem>
 
-#include "eval/batch.h"
+#include "eval/scoring.h"
 #include "scenario/compile.h"
 #include "scenario/fuzz.h"
 #include "scenario/library.h"
@@ -21,8 +21,8 @@ scenario::ScenarioSpec resolve_spec(const ManifestJob& job) {
                       job.scenario + "\"");
 }
 
-JobOutcome execute_mission_job(const ManifestJob& job,
-                               const ExecConfig& config, JobOutcome out) {
+void execute_mission_job(const ManifestJob& job, const ExecConfig& config,
+                         JobOutcome& out) {
   scenario::ScenarioSpec spec = resolve_spec(job);
   if (job.iterations > 0) spec.iterations = job.iterations;
   out.name = spec.name;
@@ -30,43 +30,42 @@ JobOutcome execute_mission_job(const ManifestJob& job,
   const std::unique_ptr<eval::Platform> platform =
       scenario::make_platform(spec.platform);
 
-  eval::MissionJob mission;
-  mission.name = spec.name;
-  mission.make_scenario = [&spec, &platform] {
-    return scenario::compile_spec(spec, *platform);
-  };
-  mission.config.iterations = spec.iterations;
-  mission.config.seed = job.seed;
-  mission.config.transport_faults =
-      scenario::transport_faults_of(spec, *platform);
+  eval::MissionConfig mission;
+  mission.iterations = spec.iterations;
+  mission.seed = job.seed;
+  mission.transport_faults = scenario::transport_faults_of(spec, *platform);
+  mission.instruments = config.instruments;
   // The job id leads the observability label, so trace events and bundle
   // filenames are unique per manifest job and — crucially — identical no
   // matter which worker instance (original, retry, salvage, serial
   // reference) flies the job.
-  mission.config.obs_label = job.id + "/" + spec.name + "/s" +
-                             std::to_string(job.seed);
-
-  sim::WorkflowConfig workflow;
-  workflow.num_threads = 1;  // process-level parallelism only
-  workflow.instruments = config.instruments;
+  mission.obs_label = job.id + "/" + spec.name + "/s" +
+                      std::to_string(job.seed);
+  // Each job records into a private recorder, so its bundle ordinals count
+  // within the job; a recorder in the worker's instruments is never used.
+  std::optional<obs::FlightRecorder> recorder;
   if (config.record_bundles && !config.run_dir.empty()) {
-    workflow.recorder.enabled = true;
-    workflow.record_out = config.run_dir + "/bundles/";
+    recorder.emplace(obs::FlightRecorderConfig{.enabled = true});
     std::filesystem::create_directories(config.run_dir + "/bundles");
   }
+  mission.instruments.recorder = recorder ? &*recorder : nullptr;
 
-  const std::vector<eval::MissionJobResult> results =
-      eval::run_mission_batch(*platform, {mission}, workflow);
-  const eval::MissionJobResult& r = results.front();
-  for (const std::string& path : r.bundle_paths) {
-    // Run-dir-relative, so a run directory can be moved or merged remotely.
-    out.bundle_files.push_back(path.substr(config.run_dir.size() + 1));
+  const attacks::Scenario scenario = scenario::compile_spec(spec, *platform);
+  const eval::ContainedRun r =
+      eval::run_contained(*platform, scenario, mission);
+  if (recorder.has_value()) {
+    for (const std::string& path : obs::write_bundle_files(
+             config.run_dir + "/bundles/", recorder->bundles())) {
+      // Run-dir-relative, so a run directory can be moved or merged
+      // remotely.
+      out.bundle_files.push_back(path.substr(config.run_dir.size() + 1));
+    }
   }
   if (r.failed()) {
     out.status = "failed";
     out.failure = r.failure->what;
     out.failure_step = r.failure->step;
-    return out;
+    return;
   }
   out.status = "ok";
   out.sensor_tp = static_cast<std::int64_t>(r.score.sensor.true_positives);
@@ -90,11 +89,10 @@ JobOutcome execute_mission_job(const ManifestJob& job,
   }
   out.sensor_sequence = r.score.sensor_condition_sequence;
   out.actuator_sequence = r.score.actuator_condition_sequence;
-  return out;
 }
 
-JobOutcome execute_fuzz_job(const ManifestJob& job, const ExecConfig& config,
-                            JobOutcome out) {
+void execute_fuzz_job(const ManifestJob& job, const ExecConfig& config,
+                      JobOutcome& out) {
   scenario::FuzzConfig fuzz;
   fuzz.seed = job.fuzz_seed;
   fuzz.iterations = job.fuzz_iterations;
@@ -112,7 +110,7 @@ JobOutcome execute_fuzz_job(const ManifestJob& job, const ExecConfig& config,
       scenario::check_campaign(spec, config.instruments);
   if (!violation) {
     out.status = "ok";
-    return out;
+    return;
   }
   OutcomeFinding finding;
   finding.invariant = violation->invariant;
@@ -122,7 +120,6 @@ JobOutcome execute_fuzz_job(const ManifestJob& job, const ExecConfig& config,
       scenario::serialize(scenario::shrink_campaign(spec, *violation));
   out.findings.push_back(std::move(finding));
   out.status = "violation";
-  return out;
 }
 
 }  // namespace
@@ -134,12 +131,16 @@ JobOutcome execute_job(const ManifestJob& job, const ExecConfig& config) {
   out.name = job.scenario;
   try {
     if (job.kind == JobKind::kFuzz) {
-      return execute_fuzz_job(job, config, std::move(out));
+      execute_fuzz_job(job, config, out);
+    } else {
+      execute_mission_job(job, config, out);
     }
-    return execute_mission_job(job, config, std::move(out));
+    return out;
   } catch (const std::exception& e) {
-    // The inner batch already contains mission crashes; reaching here means
-    // setup failed (bad spec text, unknown scenario, unwritable bundles).
+    // eval::run_contained already contains mission crashes; reaching here
+    // means setup failed (bad spec text, unknown scenario, a spec the
+    // compiler rejects, unwritable bundles). The name is as far as the job
+    // got resolving it.
     JobOutcome failed;
     failed.id = job.id;
     failed.group = job.group;

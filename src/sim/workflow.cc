@@ -1,7 +1,5 @@
 #include "sim/workflow.h"
 
-#include "obs/timer.h"
-
 namespace roboads::sim {
 
 void SensingWorkflow::attach_output_injector(attacks::InjectorPtr injector) {
@@ -77,42 +75,6 @@ Vector LidarSensingWorkflow::sense(std::size_t k, const Vector& x_true,
     reading += output_noise_->sample(rng);
   }
   return apply_output_injectors(k, std::move(reading));
-}
-
-ScenarioBatchRunner::ScenarioBatchRunner(WorkflowConfig config)
-    : pool_(common::ThreadPool::resolve_thread_count(config.num_threads)) {
-  if (obs::MetricsRegistry* metrics = config.instruments.metrics) {
-    h_task_ = &metrics->histogram("batch.task_ns",
-                                  obs::default_latency_bounds_ns());
-    c_failures_ = &metrics->counter("batch.task_failures");
-  }
-}
-
-void ScenarioBatchRunner::run(std::size_t count,
-                              const std::function<void(std::size_t)>& task) {
-  pool_.parallel_for(count, [&](std::size_t i) {
-    const obs::ScopedTimer task_timer(h_task_);
-    task(i);
-  });
-}
-
-std::vector<TaskFailure> ScenarioBatchRunner::run_contained(
-    std::size_t count, const std::function<void(std::size_t)>& task) {
-  std::vector<std::optional<TaskFailure>> slots(count);
-  pool_.parallel_for(count, [&](std::size_t i) {
-    const obs::ScopedTimer task_timer(h_task_);
-    try {
-      task(i);
-    } catch (const std::exception& e) {
-      slots[i] = TaskFailure{i, e.what()};
-      if (c_failures_ != nullptr) c_failures_->increment();
-    }
-  });
-  std::vector<TaskFailure> failures;
-  for (std::optional<TaskFailure>& slot : slots) {
-    if (slot.has_value()) failures.push_back(std::move(*slot));
-  }
-  return failures;
 }
 
 void ActuationWorkflow::attach_injector(attacks::InjectorPtr injector) {

@@ -8,15 +8,12 @@
 // touches another.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "attacks/injector.h"
-#include "common/thread_pool.h"
-#include "obs/obs.h"
 #include "random/rng.h"
 #include "sensors/sensor_model.h"
 #include "sim/lidar.h"
@@ -98,70 +95,6 @@ class LidarSensingWorkflow final : public SensingWorkflow {
   Vector initial_pose_;
   Vector hint_pose_;  // the workflow's private track
   std::optional<GaussianSampler> output_noise_;
-};
-
-// Batched workflow execution.
-//
-// The evaluation sweeps behind Table II / Table IV run many missions that
-// share nothing mutable: each (scenario, seed) task owns its own workflows,
-// injectors, simulator, and Rng stream, so the batch is embarrassingly
-// parallel. WorkflowConfig sizes the pool; ScenarioBatchRunner distributes
-// index-addressed tasks over it. Tasks must write results only into their
-// own pre-allocated slot — with the reduction done serially afterwards the
-// batch output is identical for every thread count.
-struct WorkflowConfig {
-  // 0 = hardware concurrency, 1 = serial (no threads spawned), n = n-way.
-  std::size_t num_threads = 0;
-  // Observability handles (obs/obs.h; null = off). The runner records a
-  // per-task wall-time histogram and a contained-failure counter; batch
-  // callers additionally thread the handles into each mission's config.
-  // Any `recorder` handle here is never shared across jobs — the flight-
-  // recorder ring is a single mission timeline, so batch callers construct
-  // one private recorder per job from `recorder` below instead.
-  obs::Instruments instruments;
-  // Per-job flight recording (obs/flight_recorder.h): when enabled, every
-  // batch job runs with its own FlightRecorder of this configuration and
-  // the bundles it freezes land on the job's result slot.
-  obs::FlightRecorderConfig recorder;
-  // When non-empty, frozen bundles are additionally written as JSONL files
-  // named `record_out + bundle_filename(...)` after the batch joins (set it
-  // to "dir/" or "dir/prefix-").
-  std::string record_out;
-};
-
-// One contained task failure from ScenarioBatchRunner::run_contained.
-struct TaskFailure {
-  std::size_t index = 0;  // the failing task's index
-  std::string what;       // the caught exception's message
-};
-
-class ScenarioBatchRunner {
- public:
-  explicit ScenarioBatchRunner(WorkflowConfig config = {});
-
-  // Concurrency actually in use (num_threads = 0 resolved).
-  std::size_t worker_count() const { return pool_.size(); }
-
-  // Runs task(i) exactly once for each i in [0, count) across the pool and
-  // blocks until all are done. Rethrows the lowest failing task's
-  // exception. Each task must build its own Scenario (injectors are
-  // stateful and shared per Scenario instance — never share one across
-  // concurrent tasks) and seed its own Rng.
-  void run(std::size_t count, const std::function<void(std::size_t)>& task);
-
-  // Failure-contained variant for long sweeps: a task throwing a
-  // std::exception is recorded as a TaskFailure (index-ordered) and the
-  // remaining tasks keep running; only non-std exceptions still propagate
-  // through the pool's rethrow. Failures land in index-owned slots with a
-  // serial reduction after the join, so the returned list is identical for
-  // every worker count.
-  std::vector<TaskFailure> run_contained(
-      std::size_t count, const std::function<void(std::size_t)>& task);
-
- private:
-  common::ThreadPool pool_;
-  obs::Histogram* h_task_ = nullptr;      // batch.task_ns
-  obs::Counter* c_failures_ = nullptr;    // batch.task_failures
 };
 
 // The actuation workflow: planned commands in, executed commands out.

@@ -1,6 +1,6 @@
 // Fault-tolerant detection runtime: degraded-mode NUISE under sensor
 // availability masks, numerical health supervision / quarantine, and
-// failure containment in the batch runner (docs/ROBUSTNESS.md).
+// failure containment in the mission runner (docs/ROBUSTNESS.md).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,8 +11,8 @@
 #include "core/health.h"
 #include "core/roboads.h"
 #include "dynamics/diff_drive.h"
-#include "eval/batch.h"
 #include "eval/khepera.h"
+#include "eval/scoring.h"
 #include "matrix/decomp.h"
 #include "random/rng.h"
 #include "sensors/standard_sensors.h"
@@ -404,7 +404,7 @@ TEST(RoboAdsFacade, NonFiniteReadingIsAutoMaskedNotPoisonous) {
 }  // namespace
 }  // namespace roboads::core
 
-// --- Mission- and batch-level fault tolerance. ---
+// --- Mission-level fault tolerance and containment. ---
 
 namespace roboads::eval {
 namespace {
@@ -455,49 +455,34 @@ TEST(FaultTolerantMission, CleanMissionWithDropStaysMostlyQuiet) {
   EXPECT_LT(score.actuator.false_positive_rate(), 0.10);
 }
 
-TEST(MissionBatch, FailingJobBecomesMissionFailureNotACrash) {
+TEST(ContainedRun, SetupFailureBecomesARecordNotACrash) {
   KheperaPlatform platform;
-  std::vector<MissionJob> jobs;
+  // Recording on: a setup failure opened no mission timeline, so it must
+  // not freeze a bundle (there is nothing of this mission to replay).
+  obs::FlightRecorder recorder(obs::FlightRecorderConfig{true, 16, 4});
 
-  MissionJob bad =
-      make_mission_job([&] { return platform.clean_scenario(); }, 11, 50);
+  MissionConfig bad;
+  bad.iterations = 50;
+  bad.seed = 11;
+  bad.instruments.recorder = &recorder;
   core::RoboAdsConfig bad_cfg = platform.detector_config();
   bad_cfg.engine.likelihood_floor = 0.9;  // > 1/M: rejected at setup
-  bad.config.detector_override = bad_cfg;
-  bad.name = "deliberately-broken";
-  jobs.push_back(std::move(bad));
+  bad.detector_override = bad_cfg;
+  const ContainedRun failed =
+      run_contained(platform, platform.clean_scenario(), bad);
+  ASSERT_TRUE(failed.failed());
+  EXPECT_EQ(failed.failure->step, 0u);  // setup, not mid-mission
+  EXPECT_NE(failed.failure->what.find("likelihood floor"), std::string::npos);
+  EXPECT_TRUE(recorder.bundles().empty());
 
-  MissionJob good =
-      make_mission_job([&] { return platform.clean_scenario(); }, 12, 50);
-  good.name = "fine";
-  jobs.push_back(std::move(good));
-
-  MissionJob throwing_factory;
-  throwing_factory.name = "no-scenario";
-  throwing_factory.make_scenario = []() -> attacks::Scenario {
-    throw std::runtime_error("factory exploded");
-  };
-  jobs.push_back(std::move(throwing_factory));
-
-  sim::WorkflowConfig wf;
-  wf.num_threads = 2;
-  const std::vector<MissionJobResult> results =
-      run_mission_batch(platform, jobs, wf);
-
-  ASSERT_EQ(results.size(), 3u);
-  ASSERT_TRUE(results[0].failed());
-  EXPECT_EQ(results[0].failure->name, "deliberately-broken");
-  EXPECT_EQ(results[0].failure->seed, 11u);
-  EXPECT_EQ(results[0].failure->step, 0u);  // setup, not mid-mission
-  EXPECT_NE(results[0].failure->what.find("likelihood floor"),
-            std::string::npos);
-
-  EXPECT_FALSE(results[1].failed());
-  EXPECT_FALSE(results[1].result.records.empty());
-
-  ASSERT_TRUE(results[2].failed());
-  EXPECT_NE(results[2].failure->what.find("factory exploded"),
-            std::string::npos);
+  // A good mission flown next to it is unaffected.
+  MissionConfig good;
+  good.iterations = 50;
+  good.seed = 12;
+  const ContainedRun fine =
+      run_contained(platform, platform.clean_scenario(), good);
+  EXPECT_FALSE(fine.failed());
+  EXPECT_FALSE(fine.result.records.empty());
 }
 
 TEST(MissionError, CarriesTheFailingStep) {
@@ -508,29 +493,3 @@ TEST(MissionError, CarriesTheFailingStep) {
 
 }  // namespace
 }  // namespace roboads::eval
-
-namespace roboads::sim {
-namespace {
-
-TEST(ScenarioBatchRunner, RunContainedRecordsFailuresAndKeepsSweeping) {
-  WorkflowConfig config;
-  config.num_threads = 4;
-  ScenarioBatchRunner runner(config);
-  std::vector<int> done(10, 0);
-  const std::vector<TaskFailure> failures =
-      runner.run_contained(10, [&](std::size_t i) {
-        if (i % 3 == 1) throw std::runtime_error("task failed");
-        done[i] = 1;
-      });
-  ASSERT_EQ(failures.size(), 3u);  // indices 1, 4, 7
-  EXPECT_EQ(failures[0].index, 1u);
-  EXPECT_EQ(failures[1].index, 4u);
-  EXPECT_EQ(failures[2].index, 7u);
-  EXPECT_EQ(failures[0].what, "task failed");
-  for (std::size_t i = 0; i < done.size(); ++i) {
-    EXPECT_EQ(done[i], i % 3 == 1 ? 0 : 1);
-  }
-}
-
-}  // namespace
-}  // namespace roboads::sim

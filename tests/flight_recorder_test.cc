@@ -1,26 +1,29 @@
 // Flight recorder and postmortem bundles (obs/flight_recorder.h):
 //   - ring-buffer wraparound and window ordering,
 //   - all three live trigger paths (decision alarm, health quarantine,
-//     batch MissionFailure) freezing bundles with the right provenance,
+//     a contained mission failure) freezing bundles with the right
+//     provenance,
 //   - the serialized schema pinned by a checked-in golden file
 //     (GOLDEN_REGEN=1 rewrites it after an intentional format change),
 //   - exact write/read round-trips including NaN payloads,
-//   - the batch job-label ordinal that keeps repeated (scenario, seed)
-//     pairs from colliding.
+//   - run-wide bundle ordinals that keep repeated (scenario, seed) missions
+//     under one Observability from overwriting each other's files.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
 
 #include "attacks/scenario.h"
-#include "eval/batch.h"
 #include "eval/khepera.h"
 #include "eval/mission.h"
+#include "eval/scoring.h"
 #include "obs/flight_recorder.h"
+#include "obs/obs.h"
 #include "scenario/compile.h"
 #include "scenario/library.h"
 
@@ -147,8 +150,18 @@ TEST(FlightRecorder, TriggerFreezesWindowAndHonorsMaxBundles) {
   EXPECT_EQ(first.records.front().k, 3);
   EXPECT_EQ(first.records.back().k, 5);
   EXPECT_EQ(rec.bundles()[1].trigger, "quarantine");
+  // The cap is per mission: a new mission re-arms it and keeps the held
+  // bundles.
+  rec.begin_mission(BundleProvenance{});
+  rec.begin_record().k = 1;
+  rec.trigger(BundleTrigger::kSensorAlarm, 1, "next mission");
+  ASSERT_EQ(rec.bundles().size(), 3u);
+  EXPECT_EQ(rec.bundles_dropped(), 1u);
+  EXPECT_EQ(rec.bundles()[0].detail, "first");
+  EXPECT_EQ(rec.bundles()[2].detail, "next mission");
+  ASSERT_EQ(rec.bundles()[2].records.size(), 1u);
   // take_bundles drains and re-arms.
-  EXPECT_EQ(rec.take_bundles().size(), 2u);
+  EXPECT_EQ(rec.take_bundles().size(), 3u);
   EXPECT_TRUE(rec.bundles().empty());
 }
 
@@ -172,6 +185,15 @@ TEST(FlightRecorder, AnnotateTruthPatchesRingAndFrozenBundles) {
   rec.begin_record().k = 10;
   rec.annotate_truth(9, "111", false);
   EXPECT_FALSE(rec.window().back()->truth_valid);
+  // A shared recorder patches only the current mission's bundles.
+  rec.begin_record().k = 11;
+  rec.trigger(BundleTrigger::kSensorAlarm, 11, "never annotated");
+  rec.begin_mission(BundleProvenance{});
+  rec.begin_record().k = 11;
+  rec.annotate_truth(11, "001", false);
+  ASSERT_EQ(rec.bundles().size(), 2u);
+  EXPECT_FALSE(rec.bundles()[1].records.back().truth_valid);
+  EXPECT_TRUE(rec.window().back()->truth_valid);
 }
 
 #ifndef ROBOADS_GOLDEN_DIR
@@ -297,7 +319,7 @@ TEST(BundleSchema, FilenameIsSanitizedAndDeterministic) {
             "fixture_s1_j0-b3-sensor_alarm-k7.jsonl");
 }
 
-// --- Live trigger paths through the mission/batch runners. ---
+// --- Live trigger paths through the mission runners. ---
 
 eval::MissionConfig recorded_config(FlightRecorder& rec, std::size_t iters,
                                     std::uint64_t seed) {
@@ -384,59 +406,69 @@ attacks::Scenario throwing_scenario(const eval::KheperaPlatform& platform,
                            std::move(attachments));
 }
 
-TEST(FlightRecorderLive, MissionFailureFreezesBundleInBatch) {
+TEST(FlightRecorderLive, MissionFailureFreezesBundle) {
   eval::KheperaPlatform platform;
-  eval::MissionJob job;
-  job.name = "crash";
-  job.make_scenario = [&platform] { return throwing_scenario(platform, 30); };
-  job.config.iterations = 60;
-  job.config.seed = 3;
-  sim::WorkflowConfig workflow;
-  workflow.num_threads = 1;
-  workflow.recorder = FlightRecorderConfig{true, 16, 4};
-  const std::vector<eval::MissionJobResult> results =
-      eval::run_mission_batch(platform, {job}, workflow);
-  ASSERT_EQ(results.size(), 1u);
-  ASSERT_TRUE(results[0].failed());
-  EXPECT_EQ(results[0].failure->step, 30u);
-  bool saw_failure = false;
-  for (const PostmortemBundle& b : results[0].bundles) {
-    if (b.trigger != "mission_failure") continue;
-    saw_failure = true;
-    EXPECT_EQ(b.trigger_k, 30);
-    // The failing iteration never completed, so the window ends at k-1.
-    EXPECT_EQ(b.records.back().k, 29);
-    EXPECT_EQ(b.provenance.label, "crash/s3/j0");
-  }
-  EXPECT_TRUE(saw_failure);
+  FlightRecorder rec(FlightRecorderConfig{true, 16, 4});
+  eval::MissionConfig cfg = recorded_config(rec, 60, 3);
+  cfg.obs_label = "crash/s3";
+  const eval::ContainedRun run =
+      eval::run_contained(platform, throwing_scenario(platform, 30), cfg);
+  ASSERT_TRUE(run.failed());
+  EXPECT_EQ(run.failure->step, 30u);
+  EXPECT_NE(run.failure->what.find("actuation driver fault"),
+            std::string::npos);
+  ASSERT_EQ(rec.bundles().size(), 1u);
+  const PostmortemBundle& b = rec.bundles()[0];
+  EXPECT_EQ(b.trigger, "mission_failure");
+  EXPECT_EQ(b.trigger_k, 30);
+  // The failing iteration never completed, so the window ends at k-1.
+  EXPECT_EQ(b.records.back().k, 29);
+  EXPECT_EQ(b.provenance.label, "crash/s3");
 }
 
-TEST(BatchLabels, RepeatedScenarioSeedPairsGetDistinctJobLabels) {
-  // Two identical (scenario, seed) jobs — e.g. the same attack under two
-  // detector overrides — must not share a label, or their trace events and
-  // bundle files collide.
+TEST(FlightRecorderLive, RepeatedMissionsUnderOneObservabilityGetOwnFiles) {
+  // The same (scenario, seed) flown twice — e.g. the same attack under two
+  // detector overrides — shares its label, yet each bundle must land in
+  // its own file: one Observability numbers bundles across the whole run.
+  const std::string dir =
+      (std::filesystem::path(::testing::TempDir()) / "roboads_repeated")
+          .string();
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ObsConfig config;
+  config.record = true;
+  config.record_window = 24;
+  config.record_out = dir + "/";
+  Observability observability(config);
+
   eval::KheperaPlatform platform;
-  eval::MissionJob job;
-  job.make_scenario = [&platform] {
-    return scenario::compile_spec(scenario::khepera_table2_spec(8), platform);
-  };
-  job.config.iterations = 60;
-  job.config.seed = 11;
-  sim::WorkflowConfig workflow;
-  workflow.num_threads = 2;
-  workflow.recorder = FlightRecorderConfig{true, 24, 4};
-  const std::vector<eval::MissionJobResult> results =
-      eval::run_mission_batch(platform, {job, job}, workflow);
-  ASSERT_EQ(results.size(), 2u);
-  ASSERT_FALSE(results[0].bundles.empty());
-  ASSERT_FALSE(results[1].bundles.empty());
-  const std::string label0 = results[0].bundles[0].provenance.label;
-  const std::string label1 = results[1].bundles[0].provenance.label;
-  EXPECT_NE(label0, label1);
-  EXPECT_EQ(label0, "#8 wheel controller & IPS logic bomb/s11/j0");
-  EXPECT_EQ(label1, "#8 wheel controller & IPS logic bomb/s11/j1");
-  EXPECT_NE(bundle_filename(results[0].bundles[0], 0),
-            bundle_filename(results[1].bundles[0], 0));
+  for (int flight = 0; flight < 2; ++flight) {
+    const attacks::Scenario scenario =
+        scenario::compile_spec(scenario::khepera_table2_spec(8), platform);
+    eval::MissionConfig cfg;
+    cfg.iterations = 60;
+    cfg.seed = 11;
+    cfg.instruments = observability.instruments();
+    cfg.obs_label = scenario.name() + "/s11";
+    ASSERT_FALSE(eval::run_contained(platform, scenario, cfg).failed());
+  }
+  observability.finish();
+
+  const std::vector<PostmortemBundle>& bundles =
+      observability.recorder().bundles();
+  ASSERT_GE(bundles.size(), 2u);
+  EXPECT_EQ(bundles.size() % 2, 0u);  // both flights froze the same set
+  const std::size_t half = bundles.size() / 2;
+  EXPECT_EQ(bundles[0].provenance.label, bundles[half].provenance.label);
+  EXPECT_EQ(bundles[0].trigger_k, bundles[half].trigger_k);
+  const std::vector<std::string>& paths = observability.bundle_paths();
+  ASSERT_EQ(paths.size(), bundles.size());
+  EXPECT_NE(paths[0], paths[half]);
+  std::size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".jsonl") ++files;
+  }
+  EXPECT_EQ(files, bundles.size());
 }
 
 }  // namespace

@@ -2,11 +2,18 @@
 // injection → RoboADS detection → paper-style scoring, on both platforms.
 #include <gtest/gtest.h>
 
-#include "eval/batch.h"
+#include <algorithm>
+#include <array>
+#include <string>
+#include <vector>
+
 #include "eval/khepera.h"
 #include "eval/mission.h"
 #include "eval/scoring.h"
 #include "eval/tamiya.h"
+#include "obs/flight_recorder.h"
+#include "obs/metrics.h"
+#include "obs/obs.h"
 #include "scenario/compile.h"
 #include "scenario/library.h"
 
@@ -151,43 +158,69 @@ TEST(KheperaMission, DeterministicPerSeed) {
   }
 }
 
-// The batched runner must hand back, in job order, exactly what serial
-// run_mission calls produce — concurrency changes wall-clock only.
+// A sweep flies its missions one after another through run_contained on one
+// shared sink, as the table benches do. Each mission must hand back exactly
+// what a lone, uninstrumented run_mission + score_mission produces: the
+// shared instruments change what is recorded, never the outcome.
 TEST(KheperaMission, BatchRunnerMatchesSerialRuns) {
   KheperaPlatform platform;
   const std::vector<std::size_t> scenarios = {4, 6, 1};
-  std::vector<MissionJob> jobs;
+  obs::MetricsRegistry metrics;
+  obs::FlightRecorder recorder(obs::FlightRecorderConfig{true, 32, 8});
+  obs::Instruments shared;
+  shared.metrics = &metrics;
+  shared.recorder = &recorder;
+  std::vector<std::string> labels;
   for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    const std::size_t n = scenarios[i];
-    jobs.push_back(make_mission_job(
-        [&platform, n] {
-          return scenario::compile_spec(scenario::khepera_table2_spec(n),
-                                        platform);
-        },
-        300 + i, 120));
-  }
-  sim::WorkflowConfig workflow_config;
-  workflow_config.num_threads = 4;
-  const std::vector<MissionJobResult> batch =
-      run_mission_batch(platform, jobs, workflow_config);
-
-  ASSERT_EQ(batch.size(), jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    SCOPED_TRACE("job " + std::to_string(i));
+    SCOPED_TRACE("mission " + std::to_string(i));
     const scenario::ScenarioSpec spec =
         scenario::khepera_table2_spec(scenarios[i]);
+    MissionConfig serial_config = quick_config(300 + i);
+    serial_config.iterations = 120;
+    MissionConfig swept_config = serial_config;
+    swept_config.instruments = shared;
+    swept_config.obs_label = spec.name + "/s" + std::to_string(300 + i);
+    labels.push_back(swept_config.obs_label);
+
+    const ContainedRun swept = run_contained(
+        platform, scenario::compile_spec(spec, platform), swept_config);
+    ASSERT_FALSE(swept.failed());
     const MissionResult serial = run_mission(
-        platform, scenario::compile_spec(spec, platform), jobs[i].config);
-    EXPECT_EQ(batch[i].name, spec.name);
-    ASSERT_EQ(batch[i].result.records.size(), serial.records.size());
+        platform, scenario::compile_spec(spec, platform), serial_config);
+    ASSERT_EQ(swept.result.records.size(), serial.records.size());
     for (std::size_t k = 0; k < serial.records.size(); ++k) {
-      EXPECT_EQ(batch[i].result.records[k].x_true, serial.records[k].x_true);
-      EXPECT_EQ(batch[i].result.records[k].report.state_estimate,
+      EXPECT_EQ(swept.result.records[k].x_true, serial.records[k].x_true);
+      EXPECT_EQ(swept.result.records[k].report.state_estimate,
                 serial.records[k].report.state_estimate);
-      EXPECT_EQ(batch[i].result.records[k].report.selected_mode,
+      EXPECT_EQ(swept.result.records[k].report.selected_mode,
                 serial.records[k].report.selected_mode);
     }
-    EXPECT_EQ(batch[i].result.goal_reached, serial.goal_reached);
+    EXPECT_EQ(swept.result.goal_reached, serial.goal_reached);
+
+    const ScenarioScore score = score_mission(serial, platform);
+    EXPECT_EQ(swept.score.sensor_condition_sequence,
+              score.sensor_condition_sequence);
+    EXPECT_EQ(swept.score.actuator_condition_sequence,
+              score.actuator_condition_sequence);
+    const auto counts = [](const stats::ConfusionCounts& c) {
+      return std::array<std::size_t, 4>{c.true_positives, c.false_positives,
+                                        c.true_negatives, c.false_negatives};
+    };
+    EXPECT_EQ(counts(swept.score.sensor), counts(score.sensor));
+    EXPECT_EQ(counts(swept.score.actuator), counts(score.actuator));
+    ASSERT_EQ(swept.score.delays.size(), score.delays.size());
+    for (std::size_t d = 0; d < score.delays.size(); ++d) {
+      EXPECT_EQ(swept.score.delays[d].seconds, score.delays[d].seconds);
+    }
+  }
+  // The attacked missions froze bundles into the shared recorder, each
+  // attributed to its own mission.
+  EXPECT_FALSE(recorder.bundles().empty());
+  for (const obs::PostmortemBundle& bundle : recorder.bundles()) {
+    EXPECT_NE(std::find(labels.begin(), labels.end(),
+                        bundle.provenance.label),
+              labels.end())
+        << bundle.provenance.label;
   }
 }
 

@@ -2,12 +2,14 @@
 // load-bearing property is byte-identical round-tripping: the manifest is
 // the sole description of a campaign, and resumed or salvaged runs re-read
 // it from disk, so serialize(parse(serialize(m))) must equal serialize(m)
-// exactly.
+// exactly. A job the manifest names but no worker can set up must cost one
+// "failed" outcome, never an exception (shard/exec.h).
 #include "shard/manifest.h"
 
 #include <gtest/gtest.h>
 
 #include "scenario/library.h"
+#include "shard/exec.h"
 
 namespace roboads::shard {
 namespace {
@@ -161,6 +163,49 @@ TEST(ShardManifest, DefaultSeedSeriesKeepsClassicPrefix) {
   for (std::size_t i = 1; i < eight.size(); ++i) {
     EXPECT_LT(eight[i - 1], eight[i]);
   }
+}
+
+ManifestJob mission_job(JobKind kind) {
+  ManifestJob job;
+  job.id = "bad-0";
+  job.group = "setup";
+  job.kind = kind;
+  job.seed = 5;
+  return job;
+}
+
+TEST(ShardExec, UnknownLibraryScenarioBecomesAFailedOutcome) {
+  ManifestJob job = mission_job(JobKind::kLibrary);
+  job.scenario = "#99 no such scenario";
+  const JobOutcome out = execute_job(job, {});
+  EXPECT_EQ(out.status, "failed");
+  EXPECT_EQ(out.id, "bad-0");
+  EXPECT_EQ(out.group, "setup");
+  EXPECT_NE(out.failure.find("unknown library scenario"), std::string::npos)
+      << out.failure;
+  EXPECT_EQ(out.failure_step, 0u);
+}
+
+TEST(ShardExec, MalformedInlineSpecBecomesAFailedOutcome) {
+  ManifestJob job = mission_job(JobKind::kSpec);
+  job.spec_text = "this is not a scenario spec\n";
+  const JobOutcome out = execute_job(job, {});
+  EXPECT_EQ(out.status, "failed");
+  EXPECT_EQ(out.id, "bad-0");
+  EXPECT_EQ(out.group, "setup");
+  EXPECT_NE(out.failure.find("line 1"), std::string::npos) << out.failure;
+  EXPECT_EQ(out.failure_step, 0u);
+
+  // A spec that parses but that the compiler rejects (onset past a 5-step
+  // horizon) fails the same way and keeps the spec's name.
+  const scenario::ScenarioSpec spec = scenario::khepera_table2_spec(3);
+  job.spec_text = scenario::serialize(spec);
+  job.iterations = 5;
+  const JobOutcome rejected = execute_job(job, {});
+  EXPECT_EQ(rejected.status, "failed");
+  EXPECT_EQ(rejected.name, spec.name);
+  EXPECT_NE(rejected.failure.find("onset"), std::string::npos)
+      << rejected.failure;
 }
 
 }  // namespace
