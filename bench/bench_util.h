@@ -178,25 +178,65 @@ inline eval::MissionConfig bench_mission(const attacks::Scenario& scenario,
   return cfg;
 }
 
-// One scenario mission + score at the platform's default detector config.
-struct ScenarioRun {
-  std::string name;
-  eval::MissionResult result;
-  eval::ScenarioScore score;
-};
+// The tally behind a scenario battery table (Table II, §V-D, the extension
+// battery): each flown mission yields one row's cells, and its counts and
+// delays join the totals printed under the table.
+struct BatteryTally {
+  struct Row {
+    std::string detection;       // actuator/sensor condition sequences
+    std::string delays;          // one fmt_delay per delay record
+    std::string actuator_rates;  // "FPR/FNR"
+    std::string sensor_rates;
+  };
 
-inline ScenarioRun run_and_score(const eval::Platform& platform,
-                                 const attacks::Scenario& scenario,
-                                 std::uint64_t seed,
-                                 std::size_t iterations = 250,
-                                 obs::Instruments instruments = {}) {
-  const eval::MissionConfig cfg =
-      bench_mission(scenario, seed, iterations, instruments);
-  ScenarioRun run;
-  run.name = scenario.name();
-  run.result = eval::run_mission(platform, scenario, cfg);
-  run.score = eval::score_mission(run.result, platform);
-  return run;
-}
+  // Scores one mission into the totals and returns its cells. A failed run
+  // prints "<name>: FAILED at step k: cause" instead, counts as not
+  // detected and sets exit_code() to 1.
+  std::optional<Row> add(const std::string& name,
+                         const eval::ContainedRun& run) {
+    if (run.failed()) {
+      std::printf("%s: FAILED at step %zu: %s\n", name.c_str(),
+                  run.failure->step, run.failure->what.c_str());
+      all_detected = false;
+      failed = true;
+      return std::nullopt;
+    }
+    const eval::ScenarioScore& s = run.score;
+    Row row;
+    for (const eval::DelayRecord& d : s.delays) {
+      if (!row.delays.empty()) row.delays += " ";
+      row.delays += fmt_delay(d.seconds);
+      if (d.seconds) {
+        delays.push_back(*d.seconds);
+        (d.label == "actuator" ? actuator_delays : sensor_delays)
+            .push_back(*d.seconds);
+      } else {
+        all_detected = false;
+      }
+    }
+    row.detection = s.actuator_condition_sequence == "A0"
+                        ? s.sensor_condition_sequence
+                    : s.sensor_condition_sequence == "S0"
+                        ? s.actuator_condition_sequence
+                        : s.actuator_condition_sequence + " " +
+                              s.sensor_condition_sequence;
+    row.actuator_rates = fmt_rate(s.actuator.false_positive_rate()) + "/" +
+                         fmt_rate(s.actuator.false_negative_rate());
+    row.sensor_rates = fmt_rate(s.sensor.false_positive_rate()) + "/" +
+                       fmt_rate(s.sensor.false_negative_rate());
+    combined += s.sensor;
+    combined += s.actuator;
+    return row;
+  }
+
+  int exit_code() const { return failed ? 1 : 0; }
+
+  // Sensor and actuator counts of every scored mission together.
+  stats::ConfusionCounts combined;
+  // Resolved delays in mission order: all, sensor-side, actuator-side.
+  std::vector<double> delays, sensor_delays, actuator_delays;
+  bool all_detected = true;
+  bool failed = false;
+};
 
 }  // namespace roboads::bench

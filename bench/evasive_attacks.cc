@@ -18,25 +18,32 @@ using attacks::InjectionPoint;
 using attacks::Scenario;
 using attacks::Window;
 
-bool sensor_detected(const eval::ScenarioScore& score) {
-  for (const eval::DelayRecord& d : score.delays) {
-    if (d.label != "actuator" && d.seconds) return true;
-  }
-  return false;
-}
-
-bool actuator_detected(const eval::ScenarioScore& score) {
-  for (const eval::DelayRecord& d : score.delays) {
-    if (d.label == "actuator" && d.seconds) return true;
-  }
-  return false;
-}
-
 int run(const obs::Instruments& instruments) {
   print_header("§V-H — evasive (stealthy) attack magnitude sweep",
                "RoboADS (DSN'18) §V-H");
 
   eval::KheperaPlatform platform;
+  // A failed mission prints its step and cause after its magnitude; its
+  // sweep then maps no stealth boundary and the bench exits 1.
+  int rc = 0;
+  bool sweep_failed = false;
+  const auto fly = [&](const Scenario& scenario, std::uint64_t seed) {
+    eval::ContainedRun run = eval::run_contained(
+        platform, scenario, bench_mission(scenario, seed, 250, instruments));
+    if (run.failed()) {
+      std::printf("FAILED at step %zu: %s\n", run.failure->step,
+                  run.failure->what.c_str());
+      sweep_failed = true;
+      rc = 1;
+    }
+    return run;
+  };
+  const auto boundary_unmapped = [&] {
+    if (!sweep_failed) return false;
+    std::printf("stealth boundary: not mapped (a sweep mission failed)\n");
+    sweep_failed = false;
+    return true;
+  };
 
   // ---- Stealthy IPS shift sweep. ----
   std::printf("\nIPS X-shift sweep (attack from 6 s, full-mission stealth "
@@ -51,18 +58,22 @@ int run(const obs::Instruments& instruments) {
         {{InjectionPoint::kSensorOutput, "ips",
           std::make_shared<BiasInjector>(Window{60, ~std::size_t{0}},
                                          Vector{shift, 0.0, 0.0})}});
-    const ScenarioRun run = run_and_score(platform, scenario, 60000, 250, instruments);
-    const bool caught = sensor_detected(run.score);
-    std::printf("%-14.3f %-10s %-12s\n", shift, caught ? "yes" : "no",
+    std::printf("%-14.3f ", shift);
+    const eval::ContainedRun run = fly(scenario, 60000);
+    if (run.failed()) continue;
+    const bool caught = scenario::sensor_detected(run.score);
+    std::printf("%-10s %-12s\n", caught ? "yes" : "no",
                 run.score.delays.empty()
                     ? "-"
                     : fmt_delay(run.score.delays[0].seconds).c_str());
     if (!caught) largest_stealthy_ips = shift;
     if (caught && smallest_caught_ips < 0.0) smallest_caught_ips = shift;
   }
-  std::printf("stealth boundary: undetected ≤ %.3f m, caught ≥ %.3f m "
-              "(paper: ~0.02 m)\n",
-              largest_stealthy_ips, smallest_caught_ips);
+  if (!boundary_unmapped()) {
+    std::printf("stealth boundary: undetected ≤ %.3f m, caught ≥ %.3f m "
+                "(paper: ~0.02 m)\n",
+                largest_stealthy_ips, smallest_caught_ips);
+  }
 
   // ---- Stealthy wheel-speed alteration sweep. ----
   std::printf("\nwheel-speed alteration sweep (±units on vL/vR):\n"
@@ -78,23 +89,26 @@ int run(const obs::Instruments& instruments) {
         {{InjectionPoint::kActuatorCommand, "wheels",
           std::make_shared<BiasInjector>(Window{60, ~std::size_t{0}},
                                          Vector{-mps, mps})}});
-    const ScenarioRun run = run_and_score(platform, scenario, 60001, 250, instruments);
-    const bool caught = actuator_detected(run.score);
-    std::printf("%-14.0f %-12.4f %-10s %-12s\n", units, mps,
-                caught ? "yes" : "no",
+    std::printf("%-14.0f %-12.4f ", units, mps);
+    const eval::ContainedRun run = fly(scenario, 60001);
+    if (run.failed()) continue;
+    const bool caught = scenario::actuator_detected(run.score);
+    std::printf("%-10s %-12s\n", caught ? "yes" : "no",
                 run.score.delays.empty()
                     ? "-"
                     : fmt_delay(run.score.delays[0].seconds).c_str());
     if (!caught) largest_stealthy_units = units;
     if (caught && smallest_caught_units < 0.0) smallest_caught_units = units;
   }
-  std::printf("stealth boundary: undetected ≤ %.0f units, caught ≥ %.0f "
-              "units (paper: ~900 units = 0.006 m/s)\n",
-              largest_stealthy_units, smallest_caught_units);
+  if (!boundary_unmapped()) {
+    std::printf("stealth boundary: undetected ≤ %.0f units, caught ≥ %.0f "
+                "units (paper: ~900 units = 0.006 m/s)\n",
+                largest_stealthy_units, smallest_caught_units);
+  }
 
   std::printf("\nconclusion (paper's): an attacker constrained below these "
               "magnitudes cannot make a significant impact on the mission.\n");
-  return 0;
+  return rc;
 }
 
 }  // namespace

@@ -12,62 +12,33 @@ int run(const obs::Instruments& instruments) {
   print_header("Extension — attack shapes beyond the Table II battery",
                "RoboADS (DSN'18) Table I taxonomy / §II-B threat model");
 
-  eval::KheperaPlatform platform;
-  const std::vector<scenario::ScenarioSpec> battery =
+  std::vector<scenario::ScenarioSpec> battery =
       scenario::khepera_extended_specs();
 
   std::printf("%-38s %-26s %-12s %-22s %-22s\n", "scenario",
               "detection result", "delay", "A: FPR/FNR", "S: FPR/FNR");
   std::printf("%s\n", std::string(124, '-').c_str());
 
-  stats::ConfusionCounts sensor_total, actuator_total;
-  bool all_detected = true;
-  std::vector<double> delays;
+  BatteryTally tally;
   for (std::size_t i = 0; i < battery.size(); ++i) {
-    const attacks::Scenario scenario =
-        scenario::compile_spec(battery[i], platform);
-    const ScenarioRun run = run_and_score(platform, scenario, 7100 + i, 250, instruments);
-    const eval::ScenarioScore& s = run.score;
-
-    std::string delay_str;
-    for (const eval::DelayRecord& d : s.delays) {
-      if (!delay_str.empty()) delay_str += " ";
-      delay_str += fmt_delay(d.seconds);
-      if (d.seconds) {
-        delays.push_back(*d.seconds);
-      } else {
-        all_detected = false;
-      }
-    }
-    const std::string detection =
-        s.actuator_condition_sequence == "A0"
-            ? s.sensor_condition_sequence
-            : (s.sensor_condition_sequence == "S0"
-                   ? s.actuator_condition_sequence
-                   : s.actuator_condition_sequence + " " +
-                         s.sensor_condition_sequence);
+    battery[i].seed = 7100 + i;
+    const std::optional<BatteryTally::Row> row = tally.add(
+        battery[i].name, scenario::fly_spec(battery[i], instruments));
+    if (!row) continue;
     std::printf("%-38s %-26s %-12s %-22s %-22s\n",
-                run.name.substr(0, 37).c_str(),
-                detection.substr(0, 25).c_str(), delay_str.c_str(),
-                (fmt_rate(s.actuator.false_positive_rate()) + "/" +
-                 fmt_rate(s.actuator.false_negative_rate()))
-                    .c_str(),
-                (fmt_rate(s.sensor.false_positive_rate()) + "/" +
-                 fmt_rate(s.sensor.false_negative_rate()))
-                    .c_str());
-    sensor_total += s.sensor;
-    actuator_total += s.actuator;
+                battery[i].name.substr(0, 37).c_str(),
+                row->detection.substr(0, 25).c_str(), row->delays.c_str(),
+                row->actuator_rates.c_str(), row->sensor_rates.c_str());
   }
 
-  stats::ConfusionCounts combined = sensor_total;
-  combined += actuator_total;
   std::printf("%s\n", std::string(124, '-').c_str());
   std::printf("aggregate: FPR %s  FNR %s  mean delay %.2fs  all detected: "
               "%s\n",
-              fmt_rate(combined.false_positive_rate()).c_str(),
-              fmt_rate(combined.false_negative_rate()).c_str(),
-              stats::mean(delays), all_detected ? "yes" : "NO");
-  return 0;
+              fmt_rate(tally.combined.false_positive_rate()).c_str(),
+              fmt_rate(tally.combined.false_negative_rate()).c_str(),
+              stats::mean(tally.delays),
+              tally.all_detected ? "yes" : "NO");
+  return tally.exit_code();
 }
 
 }  // namespace

@@ -10,7 +10,7 @@
 //
 // Extra flags on top of the common bench set (bench_util.h):
 //   --seeds=N      replications to fly (default 5; each is 11 missions).
-//   --workers=N    fly the battery in N supervised worker processes
+//   --workers=N    fly the battery in N >= 1 supervised worker processes
 //                  (src/shard/) instead of in this process; requires
 //                  --shard-dir. `--seeds=100 --workers=8` completes the
 //                  1100-mission battery in minutes and survives worker
@@ -20,6 +20,7 @@
 //                  directory that already holds checkpoints is refused
 //                  without --resume.
 //   --resume       continue a killed sharded run from its checkpoints.
+// These three parse as in roboads_fuzz (shard::take_campaign_flags).
 //
 // In process, --record-out=D records every mission and writes its
 // postmortem bundles to D/bundles/, named after their manifest job
@@ -197,46 +198,31 @@ int main(int argc, char** argv) {
   }
 
   // Strip this bench's own flags before the strict common parser sees them.
-  const auto count = [&](const std::string& flag, const std::string& value,
-                         bool allow_zero) {
-    const auto n = roboads::common::parse_u64(value);
-    if (!n || (!allow_zero && *n == 0)) {
-      bench_usage_error(
-          argv[0], flag + " expects a " +
-                       (allow_zero ? "non-negative" : "positive") +
-                       " integer, got \"" + value + "\"");
-    }
-    return static_cast<std::size_t>(*n);
-  };
   std::size_t seeds = 5, workers = 0;
   roboads::shard::SupervisedRunConfig run;
+  std::vector<std::string> args(argv + 1, argv + argc);
+  const std::string error =
+      roboads::shard::take_campaign_flags(args, workers, run);
+  if (!error.empty()) bench_usage_error(argv[0], error);
   std::vector<char*> passthrough = {argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
+  for (std::string& arg : args) {
     std::string value;
     if (flag_value(arg, "--seeds", &value)) {
-      seeds = count("--seeds", value, false);
-    } else if (flag_value(arg, "--workers", &value)) {
-      workers = count("--workers", value, true);
-    } else if (flag_value(arg, "--shard-dir", &value)) {
-      run.dir = value;
-    } else if (arg == "--resume") {
-      run.resume = true;
+      const auto n = roboads::common::parse_u64(value);
+      if (!n || *n == 0) {
+        bench_usage_error(argv[0], "--seeds expects a positive integer, "
+                                   "got \"" + value + "\"");
+      }
+      seeds = static_cast<std::size_t>(*n);
     } else if (flag_value(arg, "--record-window", &value)) {
       bench_usage_error(argv[0], "--record-window is not supported: job "
                                  "bundles use the default window");
     } else {
-      passthrough.push_back(argv[i]);
+      passthrough.push_back(arg.data());
     }
   }
   const roboads::bench::BenchArgs common = roboads::bench::parse_bench_args(
       static_cast<int>(passthrough.size()), passthrough.data());
-  if (workers > 0 && run.dir.empty()) {
-    bench_usage_error(argv[0], "--workers needs --shard-dir");
-  }
-  if ((run.resume || !run.dir.empty()) && workers == 0) {
-    bench_usage_error(argv[0], "--shard-dir/--resume need --workers");
-  }
   if (workers > 0 && common.obs.enabled()) {
     bench_usage_error(argv[0], "--trace-out, --metrics-out and --record-out "
                                "work in process only (without --workers)");

@@ -16,7 +16,7 @@
 namespace roboads::bench {
 namespace {
 
-int run(const std::string& out_path) {
+int run(const std::string& out_path, const obs::Instruments& instruments) {
   print_header("stealth-frontier map — undetected→caught boundary per "
                "attack class",
                "RoboADS (DSN'18) §V-H, generalized");
@@ -30,7 +30,7 @@ int run(const std::string& out_path) {
 
   std::vector<scenario::FrontierResult> results;
   for (const scenario::FrontierAxis& axis : axes) {
-    results.push_back(scenario::map_frontier(axis));
+    results.push_back(scenario::map_frontier(axis, {}, instruments));
   }
 
   std::printf("\n%-9s %-18s %-7s %-9s %14s %14s  %-22s %s\n", "platform",
@@ -87,7 +87,12 @@ int main(int argc, char** argv) {
   }
   roboads::bench::BenchObservation watch(roboads::bench::parse_bench_args(
       static_cast<int>(rest.size()), rest.data()));
-  const int rc = roboads::bench::run(out_path);
+  int rc = 1;
+  try {
+    rc = roboads::bench::run(out_path, watch.instruments());
+  } catch (const roboads::CheckError& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+  }
   watch.finish();
   return rc;
 }

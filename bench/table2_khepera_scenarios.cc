@@ -26,16 +26,12 @@ int run(obs::Instruments instruments) {
       "Table II — Khepera attack/failure scenarios and detection results",
       "RoboADS (DSN'18) Table II and §V-C");
 
-  eval::KheperaPlatform platform;
-
   // Thirteen missions, flown one after another: the eleven Table II
   // scenarios, then the two §V-C anomaly-quantification runs.
-  const auto table2 = [&platform](std::size_t n) {
-    return scenario::compile_spec(scenario::khepera_table2_spec(n), platform);
-  };
-  const auto fly = [&](const attacks::Scenario& scenario, std::uint64_t seed) {
-    return eval::run_contained(platform, scenario,
-                               bench_mission(scenario, seed, 250, instruments));
+  const auto table2 = [](std::size_t n, std::uint64_t seed) {
+    scenario::ScenarioSpec spec = scenario::khepera_table2_spec(n);
+    spec.seed = seed;
+    return spec;
   };
 
   std::printf("%-42s %-22s %-12s %-10s %-22s %-22s\n", "scenario",
@@ -43,82 +39,57 @@ int run(obs::Instruments instruments) {
               "S: FPR/FNR");
   std::printf("%s\n", std::string(132, '-').c_str());
 
-  std::vector<double> sensor_delays, actuator_delays;
-  stats::ConfusionCounts sensor_total, actuator_total;
-  bool all_detected = true;
-
+  BatteryTally tally;
   for (std::size_t n = 1; n <= 11; ++n) {
-    const attacks::Scenario scenario = table2(n);
-    const eval::ContainedRun run = fly(scenario, 1000 + n);
-    const eval::ScenarioScore& s = run.score;
-
-    std::string delays;
-    for (const eval::DelayRecord& d : s.delays) {
-      if (!delays.empty()) delays += " ";
-      delays += fmt_delay(d.seconds);
-      if (d.seconds) {
-        if (d.label == "actuator") {
-          actuator_delays.push_back(*d.seconds);
-        } else {
-          sensor_delays.push_back(*d.seconds);
-        }
-      } else {
-        all_detected = false;
-      }
-    }
-
-    const std::string detection = s.actuator_condition_sequence == "A0"
-                                      ? s.sensor_condition_sequence
-                                      : (s.sensor_condition_sequence == "S0"
-                                             ? s.actuator_condition_sequence
-                                             : s.actuator_condition_sequence +
-                                                   " " +
-                                                   s.sensor_condition_sequence);
-
+    const scenario::ScenarioSpec spec = table2(n, 1000 + n);
+    const eval::ContainedRun run = scenario::fly_spec(spec, instruments);
+    const std::optional<BatteryTally::Row> row = tally.add(spec.name, run);
+    if (!row) continue;
     std::printf("%-42s %-22s %-12s %-10s %-22s %-22s\n",
-                scenario.name().substr(0, 41).c_str(), detection.c_str(),
-                delays.c_str(), run.result.goal_reached ? "reached" : "-",
-                (fmt_rate(s.actuator.false_positive_rate()) + "/" +
-                 fmt_rate(s.actuator.false_negative_rate()))
-                    .c_str(),
-                (fmt_rate(s.sensor.false_positive_rate()) + "/" +
-                 fmt_rate(s.sensor.false_negative_rate()))
-                    .c_str());
-
-    sensor_total += s.sensor;
-    actuator_total += s.actuator;
+                spec.name.substr(0, 41).c_str(), row->detection.c_str(),
+                row->delays.c_str(), run.result.goal_reached ? "reached" : "-",
+                row->actuator_rates.c_str(), row->sensor_rates.c_str());
   }
 
   // §V-C aggregate numbers (paper: avg FPR 0.86%, FNR 0.97%; delays 0.35 s
   // sensor / 0.61 s actuator).
-  stats::ConfusionCounts combined = sensor_total;
-  combined += actuator_total;
   std::printf("%s\n", std::string(132, '-').c_str());
   std::printf("aggregate: FPR %s  FNR %s   (paper: 0.86%% / 0.97%%)\n",
-              fmt_rate(combined.false_positive_rate()).c_str(),
-              fmt_rate(combined.false_negative_rate()).c_str());
+              fmt_rate(tally.combined.false_positive_rate()).c_str(),
+              fmt_rate(tally.combined.false_negative_rate()).c_str());
   std::printf(
       "average sensor delay %.2fs (paper 0.35s), actuator delay %.2fs "
       "(paper 0.61s), all misbehaviors detected: %s\n",
-      stats::mean(sensor_delays), stats::mean(actuator_delays),
-      all_detected ? "yes" : "NO");
+      stats::mean(tally.sensor_delays),
+      stats::mean(tally.actuator_delays),
+      tally.all_detected ? "yes" : "NO");
 
   // Anomaly quantification on scenario #3 (§V-C: IPS bomb +0.07 m estimated
   // as +0.069 m, ~2% normalized error) and scenario #1 (wheel bomb).
-  {
-    const eval::ContainedRun run3 = fly(table2(3), 42);
-    const double err_s = eval::sensor_quantification_error(
-        run3.result, eval::KheperaPlatform::kIps, Vector{0.07, 0.0, 0.0}, 90);
-    const eval::ContainedRun run1 = fly(table2(1), 43);
-    const double bomb = dyn::khepera_units_to_mps(6000.0);
-    const double err_a = eval::actuator_quantification_error(
-        run1.result, Vector{-bomb, bomb}, 90);
-    std::printf(
-        "anomaly quantification: sensor %.2f%% (paper 1.91%%), actuator "
-        "%.2f%% (paper 0.41-1.79%%)\n",
-        100.0 * err_s, 100.0 * err_a);
-  }
-  return 0;
+  // A failed run prints like a failed table row and makes the bench exit 1.
+  const auto quantify = [&](std::size_t n, std::uint64_t seed) {
+    const scenario::ScenarioSpec spec = table2(n, seed);
+    eval::ContainedRun run = scenario::fly_spec(spec, instruments);
+    if (run.failed()) {
+      std::printf("anomaly quantification: %s: FAILED at step %zu: %s\n",
+                  spec.name.c_str(), run.failure->step,
+                  run.failure->what.c_str());
+    }
+    return run;
+  };
+  const eval::ContainedRun run3 = quantify(3, 42);
+  const eval::ContainedRun run1 = quantify(1, 43);
+  if (run3.failed() || run1.failed()) return 1;
+  const double err_s = eval::sensor_quantification_error(
+      run3.result, eval::KheperaPlatform::kIps, Vector{0.07, 0.0, 0.0}, 90);
+  const double bomb = dyn::khepera_units_to_mps(6000.0);
+  const double err_a = eval::actuator_quantification_error(
+      run1.result, Vector{-bomb, bomb}, 90);
+  std::printf(
+      "anomaly quantification: sensor %.2f%% (paper 1.91%%), actuator "
+      "%.2f%% (paper 0.41-1.79%%)\n",
+      100.0 * err_s, 100.0 * err_a);
+  return tally.exit_code();
 }
 
 }  // namespace

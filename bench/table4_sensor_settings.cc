@@ -58,17 +58,15 @@ VarianceResult actuator_variance(const eval::KheperaPlatform& platform,
   return out;
 }
 
-int run() {
+int run(const obs::Instruments& instruments) {
   print_header(
       "Table IV — actuator anomaly vector variance vs sensor settings",
       "RoboADS (DSN'18) Table IV / §V-E");
 
   eval::KheperaPlatform platform;
-  eval::MissionConfig cfg;
-  cfg.iterations = 400;
-  cfg.seed = 4242;
-  const eval::MissionResult mission =
-      eval::run_mission(platform, platform.clean_scenario(), cfg);
+  const attacks::Scenario clean = platform.clean_scenario();
+  const eval::MissionResult mission = eval::run_mission(
+      platform, clean, bench_mission(clean, 4242, 400, instruments));
 
   struct Row {
     const char* label;
@@ -124,7 +122,7 @@ int run() {
 int main(int argc, char** argv) {
   roboads::bench::BenchObservation watch(
       roboads::bench::parse_bench_args(argc, argv));
-  const int rc = roboads::bench::run();
+  const int rc = roboads::bench::run(watch.instruments());
   watch.finish();
   return rc;
 }

@@ -31,8 +31,9 @@
 #                      # campaign outcome against
 #                      # perfbench/reference_outcomes.txt
 #   ./ci.sh fuzz-smoke # ~30 s scenario-DSL coverage fuzz over $JOBS workers
-#                      # + corpus replay; a stale run directory and bad
-#                      # flags must be refused (exit 2)
+#                      # + corpus replay (corpus test and roboads_scenario
+#                      # check/print/run/library); a stale run directory
+#                      # and bad flags must be refused (exit 2)
 #   ./ci.sh shard-smoke # ~30 s sharded fuzz campaign with an injected
 #                      # worker kill and a supervisor kill + --resume; the
 #                      # merged report must be byte-identical to a serial run
@@ -278,7 +279,8 @@ PY
 
 # Scenario-DSL coverage fuzz (docs/SCENARIOS.md): a time-boxed (~30 s)
 # randomized-campaign sweep over $JOBS supervised workers that must hold
-# every fuzzer invariant, then a replay of the checked-in shrunk-spec corpus.
+# every fuzzer invariant, then a replay of the checked-in shrunk-spec corpus,
+# in the corpus test and through the spec tool (run_scenario_tool_smoke).
 # Bad input must be refused with exit 2 before any campaign flies: a second
 # seed into the same run directory (its checkpoints belong to the first
 # sweep), a negative campaign count, and a NaN fault probability. FUZZ_SEED
@@ -286,13 +288,15 @@ PY
 run_fuzz_smoke() {
   local dir="$1"
   cmake -B "$dir" -S .
-  cmake --build "$dir" -j "$JOBS" --target roboads_fuzz fuzz_corpus_test
+  cmake --build "$dir" -j "$JOBS" --target roboads_fuzz fuzz_corpus_test \
+    roboads_scenario_tool
   local out="$dir/fuzz-smoke"
   local seed="${FUZZ_SEED:-1}"
   rm -rf "$out"
   "$dir/tools/roboads_fuzz" --seed="$seed" --campaigns=250 \
     --iterations=120 --workers="$JOBS" --shard-dir="$out"
   "$dir/tests/fuzz_corpus_test"
+  run_scenario_tool_smoke "$dir"
   local bad rc
   for bad in "--seed=$((seed + 1)) --workers=$JOBS --shard-dir=$out" \
       "--campaigns=-1" "--fault-probability=nan"; do
@@ -306,6 +310,52 @@ run_fuzz_smoke() {
     fi
   done
   echo "fuzz smoke: invariants held, corpus replayed green, bad input refused"
+}
+
+# The spec tool over the checked-in corpus (docs/SCENARIOS.md "Tools"):
+# `check` accepts every corpus spec and exits 1 on each invalid/ one, `print`
+# reproduces every corpus file byte for byte, `run` flies the corpus and
+# prints one line per spec, `library` lists the 23 built-ins, and an unknown
+# subcommand exits 2.
+run_scenario_tool_smoke() {
+  local dir="$1"
+  local tool="$dir/tools/roboads_scenario"
+  local out="$dir/scenario-smoke"
+  rm -rf "$out" && mkdir -p "$out"
+  local specs=(tests/data/fuzz_corpus/*.spec)
+  local spec rc lines
+  "$tool" check "${specs[@]}" > /dev/null
+  for spec in tests/data/fuzz_corpus/invalid/*.spec; do
+    rc=0
+    "$tool" check "$spec" > /dev/null 2>&1 || rc=$?
+    if [ "$rc" -ne 1 ]; then
+      echo "scenario smoke: check $spec exited $rc, expected 1" >&2
+      exit 1
+    fi
+  done
+  for spec in "${specs[@]}"; do
+    "$tool" print "$spec" > "$out/printed.spec"
+    cmp "$spec" "$out/printed.spec"
+  done
+  "$tool" run "${specs[@]}" > "$out/run.txt"
+  lines="$(wc -l < "$out/run.txt")"
+  if [ "$lines" -ne "${#specs[@]}" ]; then
+    echo "scenario smoke: run printed $lines lines for ${#specs[@]} specs" >&2
+    exit 1
+  fi
+  lines="$("$tool" library | wc -l)"
+  if [ "$lines" -ne 23 ]; then
+    echo "scenario smoke: library listed $lines specs, expected 23" >&2
+    exit 1
+  fi
+  rc=0
+  "$tool" no-such-subcommand "${specs[0]}" > /dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "scenario smoke: an unknown subcommand exited $rc, expected 2" >&2
+    exit 1
+  fi
+  echo "scenario smoke: ${#specs[@]} corpus specs checked, printed and" \
+    "flown; invalid specs and an unknown subcommand refused"
 }
 
 # Sharded-runner chaos smoke (docs/ROBUSTNESS.md): a small sharded fuzz

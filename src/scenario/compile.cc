@@ -256,6 +256,25 @@ attacks::InjectionPoint point_of(Target target) {
   throw SpecError("corrupt attack target");
 }
 
+// The faults stanza on the bus-layer transport-fault model, for a spec
+// compile_spec has validated. Inactive (empty) when the spec has none.
+sim::TransportFaultConfig transport_faults_of(const ScenarioSpec& spec) {
+  sim::TransportFaultConfig config;
+  config.seed = spec.fault_seed;
+  config.sensors.reserve(spec.faults.size());
+  for (const FaultSpec& f : spec.faults) {
+    sim::SensorFaultSpec s;
+    s.sensor = f.sensor;
+    s.drop_rate = f.drop_rate;
+    s.stale_rate = f.stale_rate;
+    s.duplicate_rate = f.duplicate_rate;
+    s.freeze_at = f.freeze_at;
+    s.freeze_duration = f.freeze_duration;
+    config.sensors.push_back(std::move(s));
+  }
+  return config;
+}
+
 }  // namespace
 
 std::unique_ptr<eval::Platform> make_platform(const std::string& name) {
@@ -312,10 +331,6 @@ attacks::Scenario compile_spec(const ScenarioSpec& spec,
   return compile_spec(spec, platform, platform_traits(spec.platform));
 }
 
-attacks::Scenario compile_spec(const ScenarioSpec& spec) {
-  return compile_spec(spec, *make_platform(spec.platform));
-}
-
 void validate_spec(const ScenarioSpec& spec) {
   const std::unique_ptr<eval::Platform> platform =
       make_platform(spec.platform);
@@ -327,44 +342,23 @@ void validate_spec(const ScenarioSpec& spec) {
   validate_faults(spec, *platform);
 }
 
-sim::TransportFaultConfig transport_faults_of(const ScenarioSpec& spec,
-                                              const eval::Platform& platform) {
-  validate_faults(spec, platform);
-  sim::TransportFaultConfig config;
-  config.seed = spec.fault_seed;
-  config.sensors.reserve(spec.faults.size());
-  for (const FaultSpec& f : spec.faults) {
-    sim::SensorFaultSpec s;
-    s.sensor = f.sensor;
-    s.drop_rate = f.drop_rate;
-    s.stale_rate = f.stale_rate;
-    s.duplicate_rate = f.duplicate_rate;
-    s.freeze_at = f.freeze_at;
-    s.freeze_duration = f.freeze_duration;
-    config.sensors.push_back(std::move(s));
-  }
-  return config;
-}
-
-sim::TransportFaultConfig transport_faults_of(const ScenarioSpec& spec) {
-  const std::unique_ptr<eval::Platform> platform =
-      make_platform(spec.platform);
-  return transport_faults_of(spec, *platform);
-}
-
-SpecRun run_spec(const ScenarioSpec& spec) {
-  const std::unique_ptr<eval::Platform> platform =
-      make_platform(spec.platform);
-  const attacks::Scenario scenario = compile_spec(spec, *platform);
+SpecMission lower_spec(const ScenarioSpec& spec) {
+  std::unique_ptr<eval::Platform> platform = make_platform(spec.platform);
+  attacks::Scenario scenario = compile_spec(spec, *platform);
   eval::MissionConfig config;
   config.iterations = spec.iterations;
   config.seed = spec.seed;
-  config.transport_faults = transport_faults_of(spec, *platform);
-  SpecRun run;
-  run.name = spec.name;
-  run.result = eval::run_mission(*platform, scenario, config);
-  run.score = eval::score_mission(run.result, *platform);
-  return run;
+  config.transport_faults = transport_faults_of(spec);
+  config.obs_label = spec.name + "/s" + std::to_string(spec.seed);
+  return {std::move(platform), std::move(scenario), std::move(config)};
+}
+
+eval::ContainedRun fly_spec(const ScenarioSpec& spec,
+                            const obs::Instruments& instruments) {
+  SpecMission mission = lower_spec(spec);
+  mission.config.instruments = instruments;
+  return eval::run_contained(*mission.platform, mission.scenario,
+                             mission.config);
 }
 
 bool sensor_detected(const eval::ScenarioScore& score) {

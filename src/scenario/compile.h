@@ -11,7 +11,6 @@
 #include "eval/platform.h"
 #include "eval/scoring.h"
 #include "scenario/spec.h"
-#include "sim/faults.h"
 
 namespace roboads::scenario {
 
@@ -38,14 +37,9 @@ attacks::Scenario compile_spec(const ScenarioSpec& spec,
                                const eval::Platform& platform,
                                const PlatformTraits& traits);
 
-// The same with platform_traits(spec.platform): the form for running
-// missions (the mission needs the same platform instance).
+// The same with platform_traits(spec.platform).
 attacks::Scenario compile_spec(const ScenarioSpec& spec,
                                const eval::Platform& platform);
-
-// Convenience: builds the platform from spec.platform, compiles, and
-// discards the platform.
-attacks::Scenario compile_spec(const ScenarioSpec& spec);
 
 // Validation without constructing injectors; throws SpecError on the first
 // problem, returns normally for a compilable spec. Covers the faults stanza
@@ -54,27 +48,36 @@ attacks::Scenario compile_spec(const ScenarioSpec& spec);
 // internal CheckErrors can fire.
 void validate_spec(const ScenarioSpec& spec);
 
-// Lowers the spec's faults stanza onto the bus-layer transport-fault model.
-// Inactive (empty) config when the spec carries no faults, so the no-fault
-// mission path stays bit-identical to pre-fault code. Throws SpecError on an
-// invalid stanza.
-sim::TransportFaultConfig transport_faults_of(const ScenarioSpec& spec,
-                                              const eval::Platform& platform);
-sim::TransportFaultConfig transport_faults_of(const ScenarioSpec& spec);
-
-// One compiled-and-flown spec: mission + score on a fresh default platform,
-// deterministic per spec.seed.
-struct SpecRun {
-  std::string name;
-  eval::MissionResult result;
-  eval::ScenarioScore score;
+// The mission a spec describes, ready to fly:
+//   eval::run_contained(*m.platform, m.scenario, m.config).
+// The scenario's injectors are stateful: lower the spec again to fly it
+// again.
+struct SpecMission {
+  std::unique_ptr<eval::Platform> platform;  // built from spec.platform
+  attacks::Scenario scenario;                // compile_spec on it
+  // spec.iterations at spec.seed under the spec's faults stanza (inactive
+  // when it has none, so a fault-free mission stays bit-identical to the
+  // pre-fault runner), labelled "<name>/s<seed>". Callers add instruments
+  // and may prefix the label.
+  eval::MissionConfig config;
 };
 
-SpecRun run_spec(const ScenarioSpec& spec);
+// The only place a spec becomes a mission: shard jobs, the fuzzer's
+// campaign check and frontier probes fly what this returns; everyone else
+// flies it through fly_spec. Throws SpecError for a spec the compiler
+// rejects.
+SpecMission lower_spec(const ScenarioSpec& spec);
+
+// lower_spec(spec) flown once through eval::run_contained under
+// `instruments`, as `roboads_scenario run`, the library battery benches and
+// the tests fly a spec. A mission that fails comes back as
+// ContainedRun::failure; a spec the compiler rejects throws SpecError.
+eval::ContainedRun fly_spec(const ScenarioSpec& spec,
+                            const obs::Instruments& instruments = {});
 
 // True when any non-actuator (resp. actuator) misbehavior was correctly
-// detected per the score's delay records — the frontier and fuzzer's
-// "caught" predicate, shared with bench/evasive_attacks' original logic.
+// detected per the score's delay records: the "caught" predicate of the
+// frontier probes, `roboads_scenario run` and bench/evasive_attacks.
 bool sensor_detected(const eval::ScenarioScore& score);
 bool actuator_detected(const eval::ScenarioScore& score);
 

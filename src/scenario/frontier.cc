@@ -2,54 +2,53 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <ostream>
 
+#include "common/check.h"
 #include "obs/jsonl.h"
 
 namespace roboads::scenario {
-namespace {
-
-struct ProbeOutcome {
-  bool detected = false;
-  std::optional<double> delay_seconds;
-};
-
-ProbeOutcome probe(const FrontierAxis& axis, const FrontierConfig& config,
-                   double magnitude) {
-  ScenarioSpec spec = axis.make(magnitude);
-  spec.iterations = config.iterations;
-  spec.seed = config.seed;
-  const SpecRun run = run_spec(spec);
-  ProbeOutcome outcome;
-  outcome.detected = axis.channel == "actuator"
-                         ? actuator_detected(run.score)
-                         : sensor_detected(run.score);
-  if (outcome.detected) {
-    for (const eval::DelayRecord& d : run.score.delays) {
-      const bool is_actuator = d.label == "actuator";
-      if ((axis.channel == "actuator") == is_actuator && d.seconds) {
-        if (!outcome.delay_seconds || *d.seconds < *outcome.delay_seconds) {
-          outcome.delay_seconds = d.seconds;
-        }
-      }
-    }
-  }
-  return outcome;
-}
-
-}  // namespace
 
 FrontierResult map_frontier(const FrontierAxis& axis,
-                            const FrontierConfig& config) {
+                            const FrontierConfig& config,
+                            const obs::Instruments& instruments) {
+  const bool actuator = axis.channel == "actuator";
   return map_frontier_with(
       axis,
       [&](double magnitude) {
-        const ProbeOutcome outcome = probe(axis, config, magnitude);
-        FrontierProbe record;
-        record.magnitude = magnitude;
-        record.detected = outcome.detected;
-        record.delay_seconds = outcome.delay_seconds;
-        return record;
+        ScenarioSpec spec = axis.make(magnitude);
+        spec.iterations = config.iterations;
+        spec.seed = config.seed;
+        char at[32];
+        std::snprintf(at, sizeof at, "%g", magnitude);
+        SpecMission mission = lower_spec(spec);
+        mission.config.instruments = instruments;
+        // Every probe of an axis shares the spec's name and seed: the
+        // magnitude tells their trace events and bundles apart.
+        mission.config.obs_label += std::string("@") + at;
+        const eval::ContainedRun run = eval::run_contained(
+            *mission.platform, mission.scenario, mission.config);
+        if (run.failed()) {
+          throw CheckError("frontier axis \"" + axis.id +
+                           "\": probe at magnitude " + at +
+                           " failed at step " +
+                           std::to_string(run.failure->step) + ": " +
+                           run.failure->what);
+        }
+        FrontierProbe probe;
+        probe.magnitude = magnitude;
+        probe.detected = actuator ? actuator_detected(run.score)
+                                  : sensor_detected(run.score);
+        if (probe.detected) {
+          for (const eval::DelayRecord& d : run.score.delays) {
+            if ((d.label == "actuator") == actuator && d.seconds &&
+                (!probe.delay_seconds || *d.seconds < *probe.delay_seconds)) {
+              probe.delay_seconds = d.seconds;
+            }
+          }
+        }
+        return probe;
       },
       config);
 }
@@ -65,18 +64,14 @@ FrontierResult map_frontier_with(const FrontierAxis& axis,
   result.unit = axis.unit;
 
   const auto run_probe = [&](double magnitude) {
-    const FrontierProbe record = probe_fn(magnitude);
-    result.probes.push_back(record);
-    ProbeOutcome outcome;
-    outcome.detected = record.detected;
-    outcome.delay_seconds = record.delay_seconds;
-    return outcome;
+    result.probes.push_back(probe_fn(magnitude));
+    return result.probes.back();
   };
 
   double lo = axis.lo;
   double hi = axis.hi;
-  ProbeOutcome at_lo = run_probe(lo);
-  ProbeOutcome at_hi = run_probe(hi);
+  FrontierProbe at_lo = run_probe(lo);
+  FrontierProbe at_hi = run_probe(hi);
 
   // Repair the bracket when the endpoint expectations miss: a detected lo
   // shrinks downward, an undetected hi grows upward. Whichever endpoint
@@ -108,7 +103,7 @@ FrontierResult map_frontier_with(const FrontierAxis& axis,
   for (std::size_t step = 0; step < config.bisection_steps; ++step) {
     const double mid = 0.5 * (lo + hi);
     if (mid <= lo || mid >= hi) break;  // magnitudes no longer distinct
-    const ProbeOutcome at_mid = run_probe(mid);
+    const FrontierProbe at_mid = run_probe(mid);
     if (at_mid.detected) {
       hi = mid;
       delay_at_hi = at_mid.delay_seconds;

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/obs.h"
 #include "scenario/compile.h"
 
 namespace roboads::scenario {
@@ -57,9 +58,15 @@ struct FrontierConfig {
   std::size_t iterations = 250;
 };
 
-// Bisects one axis; every probe is a full deterministic mission.
+// Bisects one axis; every probe is a full deterministic mission, the spec
+// axis.make(m) at config.iterations and config.seed through lower_spec and
+// eval::run_contained, labelled "<name>/s<seed>@<m>". `instruments` only
+// record (the result is the same with or without them). A probe whose
+// mission fails ends the map with a CheckError naming the axis, the
+// magnitude, the step and the cause.
 FrontierResult map_frontier(const FrontierAxis& axis,
-                            const FrontierConfig& config = {});
+                            const FrontierConfig& config = {},
+                            const obs::Instruments& instruments = {});
 
 // The bisection core with the mission evaluation injected — what
 // map_frontier runs, unit-testable against a synthetic detector

@@ -210,17 +210,15 @@ std::optional<InvariantViolation> check_campaign(
     return InvariantViolation{std::move(invariant), std::move(detail)};
   };
 
+  // eval::run_mission, not run_contained: the verdict classifies a crash
+  // itself and reads every record, scored or not.
   std::unique_ptr<eval::Platform> platform;
   eval::MissionResult result;
   try {
-    platform = make_platform(spec.platform);
-    const attacks::Scenario scenario = compile_spec(spec, *platform);
-    eval::MissionConfig config;
-    config.iterations = spec.iterations;
-    config.seed = spec.seed;
-    config.transport_faults = transport_faults_of(spec, *platform);
-    config.instruments = instruments;
-    result = eval::run_mission(*platform, scenario, config);
+    SpecMission mission = lower_spec(spec);
+    platform = std::move(mission.platform);
+    mission.config.instruments = instruments;
+    result = eval::run_mission(*platform, mission.scenario, mission.config);
   } catch (const SpecError& e) {
     return fail("spec-rejected", e.what());
   } catch (const std::exception& e) {

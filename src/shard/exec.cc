@@ -25,22 +25,16 @@ void execute_mission_job(const ManifestJob& job, const ExecConfig& config,
                          JobOutcome& out) {
   scenario::ScenarioSpec spec = resolve_spec(job);
   if (job.iterations > 0) spec.iterations = job.iterations;
+  spec.seed = job.seed;
   out.name = spec.name;
 
-  const std::unique_ptr<eval::Platform> platform =
-      scenario::make_platform(spec.platform);
-
-  eval::MissionConfig mission;
-  mission.iterations = spec.iterations;
-  mission.seed = job.seed;
-  mission.transport_faults = scenario::transport_faults_of(spec, *platform);
-  mission.instruments = config.instruments;
+  scenario::SpecMission mission = scenario::lower_spec(spec);
+  mission.config.instruments = config.instruments;
   // The job id leads the observability label, so trace events and bundle
   // filenames are unique per manifest job and — crucially — identical no
   // matter which worker instance (original, retry, salvage, serial
   // reference) flies the job.
-  mission.obs_label = job.id + "/" + spec.name + "/s" +
-                      std::to_string(job.seed);
+  mission.config.obs_label = job.id + "/" + mission.config.obs_label;
   // Each job records into a private recorder, so its bundle ordinals count
   // within the job; a recorder in the worker's instruments is never used.
   std::optional<obs::FlightRecorder> recorder;
@@ -48,11 +42,10 @@ void execute_mission_job(const ManifestJob& job, const ExecConfig& config,
     recorder.emplace(obs::FlightRecorderConfig{.enabled = true});
     std::filesystem::create_directories(config.run_dir + "/bundles");
   }
-  mission.instruments.recorder = recorder ? &*recorder : nullptr;
+  mission.config.instruments.recorder = recorder ? &*recorder : nullptr;
 
-  const attacks::Scenario scenario = scenario::compile_spec(spec, *platform);
-  const eval::ContainedRun r =
-      eval::run_contained(*platform, scenario, mission);
+  const eval::ContainedRun r = eval::run_contained(
+      *mission.platform, mission.scenario, mission.config);
   if (recorder.has_value()) {
     for (const std::string& path : obs::write_bundle_files(
              config.run_dir + "/bundles/", recorder->bundles())) {

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <stdexcept>
 
+#include "common/parse.h"
 #include "shard/worker.h"
 
 namespace roboads::shard {
@@ -18,6 +19,34 @@ std::vector<JobOutcome> run_serial(const Manifest& manifest,
     outcomes.push_back(execute_job(job, exec));
   }
   return outcomes;
+}
+
+std::string take_campaign_flags(std::vector<std::string>& args,
+                                std::size_t& workers,
+                                SupervisedRunConfig& run) {
+  std::vector<std::string> rest;
+  for (const std::string& arg : args) {
+    std::string value;
+    if (common::flag_value(arg, "--workers", &value)) {
+      const std::optional<unsigned long long> n = common::parse_u64(value);
+      if (!n || *n == 0) {
+        return "--workers expects a positive integer, got \"" + value + "\"";
+      }
+      workers = static_cast<std::size_t>(*n);
+    } else if (common::flag_value(arg, "--shard-dir", &value)) {
+      run.dir = value;
+    } else if (arg == "--resume") {
+      run.resume = true;
+    } else {
+      rest.push_back(arg);
+    }
+  }
+  if (workers > 0 && run.dir.empty()) return "--workers needs --shard-dir";
+  if ((run.resume || !run.dir.empty()) && workers == 0) {
+    return "--shard-dir/--resume need --workers";
+  }
+  args = std::move(rest);
+  return "";
 }
 
 SupervisedRun run_supervised(const SupervisedRunConfig& config,

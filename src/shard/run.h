@@ -30,6 +30,20 @@ struct SupervisedRunConfig {
   SupervisorConfig supervisor;
 };
 
+// The campaign flags `roboads_fuzz` and `bench/seed_robustness` share:
+// --workers=N (N >= 1) flies the sweep in N supervised worker processes
+// with run directory --shard-dir=D, and --resume continues the run D holds.
+// Without --workers the sweep runs in process and `workers` stays 0.
+//
+// Takes those flags out of `args` (leaving the rest, in order, to the
+// caller's parser) into `workers`, `run.dir` and `run.resume`. Returns ""
+// on success, else a one-line diagnostic naming the flag, for a malformed
+// or zero --workers, --workers without --shard-dir, or --shard-dir or
+// --resume without --workers; callers print it and exit 2.
+std::string take_campaign_flags(std::vector<std::string>& args,
+                                std::size_t& workers,
+                                SupervisedRunConfig& run);
+
 struct SupervisedRun {
   Manifest manifest;  // the manifest the workers flew
   SuperviseResult supervised;

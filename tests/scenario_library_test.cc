@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -55,7 +56,14 @@ std::string counts(const stats::ConfusionCounts& c) {
 std::string outcome_line(ScenarioSpec spec, std::uint64_t seed) {
   spec.seed = seed;
   spec.iterations = 250;
-  const SpecRun run = run_spec(spec);
+  const eval::ContainedRun run = fly_spec(spec);
+  // A failed mission fails the test (and writes no golden) rather than
+  // pinning an empty trace.
+  if (run.failed()) {
+    throw std::runtime_error(spec.name + ": mission failed at step " +
+                             std::to_string(run.failure->step) + ": " +
+                             run.failure->what);
+  }
   std::ostringstream csv;
   eval::write_trace_csv(csv, run.result, *make_platform(spec.platform));
 

@@ -98,8 +98,8 @@ TEST(ScenarioSpecTest, ParseAcceptsCommentsAndBlankLines) {
 
 TEST(ScenarioSpecTest, CompiledInjectorSequenceIsDeterministic) {
   const ScenarioSpec spec = khepera_table2_spec(8);
-  const attacks::Scenario a = compile_spec(spec);
-  const attacks::Scenario b = compile_spec(spec);
+  const attacks::Scenario a = lower_spec(spec).scenario;
+  const attacks::Scenario b = lower_spec(spec).scenario;
   ASSERT_EQ(a.attachments().size(), b.attachments().size());
   for (std::size_t i = 0; i < a.attachments().size(); ++i) {
     EXPECT_EQ(a.attachments()[i].point, b.attachments()[i].point);
@@ -123,8 +123,10 @@ TEST(ScenarioSpecTest, NoiseCampaignMissionsAreBitIdenticalPerSeed) {
   ScenarioSpec spec = one_attack_spec(std::move(noise), 120);
   spec.seed = 77;
 
-  const SpecRun first = run_spec(spec);
-  const SpecRun second = run_spec(spec);
+  const eval::ContainedRun first = fly_spec(spec);
+  const eval::ContainedRun second = fly_spec(spec);
+  ASSERT_FALSE(first.failed()) << first.failure->what;
+  ASSERT_FALSE(second.failed()) << second.failure->what;
   const eval::KheperaPlatform platform;
   std::ostringstream csv_first, csv_second;
   eval::write_trace_csv(csv_first, first.result, platform);
@@ -139,7 +141,7 @@ TEST(ScenarioSpecTest, NoiseCampaignMissionsAreBitIdenticalPerSeed) {
 TEST(ScenarioSpecTest, ZeroDurationAttackIsRejectedNotCrash) {
   const ScenarioSpec spec = one_attack_spec(ips_bias(60, 0));
   EXPECT_THROW(validate_spec(spec), SpecError);
-  EXPECT_THROW(compile_spec(spec), SpecError);
+  EXPECT_THROW(lower_spec(spec), SpecError);
   try {
     validate_spec(spec);
     FAIL() << "expected SpecError";
@@ -301,17 +303,32 @@ TEST(ScenarioSpecTest, TransportFaultsLowerOntoSimConfig) {
   ScenarioSpec spec = one_attack_spec(ips_bias(60, kForever));
   spec.faults.push_back(wheels_fault());
   spec.fault_seed = 2026;
-  const sim::TransportFaultConfig config = transport_faults_of(spec);
+  spec.seed = 4711;
+  const SpecMission mission = lower_spec(spec);
+  const sim::TransportFaultConfig& config = mission.config.transport_faults;
   EXPECT_EQ(config.seed, 2026u);
   ASSERT_EQ(config.sensors.size(), 1u);
   EXPECT_EQ(config.sensors[0].sensor, "wheel_encoder");
   EXPECT_EQ(config.sensors[0].drop_rate, 0.1);
+  EXPECT_EQ(config.sensors[0].stale_rate, 0.05);
+  EXPECT_EQ(config.sensors[0].duplicate_rate, 0.02);
+  EXPECT_EQ(config.sensors[0].freeze_at, 40u);
   EXPECT_EQ(config.sensors[0].freeze_duration, 10u);
   EXPECT_TRUE(config.active());
 
+  // The rest of the mission: the spec's horizon and seed, no instruments,
+  // and the "<name>/s<seed>" label, on the spec's platform.
+  EXPECT_EQ(mission.config.iterations, 250u);
+  EXPECT_EQ(mission.config.seed, 4711u);
+  EXPECT_EQ(mission.config.obs_label, "test/s4711");
+  EXPECT_FALSE(mission.config.instruments.enabled());
+  EXPECT_EQ(mission.platform->name(), "khepera");
+  EXPECT_EQ(mission.scenario.name(), "test");
+  ASSERT_EQ(mission.scenario.attachments().size(), 1u);
+
   // No faults stanza → inactive config → the bit-identical no-fault path.
   const ScenarioSpec plain = one_attack_spec(ips_bias(60, kForever));
-  EXPECT_FALSE(transport_faults_of(plain).active());
+  EXPECT_FALSE(lower_spec(plain).config.transport_faults.active());
 }
 
 TEST(ScenarioSpecTest, FaultedMissionsAreBitIdenticalPerSeed) {
@@ -320,8 +337,10 @@ TEST(ScenarioSpecTest, FaultedMissionsAreBitIdenticalPerSeed) {
   spec.faults.push_back(wheels_fault());
   spec.fault_seed = 31337;
 
-  const SpecRun first = run_spec(spec);
-  const SpecRun second = run_spec(spec);
+  const eval::ContainedRun first = fly_spec(spec);
+  const eval::ContainedRun second = fly_spec(spec);
+  ASSERT_FALSE(first.failed()) << first.failure->what;
+  ASSERT_FALSE(second.failed()) << second.failure->what;
   const eval::KheperaPlatform platform;
   std::ostringstream csv_first, csv_second;
   eval::write_trace_csv(csv_first, first.result, platform);
@@ -332,7 +351,8 @@ TEST(ScenarioSpecTest, FaultedMissionsAreBitIdenticalPerSeed) {
   // fault-free flight — the stanza is wired through, not dropped.
   ScenarioSpec plain = spec;
   plain.faults.clear();
-  const SpecRun unfaulted = run_spec(plain);
+  const eval::ContainedRun unfaulted = fly_spec(plain);
+  ASSERT_FALSE(unfaulted.failed()) << unfaulted.failure->what;
   std::ostringstream csv_plain;
   eval::write_trace_csv(csv_plain, unfaulted.result, platform);
   EXPECT_NE(csv_first.str(), csv_plain.str());

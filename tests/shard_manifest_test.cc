@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "scenario/compile.h"
 #include "scenario/library.h"
 #include "shard/exec.h"
 
@@ -206,6 +207,56 @@ TEST(ShardExec, MalformedInlineSpecBecomesAFailedOutcome) {
   EXPECT_EQ(rejected.name, spec.name);
   EXPECT_NE(rejected.failure.find("onset"), std::string::npos)
       << rejected.failure;
+}
+
+// A library job and the same spec inline fly the mission
+// scenario::lower_spec makes of it at the job's seed and horizon: their
+// outcomes carry what scenario::fly_spec scores on that mission.
+TEST(ShardExec, LibraryAndInlineJobsFlyTheLoweredSpec) {
+  scenario::ScenarioSpec spec = scenario::khepera_table2_spec(8);
+  ManifestJob library = mission_job(JobKind::kLibrary);
+  library.id = "lib-8";
+  library.seed = 1008;
+  library.iterations = 150;
+  library.scenario = spec.name;
+  ManifestJob inline_job = library;
+  inline_job.id = "inline-8";
+  inline_job.kind = JobKind::kSpec;
+  inline_job.scenario.clear();
+  inline_job.spec_text = scenario::serialize(spec);
+
+  spec.seed = library.seed;
+  spec.iterations = library.iterations;
+  const eval::ContainedRun run = scenario::fly_spec(spec);
+  ASSERT_FALSE(run.failed()) << run.failure->what;
+
+  for (const ManifestJob& job : {library, inline_job}) {
+    SCOPED_TRACE(job.id);
+    const JobOutcome out = execute_job(job, {});
+    ASSERT_EQ(out.status, "ok") << out.failure;
+    EXPECT_EQ(out.name, spec.name);
+    const auto counts = [](const stats::ConfusionCounts& c) {
+      return std::vector<std::int64_t>{
+          static_cast<std::int64_t>(c.true_positives),
+          static_cast<std::int64_t>(c.false_positives),
+          static_cast<std::int64_t>(c.true_negatives),
+          static_cast<std::int64_t>(c.false_negatives)};
+    };
+    EXPECT_EQ((std::vector<std::int64_t>{out.sensor_tp, out.sensor_fp,
+                                         out.sensor_tn, out.sensor_fn}),
+              counts(run.score.sensor));
+    EXPECT_EQ((std::vector<std::int64_t>{out.actuator_tp, out.actuator_fp,
+                                         out.actuator_tn, out.actuator_fn}),
+              counts(run.score.actuator));
+    ASSERT_EQ(out.delays.size(), run.score.delays.size());
+    for (std::size_t i = 0; i < out.delays.size(); ++i) {
+      EXPECT_EQ(out.delays[i].label, run.score.delays[i].label);
+      EXPECT_EQ(out.delays[i].triggered_at, run.score.delays[i].triggered_at);
+      EXPECT_EQ(out.delays[i].seconds, run.score.delays[i].seconds);
+    }
+    EXPECT_EQ(out.sensor_sequence, run.score.sensor_condition_sequence);
+    EXPECT_EQ(out.actuator_sequence, run.score.actuator_condition_sequence);
+  }
 }
 
 }  // namespace

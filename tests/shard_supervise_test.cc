@@ -13,6 +13,7 @@
 #include <sstream>
 
 #include "shard/checkpoint.h"
+#include "shard/run.h"
 
 namespace roboads::shard {
 namespace {
@@ -119,6 +120,51 @@ TEST(ShardChaosArgument, RoundTripsAndRejectsMalformedValues) {
     EXPECT_FALSE(parse_chaos_argument(bad).has_value()) << bad;
   }
   EXPECT_THROW(chaos_argument(SIGTERM, 1), CheckError);
+}
+
+// The campaign flags of roboads_fuzz and seed_robustness: taken out of the
+// argument list, the rest left in order, and every malformed or
+// inconsistent combination refused with a diagnostic naming the flag.
+TEST(ShardCampaignFlags, TakesItsFlagsAndRefusesBadCombinations) {
+  std::vector<std::string> args = {"--seed=3", "--workers=4",
+                                   "--shard-dir=out", "--resume",
+                                   "--campaigns=9"};
+  std::size_t workers = 0;
+  SupervisedRunConfig run;
+  EXPECT_EQ(take_campaign_flags(args, workers, run), "");
+  EXPECT_EQ(args, (std::vector<std::string>{"--seed=3", "--campaigns=9"}));
+  EXPECT_EQ(workers, 4u);
+  EXPECT_EQ(run.dir, "out");
+  EXPECT_TRUE(run.resume);
+
+  // No campaign flag: in process, nothing taken.
+  args = {"--seeds=2", "--trace-out=t.jsonl"};
+  workers = 0;
+  run = {};
+  EXPECT_EQ(take_campaign_flags(args, workers, run), "");
+  EXPECT_EQ(args.size(), 2u);
+  EXPECT_EQ(workers, 0u);
+  EXPECT_TRUE(run.dir.empty());
+  EXPECT_FALSE(run.resume);
+
+  const std::pair<std::vector<std::string>, const char*> refused[] = {
+      {{"--workers=0", "--shard-dir=d"}, "--workers expects"},
+      {{"--workers=-1", "--shard-dir=d"}, "--workers expects"},
+      {{"--workers=2x", "--shard-dir=d"}, "--workers expects"},
+      {{"--workers=", "--shard-dir=d"}, "--workers expects"},
+      {{"--workers=2"}, "--workers needs --shard-dir"},
+      {{"--shard-dir=d"}, "need --workers"},
+      {{"--resume"}, "need --workers"},
+  };
+  for (const auto& [bad, diagnostic] : refused) {
+    std::vector<std::string> copy = bad;
+    workers = 0;
+    run = {};
+    const std::string error = take_campaign_flags(copy, workers, run);
+    EXPECT_NE(error.find(diagnostic), std::string::npos)
+        << bad[0] << ": " << error;
+    EXPECT_EQ(error.find('\n'), std::string::npos) << error;
+  }
 }
 
 TEST(ShardSupervise, HealthyWorkersCompleteInOneLaunchEach) {

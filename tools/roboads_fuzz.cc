@@ -111,8 +111,10 @@ int main(int argc, char** argv) {
   std::size_t workers = 0;
   shard::SupervisedRunConfig run;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
+  std::vector<std::string> args(argv + 1, argv + argc);
+  const std::string error = shard::take_campaign_flags(args, workers, run);
+  if (!error.empty()) usage_error(argv[0], error);
+  for (const std::string& arg : args) {
     std::string value;
     if (flag_value(arg, "--seed", &value)) {
       config.seed = count("--seed", value, true);
@@ -136,24 +138,12 @@ int main(int argc, char** argv) {
         usage_error(argv[0], "--corpus-out expects a directory");
       }
       corpus_out = value;
-    } else if (flag_value(arg, "--workers", &value)) {
-      workers = count("--workers", value, false);
-    } else if (flag_value(arg, "--shard-dir", &value)) {
-      run.dir = value;
-    } else if (arg == "--resume") {
-      run.resume = true;
     } else {
       usage_error(argv[0], "unknown argument \"" + arg + "\"");
     }
   }
   if (config.platforms.empty()) {
     config.platforms = roboads::eval::platform_names();
-  }
-  if (workers > 0 && run.dir.empty()) {
-    usage_error(argv[0], "--workers needs --shard-dir");
-  }
-  if ((run.resume || !run.dir.empty()) && workers == 0) {
-    usage_error(argv[0], "--shard-dir/--resume need --workers");
   }
 
   try {

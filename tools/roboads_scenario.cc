@@ -4,8 +4,10 @@
 //   roboads_scenario check FILE...   parse + semantic validation; exit 1 on
 //                                    the first invalid spec
 //   roboads_scenario print FILE      parse and reprint the canonical form
-//   roboads_scenario run FILE...     compile and fly each spec, print the
-//                                    per-mission detection summary
+//   roboads_scenario run FILE...     lower and fly each spec, print the
+//                                    per-mission detection summary; exit 1
+//                                    on the first invalid spec or failed
+//                                    mission
 //   roboads_scenario library         print every built-in library spec name
 #include <cstdio>
 #include <cstring>
@@ -87,7 +89,13 @@ int main(int argc, char** argv) {
       try {
         const scenario::ScenarioSpec spec =
             scenario::parse(read_file(argv[0], argv[i]));
-        const scenario::SpecRun run = scenario::run_spec(spec);
+        const roboads::eval::ContainedRun run = scenario::fly_spec(spec);
+        if (run.failed()) {
+          std::fprintf(stderr, "%s: mission failed at step %zu: %s\n",
+                       argv[i], run.failure->step,
+                       run.failure->what.c_str());
+          return 1;
+        }
         std::printf(
             "%s: \"%s\" on %s — sensor %s (%s), actuator %s (%s), goal %s\n",
             argv[i], spec.name.c_str(), spec.platform.c_str(),
