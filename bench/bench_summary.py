@@ -35,12 +35,30 @@ gates cross-PR hot-path regressions. Benchmarks missing from the baseline
 (newly added) pass; a missing or unreadable baseline file is skipped with a
 note (first snapshot of a fresh checkout). Comparisons only run when the
 baseline was recorded with identical build type and flags — numbers from a
-different compiler configuration are noise, not a regression.
+different compiler configuration are noise, not a regression. The summary
+context also records the CPU model (the first "model name" line of
+/proc/cpuinfo, as perfbench fingerprints its host), and the gate's verdict
+line prints it next to the baseline's ("unknown" where a baseline recorded
+none): the bound is not re-judged on a different CPU, but a verdict across
+hosts says so.
 """
 import json
 import os
 import statistics
 import sys
+
+
+def cpu_model() -> str:
+    """The first "model name" of /proc/cpuinfo, or "unknown"."""
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    _, _, model = line.partition(":")
+                    return model.strip() or "unknown"
+    except OSError:
+        pass
+    return "unknown"
 
 
 def main() -> int:
@@ -102,6 +120,7 @@ def main() -> int:
         "context": {
             "date": first_ctx.get("date", ""),
             "num_cpus": first_ctx.get("num_cpus", 0),
+            "cpu_model": cpu_model(),
             "build_type": build_type,
             "cxx_flags": cxx_flags,
             "library_build_type": first_ctx.get("library_build_type", ""),
@@ -155,6 +174,8 @@ def main() -> int:
             with open(baseline_path) as f:
                 baseline = json.load(f)
             base_ctx = baseline.get("context", {})
+            cpus = (f"(cpu: {summary['context']['cpu_model']}; baseline "
+                    f"cpu: {base_ctx.get('cpu_model') or 'unknown'})")
             comparable = (
                 base_ctx.get("build_type", "") == build_type
                 and base_ctx.get("cxx_flags", "") == cxx_flags
@@ -177,7 +198,7 @@ def main() -> int:
                 if regressions:
                     print(
                         f"bench_summary: hot-path regression(s) beyond "
-                        f"{max_regress:.0%} vs {baseline_path}:",
+                        f"{max_regress:.0%} vs {baseline_path} {cpus}:",
                         file=sys.stderr,
                     )
                     for name, old, new, ratio in regressions:
@@ -195,7 +216,7 @@ def main() -> int:
                     return 1
                 print(
                     f"bench_summary: {len(summary['benchmarks'])} benchmarks "
-                    f"within {max_regress:.0%} of {baseline_path}")
+                    f"within {max_regress:.0%} of {baseline_path} {cpus}")
 
     with open(positional[-1], "w") as f:
         json.dump(summary, f, indent=2, sort_keys=True)

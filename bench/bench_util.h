@@ -44,25 +44,29 @@ struct BenchArgs {
   obs::ObsConfig obs;
 };
 
+// The flags part of the usage line for the set above. A bench that takes
+// other flags passes its own line to both functions below.
+inline constexpr const char* kBenchFlags =
+    "[--trace-out=PATH] [--metrics-out=PATH|-] [--record-out=PREFIX|-] "
+    "[--record-window=N]";
+
 [[noreturn]] inline void bench_usage_error(const char* argv0,
-                                           const std::string& message) {
+                                           const std::string& message,
+                                           const char* flags = kBenchFlags) {
   std::fprintf(stderr, "%s: %s\n", argv0, message.c_str());
-  std::fprintf(stderr,
-               "usage: %s [--trace-out=PATH] "
-               "[--metrics-out=PATH|-] [--record-out=PREFIX|-] "
-               "[--record-window=N]\n",
-               argv0);
+  std::fprintf(stderr, "usage: %s %s\n", argv0, flags);
   std::exit(2);
 }
 
-inline BenchArgs parse_bench_args(int argc, char** argv) {
+inline BenchArgs parse_bench_args(int argc, char** argv,
+                                  const char* flags = kBenchFlags) {
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--trace-out=", 12) == 0) {
       const std::string path = arg + 12;
       if (path.empty()) {
-        bench_usage_error(argv[0], "--trace-out expects a path");
+        bench_usage_error(argv[0], "--trace-out expects a path", flags);
       }
       args.obs.trace = true;
       if (path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0) {
@@ -73,29 +77,33 @@ inline BenchArgs parse_bench_args(int argc, char** argv) {
     } else if (std::strncmp(arg, "--metrics-out=", 14) == 0) {
       const std::string path = arg + 14;
       if (path.empty()) {
-        bench_usage_error(argv[0], "--metrics-out expects a path or \"-\"");
+        bench_usage_error(argv[0], "--metrics-out expects a path or \"-\"",
+                          flags);
       }
       args.obs.metrics = true;
       if (path != "-") args.obs.metrics_jsonl_path = path;
     } else if (std::strncmp(arg, "--record-out=", 13) == 0) {
       const std::string prefix = arg + 13;
       if (prefix.empty()) {
-        bench_usage_error(argv[0], "--record-out expects a prefix or \"-\"");
+        bench_usage_error(argv[0], "--record-out expects a prefix or \"-\"",
+                          flags);
       }
       args.obs.record = true;
       if (prefix != "-") args.obs.record_out = prefix;
     } else if (std::strncmp(arg, "--record-window=", 16) == 0) {
       const auto parsed = common::parse_u64(arg + 16);
       if (!parsed || *parsed == 0) {
-        bench_usage_error(argv[0], std::string("--record-window expects a ") +
-                                       "positive integer, got \"" +
-                                       (arg + 16) + "\"");
+        bench_usage_error(argv[0],
+                          std::string("--record-window expects a ") +
+                              "positive integer, got \"" + (arg + 16) + "\"",
+                          flags);
       }
       args.obs.record = true;
       args.obs.record_window = static_cast<std::size_t>(*parsed);
     } else {
       bench_usage_error(argv[0],
-                        std::string("unknown argument \"") + arg + "\"");
+                        std::string("unknown argument \"") + arg + "\"",
+                        flags);
     }
   }
   return args;

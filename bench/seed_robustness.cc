@@ -189,8 +189,22 @@ int run_battery(const shard::Manifest& manifest, std::size_t workers,
 }  // namespace
 }  // namespace roboads::bench
 
+namespace {
+
+// This bench's flags: its own, the shard flags, and the obs flags it
+// accepts in process (not --record-window).
+constexpr const char* kFlags =
+    "[--seeds=N] [--workers=N --shard-dir=DIR [--resume]] "
+    "[--trace-out=PATH] [--metrics-out=PATH|-] [--record-out=DIR]";
+
+[[noreturn]] void bench_usage_error(const char* argv0,
+                                    const std::string& message) {
+  roboads::bench::bench_usage_error(argv0, message, kFlags);
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  using roboads::bench::bench_usage_error;
   using roboads::common::flag_value;
 
   if (argc >= 2 && std::strcmp(argv[1], "--shard-worker") == 0) {
@@ -222,7 +236,7 @@ int main(int argc, char** argv) {
     }
   }
   const roboads::bench::BenchArgs common = roboads::bench::parse_bench_args(
-      static_cast<int>(passthrough.size()), passthrough.data());
+      static_cast<int>(passthrough.size()), passthrough.data(), kFlags);
   if (workers > 0 && common.obs.enabled()) {
     bench_usage_error(argv[0], "--trace-out, --metrics-out and --record-out "
                                "work in process only (without --workers)");

@@ -354,6 +354,15 @@ run_scenario_tool_smoke() {
     echo "scenario smoke: an unknown subcommand exited $rc, expected 2" >&2
     exit 1
   fi
+  # Without a FILE too: the subcommand is checked before the arguments.
+  local message
+  rc=0
+  message="$("$tool" no-such-subcommand 2>&1 > /dev/null)" || rc=$?
+  if [ "$rc" -ne 2 ] || ! grep -qF "unknown subcommand" <<< "$message"; then
+    echo "scenario smoke: a bare unknown subcommand exited $rc with:" >&2
+    echo "$message" >&2
+    exit 1
+  fi
   echo "scenario smoke: ${#specs[@]} corpus specs checked, printed and" \
     "flown; invalid specs and an unknown subcommand refused"
 }
@@ -362,13 +371,24 @@ run_scenario_tool_smoke() {
 # campaign flown twice against a serial reference. Pass 1 injects a worker
 # SIGKILL mid-campaign (supervised retry must absorb it); pass 2 SIGKILLs
 # the *supervisor* mid-run and resumes from the checkpoints. Both merged
-# reports must be byte-identical to the serial run's.
+# reports must be byte-identical to the serial run's. First, a malformed
+# campaign flag of bench/seed_robustness must exit 2 with that bench's own
+# usage line (its --seeds, not the --record-window it refuses).
 run_shard_smoke() {
   local dir="$1"
   cmake -B "$dir" -S .
-  cmake --build "$dir" -j "$JOBS" --target roboads_shard_tool
+  cmake --build "$dir" -j "$JOBS" --target roboads_shard_tool seed_robustness
   local out="$dir/shard-smoke"
   rm -rf "$out" && mkdir -p "$out"
+  local rc=0 usage
+  usage="$("$dir/bench/seed_robustness" --workers=0 2>&1 > /dev/null)" ||
+    rc=$?
+  if [ "$rc" -ne 2 ] || ! grep -qF -- "--seeds" <<< "$usage" ||
+      grep -qF -- "--record-window" <<< "$usage"; then
+    echo "shard smoke: seed_robustness --workers=0 exited $rc with:" >&2
+    echo "$usage" >&2
+    exit 1
+  fi
   local manifest="$out/manifest.jsonl"
   "$dir/tools/roboads_shard" gen-fuzz --out="$manifest" \
     --seed="${FUZZ_SEED:-1}" --campaigns=32 --iterations=60 --shards=4

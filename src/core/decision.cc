@@ -1,9 +1,35 @@
 #include "core/decision.h"
 
 #include "core/bank.h"
-#include "matrix/decomp.h"
+#include "matrix/kernels_impl.h"
 
 namespace roboads::core {
+namespace {
+
+// The χ² statistic bᵀA⁻¹b of the dof×dof block of `a` anchored at (at, at)
+// (row stride `stride`) and the dof values of `b` from `at`: what
+// SpdFactor(a.block(at, at, dof, dof)).quadratic_form(b.segment(at, dof))
+// computes, on stack arrays for dof ≤ 4.
+double chi2_statistic(const double* a, std::size_t stride, const double* b,
+                      std::size_t at, std::size_t dof) {
+  return kernels::with_extent(dof, [&](auto n) {
+    using N = decltype(n);
+    kernels::Buf<N, N> block(n, n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const double* row = a + (at + i) * stride + at;
+      std::copy(row, row + n, block.data() + i * n);
+    }
+    return kernels::Factor<N>(block.data(), n).quadratic_form(b + at);
+  });
+}
+
+// The statistic of the whole square `cov` and `b`, which must match it.
+double chi2_statistic(const Matrix& cov, const Vector& b, const char* what) {
+  ROBOADS_CHECK(cov.rows() == b.size() && cov.cols() == b.size(), what);
+  return chi2_statistic(cov.data(), cov.cols(), b.data(), 0, b.size());
+}
+
+}  // namespace
 
 DecisionMaker::DecisionMaker(const sensors::SensorSuite& suite,
                              DecisionConfig config)
@@ -60,8 +86,9 @@ Decision DecisionMaker::evaluate(const Mode& mode, const NuiseResult& result) {
   // --- Aggregate sensor test (line 10). ---
   if (!result.sensor_anomaly.empty()) {
     const std::size_t dof = result.sensor_anomaly.size();
-    const SpdFactor cov(result.sensor_anomaly_cov);
-    d.sensor_statistic = cov.quadratic_form(result.sensor_anomaly);
+    d.sensor_statistic =
+        chi2_statistic(result.sensor_anomaly_cov, result.sensor_anomaly,
+                       "sensor anomaly covariance shape mismatch");
     d.sensor_threshold = bank_->sensor_threshold(dof);
     d.sensor_test_positive = d.sensor_statistic > d.sensor_threshold;
   }
@@ -70,8 +97,9 @@ Decision DecisionMaker::evaluate(const Mode& mode, const NuiseResult& result) {
   // --- Aggregate actuator test (line 11). ---
   {
     const std::size_t dof = result.actuator_anomaly.size();
-    const SpdFactor cov(result.actuator_anomaly_cov);
-    d.actuator_statistic = cov.quadratic_form(result.actuator_anomaly);
+    d.actuator_statistic =
+        chi2_statistic(result.actuator_anomaly_cov, result.actuator_anomaly,
+                       "actuator anomaly covariance shape mismatch");
     d.actuator_threshold = bank_->actuator_threshold(dof);
     d.actuator_test_positive = d.actuator_statistic > d.actuator_threshold;
   }
@@ -96,8 +124,9 @@ Decision DecisionMaker::evaluate(const Mode& mode, const NuiseResult& result) {
     SensorVerdict v;
     v.sensor_index = t;
     v.anomaly_estimate = result.sensor_anomaly.segment(at, dim);
-    const SpdFactor block(result.sensor_anomaly_cov.block(at, at, dim, dim));
-    v.statistic = block.quadratic_form(v.anomaly_estimate);
+    v.statistic = chi2_statistic(result.sensor_anomaly_cov.data(),
+                                 result.sensor_anomaly_cov.cols(),
+                                 result.sensor_anomaly.data(), at, dim);
     v.threshold = bank_->sensor_threshold(dim);
     const bool positive = v.statistic > v.threshold;
     const bool windowed = per_sensor_history_[t].push(positive);

@@ -157,14 +157,11 @@ EngineResult MultiModeEngine::step_impl(const Vector& u_prev,
   // modes are stepped too: estimators are stateless (the shared estimate is
   // threaded in each iteration), so a clean result here is exactly the
   // evidence the supervisor needs to reinstate the mode.
+  const SensorMask all_available;
+  const SensorMask& mask = available != nullptr ? *available : all_available;
   for (std::size_t m = 0; m < m_count; ++m) {
-    const Nuise& estimator = bank.estimator(m);
-    out.per_mode[m] =
-        available != nullptr
-            ? estimator.step(state_, state_cov_, u_prev, z_full, *available,
-                             stage_timers_)
-            : estimator.step(state_, state_cov_, u_prev, z_full,
-                             stage_timers_);
+    bank.estimator(m).step_into(state_, state_cov_, u_prev, z_full, mask,
+                                out.per_mode[m], stage_timers_);
   }
 
   // --- Health supervision. ---

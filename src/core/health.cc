@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "matrix/decomp.h"
+#include "matrix/kernels_impl.h"
 
 namespace roboads::core {
 
@@ -103,20 +104,46 @@ double certificate_margin(std::size_t n) {
   return (delta + eps) / (1.0 - eps);
 }
 
+// certificate_margin(n), computed once per n up to the largest stacked
+// covariance a detector meets and on every call beyond it.
+double margin_of(std::size_t n) {
+  static const std::array<double, 17> margins = [] {
+    std::array<double, 17> out{};
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] = certificate_margin(i);
+    }
+    return out;
+  }();
+  return n < margins.size() ? margins[n] : certificate_margin(n);
+}
+
 // True when a Cholesky factorization proves repair_covariance would leave
-// the symmetric `s` untouched.
-bool psd_certified(const Matrix& s, double psd_tol) {
-  if (!(psd_tol >= certificate_margin(s.rows()))) return false;
-  if (s.norm_inf() > kMaxCertifiedEntry) return false;
-  return Cholesky(s).ok();
+// the square `cov` untouched. Symmetrizes and factors a copy, as the
+// eigen path symmetrizes its own: stack arrays up to 4×4, a Matrix beyond.
+bool psd_certified(const Matrix& cov, double psd_tol) {
+  const std::size_t n = cov.rows();
+  if (!(psd_tol >= margin_of(n))) return false;
+  return kernels::with_extent(n, [&](auto ext_n) {
+    kernels::Buf<decltype(ext_n), decltype(ext_n)> s(ext_n, ext_n);
+    kernels::Buf<decltype(ext_n), decltype(ext_n)> l(ext_n, ext_n);
+    std::copy(cov.data(), cov.data() + n * n, s.data());
+    kernels::ext::symmetrize(s.data(), ext_n);
+    double max_abs = 0.0;  // Matrix::norm_inf: a NaN entry is skipped
+    for (std::size_t i = 0; i < n * n; ++i) {
+      max_abs = std::max(max_abs, std::abs(s.data()[i]));
+    }
+    if (max_abs > kMaxCertifiedEntry) return false;
+    return kernels::ext::cholesky(s.data(), l.data(), ext_n);
+  });
 }
 
 }  // namespace
 
 bool repair_covariance(Matrix& cov, const HealthConfig& cfg) {
   if (cov.empty()) return false;
+  ROBOADS_CHECK(cov.square(), "covariance repair requires a square matrix");
+  if (psd_certified(cov, cfg.psd_tol)) return false;
   const Matrix sym = cov.symmetrized();
-  if (psd_certified(sym, cfg.psd_tol)) return false;
   const SymmetricEigen eig = eigen_symmetric(sym, kJacobiTol);
   const std::size_t n = eig.eigenvalues.size();
   const double lambda_max = std::max(eig.eigenvalues[0], 0.0);

@@ -1,6 +1,23 @@
 #include "core/linear_baseline.h"
 
+#include "matrix/kernels.h"
+
 namespace roboads::core {
+namespace {
+
+// out = a·(x − x0): the difference element by element, then the
+// matrix-vector product of `a * (x - x0)`.
+void times_difference(const Matrix& a, const double* x, const Vector& x0,
+                      Vector& out) {
+  Vector diff = Vector::for_overwrite(a.cols());
+  for (std::size_t j = 0; j < a.cols(); ++j) {
+    diff.data()[j] = x[j] - x0.data()[j];
+  }
+  out = Vector::for_overwrite(a.rows());
+  kernels::matvec(a.data(), diff.data(), out.data(), a.rows(), a.cols());
+}
+
+}  // namespace
 
 FrozenLinearModel::FrozenLinearModel(const dyn::DynamicModel& nonlinear,
                                      const Vector& x0, const Vector& u0)
@@ -13,10 +30,15 @@ FrozenLinearModel::FrozenLinearModel(const dyn::DynamicModel& nonlinear,
       a_(nonlinear.jacobian_state(x0, u0)),
       g_(nonlinear.jacobian_input(x0, u0)) {}
 
-Vector FrozenLinearModel::step(const Vector& x, const Vector& u) const {
-  ROBOADS_CHECK_EQ(x.size(), state_dim(), "state dimension mismatch");
-  ROBOADS_CHECK_EQ(u.size(), input_dim(), "input dimension mismatch");
-  return f0_ + a_ * (x - x0_) + g_ * (u - u0_);
+void FrozenLinearModel::step_into(const double* x, const double* u,
+                                  double* out) const {
+  // f0 + A(x − x0) + G(u − u0), summed left to right.
+  Vector ax, gu;
+  times_difference(a_, x, x0_, ax);
+  times_difference(g_, u, u0_, gu);
+  for (std::size_t i = 0; i < f0_.size(); ++i) {
+    out[i] = f0_.data()[i] + ax.data()[i] + gu.data()[i];
+  }
 }
 
 FrozenLinearSensor::FrozenLinearSensor(sensors::SensorPtr nonlinear,
@@ -26,9 +48,13 @@ FrozenLinearSensor::FrozenLinearSensor(sensors::SensorPtr nonlinear,
       h0_(inner_->measure(x0)),
       c_(inner_->jacobian(x0)) {}
 
-Vector FrozenLinearSensor::measure(const Vector& x) const {
-  ROBOADS_CHECK_EQ(x.size(), state_dim(), "state dimension mismatch");
-  return h0_ + c_ * (x - x0_);
+void FrozenLinearSensor::measure_into(const double* x, double* out) const {
+  // h0 + C(x − x0).
+  Vector cx;
+  times_difference(c_, x, x0_, cx);
+  for (std::size_t i = 0; i < h0_.size(); ++i) {
+    out[i] = h0_.data()[i] + cx.data()[i];
+  }
 }
 
 sensors::SensorSuite freeze_suite(const sensors::SensorSuite& suite,

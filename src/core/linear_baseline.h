@@ -13,6 +13,7 @@
 // linearization — the capability §V-G isolates.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 
 #include "dynamics/model.h"
@@ -32,12 +33,15 @@ class FrozenLinearModel final : public dyn::DynamicModel {
   double dt() const override { return dt_; }
   std::size_t heading_index() const override { return heading_index_; }
 
-  Vector step(const Vector& x, const Vector& u) const override;
-  Matrix jacobian_state(const Vector&, const Vector&) const override {
-    return a_;
+  void step_into(const double* x, const double* u,
+                 double* out) const override;
+  void jacobian_state_into(const double*, const double*,
+                           double* out) const override {
+    std::copy(a_.data(), a_.data() + a_.rows() * a_.cols(), out);
   }
-  Matrix jacobian_input(const Vector&, const Vector&) const override {
-    return g_;
+  void jacobian_input_into(const double*, const double*,
+                           double* out) const override {
+    std::copy(g_.data(), g_.data() + g_.rows() * g_.cols(), out);
   }
 
  private:
@@ -57,8 +61,10 @@ class FrozenLinearSensor final : public sensors::SensorModel {
   std::size_t dim() const override { return inner_->dim(); }
   std::size_t state_dim() const override { return inner_->state_dim(); }
 
-  Vector measure(const Vector& x) const override;
-  Matrix jacobian(const Vector&) const override { return c_; }
+  void measure_into(const double* x, double* out) const override;
+  void jacobian_into(const double*, double* out) const override {
+    std::copy(c_.data(), c_.data() + c_.rows() * c_.cols(), out);
+  }
   const Matrix& noise_covariance() const override {
     return inner_->noise_covariance();
   }

@@ -1,7 +1,6 @@
 #include "core/nuise.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "matrix/kernels_impl.h"
 #include "obs/timer.h"
@@ -10,128 +9,15 @@
 namespace roboads::core {
 namespace {
 
+using kernels::Buf;
+using kernels::EigenFactor;
 using kernels::Extent;
+using kernels::Factor;
+using kernels::extent;
 using kernels::kFixed;
+using kernels::kOne;
+using kernels::sandwich_into;
 namespace ext = kernels::ext;
-
-constexpr Extent<1> kOne{};
-
-// The extent of type Ext for the run-time size v: Ext{} when the extent is
-// compile-time (and must equal v), v itself otherwise.
-template <typename Ext>
-Ext extent(std::size_t v) {
-  if constexpr (kFixed<Ext>) {
-    ROBOADS_CHECK_EQ(v, Ext::value, "compiled NUISE step shape mismatch");
-    return Ext{};
-  } else {
-    return v;
-  }
-}
-
-// Storage for one rows×cols intermediate of the step: a stack array when
-// both extents are compile-time, otherwise a Matrix (inline up to 121
-// elements, so the run-time path stays allocation-free on the detector's
-// shapes). Elements start unwritten; every kernel writes its whole output.
-template <typename Rows, typename Cols, bool = kFixed<Rows> && kFixed<Cols>>
-class Buf {
- public:
-  Buf(Rows, Cols) {}
-  double* data() { return d_; }
-  const double* data() const { return d_; }
-  Matrix matrix() && {
-    Matrix m = Matrix::for_overwrite(Rows::value, Cols::value);
-    std::copy(d_, d_ + Rows::value * Cols::value, m.data());
-    return m;
-  }
-
- private:
-  double d_[Rows::value * Cols::value];
-};
-
-template <typename Rows, typename Cols>
-class Buf<Rows, Cols, false> {
- public:
-  Buf(Rows rows, Cols cols) : m_(Matrix::for_overwrite(rows, cols)) {}
-  double* data() { return m_.data(); }
-  const double* data() const { return m_.data(); }
-  Matrix matrix() && { return std::move(m_); }
-
- private:
-  Matrix m_;
-};
-
-// out (m×m) = a (m×k) · s · aᵀ, as roboads::sandwich computes it.
-template <typename M, typename K>
-void sandwich_into(const double* a, const double* s, double* out, M m, K k) {
-  Buf<M, K> as(m, k);
-  ext::sandwich(a, s, as.data(), out, m, k);
-}
-
-// SpdEigenFactor(a) on extent N (rel_tol 1e-10, cutoff not dim-scaled).
-template <typename N>
-struct EigenFactor {
-  EigenFactor(const double* a, N n) : n(n), w(n, kOne), vecs(n, n) {
-    Buf<N, N> s(n, n);
-    Buf<N, N> v(n, n);
-    std::copy(a, a + n * n, s.data());
-    cutoff = ext::spd_eigen_factor(s.data(), v.data(), w.data(), vecs.data(),
-                                   n, 1e-10, /*dim_scaled=*/false);
-    rank = ext::eigen_rank(w.data(), n, cutoff);
-  }
-
-  // SpdEigenFactor::pseudo_inverse into out (n×n).
-  void pseudo_inverse(double* out) const {
-    Buf<N, N> scaled(n, n);
-    Buf<N, N> vt(n, n);
-    ext::eigen_pseudo_inverse(w.data(), vecs.data(), cutoff, scaled.data(),
-                              vt.data(), out, n);
-  }
-
-  N n;
-  Buf<N, Extent<1>> w;  // eigenvalues, descending
-  Buf<N, N> vecs;       // eigenvector columns
-  double cutoff;
-  std::size_t rank;
-};
-
-// SpdFactor(a) on extent N: the trusted Cholesky factor, or the eigen
-// pseudo-inverse fallback when the factorization fails or is not trusted.
-template <typename N>
-struct Factor {
-  Factor(const double* a, N n) : n(n), l(n, n) {
-    if (!ext::cholesky(a, l.data(), n) ||
-        !ext::cholesky_trusted(a, l.data(), n, 1e-10)) {
-      eig.emplace(a, n);
-    }
-  }
-
-  // x = A⁻¹ b (A⁺ b on the fallback), as SpdFactor::solve(Vector).
-  void solve(const double* b, double* x) const {
-    if (!eig) {
-      std::copy(b, b + n, x);
-      ext::cholesky_solve(l.data(), x, n);
-    } else {
-      ext::eigen_solve(eig->w.data(), eig->vecs.data(), eig->cutoff, b, x, n);
-    }
-  }
-
-  // X = A⁻¹ B for B and X n×cols, column by column, as
-  // SpdFactor::solve(Matrix).
-  template <typename C>
-  void solve_columns(const double* b, double* x, C cols) const {
-    Buf<N, Extent<1>> in(n, kOne);
-    Buf<N, Extent<1>> sol(n, kOne);
-    for (std::size_t j = 0; j < cols; ++j) {
-      for (std::size_t i = 0; i < n; ++i) in.data()[i] = b[i * cols + j];
-      solve(in.data(), sol.data());
-      for (std::size_t i = 0; i < n; ++i) x[i * cols + j] = sol.data()[i];
-    }
-  }
-
-  N n;
-  Buf<N, N> l;
-  std::optional<EigenFactor<N>> eig;
-};
 
 }  // namespace
 
@@ -196,15 +82,27 @@ Nuise::Nuise(const dyn::DynamicModel& model,
 NuiseResult Nuise::step(const Vector& x_prev, const Matrix& p_prev,
                         const Vector& u_prev, const Vector& z_full,
                         const NuiseStageTimers& timers) const {
-  return (this->*full_step_)(mode_.reference, mode_.testing, x_prev, p_prev,
-                             u_prev, z_full, /*cached=*/true, timers);
+  return step(x_prev, p_prev, u_prev, z_full, SensorMask{}, timers);
 }
 
 NuiseResult Nuise::step(const Vector& x_prev, const Matrix& p_prev,
                         const Vector& u_prev, const Vector& z_full,
                         const SensorMask& available,
                         const NuiseStageTimers& timers) const {
-  if (available.empty()) return step(x_prev, p_prev, u_prev, z_full, timers);
+  NuiseResult out;
+  step_into(x_prev, p_prev, u_prev, z_full, available, out, timers);
+  return out;
+}
+
+void Nuise::step_into(const Vector& x_prev, const Matrix& p_prev,
+                      const Vector& u_prev, const Vector& z_full,
+                      const SensorMask& available, NuiseResult& out,
+                      const NuiseStageTimers& timers) const {
+  if (available.empty()) {
+    (this->*full_step_)(mode_.reference, mode_.testing, x_prev, p_prev,
+                        u_prev, z_full, /*cached=*/true, out, timers);
+    return;
+  }
   ROBOADS_CHECK_EQ(available.size(), suite_.count(),
                    "availability mask size mismatch");
 
@@ -217,21 +115,23 @@ NuiseResult Nuise::step(const Vector& x_prev, const Matrix& p_prev,
     return kept;
   };
   const std::vector<std::size_t> ref = filter(mode_.reference);
-  const std::vector<std::size_t> tst = filter(mode_.testing);
+  std::vector<std::size_t> tst = filter(mode_.testing);
 
   if (ref.size() == mode_.reference.size() &&
       tst.size() == mode_.testing.size()) {
     // Every sensor of this mode arrived: the exact full step.
-    return step(x_prev, p_prev, u_prev, z_full, timers);
+    (this->*full_step_)(mode_.reference, mode_.testing, x_prev, p_prev,
+                        u_prev, z_full, /*cached=*/true, out, timers);
+    return;
   }
   if (ref.empty()) {
-    return predict_only(tst, x_prev, p_prev, u_prev, z_full, timers);
+    out = predict_only(tst, x_prev, p_prev, u_prev, z_full, timers);
+    return;
   }
-  NuiseResult out = step_subsets<std::size_t, std::size_t, std::size_t>(
-      ref, tst, x_prev, p_prev, u_prev, z_full, /*cached=*/false, timers);
+  step_subsets<std::size_t, std::size_t, std::size_t>(
+      ref, tst, x_prev, p_prev, u_prev, z_full, /*cached=*/false, out, timers);
   out.degraded = true;
-  out.active_testing = tst;
-  return out;
+  out.active_testing = std::move(tst);
 }
 
 NuiseResult Nuise::predict_only(const std::vector<std::size_t>& tst,
@@ -285,31 +185,35 @@ NuiseResult Nuise::predict_only(const std::vector<std::size_t>& tst,
 // Written once over the extents N, Q and R (compile-time or std::size_t):
 // every operation is a kernels_impl.h template, so each instantiation runs
 // the floating-point operations of the Matrix-API step in the same order
-// (docs/PERFORMANCE.md "Compiled NUISE step"). The testing dimension t
-// only sets row counts and stays a run-time value.
+// (docs/PERFORMANCE.md "Compiled NUISE step"). The model and the sensors
+// write A, G, f(x̂, u), the C's, the z's and the residuals straight into
+// the step's arrays, and each NuiseResult field is written once, in place
+// (docs/PERFORMANCE.md "Array-native detector step"). The testing
+// dimension t only sets row counts and stays a run-time value.
 template <typename N, typename Q, typename R>
-NuiseResult Nuise::step_subsets(const std::vector<std::size_t>& ref,
-                                const std::vector<std::size_t>& tst,
-                                const Vector& x_prev, const Matrix& p_prev,
-                                const Vector& u_prev, const Vector& z_full,
-                                bool cached,
-                                const NuiseStageTimers& timers) const {
+void Nuise::step_subsets(const std::vector<std::size_t>& ref,
+                         const std::vector<std::size_t>& tst,
+                         const Vector& x_prev, const Matrix& p_prev,
+                         const Vector& u_prev, const Vector& z_full,
+                         bool cached, NuiseResult& out,
+                         const NuiseStageTimers& timers) const {
   const std::size_t n_dim = model_.state_dim();
   const std::size_t q_dim = model_.input_dim();
   ROBOADS_CHECK_EQ(x_prev.size(), n_dim, "previous state size mismatch");
   ROBOADS_CHECK(p_prev.rows() == n_dim && p_prev.cols() == n_dim,
                 "previous covariance shape mismatch");
   ROBOADS_CHECK_EQ(u_prev.size(), q_dim, "control size mismatch");
+  ROBOADS_CHECK_EQ(z_full.size(), suite_.total_dim(),
+                   "full reading size mismatch");
   const N n = extent<N>(n_dim);
   const Q q = extent<Q>(q_dim);
 
   obs::SplitTimer split(timers.any());
 
-  const Matrix a = model_.jacobian_state(x_prev, u_prev);
-  const Matrix g = model_.jacobian_input(x_prev, u_prev);
-  ROBOADS_CHECK(a.rows() == n_dim && a.cols() == n_dim && g.rows() == n_dim &&
-                    g.cols() == q_dim,
-                "model Jacobian shape mismatch");
+  Buf<N, N> a(n, n);
+  model_.jacobian_state_into(x_prev.data(), u_prev.data(), a.data());
+  Buf<N, Q> g(n, q);
+  model_.jacobian_input_into(x_prev.data(), u_prev.data(), g.data());
   const double* qc = process_cov_.data();
 
   // Subset-dependent structure: served from the workspace on the healthy
@@ -323,14 +227,16 @@ NuiseResult Nuise::step_subsets(const std::vector<std::size_t>& ref,
   const Matrix& r2 = cached ? ws_.r2 : r2_storage;
   const std::vector<bool>& ref_mask =
       cached ? ws_.ref_angle_mask : ref_mask_storage;
+  const R r = extent<R>(r2.rows());
 
   // --- Step 1: actuator anomaly estimation (lines 2-6). ---
   // Linearize h₂ at the uncompensated prediction f(x̂, u).
-  const Vector x_bare = model_.step(x_prev, u_prev);
-  ROBOADS_CHECK_EQ(x_bare.size(), n_dim, "model step size mismatch");
-  const Matrix c2 = suite_.jacobian(ref, x_bare);
-  const Vector z2 = suite_.slice(ref, z_full);
-  const R r = extent<R>(c2.rows());
+  Buf<N, Extent<1>> x_bare(n, kOne);
+  model_.step_into(x_prev.data(), u_prev.data(), x_bare.data());
+  Buf<R, N> c2(r, n);
+  suite_.jacobian_into(ref, x_bare.data(), c2.data());
+  Buf<R, Extent<1>> z2(r, kOne);
+  suite_.slice_into(ref, z_full.data(), z2.data());
 
   Buf<N, N> p_tilde(n, n);
   sandwich_into(a.data(), p_prev.data(), p_tilde.data(), n, n);
@@ -355,7 +261,6 @@ NuiseResult Nuise::step_subsets(const std::vector<std::size_t>& ref,
   ext::product(ft_rinv.data(), f.data(), gram.data(), q, r, q);
   ext::symmetrize(gram.data(), q);
 
-  NuiseResult out;
   // One shared eigendecomposition answers both the identifiability question
   // and the pseudo-inverse: when the reference group under-determines the
   // input the eigen-thresholded pseudo-inverse yields the minimum-norm
@@ -369,12 +274,15 @@ NuiseResult Nuise::step_subsets(const std::vector<std::size_t>& ref,
     ext::product(gram_pinv.data(), ft_rinv.data(), m2.data(), q, q, r);
   }
 
-  const Vector resid_bare = suite_.residual(ref, z2, x_bare, ref_mask);
-  out.actuator_anomaly = Vector::for_overwrite(q_dim);
-  ext::matvec(m2.data(), resid_bare.data(), out.actuator_anomaly.data(), q,
-              r);
-  Buf<Q, Q> pa(q, q);
-  sandwich_into(m2.data(), r_star.data(), pa.data(), q, r);
+  Buf<R, Extent<1>> resid_bare(r, kOne);
+  suite_.residual_into(ref, z2.data(), x_bare.data(), ref_mask,
+                       resid_bare.data());
+  out.actuator_anomaly.resize_for_overwrite(q_dim);
+  double* const da = out.actuator_anomaly.data();
+  ext::matvec(m2.data(), resid_bare.data(), da, q, r);
+  out.actuator_anomaly_cov.resize_for_overwrite(q_dim, q_dim);
+  double* const pa = out.actuator_anomaly_cov.data();
+  sandwich_into(m2.data(), r_star.data(), pa, q, r);
   split.lap(timers.input_estimation);
 
   // --- Step 2: state prediction with compensation (lines 7-10). ---
@@ -390,30 +298,30 @@ NuiseResult Nuise::step_subsets(const std::vector<std::size_t>& ref,
   // suppressed instead of extrapolating tan-type nonlinearities with it and
   // poisoning the shared state. Only the compensation is shrunk — the
   // reported estimate and its χ² statistic stay untouched.
-  const Vector& sat = ws_.sat;
-  const Vector& trust = ws_.trust;
+  const double* const sat = ws_.sat.data();
+  const double* const trust = ws_.trust.data();
   // Pᵃ + T is SPD by construction (T has strictly positive diagonal), so
   // the shrinkage solve takes the Cholesky path; the eigen fallback only
   // engages if Pᵃ degenerated numerically.
   Buf<Q, Extent<1>> delta(q, kOne);
   {
     Buf<Q, Q> shrink_m(q, q);
-    std::copy(pa.data(), pa.data() + q * q, shrink_m.data());
+    std::copy(pa, pa + q * q, shrink_m.data());
     ext::add(shrink_m.data(), ws_.t_prior.data(), q, q);
     const Factor<Q> shrink(shrink_m.data(), q);
     Buf<Q, Extent<1>> solved(q, kOne);
-    shrink.solve(out.actuator_anomaly.data(), solved.data());
+    shrink.solve(da, solved.data());
     ext::matvec(ws_.t_prior.data(), solved.data(), delta.data(), q, q);
   }
-  out.actuator_anomaly_cov = std::move(pa).matrix();
-  Vector u_comp = u_prev;
+  Buf<Q, Extent<1>> u_comp(q, kOne);
   for (std::size_t i = 0; i < q; ++i) {
     const double step_i = std::clamp(delta.data()[i], -3.0 * trust[i],
                                      3.0 * trust[i]);
-    u_comp[i] = std::clamp(u_prev[i] + step_i, -sat[i], sat[i]);
+    u_comp.data()[i] =
+        std::clamp(u_prev.data()[i] + step_i, -sat[i], sat[i]);
   }
-  const Vector x_pred = model_.step(x_prev, u_comp);
-  ROBOADS_CHECK_EQ(x_pred.size(), n_dim, "model step size mismatch");
+  Buf<N, Extent<1>> x_pred(n, kOne);
+  model_.step_into(x_prev.data(), u_comp.data(), x_pred.data());
   Buf<N, R> gm2(n, r);
   ext::product(g.data(), m2.data(), gm2.data(), n, q, r);
   Buf<N, N> p_pred(n, n);
@@ -435,18 +343,20 @@ NuiseResult Nuise::step_subsets(const std::vector<std::size_t>& ref,
 
   // --- Step 3: state estimation (lines 11-14). ---
   // Relinearize h₂ at the compensated prediction.
-  const Matrix c2p = suite_.jacobian(ref, x_pred);
+  Buf<R, N> c2p(r, n);
+  suite_.jacobian_into(ref, x_pred.data(), c2p.data());
   // Cross-covariance Ū = E[(x_k − x̂_{k|k−1}) ξ₂ᵀ] = −G M₂ R₂.
   Buf<N, R> u_cross(n, r);
   ext::product(gm2.data(), r2.data(), u_cross.data(), n, r, r);
   ext::scale(u_cross.data(), -1.0, n, r);
-  Matrix innov_cov = Matrix::for_overwrite(r, r);
-  sandwich_into(c2p.data(), p_pred.data(), innov_cov.data(), r, n);
-  ext::add(innov_cov.data(), r2.data(), r, r);
+  out.innovation_cov.resize_for_overwrite(r, r);
+  double* const innov_cov = out.innovation_cov.data();
+  sandwich_into(c2p.data(), p_pred.data(), innov_cov, r, n);
+  ext::add(innov_cov, r2.data(), r, r);
   {
     Buf<R, R> cu(r, r);
     ext::product(c2p.data(), u_cross.data(), cu.data(), r, n, r);
-    ext::add_self_adjoint(innov_cov.data(), cu.data(), r, 1.0);
+    ext::add_self_adjoint(innov_cov, cu.data(), r, 1.0);
   }
   // The innovation covariance is *structurally* rank-deficient: the d̂ᵃ
   // compensation consumes q degrees of freedom of the reference innovation
@@ -454,7 +364,7 @@ NuiseResult Nuise::step_subsets(const std::vector<std::size_t>& ref,
   // pseudo-determinant). One eigendecomposition serves the support-only
   // gain inversion here AND the rank / pseudo-determinant / Mahalanobis
   // terms of the mode likelihood below.
-  const EigenFactor<R> innov_factor(innov_cov.data(), r);
+  const EigenFactor<R> innov_factor(innov_cov, r);
   Buf<N, R> gain(n, r);
   {
     Buf<N, R> c2p_t(n, r);
@@ -467,33 +377,36 @@ NuiseResult Nuise::step_subsets(const std::vector<std::size_t>& ref,
     ext::product(pc.data(), innov_pinv.data(), gain.data(), n, r, r);
   }
 
-  Vector innovation = suite_.residual(ref, z2, x_pred, ref_mask);
+  out.innovation.resize_for_overwrite(r);
+  double* const innovation = out.innovation.data();
+  suite_.residual_into(ref, z2.data(), x_pred.data(), ref_mask, innovation);
+  out.state.resize_for_overwrite(n_dim);
+  double* const state = out.state.data();
   {
     Buf<N, Extent<1>> correction(n, kOne);
-    ext::matvec(gain.data(), innovation.data(), correction.data(), n, r);
-    Vector state = x_pred;
-    ext::add(state.data(), correction.data(), n, kOne);
-    out.state = std::move(state);
+    ext::matvec(gain.data(), innovation, correction.data(), n, r);
+    std::copy(x_pred.data(), x_pred.data() + n, state);
+    ext::add(state, correction.data(), n, kOne);
   }
 
   // Generalized Joseph form: exact for any gain, keeps Pˣ symmetric PSD.
+  out.state_cov.resize_for_overwrite(n_dim, n_dim);
+  double* const state_cov = out.state_cov.data();
   {
     Buf<N, N> ilc(n, n);
     ext::product(gain.data(), c2p.data(), ilc.data(), n, r, n);
     ext::identity_minus(ilc.data(), n);
-    Buf<N, N> state_cov(n, n);
-    sandwich_into(ilc.data(), p_pred.data(), state_cov.data(), n, n);
+    sandwich_into(ilc.data(), p_pred.data(), state_cov, n, n);
     Buf<N, N> gain_r2(n, n);
     sandwich_into(gain.data(), r2.data(), gain_r2.data(), n, r);
-    ext::add(state_cov.data(), gain_r2.data(), n, n);
+    ext::add(state_cov, gain_r2.data(), n, n);
     Buf<N, R> ilc_u(n, r);
     ext::product(ilc.data(), u_cross.data(), ilc_u.data(), n, n, r);
     Buf<R, N> gain_t(r, n);
     ext::transpose(gain.data(), gain_t.data(), n, r);
     Buf<N, N> cross(n, n);
     ext::product(ilc_u.data(), gain_t.data(), cross.data(), n, r, n);
-    ext::add_self_adjoint(state_cov.data(), cross.data(), n, -1.0);
-    out.state_cov = std::move(state_cov).matrix();
+    ext::add_self_adjoint(state_cov, cross.data(), n, -1.0);
   }
   split.lap(timers.correct);
 
@@ -509,14 +422,21 @@ NuiseResult Nuise::step_subsets(const std::vector<std::size_t>& ref,
     const std::vector<bool>& tst_mask =
         cached ? ws_.tst_angle_mask : tst_mask_storage;
 
-    const Vector z1 = suite_.slice(tst, z_full);
-    out.sensor_anomaly = suite_.residual(tst, z1, out.state, tst_mask);
-    const Matrix c1 = suite_.jacobian(tst, out.state);
-    const std::size_t t = c1.rows();
-    Matrix sa_cov = Matrix::for_overwrite(t, t);
-    sandwich_into(c1.data(), out.state_cov.data(), sa_cov.data(), t, n);
-    ext::add(sa_cov.data(), r1.data(), t, t);
-    out.sensor_anomaly_cov = std::move(sa_cov);
+    const std::size_t t = r1.rows();
+    Buf<std::size_t, Extent<1>> z1(t, kOne);
+    suite_.slice_into(tst, z_full.data(), z1.data());
+    out.sensor_anomaly.resize_for_overwrite(t);
+    suite_.residual_into(tst, z1.data(), state, tst_mask,
+                         out.sensor_anomaly.data());
+    Buf<std::size_t, N> c1(t, n);
+    suite_.jacobian_into(tst, state, c1.data());
+    out.sensor_anomaly_cov.resize_for_overwrite(t, t);
+    double* const sa_cov = out.sensor_anomaly_cov.data();
+    sandwich_into(c1.data(), state_cov, sa_cov, t, n);
+    ext::add(sa_cov, r1.data(), t, t);
+  } else {
+    out.sensor_anomaly.resize_for_overwrite(0);
+    out.sensor_anomaly_cov.resize_for_overwrite(0, 0);
   }
   split.lap(timers.sensor_anomaly);
 
@@ -526,11 +446,12 @@ NuiseResult Nuise::step_subsets(const std::vector<std::size_t>& ref,
   const double cutoff = innov_factor.cutoff;
   out.log_likelihood = stats::degenerate_gaussian_log_pdf(
       innov_factor.rank, ext::eigen_log_pseudo_determinant(w, cutoff, r),
-      ext::eigen_quadratic_form(w, vecs, cutoff, innovation.data(), r));
-  out.innovation = std::move(innovation);
-  out.innovation_cov = std::move(innov_cov);
+      ext::eigen_quadratic_form(w, vecs, cutoff, innovation, r));
+  out.correction_applied = true;
+  out.likelihood_informative = true;
+  out.degraded = false;
+  out.active_testing.clear();
   split.lap(timers.likelihood);
-  return out;
 }
 
 }  // namespace roboads::core

@@ -130,6 +130,15 @@ class Nuise {
                    const SensorMask& available,
                    const NuiseStageTimers& timers = {}) const;
 
+  // The step above, writing its result into `out` instead of returning it.
+  // Every field of `out` is written, so it may hold an earlier result; the
+  // engine fills its per-mode slots through this. The two step() calls
+  // wrap it.
+  void step_into(const Vector& x_prev, const Matrix& p_prev,
+                 const Vector& u_prev, const Vector& z_full,
+                 const SensorMask& available, NuiseResult& out,
+                 const NuiseStageTimers& timers = {}) const;
+
  private:
   // Mode-invariant structure computed once at construction and reused every
   // iteration: noise-covariance blocks and stacked angle masks for the
@@ -157,17 +166,17 @@ class Nuise {
   // instantiations live in nuise.cc (docs/PERFORMANCE.md "Compiled NUISE
   // step").
   template <typename N, typename Q, typename R>
-  NuiseResult step_subsets(const std::vector<std::size_t>& ref,
-                           const std::vector<std::size_t>& tst,
-                           const Vector& x_prev, const Matrix& p_prev,
-                           const Vector& u_prev, const Vector& z_full,
-                           bool cached, const NuiseStageTimers& timers) const;
+  void step_subsets(const std::vector<std::size_t>& ref,
+                    const std::vector<std::size_t>& tst,
+                    const Vector& x_prev, const Matrix& p_prev,
+                    const Vector& u_prev, const Vector& z_full, bool cached,
+                    NuiseResult& out, const NuiseStageTimers& timers) const;
 
-  using StepFn = NuiseResult (Nuise::*)(const std::vector<std::size_t>&,
-                                        const std::vector<std::size_t>&,
-                                        const Vector&, const Matrix&,
-                                        const Vector&, const Vector&, bool,
-                                        const NuiseStageTimers&) const;
+  using StepFn = void (Nuise::*)(const std::vector<std::size_t>&,
+                                 const std::vector<std::size_t>&,
+                                 const Vector&, const Matrix&, const Vector&,
+                                 const Vector&, bool, NuiseResult&,
+                                 const NuiseStageTimers&) const;
 
   // Prediction-only fallback when the reference group is unavailable.
   NuiseResult predict_only(const std::vector<std::size_t>& tst,

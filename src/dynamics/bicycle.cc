@@ -1,5 +1,6 @@
 #include "dynamics/bicycle.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace roboads::dyn {
@@ -13,34 +14,32 @@ KinematicBicycle::KinematicBicycle(const KinematicBicycleParams& params)
   ROBOADS_CHECK(params_.dt > 0.0, "dt must be positive");
 }
 
-Vector KinematicBicycle::step(const Vector& x, const Vector& u) const {
-  check_dims(x, u);
+void KinematicBicycle::step_into(const double* x, const double* u,
+                                 double* out) const {
   const double dt = params_.dt;
   const double L = params_.wheelbase;
   const double v = u[0];
   const double tan_d = std::tan(u[1]);
   const double theta_mid = x[2] + 0.5 * dt * v * tan_d / L;
-  return Vector{x[0] + dt * v * std::cos(theta_mid),
-                x[1] + dt * v * std::sin(theta_mid),
-                x[2] + dt * v * tan_d / L};
+  out[0] = x[0] + dt * v * std::cos(theta_mid);
+  out[1] = x[1] + dt * v * std::sin(theta_mid);
+  out[2] = x[2] + dt * v * tan_d / L;
 }
 
-Matrix KinematicBicycle::jacobian_state(const Vector& x,
-                                        const Vector& u) const {
-  check_dims(x, u);
+void KinematicBicycle::jacobian_state_into(const double* x, const double* u,
+                                           double* out) const {
   const double dt = params_.dt;
   const double v = u[0];
   const double theta_mid =
       x[2] + 0.5 * dt * v * std::tan(u[1]) / params_.wheelbase;
-  Matrix a = Matrix::identity(3);
-  a(0, 2) = -dt * v * std::sin(theta_mid);
-  a(1, 2) = dt * v * std::cos(theta_mid);
-  return a;
+  const double rows[9] = {1.0, 0.0, -dt * v * std::sin(theta_mid),
+                          0.0, 1.0, dt * v * std::cos(theta_mid),
+                          0.0, 0.0, 1.0};
+  std::copy(rows, rows + 9, out);
 }
 
-Matrix KinematicBicycle::jacobian_input(const Vector& x,
-                                        const Vector& u) const {
-  check_dims(x, u);
+void KinematicBicycle::jacobian_input_into(const double* x, const double* u,
+                                           double* out) const {
   const double dt = params_.dt;
   const double L = params_.wheelbase;
   const double v = u[0];
@@ -53,14 +52,13 @@ Matrix KinematicBicycle::jacobian_input(const Vector& x,
   // ∂θ_mid/∂v = Δt·tanδ/(2L);  ∂θ_mid/∂δ = Δt·v·sec²δ/(2L).
   const double dmid_dv = 0.5 * dt * tan_d / L;
   const double dmid_dd = 0.5 * dt * v * sec2 / L;
-  Matrix g(3, 2);
-  g(0, 0) = dt * c - dt * v * s * dmid_dv;
-  g(0, 1) = -dt * v * s * dmid_dd;
-  g(1, 0) = dt * s + dt * v * c * dmid_dv;
-  g(1, 1) = dt * v * c * dmid_dd;
-  g(2, 0) = dt * tan_d / L;
-  g(2, 1) = dt * v * sec2 / L;
-  return g;
+  const double rows[6] = {dt * c - dt * v * s * dmid_dv,
+                          -dt * v * s * dmid_dd,
+                          dt * s + dt * v * c * dmid_dv,
+                          dt * v * c * dmid_dd,
+                          dt * tan_d / L,
+                          dt * v * sec2 / L};
+  std::copy(rows, rows + 6, out);
 }
 
 }  // namespace roboads::dyn

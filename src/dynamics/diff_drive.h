@@ -31,9 +31,12 @@ class DiffDrive final : public DynamicModel {
   double dt() const override { return params_.dt; }
   std::size_t heading_index() const override { return 2; }
 
-  Vector step(const Vector& x, const Vector& u) const override;
-  Matrix jacobian_state(const Vector& x, const Vector& u) const override;
-  Matrix jacobian_input(const Vector& x, const Vector& u) const override;
+  void step_into(const double* x, const double* u,
+                 double* out) const override;
+  void jacobian_state_into(const double* x, const double* u,
+                           double* out) const override;
+  void jacobian_input_into(const double* x, const double* u,
+                           double* out) const override;
   Vector input_saturation() const override {
     return Vector(2, params_.max_wheel_speed);
   }

@@ -27,12 +27,40 @@ class DynamicModel {
   virtual double dt() const = 0;
 
   // Kinematic function f(x, u): the noise-free next state.
-  virtual Vector step(const Vector& x, const Vector& u) const = 0;
+  Vector step(const Vector& x, const Vector& u) const {
+    check_dims(x, u);
+    Vector out = Vector::for_overwrite(state_dim());
+    step_into(x.data(), u.data(), out.data());
+    return out;
+  }
 
   // A_{k-1} = ∂f/∂x evaluated at (x, u).
-  virtual Matrix jacobian_state(const Vector& x, const Vector& u) const = 0;
+  Matrix jacobian_state(const Vector& x, const Vector& u) const {
+    check_dims(x, u);
+    Matrix out = Matrix::for_overwrite(state_dim(), state_dim());
+    jacobian_state_into(x.data(), u.data(), out.data());
+    return out;
+  }
   // G_{k-1} = ∂f/∂u evaluated at (x, u).
-  virtual Matrix jacobian_input(const Vector& x, const Vector& u) const = 0;
+  Matrix jacobian_input(const Vector& x, const Vector& u) const {
+    check_dims(x, u);
+    Matrix out = Matrix::for_overwrite(state_dim(), input_dim());
+    jacobian_input_into(x.data(), u.data(), out.data());
+    return out;
+  }
+
+  // The array forms the three calls above wrap, one body per model: x holds
+  // state_dim() doubles, u input_dim(), and `out` receives every element of
+  // f(x, u) (state_dim()), A (state_dim() × state_dim(), row-major) or G
+  // (state_dim() × input_dim()). No dimension is checked; `out` must not
+  // overlap x or u. The compiled NUISE step writes into its own arrays
+  // through these (docs/PERFORMANCE.md "Array-native detector step").
+  virtual void step_into(const double* x, const double* u,
+                         double* out) const = 0;
+  virtual void jacobian_state_into(const double* x, const double* u,
+                                   double* out) const = 0;
+  virtual void jacobian_input_into(const double* x, const double* u,
+                                   double* out) const = 0;
 
   // Index of the heading component within the state, used by consumers that
   // must wrap angle differences. Every model in this library carries exactly

@@ -4,7 +4,9 @@
 // Private to the library: kernels.cc builds its reference loops and
 // dispatchers from these templates, matrix.cc and decomp.cc build the
 // Matrix API on them, and core/nuise.cc calls them on the compile-time
-// shapes of its compiled step (docs/PERFORMANCE.md "Compiled NUISE step").
+// shapes of its compiled step (docs/PERFORMANCE.md "Compiled NUISE step"),
+// as do the health certificate (core/health.cc) and the χ² tests
+// (core/decision.cc) on theirs.
 // Each operation has exactly one loop body, so the Matrix API and the
 // compiled step perform the same floating-point operations in the same
 // order and agree bit for bit (the argument of matrix/kernels.h).
@@ -19,10 +21,12 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <type_traits>
 #include <vector>
 
 #include "matrix/kernels.h"
+#include "matrix/matrix.h"
 
 // Internal linkage: every including .cc gets its own instantiations,
 // which the compiler inlines like local functions. With external linkage
@@ -276,6 +280,15 @@ void cholesky_solve(const double* l, double* b, N n) {
 }
 
 template <typename N>
+double forward_norm2(const double* l, double* b, N n) {
+  if constexpr (kFixed<N>) {
+    return forward_norm2_impl(l, b, n);
+  } else {
+    return kernels::forward_norm2(l, b, n);
+  }
+}
+
+template <typename N>
 void jacobi_eigen(double* a, double* v, N n, double tol) {
   if constexpr (kFixed<N>) {
     jacobi_impl(a, v, n, tol);
@@ -472,5 +485,135 @@ double eigen_log_pseudo_determinant(const double* w, double cutoff, N n) {
 }
 
 }  // namespace ext
+
+// ------------------------------------------------- step storage, factors --
+// The arrays the detector step computes in (core/nuise.cc, core/health.cc,
+// core/decision.cc), and SpdFactor / SpdEigenFactor of matrix/decomp.h
+// rebuilt on them.
+
+// The extent of type Ext for the run-time size v: Ext{} when the extent is
+// compile-time (and must equal v), v itself otherwise.
+template <typename Ext>
+Ext extent(std::size_t v) {
+  if constexpr (kFixed<Ext>) {
+    ROBOADS_CHECK_EQ(v, Ext::value, "compiled NUISE step shape mismatch");
+    return Ext{};
+  } else {
+    return v;
+  }
+}
+
+// Storage for one rows×cols intermediate: a stack array when both extents
+// are compile-time, otherwise a Matrix (inline up to 121 elements, so the
+// run-time path stays allocation-free on the detector's shapes). Elements
+// start unwritten; every kernel writes its whole output.
+template <typename Rows, typename Cols, bool = kFixed<Rows> && kFixed<Cols>>
+class Buf {
+ public:
+  Buf(Rows, Cols) {}
+  double* data() { return d_; }
+  const double* data() const { return d_; }
+
+ private:
+  double d_[Rows::value * Cols::value];
+};
+
+template <typename Rows, typename Cols>
+class Buf<Rows, Cols, false> {
+ public:
+  Buf(Rows rows, Cols cols) : m_(Matrix::for_overwrite(rows, cols)) {}
+  double* data() { return m_.data(); }
+  const double* data() const { return m_.data(); }
+
+ private:
+  Matrix m_;
+};
+
+inline constexpr Extent<1> kOne{};
+
+// out (m×m) = a (m×k) · s · aᵀ, as roboads::sandwich computes it.
+template <typename M, typename K>
+void sandwich_into(const double* a, const double* s, double* out, M m, K k) {
+  Buf<M, K> as(m, k);
+  ext::sandwich(a, s, as.data(), out, m, k);
+}
+
+// SpdEigenFactor(a) on extent N (rel_tol 1e-10, cutoff not dim-scaled).
+template <typename N>
+struct EigenFactor {
+  EigenFactor(const double* a, N n) : n(n), w(n, kOne), vecs(n, n) {
+    Buf<N, N> s(n, n);
+    Buf<N, N> v(n, n);
+    std::copy(a, a + n * n, s.data());
+    cutoff = ext::spd_eigen_factor(s.data(), v.data(), w.data(), vecs.data(),
+                                   n, 1e-10, /*dim_scaled=*/false);
+    rank = ext::eigen_rank(w.data(), n, cutoff);
+  }
+
+  // SpdEigenFactor::pseudo_inverse into out (n×n).
+  void pseudo_inverse(double* out) const {
+    Buf<N, N> scaled(n, n);
+    Buf<N, N> vt(n, n);
+    ext::eigen_pseudo_inverse(w.data(), vecs.data(), cutoff, scaled.data(),
+                              vt.data(), out, n);
+  }
+
+  N n;
+  Buf<N, Extent<1>> w;  // eigenvalues, descending
+  Buf<N, N> vecs;       // eigenvector columns
+  double cutoff;
+  std::size_t rank;
+};
+
+// SpdFactor(a) on extent N: the trusted Cholesky factor, or the eigen
+// pseudo-inverse fallback when the factorization fails or is not trusted.
+template <typename N>
+struct Factor {
+  Factor(const double* a, N n) : n(n), l(n, n) {
+    if (!ext::cholesky(a, l.data(), n) ||
+        !ext::cholesky_trusted(a, l.data(), n, 1e-10)) {
+      eig.emplace(a, n);
+    }
+  }
+
+  // x = A⁻¹ b (A⁺ b on the fallback), as SpdFactor::solve(Vector).
+  void solve(const double* b, double* x) const {
+    if (!eig) {
+      std::copy(b, b + n, x);
+      ext::cholesky_solve(l.data(), x, n);
+    } else {
+      ext::eigen_solve(eig->w.data(), eig->vecs.data(), eig->cutoff, b, x, n);
+    }
+  }
+
+  // X = A⁻¹ B for B and X n×cols, column by column, as
+  // SpdFactor::solve(Matrix).
+  template <typename C>
+  void solve_columns(const double* b, double* x, C cols) const {
+    Buf<N, Extent<1>> in(n, kOne);
+    Buf<N, Extent<1>> sol(n, kOne);
+    for (std::size_t j = 0; j < cols; ++j) {
+      for (std::size_t i = 0; i < n; ++i) in.data()[i] = b[i * cols + j];
+      solve(in.data(), sol.data());
+      for (std::size_t i = 0; i < n; ++i) x[i * cols + j] = sol.data()[i];
+    }
+  }
+
+  // bᵀ A⁻¹ b (bᵀ A⁺ b on the fallback), as SpdFactor::quadratic_form.
+  double quadratic_form(const double* b) const {
+    if (!eig) {
+      Buf<N, Extent<1>> y(n, kOne);
+      std::copy(b, b + n, y.data());
+      return ext::forward_norm2(l.data(), y.data(), n);
+    }
+    return ext::eigen_quadratic_form(eig->w.data(), eig->vecs.data(),
+                                     eig->cutoff, b, n);
+  }
+
+  N n;
+  Buf<N, N> l;
+  std::optional<EigenFactor<N>> eig;
+};
+
 }  // namespace
 }  // namespace roboads::kernels

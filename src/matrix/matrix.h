@@ -149,9 +149,12 @@ class Vector {
   // element before reading any (the kernels of matrix/kernels.h).
   static Vector for_overwrite(std::size_t n) {
     Vector v;
-    v.data_.resize_for_overwrite(n);
+    v.resize_for_overwrite(n);
     return v;
   }
+  // Resizes to `n` with elements left unwritten, in place: code that fills
+  // a result field writes it without building a temporary.
+  void resize_for_overwrite(std::size_t n) { data_.resize_for_overwrite(n); }
 
   std::size_t size() const { return data_.size(); }
   bool empty() const { return data_.empty(); }
@@ -227,10 +230,14 @@ class Matrix {
   // every element before reading any (the kernels of matrix/kernels.h).
   static Matrix for_overwrite(std::size_t rows, std::size_t cols) {
     Matrix m;
-    m.rows_ = rows;
-    m.cols_ = cols;
-    m.data_.resize_for_overwrite(rows * cols);
+    m.resize_for_overwrite(rows, cols);
     return m;
+  }
+  // Reshapes to rows x cols with elements left unwritten, in place.
+  void resize_for_overwrite(std::size_t rows, std::size_t cols) {
+    rows_ = rows;
+    cols_ = cols;
+    data_.resize_for_overwrite(rows * cols);
   }
   static Matrix identity(std::size_t n);
   static Matrix diagonal(const Vector& d);

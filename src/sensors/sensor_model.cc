@@ -6,6 +6,20 @@
 
 namespace roboads::sensors {
 
+Vector SensorModel::measure(const Vector& x) const {
+  ROBOADS_CHECK_EQ(x.size(), state_dim(), "state dimension mismatch");
+  Vector out = Vector::for_overwrite(dim());
+  measure_into(x.data(), out.data());
+  return out;
+}
+
+Matrix SensorModel::jacobian(const Vector& x) const {
+  ROBOADS_CHECK_EQ(x.size(), state_dim(), "state dimension mismatch");
+  Matrix out = Matrix::for_overwrite(dim(), state_dim());
+  jacobian_into(x.data(), out.data());
+  return out;
+}
+
 Vector SensorModel::residual(const Vector& z, const Vector& x) const {
   ROBOADS_CHECK_EQ(z.size(), dim(), "reading dimension mismatch");
   Vector r = z - measure(x);
@@ -20,6 +34,7 @@ SensorSuite::SensorSuite(std::vector<SensorPtr> sensors)
     : sensors_(std::move(sensors)) {
   names_.reserve(sensors_.size());
   offsets_.reserve(sensors_.size());
+  dims_.reserve(sensors_.size());
   for (const SensorPtr& s : sensors_) {
     ROBOADS_CHECK(s != nullptr, "null sensor in suite");
     ROBOADS_CHECK(s->dim() > 0, "sensor with zero dimension");
@@ -29,8 +44,10 @@ SensorSuite::SensorSuite(std::vector<SensorPtr> sensors)
     }
     names_.push_back(s->name());
     offsets_.push_back(total_dim_);
+    dims_.push_back(s->dim());
     total_dim_ += s->dim();
   }
+  if (!sensors_.empty()) state_dim_ = sensors_.front()->state_dim();
 }
 
 const SensorModel& SensorSuite::sensor(std::size_t i) const {
@@ -70,21 +87,22 @@ std::size_t SensorSuite::subset_dim(
     const std::vector<std::size_t>& subset) const {
   check_subset(subset);
   std::size_t dim = 0;
-  for (std::size_t i : subset) dim += sensors_[i]->dim();
+  for (std::size_t i : subset) dim += dims_[i];
   return dim;
+}
+
+void SensorSuite::check_state(const std::vector<std::size_t>& subset,
+                              const Vector& x) const {
+  if (!subset.empty()) {
+    ROBOADS_CHECK_EQ(x.size(), state_dim_, "state dimension mismatch");
+  }
 }
 
 Vector SensorSuite::measure(const std::vector<std::size_t>& subset,
                             const Vector& x) const {
   Vector out = Vector::for_overwrite(subset_dim(subset));
-  std::size_t at = 0;
-  for (std::size_t i : subset) {
-    const Vector h = sensors_[i]->measure(x);
-    ROBOADS_CHECK_EQ(h.size(), sensors_[i]->dim(),
-                     "sensor measurement dimension mismatch");
-    std::copy(h.data(), h.data() + h.size(), out.data() + at);
-    at += h.size();
-  }
+  check_state(subset, x);
+  measure_into(subset, x.data(), out.data());
   return out;
 }
 
@@ -92,17 +110,9 @@ Matrix SensorSuite::jacobian(const std::vector<std::size_t>& subset,
                              const Vector& x) const {
   const std::size_t rows = subset_dim(subset);
   if (rows == 0) return Matrix();
-  const std::size_t cols = sensors_[subset.front()]->state_dim();
-  Matrix out = Matrix::for_overwrite(rows, cols);
-  std::size_t at = 0;
-  for (std::size_t i : subset) {
-    const Matrix c = sensors_[i]->jacobian(x);
-    ROBOADS_CHECK(c.rows() == sensors_[i]->dim() && c.cols() == cols,
-                  "sensor Jacobian shape mismatch");
-    // Full-width rows: the block is one contiguous run of the output.
-    std::copy(c.data(), c.data() + c.rows() * cols, out.data() + at * cols);
-    at += c.rows();
-  }
+  check_state(subset, x);
+  Matrix out = Matrix::for_overwrite(rows, state_dim_);
+  jacobian_into(subset, x.data(), out.data());
   return out;
 }
 
@@ -113,7 +123,7 @@ Matrix SensorSuite::noise_covariance(
   std::size_t at = 0;
   for (std::size_t i : subset) {
     out.set_block(at, at, sensors_[i]->noise_covariance());
-    at += sensors_[i]->dim();
+    at += dims_[i];
   }
   return out;
 }
@@ -122,12 +132,7 @@ Vector SensorSuite::slice(const std::vector<std::size_t>& subset,
                           const Vector& z_full) const {
   Vector out = Vector::for_overwrite(subset_dim(subset));
   ROBOADS_CHECK_EQ(z_full.size(), total_dim_, "full reading size mismatch");
-  std::size_t at = 0;
-  for (std::size_t i : subset) {
-    const double* block = z_full.data() + offsets_[i];
-    std::copy(block, block + sensors_[i]->dim(), out.data() + at);
-    at += sensors_[i]->dim();
-  }
+  slice_into(subset, z_full.data(), out.data());
   return out;
 }
 
@@ -150,12 +155,50 @@ Vector SensorSuite::residual(const std::vector<std::size_t>& subset,
 Vector SensorSuite::residual(const std::vector<std::size_t>& subset,
                              const Vector& z_subset, const Vector& x,
                              const std::vector<bool>& mask) const {
-  Vector r = z_subset - measure(subset, x);
-  ROBOADS_CHECK_EQ(r.size(), mask.size(), "residual size mismatch");
-  for (std::size_t i = 0; i < r.size(); ++i) {
-    if (mask[i]) r[i] = geom::wrap_angle(r[i]);
-  }
+  const std::size_t dim = subset_dim(subset);
+  check_state(subset, x);
+  ROBOADS_CHECK_EQ(z_subset.size(), dim, "residual size mismatch");
+  ROBOADS_CHECK_EQ(mask.size(), dim, "residual size mismatch");
+  Vector r = Vector::for_overwrite(dim);
+  residual_into(subset, z_subset.data(), x.data(), mask, r.data());
   return r;
+}
+
+void SensorSuite::slice_into(const std::vector<std::size_t>& subset,
+                             const double* z_full, double* out) const {
+  for (std::size_t i : subset) {
+    const double* block = z_full + offsets_[i];
+    out = std::copy(block, block + dims_[i], out);
+  }
+}
+
+void SensorSuite::measure_into(const std::vector<std::size_t>& subset,
+                               const double* x, double* out) const {
+  for (std::size_t i : subset) {
+    sensors_[i]->measure_into(x, out);
+    out += dims_[i];
+  }
+}
+
+void SensorSuite::jacobian_into(const std::vector<std::size_t>& subset,
+                                const double* x, double* out) const {
+  // Full-width rows: each sensor's block is one contiguous run.
+  for (std::size_t i : subset) {
+    sensors_[i]->jacobian_into(x, out);
+    out += dims_[i] * state_dim_;
+  }
+}
+
+void SensorSuite::residual_into(const std::vector<std::size_t>& subset,
+                                const double* z_subset, const double* x,
+                                const std::vector<bool>& mask,
+                                double* out) const {
+  // z − h(x), then the angle components wrapped.
+  measure_into(subset, x, out);
+  for (std::size_t i = 0; i < mask.size(); ++i) {
+    out[i] = z_subset[i] - out[i];
+    if (mask[i]) out[i] = geom::wrap_angle(out[i]);
+  }
 }
 
 std::vector<std::size_t> SensorSuite::all() const {

@@ -30,9 +30,16 @@ class SensorModel {
   virtual std::size_t state_dim() const = 0;
 
   // Measurement function h_i(x).
-  virtual Vector measure(const Vector& x) const = 0;
+  Vector measure(const Vector& x) const;
   // Jacobian C_i = ∂h_i/∂x evaluated at x.
-  virtual Matrix jacobian(const Vector& x) const = 0;
+  Matrix jacobian(const Vector& x) const;
+
+  // The array forms the two calls above wrap, one body per sensor: x holds
+  // state_dim() doubles and `out` receives every element of h_i(x) (dim())
+  // or of C_i (dim() × state_dim(), row-major). No dimension is checked;
+  // `out` must not overlap x.
+  virtual void measure_into(const double* x, double* out) const = 0;
+  virtual void jacobian_into(const double* x, double* out) const = 0;
   // Measurement noise covariance R_i (constant per sensor).
   virtual const Matrix& noise_covariance() const = 0;
 
@@ -93,6 +100,24 @@ class SensorSuite {
                   const Vector& z_subset, const Vector& x,
                   const std::vector<bool>& mask) const;
 
+  // The array forms behind slice, measure, jacobian and residual. The
+  // subset must be strictly increasing and in range, which these do not
+  // check: the estimator passes a mode's own subsets, which validate_modes
+  // checked at construction, or a filtered copy of one. `out` receives the
+  // subset's stacked dimension d of values (jacobian: d rows of the state
+  // dimension, row-major); z_full holds total_dim() readings, x the state,
+  // z_subset the subset's d stacked readings, and `mask` is
+  // angle_mask(subset), of size d. Nothing is allocated.
+  void slice_into(const std::vector<std::size_t>& subset,
+                  const double* z_full, double* out) const;
+  void measure_into(const std::vector<std::size_t>& subset, const double* x,
+                    double* out) const;
+  void jacobian_into(const std::vector<std::size_t>& subset, const double* x,
+                     double* out) const;
+  void residual_into(const std::vector<std::size_t>& subset,
+                     const double* z_subset, const double* x,
+                     const std::vector<bool>& mask, double* out) const;
+
   // All sensor indices [0, count).
   std::vector<std::size_t> all() const;
   // All indices except those in `excluded`.
@@ -103,11 +128,16 @@ class SensorSuite {
   void check_subset(const std::vector<std::size_t>& subset) const;
   // Stacked dimension of a checked subset.
   std::size_t subset_dim(const std::vector<std::size_t>& subset) const;
+  // Checks that x has the state dimension the subset's sensors measure.
+  void check_state(const std::vector<std::size_t>& subset,
+                   const Vector& x) const;
 
   std::vector<SensorPtr> sensors_;
   std::vector<std::string> names_;  // sensor(i).name(), cached for find()
   std::vector<std::size_t> offsets_;
+  std::vector<std::size_t> dims_;  // sensor(i).dim(), for the array forms
   std::size_t total_dim_ = 0;
+  std::size_t state_dim_ = 0;  // shared by every sensor (0 when empty)
 };
 
 }  // namespace roboads::sensors

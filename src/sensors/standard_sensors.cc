@@ -1,5 +1,7 @@
 #include "sensors/standard_sensors.h"
 
+#include <algorithm>
+
 namespace roboads::sensors {
 namespace {
 
@@ -34,18 +36,15 @@ StateProjectionSensor::StateProjectionSensor(std::string name,
     ROBOADS_CHECK(idx < state_dim_, "projection index out of state range");
 }
 
-Vector StateProjectionSensor::measure(const Vector& x) const {
-  ROBOADS_CHECK_EQ(x.size(), state_dim_, "state dimension mismatch");
-  Vector z(indices_.size());
-  for (std::size_t i = 0; i < indices_.size(); ++i) z[i] = x[indices_[i]];
-  return z;
+void StateProjectionSensor::measure_into(const double* x, double* out) const {
+  for (std::size_t i = 0; i < indices_.size(); ++i) out[i] = x[indices_[i]];
 }
 
-Matrix StateProjectionSensor::jacobian(const Vector& x) const {
-  ROBOADS_CHECK_EQ(x.size(), state_dim_, "state dimension mismatch");
-  Matrix c(indices_.size(), state_dim_);
-  for (std::size_t i = 0; i < indices_.size(); ++i) c(i, indices_[i]) = 1.0;
-  return c;
+void StateProjectionSensor::jacobian_into(const double*, double* out) const {
+  std::fill(out, out + indices_.size() * state_dim_, 0.0);
+  for (std::size_t i = 0; i < indices_.size(); ++i) {
+    out[i * state_dim_ + indices_[i]] = 1.0;
+  }
 }
 
 SensorPtr make_ips(std::size_t state_dim, double pos_stddev,
@@ -90,19 +89,19 @@ LidarNavSensor::LidarNavSensor(std::size_t state_dim, double arena_width,
   ROBOADS_CHECK(arena_width_ > 0.0, "arena width must be positive");
 }
 
-Vector LidarNavSensor::measure(const Vector& x) const {
-  ROBOADS_CHECK_EQ(x.size(), state_dim_, "state dimension mismatch");
-  return Vector{x[0], x[1], arena_width_ - x[0], x[2]};
+void LidarNavSensor::measure_into(const double* x, double* out) const {
+  out[0] = x[0];
+  out[1] = x[1];
+  out[2] = arena_width_ - x[0];
+  out[3] = x[2];
 }
 
-Matrix LidarNavSensor::jacobian(const Vector& x) const {
-  ROBOADS_CHECK_EQ(x.size(), state_dim_, "state dimension mismatch");
-  Matrix c(4, state_dim_);
-  c(0, 0) = 1.0;
-  c(1, 1) = 1.0;
-  c(2, 0) = -1.0;
-  c(3, 2) = 1.0;
-  return c;
+void LidarNavSensor::jacobian_into(const double*, double* out) const {
+  std::fill(out, out + 4 * state_dim_, 0.0);
+  out[0 * state_dim_ + 0] = 1.0;
+  out[1 * state_dim_ + 1] = 1.0;
+  out[2 * state_dim_ + 0] = -1.0;
+  out[3 * state_dim_ + 2] = 1.0;
 }
 
 SensorPtr make_lidar_nav(std::size_t state_dim, double arena_width,

@@ -27,10 +27,13 @@ class StateProjectionSensor : public SensorModel {
   std::size_t dim() const override { return indices_.size(); }
   std::size_t state_dim() const override { return state_dim_; }
 
-  Vector measure(const Vector& x) const override;
-  Matrix jacobian(const Vector& x) const override;
+  void measure_into(const double* x, double* out) const override;
+  void jacobian_into(const double* x, double* out) const override;
   const Matrix& noise_covariance() const override { return noise_cov_; }
   std::vector<bool> angle_mask() const override { return angle_flags_; }
+
+  // The state components measured, in reading order.
+  const std::vector<std::size_t>& indices() const { return indices_; }
 
  private:
   std::string name_;
@@ -71,8 +74,8 @@ class LidarNavSensor : public SensorModel {
   std::size_t dim() const override { return 4; }
   std::size_t state_dim() const override { return state_dim_; }
 
-  Vector measure(const Vector& x) const override;
-  Matrix jacobian(const Vector& x) const override;
+  void measure_into(const double* x, double* out) const override;
+  void jacobian_into(const double* x, double* out) const override;
   const Matrix& noise_covariance() const override { return noise_cov_; }
   std::vector<bool> angle_mask() const override {
     return {false, false, false, true};

@@ -15,6 +15,16 @@
 // compare equal: which NaN a NaN result carries is not part of either
 // implementation's contract.
 //
+// Around the step, the references are health supervision with the
+// repair_covariance of the commit before its stack-array certificate, and
+// DecisionMaker::evaluate before its stack-array χ² tests, each line for
+// line on the reference operations. Every step's result is supervised by
+// the library and by the reference, and every result that stays usable is
+// evaluated by a library and a reference decision maker per mode (their
+// sliding windows see the same sequence); the supervised results and the
+// Decisions are compared byte for byte. Nuise::step_into is also run into
+// one reused result per mode, which must equal the fresh one.
+//
 // Inputs: every pre-step state of the Khepera Table II #1–11 and Tamiya
 // T1–T7 missions (and one §V-G linear-baseline mission) for every mode of
 // the default and complete mode sets — r from 3 to 10, so both the
@@ -26,6 +36,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -36,6 +47,9 @@
 #include <string>
 #include <vector>
 
+#include "core/bank.h"
+#include "core/decision.h"
+#include "core/health.h"
 #include "core/nuise.h"
 #include "dynamics/diff_drive.h"
 #include "eval/khepera.h"
@@ -266,6 +280,14 @@ class SpdFactor {
     return x;
   }
 
+  double quadratic_form(const Vector& b) const {
+    if (!eig_) {
+      Vector y(b);
+      return kernels::forward_norm2_generic(l_.data(), y.data(), y.size());
+    }
+    return eig_->quadratic_form(b);
+  }
+
  private:
   Matrix l_;
   std::optional<SpdEigenFactor> eig_;
@@ -279,6 +301,220 @@ double degenerate_gaussian_log_pdf(const Vector& x,
   return -0.5 * (static_cast<double>(n) * std::log(2.0 * M_PI) +
                  cov_factor.log_pseudo_determinant() + maha);
 }
+
+// ------------------------------------------------ reference supervision --
+
+constexpr double kJacobiTol = 1e-13;
+constexpr double kMaxCertifiedEntry = 1e100;
+
+double rounding_gamma(double k) {
+  constexpr double u = std::numeric_limits<double>::epsilon() / 2.0;
+  return k * u / (1.0 - k * u);
+}
+
+double certificate_margin(std::size_t n) {
+  const double nd = static_cast<double>(n);
+  const double g = rounding_gamma(nd + 1.0);
+  const double delta = nd * g / (1.0 - g);
+  const double rotations = 100.0 * nd * (nd - 1.0) / 2.0;
+  const double eps = rotations * rounding_gamma(12.0) * std::sqrt(nd) +
+                     std::sqrt(2.0) * kJacobiTol;
+  return (delta + eps) / (1.0 - eps);
+}
+
+bool psd_certified(const Matrix& s, double psd_tol) {
+  if (!(psd_tol >= certificate_margin(s.rows()))) return false;
+  if (s.norm_inf() > kMaxCertifiedEntry) return false;
+  Matrix l(s.rows(), s.cols());
+  return kernels::cholesky_generic(s.data(), l.data(), s.rows());
+}
+
+bool repair_covariance(Matrix& cov, const HealthConfig& cfg) {
+  if (cov.empty()) return false;
+  const Matrix sym = symmetrized(cov);
+  if (psd_certified(sym, cfg.psd_tol)) return false;
+  const SymmetricEigen eig = eigen_symmetric(sym, kJacobiTol);
+  const std::size_t n = eig.eigenvalues.size();
+  const double lambda_max = std::max(eig.eigenvalues[0], 0.0);
+  const double scale = std::max(1.0, lambda_max);
+  if (eig.eigenvalues[n - 1] >= -cfg.psd_tol * scale) return false;
+
+  const double floor = cfg.eigen_floor * scale;
+  Matrix repaired(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double lambda = std::max(eig.eigenvalues[i], floor);
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t c = 0; c < n; ++c) {
+        repaired(r, c) +=
+            lambda * eig.eigenvectors(r, i) * eig.eigenvectors(c, i);
+      }
+    }
+  }
+  cov = symmetrized(repaired);
+  return true;
+}
+
+bool block_finite(const NuiseResult& r, std::size_t at, std::size_t dim) {
+  for (std::size_t i = 0; i < dim; ++i) {
+    if (!std::isfinite(r.sensor_anomaly[at + i])) return false;
+    for (std::size_t j = 0; j < r.sensor_anomaly.size(); ++j) {
+      if (!std::isfinite(r.sensor_anomaly_cov(at + i, j))) return false;
+      if (!std::isfinite(r.sensor_anomaly_cov(j, at + i))) return false;
+    }
+  }
+  return true;
+}
+
+void gather_blocks(NuiseResult& r,
+                   const std::vector<std::array<std::size_t, 3>>& keep) {
+  std::size_t total = 0;
+  for (const auto& k : keep) total += k[2];
+  Vector anomaly(total);
+  Matrix cov(total, total);
+  std::size_t at_i = 0;
+  for (const auto& ki : keep) {
+    for (std::size_t i = 0; i < ki[2]; ++i) {
+      anomaly[at_i + i] = r.sensor_anomaly[ki[1] + i];
+    }
+    std::size_t at_j = 0;
+    for (const auto& kj : keep) {
+      for (std::size_t i = 0; i < ki[2]; ++i) {
+        for (std::size_t j = 0; j < kj[2]; ++j) {
+          cov(at_i + i, at_j + j) = r.sensor_anomaly_cov(ki[1] + i, kj[1] + j);
+        }
+      }
+      at_j += kj[2];
+    }
+    at_i += ki[2];
+  }
+  r.sensor_anomaly = std::move(anomaly);
+  r.sensor_anomaly_cov = std::move(cov);
+}
+
+SupervisionOutcome supervise_result(NuiseResult& result, const Mode& mode,
+                                    const sensors::SensorSuite& suite,
+                                    const HealthConfig& cfg) {
+  SupervisionOutcome out;
+  if (!cfg.enabled) return out;
+  if (!result.state.all_finite() || !result.state_cov.all_finite()) {
+    out.fatal = true;
+    out.detail = "non-finite state estimate or covariance";
+    return out;
+  }
+  if (!result.actuator_anomaly.all_finite() ||
+      !result.actuator_anomaly_cov.all_finite()) {
+    out.fatal = true;
+    out.detail = "non-finite actuator anomaly estimate";
+    return out;
+  }
+  if (result.likelihood_informative &&
+      !std::isfinite(result.log_likelihood)) {
+    out.fatal = true;
+    out.detail = "non-finite mode likelihood";
+    return out;
+  }
+  if (ref::repair_covariance(result.state_cov, cfg)) {
+    out.repaired = true;
+    out.detail = "state covariance eigenvalue clamp";
+  }
+  if (!result.sensor_anomaly.empty() &&
+      (!result.sensor_anomaly.all_finite() ||
+       !result.sensor_anomaly_cov.all_finite())) {
+    const std::vector<std::size_t> active =
+        result.degraded ? result.active_testing : mode.testing;
+    std::vector<std::array<std::size_t, 3>> keep;
+    std::vector<std::size_t> kept_sensors;
+    std::size_t at = 0;
+    for (std::size_t t : active) {
+      const std::size_t dim = suite.sensor(t).dim();
+      if (block_finite(result, at, dim)) {
+        keep.push_back({t, at, dim});
+        kept_sensors.push_back(t);
+      }
+      at += dim;
+    }
+    gather_blocks(result, keep);
+    result.degraded = true;
+    result.active_testing = std::move(kept_sensors);
+    out.repaired = true;
+    if (!out.detail.empty()) out.detail += "; ";
+    out.detail += "non-finite testing anomaly block excluded";
+  }
+  return out;
+}
+
+// ---------------------------------------------------- reference χ² tests --
+
+class DecisionMaker {
+ public:
+  DecisionMaker(std::shared_ptr<const EstimatorBank> bank,
+                const DecisionConfig& config)
+      : bank_(std::move(bank)),
+        sensor_history_(config.sensor_window),
+        actuator_history_(config.actuator_window),
+        per_sensor_history_(bank_->suite().count(),
+                            SlidingWindow(config.sensor_window)),
+        tested_(bank_->suite().count(), false) {}
+
+  Decision evaluate(const Mode& mode, const NuiseResult& result) {
+    const sensors::SensorSuite& suite = bank_->suite();
+    Decision d;
+
+    if (!result.sensor_anomaly.empty()) {
+      const std::size_t dof = result.sensor_anomaly.size();
+      const SpdFactor cov(result.sensor_anomaly_cov);
+      d.sensor_statistic = cov.quadratic_form(result.sensor_anomaly);
+      d.sensor_threshold = bank_->sensor_threshold(dof);
+      d.sensor_test_positive = d.sensor_statistic > d.sensor_threshold;
+    }
+    d.sensor_alarm = sensor_history_.push(d.sensor_test_positive);
+
+    {
+      const std::size_t dof = result.actuator_anomaly.size();
+      const SpdFactor cov(result.actuator_anomaly_cov);
+      d.actuator_statistic = cov.quadratic_form(result.actuator_anomaly);
+      d.actuator_threshold = bank_->actuator_threshold(dof);
+      d.actuator_test_positive = d.actuator_statistic > d.actuator_threshold;
+    }
+    d.actuator_alarm = actuator_history_.push(d.actuator_test_positive);
+    d.actuator_anomaly = result.actuator_anomaly;
+
+    const std::vector<std::size_t>& testing = active_testing_of(mode, result);
+    EXPECT_EQ(result.sensor_anomaly.size(), stacked_dim(suite, testing));
+    std::fill(tested_.begin(), tested_.end(), false);
+    d.sensor_verdicts.reserve(testing.size());
+    std::size_t at = 0;
+    for (std::size_t t : testing) {
+      const std::size_t dim = suite.sensor(t).dim();
+      SensorVerdict v;
+      v.sensor_index = t;
+      v.anomaly_estimate = result.sensor_anomaly.segment(at, dim);
+      const SpdFactor block(result.sensor_anomaly_cov.block(at, at, dim, dim));
+      v.statistic = block.quadratic_form(v.anomaly_estimate);
+      v.threshold = bank_->sensor_threshold(dim);
+      const bool positive = v.statistic > v.threshold;
+      const bool windowed = per_sensor_history_[t].push(positive);
+      v.misbehaving = d.sensor_alarm && windowed;
+      if (v.misbehaving) d.misbehaving_sensors.push_back(t);
+      d.sensor_verdicts.push_back(std::move(v));
+      tested_[t] = true;
+      at += dim;
+    }
+    for (std::size_t s = 0; s < suite.count(); ++s) {
+      if (!tested_[s]) {
+        per_sensor_history_[s].push(false);
+      }
+    }
+    return d;
+  }
+
+ private:
+  std::shared_ptr<const EstimatorBank> bank_;
+  SlidingWindow sensor_history_;
+  SlidingWindow actuator_history_;
+  std::vector<SlidingWindow> per_sensor_history_;
+  std::vector<bool> tested_;
+};
 
 }  // namespace ref
 
@@ -564,6 +800,63 @@ std::string diff_results(const NuiseResult& a, const NuiseResult& b) {
   return "";
 }
 
+std::string diff_outcomes(const SupervisionOutcome& a,
+                          const SupervisionOutcome& b) {
+  if (a.fatal != b.fatal) return "supervision fatal";
+  if (a.repaired != b.repaired) return "supervision repaired";
+  if (a.detail != b.detail) return "supervision detail";
+  return "";
+}
+
+// Empty when every field of the two decisions is bit-identical.
+std::string diff_decisions(const Decision& a, const Decision& b) {
+  for (const std::string& d : {
+           diff_doubles("sensor_statistic", &a.sensor_statistic,
+                        &b.sensor_statistic, 1),
+           diff_doubles("sensor_threshold", &a.sensor_threshold,
+                        &b.sensor_threshold, 1),
+           diff_doubles("actuator_statistic", &a.actuator_statistic,
+                        &b.actuator_statistic, 1),
+           diff_doubles("actuator_threshold", &a.actuator_threshold,
+                        &b.actuator_threshold, 1),
+           diff_vector("decision actuator_anomaly", a.actuator_anomaly,
+                       b.actuator_anomaly),
+       }) {
+    if (!d.empty()) return d;
+  }
+  if (a.sensor_test_positive != b.sensor_test_positive ||
+      a.sensor_alarm != b.sensor_alarm ||
+      a.actuator_test_positive != b.actuator_test_positive ||
+      a.actuator_alarm != b.actuator_alarm) {
+    return "decision flags";
+  }
+  if (a.sensor_verdicts.size() != b.sensor_verdicts.size()) {
+    return "sensor_verdicts: size";
+  }
+  for (std::size_t i = 0; i < a.sensor_verdicts.size(); ++i) {
+    const SensorVerdict& va = a.sensor_verdicts[i];
+    const SensorVerdict& vb = b.sensor_verdicts[i];
+    for (const std::string& d : {
+             diff_doubles("verdict statistic", &va.statistic, &vb.statistic,
+                          1),
+             diff_doubles("verdict threshold", &va.threshold, &vb.threshold,
+                          1),
+             diff_vector("verdict anomaly_estimate", va.anomaly_estimate,
+                         vb.anomaly_estimate),
+         }) {
+      if (!d.empty()) return d + " of verdict " + std::to_string(i);
+    }
+    if (va.sensor_index != vb.sensor_index ||
+        va.misbehaving != vb.misbehaving) {
+      return "verdict " + std::to_string(i);
+    }
+  }
+  if (a.misbehaving_sensors != b.misbehaving_sensors) {
+    return "misbehaving_sensors";
+  }
+  return "";
+}
+
 // ------------------------------------------------------------- inputs --
 
 struct PreStep {
@@ -574,30 +867,78 @@ struct PreStep {
   SensorMask mask;
 };
 
-// The library step and the reference step of every mode of `modes`.
+// The library step and the reference step of every mode of `modes`, each
+// followed by supervision and a decision maker with its own windows.
 struct Pair {
   Nuise lib;
   ReferenceNuise ref;
+  const sensors::SensorSuite* suite;
+  DecisionMaker lib_decision;
+  ref::DecisionMaker ref_decision;
+  NuiseResult reused;  // every library step_into writes here
+};
+
+// Counts over a comparison run, so tests can require that a path ran.
+struct Tally {
+  std::size_t repaired = 0;
+  std::size_t clamped = 0;  // repairs that clamped Pˣ's eigenvalues
+  std::size_t fatal = 0;
+  std::size_t decisions = 0;
+  std::size_t alarms = 0;
 };
 
 std::vector<Pair> pairs_for(const dyn::DynamicModel& model,
                             const sensors::SensorSuite& suite,
                             const Matrix& q, const std::vector<Mode>& modes) {
+  const DecisionConfig config;
+  const auto tables = std::make_shared<const EstimatorBank>(suite, config);
   std::vector<Pair> out;
   for (const Mode& m : modes) {
     out.push_back(Pair{Nuise(model, suite, m, q),
-                       ReferenceNuise(model, suite, m, q)});
+                       ReferenceNuise(model, suite, m, q), &suite,
+                       DecisionMaker(tables, config),
+                       ref::DecisionMaker(tables, config), NuiseResult{}});
   }
   return out;
 }
 
-// Steps every pair on `in`; returns a description of the first mismatch.
-std::string compare_all(const std::vector<Pair>& pairs, const PreStep& in) {
-  for (const Pair& pair : pairs) {
-    const NuiseResult a = pair.lib.step(in.x, in.p, in.u, in.z, in.mask);
-    const NuiseResult b = pair.ref.step(in.x, in.p, in.u, in.z, in.mask);
-    const std::string d = diff_results(a, b);
-    if (!d.empty()) return pair.lib.mode().label + ": " + d;
+// Steps, supervises and evaluates every pair on `in`; returns a
+// description of the first mismatch.
+std::string compare_all(std::vector<Pair>& pairs, const PreStep& in,
+                        Tally* tally = nullptr) {
+  const HealthConfig health;
+  for (Pair& pair : pairs) {
+    const Mode& mode = pair.lib.mode();
+    NuiseResult a = pair.lib.step(in.x, in.p, in.u, in.z, in.mask);
+    NuiseResult b = pair.ref.step(in.x, in.p, in.u, in.z, in.mask);
+    std::string d = diff_results(a, b);
+    if (!d.empty()) return mode.label + ": " + d;
+    pair.lib.step_into(in.x, in.p, in.u, in.z, in.mask, pair.reused);
+    d = diff_results(pair.reused, a);
+    if (!d.empty()) return mode.label + ": reused step_into " + d;
+
+    const SupervisionOutcome oa = supervise_result(a, mode, *pair.suite,
+                                                   health);
+    const SupervisionOutcome ob =
+        ref::supervise_result(b, mode, *pair.suite, health);
+    d = diff_outcomes(oa, ob);
+    if (d.empty()) d = diff_results(a, b);
+    if (!d.empty()) return mode.label + ": supervised " + d;
+    if (tally != nullptr) {
+      tally->repaired += oa.repaired;
+      tally->clamped += oa.detail.find("clamp") != std::string::npos;
+      tally->fatal += oa.fatal;
+    }
+    if (oa.fatal) continue;  // a quarantined mode is never evaluated
+
+    const Decision da = pair.lib_decision.evaluate(mode, a);
+    const Decision db = pair.ref_decision.evaluate(mode, b);
+    d = diff_decisions(da, db);
+    if (!d.empty()) return mode.label + ": decision " + d;
+    if (tally != nullptr) {
+      ++tally->decisions;
+      tally->alarms += da.sensor_alarm + da.actuator_alarm;
+    }
   }
   return "";
 }
@@ -698,16 +1039,19 @@ std::vector<Pair> mission_pairs(const Mission& m) {
 
 void expect_every_pre_step_state_matches(const std::vector<Mission>& missions) {
   std::size_t compared = 0;
+  Tally tally;
   for (const Mission& m : missions) {
-    const std::vector<Pair> pairs = mission_pairs(m);
+    std::vector<Pair> pairs = mission_pairs(m);
     ASSERT_GE(pairs.size(), 10u);
     for (std::size_t k = 0; k < m.steps.size(); ++k) {
-      const std::string d = compare_all(pairs, m.steps[k]);
+      const std::string d = compare_all(pairs, m.steps[k], &tally);
       ASSERT_TRUE(d.empty()) << m.label << " step " << k + 1 << " " << d;
       compared += pairs.size();
     }
   }
   EXPECT_GT(compared, 10'000u);
+  EXPECT_GT(tally.decisions, 10'000u);
+  EXPECT_GT(tally.alarms, 100u);  // the attacks raise windowed alarms
 }
 
 TEST(NuiseOracle, KheperaTableTwoMissionsEveryMode) {
@@ -727,7 +1071,7 @@ TEST(NuiseOracle, EveryAvailabilityMask) {
   for (const std::vector<Mission>* missions :
        {&khepera_missions(), &tamiya_missions()}) {
     for (const Mission& m : *missions) {
-      const std::vector<Pair> pairs = mission_pairs(m);
+      std::vector<Pair> pairs = mission_pairs(m);
       const std::size_t sensors = m.setup->suite().count();
       for (std::size_t k = 0; k < m.steps.size(); k += 25) {
         PreStep in = m.steps[k];
@@ -776,7 +1120,7 @@ struct NoiselessRig {
 
 TEST(NuiseOracle, RankDeficientReferenceCovarianceTakesTheEigenFallback) {
   NoiselessRig rig;
-  const std::vector<Pair> pairs =
+  std::vector<Pair> pairs =
       pairs_for(rig.model, rig.suite, rig.q, complete_mode_set(rig.suite));
   const Vector x{0.4, 0.3, 0.2};
   const Vector u{0.05, 0.04};
@@ -819,10 +1163,11 @@ TEST(NuiseOracle, SignedZerosSubnormalsInfinitiesAndNaNInputs) {
                              -inf,
                              std::numeric_limits<double>::quiet_NaN(),
                              -std::numeric_limits<double>::quiet_NaN()};
-  auto sweep = [&](const std::vector<Pair>& pairs, const PreStep& base,
+  Tally tally;
+  auto sweep = [&](std::vector<Pair>& pairs, const PreStep& base,
                    const std::string& label) {
     auto check = [&](const PreStep& in, const std::string& where) {
-      const std::string d = compare_all(pairs, in);
+      const std::string d = compare_all(pairs, in, &tally);
       ASSERT_TRUE(d.empty()) << label << " " << where << " " << d;
     };
     for (double s : specials) {
@@ -857,13 +1202,13 @@ TEST(NuiseOracle, SignedZerosSubnormalsInfinitiesAndNaNInputs) {
     }
   };
   for (const Mission& m : khepera_missions()) {
-    const std::vector<Pair> pairs = mission_pairs(m);
+    std::vector<Pair> pairs = mission_pairs(m);
     for (std::size_t k = 0; k < m.steps.size(); k += 125) {
       sweep(pairs, m.steps[k], m.label + " step " + std::to_string(k + 1));
     }
   }
   NoiselessRig rig;
-  const std::vector<Pair> pairs = pairs_for(
+  std::vector<Pair> pairs = pairs_for(
       rig.model, rig.suite, Matrix::identity(3) * 1e-6,
       complete_mode_set(rig.suite));
   const Vector x{0.4, 0.3, 0.2};
@@ -871,6 +1216,11 @@ TEST(NuiseOracle, SignedZerosSubnormalsInfinitiesAndNaNInputs) {
         PreStep{x, Matrix::identity(3) * 1e-4, Vector{0.05, 0.04},
                 rig.suite.measure(rig.suite.all(), x), {}},
         "noiseless rig");
+  // Supervision quarantined results and repaired others (covariance
+  // clamps and stripped testing blocks) on these inputs.
+  EXPECT_GT(tally.fatal, 100u);
+  EXPECT_GT(tally.repaired, 100u);
+  EXPECT_GT(tally.clamped, 100u);
 }
 
 }  // namespace

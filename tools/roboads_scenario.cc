@@ -54,6 +54,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  if (command != "check" && command != "print" && command != "run") {
+    usage_error(argv[0], "unknown subcommand \"" + command + "\"");
+  }
   if (argc < 3) usage_error(argv[0], command + " expects at least one FILE");
 
   if (command == "check") {
@@ -84,33 +87,30 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  if (command == "run") {
-    for (int i = 2; i < argc; ++i) {
-      try {
-        const scenario::ScenarioSpec spec =
-            scenario::parse(read_file(argv[0], argv[i]));
-        const roboads::eval::ContainedRun run = scenario::fly_spec(spec);
-        if (run.failed()) {
-          std::fprintf(stderr, "%s: mission failed at step %zu: %s\n",
-                       argv[i], run.failure->step,
-                       run.failure->what.c_str());
-          return 1;
-        }
-        std::printf(
-            "%s: \"%s\" on %s — sensor %s (%s), actuator %s (%s), goal %s\n",
-            argv[i], spec.name.c_str(), spec.platform.c_str(),
-            scenario::sensor_detected(run.score) ? "detected" : "silent",
-            run.score.sensor_condition_sequence.c_str(),
-            scenario::actuator_detected(run.score) ? "detected" : "silent",
-            run.score.actuator_condition_sequence.c_str(),
-            run.result.goal_reached ? "reached" : "not reached");
-      } catch (const scenario::SpecError& e) {
-        std::fprintf(stderr, "%s: %s\n", argv[i], e.what());
+  // The subcommand is "run".
+  for (int i = 2; i < argc; ++i) {
+    try {
+      const scenario::ScenarioSpec spec =
+          scenario::parse(read_file(argv[0], argv[i]));
+      const roboads::eval::ContainedRun run = scenario::fly_spec(spec);
+      if (run.failed()) {
+        std::fprintf(stderr, "%s: mission failed at step %zu: %s\n",
+                     argv[i], run.failure->step,
+                     run.failure->what.c_str());
         return 1;
       }
+      std::printf(
+          "%s: \"%s\" on %s — sensor %s (%s), actuator %s (%s), goal %s\n",
+          argv[i], spec.name.c_str(), spec.platform.c_str(),
+          scenario::sensor_detected(run.score) ? "detected" : "silent",
+          run.score.sensor_condition_sequence.c_str(),
+          scenario::actuator_detected(run.score) ? "detected" : "silent",
+          run.score.actuator_condition_sequence.c_str(),
+          run.result.goal_reached ? "reached" : "not reached");
+    } catch (const scenario::SpecError& e) {
+      std::fprintf(stderr, "%s: %s\n", argv[i], e.what());
+      return 1;
     }
-    return 0;
   }
-
-  usage_error(argv[0], "unknown subcommand \"" + command + "\"");
+  return 0;
 }
