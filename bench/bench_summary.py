@@ -34,13 +34,14 @@ whose median real_time_ns grew by more than --max-regress (default 0.15 =
 gates cross-PR hot-path regressions. Benchmarks missing from the baseline
 (newly added) pass; a missing or unreadable baseline file is skipped with a
 note (first snapshot of a fresh checkout). Comparisons only run when the
-baseline was recorded with identical build type and flags — numbers from a
-different compiler configuration are noise, not a regression. The summary
-context also records the CPU model (the first "model name" line of
-/proc/cpuinfo, as perfbench fingerprints its host), and the gate's verdict
-line prints it next to the baseline's ("unknown" where a baseline recorded
-none): the bound is not re-judged on a different CPU, but a verdict across
-hosts says so.
+baseline was recorded with identical build type and flags, and on the same
+CPU model — numbers from a different compiler configuration or another
+processor are noise, not a regression. The summary context records the CPU
+model (the first "model name" line of /proc/cpuinfo, as perfbench
+fingerprints its host); a baseline whose model differs from this host's, or
+that recorded none ("unknown"), is not compared: the gate is skipped, the
+note names both models, and the fresh numbers become the baseline. Every
+verdict line names both models.
 """
 import json
 import os
@@ -174,17 +175,24 @@ def main() -> int:
             with open(baseline_path) as f:
                 baseline = json.load(f)
             base_ctx = baseline.get("context", {})
-            cpus = (f"(cpu: {summary['context']['cpu_model']}; baseline "
-                    f"cpu: {base_ctx.get('cpu_model') or 'unknown'})")
-            comparable = (
+            host_cpu = summary["context"]["cpu_model"]
+            base_cpu = base_ctx.get("cpu_model") or "unknown"
+            cpus = f"(cpu: {host_cpu}; baseline cpu: {base_cpu})"
+            same_flags = (
                 base_ctx.get("build_type", "") == build_type
                 and base_ctx.get("cxx_flags", "") == cxx_flags
             )
-            if not comparable:
+            same_cpu = host_cpu == base_cpu and host_cpu != "unknown"
+            if not same_flags:
                 print(
                     f"bench_summary: baseline {baseline_path} was recorded "
                     f"with different compiler settings; skipping the "
-                    f"regression gate and re-baselining")
+                    f"regression gate and re-baselining {cpus}")
+            elif not same_cpu:
+                print(
+                    f"bench_summary: baseline {baseline_path} was recorded "
+                    f"on another CPU model; skipping the regression gate "
+                    f"and re-baselining {cpus}")
             else:
                 regressions = []
                 for name, entry in summary["benchmarks"].items():

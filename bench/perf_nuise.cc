@@ -7,7 +7,7 @@
 // masked), one full multi-mode engine iteration (M = p estimators +
 // selector), the full detector step (engine + decision maker) on one
 // synthetic reading and replaying recorded missions, one fleet robot's
-// session set-up, the detector's matrix kernels,
+// session set-up, the detector's matrix kernels, the random draws,
 // the LiDAR scan-processing pipeline, the RRT* mission plan, and one whole
 // Khepera mission.
 #include <benchmark/benchmark.h>
@@ -303,6 +303,21 @@ void BM_Cholesky4(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(Cholesky(k.innov4));
 }
 BENCHMARK(BM_Cholesky4);
+
+// One random draw as a mission makes them: RRT* samples two uniform
+// coordinates per iteration, and the LiDAR adds a Gaussian to each of its
+// 81 beams every control iteration.
+void BM_RngUniform(benchmark::State& state) {
+  Rng rng(1);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.uniform(0.0, 2.0));
+}
+BENCHMARK(BM_RngUniform);
+
+void BM_RngGaussian(benchmark::State& state) {
+  Rng rng(1);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.gaussian(0.0, 0.01));
+}
+BENCHMARK(BM_RngGaussian);
 
 void BM_LidarScanAndProcess(benchmark::State& state) {
   const sim::World world(2.0, 1.5);

@@ -71,6 +71,9 @@ int run(const std::string& out_path, const obs::Instruments& instruments) {
 }  // namespace roboads::bench
 
 int main(int argc, char** argv) {
+  // This bench's flags: its own --out, then the shared obs flags.
+  const std::string flags =
+      std::string("[--out=PATH] ") + roboads::bench::kBenchFlags;
   // Peel off --out= before handing the rest to the strict shared parser.
   std::string out_path;
   std::vector<char*> rest;
@@ -79,14 +82,15 @@ int main(int argc, char** argv) {
     if (std::strncmp(argv[i], "--out=", 6) == 0) {
       out_path = argv[i] + 6;
       if (out_path.empty()) {
-        roboads::bench::bench_usage_error(argv[0], "--out expects a path");
+        roboads::bench::bench_usage_error(argv[0], "--out expects a path",
+                                          flags.c_str());
       }
     } else {
       rest.push_back(argv[i]);
     }
   }
   roboads::bench::BenchObservation watch(roboads::bench::parse_bench_args(
-      static_cast<int>(rest.size()), rest.data()));
+      static_cast<int>(rest.size()), rest.data(), flags.c_str()));
   int rc = 1;
   try {
     rc = roboads::bench::run(out_path, watch.instruments());

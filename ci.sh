@@ -15,8 +15,8 @@
 # run that must freeze postmortem bundles, replay bit-identically through
 # `roboads_explain --verify`, and reproduce the live alarm timeline, and a
 # recorded sweep whose every bundle must land in its own file and replay;
-# and the obs-overhead gate keeping disabled hooks *and* recorder-on under
-# 2%.
+# a check that stealth_frontier's usage line names its own flags, and the
+# obs-overhead gate keeping disabled hooks *and* recorder-on under 2%.
 # Usage:
 #
 #   ./ci.sh            # all passes
@@ -124,6 +124,21 @@ run_forensics_smoke() {
   echo "forensics smoke: $files sweep bundles, one file each, all replay"
 }
 
+# A bench with flags of its own must name them in its usage line: an
+# unknown flag to bench/stealth_frontier exits 2 with a usage that lists its
+# --out=PATH beside the shared obs flags.
+run_usage_smoke() {
+  local dir="$1"
+  local rc=0 usage
+  usage="$("$dir/bench/stealth_frontier" --bogus 2>&1 > /dev/null)" || rc=$?
+  if [ "$rc" -ne 2 ] || ! grep -qF -- "--out=PATH" <<< "$usage"; then
+    echo "usage smoke: stealth_frontier --bogus exited $rc with:" >&2
+    echo "$usage" >&2
+    exit 1
+  fi
+  echo "usage smoke: stealth_frontier names its own flags"
+}
+
 # Observability overhead gate: disabled hooks, the always-on flight
 # recorder, and the shard workers' live-telemetry tier (coarse timers +
 # periodic snapshot) must all stay under the documented 2% budget (the
@@ -140,8 +155,10 @@ run_obs_overhead() {
 # robot's session set-up (bytes and allocations per session) — plus one RRT*
 # mission plan per platform, the cost every campaign mission pays first
 # (docs/PERFORMANCE.md "Planner"), the Khepera mission's LiDAR scan and
-# processing, and one whole 250-iteration Khepera mission
-# (docs/PERFORMANCE.md "Mission: sensing and planner"). Reduced to BENCH_PERF.json at the repo
+# processing, one whole 250-iteration Khepera mission
+# (docs/PERFORMANCE.md "Mission: sensing and planner"), and one uniform and
+# one Gaussian draw (docs/PERFORMANCE.md "Random stream and neighbor
+# scans"). Reduced to BENCH_PERF.json at the repo
 # root (docs/PERFORMANCE.md tracks the history).
 # Each benchmark runs five times for ~0.2 s; bench_summary.py records and
 # gates each row's median (with the fastest and slowest run beside it), so
@@ -161,7 +178,7 @@ run_bench() {
   build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:[^=]*=//p' "$dir/CMakeCache.txt")"
   cxx_flags="$(sed -n 's/^CMAKE_CXX_FLAGS_RELEASE:[^=]*=//p' "$dir/CMakeCache.txt")"
   "$dir/bench/perf_nuise" \
-    --benchmark_filter='BM_NuiseStepKhepera|BM_NuiseStepKheperaMasked|BM_EngineStepKhepera|BM_EngineStepCompleteModeSet|BM_FullDetectorStepKhepera|BM_FullDetectorStepTamiya|BM_DetectorReplayKhepera|BM_FleetSessionSetupKhepera|BM_MatMul3x3|BM_Sandwich3x3|BM_JacobiEigen4|BM_Cholesky4|BM_RrtStarPlanKhepera|BM_RrtStarPlanTamiya|BM_LidarScanAndProcessKhepera|BM_MissionKhepera' \
+    --benchmark_filter='BM_NuiseStepKhepera|BM_NuiseStepKheperaMasked|BM_EngineStepKhepera|BM_EngineStepCompleteModeSet|BM_FullDetectorStepKhepera|BM_FullDetectorStepTamiya|BM_DetectorReplayKhepera|BM_FleetSessionSetupKhepera|BM_MatMul3x3|BM_Sandwich3x3|BM_JacobiEigen4|BM_Cholesky4|BM_RrtStarPlanKhepera|BM_RrtStarPlanTamiya|BM_LidarScanAndProcessKhepera|BM_MissionKhepera|BM_RngUniform|BM_RngGaussian' \
     --benchmark_min_time=0.2 --benchmark_repetitions=5 \
     --benchmark_format=json > "$dir/bench_perf_raw.json"
   # Fleet capacity + latency (docs/FLEET.md): ≥1000 sessions at 10 Hz on
@@ -509,6 +526,7 @@ case "$MODE" in
     run_pass build
     run_obs_smoke build
     run_forensics_smoke build
+    run_usage_smoke build
     run_obs_overhead build
     run_bench
     ;;
@@ -527,6 +545,7 @@ case "$MODE" in
     run_pass build
     run_obs_smoke build
     run_forensics_smoke build
+    run_usage_smoke build
     run_obs_overhead build
     run_bench
     run_perfbench

@@ -1,6 +1,7 @@
 #include "attacks/injector.h"
 
 #include <cmath>
+#include <random>
 #include <sstream>
 
 namespace roboads::attacks {

@@ -13,11 +13,11 @@
 #include <cstdint>
 #include <optional>
 #include <memory>
-#include <random>
 #include <string>
 #include <vector>
 
 #include "matrix/matrix.h"
+#include "random/rng.h"
 
 namespace roboads::attacks {
 
@@ -151,7 +151,7 @@ class NoiseInjector final : public Injector {
 
  private:
   Vector stddev_;
-  std::mt19937_64 engine_;
+  Mt19937_64 engine_;
 };
 
 // A flat board held in front of the scanner window (#7's physical-channel

@@ -22,9 +22,13 @@ Vec2 Vec2::rotated(double angle) const {
 double distance(const Vec2& a, const Vec2& b) { return (a - b).norm(); }
 
 double wrap_angle(double a) {
-  a = std::fmod(a + M_PI, 2.0 * M_PI);
-  if (a <= 0.0) a += 2.0 * M_PI;
-  return a - M_PI;
+  // fmod returns an argument already inside (0, 2π) unchanged, and the
+  // `<= 0` fix-up leaves it alone, so the fast path is the fmod form's value.
+  double shifted = a + M_PI;
+  if (shifted > 0.0 && shifted < 2.0 * M_PI) return shifted - M_PI;
+  shifted = std::fmod(shifted, 2.0 * M_PI);
+  if (shifted <= 0.0) shifted += 2.0 * M_PI;
+  return shifted - M_PI;
 }
 
 double angle_diff(double a, double b) { return wrap_angle(a - b); }

@@ -10,19 +10,6 @@ namespace roboads::planning {
 
 using geom::Vec2;
 
-namespace {
-
-// The neighbor's exact geom::distance(p, q), computed at most once and
-// shared by the parent and rewire passes. geom::distance is symmetric bit
-// for bit (std::hypot of negated differences), so it also stands for the
-// rewire pass's distance(q, p).
-double exact_distance(detail::NodeGrid::Near& n, const Vec2& q) {
-  if (n.d < 0.0) n.d = geom::distance(n.entry->position, q);
-  return n.d;
-}
-
-}  // namespace
-
 double PlannedPath::length() const {
   double acc = 0.0;
   for (std::size_t i = 1; i < waypoints.size(); ++i)
@@ -53,13 +40,13 @@ std::optional<PlannedPath> RrtStar::plan(const Vec2& start, const Vec2& goal,
   std::optional<std::size_t> best_goal_node;
   double best_goal_cost = std::numeric_limits<double>::infinity();
 
-  // Nearest and near-set queries go through a uniform grid whose answers
-  // equal a scan over every node (planning/node_grid.h); a cell of half the
-  // rewire radius keeps the near query to a block of about 5x5 cells.
+  // Nearest-node queries and the neighbor passes go through a uniform grid
+  // whose answers equal a scan over every node (planning/node_grid.h); a
+  // cell of half the rewire radius keeps a pass to a block of about 5x5
+  // cells.
   detail::NodeGrid grid(world_.width(), world_.height(),
                         config_.rewire_radius / 2.0);
   grid.insert(0, start, 0.0);
-  std::vector<detail::NodeGrid::Near> near;
 
   for (std::size_t it = 0; it < config_.max_iterations; ++it) {
     // Sample (goal-biased).
@@ -81,50 +68,46 @@ std::optional<PlannedPath> RrtStar::plan(const Vec2& start, const Vec2& goal,
                         : from + (sample - from) * (config_.step_size / dist);
     if (!space.segment_free(from, to)) continue;
 
-    // The neighborhood: exactly the nodes with geom::distance <= radius.
-    grid.near(to, config_.rewire_radius, near);
-
-    // Choose the cheapest collision-free parent within the neighborhood.
-    // This is the order-free form of scanning the neighbors by index with a
-    // strict `<`: the minimum cost over segment-free neighbors, where the
-    // nearest node wins any tie it is in and otherwise the lowest index
-    // wins. Exact distances are computed only for candidates whose lower
-    // bound can still win or tie: rounding is monotone, so `cost + bound`
-    // never exceeds `cost + distance`.
+    // Choose the cheapest collision-free parent among the nodes with
+    // geom::distance <= radius. This is the order-free form of scanning
+    // them by index with a strict `<`: the minimum cost over segment-free
+    // neighbors, where the nearest node wins any tie it is in and otherwise
+    // the lowest index wins. The grid skips only neighbors whose cost plus
+    // a lower bound of their distance exceeds `cost`: rounding is monotone,
+    // so `cost + bound` never exceeds `cost + distance`, and such a
+    // neighbor can neither win nor tie.
     std::size_t parent = nearest;
     double cost = nn.cost + geom::distance(from, to);
-    for (detail::NodeGrid::Near& n : near) {
-      const detail::NodeGrid::Entry& e = *n.entry;
-      if (e.index == nearest) continue;  // ties itself, never beats itself
-      if (e.cost + n.bound > cost) continue;
-      const double c = e.cost + exact_distance(n, to);
-      const bool wins =
-          c < cost || (c == cost && parent != nearest && e.index < parent);
-      if (wins && space.segment_free(e.position, to)) {
-        cost = c;
-        parent = e.index;
-      }
-    }
+    grid.parent_candidates(
+        to, config_.rewire_radius, cost,
+        [&](const detail::NodeGrid::Entry& e, double d) {
+          if (e.index == nearest) return;  // ties itself, never beats itself
+          const double c = e.cost + d;
+          const bool wins =
+              c < cost || (c == cost && parent != nearest && e.index < parent);
+          if (wins && space.segment_free(e.position, to)) {
+            cost = c;
+            parent = e.index;
+          }
+        });
 
     const std::size_t new_index = nodes.size();
     nodes.push_back({to, parent});
 
     // Rewire the neighborhood through the new node when cheaper. Each
     // neighbor's test reads only its own cost and the new node's, so the
-    // visiting order does not matter. The bound from near() still decides
-    // the skip when the parent pass has since found the exact distance:
-    // whatever it skips, the exact test would reject too. The new node
-    // joins the grid only afterwards, which keeps every `near` entry
-    // pointer valid.
-    for (detail::NodeGrid::Near& n : near) {
-      detail::NodeGrid::Entry& e = *n.entry;
-      if (cost + n.bound + 1e-12 >= e.cost) continue;
-      const double through = cost + exact_distance(n, to);
-      if (through + 1e-12 < e.cost && space.segment_free(to, e.position)) {
-        nodes[e.index].parent = new_index;
-        e.cost = through;
-      }
-    }
+    // visiting order does not matter, and whatever the grid's bound test
+    // skips, the exact test would reject too. The new node joins the grid
+    // only afterwards.
+    grid.rewire_candidates(
+        to, config_.rewire_radius, cost,
+        [&](detail::NodeGrid::Entry& e, double d) {
+          const double through = cost + d;
+          if (through + 1e-12 < e.cost && space.segment_free(to, e.position)) {
+            nodes[e.index].parent = new_index;
+            e.cost = through;
+          }
+        });
     grid.insert(new_index, to, cost);
 
     // Track the best node able to reach the goal directly.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <random>
 #include <sstream>
 
 #include "core/health.h"
@@ -11,23 +12,23 @@
 namespace roboads::scenario {
 namespace {
 
-double uniform(std::mt19937_64& engine, double lo, double hi) {
+double uniform(Mt19937_64& engine, double lo, double hi) {
   return std::uniform_real_distribution<double>(lo, hi)(engine);
 }
 
-std::size_t uniform_index(std::mt19937_64& engine, std::size_t lo,
+std::size_t uniform_index(Mt19937_64& engine, std::size_t lo,
                           std::size_t hi) {
   return std::uniform_int_distribution<std::size_t>(lo, hi)(engine);
 }
 
-bool coin(std::mt19937_64& engine, double p = 0.5) {
+bool coin(Mt19937_64& engine, double p = 0.5) {
   return uniform(engine, 0.0, 1.0) < p;
 }
 
 // Sensor magnitude scales are sized to the platforms' pose-like sensors
 // (meters / radians): big enough to exercise alarms and quarantine, small
 // enough that missions stay numerically ordinary.
-Vector random_magnitude(std::mt19937_64& engine, AttackShape shape,
+Vector random_magnitude(Mt19937_64& engine, AttackShape shape,
                         std::size_t dim, bool actuator) {
   std::vector<double> mag(dim, 0.0);
   const double span = actuator ? 0.6 : 0.3;
@@ -54,7 +55,7 @@ Vector random_magnitude(std::mt19937_64& engine, AttackShape shape,
   return Vector(std::move(mag));
 }
 
-AttackSpec random_attack(std::mt19937_64& engine,
+AttackSpec random_attack(Mt19937_64& engine,
                          const eval::Platform& eval_platform,
                          const PlatformTraits& traits,
                          std::size_t iterations) {
@@ -129,7 +130,7 @@ AttackSpec random_attack(std::mt19937_64& engine,
 // Transport faults are benign by construction, so the generator keeps rates
 // modest: enough traffic disruption to stress the detector's tolerance, not
 // enough to starve the mission of readings outright.
-FaultSpec random_fault(std::mt19937_64& engine, const std::string& sensor,
+FaultSpec random_fault(Mt19937_64& engine, const std::string& sensor,
                        std::size_t iterations) {
   FaultSpec fault;
   fault.sensor = sensor;
@@ -156,7 +157,7 @@ bool valid_fault_probability(double p) {
   return std::isfinite(p) && p >= 0.0 && p <= 1.0;
 }
 
-ScenarioSpec random_campaign(std::mt19937_64& engine,
+ScenarioSpec random_campaign(Mt19937_64& engine,
                              const std::string& platform, std::size_t index,
                              const FuzzConfig& config) {
   const std::unique_ptr<eval::Platform> eval_platform =
@@ -198,7 +199,7 @@ ScenarioSpec random_campaign(std::mt19937_64& engine,
 }
 
 ScenarioSpec fuzz_campaign(const FuzzConfig& config, std::size_t index) {
-  std::mt19937_64 engine(config.seed * 0x9e3779b97f4a7c15ULL + index);
+  Mt19937_64 engine(config.seed * 0x9e3779b97f4a7c15ULL + index);
   return random_campaign(engine,
                          config.platforms[index % config.platforms.size()],
                          index, config);

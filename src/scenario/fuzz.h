@@ -22,11 +22,11 @@
 
 #include <functional>
 #include <optional>
-#include <random>
 #include <string>
 #include <vector>
 
 #include "obs/obs.h"
+#include "random/rng.h"
 #include "scenario/compile.h"
 
 namespace roboads::scenario {
@@ -62,7 +62,7 @@ struct InvariantViolation {
 
 // Deterministic campaign generator: always yields a spec that passes
 // validate_spec. `index` names the spec.
-ScenarioSpec random_campaign(std::mt19937_64& engine,
+ScenarioSpec random_campaign(Mt19937_64& engine,
                              const std::string& platform, std::size_t index,
                              const FuzzConfig& config);
 

@@ -14,6 +14,7 @@
 
 #include "common/check.h"
 #include "common/parse.h"
+#include "random/rng.h"
 #include "shard/checkpoint.h"
 #include "shard/heartbeat.h"
 #include "shard/status.h"
@@ -305,7 +306,7 @@ SuperviseResult supervise(const Manifest& manifest, const std::string& dir,
               slots.end());
   // Chaos victims are drawn up front; each injects on its next launch.
   if (!slots.empty()) {
-    std::mt19937_64 chaos_rng(config.chaos_seed);
+    Mt19937_64 chaos_rng(config.chaos_seed);
     std::uniform_int_distribution<std::size_t> pick(0, slots.size() - 1);
     for (std::size_t i = 0; i < config.chaos_kills; ++i) {
       slots[pick(chaos_rng)].chaos.push_back(SIGKILL);

@@ -18,6 +18,7 @@
 // attack would.
 #pragma once
 
+#include <cmath>
 #include <optional>
 #include <span>
 #include <utility>

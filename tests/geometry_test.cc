@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <vector>
 
 namespace roboads::geom {
 namespace {
@@ -39,6 +44,50 @@ TEST(Angles, WrapIntoHalfOpenPi) {
   EXPECT_NEAR(wrap_angle(2.0 * M_PI + 0.5), 0.5, 1e-12);
   EXPECT_NEAR(angle_diff(0.1, -0.1), 0.2, 1e-12);
   EXPECT_NEAR(angle_diff(-3.0, 3.0), 2.0 * M_PI - 6.0, 1e-12);
+}
+
+// wrap_angle as it was before its fast path, kept as the oracle.
+double wrap_angle_fmod(double a) {
+  a = std::fmod(a + M_PI, 2.0 * M_PI);
+  if (a <= 0.0) a += 2.0 * M_PI;
+  return a - M_PI;
+}
+
+TEST(Angles, WrapIsBitIdenticalToTheFmodForm) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> angles = {0.0, -0.0, inf, -inf,
+                                std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::denorm_min(),
+                                -std::numeric_limits<double>::denorm_min()};
+  // ±π, where a + π lands on 0 or 2π, and their neighbours either side.
+  for (const double pi : {M_PI, -M_PI, 3.0 * M_PI, -3.0 * M_PI}) {
+    double lo = pi, hi = pi;
+    angles.push_back(pi);
+    for (int k = 0; k < 4; ++k) {
+      lo = std::nextafter(lo, -inf);
+      hi = std::nextafter(hi, inf);
+      angles.push_back(lo);
+      angles.push_back(hi);
+    }
+  }
+  // Multiples of 2π, exact and off by one ulp, up to |a| = 1e6.
+  for (double k = -160000.0; k <= 160000.0; k += 997.0) {
+    const double a = k * 2.0 * M_PI;
+    angles.insert(angles.end(),
+                  {a, std::nextafter(a, -inf), std::nextafter(a, inf)});
+  }
+  // Random angles of every magnitude up to 1e6.
+  std::mt19937_64 rng(3);
+  std::uniform_real_distribution<double> exponent(-6.0, 6.0);
+  for (int i = 0; i < 200000; ++i) {
+    const double magnitude = std::pow(10.0, exponent(rng));
+    angles.push_back(i % 2 == 0 ? magnitude : -magnitude);
+  }
+  for (const double a : angles) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(wrap_angle(a)),
+              std::bit_cast<std::uint64_t>(wrap_angle_fmod(a)))
+        << "a = " << a;
+  }
 }
 
 TEST(Segment, DistanceToPoint) {

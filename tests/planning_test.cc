@@ -215,14 +215,117 @@ INSTANTIATE_TEST_SUITE_P(
 
 using Grid = detail::NodeGrid;
 
-std::vector<std::size_t> near_indices(Grid& grid, const geom::Vec2& q,
-                                      double radius) {
-  std::vector<Grid::Near> near;
-  grid.near(q, radius, near);
+struct GridNode {
+  geom::Vec2 position;
+  double cost;
+};
+
+Grid grid_of(const std::vector<GridNode>& nodes, double width, double height,
+             double cell) {
+  Grid grid(width, height, cell);
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    grid.insert(i, nodes[i].position, nodes[i].cost);
+  }
+  return grid;
+}
+
+// NodeGrid::near() as the planner used it before the candidate scans, kept
+// as the oracle of their membership and bound: a node is a neighbor when
+// geom::distance <= radius, settled by the squared distance when clear of
+// r^2 by a relative 1e-9; its bound is the exact distance when that was
+// needed, else sqrt(d2) shrunk by a relative 1e-12.
+std::optional<double> near_bound(const geom::Vec2& p, const geom::Vec2& q,
+                                 double radius) {
+  const double r2 = radius * radius;
+  const double d2 = (p - q).norm_squared();
+  if (d2 > r2 * (1.0 + 1e-9)) return std::nullopt;
+  if (d2 < r2 * (1.0 - 1e-9)) return std::sqrt(d2) * (1.0 - 1e-12);
+  const double d = geom::distance(p, q);
+  if (d > radius) return std::nullopt;
+  return d;
+}
+
+enum class Pass { kParent, kRewire };
+
+// Every node of the old near set that the pass's bound test kept, by a
+// linear scan: the parent pass skipped a neighbor when
+// its cost + bound > the best cost, the rewire pass when
+// the new cost + bound + 1e-12 >= the neighbor's cost.
+std::vector<std::size_t> linear_candidates(const std::vector<GridNode>& nodes,
+                                           const geom::Vec2& q, double radius,
+                                           double cost, Pass pass) {
   std::vector<std::size_t> out;
-  for (const Grid::Near& n : near) out.push_back(n.entry->index);
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const std::optional<double> bound =
+        near_bound(nodes[i].position, q, radius);
+    if (!bound) continue;
+    const bool skip = pass == Pass::kParent
+                          ? nodes[i].cost + *bound > cost
+                          : cost + *bound + 1e-12 >= nodes[i].cost;
+    if (!skip) out.push_back(i);
+  }
+  return out;
+}
+
+// The nodes a candidate scan visits, sorted; every visit carries the exact
+// distance.
+std::vector<std::size_t> scanned(Grid& grid, const geom::Vec2& q,
+                                 double radius, double cost, Pass pass) {
+  std::vector<std::size_t> out;
+  const auto visit = [&](const Grid::Entry& e, double d) {
+    EXPECT_EQ(bits(d), bits(geom::distance(e.position, q)));
+    out.push_back(e.index);
+  };
+  if (pass == Pass::kParent) {
+    grid.parent_candidates(q, radius, cost, visit);
+  } else {
+    grid.rewire_candidates(q, radius, cost, visit);
+  }
   std::sort(out.begin(), out.end());
   return out;
+}
+
+// Pass costs at which some node within the radius sits exactly on its bound
+// test's threshold, and one ulp either side, so the scans' margins are
+// tested where a lost candidate would show.
+std::vector<double> threshold_costs(const std::vector<GridNode>& nodes,
+                                    const geom::Vec2& q, double radius,
+                                    Pass pass) {
+  std::vector<double> costs;
+  for (const GridNode& n : nodes) {
+    const std::optional<double> bound = near_bound(n.position, q, radius);
+    if (!bound) continue;
+    // Parent: n.cost + bound <= cost. Rewire: the largest cost whose
+    // cost + bound + 1e-12 stays below n.cost, found by stepping down.
+    const double up = std::numeric_limits<double>::infinity();
+    double c = n.cost + *bound;
+    if (pass == Pass::kRewire) {
+      c = n.cost - *bound - 1e-12;
+      while (c + *bound + 1e-12 >= n.cost) c = std::nextafter(c, -up);
+      while (std::nextafter(c, up) + *bound + 1e-12 < n.cost) {
+        c = std::nextafter(c, up);
+      }
+    }
+    costs.insert(costs.end(),
+                 {std::nextafter(c, -up), c, std::nextafter(c, up)});
+    if (costs.size() >= 12) break;
+  }
+  return costs;
+}
+
+void expect_scans_match(Grid& grid, const std::vector<GridNode>& nodes,
+                        const geom::Vec2& q, double radius,
+                        const std::vector<double>& extra_costs = {}) {
+  for (const Pass pass : {Pass::kParent, Pass::kRewire}) {
+    std::vector<double> costs = threshold_costs(nodes, q, radius, pass);
+    costs.insert(costs.end(), extra_costs.begin(), extra_costs.end());
+    for (const double cost : costs) {
+      EXPECT_EQ(scanned(grid, q, radius, cost, pass),
+                linear_candidates(nodes, q, radius, cost, pass))
+          << (pass == Pass::kParent ? "parent" : "rewire") << " q=" << q.x
+          << "," << q.y << " r=" << radius << " cost=" << cost;
+    }
+  }
 }
 
 TEST(NodeGrid, EquidistantNodesGoToTheLowestIndex) {
@@ -254,46 +357,66 @@ TEST(NodeGrid, TieAcrossACellBoundaryIsNotCutOffByTheRingBound) {
 
 TEST(NodeGrid, NodeExactlyAtTheRadiusIsANeighbor) {
   const double radius = 0.625;
-  Grid grid(2.0, 1.5, radius / 2.0);
   const geom::Vec2 q{1.0, 0.5};
-  grid.insert(0, {1.375, 1.0}, 0.0);  // (0.375, 0.5): a 3-4-5 triangle
-  grid.insert(1, {std::nextafter(1.375, 2.0), 1.0}, 0.0);
-  grid.insert(2, {0.375, 0.5}, 0.0);  // on the axis, exactly the radius
-  grid.insert(3, {1.0, 1.125}, 0.0);
-  grid.insert(4, {1.0, std::nextafter(1.125, 2.0)}, 0.0);
-  EXPECT_EQ(near_indices(grid, q, radius),
+  const std::vector<GridNode> nodes = {
+      {{1.375, 1.0}, 0.0},  // (0.375, 0.5): a 3-4-5 triangle
+      {{std::nextafter(1.375, 2.0), 1.0}, 0.0},
+      {{0.375, 0.5}, 0.0},  // on the axis, exactly the radius
+      {{1.0, 1.125}, 0.0},
+      {{1.0, std::nextafter(1.125, 2.0)}, 0.0},
+  };
+  Grid grid = grid_of(nodes, 2.0, 1.5, radius / 2.0);
+  // A parent cost of 1 keeps every neighbor; the rewire pass at cost 0
+  // keeps none of these cost-0 nodes.
+  EXPECT_EQ(scanned(grid, q, radius, 1.0, Pass::kParent),
             (std::vector<std::size_t>{0, 2, 3}));
-  std::vector<Grid::Near> near;
-  grid.near(q, radius, near);
-  for (const Grid::Near& n : near) {
-    // On the boundary the squared distance cannot settle membership, so
-    // the exact distance was computed — and it is the radius itself.
-    EXPECT_EQ(n.d, radius) << n.entry->index;
-    EXPECT_EQ(n.bound, radius) << n.entry->index;
+  EXPECT_TRUE(scanned(grid, q, radius, 0.0, Pass::kRewire).empty());
+  // On the boundary the bound is the exact distance, the radius itself:
+  // a parent cost of exactly the radius still keeps all three.
+  EXPECT_EQ(scanned(grid, q, radius, radius, Pass::kParent),
+            (std::vector<std::size_t>{0, 2, 3}));
+  EXPECT_TRUE(
+      scanned(grid, q, radius, std::nextafter(radius, 0.0), Pass::kParent)
+          .empty());
+  expect_scans_match(grid, nodes, q, radius);
+}
+
+TEST(NodeGrid, EqualCostsOnExactBinaryStepsMatchALinearScan) {
+  // Nodes on a lattice of exact eighths, all of cost 0.5: every distance
+  // to a lattice query is exact, and many nodes tie on each threshold.
+  std::vector<GridNode> nodes;
+  for (int i = 0; i <= 16; ++i) {
+    for (int j = 0; j <= 12; ++j) nodes.push_back({{i / 8.0, j / 8.0}, 0.5});
+  }
+  Grid grid = grid_of(nodes, 2.0, 1.5, 0.2);
+  for (const geom::Vec2 q : {geom::Vec2{1.0, 0.75}, geom::Vec2{0.0, 0.0},
+                             geom::Vec2{0.4, 0.6}, geom::Vec2{2.0, 1.5}}) {
+    expect_scans_match(grid, nodes, q, 0.4,
+                       {0.5, 0.625, 0.75, 0.875, 0.9, 0.25, 0.375, 0.0});
   }
 }
 
 TEST(NodeGrid, BoundariesEdgesAndCornersMatchALinearScan) {
   const double width = 2.0, height = 1.5, cell = 0.2;
-  Grid grid(width, height, cell);
-  std::vector<geom::Vec2> nodes;
+  std::vector<GridNode> nodes;
   // Every cell corner (which includes the arena's corners and edges, and
-  // the partial last row at y = 1.5), then random points.
+  // the partial last row at y = 1.5), then random points; costs grow with
+  // the distance from the origin, as path costs roughly do.
+  Rng rng(5);
   for (int i = 0; i <= 10; ++i) {
     for (int j = 0; j <= 8; ++j) {
-      nodes.push_back({std::min(i * cell, width), std::min(j * cell, height)});
+      const geom::Vec2 p{std::min(i * cell, width), std::min(j * cell, height)};
+      nodes.push_back({p, p.norm() * rng.uniform(1.0, 1.5)});
     }
   }
-  Rng rng(5);
   for (int k = 0; k < 300; ++k) {
-    nodes.push_back({rng.uniform(0.0, width), rng.uniform(0.0, height)});
+    const geom::Vec2 p{rng.uniform(0.0, width), rng.uniform(0.0, height)};
+    nodes.push_back({p, p.norm() * rng.uniform(1.0, 1.5)});
   }
-  // Each entry carries a cost of its own index.
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    grid.insert(i, nodes[i], static_cast<double>(i));
-  }
+  Grid grid = grid_of(nodes, width, height, cell);
 
-  std::vector<geom::Vec2> queries = nodes;
+  std::vector<geom::Vec2> queries;
+  for (const GridNode& n : nodes) queries.push_back(n.position);
   for (int k = 0; k < 300; ++k) {
     queries.push_back({rng.uniform(-0.1, width + 0.1),
                        rng.uniform(-0.1, height + 0.1)});
@@ -301,45 +424,82 @@ TEST(NodeGrid, BoundariesEdgesAndCornersMatchALinearScan) {
   for (const geom::Vec2& q : queries) {
     Grid::Nearest expected;
     for (std::size_t i = 0; i < nodes.size(); ++i) {
-      const double d2 = (nodes[i] - q).norm_squared();
+      const double d2 = (nodes[i].position - q).norm_squared();
       if (d2 < expected.d2) expected = {i, d2};
     }
     const Grid::Nearest actual = grid.nearest(q);
     EXPECT_EQ(actual.index, expected.index) << q.x << "," << q.y;
     EXPECT_EQ(bits(actual.d2), bits(expected.d2));
-    EXPECT_EQ(actual.cost, static_cast<double>(actual.index));
+    EXPECT_EQ(actual.cost, nodes[actual.index].cost);
 
     for (const double radius : {0.2, 0.4, 0.45}) {
-      std::vector<std::size_t> in_radius;
-      for (std::size_t i = 0; i < nodes.size(); ++i) {
-        if (geom::distance(nodes[i], q) <= radius) in_radius.push_back(i);
-      }
-      EXPECT_EQ(near_indices(grid, q, radius), in_radius)
-          << q.x << "," << q.y << " r=" << radius;
-      std::vector<Grid::Near> near;
-      grid.near(q, radius, near);
-      for (const Grid::Near& n : near) {
-        const std::size_t i = n.entry->index;
-        EXPECT_EQ(n.entry->cost, static_cast<double>(i));
-        const double d = geom::distance(nodes[i], q);
-        EXPECT_LE(n.bound, d);
-        if (n.d >= 0.0) {
-          EXPECT_EQ(n.d, d);
+      expect_scans_match(grid, nodes, q, radius, {0.0, 1.0, 4.0});
+    }
+  }
+}
+
+TEST(NodeGrid, RewiresLowerTheCellCostFloor) {
+  // Node 0 sits alone in its cell at cost 5. A parent pass at cost 2 from
+  // q, 0.3 away in another cell, skips it; once a rewire through a cheap
+  // node lowers its cost, the same pass must find it, so the cell's cost
+  // floor has to follow the rewire.
+  std::vector<GridNode> nodes = {{{1.1, 0.7}, 5.0}};
+  Grid grid = grid_of(nodes, 2.0, 1.5, 0.2);
+  const geom::Vec2 q{0.8, 0.7};
+  EXPECT_TRUE(scanned(grid, q, 0.4, 2.0, Pass::kParent).empty());
+
+  const geom::Vec2 cheap{1.1, 0.5};
+  const double cheap_cost = 0.25;
+  std::vector<std::size_t> rewired;
+  grid.rewire_candidates(cheap, 0.4, cheap_cost,
+                         [&](Grid::Entry& e, double d) {
+                           rewired.push_back(e.index);
+                           e.cost = cheap_cost + d;
+                         });
+  ASSERT_EQ(rewired, (std::vector<std::size_t>{0}));
+  nodes[0].cost = cheap_cost + geom::distance(nodes[0].position, cheap);
+  EXPECT_EQ(scanned(grid, q, 0.4, 2.0, Pass::kParent),
+            (std::vector<std::size_t>{0}));
+  expect_scans_match(grid, nodes, q, 0.4);
+}
+
+TEST(NodeGrid, RandomTreesWithRewiresMatchALinearScan) {
+  // Planner-like traffic: random nodes join with costs near their distance
+  // from a root, and each rewire pass lowers the costs it visits, as the
+  // planner does; the scans must keep matching the linear scan.
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    const double radius = 0.4;
+    std::vector<GridNode> nodes = {{{0.3, 0.3}, 0.0}};
+    Grid grid = grid_of(nodes, 2.0, 1.5, radius / 2.0);
+    for (std::size_t n = 1; n < 600; ++n) {
+      const geom::Vec2 q{rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.5)};
+      const double cost = geom::distance(q, nodes[0].position) *
+                          rng.uniform(1.0, 1.3);
+      if (n % 37 == 0) expect_scans_match(grid, nodes, q, radius, {cost});
+      grid.rewire_candidates(q, radius, cost, [&](Grid::Entry& e, double d) {
+        const double through = cost + d;
+        if (through + 1e-12 < e.cost) {
+          e.cost = through;
+          nodes[e.index].cost = through;
         }
-      }
+      });
+      grid.insert(n, q, cost);
+      nodes.push_back({q, cost});
     }
   }
 }
 
 TEST(NodeGrid, FineCellsAreCoarsenedWithoutChangingAnswers) {
   // 1e8 cells would be requested; the grid caps its size and stays exact.
-  Grid grid(100.0, 100.0, 0.01);
-  const std::vector<geom::Vec2> nodes = {{0.0, 0.0}, {50.0, 50.0},
-                                         {100.0, 100.0}, {49.99, 50.01}};
-  for (std::size_t i = 0; i < nodes.size(); ++i) grid.insert(i, nodes[i], 0.0);
+  const std::vector<GridNode> nodes = {{{0.0, 0.0}, 0.0},
+                                       {{50.0, 50.0}, 0.0},
+                                       {{100.0, 100.0}, 0.0},
+                                       {{49.99, 50.01}, 0.0}};
+  Grid grid = grid_of(nodes, 100.0, 100.0, 0.01);
   EXPECT_EQ(grid.nearest({50.0, 50.0}).index, 1u);
   EXPECT_EQ(grid.nearest({99.0, 98.0}).index, 2u);
-  EXPECT_EQ(near_indices(grid, {50.0, 50.0}, 0.1),
+  EXPECT_EQ(scanned(grid, {50.0, 50.0}, 0.1, 1.0, Pass::kParent),
             (std::vector<std::size_t>{1, 3}));
 }
 

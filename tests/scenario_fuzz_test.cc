@@ -19,7 +19,7 @@ TEST(FuzzTest, GeneratorEmitsOnlyValidSpecs) {
   config.iterations = 90;
   config.max_attacks = 4;
   for (std::size_t i = 0; i < 150; ++i) {
-    std::mt19937_64 engine(5000 + i);
+    Mt19937_64 engine(5000 + i);
     const std::string platform = i % 2 == 0 ? "khepera" : "tamiya";
     const ScenarioSpec spec = random_campaign(engine, platform, i, config);
     EXPECT_NO_THROW(validate_spec(spec)) << serialize(spec);
@@ -34,7 +34,7 @@ TEST(FuzzTest, GeneratorEmitsOnlyValidSpecs) {
 
 TEST(FuzzTest, GeneratorIsDeterministicPerSeed) {
   FuzzConfig config;
-  std::mt19937_64 a(42), b(42), c(43);
+  Mt19937_64 a(42), b(42), c(43);
   const std::string spec_a =
       serialize(random_campaign(a, "khepera", 7, config));
   const std::string spec_b =

@@ -55,7 +55,7 @@ TEST(ScenarioSpecTest, RandomCampaignsRoundTripByteIdentical) {
   config.iterations = 100;
   config.max_attacks = 4;
   for (std::size_t i = 0; i < 200; ++i) {
-    std::mt19937_64 engine(1234 + i);
+    Mt19937_64 engine(1234 + i);
     const std::string platform = i % 2 == 0 ? "khepera" : "tamiya";
     const ScenarioSpec spec = random_campaign(engine, platform, i, config);
     const std::string text = serialize(spec);
