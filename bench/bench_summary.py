@@ -28,20 +28,29 @@ snapshot accidentally taken from a debug-ish tree can never land in
 BENCH_PERF.json.
 
 --baseline compares the fresh numbers against a previous summary (normally
-the checked-in BENCH_PERF.json) *before* writing anything: any benchmark
-whose median real_time_ns grew by more than --max-regress (default 0.15 =
-15%) over the baseline's real_time_ns fails the run and leaves the baseline file untouched, so ./ci.sh bench
-gates cross-PR hot-path regressions. Benchmarks missing from the baseline
-(newly added) pass; a missing or unreadable baseline file is skipped with a
-note (first snapshot of a fresh checkout). Comparisons only run when the
-baseline was recorded with identical build type and flags, and on the same
-CPU model — numbers from a different compiler configuration or another
-processor are noise, not a regression. The summary context records the CPU
-model (the first "model name" line of /proc/cpuinfo, as perfbench
+the checked-in BENCH_PERF.json) *before* writing anything, so ./ci.sh bench
+gates cross-PR hot-path regressions. One host's speed drifts by 25-65%
+within hours, so the gate does not compare absolute times: each row's median
+real_time_ns is divided by the median of BM_CalibrationKernel (a fixed
+kernel that runs no library code, recorded as context.calibration_ns) of
+the same run, and a row fails when that ratio grew by more than
+--max-regress (default 0.15 = 15%) over the baseline's same ratio. A failed
+gate leaves the baseline file untouched. The verdict also prints what the
+absolute comparison (median over baseline median) read on the same rows,
+for the record; it decides nothing. A host slowdown that the calibration
+kernel does not share still fails rows (docs/PERFORMANCE.md "The bench
+gate"). A run with a baseline to compare but no
+calibration row is an error. Benchmarks missing from the baseline (newly
+added) pass; a missing baseline file is skipped with a note (first snapshot
+of a fresh checkout). Comparisons only run when the baseline was recorded
+with identical build type and flags, on the same CPU model, and with a
+calibration figure — numbers from a different compiler configuration or
+another processor are noise, not a regression. The summary context records
+the CPU model (the first "model name" line of /proc/cpuinfo, as perfbench
 fingerprints its host); a baseline whose model differs from this host's, or
-that recorded none ("unknown"), is not compared: the gate is skipped, the
-note names both models, and the fresh numbers become the baseline. Every
-verdict line names both models.
+that recorded none ("unknown"), or that holds no calibration figure, is not
+compared: the gate is skipped, the note says why (naming both models), and
+the fresh numbers become the baseline. Every verdict line names both models.
 """
 import json
 import os
@@ -60,6 +69,74 @@ def cpu_model() -> str:
     except OSError:
         pass
     return "unknown"
+
+
+CALIBRATION = "BM_CalibrationKernel"
+
+
+def gate(summary, baseline, baseline_path, build_type, cxx_flags,
+         max_regress) -> int:
+    """Compares each row's time over its run's calibration time against the
+    baseline's same ratio; returns 1 on a regression beyond max_regress."""
+    ctx = summary["context"]
+    base_ctx = baseline.get("context", {})
+    host_cpu = ctx["cpu_model"]
+    base_cpu = base_ctx.get("cpu_model") or "unknown"
+    cpus = f"(cpu: {host_cpu}; baseline cpu: {base_cpu})"
+    if base_ctx.get("build_type", "") != build_type or \
+            base_ctx.get("cxx_flags", "") != cxx_flags:
+        print(f"bench_summary: baseline {baseline_path} was recorded with "
+              f"different compiler settings; skipping the regression gate "
+              f"and re-baselining {cpus}")
+        return 0
+    if host_cpu != base_cpu or host_cpu == "unknown":
+        print(f"bench_summary: baseline {baseline_path} was recorded on "
+              f"another CPU model; skipping the regression gate and "
+              f"re-baselining {cpus}")
+        return 0
+    cal = ctx.get("calibration_ns", 0)
+    if cal <= 0:
+        print(f"bench_summary: no {CALIBRATION} row in this run; the gate "
+              f"divides every row by it", file=sys.stderr)
+        return 2
+    base_cal = base_ctx.get("calibration_ns", 0)
+    if base_cal <= 0:
+        print(f"bench_summary: baseline {baseline_path} holds no calibration "
+              f"figure; skipping the regression gate and re-baselining {cpus}")
+        return 0
+
+    print(f"bench_summary: calibration {cal:.1f} ns, baseline "
+          f"{base_cal:.1f} ns (host speed {base_cal / cal:.2f}x the "
+          f"baseline's)")
+    rows = []  # (name, base, new, scaled ratio, absolute ratio)
+    for name, entry in summary["benchmarks"].items():
+        base = baseline.get("benchmarks", {}).get(name)
+        if name == CALIBRATION or not base or base.get("real_time_ns", 0) <= 0:
+            continue
+        absolute = entry["real_time_ns"] / base["real_time_ns"]
+        rows.append((name, base["real_time_ns"], entry["real_time_ns"],
+                     absolute * base_cal / cal, absolute))
+    absolute_fails = [r for r in rows if r[4] > 1.0 + max_regress]
+    print(f"bench_summary: the absolute gate (not applied) would fail "
+          f"{len(absolute_fails)} of {len(rows)} rows"
+          + "".join(f"\n  {n}: {a - 1.0:+.1%}"
+                    for n, _, _, _, a in absolute_fails))
+    regressions = [r for r in rows if r[3] > 1.0 + max_regress]
+    if regressions:
+        print(f"bench_summary: hot-path regression(s) beyond "
+              f"{max_regress:.0%} of calibration-scaled time vs "
+              f"{baseline_path} {cpus}:", file=sys.stderr)
+        for name, old, new, scaled, absolute in regressions:
+            print(f"  {name}: {old:.1f} ns -> {new:.1f} ns "
+                  f"({scaled - 1.0:+.1%} scaled, {absolute - 1.0:+.1%} "
+                  f"absolute)", file=sys.stderr)
+        print("bench_summary: baseline left untouched; fix the regression "
+              "or re-baseline deliberately by running without --baseline.",
+              file=sys.stderr)
+        return 1
+    print(f"bench_summary: {len(rows)} benchmarks within {max_regress:.0%} "
+          f"of {baseline_path} in calibration-scaled time {cpus}")
+    return 0
 
 
 def main() -> int:
@@ -130,6 +207,8 @@ def main() -> int:
     }
     counters = (
         "modes", "threads", "missions",
+        # BM_SessionStepKhepera (docs/PERFORMANCE.md "In-place detector step")
+        "allocs_per_step",
         # BM_FleetSessionSetupKhepera (docs/PERFORMANCE.md "Per-robot state")
         "bytes_per_session", "allocs_per_session",
         # fleet_throughput (docs/FLEET.md)
@@ -164,6 +243,10 @@ def main() -> int:
                     entry[counter] = reps[0][counter]
             summary["benchmarks"][name] = entry
 
+    calibration = summary["benchmarks"].get(CALIBRATION, {})
+    if calibration:
+        summary["context"]["calibration_ns"] = calibration["real_time_ns"]
+
     # Gate against the baseline before touching the output file: summary and
     # baseline are usually the same path, and a failed gate must leave the
     # old numbers in place for the next comparison.
@@ -174,57 +257,10 @@ def main() -> int:
         else:
             with open(baseline_path) as f:
                 baseline = json.load(f)
-            base_ctx = baseline.get("context", {})
-            host_cpu = summary["context"]["cpu_model"]
-            base_cpu = base_ctx.get("cpu_model") or "unknown"
-            cpus = f"(cpu: {host_cpu}; baseline cpu: {base_cpu})"
-            same_flags = (
-                base_ctx.get("build_type", "") == build_type
-                and base_ctx.get("cxx_flags", "") == cxx_flags
-            )
-            same_cpu = host_cpu == base_cpu and host_cpu != "unknown"
-            if not same_flags:
-                print(
-                    f"bench_summary: baseline {baseline_path} was recorded "
-                    f"with different compiler settings; skipping the "
-                    f"regression gate and re-baselining {cpus}")
-            elif not same_cpu:
-                print(
-                    f"bench_summary: baseline {baseline_path} was recorded "
-                    f"on another CPU model; skipping the regression gate "
-                    f"and re-baselining {cpus}")
-            else:
-                regressions = []
-                for name, entry in summary["benchmarks"].items():
-                    base = baseline.get("benchmarks", {}).get(name)
-                    if not base or base.get("real_time_ns", 0) <= 0:
-                        continue
-                    ratio = entry["real_time_ns"] / base["real_time_ns"]
-                    if ratio > 1.0 + max_regress:
-                        regressions.append((name, base["real_time_ns"],
-                                            entry["real_time_ns"], ratio))
-                if regressions:
-                    print(
-                        f"bench_summary: hot-path regression(s) beyond "
-                        f"{max_regress:.0%} vs {baseline_path} {cpus}:",
-                        file=sys.stderr,
-                    )
-                    for name, old, new, ratio in regressions:
-                        print(
-                            f"  {name}: {old:.1f} ns -> {new:.1f} ns "
-                            f"({ratio - 1.0:+.1%})",
-                            file=sys.stderr,
-                        )
-                    print(
-                        "bench_summary: baseline left untouched; fix the "
-                        "regression or re-baseline deliberately by running "
-                        "without --baseline.",
-                        file=sys.stderr,
-                    )
-                    return 1
-                print(
-                    f"bench_summary: {len(summary['benchmarks'])} benchmarks "
-                    f"within {max_regress:.0%} of {baseline_path} {cpus}")
+            verdict = gate(summary, baseline, baseline_path, build_type,
+                           cxx_flags, max_regress)
+            if verdict != 0:
+                return verdict
 
     with open(positional[-1], "w") as f:
         json.dump(summary, f, indent=2, sort_keys=True)

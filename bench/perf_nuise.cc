@@ -6,14 +6,16 @@
 // Benchmarked: a single NUISE step (healthy and with one testing sensor
 // masked), one full multi-mode engine iteration (M = p estimators +
 // selector), the full detector step (engine + decision maker) on one
-// synthetic reading and replaying recorded missions, one fleet robot's
-// session set-up, the detector's matrix kernels, the random draws,
-// the LiDAR scan-processing pipeline, the RRT* mission plan, and one whole
-// Khepera mission.
+// synthetic reading, by value and into a reused report, and replaying
+// recorded missions, one fleet robot's session set-up and its complete
+// frames, the detector's matrix kernels, a host-speed calibration kernel,
+// the random draws, the LiDAR scan-processing pipeline, the RRT* mission
+// plan, and one whole Khepera mission.
 #include <benchmark/benchmark.h>
 #include <malloc.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -33,7 +35,7 @@
 #include "sim/lidar.h"
 #include "sim/simulator.h"
 
-// Heap accounting for the set-up row: while `counting` is set, operator
+// Heap accounting for the session rows: while `counting` is set, operator
 // new/delete count allocations and the usable bytes of the blocks they
 // hand out and take back. Otherwise they cost one relaxed load.
 namespace {
@@ -172,6 +174,22 @@ void BM_FullDetectorStepKhepera(benchmark::State& state) {
 }
 BENCHMARK(BM_FullDetectorStepKhepera);
 
+// The step above into one reused report, as fleet sessions and missions
+// step (docs/PERFORMANCE.md "In-place detector step").
+void BM_DetectorStepIntoKhepera(benchmark::State& state) {
+  KheperaFixture f;
+  core::RoboAds detector(f.platform.model(), f.platform.suite(),
+                         f.platform.process_cov(), f.x,
+                         Matrix::identity(3) * 1e-4);
+  const core::SensorMask all_available;
+  core::DetectionReport report;
+  for (auto _ : state) {
+    detector.step_into(f.u, f.z, all_available, report);
+    benchmark::DoNotOptimize(report);
+  }
+}
+BENCHMARK(BM_DetectorStepIntoKhepera);
+
 void BM_FullDetectorStepTamiya(benchmark::State& state) {
   eval::TamiyaPlatform platform;
   Rng rng(11);
@@ -263,6 +281,39 @@ void BM_FleetSessionSetupKhepera(benchmark::State& state) {
 }
 BENCHMARK(BM_FleetSessionSetupKhepera);
 
+// One complete frame (a command and three readings, in order) of a recorded
+// clean Khepera mission through a fleet session, whose sink does nothing:
+// reassembly and the detector step. The session restarts from its initial
+// snapshot after the mission's last frame. Counter: heap allocations per
+// frame.
+void BM_SessionStepKhepera(benchmark::State& state) {
+  const eval::KheperaPlatform platform;
+  eval::MissionConfig config;
+  config.seed = 1001;
+  const std::vector<fleet::FleetPacket> packets = fleet::mission_packets(
+      0, platform.suite(),
+      eval::run_mission(platform, platform.clean_scenario(), config));
+  fleet::DetectorSession session(fleet::make_session_spec(platform));
+  session.set_report_sink([](const core::DetectionReport&, std::uint64_t) {});
+  const fleet::SessionSnapshot start = session.save();
+  const std::size_t per_frame = platform.suite().count() + 1;
+  std::size_t at = 0;
+  g_heap.allocations = 0;
+  g_heap.counting = true;
+  for (auto _ : state) {
+    if (at == packets.size()) {
+      session.restore(start);
+      at = 0;
+    }
+    for (std::size_t i = 0; i < per_frame; ++i) session.ingest(packets[at++]);
+  }
+  g_heap.counting = false;
+  state.counters["allocs_per_step"] =
+      static_cast<double>(g_heap.allocations.load()) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_SessionStepKhepera);
+
 // Detector kernels (matrix/kernels.h) on the shapes that dominate a Khepera
 // step, with operands built from the platform at run time: the 3×3 state
 // Jacobian A and covariance P, and the 4×4 LiDAR innovation covariance
@@ -303,6 +354,42 @@ void BM_Cholesky4(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(Cholesky(k.innov4));
 }
 BENCHMARK(BM_Cholesky4);
+
+// Host-speed calibration: the fixed kernel perfbench times to scale its
+// figures (perfbench/src/common.cc), 800 products of 12×12 matrices, each
+// fed back with a square-root correction. No library code runs in it:
+// ./ci.sh bench gates every row on its time over this row's
+// (bench/bench_summary.py), so the host's slow drift divides out.
+double calibration_work() {
+  constexpr int n = 12;
+  double a[n][n], b[n][n], c[n][n];
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      a[i][j] = 1.0 / (i + j + 1);
+      b[i][j] = i == j ? 0.99 : 0.001;
+    }
+  }
+  for (int it = 0; it < 800; ++it) {
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < n; ++j) {
+        double s = 0.0;
+        for (int k = 0; k < n; ++k) s += a[i][k] * b[k][j];
+        c[i][j] = s;
+      }
+    }
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < n; ++j) {
+        a[i][j] = c[i][j] + 1e-3 * std::sqrt(std::fabs(c[i][j]));
+      }
+    }
+  }
+  return a[3][4];
+}
+
+void BM_CalibrationKernel(benchmark::State& state) {
+  for (auto _ : state) benchmark::DoNotOptimize(calibration_work());
+}
+BENCHMARK(BM_CalibrationKernel);
 
 // One random draw as a mission makes them: RRT* samples two uniform
 // coordinates per iteration, and the LiDAR adds a Gaussian to each of its

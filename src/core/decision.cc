@@ -80,10 +80,19 @@ void DecisionMaker::restore_windows(const std::vector<std::int64_t>& in) {
 }
 
 Decision DecisionMaker::evaluate(const Mode& mode, const NuiseResult& result) {
-  const sensors::SensorSuite& suite = bank_->suite();
   Decision d;
+  evaluate_into(mode, result, d);
+  return d;
+}
+
+void DecisionMaker::evaluate_into(const Mode& mode, const NuiseResult& result,
+                                  Decision& d) {
+  const sensors::SensorSuite& suite = bank_->suite();
 
   // --- Aggregate sensor test (line 10). ---
+  d.sensor_statistic = 0.0;
+  d.sensor_threshold = 0.0;
+  d.sensor_test_positive = false;
   if (!result.sensor_anomaly.empty()) {
     const std::size_t dof = result.sensor_anomaly.size();
     d.sensor_statistic =
@@ -117,13 +126,15 @@ Decision DecisionMaker::evaluate(const Mode& mode, const NuiseResult& result) {
   ROBOADS_CHECK_EQ(result.sensor_anomaly.size(), stacked_dim(suite, testing),
                    "stacked sensor anomaly does not match the testing group");
   std::fill(tested_.begin(), tested_.end(), false);
-  d.sensor_verdicts.reserve(testing.size());
+  d.sensor_verdicts.resize(testing.size());
+  d.misbehaving_sensors.clear();
   std::size_t at = 0;
-  for (std::size_t t : testing) {
+  for (std::size_t i = 0; i < testing.size(); ++i) {
+    const std::size_t t = testing[i];
     const std::size_t dim = suite.sensor(t).dim();
-    SensorVerdict v;
+    SensorVerdict& v = d.sensor_verdicts[i];
     v.sensor_index = t;
-    v.anomaly_estimate = result.sensor_anomaly.segment(at, dim);
+    v.anomaly_estimate.assign_segment(result.sensor_anomaly, at, dim);
     v.statistic = chi2_statistic(result.sensor_anomaly_cov.data(),
                                  result.sensor_anomaly_cov.cols(),
                                  result.sensor_anomaly.data(), at, dim);
@@ -132,7 +143,6 @@ Decision DecisionMaker::evaluate(const Mode& mode, const NuiseResult& result) {
     const bool windowed = per_sensor_history_[t].push(positive);
     v.misbehaving = d.sensor_alarm && windowed;
     if (v.misbehaving) d.misbehaving_sensors.push_back(t);
-    d.sensor_verdicts.push_back(std::move(v));
     tested_[t] = true;
     at += dim;
   }
@@ -144,8 +154,6 @@ Decision DecisionMaker::evaluate(const Mode& mode, const NuiseResult& result) {
       per_sensor_history_[s].push(false);
     }
   }
-
-  return d;
 }
 
 }  // namespace roboads::core

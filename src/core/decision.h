@@ -142,6 +142,13 @@ class DecisionMaker {
   // Evaluates the selected mode's NUISE outputs for this iteration.
   Decision evaluate(const Mode& mode, const NuiseResult& result);
 
+  // The evaluation above, writing into `out`, which may hold an earlier
+  // decision: every field is written, the verdict list is resized in place
+  // and the misbehaving list cleared, so a reused decision keeps its
+  // capacity. evaluate() wraps it.
+  void evaluate_into(const Mode& mode, const NuiseResult& result,
+                     Decision& out);
+
   // Clears the sliding windows (e.g. at mission start).
   void reset();
 

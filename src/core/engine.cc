@@ -129,36 +129,40 @@ void MultiModeEngine::restore_state(const obs::DetectorStateSnapshot& snap) {
 
 EngineResult MultiModeEngine::step(const Vector& u_prev,
                                    const Vector& z_full) {
-  return step_impl(u_prev, z_full, nullptr);
+  return step(u_prev, z_full, SensorMask{});
 }
 
 EngineResult MultiModeEngine::step(const Vector& u_prev, const Vector& z_full,
                                    const SensorMask& available) {
-  if (available.empty()) return step_impl(u_prev, z_full, nullptr);
-  const bool all_available =
-      std::all_of(available.begin(), available.end(), [](bool b) { return b; });
-  // The all-available masked step is exactly the unmasked step.
-  return step_impl(u_prev, z_full, all_available ? nullptr : &available);
+  EngineResult out;
+  step_into(u_prev, z_full, available, out);
+  return out;
 }
 
-EngineResult MultiModeEngine::step_impl(const Vector& u_prev,
-                                        const Vector& z_full,
-                                        const SensorMask* available) {
+void MultiModeEngine::step_into(const Vector& u_prev, const Vector& z_full,
+                                const SensorMask& available,
+                                EngineResult& out) {
   const EstimatorBank& bank = *bank_;
   const std::size_t m_count = bank.modes().size();
   const obs::ScopedTimer step_timer(h_step_);
   const std::size_t k = step_index_++;
-  EngineResult out;
   out.per_mode.resize(m_count);
+  out.quarantined_modes = 0;
+  out.fallback_previous_estimate = false;
 
   obs::TraceSink* trace = config_.instruments.trace;
 
   // Run every mode's NUISE from the shared previous estimate. Quarantined
   // modes are stepped too: estimators are stateless (the shared estimate is
   // threaded in each iteration), so a clean result here is exactly the
-  // evidence the supervisor needs to reinstate the mode.
+  // evidence the supervisor needs to reinstate the mode. The all-available
+  // masked step is exactly the unmasked step.
   const SensorMask all_available;
-  const SensorMask& mask = available != nullptr ? *available : all_available;
+  const SensorMask& mask =
+      std::all_of(available.begin(), available.end(),
+                  [](bool b) { return b; })
+          ? all_available
+          : available;
   for (std::size_t m = 0; m < m_count; ++m) {
     bank.estimator(m).step_into(state_, state_cov_, u_prev, z_full, mask,
                                 out.per_mode[m], stage_timers_);
@@ -216,18 +220,17 @@ EngineResult MultiModeEngine::step_impl(const Vector& u_prev,
       h.state = ModeHealthState::kDegraded;
       h.clean_streak = 0;
     }
-    out.mode_weights = weights_;
+    out.mode_weights.assign(weights_.begin(), weights_.end());
     out.selected_mode = 0;
     out.fallback_previous_estimate = true;
     out.mode_health.assign(m_count, ModeHealthState::kDegraded);
-    out.quarantined_modes = 0;
     if (c_containment_floor_ != nullptr) c_containment_floor_->increment();
     if (g_quarantined_ != nullptr) g_quarantined_->set(0.0);
     if (trace != nullptr) {
       trace->emit(obs::TraceEvent("containment_floor", config_.obs_label, k)
                       .add("modes", static_cast<std::int64_t>(m_count)));
     }
-    return out;
+    return;
   }
 
   // Neutral likelihood substitute for modes whose step carried no
@@ -286,7 +289,7 @@ EngineResult MultiModeEngine::step_impl(const Vector& u_prev,
     weights_[m] = log_w[m] / floored_sum;
   }
 
-  out.mode_weights = weights_;
+  out.mode_weights.assign(weights_.begin(), weights_.end());
   out.selected_mode = static_cast<std::size_t>(
       std::max_element(weights_.begin(), weights_.end()) - weights_.begin());
 
@@ -307,7 +310,6 @@ EngineResult MultiModeEngine::step_impl(const Vector& u_prev,
   if (g_quarantined_ != nullptr) {
     g_quarantined_->set(static_cast<double>(out.quarantined_modes));
   }
-  return out;
 }
 
 }  // namespace roboads::core

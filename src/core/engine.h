@@ -102,6 +102,14 @@ class MultiModeEngine {
   EngineResult step(const Vector& u_prev, const Vector& z_full,
                     const SensorMask& available);
 
+  // The step above, writing into `out`, which may hold the result of any
+  // engine: every field is written, the per-mode slots are resized only
+  // when the mode count differs, and weights and health are assigned into
+  // the capacity `out` already has, so a steady step on a reused result
+  // allocates nothing. The two step() calls wrap it.
+  void step_into(const Vector& u_prev, const Vector& z_full,
+                 const SensorMask& available, EngineResult& out);
+
   // Resets the shared estimate, uniform weights, and mode health (e.g. for
   // a new mission).
   void reset(const Vector& x0, const Matrix& p0);
@@ -120,9 +128,6 @@ class MultiModeEngine {
   const std::vector<ModeHealth>& mode_health() const { return health_; }
 
  private:
-  EngineResult step_impl(const Vector& u_prev, const Vector& z_full,
-                         const SensorMask* available);
-
   std::shared_ptr<const EstimatorBank> bank_;
   EngineConfig config_;
   Vector state_;

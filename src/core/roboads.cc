@@ -72,12 +72,22 @@ DetectionReport RoboAds::step(const Vector& u_prev, const Vector& z_full) {
 
 DetectionReport RoboAds::step(const Vector& u_prev, const Vector& z_full,
                               const SensorMask& available) {
+  DetectionReport report;
+  step_into(u_prev, z_full, available, report);
+  return report;
+}
+
+void RoboAds::step_into(const Vector& u_prev, const Vector& z_full,
+                        const SensorMask& available,
+                        DetectionReport& report) {
   // Monitor-side sanitization: a sensor delivering a non-finite value is a
   // transport/driver fault, not a measurement — mask it out for this
   // iteration so it cannot poison the estimator bank. Finite readings take
   // the caller's mask untouched (bit-identical legacy path when empty).
+  // The report's own availability list is the mask the step runs under.
   const sensors::SensorSuite& suite = this->suite();
-  SensorMask mask = available;
+  SensorMask& mask = report.sensor_available;
+  mask = available;
   if (!z_full.all_finite()) {
     if (mask.empty()) mask.assign(suite.count(), true);
     for (std::size_t i = 0; i < suite.count(); ++i) {
@@ -104,52 +114,60 @@ DetectionReport RoboAds::step(const Vector& u_prev, const Vector& z_full,
     }
   }
 
-  EngineResult engine_result = engine_.step(u_prev, z_full, mask);
+  // The per-mode results are scratch: nothing of them outlives this call
+  // but what is copied into the report, so every detector stepping on this
+  // thread shares one set of slots.
+  thread_local EngineResult engine_result;
+  engine_.step_into(u_prev, z_full, mask, engine_result);
   const Mode& mode = engine_.modes()[engine_result.selected_mode];
 
-  // Containment floor: every mode failed supervision this iteration. The
-  // engine kept its last good shared estimate; report that with a neutral
-  // (statistic-0) decision instead of reading the corrupted mode outputs.
-  NuiseResult fallback;
+  // The selected mode's outputs, or at the containment floor (every mode
+  // failed supervision this iteration) the engine's last good shared
+  // estimate with a neutral (statistic-0) decision instead of the
+  // corrupted mode outputs.
+  NuiseResult& selected = report.selected_result;
   if (engine_result.fallback_previous_estimate) {
-    fallback.state = engine_.state();
-    fallback.state_cov = engine_.state_cov();
-    fallback.actuator_anomaly = Vector(u_prev.size());
-    fallback.actuator_anomaly_cov = Matrix::identity(u_prev.size());
-    fallback.correction_applied = false;
-    fallback.likelihood_informative = false;
-    fallback.actuator_identifiable = false;
-    fallback.degraded = true;  // empty active_testing → no attribution
+    selected = NuiseResult{};
+    selected.state = engine_.state();
+    selected.state_cov = engine_.state_cov();
+    selected.actuator_anomaly = Vector(u_prev.size());
+    selected.actuator_anomaly_cov = Matrix::identity(u_prev.size());
+    selected.correction_applied = false;
+    selected.likelihood_informative = false;
+    selected.actuator_identifiable = false;
+    selected.degraded = true;  // empty active_testing → no attribution
+  } else {
+    selected = engine_result.selected();
   }
-  const NuiseResult& selected = engine_result.fallback_previous_estimate
-                                    ? fallback
-                                    : engine_result.selected();
 
-  DetectionReport report;
   report.iteration = ++iteration_;
   report.selected_mode = engine_result.selected_mode;
   report.selected_mode_label = mode.label;
-  report.mode_weights = std::move(engine_result.mode_weights);
+  report.mode_weights.assign(engine_result.mode_weights.begin(),
+                             engine_result.mode_weights.end());
   report.state_estimate = selected.state;
   report.state_covariance = selected.state_cov;
   {
     const obs::ScopedTimer decision_timer(h_decision_);
-    report.decision = decision_maker_.evaluate(mode, selected);
+    decision_maker_.evaluate_into(mode, selected, report.decision);
   }
-  report.selected_result = selected;
   report.actuator_anomaly = selected.actuator_anomaly;
-  report.mode_health = std::move(engine_result.mode_health);
+  report.mode_health.assign(engine_result.mode_health.begin(),
+                            engine_result.mode_health.end());
   report.quarantined_modes = engine_result.quarantined_modes;
-  report.sensor_available = mask;
 
   // Split the stacked testing-sensor anomaly back out by suite sensor
-  // (degraded steps stack only the available testing sensors).
+  // (degraded steps stack only the available testing sensors); every
+  // other sensor's split is empty.
   report.sensor_anomaly_by_sensor.resize(suite.count());
+  for (Vector& block : report.sensor_anomaly_by_sensor) {
+    block.resize_for_overwrite(0);
+  }
   std::size_t at = 0;
   for (std::size_t t : active_testing_of(mode, selected)) {
     const std::size_t dim = suite.sensor(t).dim();
-    report.sensor_anomaly_by_sensor[t] =
-        selected.sensor_anomaly.segment(at, dim);
+    report.sensor_anomaly_by_sensor[t].assign_segment(selected.sensor_anomaly,
+                                                      at, dim);
     at += dim;
   }
 
@@ -196,7 +214,6 @@ DetectionReport RoboAds::step(const Vector& u_prev, const Vector& z_full,
     prev_actuator_alarm_ = report.decision.actuator_alarm;
     prev_quarantined_ = quarantined_now;
   }
-  return report;
 }
 
 // Packs one finished iteration into the recorder slot. Per-sensor fields are

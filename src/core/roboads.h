@@ -94,6 +94,16 @@ class RoboAds {
   DetectionReport step(const Vector& u_prev, const Vector& z_full,
                        const SensorMask& available);
 
+  // The step above, writing into `report`, which may hold a report of any
+  // detector: every field is written (the split of a sensor not tested
+  // this step is emptied) into the capacity the report already has, so a
+  // steady complete step on a reused report allocates nothing. The engine
+  // steps into a result kept per thread, not per detector: a fleet of
+  // thousands of detectors on a few threads holds a few results. The two
+  // step() calls wrap it.
+  void step_into(const Vector& u_prev, const Vector& z_full,
+                 const SensorMask& available, DetectionReport& report);
+
   // Restarts estimation for a new mission.
   void reset(const Vector& x0, const Matrix& p0);
 

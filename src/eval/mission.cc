@@ -135,7 +135,7 @@ MissionResult run_mission(const Platform& platform,
       }
       rec.z = z;
       rec.sensor_available = mask;
-      rec.report = detector.step(rec.u_planned, z, mask);
+      detector.step_into(rec.u_planned, z, mask, rec.report);
       controller->observe(rec.report);
     } catch (const MissionError&) {
       throw;

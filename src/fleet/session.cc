@@ -1,6 +1,7 @@
 #include "fleet/session.h"
 
 #include <algorithm>
+#include <deque>
 
 #include "common/check.h"
 
@@ -18,6 +19,32 @@ std::shared_ptr<const core::EstimatorBank> checked_bank(
                 "session spec's bank was built for another sensor suite");
   return spec.bank;
 }
+
+// The reports sessions step into: one per thread and nesting depth, so a
+// fleet of thousands of sessions on a few threads holds a few reports, and
+// a steady stream writes into one whose containers already have their
+// capacity. A sink that steps another session on the same thread takes the
+// next depth's report, leaving the one it was handed intact.
+thread_local std::deque<core::DetectionReport> t_reports;
+thread_local std::size_t t_depth = 0;
+
+// This thread's report at the current depth, held for one step and its
+// sink call.
+class ThreadReport {
+ public:
+  ThreadReport() : depth_(t_depth) {
+    if (depth_ == t_reports.size()) t_reports.emplace_back();
+    ++t_depth;
+  }
+  ~ThreadReport() { --t_depth; }
+  ThreadReport(const ThreadReport&) = delete;
+  ThreadReport& operator=(const ThreadReport&) = delete;
+
+  core::DetectionReport& get() const { return t_reports[depth_]; }
+
+ private:
+  std::size_t depth_;
+};
 
 }  // namespace
 
@@ -180,8 +207,10 @@ void DetectorSession::step_frame(std::uint64_t k, bool forced) {
     ++counters_.masked_steps;
   }
 
+  const ThreadReport held;
+  core::DetectionReport& report = held.get();
   if (traced) span.step_start_ns = steady_now_ns();
-  const core::DetectionReport report = detector_.step(u, z, mask);
+  detector_.step_into(u, z, mask, report);
   if (traced) span.step_end_ns = steady_now_ns();
   ++counters_.steps;
   if (report.decision.sensor_alarm) ++counters_.sensor_alarms;

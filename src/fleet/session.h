@@ -108,7 +108,10 @@ class DetectorSession {
   // Called after every completed step with the report and the newest
   // ingest stamp among the packets that formed the frame (0 when the frame
   // was synthesized entirely from substitution, e.g. a fully dark
-  // iteration force-evicted from the window).
+  // iteration force-evicted from the window). The report lives only for
+  // the call: every session stepping on this thread writes into the same
+  // one (a sink that steps another session gets a report of its own), so
+  // copy what must outlive it.
   using ReportSink =
       std::function<void(const core::DetectionReport&, std::uint64_t)>;
 

@@ -44,6 +44,14 @@ Vector Vector::segment(std::size_t start, std::size_t len) const {
   return out;
 }
 
+void Vector::assign_segment(const Vector& v, std::size_t start,
+                            std::size_t len) {
+  ROBOADS_CHECK(start + len <= v.size(), "vector segment out of range");
+  data_.resize_for_overwrite(len);
+  std::copy(v.data_.begin() + start, v.data_.begin() + start + len,
+            data_.begin());
+}
+
 void Vector::set_segment(std::size_t start, const Vector& v) {
   ROBOADS_CHECK(start + v.size() <= size(), "vector set_segment out of range");
   std::copy(v.data_.begin(), v.data_.end(), data_.begin() + start);

@@ -180,6 +180,8 @@ class Vector {
 
   // Contiguous sub-vector [start, start+len).
   Vector segment(std::size_t start, std::size_t len) const;
+  // Becomes v.segment(start, len), keeping this vector's heap capacity.
+  void assign_segment(const Vector& v, std::size_t start, std::size_t len);
   // Writes `v` into [start, start+v.size()).
   void set_segment(std::size_t start, const Vector& v);
 

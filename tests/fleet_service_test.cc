@@ -3,14 +3,17 @@
 // sharded service, drop-oldest backpressure accounting, idle-point
 // migration (stream preserved bit-exactly across the shard move), metrics
 // registry aggregation, a concurrent submit/pump/status round for TSan,
-// four shards stepping one spec's shared estimator bank at once, and a
-// far-ahead robot that cannot stall its shard.
+// four shards stepping one spec's shared estimator bank at once, a
+// far-ahead robot that cannot stall its shard, and the session's
+// metamorphic relations (reordering, duplicates) carried through shards
+// and a migration.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <iterator>
 #include <limits>
+#include <random>
 #include <thread>
 #include <vector>
 
@@ -18,6 +21,8 @@
 #include "eval/mission.h"
 #include "fleet/replay.h"
 #include "fleet/service.h"
+#include "fleet_streams.h"
+#include "result_diff.h"
 #include "scenario/compile.h"
 #include "scenario/library.h"
 
@@ -354,6 +359,117 @@ TEST(FleetService, FarAheadRobotDoesNotStallItsShard) {
   fleet.drain();
   expect_mission_parity(mission, log.by_robot[1]);
   EXPECT_EQ(fleet.session_counters(0).resyncs, 3u);
+}
+
+// FleetSessionMetamorphic's relations (tests/fleet_session_test.cc)
+// carried through the service: robots replaying Table II #1, #4 and #8 on
+// two shards, each robot's stream reordered within the reorder window and
+// given later exact duplicates, the streams interleaved, and robot 0
+// migrated to the other shard mid-stream with its next packets still in
+// the old shard's ring. Each robot must get the reports of its in-order
+// single-session replay, selected_result included, with every duplicate
+// counted once, as duplicate or late, and no step masked. The robots of a
+// shard step on one pump worker into one report (fleet/session.cc), so a
+// robot that read its neighbour's leftovers would fail here.
+TEST(FleetServiceMetamorphic, ReorderedDuplicatedStreamsThroughShardsAndMigration) {
+  const eval::KheperaPlatform platform;
+  const auto spec = make_session_spec(platform);
+  const std::size_t window = SessionConfig{}.reorder_window;
+  constexpr std::size_t kCopies = 40;  // per half stream
+  std::mt19937_64 rng(24);
+
+  // Each stream is two halves, each reordered and duplicated on its own, so
+  // that the session is idle between them and can migrate there.
+  std::vector<std::vector<core::DetectionReport>> expected;
+  std::vector<std::vector<FleetPacket>> halves[2];
+  for (const std::size_t scenario : {1u, 4u, 8u}) {
+    eval::MissionConfig cfg;
+    cfg.iterations = 60;
+    cfg.seed = 300 + scenario;
+    const eval::MissionResult mission = eval::run_mission(
+        platform,
+        scenario::compile_spec(scenario::khepera_table2_spec(scenario),
+                               platform),
+        cfg);
+    const std::vector<FleetPacket> in_order =
+        mission_packets(expected.size(), platform.suite(), mission);
+
+    DetectorSession replay(spec);
+    std::vector<core::DetectionReport>& reports = expected.emplace_back();
+    replay.set_report_sink([&](const core::DetectionReport& report,
+                               std::uint64_t) { reports.push_back(report); });
+    for (const FleetPacket& p : in_order) replay.ingest(p);
+    ASSERT_EQ(replay.flush(), 0u);
+    ASSERT_EQ(reports.size(), mission.records.size());
+
+    const std::size_t per_iteration = platform.suite().count() + 1;
+    const auto middle =
+        in_order.begin() + static_cast<std::ptrdiff_t>(
+                               reports.size() / 2 * per_iteration);
+    const std::vector<FleetPacket> first(in_order.begin(), middle);
+    const std::vector<FleetPacket> second(middle, in_order.end());
+    halves[0].push_back(
+        with_later_copies(window_shuffle(first, window, rng), kCopies, rng));
+    halves[1].push_back(
+        with_later_copies(window_shuffle(second, window, rng), kCopies, rng));
+  }
+  const std::size_t robots = expected.size();
+
+  FleetConfig config;
+  config.shards = 2;
+  ReportLog log(robots);
+  log.install(config);
+  FleetService fleet(config);
+  for (std::size_t r = 0; r < robots; ++r) fleet.add_robot(spec);
+  // Submits packets [from, to) of every robot's half stream, interleaved.
+  const auto submit = [&](const std::vector<std::vector<FleetPacket>>& half,
+                          std::size_t from, std::size_t to) {
+    for (std::size_t i = from; i < to; ++i) {
+      for (const std::vector<FleetPacket>& stream : half) {
+        if (i < stream.size()) fleet.submit(stream[i]);
+      }
+    }
+  };
+  const auto longest = [](const std::vector<std::vector<FleetPacket>>& half) {
+    std::size_t n = 0;
+    for (const std::vector<FleetPacket>& stream : half) {
+      n = std::max(n, stream.size());
+    }
+    return n;
+  };
+
+  submit(halves[0], 0, longest(halves[0]));
+  fleet.drain();
+  submit(halves[1], 0, 20);
+  const std::size_t source = fleet.shard_of(0);
+  const std::size_t target = (source + 1) % fleet.shard_count();
+  fleet.migrate(0, target);
+  fleet.drain();
+  EXPECT_EQ(fleet.shard_of(0), target);
+  EXPECT_GT(fleet.status().forwarded_packets, 0u);
+  submit(halves[1], 20, longest(halves[1]));
+  fleet.drain();
+  EXPECT_EQ(fleet.flush_sessions(), 0u);
+
+  for (std::size_t r = 0; r < robots; ++r) {
+    SCOPED_TRACE(testing::Message() << "robot " << r);
+    const std::vector<core::DetectionReport>& got = log.by_robot[r];
+    ASSERT_EQ(got.size(), expected[r].size());
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      const std::string diff = compare_reports(expected[r][k], got[k]);
+      ASSERT_TRUE(diff.empty()) << "report " << k + 1 << ": " << diff;
+      const std::string result_diff = core::diff_results(
+          expected[r][k].selected_result, got[k].selected_result);
+      ASSERT_TRUE(result_diff.empty())
+          << "report " << k + 1 << " selected_result " << result_diff;
+    }
+    const SessionCounters& c = fleet.session_counters(r);
+    EXPECT_EQ(c.steps, expected[r].size());
+    EXPECT_EQ(c.duplicate_packets + c.late_packets, 2 * kCopies);
+    EXPECT_EQ(c.masked_steps, 0u);
+    EXPECT_EQ(c.forced_evictions, 0u);
+  }
+  EXPECT_EQ(fleet.status().dropped_packets, 0u);
 }
 
 }  // namespace

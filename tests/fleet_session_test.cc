@@ -16,6 +16,7 @@
 #include "eval/mission.h"
 #include "fleet/replay.h"
 #include "fleet/session.h"
+#include "fleet_streams.h"
 #include "scenario/compile.h"
 #include "scenario/library.h"
 
@@ -436,26 +437,6 @@ std::vector<MissionRun> metamorphic_missions() {
   return runs;
 }
 
-// A random arrival order within `window`: sorting by k + window·U[0, 1)
-// puts every packet of iteration k after all packets of iterations
-// <= k - window (a tie keeps the in-order position, which agrees).
-std::vector<FleetPacket> window_shuffle(const std::vector<FleetPacket>& in,
-                                        std::size_t window,
-                                        std::mt19937_64& rng) {
-  std::uniform_real_distribution<double> unit(0.0, 1.0);
-  std::vector<std::pair<double, std::size_t>> keys;
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    keys.emplace_back(static_cast<double>(in[i].packet.iteration) +
-                          static_cast<double>(window) * unit(rng),
-                      i);
-  }
-  std::stable_sort(keys.begin(), keys.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<FleetPacket> out;
-  for (const auto& [key, i] : keys) out.push_back(in[i]);
-  return out;
-}
-
 TEST(FleetSessionMetamorphic, WindowBoundedReorderingKeepsEveryReport) {
   std::mt19937_64 rng(20);
   for (const MissionRun& run : metamorphic_missions()) {
@@ -480,24 +461,11 @@ TEST(FleetSessionMetamorphic, WindowBoundedReorderingKeepsEveryReport) {
 TEST(FleetSessionMetamorphic, LaterExactDuplicatesChangeNoReport) {
   std::mt19937_64 rng(21);
   for (const MissionRun& run : metamorphic_missions()) {
-    const std::vector<FleetPacket> stream = window_shuffle(
-        mission_packets(0, run.platform.suite(), run.mission), 4, rng);
-    // Original i keeps key i; a copy of i gets a key in (i, size).
-    std::vector<std::pair<double, std::size_t>> keys;
-    for (std::size_t i = 0; i < stream.size(); ++i) keys.emplace_back(i, i);
-    std::uniform_int_distribution<std::size_t> pick(0, stream.size() - 2);
     constexpr std::size_t kCopies = 150;
-    for (std::size_t c = 0; c < kCopies; ++c) {
-      const std::size_t i = pick(rng);
-      std::uniform_int_distribution<std::size_t> after(i, stream.size() - 1);
-      keys.emplace_back(static_cast<double>(after(rng)) + 0.5, i);
-    }
-    std::stable_sort(keys.begin(), keys.end(), [](const auto& a,
-                                                  const auto& b) {
-      return a.first < b.first;
-    });
-    std::vector<FleetPacket> with_copies;
-    for (const auto& [key, i] : keys) with_copies.push_back(stream[i]);
+    const std::vector<FleetPacket> with_copies = with_later_copies(
+        window_shuffle(mission_packets(0, run.platform.suite(), run.mission),
+                       4, rng),
+        kCopies, rng);
 
     const SessionCounters c = expect_parity(run, with_copies);
     EXPECT_EQ(c.duplicate_packets + c.late_packets, kCopies);

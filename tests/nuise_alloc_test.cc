@@ -6,9 +6,14 @@
 // the Khepera-sized path fit the inline storage of matrix.h and all
 // mode-invariant structure lives in the per-instance workspace (see
 // docs/PERFORMANCE.md). Nor may a mission's sensing, once its first scan
-// has sized the LiDAR workflow's buffers. A full RoboAds::step allocates
-// only the result containers it hands back, and its exact count is pinned
-// so a new per-step allocation shows up here. This test replaces the global
+// has sized the LiDAR workflow's buffers. Nor may a full detector step into
+// a reused report (RoboAds::step_into), on either platform and on the
+// complete mode set, nor a complete in-order frame through a fleet
+// session. The by-value RoboAds::step allocates only the containers of the
+// report it hands back, and its exact count is pinned so a new per-step
+// allocation shows up here; masked steps are pinned at no more than they
+// took before the in-place step (docs/PERFORMANCE.md "In-place detector
+// step"). This test replaces the global
 // allocation functions with counting versions and asserts the count stays
 // zero across steady-state steps, so any future change that sneaks an
 // allocation into the hot path (a temporary std::vector, an eager
@@ -24,6 +29,10 @@
 #include "core/roboads.h"
 #include "dynamics/diff_drive.h"
 #include "eval/khepera.h"
+#include "eval/mission.h"
+#include "eval/tamiya.h"
+#include "fleet/replay.h"
+#include "fleet/session.h"
 #include "scenario/compile.h"
 #include "scenario/library.h"
 #include "sensors/standard_sensors.h"
@@ -131,33 +140,131 @@ TEST(NuiseAllocation, EveryModeOfTheBankIsAllocationFree) {
   }
 }
 
-TEST(DetectorAllocation, SteadyCleanKheperaStepAllocatesFiveBlocks) {
-  // A Khepera standing still with exact readings: every step is a clean,
-  // healthy, all-available step with no alarm.
-  const eval::KheperaPlatform platform;
-  const sensors::SensorSuite& suite = platform.suite();
-  const Vector x = platform.initial_state();
-  RoboAds detector(platform.model(), suite, platform.process_cov(), x,
-                   Matrix::identity(x.size()) * 1e-4,
-                   platform.detector_config(), platform.detector_modes());
-  const Vector u(platform.model().input_dim());
-  const Vector z = suite.measure(suite.all(), x);
-  for (int i = 0; i < 5; ++i) detector.step(u, z);
+// A platform's detector standing still with exact readings: every step is
+// a clean, healthy, all-available step with no alarm.
+struct StandingDetector {
+  RoboAds detector;
+  Vector u;
+  Vector z;
 
-  constexpr std::size_t kSteps = 50;
-  bool alarmed = false;
+  explicit StandingDetector(const eval::Platform& platform,
+                            std::vector<Mode> modes = {})
+      : detector(platform.model(), platform.suite(), platform.process_cov(),
+                 platform.initial_state(),
+                 Matrix::identity(platform.initial_state().size()) * 1e-4,
+                 platform.detector_config(),
+                 modes.empty() ? platform.detector_modes() : std::move(modes)),
+        u(platform.model().input_dim()),
+        z(platform.suite().measure(platform.suite().all(),
+                                   platform.initial_state())) {}
+
+  // Heap allocations over 50 steady steps into one reused report, after
+  // warm-up steps outside the audit have sized it and this thread's engine
+  // result.
+  std::size_t step_into_allocations(const SensorMask& mask) {
+    DetectionReport report;
+    return allocations([&]() -> const DetectionReport& {
+      detector.step_into(u, z, mask, report);
+      return report;
+    });
+  }
+
+  // The same through the by-value step(), one fresh report per step.
+  std::size_t step_allocations(const SensorMask& mask) {
+    DetectionReport report;
+    return allocations([&]() -> const DetectionReport& {
+      report = detector.step(u, z, mask);
+      return report;
+    });
+  }
+
+  // Steps through `step`, which returns the step's report.
+  template <typename Step>
+  std::size_t allocations(Step step) {
+    for (int i = 0; i < 5; ++i) step();
+    AllocationGuard guard;
+    bool alarmed = false;
+    for (int i = 0; i < 50; ++i) {
+      const DetectionReport& report = step();
+      alarmed = alarmed || report.decision.sensor_alarm ||
+                report.decision.actuator_alarm;
+    }
+    const std::size_t allocs = guard.count();
+    EXPECT_FALSE(alarmed);
+    return allocs;
+  }
+};
+
+TEST(DetectorAllocation, SteadyCleanKheperaStepAllocatesFourBlocks) {
+  const eval::KheperaPlatform platform;
+  StandingDetector khepera(platform);
+  // Per step: the containers of the report step() returns — its mode
+  // weights, mode health, per-sensor anomaly split and verdict list. The
+  // engine steps into this thread's reused result.
+  EXPECT_EQ(khepera.step_allocations({}), 4u * 50);
+}
+
+TEST(DetectorAllocation, SteadyStepIntoAReusedReportIsAllocationFree) {
+  const eval::KheperaPlatform khepera;
+  const eval::TamiyaPlatform tamiya;
+  EXPECT_EQ(StandingDetector(khepera).step_into_allocations({}), 0u)
+      << "Khepera";
+  EXPECT_EQ(StandingDetector(tamiya).step_into_allocations({}), 0u)
+      << "Tamiya";
+  EXPECT_EQ(StandingDetector(khepera, complete_mode_set(khepera.suite()))
+                .step_into_allocations({}),
+            0u)
+      << "Khepera complete mode set";
+}
+
+TEST(DetectorAllocation, CompleteSessionFramesAreAllocationFree) {
+  // A recorded clean Khepera mission's packets, in order: every frame
+  // completes and steps with no mask into the thread's report.
+  const eval::KheperaPlatform platform;
+  eval::MissionConfig config;
+  config.iterations = 60;
+  config.seed = 7;
+  const eval::MissionResult mission =
+      eval::run_mission(platform, platform.clean_scenario(), config);
+  const std::vector<fleet::FleetPacket> packets =
+      fleet::mission_packets(0, platform.suite(), mission);
+  fleet::DetectorSession session(fleet::make_session_spec(platform));
+  std::size_t reports = 0;
+  session.set_report_sink(
+      [&](const DetectionReport&, std::uint64_t) { ++reports; });
+  const std::size_t warm_up = 10 * (platform.suite().count() + 1);
+  for (std::size_t i = 0; i < warm_up; ++i) session.ingest(packets[i]);
+
   AllocationGuard guard;
-  for (std::size_t i = 0; i < kSteps; ++i) {
-    const DetectionReport report = detector.step(u, z);
-    alarmed = alarmed || report.decision.sensor_alarm ||
-              report.decision.actuator_alarm;
+  for (std::size_t i = warm_up; i < packets.size(); ++i) {
+    session.ingest(packets[i]);
   }
   const std::size_t allocs = guard.count();
-  ASSERT_FALSE(alarmed);
-  // Per step: the engine's per-mode results, its weights and health
-  // (moved into the report), the report's per-sensor anomaly split and
-  // its reserved verdict list.
-  EXPECT_EQ(allocs, 5 * kSteps);
+  EXPECT_EQ(reports, mission.records.size());
+  EXPECT_EQ(session.counters().masked_steps, 0u);
+  EXPECT_EQ(allocs, 0u);
+}
+
+TEST(DetectorAllocation, MaskedStepsAllocateNoMoreThanBefore) {
+  // Allocations per by-value Khepera step before the in-place step, as
+  // measured on it: with the wheel odometry missing (the testing sensor
+  // of two modes, the reference of one), with the IPS missing, and with
+  // every sensor missing (prediction-only). A complete step made 5.
+  const eval::KheperaPlatform platform;
+  struct Case {
+    SensorMask mask;
+    std::size_t before;
+  };
+  for (const Case& c : {Case{{false, true, true}, 26},
+                        Case{{true, false, true}, 26},
+                        Case{{false, false, false}, 13}}) {
+    SCOPED_TRACE(testing::Message() << "mask " << c.mask[0] << c.mask[1]
+                                    << c.mask[2]);
+    EXPECT_LE(StandingDetector(platform).step_allocations(c.mask),
+              c.before * 50);
+    EXPECT_LE(StandingDetector(platform).step_into_allocations(c.mask),
+              c.before * 50);
+  }
 }
 
 // One Khepera SensingStack::sense_all per iteration along a straight

@@ -10,8 +10,8 @@
 // with the code under test, and a change to one kernel template or to the
 // sort shows up here as a mismatch.
 //
-// Every NuiseResult field is compared with memcmp on the raw doubles, so
-// −0.0 against +0.0 fails. As in tests/kernel_oracle_test.cc, any two NaNs
+// Every NuiseResult field is compared with memcmp on the raw doubles
+// (tests/result_diff.h), so −0.0 against +0.0 fails. As in tests/kernel_oracle_test.cc, any two NaNs
 // compare equal: which NaN a NaN result carries is not part of either
 // implementation's contract.
 //
@@ -38,12 +38,10 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <map>
 #include <numeric>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -56,6 +54,7 @@
 #include "eval/mission.h"
 #include "eval/tamiya.h"
 #include "matrix/kernels.h"
+#include "result_diff.h"
 #include "scenario/compile.h"
 #include "scenario/library.h"
 #include "sensors/standard_sensors.h"
@@ -737,123 +736,11 @@ class ReferenceNuise {
 
 // ---------------------------------------------------------- comparison --
 
-bool same_bits(double a, double b) {
-  if (std::isnan(a) && std::isnan(b)) return true;
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
-std::string diff_doubles(const char* field, const double* a, const double* b,
-                         std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!same_bits(a[i], b[i])) {
-      std::ostringstream os;
-      os.precision(17);
-      os << field << "[" << i << "]: " << a[i] << " vs " << b[i];
-      return os.str();
-    }
-  }
-  return "";
-}
-
-std::string diff_vector(const char* field, const Vector& a, const Vector& b) {
-  if (a.size() != b.size()) return std::string(field) + ": size";
-  return diff_doubles(field, a.data(), b.data(), a.size());
-}
-
-std::string diff_matrix(const char* field, const Matrix& a, const Matrix& b) {
-  if (a.rows() != b.rows() || a.cols() != b.cols()) {
-    return std::string(field) + ": shape";
-  }
-  return diff_doubles(field, a.data(), b.data(), a.rows() * a.cols());
-}
-
-// Empty when every field of the two results is bit-identical.
-std::string diff_results(const NuiseResult& a, const NuiseResult& b) {
-  for (const std::string& d : {
-           diff_vector("state", a.state, b.state),
-           diff_matrix("state_cov", a.state_cov, b.state_cov),
-           diff_vector("actuator_anomaly", a.actuator_anomaly,
-                       b.actuator_anomaly),
-           diff_matrix("actuator_anomaly_cov", a.actuator_anomaly_cov,
-                       b.actuator_anomaly_cov),
-           diff_vector("sensor_anomaly", a.sensor_anomaly, b.sensor_anomaly),
-           diff_matrix("sensor_anomaly_cov", a.sensor_anomaly_cov,
-                       b.sensor_anomaly_cov),
-           diff_vector("innovation", a.innovation, b.innovation),
-           diff_matrix("innovation_cov", a.innovation_cov, b.innovation_cov),
-           diff_doubles("log_likelihood", &a.log_likelihood,
-                        &b.log_likelihood, 1),
-       }) {
-    if (!d.empty()) return d;
-  }
-  if (a.actuator_identifiable != b.actuator_identifiable) {
-    return "actuator_identifiable";
-  }
-  if (a.correction_applied != b.correction_applied) {
-    return "correction_applied";
-  }
-  if (a.likelihood_informative != b.likelihood_informative) {
-    return "likelihood_informative";
-  }
-  if (a.degraded != b.degraded) return "degraded";
-  if (a.active_testing != b.active_testing) return "active_testing";
-  return "";
-}
-
 std::string diff_outcomes(const SupervisionOutcome& a,
                           const SupervisionOutcome& b) {
   if (a.fatal != b.fatal) return "supervision fatal";
   if (a.repaired != b.repaired) return "supervision repaired";
   if (a.detail != b.detail) return "supervision detail";
-  return "";
-}
-
-// Empty when every field of the two decisions is bit-identical.
-std::string diff_decisions(const Decision& a, const Decision& b) {
-  for (const std::string& d : {
-           diff_doubles("sensor_statistic", &a.sensor_statistic,
-                        &b.sensor_statistic, 1),
-           diff_doubles("sensor_threshold", &a.sensor_threshold,
-                        &b.sensor_threshold, 1),
-           diff_doubles("actuator_statistic", &a.actuator_statistic,
-                        &b.actuator_statistic, 1),
-           diff_doubles("actuator_threshold", &a.actuator_threshold,
-                        &b.actuator_threshold, 1),
-           diff_vector("decision actuator_anomaly", a.actuator_anomaly,
-                       b.actuator_anomaly),
-       }) {
-    if (!d.empty()) return d;
-  }
-  if (a.sensor_test_positive != b.sensor_test_positive ||
-      a.sensor_alarm != b.sensor_alarm ||
-      a.actuator_test_positive != b.actuator_test_positive ||
-      a.actuator_alarm != b.actuator_alarm) {
-    return "decision flags";
-  }
-  if (a.sensor_verdicts.size() != b.sensor_verdicts.size()) {
-    return "sensor_verdicts: size";
-  }
-  for (std::size_t i = 0; i < a.sensor_verdicts.size(); ++i) {
-    const SensorVerdict& va = a.sensor_verdicts[i];
-    const SensorVerdict& vb = b.sensor_verdicts[i];
-    for (const std::string& d : {
-             diff_doubles("verdict statistic", &va.statistic, &vb.statistic,
-                          1),
-             diff_doubles("verdict threshold", &va.threshold, &vb.threshold,
-                          1),
-             diff_vector("verdict anomaly_estimate", va.anomaly_estimate,
-                         vb.anomaly_estimate),
-         }) {
-      if (!d.empty()) return d + " of verdict " + std::to_string(i);
-    }
-    if (va.sensor_index != vb.sensor_index ||
-        va.misbehaving != vb.misbehaving) {
-      return "verdict " + std::to_string(i);
-    }
-  }
-  if (a.misbehaving_sensors != b.misbehaving_sensors) {
-    return "misbehaving_sensors";
-  }
   return "";
 }
 
