@@ -9,8 +9,8 @@
 // synthetic reading, by value and into a reused report, and replaying
 // recorded missions, one fleet robot's session set-up and its complete
 // frames, the detector's matrix kernels, a host-speed calibration kernel,
-// the random draws, the LiDAR scan-processing pipeline, the RRT* mission
-// plan, and one whole Khepera mission.
+// the random draws, the LiDAR scan-processing pipeline, a Khepera
+// iteration's sensing, the RRT* mission plan, and one whole Khepera mission.
 #include <benchmark/benchmark.h>
 #include <malloc.h>
 
@@ -454,6 +454,27 @@ void BM_LidarScanAndProcessKhepera(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LidarScanAndProcessKhepera);
+
+// Everything a Khepera mission senses in one iteration: the sensing
+// stack's sense_all (IPS, wheel odometry, and the LiDAR scan with its
+// processing) over the true states a clean mission recorded, in order,
+// cycling back to the first after the last.
+void BM_SenseAllKhepera(benchmark::State& state) {
+  const eval::KheperaPlatform platform;
+  eval::MissionConfig config;
+  config.seed = 1001;
+  const eval::MissionResult mission =
+      eval::run_mission(platform, platform.clean_scenario(), config);
+  sim::SensingStack sensing = platform.make_sensing(platform.clean_scenario());
+  Rng rng(7);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const eval::IterationRecord& rec =
+        mission.records[i++ % mission.records.size()];
+    benchmark::DoNotOptimize(sensing.sense_all(rec.k, rec.x_true, rng));
+  }
+}
+BENCHMARK(BM_SenseAllKhepera);
 
 // One Table II mission as a campaign job flies it: compile, RRT* plan and
 // smoothing, then 250 iterations of control, sensing and detection.

@@ -30,6 +30,9 @@
 #                      # standalone (.bench_build/) and checks every
 #                      # campaign outcome against
 #                      # perfbench/reference_outcomes.txt
+#   ./ci.sh ab         # paired A/B of the working tree against BASE=<rev>:
+#                      # 10 alternating pairs of each gated perfbench
+#                      # workload at seed 1 (bench/ab.py; reports only)
 #   ./ci.sh fuzz-smoke # ~30 s scenario-DSL coverage fuzz over $JOBS workers
 #                      # + corpus replay (corpus test and roboads_scenario
 #                      # check/print/run/library); a stale run directory
@@ -181,7 +184,7 @@ run_bench() {
   build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:[^=]*=//p' "$dir/CMakeCache.txt")"
   cxx_flags="$(sed -n 's/^CMAKE_CXX_FLAGS_RELEASE:[^=]*=//p' "$dir/CMakeCache.txt")"
   "$dir/bench/perf_nuise" \
-    --benchmark_filter='BM_NuiseStepKhepera|BM_NuiseStepKheperaMasked|BM_EngineStepKhepera|BM_EngineStepCompleteModeSet|BM_FullDetectorStepKhepera|BM_FullDetectorStepTamiya|BM_DetectorStepIntoKhepera|BM_DetectorReplayKhepera|BM_SessionStepKhepera|BM_FleetSessionSetupKhepera|BM_MatMul3x3|BM_Sandwich3x3|BM_JacobiEigen4|BM_Cholesky4|BM_CalibrationKernel|BM_RrtStarPlanKhepera|BM_RrtStarPlanTamiya|BM_LidarScanAndProcessKhepera|BM_MissionKhepera|BM_RngUniform|BM_RngGaussian' \
+    --benchmark_filter='BM_NuiseStepKhepera|BM_NuiseStepKheperaMasked|BM_EngineStepKhepera|BM_EngineStepCompleteModeSet|BM_FullDetectorStepKhepera|BM_FullDetectorStepTamiya|BM_DetectorStepIntoKhepera|BM_DetectorReplayKhepera|BM_SessionStepKhepera|BM_FleetSessionSetupKhepera|BM_MatMul3x3|BM_Sandwich3x3|BM_JacobiEigen4|BM_Cholesky4|BM_CalibrationKernel|BM_RrtStarPlanKhepera|BM_RrtStarPlanTamiya|BM_LidarScanAndProcessKhepera|BM_SenseAllKhepera|BM_MissionKhepera|BM_RngUniform|BM_RngGaussian' \
     --benchmark_min_time=0.2 --benchmark_repetitions=5 \
     --benchmark_enable_random_interleaving=true \
     --benchmark_format=json > "$dir/bench_perf_raw.json"
@@ -204,6 +207,16 @@ run_bench() {
 # a later benchmark run.
 run_perfbench() {
   python3 perfbench/run.py --selftest
+}
+
+# Paired A/B of the gated perfbench workloads (BENCHMARK.json) against the
+# revision in $BASE: bench/ab.py prints each end-to-end metric's medians,
+# quartiles, ratio and pairs won. Not part of `all`: it takes ≈17 min.
+run_ab() {
+  local base="${BASE:?set BASE to the git revision to compare against}"
+  for workload in campaign fleet-capacity; do
+    python3 bench/ab.py --base "$base" --workload "$workload" --seed 1
+  done
 }
 
 # Fleet-service smoke (docs/FLEET.md): a ~10 s mini-fleet — 32 robots
@@ -539,6 +552,7 @@ case "$MODE" in
   ubsan)  run_pass build-ubsan -DRoboADS_SANITIZE=undefined ;;
   bench)  run_bench ;;
   perfbench) run_perfbench ;;
+  ab) run_ab ;;
   fuzz-smoke) run_fuzz_smoke build ;;
   shard-smoke) run_shard_smoke build ;;
   watch-smoke) run_watch_smoke build ;;
@@ -562,7 +576,7 @@ case "$MODE" in
     run_pass build-asan -DRoboADS_SANITIZE=address
     run_pass build-ubsan -DRoboADS_SANITIZE=undefined
     ;;
-  *) echo "usage: $0 [normal|tsan|asan|ubsan|bench|perfbench|fuzz-smoke|shard-smoke|watch-smoke|fleet-smoke|fleet-watch-smoke|all]" >&2; exit 2 ;;
+  *) echo "usage: $0 [normal|tsan|asan|ubsan|bench|perfbench|ab|fuzz-smoke|shard-smoke|watch-smoke|fleet-smoke|fleet-watch-smoke|all]" >&2; exit 2 ;;
 esac
 
 echo "ci.sh: all requested passes green"

@@ -5,8 +5,6 @@
 
 namespace roboads::geom {
 
-double Vec2::norm() const { return std::hypot(x, y); }
-
 Vec2 Vec2::normalized() const {
   const double n = norm();
   ROBOADS_CHECK(n > 0.0, "cannot normalize a zero vector");
@@ -18,8 +16,6 @@ Vec2 Vec2::rotated(double angle) const {
   const double s = std::sin(angle);
   return {c * x - s * y, s * x + c * y};
 }
-
-double distance(const Vec2& a, const Vec2& b) { return (a - b).norm(); }
 
 double wrap_angle(double a) {
   // fmod returns an argument already inside (0, 2π) unchanged, and the
@@ -55,57 +51,11 @@ std::optional<double> ray_segment_intersection(const Vec2& origin,
   return t;
 }
 
-int orientation(const Vec2& a, const Vec2& b, const Vec2& c) {
-  const double v = (b - a).cross(c - a);
-  if (v > 1e-15) return 1;
-  if (v < -1e-15) return -1;
-  return 0;
-}
-
-namespace {
-
-bool on_segment(const Vec2& a, const Vec2& b, const Vec2& p) {
-  return std::min(a.x, b.x) - 1e-15 <= p.x && p.x <= std::max(a.x, b.x) + 1e-15 &&
-         std::min(a.y, b.y) - 1e-15 <= p.y && p.y <= std::max(a.y, b.y) + 1e-15;
-}
-
-}  // namespace
-
-bool segments_intersect(const Vec2& a1, const Vec2& a2, const Vec2& b1,
-                        const Vec2& b2) {
-  const int o1 = orientation(a1, a2, b1);
-  const int o2 = orientation(a1, a2, b2);
-  const int o3 = orientation(b1, b2, a1);
-  const int o4 = orientation(b1, b2, a2);
-  if (o1 != o2 && o3 != o4) return true;
-  if (o1 == 0 && on_segment(a1, a2, b1)) return true;
-  if (o2 == 0 && on_segment(a1, a2, b2)) return true;
-  if (o3 == 0 && on_segment(b1, b2, a1)) return true;
-  if (o4 == 0 && on_segment(b1, b2, a2)) return true;
-  return false;
-}
-
 Aabb Aabb::inflated(double margin) const {
   ROBOADS_CHECK(width() + 2 * margin >= 0 && height() + 2 * margin >= 0,
                 "inflation would invert the AABB");
   return Aabb({min.x - margin, min.y - margin},
               {max.x + margin, max.y + margin});
-}
-
-std::array<Segment, 4> Aabb::edges() const {
-  const Vec2 bl = min;
-  const Vec2 br{max.x, min.y};
-  const Vec2 tr = max;
-  const Vec2 tl{min.x, max.y};
-  return {{{bl, br}, {br, tr}, {tr, tl}, {tl, bl}}};
-}
-
-bool Aabb::intersects_segment(const Vec2& a, const Vec2& b) const {
-  if (contains(a) || contains(b)) return true;
-  for (const Segment& e : edges()) {
-    if (segments_intersect(a, b, e.a, e.b)) return true;
-  }
-  return false;
 }
 
 double FittedLine::distance_to(const Vec2& p) const {

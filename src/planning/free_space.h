@@ -49,7 +49,12 @@ class FreeSpace {
 
   // World::segment_free(a, b, radius).
   bool segment_free(const geom::Vec2& a, const geom::Vec2& b) const {
-    if (!free(a) || !free(b)) return false;
+    return free(a) && free(b) && segment_clear(a, b);
+  }
+
+  // World::segment_free(a, b, radius) when free(a) and free(b) are already
+  // known to hold: the obstacle tests alone.
+  bool segment_clear(const geom::Vec2& a, const geom::Vec2& b) const {
     for (const Box& o : boxes_) {
       if (one_side(o.box, a, b) && !o.reach.contains(a) &&
           !o.reach.contains(b)) {

@@ -4,7 +4,8 @@
 //
 // Exact by contract — the grid answers the same questions a linear scan over
 // every node would, bit for bit:
-//   - nearest(q) is the argmin of ((p - q).norm_squared(), index);
+//   - nearest(q) is the argmin of ((p - q).norm_squared(), index), and
+//     any_within(q, r) is std::sqrt of its squared distance <= r;
 //   - parent_candidates and rewire_candidates visit exactly the nodes with
 //     geom::distance(p, q) <= r whose cost and a lower bound of that
 //     distance pass the planner's parent or rewire test, each with its
@@ -140,6 +141,30 @@ class NodeGrid {
       // the bound strictly below anything such a node can compute.
       if (gap > 0.0 && best.d2 < gap * gap * (1.0 - 1e-9)) return best;
     }
+  }
+
+  // True when some node has std::sqrt(d2) <= radius, d2 its squared
+  // distance to q as nearest() computes it: exactly when
+  // std::sqrt(nearest(q).d2) <= radius, since sqrt is monotone. Looks at the
+  // cells of scan()'s block that can hold such a node and stops at the
+  // first one. A node with sqrt(d2) <= radius has d2 at most a few ulps
+  // above radius^2, far inside r2_out's relative 1e-9: r2_out only spares
+  // the farther nodes their sqrt, and cell_gap2 whole cells of them.
+  bool any_within(const geom::Vec2& q, double radius) const {
+    const double reach = radius * (1.0 + 1e-9) + slack_;
+    const int x0 = cell_x(q.x - reach), x1 = cell_x(q.x + reach);
+    const int y0 = cell_y(q.y - reach), y1 = cell_y(q.y + reach);
+    const double r2_out = radius * radius * (1.0 + 1e-9);
+    for (int j = y0; j <= y1; ++j) {
+      for (int i = x0; i <= x1; ++i) {
+        if (cell_gap2(i, j, q) > r2_out) continue;
+        for (const Entry& e : cells_[cell_index(i, j)].entries) {
+          const double d2 = (e.position - q).norm_squared();
+          if (d2 <= r2_out && std::sqrt(d2) <= radius) return true;
+        }
+      }
+    }
+    return false;
   }
 
   // The planner's parent pass over the nodes within `radius` of q. Calls

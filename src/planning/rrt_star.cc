@@ -48,25 +48,46 @@ std::optional<PlannedPath> RrtStar::plan(const Vec2& start, const Vec2& goal,
                         config_.rewire_radius / 2.0);
   grid.insert(0, start, 0.0);
 
+  // Set once a node sits exactly on the goal: every later goal sample's
+  // nearest node is then at distance 0, and the iteration is skipped.
+  bool node_on_goal = false;
+  // geom::distance(to, goal) is above goal_radius whenever the squared
+  // distance is above this: hypot and the rounded sum of squares agree to
+  // a few ulps.
+  const double goal_r2_out =
+      config_.goal_radius * config_.goal_radius * (1.0 + 1e-9);
+
   for (std::size_t it = 0; it < config_.max_iterations; ++it) {
-    // Sample (goal-biased).
-    const Vec2 sample = rng.uniform() < config_.goal_bias
-                            ? goal
-                            : Vec2{rng.uniform(0.0, world_.width()),
-                                   rng.uniform(0.0, world_.height())};
+    // Sample (goal-biased). Every early `continue` below is an iteration
+    // the steps after it would reject anyway, and none of them draws.
+    const bool goal_sample = rng.uniform() < config_.goal_bias;
+    if (goal_sample && node_on_goal) continue;
+    const Vec2 sample = goal_sample ? goal
+                                    : Vec2{rng.uniform(0.0, world_.width()),
+                                           rng.uniform(0.0, world_.height())};
+
+    // A sample in collision with a node within step_size would become `to`
+    // itself and fail the segment test below (or sit at distance < 1e-9).
+    // The goal was checked free above.
+    const bool sample_free = goal_sample || space.free(sample);
+    if (!sample_free && grid.any_within(sample, config_.step_size)) continue;
 
     // Nearest node: argmin of (squared distance, index).
     const detail::NodeGrid::Nearest nn = grid.nearest(sample);
     const std::size_t nearest = nn.index;
 
-    // Steer toward the sample by at most step_size.
+    // Steer toward the sample by at most step_size. `from` is a tree node,
+    // so free; an unsteered `to` is the sample, free by the test above.
     const Vec2 from = nodes[nearest].position;
     const double dist = std::sqrt(nn.d2);
     if (dist < 1e-9) continue;
-    const Vec2 to = dist <= config_.step_size
-                        ? sample
-                        : from + (sample - from) * (config_.step_size / dist);
-    if (!space.segment_free(from, to)) continue;
+    const bool steered = dist > config_.step_size;
+    const Vec2 to = steered
+                        ? from + (sample - from) * (config_.step_size / dist)
+                        : sample;
+    if ((steered && !space.free(to)) || !space.segment_clear(from, to)) {
+      continue;
+    }
 
     // Choose the cheapest collision-free parent among the nodes with
     // geom::distance <= radius. This is the order-free form of scanning
@@ -75,7 +96,8 @@ std::optional<PlannedPath> RrtStar::plan(const Vec2& start, const Vec2& goal,
     // the lowest index wins. The grid skips only neighbors whose cost plus
     // a lower bound of their distance exceeds `cost`: rounding is monotone,
     // so `cost + bound` never exceeds `cost + distance`, and such a
-    // neighbor can neither win nor tie.
+    // neighbor can neither win nor tie. Tree nodes and `to` are free, so
+    // the segment tests here and below test the obstacles alone.
     std::size_t parent = nearest;
     double cost = nn.cost + geom::distance(from, to);
     grid.parent_candidates(
@@ -85,7 +107,7 @@ std::optional<PlannedPath> RrtStar::plan(const Vec2& start, const Vec2& goal,
           const double c = e.cost + d;
           const bool wins =
               c < cost || (c == cost && parent != nearest && e.index < parent);
-          if (wins && space.segment_free(e.position, to)) {
+          if (wins && space.segment_clear(e.position, to)) {
             cost = c;
             parent = e.index;
           }
@@ -103,16 +125,18 @@ std::optional<PlannedPath> RrtStar::plan(const Vec2& start, const Vec2& goal,
         to, config_.rewire_radius, cost,
         [&](detail::NodeGrid::Entry& e, double d) {
           const double through = cost + d;
-          if (through + 1e-12 < e.cost && space.segment_free(to, e.position)) {
+          if (through + 1e-12 < e.cost && space.segment_clear(to, e.position)) {
             nodes[e.index].parent = new_index;
             e.cost = through;
           }
         });
     grid.insert(new_index, to, cost);
+    node_on_goal = node_on_goal || to == goal;
 
     // Track the best node able to reach the goal directly.
+    if ((to - goal).norm_squared() > goal_r2_out) continue;
     const double to_goal = geom::distance(to, goal);
-    if (to_goal <= config_.goal_radius && space.segment_free(to, goal)) {
+    if (to_goal <= config_.goal_radius && space.segment_clear(to, goal)) {
       const double total = cost + to_goal;
       if (total < best_goal_cost) {
         best_goal_cost = total;

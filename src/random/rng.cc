@@ -1,5 +1,6 @@
 #include "random/rng.h"
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 
@@ -47,26 +48,51 @@ std::size_t Rng::index(std::size_t n) {
   return std::uniform_int_distribution<std::size_t>(0, n - 1)(engine_);
 }
 
-double Rng::gaussian(double mean, double stddev) {
-  ROBOADS_CHECK(stddev >= 0.0, "negative standard deviation");
-  if (stddev == 0.0) return mean;
-  return polar(mean, stddev);
-}
-
-double Rng::polar(double mean, double stddev) {
+inline Rng::PolarPoint Rng::polar_point() {
   double x, y, r2;
   do {
     x = 2.0 * uniform() - 1.0;
     y = 2.0 * uniform() - 1.0;
     r2 = x * x + y * y;
   } while (r2 > 1.0 || r2 == 0.0);
-  const double mult = std::sqrt(-2 * std::log(r2) / r2);
-  return y * mult * stddev + mean;
+  return {y, r2};
+}
+
+inline double Rng::polar_value(const PolarPoint& p, double mean,
+                               double stddev) {
+  const double mult = std::sqrt(-2 * std::log(p.r2) / p.r2);
+  return p.y * mult * stddev + mean;
+}
+
+double Rng::polar(double mean, double stddev) {
+  return polar_value(polar_point(), mean, stddev);
+}
+
+double Rng::gaussian(double mean, double stddev) {
+  ROBOADS_CHECK(stddev >= 0.0, "negative standard deviation");
+  if (stddev == 0.0) return mean;
+  return polar(mean, stddev);
+}
+
+void Rng::gaussian(double mean, double stddev, std::span<double> out) {
+  ROBOADS_CHECK(stddev >= 0.0, "negative standard deviation");
+  if (stddev == 0.0) {
+    std::fill(out.begin(), out.end(), mean);
+    return;
+  }
+  std::array<PolarPoint, kGaussianBlock> points{};
+  for (std::size_t first = 0; first < out.size(); first += kGaussianBlock) {
+    const std::size_t count = std::min(kGaussianBlock, out.size() - first);
+    for (std::size_t i = 0; i < count; ++i) points[i] = polar_point();
+    for (std::size_t i = 0; i < count; ++i) {
+      out[first + i] = polar_value(points[i], mean, stddev);
+    }
+  }
 }
 
 Vector Rng::gaussian_vector(std::size_t n) {
   Vector v(n);
-  for (std::size_t i = 0; i < n; ++i) v[i] = gaussian();
+  gaussian(0.0, 1.0, {v.data(), n});
   return v;
 }
 

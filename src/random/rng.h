@@ -15,6 +15,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "matrix/matrix.h"
 
@@ -89,6 +90,13 @@ class Rng {
   // Normal with the given mean / standard deviation; no draw when the
   // deviation is 0.
   double gaussian(double mean, double stddev);
+  // out[i] = the i-th of out.size() successive gaussian(mean, stddev) calls,
+  // bit for bit, the engine left where they would leave it. A block of
+  // kGaussianBlock draws takes all its engine values first and its
+  // logarithms after, so the libm calls overlap; each value is computed by
+  // the same operations either way.
+  void gaussian(double mean, double stddev, std::span<double> out);
+  static constexpr std::size_t kGaussianBlock = 16;
 
   // Vector of iid standard normals.
   Vector gaussian_vector(std::size_t n);
@@ -100,8 +108,16 @@ class Rng {
   Mt19937_64& engine() { return engine_; }
 
  private:
-  // libstdc++'s Marsaglia polar draw of a fresh normal_distribution: the
+  // libstdc++'s Marsaglia polar draw of a fresh normal_distribution, in two
+  // halves: polar_point draws (x, y) until it lies in the unit disc, not at
+  // its centre, and keeps y and r2 = x^2 + y^2; polar_value scales y. The
   // spare value x * mult is dropped with the distribution.
+  struct PolarPoint {
+    double y;
+    double r2;
+  };
+  PolarPoint polar_point();
+  static double polar_value(const PolarPoint& p, double mean, double stddev);
   double polar(double mean, double stddev);
 
   Mt19937_64 engine_;

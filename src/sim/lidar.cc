@@ -1,6 +1,7 @@
 #include "sim/lidar.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <span>
@@ -47,15 +48,25 @@ void LidarScanner::scan(const World& world, const Vector& pose, Rng& rng,
   if (ranges.size() != config_.beam_count) {
     ranges = Vector(config_.beam_count);
   }
+  const std::size_t n = config_.beam_count;
   double* out = ranges.data();
-  for (std::size_t i = 0; i < config_.beam_count; ++i) {
-    const double global_angle = pose[2] + beam_angles_[i];
-    double r = world.raycast(origin, global_angle, config_.max_range);
-    if (r < config_.max_range) {
-      r += rng.gaussian(0.0, config_.range_noise_stddev);
-      r = std::clamp(r, 0.0, config_.max_range);
+  world.raycast_beams(origin, pose[2], beam_angles_, config_.max_range,
+                      {out, n});
+  // Range noise for every beam that hit, in beam order: the ray casts draw
+  // nothing, so these are the draws the beam-by-beam loop made. A block of
+  // hits at a time goes through Rng's batched draw.
+  std::array<std::size_t, Rng::kGaussianBlock> hit{};
+  std::array<double, Rng::kGaussianBlock> noise{};
+  for (std::size_t i = 0; i < n;) {
+    std::size_t count = 0;
+    for (; i < n && count < hit.size(); ++i) {
+      if (out[i] < config_.max_range) hit[count++] = i;
     }
-    out[i] = r;
+    rng.gaussian(0.0, config_.range_noise_stddev, {noise.data(), count});
+    for (std::size_t j = 0; j < count; ++j) {
+      double& r = out[hit[j]];
+      r = std::clamp(r + noise[j], 0.0, config_.max_range);
+    }
   }
 }
 

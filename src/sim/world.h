@@ -4,12 +4,37 @@
 // LiDAR simulation.
 #pragma once
 
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "geometry/geometry.h"
 
 namespace roboads::sim {
+
+// Segments laid out for casting many rays from one origin: World keeps its
+// walls and obstacle edges in one. cast() answers, for every ray, the
+// smallest t >= 0 geom::ray_segment_intersection returns over the segments,
+// folded with std::min in segment order from max_range, bit for bit: the
+// fold keeps the first of a signed-zero tie, so the order is part of the
+// result.
+class RayTargets {
+ public:
+  explicit RayTargets(std::span<const geom::Segment> segments);
+
+  // ranges[i] for the ray from `origin` along heading + beam_angles[i]
+  // (direction (cos, sin) of that sum), clipped at max_range.
+  void cast(const geom::Vec2& origin, double heading,
+            std::span<const double> beam_angles, double max_range,
+            std::span<double> ranges) const;
+
+ private:
+  // Each segment's start a and edge e = b - a, by coordinate, padded to an
+  // even count with a zero edge (a ray is parallel to it, so it never hits).
+  std::vector<double> ax_;
+  std::vector<double> ay_;
+  std::vector<double> ex_;
+  std::vector<double> ey_;
+};
 
 class World {
  public:
@@ -29,29 +54,27 @@ class World {
                     double radius = 0.0) const;
 
   // Distance from `origin` along `angle` (global frame) to the first wall or
-  // obstacle hit, clipped at max_range.
+  // obstacle hit, clipped at max_range: raycast_beams' one-beam case.
   double raycast(const geom::Vec2& origin, double angle,
                  double max_range) const;
+
+  // raycast(origin, heading + beam_angles[i], max_range) into ranges[i]
+  // for every beam of one scan.
+  void raycast_beams(const geom::Vec2& origin, double heading,
+                     std::span<const double> beam_angles, double max_range,
+                     std::span<double> ranges) const;
 
   // The four arena wall segments.
   const std::vector<geom::Segment>& walls() const { return walls_; }
 
  private:
-  // A ray target: a segment's start and its edge vector b - a, as
-  // geom::ray_segment_intersection computes them.
-  struct RayTarget {
-    geom::Vec2 a;
-    geom::Vec2 e;
-  };
-
   double width_;
   double height_;
   std::vector<geom::Aabb> obstacles_;
   std::vector<geom::Segment> walls_;
   // The walls, then every obstacle's edges, in the order the per-segment
-  // loop visited them: the nearest hit is a minimum, and std::min keeps the
-  // first of a signed-zero tie, so the order is part of the result.
-  std::vector<RayTarget> ray_targets_;
+  // loop visited them.
+  RayTargets ray_targets_;
 };
 
 }  // namespace roboads::sim

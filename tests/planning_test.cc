@@ -160,6 +160,33 @@ PlanCase plan_case(const std::string& name) {
     ties.max_iterations = 200;
     return {sim::World(2.0, 1.5), ties, {0.5, 0.5}, {1.5, 0.5}};
   }
+  if (name == "goal") {
+    // Half the samples are the goal: once a node lands on it, the planner
+    // skips every later goal sample without a nearest query.
+    RrtStarConfig goal;
+    goal.goal_bias = 0.5;
+    goal.max_iterations = 1500;
+    return {arena(), goal, {0.35, 0.30}, {1.60, 1.20}};
+  }
+  if (name == "blocked") {
+    // A 5 x 4 lattice of pillars leaves streets 0.08 wide for the robot's
+    // centre, so about two thirds of the samples are in collision, most
+    // within a step of a node in a street: the planner rejects those
+    // before the nearest query. Steered points land beside pillars and in
+    // the arena's wall margin, which only their own free test catches.
+    std::vector<geom::Aabb> pillars;
+    for (int i = 0; i < 5; ++i) {
+      for (int j = 0; j < 4; ++j) {
+        pillars.push_back({{0.06 + 0.4 * i, 0.06 + 0.4 * j},
+                           {0.34 + 0.4 * i, 0.34 + 0.4 * j}});
+      }
+    }
+    RrtStarConfig blocked;
+    blocked.robot_radius = 0.02;
+    blocked.step_size = 0.2;
+    blocked.max_iterations = 2000;
+    return {sim::World(2.0, 1.6, pillars), blocked, {0.4, 0.4}, {1.6, 1.2}};
+  }
   // Every node is every other node's neighbor: the radius exceeds the
   // 2.5 m arena diagonal.
   RrtStarConfig wide;
@@ -205,7 +232,8 @@ TEST_P(RrtStarOracle, PlansAreBitIdenticalToTheLinearScan) {
 INSTANTIATE_TEST_SUITE_P(
     Configs, RrtStarOracle,
     ::testing::Combine(::testing::Values("khepera", "tamiya", "default",
-                                         "open", "wide", "ties"),
+                                         "open", "wide", "ties", "goal",
+                                         "blocked"),
                        ::testing::Values(1, 1 + kSeedBlock)),
     [](const auto& info) {
       const std::uint64_t first = std::get<1>(info.param);
@@ -328,6 +356,31 @@ void expect_scans_match(Grid& grid, const std::vector<GridNode>& nodes,
   }
 }
 
+// NodeGrid::any_within against a scan over every node, at each node's own
+// distance sqrt(d2) and one ulp either side of it, where a lost or extra
+// node would show, and at `radii`.
+void expect_any_within_matches(const Grid& grid,
+                               const std::vector<GridNode>& nodes,
+                               const geom::Vec2& q,
+                               const std::vector<double>& radii = {}) {
+  std::vector<double> rs = radii;
+  for (const GridNode& n : nodes) {
+    const double d = std::sqrt((n.position - q).norm_squared());
+    const double up = std::numeric_limits<double>::infinity();
+    rs.insert(rs.end(), {std::nextafter(d, -up), d, std::nextafter(d, up)});
+    if (rs.size() >= radii.size() + 12) break;
+  }
+  for (const double r : rs) {
+    if (!(r > 0.0)) continue;
+    bool expected = false;
+    for (const GridNode& n : nodes) {
+      expected = expected || std::sqrt((n.position - q).norm_squared()) <= r;
+    }
+    EXPECT_EQ(grid.any_within(q, r), expected)
+        << "q=" << q.x << "," << q.y << " r=" << r;
+  }
+}
+
 TEST(NodeGrid, EquidistantNodesGoToTheLowestIndex) {
   Grid grid(2.0, 1.5, 0.25);
   // Four nodes 0.25 from q, in four different cells, lowest index third.
@@ -379,6 +432,12 @@ TEST(NodeGrid, NodeExactlyAtTheRadiusIsANeighbor) {
       scanned(grid, q, radius, std::nextafter(radius, 0.0), Pass::kParent)
           .empty());
   expect_scans_match(grid, nodes, q, radius);
+  // A node exactly at the radius is within it, one ulp closer is not.
+  EXPECT_TRUE(grid.any_within(q, radius));
+  EXPECT_FALSE(grid.any_within(q, std::nextafter(radius, 0.0)));
+  for (const GridNode& n : nodes) {
+    expect_any_within_matches(grid_of({n}, 2.0, 1.5, radius / 2.0), {n}, q);
+  }
 }
 
 TEST(NodeGrid, EqualCostsOnExactBinaryStepsMatchALinearScan) {
@@ -435,6 +494,12 @@ TEST(NodeGrid, BoundariesEdgesAndCornersMatchALinearScan) {
     for (const double radius : {0.2, 0.4, 0.45}) {
       expect_scans_match(grid, nodes, q, radius, {0.0, 1.0, 4.0});
     }
+    // Around the nearest node's own distance, and radii reaching across
+    // cell boundaries.
+    const double d = std::sqrt(actual.d2);
+    expect_any_within_matches(grid, nodes, q,
+                              {d, std::nextafter(d, 0.0),
+                               std::nextafter(d, 1.0), 0.01, 0.15, 0.2});
   }
 }
 
@@ -520,6 +585,13 @@ void expect_free_space_matches(const sim::World& world, double radius,
           << "(" << a.x << "," << a.y << ") -> (" << b.x << "," << b.y
           << ") radius " << radius;
       ASSERT_EQ(space.segment_free(b, a), world.segment_free(b, a, radius));
+      // Between free endpoints the obstacle tests alone decide.
+      if (world.free(a, radius) && world.free(b, radius)) {
+        ASSERT_EQ(space.segment_clear(a, b), expected)
+            << "(" << a.x << "," << a.y << ") -> (" << b.x << "," << b.y
+            << ") radius " << radius;
+        ASSERT_EQ(space.segment_clear(b, a), world.segment_free(b, a, radius));
+      }
     }
   }
   EXPECT_GT(blocked, 0u);
@@ -584,6 +656,7 @@ TEST(FreeSpace, NearlyParallelSegmentsBeyondTheBoxMatchWorld) {
       const bool expected = world.segment_free(a, b, radius);
       blocked += expected ? 0 : 1;
       EXPECT_EQ(space.segment_free(a, b), expected) << gap << " " << tilt;
+      EXPECT_EQ(space.segment_clear(a, b), expected) << gap << " " << tilt;
     }
   }
   EXPECT_GT(blocked, 0u) << "the case this test pins no longer arises";

@@ -60,6 +60,13 @@ TEST(Rng, GaussianZeroStddevIsDeterministic) {
   Rng rng(13);
   EXPECT_EQ(rng.gaussian(3.5, 0.0), 3.5);
   EXPECT_THROW(rng.gaussian(0.0, -1.0), CheckError);
+  // The batched draw fills the mean and draws nothing.
+  Rng before = rng;
+  std::vector<double> out(Rng::kGaussianBlock + 3, -1.0);
+  rng.gaussian(3.5, 0.0, out);
+  for (const double v : out) EXPECT_EQ(v, 3.5);
+  EXPECT_TRUE(rng.engine() == before.engine());
+  EXPECT_THROW(rng.gaussian(0.0, -1.0, out), CheckError);
 }
 
 TEST(Rng, SplitProducesIndependentStreams) {
@@ -170,6 +177,23 @@ TEST(RngOracle, ScaledGaussianIsAFreshNormalDistribution) {
         const auto& p = params[i % 5];
         return std::normal_distribution<double>(p[0], p[1])(e);
       });
+  // The batched draw equals as many successive calls, across block edges,
+  // and leaves the engine where they leave it.
+  Rng batched(4), single(4);
+  const std::size_t block = Rng::kGaussianBlock;
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, block - 1,
+                              block, block + 1, std::size_t{81},
+                              std::size_t{1000}}) {
+    for (const auto& p : params) {
+      std::vector<double> out(n);
+      batched.gaussian(p[0], p[1], out);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(bits(out[i]), bits(single.gaussian(p[0], p[1])))
+            << "n " << n << " draw " << i;
+      }
+      ASSERT_TRUE(batched.engine() == single.engine()) << "n " << n;
+    }
+  }
 }
 
 TEST(RngOracle, IndexIsUniformIntDistribution) {
