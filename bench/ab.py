@@ -14,9 +14,15 @@ incorrect outputs or counts any failure stops the comparison (exit 1).
 
 For every end-to-end metric of BENCHMARK.json it prints each side's median
 and quartiles, the ratio of the medians (working tree / base), the pairs
-the working tree won (ties count for neither side), whether the medians
-differ by more than the base's quartile spread, and whether they differ by
-more than the metric's bound. It reports and gates nothing.
+the working tree won and lost (ties count for neither side), whether the
+medians differ by more than the base's quartile spread, and whether they
+differ by more than the metric's bound.
+
+A metric fails when the working tree is worse on all three counts: the
+base wins at least 9 of every 10 pairs, and the tree's median is worse than
+the base's by more than the base's quartile spread and by more than the
+metric's bound. Each failing metric prints one FAIL line, and the script
+exits 1.
 """
 
 import argparse
@@ -111,9 +117,10 @@ def main():
 
     print("\n%s seed %d, %d pairs of %d s runs; base %s, tree %s" % (
         args.workload, args.seed, args.pairs, seconds, commit[:12], ROOT))
-    print("%-18s %-8s %28s %28s %7s %5s %7s %7s" % (
+    print("%-18s %-8s %28s %28s %7s %5s %5s %7s %7s" % (
         "metric", "better", "base q1/median/q3", "tree q1/median/q3",
-        "ratio", "won", "spread", "bound"))
+        "ratio", "won", "lost", "spread", "bound"))
+    failures = []
     for m in metrics:
         name, higher = m["name"], m["better"] == "higher"
         base = [r[name] for r in runs["base"]]
@@ -121,16 +128,28 @@ def main():
         bq1, bmed, bq3 = quartiles(base)
         tq1, tmed, tq3 = quartiles(tree)
         won = sum((t > b) if higher else (t < b) for b, t in zip(base, tree))
+        lost = sum((t < b) if higher else (t > b) for b, t in zip(base, tree))
         gap = abs(tmed - bmed)
         ratio = tmed / bmed if bmed else float("nan")
+        beyond_spread = gap > bq3 - bq1
         beyond_bound = bmed != 0 and gap / abs(bmed) > m["bound"]
-        print("%-18s %-8s %28s %28s %7.3f %5s %7s %7s" % (
+        worse = tmed < bmed if higher else tmed > bmed
+        if (worse and 10 * lost >= 9 * args.pairs and beyond_spread and
+                beyond_bound):
+            failures.append(
+                "FAIL %s: median %.4g -> %.4g (%.3fx), base won %d/%d, "
+                "gap beyond the base's quartile spread %.4g and the %g "
+                "bound" % (name, bmed, tmed, ratio, lost, args.pairs,
+                           bq3 - bq1, m["bound"]))
+        print("%-18s %-8s %28s %28s %7.3f %5s %5s %7s %7s" % (
             name, m["better"], "%.4g/%.4g/%.4g" % (bq1, bmed, bq3),
             "%.4g/%.4g/%.4g" % (tq1, tmed, tq3), ratio,
-            "%d/%d" % (won, args.pairs),
-            "beyond" if gap > bq3 - bq1 else "within",
+            "%d/%d" % (won, args.pairs), "%d/%d" % (lost, args.pairs),
+            "beyond" if beyond_spread else "within",
             "beyond" if beyond_bound else "within"))
-    return 0
+    for line in failures:
+        print(line)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

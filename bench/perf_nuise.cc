@@ -7,10 +7,11 @@
 // masked), one full multi-mode engine iteration (M = p estimators +
 // selector), the full detector step (engine + decision maker) on one
 // synthetic reading, by value and into a reused report, and replaying
-// recorded missions, one fleet robot's session set-up and its complete
-// frames, the detector's matrix kernels, a host-speed calibration kernel,
-// the random draws, the LiDAR scan-processing pipeline, a Khepera
-// iteration's sensing, the RRT* mission plan, and one whole Khepera mission.
+// recorded missions, one fleet robot's session set-up, its complete frames
+// and a lossy stream's frames, the detector's matrix kernels, a host-speed
+// calibration kernel, the random draws, the LiDAR scan-processing pipeline,
+// a Khepera iteration's sensing, the RRT* mission plan, and one whole
+// Khepera mission.
 #include <benchmark/benchmark.h>
 #include <malloc.h>
 
@@ -313,6 +314,53 @@ void BM_SessionStepKhepera(benchmark::State& state) {
       static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_SessionStepKhepera);
+
+// The same stream with the wheel-encoder packet of every 4th frame lost:
+// such a frame waits in the reorder window until a later packet forces it
+// out, then steps masked. The session flushes and restarts from its
+// initial snapshot after the mission's last frame. Counters: heap
+// allocations and masked steps per frame.
+void BM_SessionStepKheperaLossy(benchmark::State& state) {
+  const eval::KheperaPlatform platform;
+  eval::MissionConfig config;
+  config.seed = 1001;
+  const std::vector<fleet::FleetPacket> all = fleet::mission_packets(
+      0, platform.suite(),
+      eval::run_mission(platform, platform.clean_scenario(), config));
+  const std::size_t per_frame = platform.suite().count() + 1;
+  // Per frame: the command, then the wheel encoder's reading (sensor 0).
+  std::vector<std::vector<fleet::FleetPacket>> frames(all.size() / per_frame);
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    const std::size_t f = i / per_frame;
+    if (i % per_frame == 1 && f % 4 == 3) continue;
+    frames[f].push_back(all[i]);
+  }
+  fleet::DetectorSession session(fleet::make_session_spec(platform));
+  session.set_report_sink([](const core::DetectionReport&, std::uint64_t) {});
+  const fleet::SessionSnapshot start = session.save();
+  std::size_t at = 0;
+  std::uint64_t masked = 0;  // the restore resets the session's counters
+  g_heap.allocations = 0;
+  g_heap.counting = true;
+  for (auto _ : state) {
+    if (at == frames.size()) {
+      session.flush();
+      masked += session.counters().masked_steps;
+      session.restore(start);
+      at = 0;
+    }
+    for (const fleet::FleetPacket& packet : frames[at]) session.ingest(packet);
+    ++at;
+  }
+  g_heap.counting = false;
+  masked += session.counters().masked_steps;
+  const double frames_run = static_cast<double>(state.iterations());
+  state.counters["allocs_per_step"] =
+      static_cast<double>(g_heap.allocations.load()) / frames_run;
+  state.counters["masked_per_step"] =
+      static_cast<double>(masked) / frames_run;
+}
+BENCHMARK(BM_SessionStepKheperaLossy);
 
 // Detector kernels (matrix/kernels.h) on the shapes that dominate a Khepera
 // step, with operands built from the platform at run time: the 3×3 state

@@ -32,7 +32,8 @@
 #                      # perfbench/reference_outcomes.txt
 #   ./ci.sh ab         # paired A/B of the working tree against BASE=<rev>:
 #                      # 10 alternating pairs of each gated perfbench
-#                      # workload at seed 1 (bench/ab.py; reports only)
+#                      # workload at seed 1; fails when bench/ab.py's
+#                      # failure rule fails a metric (not part of `all`)
 #   ./ci.sh fuzz-smoke # ~30 s scenario-DSL coverage fuzz over $JOBS workers
 #                      # + corpus replay (corpus test and roboads_scenario
 #                      # check/print/run/library); a stale run directory
@@ -184,7 +185,7 @@ run_bench() {
   build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:[^=]*=//p' "$dir/CMakeCache.txt")"
   cxx_flags="$(sed -n 's/^CMAKE_CXX_FLAGS_RELEASE:[^=]*=//p' "$dir/CMakeCache.txt")"
   "$dir/bench/perf_nuise" \
-    --benchmark_filter='BM_NuiseStepKhepera|BM_NuiseStepKheperaMasked|BM_EngineStepKhepera|BM_EngineStepCompleteModeSet|BM_FullDetectorStepKhepera|BM_FullDetectorStepTamiya|BM_DetectorStepIntoKhepera|BM_DetectorReplayKhepera|BM_SessionStepKhepera|BM_FleetSessionSetupKhepera|BM_MatMul3x3|BM_Sandwich3x3|BM_JacobiEigen4|BM_Cholesky4|BM_CalibrationKernel|BM_RrtStarPlanKhepera|BM_RrtStarPlanTamiya|BM_LidarScanAndProcessKhepera|BM_SenseAllKhepera|BM_MissionKhepera|BM_RngUniform|BM_RngGaussian' \
+    --benchmark_filter='BM_NuiseStepKhepera|BM_NuiseStepKheperaMasked|BM_EngineStepKhepera|BM_EngineStepCompleteModeSet|BM_FullDetectorStepKhepera|BM_FullDetectorStepTamiya|BM_DetectorStepIntoKhepera|BM_DetectorReplayKhepera|BM_SessionStepKhepera|BM_SessionStepKheperaLossy|BM_FleetSessionSetupKhepera|BM_MatMul3x3|BM_Sandwich3x3|BM_JacobiEigen4|BM_Cholesky4|BM_CalibrationKernel|BM_RrtStarPlanKhepera|BM_RrtStarPlanTamiya|BM_LidarScanAndProcessKhepera|BM_SenseAllKhepera|BM_MissionKhepera|BM_RngUniform|BM_RngGaussian' \
     --benchmark_min_time=0.2 --benchmark_repetitions=5 \
     --benchmark_enable_random_interleaving=true \
     --benchmark_format=json > "$dir/bench_perf_raw.json"
@@ -211,12 +212,18 @@ run_perfbench() {
 
 # Paired A/B of the gated perfbench workloads (BENCHMARK.json) against the
 # revision in $BASE: bench/ab.py prints each end-to-end metric's medians,
-# quartiles, ratio and pairs won. Not part of `all`: it takes ≈17 min.
+# quartiles, ratio and pairs won and lost, and fails a metric the base wins
+# in 9 of 10 pairs by more than its quartile spread and the metric's bound.
+# Both workloads run; any failure fails the pass. Not part of `all`: it
+# takes ≈17 min.
 run_ab() {
   local base="${BASE:?set BASE to the git revision to compare against}"
+  local status=0
   for workload in campaign fleet-capacity; do
-    python3 bench/ab.py --base "$base" --workload "$workload" --seed 1
+    python3 bench/ab.py --base "$base" --workload "$workload" --seed 1 ||
+      status=1
   done
+  return "$status"
 }
 
 # Fleet-service smoke (docs/FLEET.md): a ~10 s mini-fleet — 32 robots

@@ -5,8 +5,8 @@
 // time only the shared estimate, the mode weights and health, and the
 // decision windows change. Everything else depends only on the model, the
 // sensor suite, Q and the mode set: the validated modes, one Nuise per mode
-// with its workspace, and the decision maker's χ² threshold tables. That
-// part lives here. MultiModeEngine, DecisionMaker and RoboAds hold a
+// with its table of availability patterns (core/nuise.h), and the decision
+// maker's χ² threshold tables. That part lives here. MultiModeEngine, DecisionMaker and RoboAds hold a
 // shared_ptr<const EstimatorBank> and keep only per-robot state, so a fleet
 // of robots flying one platform carries one bank, not one per robot
 // (fleet/replay.h make_session_spec builds it once per spec).

@@ -155,16 +155,9 @@ void MultiModeEngine::step_into(const Vector& u_prev, const Vector& z_full,
   // Run every mode's NUISE from the shared previous estimate. Quarantined
   // modes are stepped too: estimators are stateless (the shared estimate is
   // threaded in each iteration), so a clean result here is exactly the
-  // evidence the supervisor needs to reinstate the mode. The all-available
-  // masked step is exactly the unmasked step.
-  const SensorMask all_available;
-  const SensorMask& mask =
-      std::all_of(available.begin(), available.end(),
-                  [](bool b) { return b; })
-          ? all_available
-          : available;
+  // evidence the supervisor needs to reinstate the mode.
   for (std::size_t m = 0; m < m_count; ++m) {
-    bank.estimator(m).step_into(state_, state_cov_, u_prev, z_full, mask,
+    bank.estimator(m).step_into(state_, state_cov_, u_prev, z_full, available,
                                 out.per_mode[m], stage_timers_);
   }
 

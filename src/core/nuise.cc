@@ -38,6 +38,9 @@ Nuise::Nuise(const dyn::DynamicModel& model,
       suite_(suite),
       mode_(std::move(mode)),
       process_cov_(std::move(process_cov)) {
+  ROBOADS_CHECK(suite_.count() <= kMaxSuiteSensors,
+                "suite has more than kMaxSuiteSensors (8) sensors: NUISE "
+                "builds all 2^p availability patterns of a mode");
   validate_modes({mode_}, suite_);
   ROBOADS_CHECK(process_cov_.rows() == model_.state_dim() &&
                     process_cov_.cols() == model_.state_dim(),
@@ -52,30 +55,47 @@ Nuise::Nuise(const dyn::DynamicModel& model,
   // kernels (sandwich / add_self_adjoint) without per-use symmetrization.
   process_cov_.symmetrize();
 
-  // Mode-invariant workspace: everything the steady-state step would
-  // otherwise rebuild per iteration.
-  ws_.r2 = suite_.noise_covariance(mode_.reference);
-  ws_.ref_angle_mask = suite_.angle_mask(mode_.reference);
-  if (!mode_.testing.empty()) {
-    ws_.r1 = suite_.noise_covariance(mode_.testing);
-    ws_.tst_angle_mask = suite_.angle_mask(mode_.testing);
-  }
-  ws_.sat = model_.input_saturation();
-  ws_.trust = model_.input_trust_radius();
+  sat_ = model_.input_saturation();
+  trust_ = model_.input_trust_radius();
   const std::size_t q = model_.input_dim();
   Vector trust_var(q);
   for (std::size_t i = 0; i < q; ++i) {
-    trust_var[i] = std::min(ws_.trust[i] * ws_.trust[i], 1e12);
+    trust_var[i] = std::min(trust_[i] * trust_[i], 1e12);
   }
-  ws_.t_prior = Matrix::diagonal(trust_var);
+  t_prior_ = Matrix::diagonal(trust_var);
 
-  full_step_ = &Nuise::step_subsets<std::size_t, std::size_t, std::size_t>;
-  if (model_.state_dim() == 3 && q == 2) {
-    kernels::with_extent(ws_.r2.rows(), [this](auto r) {
-      if constexpr (kFixed<decltype(r)>) {
-        full_step_ = &Nuise::step_subsets<Extent<3>, Extent<2>, decltype(r)>;
+  // Every availability pattern of the mode, with the step_subsets
+  // instantiation for its reference rows r: compile-time extents for
+  // n = 3, q = 2 and r ≤ 4, run-time extents otherwise.
+  const bool compiled = model_.state_dim() == 3 && q == 2;
+  patterns_.resize(std::size_t{1} << suite_.count());
+  for (std::size_t missing = 0; missing < patterns_.size(); ++missing) {
+    const auto arrived = [missing](const std::vector<std::size_t>& set) {
+      std::vector<std::size_t> kept;
+      for (std::size_t i : set) {
+        if (((missing >> i) & 1u) == 0) kept.push_back(i);
       }
-    });
+      return kept;
+    };
+    Pattern& p = patterns_[missing];
+    p.ref = arrived(mode_.reference);
+    p.tst = arrived(mode_.testing);
+    p.r2 = suite_.noise_covariance(p.ref);
+    p.r1 = suite_.noise_covariance(p.tst);
+    p.ref_angle_mask = suite_.angle_mask(p.ref);
+    p.tst_angle_mask = suite_.angle_mask(p.tst);
+    if (p.ref.empty()) {
+      p.body = &Nuise::predict_only;
+      continue;
+    }
+    p.body = &Nuise::step_subsets<std::size_t, std::size_t, std::size_t>;
+    if (compiled) {
+      kernels::with_extent(p.r2.rows(), [&p](auto r) {
+        if constexpr (kFixed<decltype(r)>) {
+          p.body = &Nuise::step_subsets<Extent<3>, Extent<2>, decltype(r)>;
+        }
+      });
+    }
   }
 }
 
@@ -98,89 +118,98 @@ void Nuise::step_into(const Vector& x_prev, const Matrix& p_prev,
                       const Vector& u_prev, const Vector& z_full,
                       const SensorMask& available, NuiseResult& out,
                       const NuiseStageTimers& timers) const {
-  if (available.empty()) {
-    (this->*full_step_)(mode_.reference, mode_.testing, x_prev, p_prev,
-                        u_prev, z_full, /*cached=*/true, out, timers);
-    return;
-  }
-  ROBOADS_CHECK_EQ(available.size(), suite_.count(),
-                   "availability mask size mismatch");
-
-  auto filter = [&](const std::vector<std::size_t>& set) {
-    std::vector<std::size_t> kept;
-    kept.reserve(set.size());
-    for (std::size_t i : set) {
-      if (available[i]) kept.push_back(i);
+  const std::size_t n = model_.state_dim();
+  ROBOADS_CHECK_EQ(x_prev.size(), n, "previous state size mismatch");
+  ROBOADS_CHECK(p_prev.rows() == n && p_prev.cols() == n,
+                "previous covariance shape mismatch");
+  ROBOADS_CHECK_EQ(u_prev.size(), model_.input_dim(),
+                   "control size mismatch");
+  ROBOADS_CHECK_EQ(z_full.size(), suite_.total_dim(),
+                   "full reading size mismatch");
+  std::size_t missing = 0;
+  if (!available.empty()) {
+    ROBOADS_CHECK_EQ(available.size(), suite_.count(),
+                     "availability mask size mismatch");
+    for (std::size_t i = 0; i < available.size(); ++i) {
+      if (!available[i]) missing |= std::size_t{1} << i;
     }
-    return kept;
-  };
-  const std::vector<std::size_t> ref = filter(mode_.reference);
-  std::vector<std::size_t> tst = filter(mode_.testing);
-
-  if (ref.size() == mode_.reference.size() &&
-      tst.size() == mode_.testing.size()) {
-    // Every sensor of this mode arrived: the exact full step.
-    (this->*full_step_)(mode_.reference, mode_.testing, x_prev, p_prev,
-                        u_prev, z_full, /*cached=*/true, out, timers);
-    return;
   }
-  if (ref.empty()) {
-    out = predict_only(tst, x_prev, p_prev, u_prev, z_full, timers);
-    return;
+  const Pattern& pattern = patterns_[missing];
+  (this->*pattern.body)(pattern, x_prev, p_prev, u_prev, z_full, out,
+                        timers);
+  out.degraded = missing != 0;
+  if (out.degraded) {
+    out.active_testing.assign(pattern.tst.begin(), pattern.tst.end());
+  } else {
+    out.active_testing.clear();
   }
-  step_subsets<std::size_t, std::size_t, std::size_t>(
-      ref, tst, x_prev, p_prev, u_prev, z_full, /*cached=*/false, out, timers);
-  out.degraded = true;
-  out.active_testing = std::move(tst);
 }
 
-NuiseResult Nuise::predict_only(const std::vector<std::size_t>& tst,
-                                const Vector& x_prev, const Matrix& p_prev,
-                                const Vector& u_prev, const Vector& z_full,
-                                const NuiseStageTimers& timers) const {
+// Step 4 (lines 15-16): the testing-sensor anomaly d̂ˢ = z₁ − h₁(x̂) and its
+// covariance C₁ Pˣ C₁ᵀ + R₁, over the testing sensors that arrived.
+template <typename N>
+void Nuise::sensor_anomaly_into(const Pattern& pattern, const Vector& z_full,
+                                N n, NuiseResult& out) const {
+  const std::size_t t = pattern.r1.rows();
+  out.sensor_anomaly.resize_for_overwrite(t);
+  out.sensor_anomaly_cov.resize_for_overwrite(t, t);
+  if (t == 0) return;
+  const double* const state = out.state.data();
+  Buf<std::size_t, Extent<1>> z1(t, kOne);
+  suite_.slice_into(pattern.tst, z_full.data(), z1.data());
+  suite_.residual_into(pattern.tst, z1.data(), state, pattern.tst_angle_mask,
+                       out.sensor_anomaly.data());
+  Buf<std::size_t, N> c1(t, n);
+  suite_.jacobian_into(pattern.tst, state, c1.data());
+  double* const sa_cov = out.sensor_anomaly_cov.data();
+  sandwich_into(c1.data(), out.state_cov.data(), sa_cov, t, n);
+  ext::add(sa_cov, pattern.r1.data(), t, t);
+}
+
+void Nuise::predict_only(const Pattern& pattern, const Vector& x_prev,
+                         const Matrix& p_prev, const Vector& u_prev,
+                         const Vector& z_full, NuiseResult& out,
+                         const NuiseStageTimers& timers) const {
+  const std::size_t n = model_.state_dim();
   const std::size_t q = model_.input_dim();
-  ROBOADS_CHECK_EQ(x_prev.size(), model_.state_dim(),
-                   "previous state size mismatch");
-  ROBOADS_CHECK_EQ(u_prev.size(), q, "control size mismatch");
-
-  NuiseResult out;
-  out.correction_applied = false;
-  out.likelihood_informative = false;
-  out.degraded = true;
-  out.active_testing = tst;
-
   obs::SplitTimer split(timers.any());
 
   // Propagate through the kinematics with the planned (uncompensated)
   // input: with no reference readings there is no innovation to estimate
   // d̂ᵃ from, so the best available state is the open-loop prediction.
-  const Matrix a = model_.jacobian_state(x_prev, u_prev);
-  out.state = model_.step(x_prev, u_prev);
-  out.state_cov = sandwich(a, p_prev);
-  out.state_cov += process_cov_;
+  Buf<std::size_t, std::size_t> a(n, n);
+  model_.jacobian_state_into(x_prev.data(), u_prev.data(), a.data());
+  // f(x̂, u) may not write over its input, and x_prev may be out.state.
+  Buf<std::size_t, Extent<1>> x_next(n, kOne);
+  model_.step_into(x_prev.data(), u_prev.data(), x_next.data());
+  out.state.resize_for_overwrite(n);
+  std::copy(x_next.data(), x_next.data() + n, out.state.data());
+  out.state_cov.resize_for_overwrite(n, n);
+  sandwich_into(a.data(), p_prev.data(), out.state_cov.data(), n, n);
+  ext::add(out.state_cov.data(), process_cov_.data(), n, n);
 
   // No information about the actuator this iteration: a zero estimate with
   // identity covariance makes the decision maker's χ² statistic exactly 0.
-  out.actuator_anomaly = Vector(q);
-  out.actuator_anomaly_cov = Matrix::identity(q);
+  out.actuator_anomaly.resize_for_overwrite(q);
+  std::fill_n(out.actuator_anomaly.data(), q, 0.0);
+  out.actuator_anomaly_cov.resize_for_overwrite(q, q);
+  double* const pa = out.actuator_anomaly_cov.data();
+  std::fill_n(pa, q * q, 0.0);
+  for (std::size_t i = 0; i < q; ++i) pa[i * q + i] = 1.0;
   out.actuator_identifiable = false;
   split.lap(timers.predict);
 
   // Testing sensors that did arrive are still screened against the
   // prediction; the wider Pˣ of the open-loop step is accounted for in the
   // anomaly covariance.
-  if (!tst.empty()) {
-    const Vector z1 = suite_.slice(tst, z_full);
-    out.sensor_anomaly = suite_.residual(tst, z1, out.state);
-    const Matrix c1 = suite_.jacobian(tst, out.state);
-    out.sensor_anomaly_cov = sandwich(c1, out.state_cov);
-    out.sensor_anomaly_cov += suite_.noise_covariance(tst);
-  }
+  sensor_anomaly_into(pattern, z_full, n, out);
   split.lap(timers.sensor_anomaly);
+  out.innovation.resize_for_overwrite(0);
+  out.innovation_cov.resize_for_overwrite(0, 0);
   out.log_likelihood = 0.0;  // placeholder; flagged uninformative
-  return out;
+  out.correction_applied = false;
+  out.likelihood_informative = false;
 }
-
 
 // Written once over the extents N, Q and R (compile-time or std::size_t):
 // every operation is a kernels_impl.h template, so each instantiation runs
@@ -191,22 +220,18 @@ NuiseResult Nuise::predict_only(const std::vector<std::size_t>& tst,
 // (docs/PERFORMANCE.md "Array-native detector step"). The testing
 // dimension t only sets row counts and stays a run-time value.
 template <typename N, typename Q, typename R>
-void Nuise::step_subsets(const std::vector<std::size_t>& ref,
-                         const std::vector<std::size_t>& tst,
-                         const Vector& x_prev, const Matrix& p_prev,
-                         const Vector& u_prev, const Vector& z_full,
-                         bool cached, NuiseResult& out,
+void Nuise::step_subsets(const Pattern& pattern, const Vector& x_prev,
+                         const Matrix& p_prev, const Vector& u_prev,
+                         const Vector& z_full, NuiseResult& out,
                          const NuiseStageTimers& timers) const {
   const std::size_t n_dim = model_.state_dim();
   const std::size_t q_dim = model_.input_dim();
-  ROBOADS_CHECK_EQ(x_prev.size(), n_dim, "previous state size mismatch");
-  ROBOADS_CHECK(p_prev.rows() == n_dim && p_prev.cols() == n_dim,
-                "previous covariance shape mismatch");
-  ROBOADS_CHECK_EQ(u_prev.size(), q_dim, "control size mismatch");
-  ROBOADS_CHECK_EQ(z_full.size(), suite_.total_dim(),
-                   "full reading size mismatch");
   const N n = extent<N>(n_dim);
   const Q q = extent<Q>(q_dim);
+  const std::vector<std::size_t>& ref = pattern.ref;
+  const Matrix& r2 = pattern.r2;
+  const std::vector<bool>& ref_mask = pattern.ref_angle_mask;
+  const R r = extent<R>(r2.rows());
 
   obs::SplitTimer split(timers.any());
 
@@ -215,19 +240,6 @@ void Nuise::step_subsets(const std::vector<std::size_t>& ref,
   Buf<N, Q> g(n, q);
   model_.jacobian_input_into(x_prev.data(), u_prev.data(), g.data());
   const double* qc = process_cov_.data();
-
-  // Subset-dependent structure: served from the workspace on the healthy
-  // path, rebuilt only for degraded (filtered-subset) steps.
-  Matrix r2_storage;
-  std::vector<bool> ref_mask_storage;
-  if (!cached) {
-    r2_storage = suite_.noise_covariance(ref);
-    ref_mask_storage = suite_.angle_mask(ref);
-  }
-  const Matrix& r2 = cached ? ws_.r2 : r2_storage;
-  const std::vector<bool>& ref_mask =
-      cached ? ws_.ref_angle_mask : ref_mask_storage;
-  const R r = extent<R>(r2.rows());
 
   // --- Step 1: actuator anomaly estimation (lines 2-6). ---
   // Linearize h₂ at the uncompensated prediction f(x̂, u).
@@ -298,8 +310,8 @@ void Nuise::step_subsets(const std::vector<std::size_t>& ref,
   // suppressed instead of extrapolating tan-type nonlinearities with it and
   // poisoning the shared state. Only the compensation is shrunk — the
   // reported estimate and its χ² statistic stay untouched.
-  const double* const sat = ws_.sat.data();
-  const double* const trust = ws_.trust.data();
+  const double* const sat = sat_.data();
+  const double* const trust = trust_.data();
   // Pᵃ + T is SPD by construction (T has strictly positive diagonal), so
   // the shrinkage solve takes the Cholesky path; the eigen fallback only
   // engages if Pᵃ degenerated numerically.
@@ -307,11 +319,11 @@ void Nuise::step_subsets(const std::vector<std::size_t>& ref,
   {
     Buf<Q, Q> shrink_m(q, q);
     std::copy(pa, pa + q * q, shrink_m.data());
-    ext::add(shrink_m.data(), ws_.t_prior.data(), q, q);
+    ext::add(shrink_m.data(), t_prior_.data(), q, q);
     const Factor<Q> shrink(shrink_m.data(), q);
     Buf<Q, Extent<1>> solved(q, kOne);
     shrink.solve(da, solved.data());
-    ext::matvec(ws_.t_prior.data(), solved.data(), delta.data(), q, q);
+    ext::matvec(t_prior_.data(), solved.data(), delta.data(), q, q);
   }
   Buf<Q, Extent<1>> u_comp(q, kOne);
   for (std::size_t i = 0; i < q; ++i) {
@@ -411,33 +423,7 @@ void Nuise::step_subsets(const std::vector<std::size_t>& ref,
   split.lap(timers.correct);
 
   // --- Step 4: testing-sensor anomaly estimation (lines 15-16). ---
-  if (!tst.empty()) {
-    Matrix r1_storage;
-    std::vector<bool> tst_mask_storage;
-    if (!cached) {
-      r1_storage = suite_.noise_covariance(tst);
-      tst_mask_storage = suite_.angle_mask(tst);
-    }
-    const Matrix& r1 = cached ? ws_.r1 : r1_storage;
-    const std::vector<bool>& tst_mask =
-        cached ? ws_.tst_angle_mask : tst_mask_storage;
-
-    const std::size_t t = r1.rows();
-    Buf<std::size_t, Extent<1>> z1(t, kOne);
-    suite_.slice_into(tst, z_full.data(), z1.data());
-    out.sensor_anomaly.resize_for_overwrite(t);
-    suite_.residual_into(tst, z1.data(), state, tst_mask,
-                         out.sensor_anomaly.data());
-    Buf<std::size_t, N> c1(t, n);
-    suite_.jacobian_into(tst, state, c1.data());
-    out.sensor_anomaly_cov.resize_for_overwrite(t, t);
-    double* const sa_cov = out.sensor_anomaly_cov.data();
-    sandwich_into(c1.data(), state_cov, sa_cov, t, n);
-    ext::add(sa_cov, r1.data(), t, t);
-  } else {
-    out.sensor_anomaly.resize_for_overwrite(0);
-    out.sensor_anomaly_cov.resize_for_overwrite(0, 0);
-  }
+  sensor_anomaly_into(pattern, z_full, n, out);
   split.lap(timers.sensor_anomaly);
 
   // --- Mode likelihood (lines 17-20). ---
@@ -449,8 +435,6 @@ void Nuise::step_subsets(const std::vector<std::size_t>& ref,
       ext::eigen_quadratic_form(w, vecs, cutoff, innovation, r));
   out.correction_applied = true;
   out.likelihood_informative = true;
-  out.degraded = false;
-  out.active_testing.clear();
   split.lap(timers.likelihood);
 }
 

@@ -99,10 +99,15 @@ inline const std::vector<std::size_t>& active_testing_of(
   return r.degraded ? r.active_testing : mode.testing;
 }
 
+// A Nuise builds every availability pattern of its mode at construction,
+// 2^p for a suite of p sensors, so suites are bounded at this many sensors.
+inline constexpr std::size_t kMaxSuiteSensors = 8;
+
 class Nuise {
  public:
   // `model` and `suite` must outlive the estimator. `process_cov` is the
-  // kinematic noise covariance Q (state_dim x state_dim).
+  // kinematic noise covariance Q (state_dim x state_dim). A suite of more
+  // than kMaxSuiteSensors sensors is refused.
   Nuise(const dyn::DynamicModel& model, const sensors::SensorSuite& suite,
         Mode mode, Matrix process_cov);
 
@@ -140,60 +145,61 @@ class Nuise {
                  const NuiseStageTimers& timers = {}) const;
 
  private:
-  // Mode-invariant structure computed once at construction and reused every
-  // iteration: noise-covariance blocks and stacked angle masks for the
-  // mode's own reference/testing subsets, plus the model's input-envelope
-  // constants and the shrinkage prior. With this cache (and the
-  // inline-first matrix storage) the healthy steady-state step performs
-  // zero heap allocations — asserted by tests/nuise_alloc_test.cc.
-  struct Workspace {
-    Matrix r2;                          // R₂: noise cov, reference subset
-    Matrix r1;                          // R₁: noise cov, testing subset
-    std::vector<bool> ref_angle_mask;   // stacked over the reference subset
-    std::vector<bool> tst_angle_mask;   // stacked over the testing subset
-    Vector sat;                         // input saturation envelope
-    Vector trust;                       // input trust radius
-    Matrix t_prior;                     // diag(min(trust², 1e12))
+  struct Pattern;
+  using StepFn = void (Nuise::*)(const Pattern&, const Vector&, const Matrix&,
+                                 const Vector&, const Vector&, NuiseResult&,
+                                 const NuiseStageTimers&) const;
+
+  // One sensor-availability pattern of the mode, built at construction: the
+  // reference and testing sensors that arrived, their noise covariance
+  // blocks and stacked angle masks, and the body that steps them. With
+  // these (and the inline-first matrix storage) a steady step performs no
+  // heap allocation under any mask — asserted by tests/nuise_alloc_test.cc.
+  struct Pattern {
+    std::vector<std::size_t> ref;
+    std::vector<std::size_t> tst;
+    Matrix r2;                         // R₂: noise cov, arrived reference
+    Matrix r1;                         // R₁: noise cov, arrived testing
+    std::vector<bool> ref_angle_mask;  // stacked over `ref`
+    std::vector<bool> tst_angle_mask;  // stacked over `tst`
+    StepFn body = nullptr;
   };
 
-  // The full estimation pass over explicit reference/testing subsets; the
-  // public entry points select the subsets. `cached` is true only when
-  // ref/tst are exactly the mode's own subsets, allowing the subset-
-  // dependent workspace entries (R₁/R₂/angle masks) to be served from the
-  // cache; degraded filtered subsets rebuild them. N, Q and R are the
-  // extents n, q and r (rows of the reference block), each either
-  // compile-time (matrix/kernels_impl.h `Extent`) or std::size_t; the
+  // The full estimation pass over a pattern with reference sensors. N, Q
+  // and R are the extents n, q and r (rows of the reference block), each
+  // either compile-time (matrix/kernels_impl.h `Extent`) or std::size_t:
+  // compile-time for n = 3, q = 2 and r ≤ 4, run-time otherwise; the
   // instantiations live in nuise.cc (docs/PERFORMANCE.md "Compiled NUISE
   // step").
   template <typename N, typename Q, typename R>
-  void step_subsets(const std::vector<std::size_t>& ref,
-                    const std::vector<std::size_t>& tst,
-                    const Vector& x_prev, const Matrix& p_prev,
-                    const Vector& u_prev, const Vector& z_full, bool cached,
-                    NuiseResult& out, const NuiseStageTimers& timers) const;
+  void step_subsets(const Pattern& pattern, const Vector& x_prev,
+                    const Matrix& p_prev, const Vector& u_prev,
+                    const Vector& z_full, NuiseResult& out,
+                    const NuiseStageTimers& timers) const;
 
-  using StepFn = void (Nuise::*)(const std::vector<std::size_t>&,
-                                 const std::vector<std::size_t>&,
-                                 const Vector&, const Matrix&, const Vector&,
-                                 const Vector&, bool, NuiseResult&,
-                                 const NuiseStageTimers&) const;
+  // The prediction-only step of a pattern with no reference sensor.
+  void predict_only(const Pattern& pattern, const Vector& x_prev,
+                    const Matrix& p_prev, const Vector& u_prev,
+                    const Vector& z_full, NuiseResult& out,
+                    const NuiseStageTimers& timers) const;
 
-  // Prediction-only fallback when the reference group is unavailable.
-  NuiseResult predict_only(const std::vector<std::size_t>& tst,
-                           const Vector& x_prev, const Matrix& p_prev,
-                           const Vector& u_prev, const Vector& z_full,
-                           const NuiseStageTimers& timers) const;
+  // Step 4 of both bodies: d̂ˢ and Pˢ over the pattern's testing sensors at
+  // out.state and out.state_cov.
+  template <typename N>
+  void sensor_anomaly_into(const Pattern& pattern, const Vector& z_full, N n,
+                           NuiseResult& out) const;
 
   const dyn::DynamicModel& model_;
   const sensors::SensorSuite& suite_;
   Mode mode_;
   Matrix process_cov_;
-  Workspace ws_;
-  // The step_subsets instantiation for the mode's own subsets, picked at
-  // construction from n, q and r: compile-time extents for n = 3, q = 2
-  // and r ≤ 4, run-time extents otherwise. Masked steps always take the
-  // run-time one.
-  StepFn full_step_ = nullptr;
+  // The model's input-envelope constants and the shrinkage prior.
+  Vector sat_;      // input saturation envelope
+  Vector trust_;    // input trust radius
+  Matrix t_prior_;  // diag(min(trust², 1e12))
+  // patterns_[b] serves the mask whose missing suite sensors are the set
+  // bits of b; patterns_[0] is the complete step.
+  std::vector<Pattern> patterns_;
 };
 
 }  // namespace roboads::core

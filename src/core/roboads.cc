@@ -86,6 +86,8 @@ void RoboAds::step_into(const Vector& u_prev, const Vector& z_full,
   // the caller's mask untouched (bit-identical legacy path when empty).
   // The report's own availability list is the mask the step runs under.
   const sensors::SensorSuite& suite = this->suite();
+  ROBOADS_CHECK(available.empty() || available.size() == suite.count(),
+                "availability mask size mismatch");
   SensorMask& mask = report.sensor_available;
   mask = available;
   if (!z_full.all_finite()) {

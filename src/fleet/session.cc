@@ -27,6 +27,10 @@ std::shared_ptr<const core::EstimatorBank> checked_bank(
 // next depth's report, leaving the one it was handed intact.
 thread_local std::deque<core::DetectionReport> t_reports;
 thread_local std::size_t t_depth = 0;
+// The availability mask a masked frame steps under. Nothing reads it after
+// the detector step returns, so a sink stepping another session on this
+// thread may reuse it.
+thread_local core::SensorMask t_mask;
 
 // This thread's report at the current depth, held for one step and its
 // sink call.
@@ -197,7 +201,8 @@ void DetectorSession::step_frame(std::uint64_t k, bool forced) {
   // all-available path (bit-identity); anything less → the PR 2 degraded
   // path with the arrival flags as the availability mask.
   const std::size_t sensors = suite().count();
-  core::SensorMask mask;
+  core::SensorMask& mask = t_mask;
+  mask.clear();
   const bool all_arrived = !dark && complete(s);
   if (!all_arrived) {
     mask.assign(sensors, false);

@@ -269,10 +269,6 @@ Matrix pseudo_inverse(const Matrix& a, double rel_tol) {
   return scaled_v * s.u.transpose();
 }
 
-double pseudo_determinant(const Matrix& a, double rel_tol) {
-  return std::exp(log_pseudo_determinant(a, rel_tol));
-}
-
 double log_pseudo_determinant(const Matrix& a, double rel_tol) {
   if (a.empty()) return 0.0;
   const Svd s = svd(a);
@@ -281,12 +277,6 @@ double log_pseudo_determinant(const Matrix& a, double rel_tol) {
   for (std::size_t i = 0; i < s.sigma.size(); ++i)
     if (s.sigma[i] > thresh) acc += std::log(s.sigma[i]);
   return acc;
-}
-
-Vector solve_spd(const Matrix& a, const Vector& b) {
-  Cholesky chol(a);
-  if (chol.ok()) return chol.solve(b);
-  return pseudo_inverse(a) * b;
 }
 
 Matrix inverse_spd(const Matrix& a) {

@@ -90,20 +90,11 @@ std::size_t rank(const Matrix& a, double rel_tol = 1e-10);
 // Moore-Penrose pseudo-inverse via SVD.
 Matrix pseudo_inverse(const Matrix& a, double rel_tol = 1e-10);
 
-// Pseudo-determinant: product of non-negligible singular values. For the
-// symmetric PSD matrices this library feeds it (innovation covariances) this
-// equals the product of non-zero eigenvalues, as used in the NUISE mode
-// likelihood (Algorithm 2, line 20). Returns 1.0 for rank-0 input, matching
-// the empty-product convention.
-double pseudo_determinant(const Matrix& a, double rel_tol = 1e-10);
-
-// Log of the pseudo-determinant, computed without overflow.
+// Log of the pseudo-determinant — the product of non-negligible singular
+// values; for a symmetric PSD matrix, of its non-zero eigenvalues — computed
+// without overflow. Returns 0.0 for rank-0 input, matching the empty-product
+// convention.
 double log_pseudo_determinant(const Matrix& a, double rel_tol = 1e-10);
-
-// Solves A x = b for symmetric positive semi-definite A: uses Cholesky when
-// SPD, otherwise falls back to the pseudo-inverse. Always returns a vector
-// (least-squares solution in the degenerate case).
-Vector solve_spd(const Matrix& a, const Vector& b);
 
 // Inverse for symmetric positive (semi-)definite A with pseudo-inverse
 // fallback; the workhorse for covariance inversions in χ² statistics.

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "core/engine.h"
 #include "core/health.h"
@@ -295,6 +296,30 @@ TEST(DegradedNuise, MissingReferenceGroupRunsPredictionOnly) {
   EXPECT_TRUE(r.sensor_anomaly.all_finite());
 }
 
+// Every availability pattern checks its inputs: a reading vector of the
+// wrong size is refused under any mask, prediction-only steps included.
+TEST(DegradedNuise, ShortReadingIsRefusedUnderEveryMask) {
+  Rig rig;
+  const Vector x{0.5, 0.8, 0.1};
+  const Matrix p = Matrix::identity(3) * 1e-4;
+  const Vector u{0.08, 0.05};
+  const Vector short_z{0.5, 0.8};
+  for (std::size_t bits = 0; bits < 8; ++bits) {
+    const SensorMask mask{(bits & 1u) != 0, (bits & 2u) != 0,
+                          (bits & 4u) != 0};
+    SCOPED_TRACE(testing::Message() << "mask " << mask[0] << mask[1]
+                                    << mask[2]);
+    for (const Mode& mode : one_reference_per_sensor(rig.suite)) {
+      const Nuise nuise(rig.model, rig.suite, mode, rig.q);
+      EXPECT_THROW(nuise.step(x, p, u, short_z, mask), CheckError)
+          << mode.label;
+    }
+    RoboAds detector(rig.model, rig.suite, rig.q, x, p);
+    DetectionReport report;
+    EXPECT_THROW(detector.step_into(u, short_z, mask, report), CheckError);
+  }
+}
+
 // --- Engine-level quarantine and recovery. ---
 
 TEST(EngineQuarantine, NaNReadingQuarantinesExactlyOneMode) {
@@ -399,6 +424,33 @@ TEST(RoboAdsFacade, NonFiniteReadingIsAutoMaskedNotPoisonous) {
   EXPECT_TRUE(report.state_estimate.all_finite());
   // wheel-encoder anomaly cannot be attributed this iteration.
   EXPECT_TRUE(report.sensor_anomaly_by_sensor[0].empty());
+}
+
+// A mask of the wrong size is refused before the step writes anything:
+// the non-finite LiDAR block past the mask's end is not marked missing in
+// it, and the report keeps the availability list it held.
+TEST(RoboAdsFacade, WrongSizeMaskIsRefusedBeforeTheReportIsWritten) {
+  Rig rig;
+  Vector x_true{0.5, 0.8, 0.1};
+  RoboAds detector(rig.model, rig.suite, rig.q, x_true,
+                   Matrix::identity(3) * 1e-4);
+  const Vector u{0.08, 0.05};
+  DetectionReport report;
+  const SensorMask held{true, false, true};
+  detector.step_into(u, rig.simulate_step(x_true, u), held, report);
+  ASSERT_EQ(report.sensor_available, held);
+
+  Vector z = rig.simulate_step(x_true, u);
+  z[rig.suite.offset(2)] = kNaN;
+  try {
+    detector.step_into(u, z, SensorMask{true}, report);
+    ADD_FAILURE() << "a one-entry mask was accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("availability mask size mismatch"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(report.sensor_available, held);
 }
 
 }  // namespace

@@ -4,16 +4,18 @@
 // The detector's per-iteration work — one Nuise::step per mode — must not
 // touch the heap once the estimator is constructed: all vectors/matrices on
 // the Khepera-sized path fit the inline storage of matrix.h and all
-// mode-invariant structure lives in the per-instance workspace (see
+// mode-invariant structure is built with the estimator (see
 // docs/PERFORMANCE.md). Nor may a mission's sensing, once its first scan
 // has sized the LiDAR workflow's buffers. Nor may a full detector step into
 // a reused report (RoboAds::step_into), on either platform and on the
 // complete mode set, nor a complete in-order frame through a fleet
 // session. The by-value RoboAds::step allocates only the containers of the
 // report it hands back, and its exact count is pinned so a new per-step
-// allocation shows up here; masked steps are pinned at no more than they
-// took before the in-place step (docs/PERFORMANCE.md "In-place detector
-// step"). This test replaces the global
+// allocation shows up here. The same holds under any availability mask:
+// each mode steps a pattern built at construction (docs/PERFORMANCE.md
+// "One NUISE step for every availability pattern"), so a masked step into
+// a reused report and a lossy session stream allocate nothing, and a
+// by-value masked step only its report. This test replaces the global
 // allocation functions with counting versions and asserts the count stays
 // zero across steady-state steps, so any future change that sneaks an
 // allocation into the hot path (a temporary std::vector, an eager
@@ -21,9 +23,11 @@
 // fails loudly here instead of showing up only as a benchmark regression.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string>
 
 #include "core/nuise.h"
 #include "core/roboads.h"
@@ -245,25 +249,127 @@ TEST(DetectorAllocation, CompleteSessionFramesAreAllocationFree) {
   EXPECT_EQ(allocs, 0u);
 }
 
-TEST(DetectorAllocation, MaskedStepsAllocateNoMoreThanBefore) {
-  // Allocations per by-value Khepera step before the in-place step, as
-  // measured on it: with the wheel odometry missing (the testing sensor
-  // of two modes, the reference of one), with the IPS missing, and with
-  // every sensor missing (prediction-only). A complete step made 5.
-  const eval::KheperaPlatform platform;
+// Every mask with one sensor missing, and the mask with every sensor
+// missing, over a suite of `count` sensors.
+std::vector<SensorMask> lossy_masks(std::size_t count) {
+  std::vector<SensorMask> masks;
+  for (std::size_t i = 0; i < count; ++i) {
+    masks.emplace_back(count, true);
+    masks.back()[i] = false;
+  }
+  masks.emplace_back(count, false);
+  return masks;
+}
+
+TEST(DetectorAllocation, MaskedStepIntoAReusedReportIsAllocationFree) {
+  const eval::KheperaPlatform khepera;
+  const eval::TamiyaPlatform tamiya;
+  for (const eval::Platform* platform :
+       {static_cast<const eval::Platform*>(&khepera),
+        static_cast<const eval::Platform*>(&tamiya)}) {
+    for (const SensorMask& mask : lossy_masks(platform->suite().count())) {
+      SCOPED_TRACE(testing::Message()
+                   << platform->name() << " mask " << mask[0] << mask[1]
+                   << mask[2]);
+      EXPECT_EQ(StandingDetector(*platform).step_into_allocations(mask), 0u);
+    }
+  }
+}
+
+TEST(DetectorAllocation, MaskedStepAllocatesOnlyTheReportItReturns) {
+  // Per by-value step: the containers of the report step() returns, as on
+  // a complete step, plus its availability list — and, with one Khepera
+  // sensor missing, the active testing list of its selected result.
+  const eval::KheperaPlatform khepera;
+  const eval::TamiyaPlatform tamiya;
   struct Case {
-    SensorMask mask;
-    std::size_t before;
+    const eval::Platform* platform;
+    std::size_t one_missing;
+    std::size_t every_missing;
   };
-  for (const Case& c : {Case{{false, true, true}, 26},
-                        Case{{true, false, true}, 26},
-                        Case{{false, false, false}, 13}}) {
-    SCOPED_TRACE(testing::Message() << "mask " << c.mask[0] << c.mask[1]
-                                    << c.mask[2]);
-    EXPECT_LE(StandingDetector(platform).step_allocations(c.mask),
-              c.before * 50);
-    EXPECT_LE(StandingDetector(platform).step_into_allocations(c.mask),
-              c.before * 50);
+  for (const Case& c : {Case{&khepera, 6, 5}, Case{&tamiya, 4, 4}}) {
+    const std::size_t count = c.platform->suite().count();
+    for (const SensorMask& mask : lossy_masks(count)) {
+      SCOPED_TRACE(testing::Message()
+                   << c.platform->name() << " mask " << mask[0] << mask[1]
+                   << mask[2]);
+      const bool every = std::find(mask.begin(), mask.end(), true) ==
+                         mask.end();
+      EXPECT_EQ(StandingDetector(*c.platform).step_allocations(mask),
+                (every ? c.every_missing : c.one_missing) * 50);
+    }
+  }
+}
+
+TEST(DetectorAllocation, LossySessionFramesAreAllocationFree) {
+  // A recorded clean Khepera mission's packets, in order, with the
+  // wheel-encoder packet of every 4th frame lost: each such frame waits in
+  // the reorder window until a later packet forces it out, then steps
+  // masked. Neither kind of frame touches the heap once warm.
+  const eval::KheperaPlatform platform;
+  eval::MissionConfig config;
+  config.iterations = 120;
+  config.seed = 7;
+  const eval::MissionResult mission =
+      eval::run_mission(platform, platform.clean_scenario(), config);
+  const std::size_t per_frame = platform.suite().count() + 1;
+  std::vector<fleet::FleetPacket> packets;
+  {
+    const std::vector<fleet::FleetPacket> all =
+        fleet::mission_packets(0, platform.suite(), mission);
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      const bool wheel_encoder = i % per_frame == 1;
+      if (!(wheel_encoder && (i / per_frame) % 4 == 3)) {
+        packets.push_back(all[i]);
+      }
+    }
+  }
+  fleet::DetectorSession session(fleet::make_session_spec(platform));
+  std::size_t reports = 0;
+  session.set_report_sink(
+      [&](const DetectionReport&, std::uint64_t) { ++reports; });
+  // The first eight frames' packets, outside the audit: frame 3 steps
+  // masked, frame 7 waits for its eviction.
+  const std::size_t warm_up = 8 * per_frame - 2;
+  for (std::size_t i = 0; i < warm_up; ++i) session.ingest(packets[i]);
+  ASSERT_EQ(session.counters().masked_steps, 1u);
+
+  AllocationGuard guard;
+  for (std::size_t i = warm_up; i < packets.size(); ++i) {
+    session.ingest(packets[i]);
+  }
+  session.flush();
+  const std::size_t allocs = guard.count();
+  EXPECT_EQ(reports, mission.records.size());
+  EXPECT_EQ(session.counters().masked_steps, mission.records.size() / 4);
+  EXPECT_EQ(allocs, 0u);
+}
+
+TEST(NuiseAllocation, SuitesBeyondTheSensorBoundAreRefused) {
+  // A Nuise builds all 2^p availability patterns of its mode, so a suite
+  // may hold at most kMaxSuiteSensors sensors.
+  const dyn::DiffDrive model{{.axle_length = 0.089, .dt = 0.1}};
+  const Matrix q = Matrix::identity(3) * 1e-6;
+  // One IPS as the reference and `count` − 1 more as the testing group.
+  const auto build = [&](std::size_t count) {
+    std::vector<sensors::SensorPtr> sensors;
+    std::vector<std::size_t> testing;
+    for (std::size_t i = 0; i < count; ++i) {
+      sensors.push_back(sensors::make_ips(3, 0.005, 0.01));
+      if (i > 0) testing.push_back(i);
+    }
+    const sensors::SensorSuite suite(std::move(sensors));
+    const Nuise nuise(model, suite, Mode{"ref:0", {0}, testing}, q);
+  };
+  ASSERT_EQ(kMaxSuiteSensors, 8u);
+  EXPECT_NO_THROW(build(8));
+  try {
+    build(9);
+    ADD_FAILURE() << "a 9-sensor suite was accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("kMaxSuiteSensors"),
+              std::string::npos)
+        << e.what();
   }
 }
 
