@@ -15,16 +15,21 @@
 //      off, with metrics (stage timers + counters), and with metrics +
 //      trace, reporting ns/step and the relative overhead of each tier.
 //
-// Methodology: every variant is timed in the *same* repeat loop (round-
-// robin interleaving) and scored by its minimum ns/iter over the repeats.
-// Interleaving cancels slow drift (frequency scaling, background load)
-// that sequential blocks would attribute to whichever variant ran last,
-// and the minimum estimates the uncontended cost. Section 1 also prints
-// the off-vs-off noise floor measured the same way.
+// Methodology: paired differences. Every round times each variant of a
+// section once, in forward order on even rounds and in reverse on odd ones,
+// so neither side of a (variant, baseline) pair always runs first. A
+// variant's overhead is the median over the rounds of its ns/iter minus
+// the baseline's in the same round, divided by the baseline's median
+// ns/iter. Pairing within a round cancels slow drift (frequency scaling,
+// background load) that sequential blocks would attribute to whichever
+// variant ran last, and the median of the differences ignores the rounds a
+// burst of load hit one side only. Sections 1 and 3 also print the
+// off-vs-off noise floor measured the same way.
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <functional>
 #include <sstream>
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "core/roboads.h"
@@ -67,7 +72,45 @@ double pct_over(double base, double measured) {
   return base <= 0.0 ? 0.0 : 100.0 * (measured - base) / base;
 }
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
+double median(std::vector<double> v) {
+  const std::size_t mid = v.size() / 2;
+  std::nth_element(v.begin(), v.begin() + mid, v.end());
+  if (v.size() % 2 == 1) return v[mid];
+  return 0.5 * (v[mid] + *std::max_element(v.begin(), v.begin() + mid));
+}
+
+// Each variant's median ns/iter and its paired overhead over variant 0,
+// the baseline (0 for the baseline itself).
+struct Paired {
+  std::vector<double> median_ns;
+  std::vector<double> overhead_pct;
+};
+
+// Times every variant once per round, forward on even rounds and reversed
+// on odd ones, and scores each by the median over the rounds of its
+// difference from the baseline's same-round time, over the baseline's
+// median time.
+Paired time_paired(std::size_t rounds,
+                   const std::vector<std::function<double()>>& variants) {
+  const std::size_t n = variants.size();
+  std::vector<std::vector<double>> ns(n, std::vector<double>(rounds));
+  for (std::size_t r = 0; r < rounds; ++r) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t v = r % 2 == 0 ? i : n - 1 - i;
+      ns[v][r] = variants[v]();
+    }
+  }
+  Paired out;
+  const double base = median(ns[0]);
+  for (std::size_t v = 0; v < n; ++v) {
+    std::vector<double> diff(rounds);
+    for (std::size_t r = 0; r < rounds; ++r) diff[r] = ns[v][r] - ns[0][r];
+    out.median_ns.push_back(median(ns[v]));
+    out.overhead_pct.push_back(base <= 0.0 ? 0.0
+                                           : 100.0 * median(diff) / base);
+  }
+  return out;
+}
 
 // ~one NUISE stage worth of floating-point work. volatile sink keeps the
 // optimizer from folding the loop away.
@@ -97,23 +140,20 @@ int run(const BenchArgs& args) {
     obs::Counter* counter = nullptr;         // disabled counter site
     if (counter != nullptr) counter->increment();
   };
-  double plain = kInf;
-  double plain_again = kInf;
-  double hooked = kInf;
-  for (std::size_t r = 0; r < kRepeats; ++r) {
-    plain = std::min(plain, timed_ns_per_iter(kKernelIters, plain_fn));
-    plain_again =
-        std::min(plain_again, timed_ns_per_iter(kKernelIters, plain_fn));
-    hooked = std::min(hooked, timed_ns_per_iter(kKernelIters, hooked_fn));
-  }
+  const Paired kernel = time_paired(
+      kRepeats,
+      {[&] { return timed_ns_per_iter(kKernelIters, plain_fn); },
+       [&] { return timed_ns_per_iter(kKernelIters, plain_fn); },
+       [&] { return timed_ns_per_iter(kKernelIters, hooked_fn); }});
 
-  std::printf("section 1 — disabled hooks on a %zu-iter kernel:\n",
-              kKernelIters);
-  std::printf("  plain kernel            %9.1f ns/iter\n", plain);
+  std::printf("section 1 — disabled hooks on a %zu-iter kernel, %zu rounds:\n",
+              kKernelIters, kRepeats);
+  std::printf("  plain kernel            %9.1f ns/iter\n",
+              kernel.median_ns[0]);
   std::printf("  noise floor (off vs off)%+9.2f %%\n",
-              pct_over(plain, plain_again));
-  std::printf("  null-handle hooks       %9.1f ns/iter  (%+.2f %%)\n", hooked,
-              pct_over(plain, hooked));
+              kernel.overhead_pct[1]);
+  std::printf("  null-handle hooks       %9.1f ns/iter  (%+.2f %%)\n",
+              kernel.median_ns[2], kernel.overhead_pct[2]);
 
   // --- Section 2: full detector step per observability tier. ---
   Fixture f;
@@ -182,31 +222,25 @@ int run(const BenchArgs& args) {
     g_sink = g_sink + static_cast<double>(snapshot_sink.str().size());
     return ns;
   };
-  double off = kInf;
-  double with_recorder = kInf;
-  double with_telemetry = kInf;
-  double with_metrics = kInf;
-  double with_trace = kInf;
-  for (std::size_t r = 0; r < kStepRepeats; ++r) {
-    off = std::min(off, time_steps(*det_off));
-    with_recorder = std::min(with_recorder, time_steps(*det_recorder));
-    with_telemetry =
-        std::min(with_telemetry, time_telemetry_steps(*det_telemetry));
-    with_metrics = std::min(with_metrics, time_steps(*det_metrics));
-    with_trace = std::min(with_trace, time_steps(*det_full));
-  }
+  const Paired step = time_paired(
+      kStepRepeats, {[&] { return time_steps(*det_off); },
+                     [&] { return time_steps(*det_recorder); },
+                     [&] { return time_telemetry_steps(*det_telemetry); },
+                     [&] { return time_steps(*det_metrics); },
+                     [&] { return time_steps(*det_full); }});
 
-  std::printf("\nsection 2 — Khepera detector step (%zu steps/run):\n",
-              kSteps);
-  std::printf("  obs off                 %9.1f ns/step\n", off);
+  std::printf("\nsection 2 — Khepera detector step (%zu steps/run, %zu "
+              "rounds):\n",
+              kSteps, kStepRepeats);
+  std::printf("  obs off                 %9.1f ns/step\n", step.median_ns[0]);
   std::printf("  flight recorder         %9.1f ns/step  (%+.2f %%)\n",
-              with_recorder, pct_over(off, with_recorder));
+              step.median_ns[1], step.overhead_pct[1]);
   std::printf("  telemetry (coarse)      %9.1f ns/step  (%+.2f %%)\n",
-              with_telemetry, pct_over(off, with_telemetry));
+              step.median_ns[2], step.overhead_pct[2]);
   std::printf("  metrics                 %9.1f ns/step  (%+.2f %%)\n",
-              with_metrics, pct_over(off, with_metrics));
+              step.median_ns[3], step.overhead_pct[3]);
   std::printf("  metrics + trace         %9.1f ns/step  (%+.2f %%)\n",
-              with_trace, pct_over(off, with_trace));
+              step.median_ns[4], step.overhead_pct[4]);
 
   // --- Section 3: fleet-session introspection tiers. ---
   // One recorded clean mission re-expressed as its packet stream; each
@@ -253,39 +287,37 @@ int run(const BenchArgs& args) {
 
   // The introspection-off delta is a handful of null-checked branches
   // against a ~20 µs frame, far below this box's run-to-run jitter — so
-  // the minimum needs many more interleaved repeats than section 2 to
-  // converge before the <2% gate is meaningful.
+  // the median needs many more rounds than section 2 to converge before
+  // the <2% gate is meaningful.
   const std::size_t kFleetRepeats = 41;
-  double raw_mission = kInf;
-  double session_off = kInf;
-  double session_off_again = kInf;
-  double session_traced = kInf;
-  for (std::size_t r = 0; r < kFleetRepeats; ++r) {
-    raw_mission = std::min(raw_mission, time_raw_mission());
-    session_off = std::min(session_off, time_session(false));
-    session_off_again = std::min(session_off_again, time_session(false));
-    session_traced = std::min(session_traced, time_session(true));
-  }
+  const Paired fleet = time_paired(
+      kFleetRepeats, {[&] { return time_session(false); },
+                      [&] { return time_session(false); },
+                      [&] { return time_session(true); },
+                      [&] { return time_raw_mission(); }});
 
   constexpr double kFleetSampleDenominator = 16.0;  // --trace-sample=16
-  const double fleet_off_pct = pct_over(session_off, session_off_again);
-  const double traced_full_pct = pct_over(session_off, session_traced);
+  const double fleet_off_pct = fleet.overhead_pct[1];
+  const double traced_full_pct = fleet.overhead_pct[2];
   const double fleet_sampled_pct = traced_full_pct / kFleetSampleDenominator;
-  std::printf("\nsection 3 — fleet session frame (%zu iterations/run):\n",
-              mission.records.size());
-  std::printf("  raw detector step       %9.1f ns/frame\n", raw_mission);
+  std::printf("\nsection 3 — fleet session frame (%zu iterations/run, %zu "
+              "rounds):\n",
+              mission.records.size(), kFleetRepeats);
+  std::printf("  raw detector step       %9.1f ns/frame\n",
+              fleet.median_ns[3]);
   std::printf("  session, tracing off    %9.1f ns/frame  (%+.2f %% vs raw: "
               "reassembly tax)\n",
-              session_off, pct_over(raw_mission, session_off));
+              fleet.median_ns[0],
+              pct_over(fleet.median_ns[3], fleet.median_ns[0]));
   std::printf("  tracing-off floor       %9.1f ns/frame  (%+.2f %%)\n",
-              session_off_again, fleet_off_pct);
+              fleet.median_ns[1], fleet_off_pct);
   std::printf("  session, traced robot   %9.1f ns/frame  (%+.2f %%)\n",
-              session_traced, traced_full_pct);
+              fleet.median_ns[2], traced_full_pct);
   std::printf("  1/16 sampling amortized %+.2f %%\n", fleet_sampled_pct);
 
-  const double disabled_overhead_pct = pct_over(plain, hooked);
-  const double recorder_overhead_pct = pct_over(off, with_recorder);
-  const double telemetry_overhead_pct = pct_over(off, with_telemetry);
+  const double disabled_overhead_pct = kernel.overhead_pct[2];
+  const double recorder_overhead_pct = step.overhead_pct[1];
+  const double telemetry_overhead_pct = step.overhead_pct[2];
   std::printf("\ndisabled-path overhead: %.2f %% (acceptance: < 2 %%)\n",
               disabled_overhead_pct);
   std::printf("recorder-on overhead:   %.2f %% (acceptance: < 2 %%)\n",

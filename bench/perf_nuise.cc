@@ -8,10 +8,9 @@
 // selector), the full detector step (engine + decision maker) on one
 // synthetic reading, by value and into a reused report, and replaying
 // recorded missions, one fleet robot's session set-up, its complete frames
-// and a lossy stream's frames, the detector's matrix kernels, a host-speed
-// calibration kernel, the random draws, the LiDAR scan-processing pipeline,
-// a Khepera iteration's sensing, the RRT* mission plan, and one whole
-// Khepera mission.
+// and a lossy stream's frames, the detector's matrix kernels, the random
+// draws, the LiDAR scan-processing pipeline, a Khepera iteration's sensing,
+// the RRT* mission plan, and one whole Khepera mission.
 #include <benchmark/benchmark.h>
 #include <malloc.h>
 
@@ -402,42 +401,6 @@ void BM_Cholesky4(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(Cholesky(k.innov4));
 }
 BENCHMARK(BM_Cholesky4);
-
-// Host-speed calibration: the fixed kernel perfbench times to scale its
-// figures (perfbench/src/common.cc), 800 products of 12×12 matrices, each
-// fed back with a square-root correction. No library code runs in it:
-// ./ci.sh bench gates every row on its time over this row's
-// (bench/bench_summary.py), so the host's slow drift divides out.
-double calibration_work() {
-  constexpr int n = 12;
-  double a[n][n], b[n][n], c[n][n];
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      a[i][j] = 1.0 / (i + j + 1);
-      b[i][j] = i == j ? 0.99 : 0.001;
-    }
-  }
-  for (int it = 0; it < 800; ++it) {
-    for (int i = 0; i < n; ++i) {
-      for (int j = 0; j < n; ++j) {
-        double s = 0.0;
-        for (int k = 0; k < n; ++k) s += a[i][k] * b[k][j];
-        c[i][j] = s;
-      }
-    }
-    for (int i = 0; i < n; ++i) {
-      for (int j = 0; j < n; ++j) {
-        a[i][j] = c[i][j] + 1e-3 * std::sqrt(std::fabs(c[i][j]));
-      }
-    }
-  }
-  return a[3][4];
-}
-
-void BM_CalibrationKernel(benchmark::State& state) {
-  for (auto _ : state) benchmark::DoNotOptimize(calibration_work());
-}
-BENCHMARK(BM_CalibrationKernel);
 
 // One random draw as a mission makes them: RRT* samples two uniform
 // coordinates per iteration, and the LiDAR adds a Gaussian to each of its

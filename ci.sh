@@ -15,25 +15,29 @@
 # run that must freeze postmortem bundles, replay bit-identically through
 # `roboads_explain --verify`, and reproduce the live alarm timeline, and a
 # recorded sweep whose every bundle must land in its own file and replay;
-# a check that stealth_frontier's usage line names its own flags, and the
-# obs-overhead gate keeping disabled hooks *and* recorder-on under 2%.
+# a check that stealth_frontier's usage line names its own flags, the
+# obs-overhead gate keeping disabled hooks *and* recorder-on under 2%, and
+# the perf gate: the detector-path rows paired against a base revision.
 # Usage:
 #
 #   ./ci.sh            # all passes
-#   ./ci.sh normal     # plain build + ctest + obs smoke + quick perf only
+#   ./ci.sh normal     # plain build + ctest + obs smoke + perf gate only
 #   ./ci.sh tsan       # TSan build + ctest only
 #   ./ci.sh asan       # ASan build + ctest only
 #   ./ci.sh ubsan      # UBSan build + ctest only
-#   ./ci.sh bench      # quick perf snapshot only (writes BENCH_PERF.json,
-#                      # gated >15% vs the previous snapshot)
+#   ./ci.sh bench      # perf record + gate only: writes BENCH_PERF.json,
+#                      # then pairs each row against BASE=<rev> (default
+#                      # HEAD) over 12 alternating rounds; fails when
+#                      # bench/ab.py's failure rule fails a row
 #   ./ci.sh perfbench  # end-to-end benchmark selftest: builds src/
 #                      # standalone (.bench_build/) and checks every
 #                      # campaign outcome against
 #                      # perfbench/reference_outcomes.txt
-#   ./ci.sh ab         # paired A/B of the working tree against BASE=<rev>:
-#                      # 10 alternating pairs of each gated perfbench
-#                      # workload at seed 1; fails when bench/ab.py's
-#                      # failure rule fails a metric (not part of `all`)
+#   ./ci.sh ab         # paired A/B of the working tree against BASE=<rev>
+#                      # (default HEAD): 10 alternating pairs of each gated
+#                      # perfbench workload at seed 1; fails when
+#                      # bench/ab.py's failure rule fails a metric (not
+#                      # part of `all`)
 #   ./ci.sh fuzz-smoke # ~30 s scenario-DSL coverage fuzz over $JOBS workers
 #                      # + corpus replay (corpus test and roboads_scenario
 #                      # check/print/run/library); a stale run directory
@@ -57,6 +61,8 @@
 #
 # JOBS=<n> overrides the parallelism (default: nproc). FUZZ_SEED=<n> varies
 # the fuzz-smoke campaign seed (default 1; CI can rotate it per run).
+# BASE=<rev> is the revision `bench` and `ab` compare the working tree
+# against (default HEAD: the uncommitted change).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -152,25 +158,31 @@ run_obs_overhead() {
   "$dir/bench/obs_overhead"
 }
 
-# Quick perf snapshot of the detector hot path: one NUISE step (healthy and
-# with one testing sensor masked), one engine iteration (default mode set,
-# plus the complete mode set), the full detector step on both platforms and
-# replaying the recorded Table II missions, and one fleet
-# robot's session set-up (bytes and allocations per session) — plus one RRT*
-# mission plan per platform, the cost every campaign mission pays first
-# (docs/PERFORMANCE.md "Planner"), the Khepera mission's LiDAR scan and
-# processing, one whole 250-iteration Khepera mission
-# (docs/PERFORMANCE.md "Mission: sensing and planner"), and one uniform and
-# one Gaussian draw (docs/PERFORMANCE.md "Random stream and neighbor
-# scans"). Reduced to BENCH_PERF.json at the repo
-# root (docs/PERFORMANCE.md tracks the history).
-# Each benchmark runs five times for ~0.2 s, its repetitions interleaved at
-# random with every other row's so that each row samples the whole run;
-# bench_summary.py records each row's median (with the fastest and slowest
-# run beside it) and gates it divided by the same run's median of
-# BM_CalibrationKernel, a fixed kernel that runs no library code, so the 15%
-# gate divides out the host's drift where that kernel shares it
-# (docs/PERFORMANCE.md "The bench gate": on a noisy host it often does not).
+# The perf_nuise rows `bench` records and gates: one NUISE step (healthy
+# and with one testing sensor masked), one engine iteration (default mode
+# set, plus the complete mode set), the full detector step on both
+# platforms, into a reused report and replaying the recorded Table II
+# missions, one fleet robot's session set-up (bytes and allocations per
+# session) and its complete and lossy frames, the detector's matrix
+# kernels, one RRT* mission plan per platform (docs/PERFORMANCE.md
+# "Planner"), the Khepera mission's LiDAR scan and processing and its
+# sensing, one whole 250-iteration Khepera mission (docs/PERFORMANCE.md
+# "Mission: sensing and planner"), and one uniform and one Gaussian draw
+# (docs/PERFORMANCE.md "Random stream and neighbor scans").
+BENCH_ROWS='BM_NuiseStepKhepera|BM_NuiseStepKheperaMasked|BM_EngineStepKhepera|BM_EngineStepCompleteModeSet|BM_FullDetectorStepKhepera|BM_FullDetectorStepTamiya|BM_DetectorStepIntoKhepera|BM_DetectorReplayKhepera|BM_SessionStepKhepera|BM_SessionStepKheperaLossy|BM_FleetSessionSetupKhepera|BM_MatMul3x3|BM_Sandwich3x3|BM_JacobiEigen4|BM_Cholesky4|BM_RrtStarPlanKhepera|BM_RrtStarPlanTamiya|BM_LidarScanAndProcessKhepera|BM_SenseAllKhepera|BM_MissionKhepera|BM_RngUniform|BM_RngGaussian'
+
+# Perf record and gate (docs/PERFORMANCE.md "The bench gate"). The record:
+# each row runs five times for ~0.2 s, its repetitions interleaved at
+# random with every other row's so that each row samples the whole run,
+# and bench_summary.py reduces the run, with fleet_throughput's capacity
+# and latency phases, into BENCH_PERF.json at the repo root (each row's
+# median with the fastest and slowest run beside it; docs/PERFORMANCE.md
+# tracks the history). It decides nothing. The gate: bench/ab.py builds
+# perf_nuise at $BASE (default HEAD) and in this tree and runs 12 rounds,
+# each timing every row once per side as its own process, the side that
+# runs first alternating; a row fails when the base wins at least 11 of
+# the 12 rounds and the median gap exceeds both the base's quartile
+# spread and 15%.
 #
 # Perf numbers are only comparable across runs when the compiler settings
 # match, so the bench always builds in its own Release-pinned tree
@@ -184,8 +196,7 @@ run_bench() {
   local build_type cxx_flags
   build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:[^=]*=//p' "$dir/CMakeCache.txt")"
   cxx_flags="$(sed -n 's/^CMAKE_CXX_FLAGS_RELEASE:[^=]*=//p' "$dir/CMakeCache.txt")"
-  "$dir/bench/perf_nuise" \
-    --benchmark_filter='BM_NuiseStepKhepera|BM_NuiseStepKheperaMasked|BM_EngineStepKhepera|BM_EngineStepCompleteModeSet|BM_FullDetectorStepKhepera|BM_FullDetectorStepTamiya|BM_DetectorStepIntoKhepera|BM_DetectorReplayKhepera|BM_SessionStepKhepera|BM_SessionStepKheperaLossy|BM_FleetSessionSetupKhepera|BM_MatMul3x3|BM_Sandwich3x3|BM_JacobiEigen4|BM_Cholesky4|BM_CalibrationKernel|BM_RrtStarPlanKhepera|BM_RrtStarPlanTamiya|BM_LidarScanAndProcessKhepera|BM_SenseAllKhepera|BM_MissionKhepera|BM_RngUniform|BM_RngGaussian' \
+  "$dir/bench/perf_nuise" --benchmark_filter="^($BENCH_ROWS)\$" \
     --benchmark_min_time=0.2 --benchmark_repetitions=5 \
     --benchmark_enable_random_interleaving=true \
     --benchmark_format=json > "$dir/bench_perf_raw.json"
@@ -197,8 +208,8 @@ run_bench() {
   python3 bench/bench_summary.py "$dir/bench_perf_raw.json" \
     "$dir/fleet_perf_raw.json" BENCH_PERF.json \
     --build-type="$build_type" --cxx-flags="$cxx_flags" \
-    --require-build-type=Release \
-    --baseline=BENCH_PERF.json --max-regress=0.15
+    --require-build-type=Release
+  python3 bench/ab.py --base "${BASE:-HEAD}" --rows "$BENCH_ROWS" --pairs 12
 }
 
 # End-to-end benchmark selftest (perfbench/README.md): builds src/
@@ -211,16 +222,17 @@ run_perfbench() {
 }
 
 # Paired A/B of the gated perfbench workloads (BENCHMARK.json) against the
-# revision in $BASE: bench/ab.py prints each end-to-end metric's medians,
-# quartiles, ratio and pairs won and lost, and fails a metric the base wins
-# in 9 of 10 pairs by more than its quartile spread and the metric's bound.
+# revision in $BASE (default HEAD): bench/ab.py prints each end-to-end
+# metric's medians, quartiles, ratio and pairs won and lost, and fails a
+# metric the base wins in 9 of 10 pairs by more than its quartile spread
+# and the metric's bound.
 # Both workloads run; any failure fails the pass. Not part of `all`: it
 # takes ≈17 min.
 run_ab() {
-  local base="${BASE:?set BASE to the git revision to compare against}"
   local status=0
   for workload in campaign fleet-capacity; do
-    python3 bench/ab.py --base "$base" --workload "$workload" --seed 1 ||
+    python3 bench/ab.py --base "${BASE:-HEAD}" --workload "$workload" \
+      --seed 1 ||
       status=1
   done
   return "$status"

@@ -201,12 +201,17 @@ ReplayResult replay_bundle(const obs::PostmortemBundle& bundle) {
   ROBOADS_CHECK_EQ(join_mode_labels(detector.modes()), prov.modes,
                    "replay: platform mode set does not match provenance");
   std::string sensors;
+  std::vector<std::int64_t> sensor_dims;
   for (std::size_t s = 0; s < detector_suite.count(); ++s) {
     if (!sensors.empty()) sensors += ';';
     sensors += detector_suite.sensor(s).name();
+    sensor_dims.push_back(
+        static_cast<std::int64_t>(detector_suite.sensor(s).dim()));
   }
   ROBOADS_CHECK_EQ(sensors, prov.sensors,
                    "replay: platform sensors do not match provenance");
+  ROBOADS_CHECK(sensor_dims == prov.sensor_dims,
+                "replay: sensor dimensions do not match provenance");
   ROBOADS_CHECK_EQ(detector_model.state_dim(),
                    static_cast<std::size_t>(prov.state_dim),
                    "replay: state dimension does not match provenance");
@@ -217,7 +222,27 @@ ReplayResult replay_bundle(const obs::PostmortemBundle& bundle) {
   recorder.begin_mission(prov);
   detector.restore_state(bundle.records.front().pre_step);
 
+  // Each record must fit the provenance before it steps: a cut reading
+  // vector would otherwise fail deep in the NUISE step, and a short all-'1'
+  // availability would step as complete.
+  const std::size_t z_dim = detector_suite.total_dim();
   for (const obs::FlightRecord& rec : bundle.records) {
+    const auto fault = [&rec](const std::string& what) {
+      return "replay: record k=" + std::to_string(rec.k) + ": " + what;
+    };
+    ROBOADS_CHECK(rec.u.size() == detector_model.input_dim(),
+                  fault("u holds " + std::to_string(rec.u.size()) +
+                        " values, not input_dim " +
+                        std::to_string(detector_model.input_dim())));
+    ROBOADS_CHECK(rec.z.size() == z_dim,
+                  fault("z holds " + std::to_string(rec.z.size()) +
+                        " values, not the sensors' " +
+                        std::to_string(z_dim)));
+    ROBOADS_CHECK(rec.availability.size() == sensor_dims.size() &&
+                      rec.availability.find_first_not_of("01") ==
+                          std::string::npos,
+                  fault("availability \"" + rec.availability +
+                        "\" is not one '0'/'1' per sensor"));
     const Vector u = to_vector(rec.u);
     const Vector z = to_vector(rec.z);
     core::SensorMask mask;

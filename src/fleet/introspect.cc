@@ -9,10 +9,9 @@
 namespace roboads::fleet {
 
 std::vector<RebalanceHint> rebalance_hints(const std::vector<ShardStat>& shards,
-                                           const std::vector<RobotStat>& robots,
-                                           double hot_ratio) {
+                                           const std::vector<RobotStat>& robots) {
   std::vector<RebalanceHint> hints;
-  if (shards.size() < 2 || hot_ratio <= 0.0) return hints;
+  if (shards.size() < 2) return hints;
   double mean_rate = 0.0;
   for (const ShardStat& s : shards) mean_rate += s.ewma_steps_per_s;
   mean_rate /= static_cast<double>(shards.size());
@@ -27,7 +26,7 @@ std::vector<RebalanceHint> rebalance_hints(const std::vector<ShardStat>& shards,
   for (const ShardStat& s : shards) {
     if (s.sessions < 2) continue;  // nothing to shed without starving it
     if (s.shard == coolest->shard) continue;
-    if (s.ewma_steps_per_s <= hot_ratio * mean_rate) continue;
+    if (s.ewma_steps_per_s <= kHotShardRatio * mean_rate) continue;
     // The hot shard's busiest robot (ties → lowest id).
     const RobotStat* busiest = nullptr;
     for (const RobotStat& r : robots) {

@@ -26,6 +26,16 @@
 
 namespace roboads::fleet {
 
+// Hot-robot rows kept in the snapshot (ranked by EWMA step rate).
+inline constexpr std::size_t kTopRobots = 8;
+// Rolling alarm-feed length (per shard ring and merged snapshot feed).
+inline constexpr std::size_t kAlarmFeed = 16;
+// EWMA smoothing factor for rates/depths/latencies.
+inline constexpr double kEwmaAlpha = 0.2;
+// A shard whose EWMA step rate exceeds kHotShardRatio × the fleet mean
+// (and holds >= 2 sessions) emits an advisory rebalance hint.
+inline constexpr double kHotShardRatio = 1.25;
+
 // Introspection knobs carried inside FleetConfig. Everything defaults off:
 // the service pays nothing beyond always-on counters unless asked.
 struct FleetIntrospectConfig {
@@ -38,15 +48,6 @@ struct FleetIntrospectConfig {
   // `span_sink`. 0 = tracing off. Requires span_sink when non-zero.
   std::size_t trace_sample = 0;
   obs::TraceSink* span_sink = nullptr;
-  // Hot-robot rows kept in the snapshot (ranked by EWMA step rate).
-  std::size_t top_robots = 8;
-  // Rolling alarm-feed length (per shard ring and merged snapshot feed).
-  std::size_t alarm_feed = 16;
-  // EWMA smoothing factor for rates/depths/latencies (0 < alpha <= 1).
-  double ewma_alpha = 0.2;
-  // A shard whose EWMA step rate exceeds hot_shard_ratio × the fleet mean
-  // (and holds >= 2 sessions) emits an advisory rebalance hint.
-  double hot_shard_ratio = 1.25;
 };
 
 // One shard's row: its counters and latency histograms (FleetService::
@@ -135,14 +136,13 @@ struct FleetStatusSnapshot {
 };
 
 // The pure hint policy, unit-testable without a live service: a shard is
-// hot when its EWMA step rate exceeds hot_ratio × the mean over all shards
-// and it holds >= 2 sessions (a single-robot shard has nothing to shed).
-// Each hot shard contributes one hint naming its highest-rate robot and
-// the lowest-rate shard as the target. `robots` may be all robots or any
-// superset of the hot shards' robots.
+// hot when its EWMA step rate exceeds kHotShardRatio × the mean over all
+// shards and it holds >= 2 sessions (a single-robot shard has nothing to
+// shed). Each hot shard contributes one hint naming its highest-rate robot
+// and the lowest-rate shard as the target. `robots` may be all robots or
+// any superset of the hot shards' robots.
 std::vector<RebalanceHint> rebalance_hints(const std::vector<ShardStat>& shards,
-                                           const std::vector<RobotStat>& robots,
-                                           double hot_ratio);
+                                           const std::vector<RobotStat>& robots);
 
 // Wire form (obs/jsonl.h record codec): one line, byte-stable through
 // write→read→write, so `roboads_fleet top --once --json` re-emits the

@@ -8,6 +8,10 @@
 namespace roboads::fleet {
 namespace {
 
+// Max packets drained from one shard per pump pass; bounds the time one
+// pass can monopolize a worker while other shards wait.
+constexpr std::size_t kDrainBatch = 512;
+
 std::size_t resolve_shards(std::size_t requested) {
   return common::ThreadPool::resolve_thread_count(requested);
 }
@@ -47,15 +51,11 @@ void add_row(Totals& totals, const ShardStat& row) {
 FleetService::ShardState::ShardState(const FleetConfig& config)
     : queue(config.queue_capacity),
       ingest_to_step(obs::default_latency_bounds_ns()),
-      ingest_to_alarm(obs::default_latency_bounds_ns()) {
-  alarm_ring.resize(config.introspect.alarm_feed);
-}
+      ingest_to_alarm(obs::default_latency_bounds_ns()) {}
 
 FleetService::FleetService(FleetConfig config)
     : config_(std::move(config)), pool_(pool_size_for(resolve_shards(config_.shards))) {
   const FleetIntrospectConfig& ic = config_.introspect;
-  ROBOADS_CHECK(ic.ewma_alpha > 0.0 && ic.ewma_alpha <= 1.0,
-                "introspection ewma_alpha must be in (0, 1]");
   if (ic.trace_sample > 0) {
     ROBOADS_CHECK(ic.span_sink != nullptr,
                   "trace_sample needs a span sink to emit into");
@@ -114,9 +114,9 @@ void FleetService::attach_sink(DetectorSession& session, std::uint64_t robot) {
       double& ewma = robot_scratch_[robot].ewma_latency_ns;
       ewma = ewma == 0.0
                  ? latency
-                 : ewma + config_.introspect.ewma_alpha * (latency - ewma);
+                 : ewma + kEwmaAlpha * (latency - ewma);
     }
-    if ((sensor_alarm || actuator_alarm) && !shard.alarm_ring.empty()) {
+    if (sensor_alarm || actuator_alarm) {
       FleetAlarm& alarm = shard.alarm_ring[shard.alarm_next];
       alarm.unix_time = unix_now_s();
       alarm.robot = robot;
@@ -184,7 +184,7 @@ std::size_t FleetService::drain_shard(std::size_t shard_index) {
   ShardState& shard = *shards_[shard_index];
   std::size_t processed = 0;
   FleetPacket packet;
-  while (processed < config_.drain_batch && shard.queue.try_pop(packet)) {
+  while (processed < kDrainBatch && shard.queue.try_pop(packet)) {
     ++processed;
     if (span_sample_ != 0 && packet.robot % span_sample_ == 0) {
       packet.dequeue_ns = steady_now_ns();
@@ -385,7 +385,6 @@ FleetStatusSnapshot FleetService::build_introspection() {
           : static_cast<double>(now_ns - st.last_build_ns) * 1e-9;
   // The first build has no step baseline — record one, update no rates.
   const bool update_rates = dt > 0.0;
-  const double alpha = ic.ewma_alpha;
 
   FleetStatusSnapshot out;
   out.unix_time = unix_now_s();
@@ -425,7 +424,7 @@ FleetStatusSnapshot FleetService::build_introspection() {
         const double inst =
             static_cast<double>(c.steps - st.prev_robot_steps[robot]) / dt;
         double& ewma = st.robot_ewma_rate[robot];
-        ewma += alpha * (inst - ewma);
+        ewma += kEwmaAlpha * (inst - ewma);
       }
       st.prev_robot_steps[robot] = c.steps;
       r.ewma_steps_per_s = st.robot_ewma_rate[robot];
@@ -435,26 +434,23 @@ FleetStatusSnapshot FleetService::build_introspection() {
     if (update_rates) {
       const double inst =
           static_cast<double>(row.steps - st.prev_shard_steps[s]) / dt;
-      st.shard_ewma_rate[s] += alpha * (inst - st.shard_ewma_rate[s]);
+      st.shard_ewma_rate[s] += kEwmaAlpha * (inst - st.shard_ewma_rate[s]);
       st.shard_ewma_depth[s] +=
-          alpha * (static_cast<double>(row.queue_depth) -
-                   st.shard_ewma_depth[s]);
+          kEwmaAlpha * (static_cast<double>(row.queue_depth) -
+                        st.shard_ewma_depth[s]);
     }
     st.prev_shard_steps[s] = row.steps;
     row.ewma_steps_per_s = st.shard_ewma_rate[s];
     row.ewma_queue_depth = st.shard_ewma_depth[s];
 
     // Copy the shard's alarm ring oldest → newest.
-    const std::size_t ring = shard.alarm_ring.size();
-    if (ring > 0) {
-      const std::size_t count = static_cast<std::size_t>(
-          std::min<std::uint64_t>(shard.alarms_total, ring));
-      for (std::size_t i = 0; i < count; ++i) {
-        const std::size_t idx = shard.alarms_total >= ring
-                                    ? (shard.alarm_next + i) % ring
-                                    : i;
-        alarms.push_back(shard.alarm_ring[idx]);
-      }
+    const std::size_t count = static_cast<std::size_t>(
+        std::min<std::uint64_t>(shard.alarms_total, kAlarmFeed));
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::size_t idx = shard.alarms_total >= kAlarmFeed
+                                  ? (shard.alarm_next + i) % kAlarmFeed
+                                  : i;
+      alarms.push_back(shard.alarm_ring[idx]);
     }
 
     add_row(out, row);
@@ -462,7 +458,7 @@ FleetStatusSnapshot FleetService::build_introspection() {
   }
   st.last_build_ns = now_ns;
 
-  out.hints = rebalance_hints(out.shards, robots, ic.hot_shard_ratio);
+  out.hints = rebalance_hints(out.shards, robots);
 
   // Hot-robot ranking: EWMA rate, then EWMA latency, then lifetime steps;
   // robot id as the deterministic final tiebreak.
@@ -477,7 +473,7 @@ FleetStatusSnapshot FleetService::build_introspection() {
               if (a.steps != b.steps) return a.steps > b.steps;
               return a.robot < b.robot;
             });
-  if (robots.size() > ic.top_robots) robots.resize(ic.top_robots);
+  if (robots.size() > kTopRobots) robots.resize(kTopRobots);
   out.hot_robots = std::move(robots);
 
   std::sort(alarms.begin(), alarms.end(),
@@ -485,9 +481,9 @@ FleetStatusSnapshot FleetService::build_introspection() {
               if (a.unix_time != b.unix_time) return a.unix_time < b.unix_time;
               return a.robot < b.robot;
             });
-  if (alarms.size() > ic.alarm_feed) {
+  if (alarms.size() > kAlarmFeed) {
     alarms.erase(alarms.begin(),
-                 alarms.end() - static_cast<std::ptrdiff_t>(ic.alarm_feed));
+                 alarms.end() - static_cast<std::ptrdiff_t>(kAlarmFeed));
   }
   out.alarms = std::move(alarms);
   return out;

@@ -33,6 +33,7 @@
 // the frames they complete.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -55,9 +56,6 @@ struct FleetConfig {
   std::size_t shards = 0;  // 0 = hardware concurrency
   // Per-shard ingestion ring capacity (rounded up to a power of two).
   std::size_t queue_capacity = 4096;
-  // Max packets drained from one shard per pump pass; bounds the time one
-  // pass can monopolize a worker while other shards wait.
-  std::size_t drain_batch = 512;
   SessionConfig session;
   // Optional fleet-wide counters/histograms ("fleet.*"); null = off.
   obs::MetricsRegistry* metrics = nullptr;
@@ -180,7 +178,7 @@ class FleetService {
     // Rolling alarm ring, owned by the pump worker draining this shard
     // (written inside the report sink, read only between passes — the same
     // index-owned-slot discipline as the session tables).
-    std::vector<FleetAlarm> alarm_ring;
+    std::array<FleetAlarm, kAlarmFeed> alarm_ring;
     std::size_t alarm_next = 0;
     std::uint64_t alarms_total = 0;
   };

@@ -8,87 +8,6 @@
 #include "matrix/kernels_impl.h"
 
 namespace roboads {
-namespace {
-
-constexpr double kSingularPivot = 1e-13;
-
-}  // namespace
-
-// -------------------------------------------------------------------- LU --
-
-Lu::Lu(const Matrix& a) : lu_(a), piv_(a.rows()) {
-  ROBOADS_CHECK(a.square(), "LU requires a square matrix");
-  const std::size_t n = a.rows();
-  std::iota(piv_.begin(), piv_.end(), std::size_t{0});
-
-  for (std::size_t k = 0; k < n; ++k) {
-    // Partial pivoting: bring the largest |entry| in column k to the pivot.
-    std::size_t p = k;
-    double best = std::abs(lu_(k, k));
-    for (std::size_t i = k + 1; i < n; ++i) {
-      const double v = std::abs(lu_(i, k));
-      if (v > best) {
-        best = v;
-        p = i;
-      }
-    }
-    if (p != k) {
-      for (std::size_t j = 0; j < n; ++j) std::swap(lu_(k, j), lu_(p, j));
-      std::swap(piv_[k], piv_[p]);
-      pivot_sign_ = -pivot_sign_;
-    }
-    if (best <= kSingularPivot) {
-      invertible_ = false;
-      continue;
-    }
-    const double pivot = lu_(k, k);
-    for (std::size_t i = k + 1; i < n; ++i) {
-      lu_(i, k) /= pivot;
-      const double lik = lu_(i, k);
-      if (lik == 0.0) continue;
-      for (std::size_t j = k + 1; j < n; ++j) lu_(i, j) -= lik * lu_(k, j);
-    }
-  }
-}
-
-double Lu::determinant() const {
-  if (!invertible_) return 0.0;
-  double det = pivot_sign_;
-  for (std::size_t i = 0; i < lu_.rows(); ++i) det *= lu_(i, i);
-  return det;
-}
-
-Vector Lu::solve(const Vector& b) const {
-  ROBOADS_CHECK(invertible_, "LU solve on singular matrix");
-  ROBOADS_CHECK_EQ(b.size(), lu_.rows(), "LU solve rhs size mismatch");
-  const std::size_t n = lu_.rows();
-  Vector x(n);
-  // Forward substitution with permuted rhs (L has unit diagonal).
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = b[piv_[i]];
-    for (std::size_t j = 0; j < i; ++j) acc -= lu_(i, j) * x[j];
-    x[i] = acc;
-  }
-  // Backward substitution.
-  for (std::size_t ii = n; ii-- > 0;) {
-    double acc = x[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) acc -= lu_(ii, j) * x[j];
-    x[ii] = acc / lu_(ii, ii);
-  }
-  return x;
-}
-
-Matrix Lu::solve(const Matrix& b) const {
-  ROBOADS_CHECK_EQ(b.rows(), lu_.rows(), "LU solve rhs shape mismatch");
-  Matrix x(b.rows(), b.cols());
-  for (std::size_t j = 0; j < b.cols(); ++j) {
-    const Vector xj = solve(b.col(j));
-    for (std::size_t i = 0; i < b.rows(); ++i) x(i, j) = xj[i];
-  }
-  return x;
-}
-
-Matrix Lu::inverse() const { return solve(Matrix::identity(lu_.rows())); }
 
 // -------------------------------------------------------------- Cholesky --
 

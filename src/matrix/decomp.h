@@ -13,29 +13,6 @@
 
 namespace roboads {
 
-// LU factorization with partial pivoting: P*A = L*U.
-class Lu {
- public:
-  // Factorizes a square matrix.
-  explicit Lu(const Matrix& a);
-
-  // True when no pivot fell below the singularity threshold.
-  bool invertible() const { return invertible_; }
-  double determinant() const;
-
-  // Solves A x = b. Requires invertible().
-  Vector solve(const Vector& b) const;
-  // Solves A X = B column-by-column. Requires invertible().
-  Matrix solve(const Matrix& b) const;
-  Matrix inverse() const;
-
- private:
-  Matrix lu_;                   // packed L (unit diagonal) and U
-  std::vector<std::size_t> piv_;
-  int pivot_sign_ = 1;
-  bool invertible_ = true;
-};
-
 // Cholesky factorization A = L * L^T of a symmetric positive-definite matrix.
 class Cholesky {
  public:

@@ -216,7 +216,7 @@ TEST(FleetIntrospect, RebalanceHintNamesHottestRobotAndCoolestShard) {
   // shard is the rate tie between 1 and 2, broken toward the lower id.
   // Busiest robot is the 50.0 tie between 6 and 7, broken toward 6.
   const std::vector<RebalanceHint> hints =
-      rebalance_hints(shards, robots, 1.25);
+      rebalance_hints(shards, robots);
   ASSERT_EQ(hints.size(), 1u);
   EXPECT_EQ(hints[0].robot, 6u);
   EXPECT_EQ(hints[0].from_shard, 0u);
@@ -231,7 +231,7 @@ TEST(FleetIntrospect, BalancedFleetEmitsNoHints) {
                                          shard_row(1, 50.0, 2)};
   const std::vector<RobotStat> robots = {robot_row(0, 0, 25.0),
                                          robot_row(1, 1, 25.0)};
-  EXPECT_TRUE(rebalance_hints(shards, robots, 1.25).empty());
+  EXPECT_TRUE(rebalance_hints(shards, robots).empty());
 }
 
 TEST(FleetIntrospect, SingleSessionShardNeverSheds) {
@@ -241,7 +241,7 @@ TEST(FleetIntrospect, SingleSessionShardNeverSheds) {
                                          shard_row(1, 1.0, 1)};
   const std::vector<RobotStat> robots = {robot_row(0, 0, 100.0),
                                          robot_row(1, 1, 1.0)};
-  EXPECT_TRUE(rebalance_hints(shards, robots, 1.25).empty());
+  EXPECT_TRUE(rebalance_hints(shards, robots).empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -344,7 +344,7 @@ TEST(FleetIntrospect, EndToEndSnapshotWithEveryKnobOn) {
             hist_line(obs::merge_snapshots(alarm_parts)));
 
   // 3. Robot rows agree with the sessions' own books (8 robots fit the
-  //    default top_robots=8, so every robot has a row).
+  //    kTopRobots = 8 rows, so every robot has a row).
   ASSERT_EQ(status.hot_robots.size(), fx.missions.size());
   std::uint64_t fleet_steps = 0, traced_steps = 0;
   for (const RobotStat& row : status.hot_robots) {

@@ -152,9 +152,45 @@ TEST(Replay, TamperedProvenanceIsRejected) {
   tampered.provenance.modes = "ref:bogus";
   EXPECT_THROW(replay_bundle(tampered), CheckError);
 
+  obs::PostmortemBundle wrong_dims = m.recorder.bundles().front();
+  wrong_dims.provenance.sensor_dims.back() += 1;
+  EXPECT_THROW(replay_bundle(wrong_dims), CheckError);
+
   obs::PostmortemBundle no_snapshot = m.recorder.bundles().front();
   no_snapshot.records.front().pre_step.state.clear();
   EXPECT_THROW(replay_bundle(no_snapshot), CheckError);
+}
+
+// A record that does not fit the provenance is refused before it steps,
+// with a CheckError naming its k: a cut reading vector would otherwise fail
+// deep in the NUISE step, and a short all-'1' availability (or one with
+// another character) would step as complete and read as a divergence.
+TEST(Replay, MalformedRecordsAreRefusedByIteration) {
+  GoldenMission& m = golden_mission();
+  ASSERT_FALSE(m.recorder.bundles().empty());
+  const obs::PostmortemBundle& bundle = m.recorder.bundles().front();
+  const std::size_t at = bundle.records.size() / 2;
+  const std::string named = "record k=" + std::to_string(bundle.records[at].k);
+  const std::vector<std::pair<const char*, void (*)(obs::FlightRecord&)>>
+      mutants = {
+          {"z cut to 2 values", [](obs::FlightRecord& r) { r.z.resize(2); }},
+          {"u cut to 1 value", [](obs::FlightRecord& r) { r.u.resize(1); }},
+          {"availability \"1\"",
+           [](obs::FlightRecord& r) { r.availability = "1"; }},
+          {"availability \"1x1\"",
+           [](obs::FlightRecord& r) { r.availability = "1x1"; }},
+      };
+  for (const auto& [name, mutate] : mutants) {
+    obs::PostmortemBundle bad = bundle;
+    mutate(bad.records[at]);
+    try {
+      replay_bundle(bad);
+      ADD_FAILURE() << name << ": replayed without a CheckError";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(named), std::string::npos)
+          << name << ": " << e.what();
+    }
+  }
 }
 
 TEST(Replay, ExplainRendersIncidentAndVerdict) {
