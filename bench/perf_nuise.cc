@@ -129,7 +129,8 @@ void BM_NuiseStepKheperaMasked(benchmark::State& state) {
   core::Nuise nuise(f.platform.model(), f.platform.suite(), mode,
                     f.platform.process_cov());
   const Matrix p = Matrix::identity(3) * 1e-4;
-  const core::SensorMask mask{false, true, true};
+  core::SensorMask mask;
+  mask.set_missing(0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(nuise.step(f.x, p, f.u, f.z, mask));
   }

@@ -59,6 +59,10 @@
 #                      # byte-identically, and its books must balance
 #                      # against the run summary
 #
+# A pass runs every gate step it holds even when an earlier one fails, then
+# names each failed step and exits 1. A configure or build failure still
+# ends the pass at once.
+#
 # JOBS=<n> overrides the parallelism (default: nproc). FUZZ_SEED=<n> varies
 # the fuzz-smoke campaign seed (default 1; CI can rotate it per run).
 # BASE=<rev> is the revision `bench` and `ab` compare the working tree
@@ -68,6 +72,37 @@ cd "$(dirname "$0")"
 
 JOBS="${JOBS:-$(nproc)}"
 MODE="${1:-all}"
+
+# One gate step: the command runs in a subshell under set -e, and a failure
+# is recorded in FAILED instead of ending the pass. The step is never on the
+# left of || or && or in an if condition, where bash would ignore set -e
+# inside it.
+FAILED=()
+gate() {
+  local status
+  set +e
+  ( set -e; "$@" )
+  status=$?
+  set -e
+  if [ "$status" -ne 0 ]; then
+    FAILED+=("$* (exit $status)")
+  fi
+}
+
+# Configures and builds a tree; a failure ends the pass.
+build_tree() {
+  local dir="$1"; shift
+  cmake -B "$dir" -S . "$@"
+  cmake --build "$dir" -j "$JOBS"
+}
+
+# Configures a tree and builds only the named targets; a failure ends the
+# pass.
+build_targets() {
+  local dir="$1"; shift
+  cmake -B "$dir" -S .
+  cmake --build "$dir" -j "$JOBS" --target "$@"
+}
 
 # One JSON writer: every JSON line the library and its tools write goes
 # through the record codec (src/obs/jsonl.h), so its low-level emitters and
@@ -84,11 +119,15 @@ run_writer_lint() {
   echo "writer lint: one JSON writer"
 }
 
+run_ctest() {
+  ctest --test-dir "$1" --output-on-failure -j "$JOBS"
+}
+
+# A full build and its ctest run, the tier-1 pass of each sanitizer.
 run_pass() {
   local dir="$1"; shift
-  cmake -B "$dir" -S . "$@"
-  cmake --build "$dir" -j "$JOBS"
-  ctest --test-dir "$dir" --output-on-failure -j "$JOBS"
+  build_tree "$dir" "$@"
+  gate run_ctest "$dir"
 }
 
 # Instrumented smoke: the binary exits non-zero unless the JSONL validates,
@@ -189,10 +228,13 @@ BENCH_ROWS='BM_NuiseStepKhepera|BM_NuiseStepKheperaMasked|BM_EngineStepKhepera|B
 # (build-bench) regardless of how the test tree was configured; the build
 # type and optimization flags are recorded in BENCH_PERF.json and
 # bench_summary.py fails the run if the cache says anything but Release.
+build_bench() {
+  cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release
+  cmake --build build-bench -j "$JOBS" --target perf_nuise fleet_throughput
+}
+
 run_bench() {
   local dir="build-bench"
-  cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=Release
-  cmake --build "$dir" -j "$JOBS" --target perf_nuise fleet_throughput
   local build_type cxx_flags
   build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:[^=]*=//p' "$dir/CMakeCache.txt")"
   cxx_flags="$(sed -n 's/^CMAKE_CXX_FLAGS_RELEASE:[^=]*=//p' "$dir/CMakeCache.txt")"
@@ -226,16 +268,10 @@ run_perfbench() {
 # metric's medians, quartiles, ratio and pairs won and lost, and fails a
 # metric the base wins in 9 of 10 pairs by more than its quartile spread
 # and the metric's bound.
-# Both workloads run; any failure fails the pass. Not part of `all`: it
+# Both workloads run, each a gate step of its own. Not part of `all`: it
 # takes ≈17 min.
 run_ab() {
-  local status=0
-  for workload in campaign fleet-capacity; do
-    python3 bench/ab.py --base "${BASE:-HEAD}" --workload "$workload" \
-      --seed 1 ||
-      status=1
-  done
-  return "$status"
+  python3 bench/ab.py --base "${BASE:-HEAD}" --workload "$1" --seed 1
 }
 
 # Fleet-service smoke (docs/FLEET.md): a ~10 s mini-fleet — 32 robots
@@ -245,8 +281,6 @@ run_ab() {
 # (roboads_fleet --parity exits non-zero on the first divergence).
 run_fleet_smoke() {
   local dir="$1"
-  cmake -B "$dir" -S .
-  cmake --build "$dir" -j "$JOBS" --target roboads_fleet_tool
   "$dir/tools/roboads_fleet" --robots=32 --scenario=8 --iterations=120 \
     --missions=4 --parity
   echo "fleet smoke: 32 streamed robots bit-identical to serial missions"
@@ -262,8 +296,6 @@ run_fleet_smoke() {
 # the histogram file.
 run_fleet_watch_smoke() {
   local dir="$1"
-  cmake -B "$dir" -S .
-  cmake --build "$dir" -j "$JOBS" --target roboads_fleet_tool roboads_report
   local out="$dir/fleet-watch-smoke"
   rm -rf "$out" && mkdir -p "$out"
   "$dir/tools/roboads_fleet" --robots=24 --scenario=8 --iterations=80 \
@@ -340,9 +372,6 @@ PY
 # rotates coverage.
 run_fuzz_smoke() {
   local dir="$1"
-  cmake -B "$dir" -S .
-  cmake --build "$dir" -j "$JOBS" --target roboads_fuzz fuzz_corpus_test \
-    roboads_scenario_tool
   local out="$dir/fuzz-smoke"
   local seed="${FUZZ_SEED:-1}"
   rm -rf "$out"
@@ -429,8 +458,6 @@ run_scenario_tool_smoke() {
 # usage line (its --seeds, not the --record-window it refuses).
 run_shard_smoke() {
   local dir="$1"
-  cmake -B "$dir" -S .
-  cmake --build "$dir" -j "$JOBS" --target roboads_shard_tool seed_robustness
   local out="$dir/shard-smoke"
   rm -rf "$out" && mkdir -p "$out"
   local rc=0 usage
@@ -488,8 +515,6 @@ run_shard_smoke() {
 # diagnostic, and a valid file still renders.
 run_watch_smoke() {
   local dir="$1"
-  cmake -B "$dir" -S .
-  cmake --build "$dir" -j "$JOBS" --target roboads_shard_tool roboads_report
   local out="$dir/watch-smoke"
   rm -rf "$out" && mkdir -p "$out"
   local manifest="$out/manifest.jsonl"
@@ -558,39 +583,62 @@ PY
 
 case "$MODE" in
   normal)
-    run_writer_lint
+    gate run_writer_lint
     run_pass build
-    run_obs_smoke build
-    run_forensics_smoke build
-    run_usage_smoke build
-    run_obs_overhead build
-    run_bench
+    gate run_obs_smoke build
+    gate run_forensics_smoke build
+    gate run_usage_smoke build
+    gate run_obs_overhead build
+    build_bench
+    gate run_bench
     ;;
   tsan)   run_pass build-tsan -DRoboADS_SANITIZE=thread ;;
   asan)   run_pass build-asan -DRoboADS_SANITIZE=address ;;
   ubsan)  run_pass build-ubsan -DRoboADS_SANITIZE=undefined ;;
-  bench)  run_bench ;;
-  perfbench) run_perfbench ;;
-  ab) run_ab ;;
-  fuzz-smoke) run_fuzz_smoke build ;;
-  shard-smoke) run_shard_smoke build ;;
-  watch-smoke) run_watch_smoke build ;;
-  fleet-smoke) run_fleet_smoke build ;;
-  fleet-watch-smoke) run_fleet_watch_smoke build ;;
+  bench)
+    build_bench
+    gate run_bench
+    ;;
+  perfbench) gate run_perfbench ;;
+  ab)
+    gate run_ab campaign
+    gate run_ab fleet-capacity
+    ;;
+  fuzz-smoke)
+    build_targets build roboads_fuzz fuzz_corpus_test roboads_scenario_tool
+    gate run_fuzz_smoke build
+    ;;
+  shard-smoke)
+    build_targets build roboads_shard_tool seed_robustness
+    gate run_shard_smoke build
+    ;;
+  watch-smoke)
+    build_targets build roboads_shard_tool roboads_report
+    gate run_watch_smoke build
+    ;;
+  fleet-smoke)
+    build_targets build roboads_fleet_tool
+    gate run_fleet_smoke build
+    ;;
+  fleet-watch-smoke)
+    build_targets build roboads_fleet_tool roboads_report
+    gate run_fleet_watch_smoke build
+    ;;
   all)
-    run_writer_lint
-    run_pass build
-    run_obs_smoke build
-    run_forensics_smoke build
-    run_usage_smoke build
-    run_obs_overhead build
-    run_bench
-    run_perfbench
-    run_fuzz_smoke build
-    run_shard_smoke build
-    run_watch_smoke build
-    run_fleet_smoke build
-    run_fleet_watch_smoke build
+    gate run_writer_lint
+    run_pass build  # every target the smokes below run
+    gate run_obs_smoke build
+    gate run_forensics_smoke build
+    gate run_usage_smoke build
+    gate run_obs_overhead build
+    build_bench
+    gate run_bench
+    gate run_perfbench
+    gate run_fuzz_smoke build
+    gate run_shard_smoke build
+    gate run_watch_smoke build
+    gate run_fleet_smoke build
+    gate run_fleet_watch_smoke build
     run_pass build-tsan -DRoboADS_SANITIZE=thread
     run_pass build-asan -DRoboADS_SANITIZE=address
     run_pass build-ubsan -DRoboADS_SANITIZE=undefined
@@ -598,4 +646,11 @@ case "$MODE" in
   *) echo "usage: $0 [normal|tsan|asan|ubsan|bench|perfbench|ab|fuzz-smoke|shard-smoke|watch-smoke|fleet-smoke|fleet-watch-smoke|all]" >&2; exit 2 ;;
 esac
 
+if [ "${#FAILED[@]}" -gt 0 ]; then
+  echo "ci.sh: ${#FAILED[@]} step(s) failed:" >&2
+  for step in "${FAILED[@]}"; do
+    echo "  FAILED: $step" >&2
+  done
+  exit 1
+fi
 echo "ci.sh: all requested passes green"

@@ -127,20 +127,15 @@ void MultiModeEngine::restore_state(const obs::DetectorStateSnapshot& snap) {
   step_index_ = static_cast<std::size_t>(snap.iteration);
 }
 
-EngineResult MultiModeEngine::step(const Vector& u_prev,
-                                   const Vector& z_full) {
-  return step(u_prev, z_full, SensorMask{});
-}
-
 EngineResult MultiModeEngine::step(const Vector& u_prev, const Vector& z_full,
-                                   const SensorMask& available) {
+                                   SensorMask available) {
   EngineResult out;
   step_into(u_prev, z_full, available, out);
   return out;
 }
 
 void MultiModeEngine::step_into(const Vector& u_prev, const Vector& z_full,
-                                const SensorMask& available,
+                                SensorMask available,
                                 EngineResult& out) {
   const EstimatorBank& bank = *bank_;
   const std::size_t m_count = bank.modes().size();

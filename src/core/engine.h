@@ -92,23 +92,21 @@ class MultiModeEngine {
 
   // One control iteration: runs every mode's NUISE from the shared previous
   // estimate, updates weights, selects the max-weight mode, and adopts its
-  // state estimate.
-  EngineResult step(const Vector& u_prev, const Vector& z_full);
-
-  // Degraded-mode iteration under a per-sensor availability mask (empty =
-  // all available; see sim/faults.h). Modes whose reference group is
-  // unavailable run prediction-only and participate neutrally in the weight
-  // update; missing testing sensors are excluded from each mode's d̂ˢ.
+  // state estimate. `available` marks the sensors whose reading arrived
+  // (the default: all of them; see sim/faults.h): modes whose reference
+  // group is unavailable run prediction-only and participate neutrally in
+  // the weight update; missing testing sensors are excluded from each
+  // mode's d̂ˢ.
   EngineResult step(const Vector& u_prev, const Vector& z_full,
-                    const SensorMask& available);
+                    SensorMask available = {});
 
   // The step above, writing into `out`, which may hold the result of any
   // engine: every field is written, the per-mode slots are resized only
   // when the mode count differs, and weights and health are assigned into
   // the capacity `out` already has, so a steady step on a reused result
-  // allocates nothing. The two step() calls wrap it.
+  // allocates nothing. step() wraps it.
   void step_into(const Vector& u_prev, const Vector& z_full,
-                 const SensorMask& available, EngineResult& out);
+                 SensorMask available, EngineResult& out);
 
   // Resets the shared estimate, uniform weights, and mode health (e.g. for
   // a new mission).

@@ -101,22 +101,15 @@ Nuise::Nuise(const dyn::DynamicModel& model,
 
 NuiseResult Nuise::step(const Vector& x_prev, const Matrix& p_prev,
                         const Vector& u_prev, const Vector& z_full,
-                        const NuiseStageTimers& timers) const {
-  return step(x_prev, p_prev, u_prev, z_full, SensorMask{}, timers);
-}
-
-NuiseResult Nuise::step(const Vector& x_prev, const Matrix& p_prev,
-                        const Vector& u_prev, const Vector& z_full,
-                        const SensorMask& available,
-                        const NuiseStageTimers& timers) const {
+                        SensorMask available) const {
   NuiseResult out;
-  step_into(x_prev, p_prev, u_prev, z_full, available, out, timers);
+  step_into(x_prev, p_prev, u_prev, z_full, available, out);
   return out;
 }
 
 void Nuise::step_into(const Vector& x_prev, const Matrix& p_prev,
                       const Vector& u_prev, const Vector& z_full,
-                      const SensorMask& available, NuiseResult& out,
+                      SensorMask available, NuiseResult& out,
                       const NuiseStageTimers& timers) const {
   const std::size_t n = model_.state_dim();
   ROBOADS_CHECK_EQ(x_prev.size(), n, "previous state size mismatch");
@@ -126,18 +119,12 @@ void Nuise::step_into(const Vector& x_prev, const Matrix& p_prev,
                    "control size mismatch");
   ROBOADS_CHECK_EQ(z_full.size(), suite_.total_dim(),
                    "full reading size mismatch");
-  std::size_t missing = 0;
-  if (!available.empty()) {
-    ROBOADS_CHECK_EQ(available.size(), suite_.count(),
-                     "availability mask size mismatch");
-    for (std::size_t i = 0; i < available.size(); ++i) {
-      if (!available[i]) missing |= std::size_t{1} << i;
-    }
-  }
-  const Pattern& pattern = patterns_[missing];
+  ROBOADS_CHECK(available.within(suite_.count()),
+                "availability mask names a sensor past the suite");
+  const Pattern& pattern = patterns_[available.bits()];
   (this->*pattern.body)(pattern, x_prev, p_prev, u_prev, z_full, out,
                         timers);
-  out.degraded = missing != 0;
+  out.degraded = !available.complete();
   if (out.degraded) {
     out.active_testing.assign(pattern.tst.begin(), pattern.tst.end());
   } else {

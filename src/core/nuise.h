@@ -53,10 +53,8 @@ struct NuiseStageTimers {
   static NuiseStageTimers resolve(obs::MetricsRegistry* metrics);
 };
 
-// Per-suite-sensor availability for one iteration: available[i] is true when
-// sensor i's reading arrived on the bus (see sim/faults.h). An empty mask
-// means "all available".
-using SensorMask = std::vector<bool>;
+using sensors::kMaxSuiteSensors;
+using sensors::SensorMask;
 
 struct NuiseResult {
   Vector state;                  // x̂_{k|k}
@@ -99,10 +97,6 @@ inline const std::vector<std::size_t>& active_testing_of(
   return r.degraded ? r.active_testing : mode.testing;
 }
 
-// A Nuise builds every availability pattern of its mode at construction,
-// 2^p for a suite of p sensors, so suites are bounded at this many sensors.
-inline constexpr std::size_t kMaxSuiteSensors = 8;
-
 class Nuise {
  public:
   // `model` and `suite` must outlive the estimator. `process_cov` is the
@@ -115,33 +109,26 @@ class Nuise {
 
   // One estimation iteration. `x_prev`/`p_prev` are x̂_{k−1|k−1} and
   // Pˣ_{k−1}; `u_prev` the planned commands u_{k−1}; `z_full` the full
-  // stacked readings z_k (suite layout). `timers` receives per-stage
-  // latencies; it only observes, so outputs are the same without it.
+  // stacked readings z_k (suite layout); `available` the sensors whose
+  // reading arrived (the default: all of them). A mask naming a sensor
+  // past the suite is refused. With every sensor of the mode available
+  // this is the full step. With some reference sensors missing the step
+  // runs on the remaining reference subset; with the whole reference group
+  // missing it degrades to a prediction-only step (propagate, skip
+  // correction, likelihood flagged uninformative). Missing testing sensors
+  // are excluded from d̂ˢ and recorded in `active_testing`.
   NuiseResult step(const Vector& x_prev, const Matrix& p_prev,
                    const Vector& u_prev, const Vector& z_full,
-                   const NuiseStageTimers& timers = {}) const;
-
-  // Degraded-mode iteration under a sensor availability mask (sized
-  // suite.count(); empty = all available). With every sensor of the mode
-  // available this is the exact full step — bit-identical outputs. With
-  // some reference sensors missing the step runs on the remaining reference
-  // subset; with the whole reference group missing it degrades to a
-  // prediction-only step (propagate, skip correction, likelihood flagged
-  // uninformative). Missing testing sensors are excluded from d̂ˢ and
-  // recorded in `active_testing` instead of crashing on a dimension
-  // mismatch.
-  NuiseResult step(const Vector& x_prev, const Matrix& p_prev,
-                   const Vector& u_prev, const Vector& z_full,
-                   const SensorMask& available,
-                   const NuiseStageTimers& timers = {}) const;
+                   SensorMask available = {}) const;
 
   // The step above, writing its result into `out` instead of returning it.
   // Every field of `out` is written, so it may hold an earlier result; the
-  // engine fills its per-mode slots through this. The two step() calls
-  // wrap it.
+  // engine fills its per-mode slots through this, and step() wraps it.
+  // `timers` receives per-stage latencies; it only observes, so outputs
+  // are the same without it.
   void step_into(const Vector& x_prev, const Matrix& p_prev,
                  const Vector& u_prev, const Vector& z_full,
-                 const SensorMask& available, NuiseResult& out,
+                 SensorMask available, NuiseResult& out,
                  const NuiseStageTimers& timers = {}) const;
 
  private:

@@ -66,43 +66,36 @@ void RoboAds::restore_state(const obs::DetectorStateSnapshot& snap) {
   prev_quarantined_ = false;
 }
 
-DetectionReport RoboAds::step(const Vector& u_prev, const Vector& z_full) {
-  return step(u_prev, z_full, SensorMask{});
-}
-
 DetectionReport RoboAds::step(const Vector& u_prev, const Vector& z_full,
-                              const SensorMask& available) {
+                              SensorMask available) {
   DetectionReport report;
   step_into(u_prev, z_full, available, report);
   return report;
 }
 
 void RoboAds::step_into(const Vector& u_prev, const Vector& z_full,
-                        const SensorMask& available,
-                        DetectionReport& report) {
+                        SensorMask available, DetectionReport& report) {
   // Monitor-side sanitization: a sensor delivering a non-finite value is a
   // transport/driver fault, not a measurement — mask it out for this
-  // iteration so it cannot poison the estimator bank. Finite readings take
-  // the caller's mask untouched (bit-identical legacy path when empty).
-  // The report's own availability list is the mask the step runs under.
+  // iteration so it cannot poison the estimator bank. The report's own
+  // availability is the mask the step runs under.
   const sensors::SensorSuite& suite = this->suite();
-  ROBOADS_CHECK(available.empty() || available.size() == suite.count(),
-                "availability mask size mismatch");
-  SensorMask& mask = report.sensor_available;
-  mask = available;
+  ROBOADS_CHECK(available.within(suite.count()),
+                "availability mask names a sensor past the suite");
   if (!z_full.all_finite()) {
-    if (mask.empty()) mask.assign(suite.count(), true);
     for (std::size_t i = 0; i < suite.count(); ++i) {
       const Vector block = z_full.segment(suite.offset(i),
                                           suite.sensor(i).dim());
-      if (!block.all_finite()) mask[i] = false;
+      if (!block.all_finite()) available.set_missing(i);
     }
   }
+  report.sensor_available = available;
 
   // Flight recorder, input half: advance the ring and capture the pre-step
   // detector state plus this iteration's inputs before estimation runs. All
   // writes are same-size assigns into the presized slot (allocation-free in
-  // steady state).
+  // steady state). With only the trace on, this thread's scratch record
+  // takes the rows the trace event shares with the flight record.
   obs::FlightRecorder* const recorder = instruments_.recorder;
   obs::FlightRecord* rec = nullptr;
   if (recorder != nullptr) {
@@ -110,9 +103,14 @@ void RoboAds::step_into(const Vector& u_prev, const Vector& z_full,
     save_state(rec->pre_step);
     rec->u.assign(u_prev.data(), u_prev.data() + u_prev.size());
     rec->z.assign(z_full.data(), z_full.data() + z_full.size());
+  } else if (instruments_.trace != nullptr) {
+    thread_local obs::FlightRecord trace_rows;
+    rec = &trace_rows;
+  }
+  if (rec != nullptr) {
     rec->availability.assign(suite.count(), '1');
-    for (std::size_t i = 0; i < mask.size() && i < suite.count(); ++i) {
-      if (!mask[i]) rec->availability[i] = '0';
+    for (std::size_t i = 0; i < suite.count(); ++i) {
+      if (!available.available(i)) rec->availability[i] = '0';
     }
   }
 
@@ -120,7 +118,7 @@ void RoboAds::step_into(const Vector& u_prev, const Vector& z_full,
   // but what is copied into the report, so every detector stepping on this
   // thread shares one set of slots.
   thread_local EngineResult engine_result;
-  engine_.step_into(u_prev, z_full, mask, engine_result);
+  engine_.step_into(u_prev, z_full, available, engine_result);
   const Mode& mode = engine_.modes()[engine_result.selected_mode];
 
   // The selected mode's outputs, or at the containment floor (every mode
@@ -179,14 +177,12 @@ void RoboAds::step_into(const Vector& u_prev, const Vector& z_full,
   if (c_actuator_alarms_ != nullptr && report.decision.actuator_alarm) {
     c_actuator_alarms_->increment();
   }
-  if (instruments_.trace != nullptr) {
-    emit_iteration_event(report, engine_result);
-  }
+  if (rec != nullptr) fill_flight_record(*rec, report, engine_result);
+  if (instruments_.trace != nullptr) emit_iteration_event(report, *rec);
 
-  // Flight recorder, output half: finish the record, then freeze a
-  // postmortem bundle on every rising edge of an incident condition.
-  if (rec != nullptr) {
-    fill_flight_record(*rec, report, engine_result);
+  // Flight recorder, output half: freeze a postmortem bundle on every
+  // rising edge of an incident condition.
+  if (recorder != nullptr) {
     const std::int64_t k = static_cast<std::int64_t>(report.iteration);
     const bool quarantined_now = report.quarantined_modes > 0;
     if (report.decision.sensor_alarm && !prev_sensor_alarm_) {
@@ -220,7 +216,8 @@ void RoboAds::step_into(const Vector& u_prev, const Vector& z_full,
 
 // Packs one finished iteration into the recorder slot. Per-sensor fields are
 // NaN-padded to the full suite layout so every record has an identical shape
-// regardless of the selected mode's testing group or degraded steps.
+// regardless of the selected mode's testing group or degraded steps. The
+// per-mode rows are the ones the "iteration" trace event carries.
 void RoboAds::fill_flight_record(obs::FlightRecord& rec,
                                  const DetectionReport& report,
                                  const EngineResult& engine_result) {
@@ -231,12 +228,14 @@ void RoboAds::fill_flight_record(obs::FlightRecord& rec,
   const std::size_t m_count = engine_.modes().size();
   rec.log_likelihoods.resize(m_count);
   rec.innovation_norms.resize(m_count);
+  rec.mode_health.resize(m_count);
   for (std::size_t m = 0; m < m_count; ++m) {
     const NuiseResult& r = engine_result.per_mode[m];
     rec.log_likelihoods[m] =
         r.likelihood_informative ? r.log_likelihood : kNaN;
     rec.innovation_norms[m] =
         r.correction_applied ? r.innovation.norm() : kNaN;
+    rec.mode_health[m] = code(report.mode_health[m]);
   }
   rec.sensor_chi2 = report.decision.sensor_statistic;
   rec.sensor_threshold = report.decision.sensor_threshold;
@@ -267,10 +266,6 @@ void RoboAds::fill_flight_record(obs::FlightRecord& rec,
   rec.actuator_anomaly.assign(
       report.actuator_anomaly.data(),
       report.actuator_anomaly.data() + report.actuator_anomaly.size());
-  rec.mode_health.resize(report.mode_health.size());
-  for (std::size_t m = 0; m < report.mode_health.size(); ++m) {
-    rec.mode_health[m] = code(report.mode_health[m]);
-  }
   rec.quarantined = static_cast<std::int64_t>(report.quarantined_modes);
   rec.containment = engine_result.fallback_previous_estimate;
   // Ground truth is the mission runner's to stamp (annotate_truth); the
@@ -280,35 +275,13 @@ void RoboAds::fill_flight_record(obs::FlightRecord& rec,
   rec.truth_actuator = false;
 }
 
-// The per-iteration trace record (docs/OBSERVABILITY.md). Emitted from the
-// serial detector path after the engine join, so event order is
-// deterministic at any engine thread count. Field layout must be identical
-// across iterations of one run — the CSV writer derives its columns from the
+// The per-iteration trace record (docs/OBSERVABILITY.md): the flight
+// record's outputs of this step, with the selected mode's label and the
+// misbehaving sensors as a list. Field layout must be identical across
+// iterations of one run — the CSV writer derives its columns from the
 // first event (obs/trace.cc).
 void RoboAds::emit_iteration_event(const DetectionReport& report,
-                                   const EngineResult& engine_result) {
-  const std::size_t m_count = engine_.modes().size();
-  std::vector<double> log_likelihoods(m_count);
-  std::vector<double> innovation_norms(m_count);
-  for (std::size_t m = 0; m < m_count; ++m) {
-    const NuiseResult& r = engine_result.per_mode[m];
-    log_likelihoods[m] = r.likelihood_informative
-                             ? r.log_likelihood
-                             : std::numeric_limits<double>::quiet_NaN();
-    innovation_norms[m] = r.correction_applied
-                              ? r.innovation.norm()
-                              : std::numeric_limits<double>::quiet_NaN();
-  }
-
-  std::string health_codes(report.mode_health.size(), 'H');
-  for (std::size_t m = 0; m < report.mode_health.size(); ++m) {
-    health_codes[m] = code(report.mode_health[m]);
-  }
-  std::string availability(suite().count(), '1');
-  for (std::size_t i = 0;
-       i < report.sensor_available.size() && i < availability.size(); ++i) {
-    if (!report.sensor_available[i]) availability[i] = '0';
-  }
+                                   const obs::FlightRecord& rec) {
   std::string misbehaving;
   for (std::size_t s : report.decision.misbehaving_sensors) {
     if (!misbehaving.empty()) misbehaving += ';';
@@ -316,22 +289,22 @@ void RoboAds::emit_iteration_event(const DetectionReport& report,
   }
 
   obs::TraceEvent ev("iteration", obs_label_, report.iteration);
-  ev.add("selected_mode", static_cast<std::int64_t>(report.selected_mode));
+  ev.add("selected_mode", rec.selected_mode);
   ev.add("selected_label", report.selected_mode_label);
-  ev.add("mode_weights", report.mode_weights);
-  ev.add("log_likelihoods", std::move(log_likelihoods));
-  ev.add("innovation_norms", std::move(innovation_norms));
-  ev.add("sensor_chi2", report.decision.sensor_statistic);
-  ev.add("sensor_threshold", report.decision.sensor_threshold);
-  ev.add("sensor_alarm", report.decision.sensor_alarm);
-  ev.add("actuator_chi2", report.decision.actuator_statistic);
-  ev.add("actuator_threshold", report.decision.actuator_threshold);
-  ev.add("actuator_alarm", report.decision.actuator_alarm);
-  ev.add("mode_health", std::move(health_codes));
-  ev.add("quarantined", static_cast<std::int64_t>(report.quarantined_modes));
-  ev.add("availability", std::move(availability));
+  ev.add("mode_weights", rec.mode_weights);
+  ev.add("log_likelihoods", rec.log_likelihoods);
+  ev.add("innovation_norms", rec.innovation_norms);
+  ev.add("sensor_chi2", rec.sensor_chi2);
+  ev.add("sensor_threshold", rec.sensor_threshold);
+  ev.add("sensor_alarm", rec.sensor_alarm);
+  ev.add("actuator_chi2", rec.actuator_chi2);
+  ev.add("actuator_threshold", rec.actuator_threshold);
+  ev.add("actuator_alarm", rec.actuator_alarm);
+  ev.add("mode_health", rec.mode_health);
+  ev.add("quarantined", rec.quarantined);
+  ev.add("availability", rec.availability);
   ev.add("misbehaving", std::move(misbehaving));
-  ev.add("containment_floor", engine_result.fallback_previous_estimate);
+  ev.add("containment_floor", rec.containment);
   instruments_.trace->emit(std::move(ev));
 }
 

@@ -36,10 +36,10 @@ struct DetectionReport {
 
   // Runtime health (fault-tolerant runtime, docs/ROBUSTNESS.md): per-mode
   // supervision states and the sensors that actually delivered a reading
-  // this iteration (empty = all).
+  // this iteration.
   std::vector<ModeHealthState> mode_health;
   std::size_t quarantined_modes = 0;
-  std::vector<bool> sensor_available;
+  SensorMask sensor_available;
 
   // Raw NUISE outputs of the selected mode. Kept so offline sweeps (the
   // Fig. 7 decision-parameter study) can replay a DecisionMaker with
@@ -82,27 +82,24 @@ class RoboAds {
   // restored detector lines up with the stream position it migrated with.
   std::size_t iteration() const { return iteration_; }
 
-  // One control iteration: planned commands u_{k−1} and the full stacked
-  // sensor readings z_k (monitor intake, Algorithm 1 lines 2-3). Sensors
-  // whose reading block contains a non-finite value are automatically
-  // treated as unavailable for the iteration instead of poisoning the
-  // estimator bank.
-  DetectionReport step(const Vector& u_prev, const Vector& z_full);
-
-  // Degraded-mode iteration under a per-sensor availability mask (empty =
-  // all available; see sim/faults.h and docs/ROBUSTNESS.md).
+  // One control iteration: planned commands u_{k−1}, the full stacked
+  // sensor readings z_k (monitor intake, Algorithm 1 lines 2-3) and the
+  // sensors whose reading arrived (the default: all of them; see
+  // sim/faults.h and docs/ROBUSTNESS.md). A mask naming a sensor past the
+  // suite is refused. Sensors whose reading block contains a non-finite
+  // value are treated as unavailable for the iteration instead of
+  // poisoning the estimator bank.
   DetectionReport step(const Vector& u_prev, const Vector& z_full,
-                       const SensorMask& available);
+                       SensorMask available = {});
 
   // The step above, writing into `report`, which may hold a report of any
   // detector: every field is written (the split of a sensor not tested
   // this step is emptied) into the capacity the report already has, so a
-  // steady complete step on a reused report allocates nothing. The engine
-  // steps into a result kept per thread, not per detector: a fleet of
-  // thousands of detectors on a few threads holds a few results. The two
-  // step() calls wrap it.
+  // steady step on a reused report allocates nothing. The engine steps
+  // into a result kept per thread, not per detector: a fleet of thousands
+  // of detectors on a few threads holds a few results. step() wraps it.
   void step_into(const Vector& u_prev, const Vector& z_full,
-                 const SensorMask& available, DetectionReport& report);
+                 SensorMask available, DetectionReport& report);
 
   // Restarts estimation for a new mission.
   void reset(const Vector& x0, const Matrix& p0);
@@ -119,7 +116,7 @@ class RoboAds {
 
  private:
   void emit_iteration_event(const DetectionReport& report,
-                            const EngineResult& engine_result);
+                            const obs::FlightRecord& rec);
   void fill_flight_record(obs::FlightRecord& rec,
                           const DetectionReport& report,
                           const EngineResult& engine_result);

@@ -110,11 +110,11 @@ MissionResult run_mission(const Platform& platform,
   // Initial readings before the first command (k = 0 is attack-free in all
   // bundled scenarios; the controller needs a pose to start from).
   Vector z = sensing.sense_all(0, simulator.state(), rng);
-  core::SensorMask mask;  // empty = all sensors delivered
+  core::SensorMask mask;  // every sensor delivered
   if (faults_active) {
     sim::BusDelivery delivery = faults.deliver(0, z);
     z = std::move(delivery.z);
-    mask.assign(delivery.available.begin(), delivery.available.end());
+    mask = delivery.available;
   }
 
   for (std::size_t k = 1; k <= config.iterations; ++k) {
@@ -133,7 +133,7 @@ MissionResult run_mission(const Platform& platform,
       if (faults_active) {
         sim::BusDelivery delivery = faults.deliver(k, z);
         z = std::move(delivery.z);
-        mask.assign(delivery.available.begin(), delivery.available.end());
+        mask = delivery.available;
       }
       rec.z = z;
       rec.sensor_available = mask;

@@ -67,9 +67,9 @@ struct IterationRecord {
   Vector u_planned;            // planner output
   Vector u_executed;           // after actuator corruption
   Vector z;                    // stacked readings delivered to the planner
-  // Per suite sensor: a frame actually arrived this iteration (empty = all;
-  // only populated when transport faults are active).
-  std::vector<bool> sensor_available;
+  // The sensors whose frame arrived this iteration (all of them unless
+  // transport faults are active).
+  sensors::SensorMask sensor_available;
   bool collided = false;       // wall/obstacle contact during the step
   core::DetectionReport report;
   // Scenario ground truth at k; wall contact is folded into the actuator

@@ -157,6 +157,24 @@ std::string join_mode_labels(const std::vector<core::Mode>& modes) {
   return out;
 }
 
+// Checks the provenance's `field` against the size of the sliding window
+// packed at `at` in a decision snapshot ([size, head, positives, slot...];
+// obs/flight_recorder.h), a size the packed vector must hold; returns the
+// offset of the next window.
+std::size_t check_window(const std::vector<std::int64_t>& packed,
+                         std::size_t at, const std::string& field,
+                         std::int64_t window) {
+  const std::size_t left = at < packed.size() ? packed.size() - at : 0;
+  ROBOADS_CHECK(left >= 3 && packed[at] >= 1 &&
+                    static_cast<std::uint64_t>(packed[at]) <= left - 3,
+                "replay: the snapshot's " + field + " window is truncated");
+  ROBOADS_CHECK(packed[at] == window,
+                "replay: provenance " + field + " " + std::to_string(window) +
+                    " differs from the snapshot's " +
+                    std::to_string(packed[at]));
+  return at + 3 + static_cast<std::size_t>(packed[at]);
+}
+
 }  // namespace
 
 ReplayResult replay_bundle(const obs::PostmortemBundle& bundle) {
@@ -168,9 +186,7 @@ ReplayResult replay_bundle(const obs::PostmortemBundle& bundle) {
   const std::unique_ptr<Platform> platform = make_platform(prov.platform);
 
   // Same detector construction as eval/mission.cc, with the knobs the
-  // provenance says were in effect. Replay is always serial (bit-identical
-  // to any thread count by the engine's determinism contract) and attaches
-  // only its own recorder.
+  // provenance says were in effect. Replay attaches only its own recorder.
   const DetectorSetup setup(*platform, prov.linear_baseline);
   const dyn::DynamicModel& detector_model = setup.model();
   const sensors::SensorSuite& detector_suite = setup.suite();
@@ -191,6 +207,15 @@ ReplayResult replay_bundle(const obs::PostmortemBundle& bundle) {
   cfg.engine.instruments = obs::Instruments{};
   cfg.engine.instruments.recorder = &recorder;
   cfg.engine.obs_label = prov.label;
+
+  // The detector sizes its decision windows from the provenance, so they
+  // must be the snapshot's before it is built: aggregate sensor, then
+  // aggregate actuator.
+  const std::vector<std::int64_t>& windows =
+      bundle.records.front().pre_step.decision;
+  const std::size_t actuator_at =
+      check_window(windows, 0, "sensor_window", prov.sensor_window);
+  check_window(windows, actuator_at, "actuator_window", prov.actuator_window);
 
   core::RoboAds detector(detector_model, detector_suite,
                          platform->process_cov(), platform->initial_state(),
@@ -246,11 +271,8 @@ ReplayResult replay_bundle(const obs::PostmortemBundle& bundle) {
     const Vector u = to_vector(rec.u);
     const Vector z = to_vector(rec.z);
     core::SensorMask mask;
-    if (rec.availability.find('0') != std::string::npos) {
-      mask.resize(rec.availability.size());
-      for (std::size_t i = 0; i < rec.availability.size(); ++i) {
-        mask[i] = rec.availability[i] == '1';
-      }
+    for (std::size_t i = 0; i < rec.availability.size(); ++i) {
+      if (rec.availability[i] == '0') mask.set_missing(i);
     }
     detector.step(u, z, mask);
   }

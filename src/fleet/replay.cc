@@ -1,6 +1,5 @@
 #include "fleet/replay.h"
 
-#include <algorithm>
 #include <string>
 
 namespace roboads::fleet {
@@ -8,18 +7,6 @@ namespace {
 
 bool same_vector(const Vector& a, const Vector& b) {
   return a.size() == b.size() && a == b;
-}
-
-// The report stores the step's mask verbatim, and the empty mask and the
-// explicit all-true mask are the same (proven bit-identical) all-available
-// path: a fault-active mission passes all-true on undropped iterations
-// where a session's complete frame passes empty. Treat them as equal.
-bool same_availability(const std::vector<bool>& a, const std::vector<bool>& b) {
-  const auto all_true = [](const std::vector<bool>& m) {
-    return std::find(m.begin(), m.end(), false) == m.end();
-  };
-  if (a.empty() || b.empty()) return all_true(a) && all_true(b);
-  return a == b;
 }
 
 }  // namespace
@@ -52,7 +39,7 @@ void append_iteration_packets(std::vector<FleetPacket>& out,
   out.push_back(std::move(command));
 
   for (std::size_t i = 0; i < suite.count(); ++i) {
-    if (!rec.sensor_available.empty() && !rec.sensor_available[i]) {
+    if (!rec.sensor_available.available(i)) {
       continue;  // dropped frame: the session masks it, like the mission
     }
     FleetPacket reading;
@@ -130,7 +117,7 @@ std::string compare_reports(const core::DetectionReport& a,
   if (a.quarantined_modes != b.quarantined_modes) {
     return "quarantine count differs";
   }
-  if (!same_availability(a.sensor_available, b.sensor_available)) {
+  if (a.sensor_available != b.sensor_available) {
     return "availability mask differs";
   }
   if (a.sensor_anomaly_by_sensor.size() != b.sensor_anomaly_by_sensor.size()) {

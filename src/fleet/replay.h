@@ -27,9 +27,9 @@ namespace roboads::fleet {
 std::shared_ptr<SessionSpec> make_session_spec(const eval::Platform& platform);
 
 // Appends the packets equivalent to iteration record `rec`, addressed to
-// `robot`: the planned command, then each delivered sensor's reading block
-// (all sensors when the record carries no availability mask). Packet order
-// within the iteration is command-first, suite order — but the session's
+// `robot`: the planned command, then the reading block of each sensor the
+// record's availability mask does not mark missing. Packet order within
+// the iteration is command-first, suite order — but the session's
 // reassembly is order-independent, which the out-of-order tests exploit.
 void append_iteration_packets(std::vector<FleetPacket>& out,
                               std::uint64_t robot,

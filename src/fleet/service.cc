@@ -228,8 +228,6 @@ void FleetService::apply_migrations() {
   }
   std::vector<MigrationRequest> retry;
   for (const MigrationRequest& req : requests) {
-    ROBOADS_CHECK(req.robot < routing_.size(), "unknown fleet robot id");
-    ROBOADS_CHECK(req.target < shards_.size(), "migration target out of range");
     const std::size_t source =
         routing_[req.robot].load(std::memory_order_relaxed);
     if (source == req.target) continue;
@@ -267,6 +265,8 @@ void FleetService::apply_migrations() {
 }
 
 void FleetService::migrate(std::uint64_t robot, std::size_t target_shard) {
+  ROBOADS_CHECK(robot < robot_count(), "unknown fleet robot id");
+  ROBOADS_CHECK(target_shard < shard_count(), "migration target out of range");
   std::lock_guard<std::mutex> lock(migrations_mu_);
   migrations_.push_back({robot, target_shard});
 }

@@ -133,7 +133,8 @@ class FleetService {
 
   // Requests moving a robot's session to `target_shard`. Applied by the
   // pump between passes once the session is idle; packets still in the old
-  // shard's ring are forwarded. Safe from any thread.
+  // shard's ring are forwarded. Safe from any thread. An unknown robot or
+  // a shard out of range throws here, on the caller's thread.
   void migrate(std::uint64_t robot, std::size_t target_shard);
 
   FleetStatus status() const;

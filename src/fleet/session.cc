@@ -27,10 +27,6 @@ std::shared_ptr<const core::EstimatorBank> checked_bank(
 // next depth's report, leaving the one it was handed intact.
 thread_local std::deque<core::DetectionReport> t_reports;
 thread_local std::size_t t_depth = 0;
-// The availability mask a masked frame steps under. Nothing reads it after
-// the detector step returns, so a sink stepping another session on this
-// thread may reuse it.
-thread_local core::SensorMask t_mask;
 
 // This thread's report at the current depth, held for one step and its
 // sink call.
@@ -61,14 +57,9 @@ DetectorSession::DetectorSession(std::shared_ptr<const SessionSpec> spec,
   input_dim_ = spec->model->input_dim();
   stride_ = input_dim_ + suite().total_dim();
   values_.assign((frames_.size() + 1) * stride_, 0.0);
-  have_.assign(frames_.size() * suite().count(), false);
-}
-
-bool DetectorSession::complete(std::size_t s) const {
-  const std::size_t n = suite().count();
-  const auto first = have_.begin() + static_cast<std::ptrdiff_t>(s * n);
-  return std::find(first, first + static_cast<std::ptrdiff_t>(n), false) ==
-         first + static_cast<std::ptrdiff_t>(n);
+  for (std::size_t i = 0; i < suite().count(); ++i) {
+    none_arrived_.set_missing(i);
+  }
 }
 
 DetectorSession::PendingFrame& DetectorSession::frame_at(std::uint64_t k) {
@@ -83,7 +74,7 @@ DetectorSession::PendingFrame& DetectorSession::frame_at(std::uint64_t k) {
     // estimator, so this is cosmetic consistency, not a correctness need.
     std::copy_n(values(frames_.size()) + input_dim_, stride_ - input_dim_,
                 values(s) + input_dim_);
-    for (std::size_t i = 0; i < suite().count(); ++i) have(s, i) = false;
+    f.missing = none_arrived_;
     f.max_ingest_ns = 0;
     if (span_sink_ != nullptr) spans_[s].reset();
     ++pending_count_;
@@ -152,10 +143,12 @@ void DetectorSession::ingest(const FleetPacket& packet) {
     std::copy_n(p.payload.data(), input_dim_, values(s));
     f.has_u = true;
   } else {
-    if (have(s, *sensor)) ++counters_.duplicate_packets;  // latest wins
+    if (f.missing.available(*sensor)) {
+      ++counters_.duplicate_packets;  // latest wins
+    }
     std::copy_n(p.payload.data(), p.payload.size(),
                 values(s) + input_dim_ + suite.offset(*sensor));
-    have(s, *sensor) = true;
+    f.missing.set_available(*sensor);
   }
   if (!p.payload.all_finite()) ++counters_.nonfinite_packets;
   f.max_ingest_ns = std::max(f.max_ingest_ns, packet.ingest_ns);
@@ -169,7 +162,7 @@ void DetectorSession::cascade() {
   for (;;) {
     const std::size_t s = slot(base_k_);
     const PendingFrame& f = frames_[s];
-    if (!f.active || !f.has_u || !complete(s)) return;
+    if (!f.active || !f.has_u || !f.missing.complete()) return;
     step_frame(base_k_);
   }
 }
@@ -197,20 +190,11 @@ void DetectorSession::step_frame(std::uint64_t k, bool forced) {
   Vector z = Vector::for_overwrite(total_dim);
   std::copy_n((dark ? last : frame) + input_dim_, total_dim, z.data());
 
-  // All sensors delivered → empty mask, the exact single-mission
-  // all-available path (bit-identity); anything less → the PR 2 degraded
-  // path with the arrival flags as the availability mask.
-  const std::size_t sensors = suite().count();
-  core::SensorMask& mask = t_mask;
-  mask.clear();
-  const bool all_arrived = !dark && complete(s);
-  if (!all_arrived) {
-    mask.assign(sensors, false);
-    if (!dark) {
-      for (std::size_t i = 0; i < sensors; ++i) mask[i] = have(s, i);
-    }
-    ++counters_.masked_steps;
-  }
+  // The frame steps under the sensors that arrived: the complete mask, as
+  // in the single mission, when all did.
+  const core::SensorMask mask = dark ? none_arrived_ : f.missing;
+  const bool all_arrived = !dark && mask.complete();
+  if (!all_arrived) ++counters_.masked_steps;
 
   const ThreadReport held;
   core::DetectionReport& report = held.get();
@@ -226,8 +210,8 @@ void DetectorSession::step_frame(std::uint64_t k, bool forced) {
     std::copy_n(z.data(), total_dim, last + input_dim_);
   } else if (!dark) {
     const sensors::SensorSuite& suite = this->suite();
-    for (std::size_t i = 0; i < sensors; ++i) {
-      if (have(s, i)) {
+    for (std::size_t i = 0; i < suite.count(); ++i) {
+      if (mask.available(i)) {
         const std::size_t at = input_dim_ + suite.offset(i);
         std::copy_n(frame + at, suite.sensor(i).dim(), last + at);
       }

@@ -18,10 +18,9 @@
 //   * duplicates are counted and resolved latest-wins before the step.
 //
 // When every packet of an iteration arrives (the overwhelmingly common
-// case), the session steps with an *empty* mask — the bit-identical
-// all-available path — so a session fed a mission's recorded packets
-// reproduces that mission's DetectionReports exactly
-// (tests/fleet_session_test.cc pins this).
+// case), the session steps with the complete mask, so a session fed a
+// mission's recorded packets reproduces that mission's DetectionReports
+// exactly (tests/fleet_session_test.cc pins this).
 //
 // Sessions are single-threaded by design: the fleet service owns each one
 // on exactly one shard and migrates it between shards via the PR 5
@@ -169,12 +168,13 @@ class DetectorSession {
 
  private:
   // One slot of the reorder ring. Its command and readings live in
-  // values_, its arrival flags in have_ and its span stamps in spans_:
-  // flat per-session arrays, which keep a session's frames to a few
-  // hundred bytes (a fleet holds thousands of sessions).
+  // values_ and its span stamps in spans_: flat per-session arrays, which
+  // keep a session's frames to a few hundred bytes (a fleet holds
+  // thousands of sessions).
   struct PendingFrame {
     bool active = false;
     bool has_u = false;
+    core::SensorMask missing;  // the sensors whose reading has not arrived
     std::uint64_t max_ingest_ns = 0;
   };
 
@@ -187,11 +187,6 @@ class DetectorSession {
   const double* values(std::size_t s) const {
     return values_.data() + s * stride_;
   }
-  std::vector<bool>::reference have(std::size_t s, std::size_t sensor) {
-    return have_[s * suite().count() + sensor];
-  }
-  bool complete(std::size_t s) const;
-
   PendingFrame& frame_at(std::uint64_t k);
   void step_frame(std::uint64_t k, bool forced = false);
   void cascade();
@@ -204,7 +199,7 @@ class DetectorSession {
   std::size_t input_dim_ = 0;
   std::size_t stride_ = 0;            // input_dim_ + suite().total_dim()
   std::vector<double> values_;        // (window + 1) × stride_, values()
-  std::vector<bool> have_;            // window × sensors: reading arrived
+  core::SensorMask none_arrived_;     // every suite sensor missing
   std::vector<obs::SpanStamps> spans_;  // per slot, once tracing is on
   std::size_t pending_count_ = 0;
   std::uint64_t base_k_ = 1;          // next iteration to step

@@ -9,15 +9,54 @@
 // "testing" (subscript 1) and "reference" (subscript 2) groups per mode.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/check.h"
 #include "matrix/matrix.h"
 
 namespace roboads::sensors {
+
+// The most sensors a detector's suite may hold: an availability mask keeps
+// one bit per sensor, and NUISE builds one pattern per set of missing
+// sensors, 2^p of them (core/nuise.h).
+inline constexpr std::size_t kMaxSuiteSensors = 8;
+
+// Which suite sensors delivered a reading in one iteration: bit i set marks
+// sensor i missing (a dropped frame, sim/faults.h; a lost packet,
+// fleet/session.h; a non-finite reading, core/roboads.h). The default mask
+// is the complete step, every sensor delivered. bits() indexes NUISE's
+// pattern table.
+class SensorMask {
+ public:
+  bool available(std::size_t i) const {
+    return i >= kMaxSuiteSensors || ((bits_ >> i) & 1u) == 0;
+  }
+  void set_missing(std::size_t i) {
+    ROBOADS_CHECK(i < kMaxSuiteSensors,
+                  "availability mask index past kMaxSuiteSensors (8)");
+    bits_ |= static_cast<std::uint8_t>(1u << i);
+  }
+  void set_available(std::size_t i) {
+    if (i < kMaxSuiteSensors) bits_ &= static_cast<std::uint8_t>(~(1u << i));
+  }
+  bool complete() const { return bits_ == 0; }
+  // True when no sensor at or past `count` is marked missing: the mask
+  // fits a suite of `count` sensors.
+  bool within(std::size_t count) const {
+    return count >= kMaxSuiteSensors || (bits_ >> count) == 0;
+  }
+  std::uint8_t bits() const { return bits_; }
+
+  bool operator==(const SensorMask&) const = default;
+
+ private:
+  std::uint8_t bits_ = 0;
+};
 
 class SensorModel {
  public:

@@ -59,7 +59,6 @@ BusDelivery TransportFaultModel::deliver(std::size_t k, const Vector& z_true) {
                    "stacked reading size mismatch");
   BusDelivery out;
   out.z = z_true;
-  out.available.assign(suite_.count(), true);
 
   for (std::size_t i = 0; i < suite_.count(); ++i) {
     Channel& ch = channels_[i];
@@ -113,7 +112,7 @@ BusDelivery TransportFaultModel::deliver(std::size_t k, const Vector& z_true) {
     }
 
     out.z.set_segment(off, delivered);
-    out.available[i] = arrived;
+    if (!arrived) out.available.set_missing(i);
     if (arrived) ch.last_delivered = delivered;
     ch.prev_true = current;
   }

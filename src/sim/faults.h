@@ -76,7 +76,7 @@ struct TransportFaultConfig {
 // What the bus delivered for one iteration.
 struct BusDelivery {
   Vector z;                      // delivered stacked readings (suite layout)
-  std::vector<bool> available;   // per suite sensor: a frame arrived
+  sensors::SensorMask available;  // per suite sensor: a frame arrived
   // Event counters for this delivery (forensics / bench reporting).
   std::size_t dropped = 0;
   std::size_t stale = 0;

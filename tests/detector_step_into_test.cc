@@ -95,7 +95,7 @@ eval::MissionResult fly(const eval::Platform& platform,
 // The twin's by-value step on a thread of its own: its thread_local engine
 // result and everything the step builds start fresh.
 DetectionReport fresh_step(RoboAds& twin, const Vector& u, const Vector& z,
-                           const SensorMask& mask) {
+                           SensorMask mask) {
   DetectionReport out;
   std::thread([&] { out = twin.step(u, z, mask); }).join();
   return out;
@@ -149,12 +149,12 @@ TEST(DetectorStepInto, ReusedReportEqualsAFreshStepOnATwin) {
           break;
         case Perturbation::kMaskTesting: {
           const Mode& mode = lane.detector->modes()[lane.mode];
-          mask.assign(suite.count(), true);
-          if (!mode.testing.empty()) mask[mode.testing.front()] = false;
+          mask = SensorMask{};
+          if (!mode.testing.empty()) mask.set_missing(mode.testing.front());
           break;
         }
         case Perturbation::kPredictionOnly:
-          mask.assign(suite.count(), false);
+          for (std::size_t i = 0; i < suite.count(); ++i) mask.set_missing(i);
           break;
         case Perturbation::kNonFinite:
           z[suite.offset(suite.count() - 1)] = kNaN;
@@ -185,7 +185,7 @@ TEST(DetectorStepInto, ReusedReportEqualsAFreshStepOnATwin) {
       prediction_only += perturbation == Perturbation::kPredictionOnly &&
                          !selected.correction_applied;
       nonfinite += perturbation == Perturbation::kNonFinite &&
-                   !report.sensor_available.back();
+                   !report.sensor_available.available(suite.count() - 1);
       containment += perturbation == Perturbation::kContainment &&
                      selected.degraded && selected.active_testing.empty() &&
                      !selected.correction_applied;

@@ -99,32 +99,26 @@ std::vector<StepInput> attacked_mission(Rig& rig, std::size_t steps = 200) {
 }
 
 // Runs the full trace through a fresh engine and returns every step's
-// result. `mask_mode` selects how each step is issued:
-// 0 = the plain 2-argument step, 1 = masked step with an empty mask, 2 =
-// masked step with an all-true mask — all three are contractually the same
-// code path and must be bit-identical.
+// result. With `restored_mask` each step passes a mask whose sensors were
+// all marked missing and then delivered again, as a session frame's are:
+// the complete mask, so it must be bit-identical to the plain step.
 std::vector<EngineResult> run_trace(Rig& rig, const std::vector<Mode>& modes,
                                     const std::vector<StepInput>& trace,
-                                    int mask_mode = 0,
+                                    bool restored_mask = false,
                                     bool health_enabled = true) {
   EngineConfig cfg;
   cfg.health.enabled = health_enabled;
   MultiModeEngine engine(rig.model, rig.suite, modes, rig.q, rig.x0, rig.p0,
                          cfg);
+  SensorMask mask;
+  if (restored_mask) {
+    for (std::size_t i = 0; i < rig.suite.count(); ++i) mask.set_missing(i);
+    for (std::size_t i = 0; i < rig.suite.count(); ++i) mask.set_available(i);
+  }
   std::vector<EngineResult> results;
   results.reserve(trace.size());
   for (const StepInput& in : trace) {
-    switch (mask_mode) {
-      case 1:
-        results.push_back(engine.step(in.u, in.z, SensorMask{}));
-        break;
-      case 2:
-        results.push_back(
-            engine.step(in.u, in.z, SensorMask(rig.suite.count(), true)));
-        break;
-      default:
-        results.push_back(engine.step(in.u, in.z));
-    }
+    results.push_back(engine.step(in.u, in.z, mask));
   }
   return results;
 }
@@ -170,22 +164,21 @@ TEST(EngineParallel, CompleteModeSetRunsAreBitIdentical) {
 }
 
 // The fault-tolerant runtime's no-fault contract: with every sensor
-// available (however that is spelled) and health supervision enabled —
-// the default — outputs are bit-identical to the plain unsupervised run.
-// Supervision is pure reads on healthy results; the masked entry points
-// route trivial masks to the exact legacy path.
+// available and health supervision enabled — the default — outputs are
+// bit-identical to the plain unsupervised run. Supervision is pure reads
+// on healthy results.
 TEST(EngineParallel, MaskedAllAvailableAndSupervisionAreBitIdentical) {
   Rig rig;
   const std::vector<Mode> modes = one_reference_per_sensor(rig.suite);
   const std::vector<StepInput> trace = attacked_mission(rig);
 
   const std::vector<EngineResult> plain_unsupervised =
-      run_trace(rig, modes, trace, /*mask_mode=*/0,
+      run_trace(rig, modes, trace, /*restored_mask=*/false,
                 /*health_enabled=*/false);
-  for (int mask_mode : {0, 1, 2}) {
-    SCOPED_TRACE("mask_mode = " + std::to_string(mask_mode));
+  for (bool restored_mask : {false, true}) {
+    SCOPED_TRACE(restored_mask ? "restored mask" : "default mask");
     const std::vector<EngineResult> supervised =
-        run_trace(rig, modes, trace, mask_mode, /*health_enabled=*/true);
+        run_trace(rig, modes, trace, restored_mask, /*health_enabled=*/true);
     expect_identical(plain_unsupervised, supervised);
     // And the supervised run reports every mode healthy throughout.
     for (const EngineResult& r : supervised) {

@@ -179,6 +179,8 @@ TEST(SuperviseResult, DisabledSupervisionIsANoOp) {
 
 // --- Degraded-mode NUISE. ---
 
+// A mask whose sensors were each marked missing and then delivered again,
+// as a session frame's is, steps as the complete one.
 TEST(DegradedNuise, AllAvailableMaskIsBitIdenticalToUnmasked) {
   Rig rig;
   const Mode mode = one_reference_per_sensor(rig.suite)[1];
@@ -189,19 +191,21 @@ TEST(DegradedNuise, AllAvailableMaskIsBitIdenticalToUnmasked) {
   const Vector u{0.08, 0.05};
   const Vector z = rig.simulate_step(x_true, u);
 
+  SensorMask arrived;
+  for (std::size_t i = 0; i < 3; ++i) arrived.set_missing(i);
+  EXPECT_FALSE(arrived.complete());
+  for (std::size_t i = 0; i < 3; ++i) arrived.set_available(i);
+  EXPECT_TRUE(arrived.complete());
+  EXPECT_EQ(arrived, SensorMask{});
+
   const NuiseResult plain = nuise.step(x_prev, p_prev, u, z);
-  const NuiseResult empty_mask =
-      nuise.step(x_prev, p_prev, u, z, SensorMask{});
-  const NuiseResult full_mask =
-      nuise.step(x_prev, p_prev, u, z, SensorMask(3, true));
-  for (const NuiseResult* r : {&empty_mask, &full_mask}) {
-    EXPECT_EQ(r->state, plain.state);
-    EXPECT_EQ(r->state_cov, plain.state_cov);
-    EXPECT_EQ(r->sensor_anomaly, plain.sensor_anomaly);
-    EXPECT_EQ(r->log_likelihood, plain.log_likelihood);
-    EXPECT_FALSE(r->degraded);
-    EXPECT_TRUE(r->likelihood_informative);
-  }
+  const NuiseResult r = nuise.step(x_prev, p_prev, u, z, arrived);
+  EXPECT_EQ(r.state, plain.state);
+  EXPECT_EQ(r.state_cov, plain.state_cov);
+  EXPECT_EQ(r.sensor_anomaly, plain.sensor_anomaly);
+  EXPECT_EQ(r.log_likelihood, plain.log_likelihood);
+  EXPECT_FALSE(r.degraded);
+  EXPECT_TRUE(r.likelihood_informative);
 }
 
 TEST(DegradedNuise, MissingTestingSensorShrinksAnomalyOnly) {
@@ -214,8 +218,8 @@ TEST(DegradedNuise, MissingTestingSensorShrinksAnomalyOnly) {
   const Vector u{0.08, 0.05};
   const Vector z = rig.simulate_step(x_true, u);
 
-  SensorMask mask(3, true);
-  mask[2] = false;  // lidar (testing) missing
+  SensorMask mask;
+  mask.set_missing(2);  // lidar (testing) missing
   const NuiseResult full = nuise.step(x_prev, p_prev, u, z);
   const NuiseResult masked = nuise.step(x_prev, p_prev, u, z, mask);
 
@@ -250,9 +254,9 @@ TEST(DegradedNuise, PartialReferenceMatchesTheSmallerMode) {
   const Vector u{0.08, 0.05};
   const Vector z = rig.simulate_step(x_true, u);
 
-  SensorMask mask(3, true);
-  mask[0] = false;  // wheel encoder missing: wide loses a reference member,
-                    // narrow loses a testing member
+  SensorMask mask;
+  mask.set_missing(0);  // wheel encoder missing: wide loses a reference
+                        // member, narrow loses a testing member
   const NuiseResult masked = wide_nuise.step(x_prev, p_prev, u, z, mask);
   const NuiseResult expected = narrow_nuise.step(x_prev, p_prev, u, z, mask);
 
@@ -274,8 +278,8 @@ TEST(DegradedNuise, MissingReferenceGroupRunsPredictionOnly) {
   const Vector u{0.08, 0.05};
   const Vector z = rig.simulate_step(x_true, u);
 
-  SensorMask mask(3, true);
-  mask[1] = false;  // the whole reference group gone
+  SensorMask mask;
+  mask.set_missing(1);  // the whole reference group gone
   const NuiseResult r = nuise.step(x_prev, p_prev, u, z, mask);
 
   EXPECT_FALSE(r.correction_applied);
@@ -305,10 +309,11 @@ TEST(DegradedNuise, ShortReadingIsRefusedUnderEveryMask) {
   const Vector u{0.08, 0.05};
   const Vector short_z{0.5, 0.8};
   for (std::size_t bits = 0; bits < 8; ++bits) {
-    const SensorMask mask{(bits & 1u) != 0, (bits & 2u) != 0,
-                          (bits & 4u) != 0};
-    SCOPED_TRACE(testing::Message() << "mask " << mask[0] << mask[1]
-                                    << mask[2]);
+    SensorMask mask;
+    for (std::size_t i = 0; i < 3; ++i) {
+      if (((bits >> i) & 1u) != 0) mask.set_missing(i);
+    }
+    SCOPED_TRACE(testing::Message() << "missing bits " << bits);
     for (const Mode& mode : one_reference_per_sensor(rig.suite)) {
       const Nuise nuise(rig.model, rig.suite, mode, rig.q);
       EXPECT_THROW(nuise.step(x, p, u, short_z, mask), CheckError)
@@ -318,6 +323,34 @@ TEST(DegradedNuise, ShortReadingIsRefusedUnderEveryMask) {
     DetectionReport report;
     EXPECT_THROW(detector.step_into(u, short_z, mask, report), CheckError);
   }
+}
+
+// A mask naming a sensor the suite does not have is refused before the
+// estimator looks up its pattern, and no mask can name one past the bound.
+TEST(DegradedNuise, MaskPastTheSuiteIsRefused) {
+  Rig rig;
+  Vector x{0.5, 0.8, 0.1};
+  const Matrix p = Matrix::identity(3) * 1e-4;
+  const Vector u{0.08, 0.05};
+  const Vector z = rig.simulate_step(x, u);
+  for (std::size_t past = 3; past < kMaxSuiteSensors; ++past) {
+    SensorMask mask;
+    mask.set_missing(past);
+    for (const Mode& mode : one_reference_per_sensor(rig.suite)) {
+      const Nuise nuise(rig.model, rig.suite, mode, rig.q);
+      try {
+        nuise.step(x, p, u, z, mask);
+        ADD_FAILURE() << mode.label << ": sensor " << past << " accepted";
+      } catch (const CheckError& e) {
+        EXPECT_NE(std::string(e.what()).find("past the suite"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  SensorMask mask;
+  EXPECT_THROW(mask.set_missing(kMaxSuiteSensors), CheckError);
+  EXPECT_TRUE(mask.complete());
 }
 
 // --- Engine-level quarantine and recovery. ---
@@ -417,18 +450,18 @@ TEST(RoboAdsFacade, NonFiniteReadingIsAutoMaskedNotPoisonous) {
   Vector z = rig.simulate_step(x_true, u);
   z[rig.suite.offset(0) + 1] = kNaN;
   const DetectionReport report = detector.step(u, z);
-  ASSERT_EQ(report.sensor_available.size(), 3u);
-  EXPECT_FALSE(report.sensor_available[0]);
-  EXPECT_TRUE(report.sensor_available[1]);
+  EXPECT_FALSE(report.sensor_available.available(0));
+  EXPECT_TRUE(report.sensor_available.available(1));
+  EXPECT_TRUE(report.sensor_available.available(2));
   EXPECT_EQ(report.quarantined_modes, 0u);
   EXPECT_TRUE(report.state_estimate.all_finite());
   // wheel-encoder anomaly cannot be attributed this iteration.
   EXPECT_TRUE(report.sensor_anomaly_by_sensor[0].empty());
 }
 
-// A mask of the wrong size is refused before the step writes anything:
-// the non-finite LiDAR block past the mask's end is not marked missing in
-// it, and the report keeps the availability list it held.
+// A mask naming a sensor past the suite is refused before the step writes
+// anything: the non-finite LiDAR block is not marked missing in it, and the
+// report keeps the availability it held.
 TEST(RoboAdsFacade, WrongSizeMaskIsRefusedBeforeTheReportIsWritten) {
   Rig rig;
   Vector x_true{0.5, 0.8, 0.1};
@@ -436,17 +469,21 @@ TEST(RoboAdsFacade, WrongSizeMaskIsRefusedBeforeTheReportIsWritten) {
                    Matrix::identity(3) * 1e-4);
   const Vector u{0.08, 0.05};
   DetectionReport report;
-  const SensorMask held{true, false, true};
+  SensorMask held;
+  held.set_missing(1);
   detector.step_into(u, rig.simulate_step(x_true, u), held, report);
   ASSERT_EQ(report.sensor_available, held);
 
   Vector z = rig.simulate_step(x_true, u);
   z[rig.suite.offset(2)] = kNaN;
+  SensorMask past;
+  past.set_missing(3);  // the suite has three sensors
   try {
-    detector.step_into(u, z, SensorMask{true}, report);
-    ADD_FAILURE() << "a one-entry mask was accepted";
+    detector.step_into(u, z, past, report);
+    ADD_FAILURE() << "a mask naming sensor 3 was accepted";
   } catch (const CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("availability mask size mismatch"),
+    EXPECT_NE(std::string(e.what()).find(
+                  "availability mask names a sensor past the suite"),
               std::string::npos)
         << e.what();
   }
@@ -477,8 +514,9 @@ TEST(FaultTolerantMission, TenPercentDropStillDetectsTableIIAttack) {
   // Availability made it into the records.
   std::size_t outages = 0;
   for (const IterationRecord& rec : result.records) {
-    ASSERT_EQ(rec.sensor_available.size(), platform.suite().count());
-    if (!rec.sensor_available[platform.suite().index_of("lidar")]) ++outages;
+    if (!rec.sensor_available.available(platform.suite().index_of("lidar"))) {
+      ++outages;
+    }
     EXPECT_TRUE(rec.report.state_estimate.all_finite());
   }
   EXPECT_EQ(outages, result.frames_dropped);

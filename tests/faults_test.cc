@@ -40,7 +40,7 @@ TEST(TransportFaultModel, InactiveConfigDeliversEverythingUntouched) {
     const Vector z = reading_at(suite, k);
     const BusDelivery d = model.deliver(k, z);
     EXPECT_EQ(d.z, z);
-    for (bool a : d.available) EXPECT_TRUE(a);
+    EXPECT_TRUE(d.available.complete());
     EXPECT_EQ(d.dropped + d.stale + d.duplicated + d.frozen, 0u);
   }
   EXPECT_EQ(model.total_dropped(), 0u);
@@ -81,7 +81,7 @@ TEST(TransportFaultModel, DropMarksUnavailableAndHoldsLastArrivedFrame) {
     const Vector z = reading_at(suite, k);
     const BusDelivery d = model.deliver(k, z);
     const Vector block = d.z.segment(off, dim);
-    if (d.available[ips]) {
+    if (d.available.available(ips)) {
       EXPECT_EQ(block, z.segment(off, dim));
       last_arrived = block;
     } else {
@@ -94,7 +94,7 @@ TEST(TransportFaultModel, DropMarksUnavailableAndHoldsLastArrivedFrame) {
     // Other sensors are untouched.
     for (std::size_t i = 0; i < suite.count(); ++i) {
       if (i == ips) continue;
-      EXPECT_TRUE(d.available[i]);
+      EXPECT_TRUE(d.available.available(i));
       EXPECT_EQ(d.z.segment(suite.offset(i), suite.sensor(i).dim()),
                 z.segment(suite.offset(i), suite.sensor(i).dim()));
     }
@@ -119,7 +119,7 @@ TEST(TransportFaultModel, StaleDeliversPreviousReadingAsAvailable) {
     const BusDelivery d = model.deliver(k, z);
     // A late frame still arrives: the consumer cannot tell, so the sensor
     // counts as available — only the payload is one period old.
-    EXPECT_TRUE(d.available[ips]);
+    EXPECT_TRUE(d.available.available(ips));
     const Vector expected =
         k == 0 ? z.segment(off, dim) : reading_at(suite, k - 1).segment(off, dim);
     EXPECT_EQ(d.z.segment(off, dim), expected);
@@ -142,7 +142,7 @@ TEST(TransportFaultModel, FreezeRedeliversLastPreFreezeFrame) {
   for (std::size_t k = 0; k < 12; ++k) {
     const Vector z = reading_at(suite, k);
     const BusDelivery d = model.deliver(k, z);
-    EXPECT_TRUE(d.available[lidar]);
+    EXPECT_TRUE(d.available.available(lidar));
     if (k >= 5 && k < 8) {
       EXPECT_EQ(d.z.segment(off, dim), pre_freeze) << "k=" << k;
       EXPECT_EQ(d.frozen, 1u);
@@ -194,7 +194,8 @@ TEST(TransportFaultModel, PerSensorStreamsAreIndependent) {
     const Vector z = reading_at(suite, k);
     const BusDelivery ds = solo.deliver(k, z);
     const BusDelivery dp = pair.deliver(k, z);
-    EXPECT_EQ(ds.available[ips], dp.available[ips]) << "k=" << k;
+    EXPECT_EQ(ds.available.available(ips), dp.available.available(ips))
+        << "k=" << k;
   }
 }
 

@@ -270,6 +270,28 @@ TEST(FleetService, MigrationWaitsForIdleSessions) {
   EXPECT_EQ(fleet.session_counters(0).steps, 1u);
 }
 
+// A migration naming an unknown robot or a shard out of range throws from
+// migrate(), on the caller's thread. Queued, it would throw later inside
+// the pump, where a running pump's thread has no one to catch it, and take
+// the requests queued beside it along.
+TEST(FleetService, MigrateRefusesABadRobotOrShardOnTheCallersThread) {
+  const Fixture fx(1, 10);
+  FleetConfig config;
+  config.shards = 2;
+  FleetService fleet(config);
+  fleet.add_robot(fx.spec);
+  const std::size_t target = (fleet.shard_of(0) + 1) % fleet.shard_count();
+  EXPECT_THROW(fleet.migrate(1, target), CheckError);
+  EXPECT_THROW(fleet.migrate(0, 7), CheckError);
+  fleet.migrate(0, target);
+  EXPECT_NO_THROW(fleet.pump_once());
+  EXPECT_EQ(fleet.shard_of(0), target);
+
+  fleet.start();
+  EXPECT_THROW(fleet.migrate(0, 7), CheckError);
+  fleet.stop();
+}
+
 TEST(FleetService, ConcurrentSubmitPumpAndStatus) {
   // The TSan target: a live pump thread, four producer threads firehosing
   // interleaved robot streams, and a status() poller, all concurrent.

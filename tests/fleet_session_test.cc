@@ -104,11 +104,7 @@ TEST(FleetSession, BitIdenticalToFaultMaskedMission) {
                 sim::TransportFaultConfig::single(drop));
   std::size_t masked = 0;
   for (const eval::IterationRecord& rec : run.mission.records) {
-    if (!rec.sensor_available.empty() &&
-        std::find(rec.sensor_available.begin(), rec.sensor_available.end(),
-                  false) != rec.sensor_available.end()) {
-      ++masked;
-    }
+    if (!rec.sensor_available.complete()) ++masked;
   }
   ASSERT_GT(masked, 0u) << "fault config never dropped a frame";
   const SessionCounters counters = expect_parity(

@@ -549,15 +549,15 @@ class ReferenceNuise {
 
   NuiseResult step(const Vector& x_prev, const Matrix& p_prev,
                    const Vector& u_prev, const Vector& z_full,
-                   const SensorMask& available) const {
-    if (available.empty()) {
+                   SensorMask available) const {
+    if (available.complete()) {
       return step_subsets(mode_.reference, mode_.testing, x_prev, p_prev,
                           u_prev, z_full, /*cached=*/true);
     }
     auto filter = [&](const std::vector<std::size_t>& set) {
       std::vector<std::size_t> kept;
       for (std::size_t i : set) {
-        if (available[i]) kept.push_back(i);
+        if (available.available(i)) kept.push_back(i);
       }
       return kept;
     };
@@ -861,11 +861,10 @@ Mission record(const eval::Platform& platform,
     // block is not finite.
     SensorMask mask = rec.sensor_available;
     if (!rec.z.all_finite()) {
-      if (mask.empty()) mask.assign(suite.count(), true);
       for (std::size_t i = 0; i < suite.count(); ++i) {
         if (!rec.z.segment(suite.offset(i), suite.sensor(i).dim())
                  .all_finite()) {
-          mask[i] = false;
+          mask.set_missing(i);
         }
       }
     }
@@ -963,9 +962,9 @@ TEST(NuiseOracle, EveryAvailabilityMask) {
       for (std::size_t k = 0; k < m.steps.size(); k += 25) {
         PreStep in = m.steps[k];
         for (std::size_t bits = 0; bits + 1 < (1u << sensors); ++bits) {
-          in.mask.assign(sensors, false);
+          in.mask = SensorMask{};
           for (std::size_t i = 0; i < sensors; ++i) {
-            in.mask[i] = (bits >> i) & 1u;
+            if (((bits >> i) & 1u) == 0) in.mask.set_missing(i);
           }
           const std::string d = compare_all(pairs, in);
           ASSERT_TRUE(d.empty())

@@ -161,6 +161,36 @@ TEST(Replay, TamperedProvenanceIsRejected) {
   EXPECT_THROW(replay_bundle(no_snapshot), CheckError);
 }
 
+// The provenance's decision windows are checked against the snapshot's
+// before the detector sizes its windows from them, with a CheckError that
+// names the field.
+TEST(Replay, ProvenanceWindowsMustMatchTheSnapshot) {
+  GoldenMission& m = golden_mission();
+  ASSERT_FALSE(m.recorder.bundles().empty());
+  const obs::PostmortemBundle& bundle = m.recorder.bundles().front();
+  const std::vector<std::pair<const char*, void (*)(obs::BundleProvenance&)>>
+      mutants = {
+          {"sensor_window",
+           [](obs::BundleProvenance& p) { ++p.sensor_window; }},
+          {"actuator_window",
+           [](obs::BundleProvenance& p) { ++p.actuator_window; }},
+      };
+  for (const auto& [field, mutate] : mutants) {
+    obs::PostmortemBundle bad = bundle;
+    mutate(bad.provenance);
+    try {
+      replay_bundle(bad);
+      ADD_FAILURE() << field << ": replayed without a CheckError";
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
+  obs::PostmortemBundle cut = bundle;
+  cut.records.front().pre_step.decision.resize(4);
+  EXPECT_THROW(replay_bundle(cut), CheckError);
+}
+
 // A record that does not fit the provenance is refused before it steps,
 // with a CheckError naming its k: a cut reading vector would otherwise fail
 // deep in the NUISE step, and a short all-'1' availability (or one with
